@@ -8,10 +8,10 @@ the formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .problem import Grid
 
@@ -87,20 +87,14 @@ def support_radius(profile: BarenblattProfile, t: float) -> float:
 
 
 def mass(profile: BarenblattProfile, t: float = 1.0) -> float:
-    """L^1 norm by radial quadrature (time-independent by self-similarity)."""
-    R = support_radius(profile, t)
-
-    def radial(r):
-        point = np.array([[r]] + [[0.0]] * (profile.n - 1))
-        return float(np.ravel(evaluate(profile, point, t))[0])
-
-    if profile.n == 1:
-        val, _ = quad(lambda r: radial(r), 0.0, R, limit=200)
-        return 2.0 * val
-    if profile.n == 2:
-        val, _ = quad(lambda r: r * radial(r), 0.0, R, limit=200)
-        return 2.0 * np.pi * val
-    raise DomainError(f"mass quadrature implemented for n <= 2, got n={profile.n}")
+    """L^1 norm, time-independent by self-similarity: the integral of
+    (C - b|y|^2)_+^(1/a) over R^n, which is
+    C^(1/a + n/2) b^(-n/2) pi^(n/2) Gamma(1/a + 1) / Gamma(1/a + 1 + n/2)."""
+    if t <= 0:
+        raise DomainError(f"profile is defined for t > 0, got t={t}")
+    p, h = 1.0 / profile.alpha, profile.n / 2.0
+    return (profile.C ** (p + h) * profile.b_coef ** (-h) * math.pi ** h
+            * math.exp(math.lgamma(p + 1.0) - math.lgamma(p + 1.0 + h)))
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import barenblatt, exponents, harness, solver, svg
 from .problem import (ConfigError, EvaluationError, Grid, ParameterError, Problem,
-                      check_divergence_condition, flux_from_config, load_problem,
-                      problem_from_mapping, sample_initial, zero_flux_model)
+                      check_divergence_condition, flux_from_config,
+                      problem_from_mapping, read_config, zero_flux_model)
 
 
 def _stamp(settings: dict) -> str:
@@ -59,14 +58,7 @@ def _problem_from_args(args) -> tuple[Problem, dict]:
     raw: dict[str, str] = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        from .problem import parse_problem_config
-        parse_problem_config(text)  # validates keys and values
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                key, _, value = line.partition("=")
-                raw[key.strip()] = value.strip()
+            raw = read_config(fh.read())
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -214,8 +206,7 @@ def cmd_decay_study(args) -> int:
                                                    snapshot_times=snap_times))
         return {q: harness.decay_record(result, q, window) for q in q_list}
 
-    with ThreadPoolExecutor(max_workers=min(4, len(alphas))) as pool:
-        records = list(pool.map(one, alphas))
+    records = [one(alpha) for alpha in alphas]
 
     rows = []
     fits = {}

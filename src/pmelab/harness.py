@@ -256,20 +256,12 @@ def run_sandwich(problem: Problem, eps: float,
 
     worst_low = float(np.min(mid.values - low.values))
     worst_high = float(np.min(high.values - mid.values))
-    t_tol = 1e-12 * max(1.0, config.t_end)
     steps = 0
-    while mid.time < config.t_end - t_tol:
-        if steps >= config.max_steps:
-            raise solver.BudgetError(f"exceeded {config.max_steps} sandwich steps")
-        dt = min(solver.stable_dt(s, problem, config) for s in (low, mid, high))
-        dt = min(dt, config.t_end - mid.time)
-        branches = []
-        for name, s in (("lower", low), ("middle", mid), ("upper", high)):
-            try:
-                branches.append(solver.step(s, problem, dt))
-            except solver.BlowUpError as exc:
-                raise solver.BlowUpError(f"{name} branch: {exc}") from exc
-        low, mid, high = branches
+    for (low, mid, high), dt in solver.advance(
+            (low, mid, high), problem, config, (config.t_end,),
+            names=("lower", "middle", "upper")):
+        if dt is None:
+            continue
         steps += 1
         worst_low = min(worst_low, float(np.min(mid.values - low.values)))
         worst_high = min(worst_high, float(np.min(high.values - mid.values)))

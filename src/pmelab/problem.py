@@ -69,11 +69,7 @@ class Grid:
 
     def cell_centers(self) -> np.ndarray:
         """Coordinates of all cell centers, shape (n,) + shape."""
-        c = self.axis_centers()
-        if self.n == 1:
-            return c[None, :]
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        return np.stack([X, Y])
+        return np.stack(np.meshgrid(*[self.axis_centers()] * self.n, indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -205,27 +201,25 @@ def figure1_flux_model(k: float = 1.5) -> FluxModel:
                      params={"k": float(k)})
 
 
+def _figure1_from_config(params: dict, n: int) -> FluxModel:
+    if n != 1:
+        raise ConfigError("figure1 flux is one-dimensional")
+    return figure1_flux_model(params.get("k", 1.5))
+
+
+# name -> builder of (params, n)
 FLUX_CATALOG = {
-    "zero": zero_flux_model,
-    "linear": linear_flux_model,
-    "burgers": burgers_flux_model,
-    "figure1": figure1_flux_model,
+    "zero": lambda params, n: zero_flux_model(n),
+    "linear": lambda params, n: linear_flux_model(params.get("c", 1.0), n),
+    "burgers": lambda params, n: burgers_flux_model(n),
+    "figure1": _figure1_from_config,
 }
 
 
 def flux_from_config(name: str, params: dict | None = None, n: int = 1) -> FluxModel:
-    params = dict(params or {})
-    if name == "zero":
-        return zero_flux_model(n)
-    if name == "linear":
-        return linear_flux_model(params.pop("c", 1.0), n)
-    if name == "burgers":
-        return burgers_flux_model(n)
-    if name == "figure1":
-        if n != 1:
-            raise ConfigError("figure1 flux is one-dimensional")
-        return figure1_flux_model(params.pop("k", 1.5))
-    raise ConfigError(f"unknown flux {name!r}; catalog: {sorted(FLUX_CATALOG)}")
+    if name not in FLUX_CATALOG:
+        raise ConfigError(f"unknown flux {name!r}; catalog: {sorted(FLUX_CATALOG)}")
+    return FLUX_CATALOG[name](params or {}, n)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +303,7 @@ def _x_lattice(grid: Grid, per_axis: int) -> np.ndarray:
     """Uniform subsample of cell centers, shape (n, P)."""
     c = grid.axis_centers()
     idx = np.unique(np.linspace(0, grid.N - 1, min(grid.N, per_axis)).round().astype(int))
-    c = c[idx]
-    if grid.n == 1:
-        return c[None, :]
-    X, Y = np.meshgrid(c, c, indexing="ij")
-    return np.stack([X.ravel(), Y.ravel()])
+    return np.stack(np.meshgrid(*[c[idx]] * grid.n, indexing="ij")).reshape(grid.n, -1)
 
 
 @dataclass(frozen=True)
@@ -402,8 +392,8 @@ def _parse_catalog_value(value: str) -> tuple[str, dict]:
     return name, params
 
 
-def parse_problem_config(text: str) -> Problem:
-    """Build a Problem from ``key = value`` lines ('#' starts a comment)."""
+def read_config(text: str) -> dict[str, str]:
+    """The raw settings of ``key = value`` lines ('#' starts a comment)."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -416,7 +406,12 @@ def parse_problem_config(text: str) -> Problem:
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value.strip()
-    return problem_from_mapping(raw)
+    return raw
+
+
+def parse_problem_config(text: str) -> Problem:
+    """Build a Problem from ``key = value`` lines ('#' starts a comment)."""
+    return problem_from_mapping(read_config(text))
 
 
 def problem_from_mapping(raw: dict[str, str]) -> Problem:

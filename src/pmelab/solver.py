@@ -7,11 +7,13 @@ update exactly conservative and smooth through the degeneracy at u = 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .problem import Problem, State
+from .problem import Grid, Problem, State, sample_initial
 
 _DEN_GUARD = 1e-300
 
@@ -69,10 +71,21 @@ def kirchhoff(u, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.lru_cache(maxsize=8)
+def _coords(grid: Grid, ax: int | None = None) -> np.ndarray:
+    """Read-only coordinates, shape (n,) + shape, of the cell centers, or with
+    ax given of the interfaces normal to axis ax (N+1 of them along ax)."""
+    axes = [grid.axis_interfaces() if b == ax else grid.axis_centers()
+            for b in range(grid.n)]
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"))
+    coords.setflags(write=False)
+    return coords
+
+
 def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> float:
     """CFL bound: advective dx/(2 max|df/du|) against diffusive dx^2/(2n max|u|^a)."""
     grid = state.grid
-    dfu = np.asarray(problem.flux.df_du(grid.cell_centers(), state.time, state.values))
+    dfu = np.asarray(problem.flux.df_du(_coords(grid), state.time, state.values))
     lam_adv = float(np.max(np.abs(dfu))) if dfu.size else 0.0
     lam_diff = float(np.max(np.abs(state.values) ** problem.alpha))
     dx = grid.dx
@@ -83,15 +96,32 @@ def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> float:
     return dt
 
 
-def _pad1(u: np.ndarray, policy: str, axis: int = 0) -> np.ndarray:
-    mode = "edge" if policy == "zero_flux" else "constant"
-    widths = [(0, 0)] * u.ndim
-    widths[axis] = (1, 1)
-    return np.pad(u, widths, mode=mode)
+@functools.lru_cache(maxsize=8)
+def _boundary_cells(grid: Grid) -> np.ndarray:
+    """Flat indices of the cells that touch the domain boundary."""
+    mask = np.ones(grid.shape, dtype=bool)
+    mask[(slice(1, -1),) * grid.n] = False
+    return np.flatnonzero(mask)
 
 
-def _llf_flux_1d(flux, xi: np.ndarray, t: float, ul: np.ndarray, ur: np.ndarray,
-                 component: int) -> np.ndarray:
+def _cut(a: np.ndarray, ax: int, start, stop) -> np.ndarray:
+    """a[start:stop] along axis ax."""
+    idx = [slice(None)] * a.ndim
+    idx[ax] = slice(start, stop)
+    return a[tuple(idx)]
+
+
+def _pad1(u: np.ndarray, policy: str, ax: int) -> np.ndarray:
+    """u with one ghost cell at each end of axis ax: an edge copy under
+    zero_flux, 0 under dirichlet_zero."""
+    lo, hi = _cut(u, ax, None, 1), _cut(u, ax, -1, None)
+    if policy != "zero_flux":
+        lo = hi = np.zeros_like(lo)
+    return np.concatenate((lo, u, hi), axis=ax)
+
+
+def _llf_flux(flux, xi: np.ndarray, t: float, ul: np.ndarray, ur: np.ndarray,
+              component: int) -> np.ndarray:
     fl = np.asarray(flux.f(xi, t, ul))[component]
     fr = np.asarray(flux.f(xi, t, ur))[component]
     lam = np.maximum(np.abs(np.asarray(flux.df_du(xi, t, ul))[component]),
@@ -100,40 +130,22 @@ def _llf_flux_1d(flux, xi: np.ndarray, t: float, ul: np.ndarray, ur: np.ndarray,
 
 
 def step(state: State, problem: Problem, dt: float) -> State:
-    """One conservative explicit update; dt must respect the stable_dt bound."""
-    grid = state.grid
-    u = state.values
+    """One conservative explicit update; dt must respect the stable_dt bound.
+    Along each axis: the LLF interface flux and the second difference of
+    G = kirchhoff(u), both with the same ghost cells."""
+    grid, u, t = state.grid, state.values, state.time
     dx = grid.dx
-    t = state.time
-    a = problem.alpha
-    flux = problem.flux
     policy = problem.boundary_policy
-
-    if grid.n == 1:
-        up = _pad1(u, policy)
-        xi = grid.axis_interfaces()[None, :]
-        fhat = _llf_flux_1d(flux, xi, t, up[:-1], up[1:], component=0)
-        G = kirchhoff(up, a)
-        new = (u - (dt / dx) * np.diff(fhat)
-               + (dt / dx ** 2) * (G[2:] - 2.0 * G[1:-1] + G[:-2]))
-    else:
-        adv = np.zeros_like(u)
-        centers = grid.axis_centers()
-        interfaces = grid.axis_interfaces()
-        for ax in (0, 1):
-            up = _pad1(u, policy, axis=ax)
-            if ax == 0:
-                Xi, Yi = np.meshgrid(interfaces, centers, indexing="ij")
-                ul, ur = up[:-1, :], up[1:, :]
-            else:
-                Xi, Yi = np.meshgrid(centers, interfaces, indexing="ij")
-                ul, ur = up[:, :-1], up[:, 1:]
-            fhat = _llf_flux_1d(flux, np.stack([Xi, Yi]), t, ul, ur, component=ax)
-            adv += np.diff(fhat, axis=ax) / dx
-        Gp = kirchhoff(_pad1(_pad1(u, policy, 0), policy, 1), a)
-        lap = (Gp[2:, 1:-1] + Gp[:-2, 1:-1] + Gp[1:-1, 2:] + Gp[1:-1, :-2]
-               - 4.0 * Gp[1:-1, 1:-1]) / dx ** 2
-        new = u - dt * adv + dt * lap
+    G = kirchhoff(u, problem.alpha)
+    new = u
+    for ax in range(grid.n):
+        up = _pad1(u, policy, ax)
+        fhat = _llf_flux(problem.flux, _coords(grid, ax), t,
+                         _cut(up, ax, None, -1), _cut(up, ax, 1, None), component=ax)
+        Gp = _pad1(G, policy, ax)
+        new = (new - (dt / dx) * np.diff(fhat, axis=ax)
+               + (dt / dx ** 2) * (_cut(Gp, ax, 2, None) - 2.0 * _cut(Gp, ax, 1, -1)
+                                   + _cut(Gp, ax, None, -2)))
 
     if not np.all(np.isfinite(new)):
         idx = tuple(int(k) for k in np.argwhere(~np.isfinite(new))[0])
@@ -146,59 +158,68 @@ def _l1(values: np.ndarray, grid) -> float:
 
 
 def _boundary_layer_mass(values: np.ndarray, grid) -> float:
-    if grid.n == 1:
-        layer = abs(values[0]) + abs(values[-1])
-    else:
-        layer = (np.sum(np.abs(values[0, :])) + np.sum(np.abs(values[-1, :]))
-                 + np.sum(np.abs(values[1:-1, 0])) + np.sum(np.abs(values[1:-1, -1])))
-    return float(layer) * grid.cell_volume
+    return float(np.sum(np.abs(values.take(_boundary_cells(grid))))) * grid.cell_volume
+
+
+def advance(states: tuple[State, ...], problem: Problem, config: SchemeConfig,
+            targets, names: tuple[str, ...] = (),
+            ) -> Iterator[tuple[tuple[State, ...], float | None]]:
+    """Step `states` in lockstep through the sorted `targets` with one shared dt,
+    the minimum of their stable_dt clipped to the next target.
+
+    Yields ``(states, dt)`` after every step, and ``(states, None)`` with the
+    time set exactly to the target each time one is reached. `names` label the
+    states in a BlowUpError."""
+    steps = 0
+    t_tol = 1e-12 * max(1.0, config.t_end)
+    for target in targets:
+        while states[0].time < target - t_tol:
+            if steps >= config.max_steps:
+                raise BudgetError(
+                    f"exceeded {config.max_steps} steps at t={states[0].time} "
+                    f"(target {target})")
+            dt = min(min(stable_dt(s, problem, config) for s in states),
+                     target - states[0].time)
+            stepped = []
+            for k, s in enumerate(states):
+                try:
+                    stepped.append(step(s, problem, dt))
+                except BlowUpError as exc:
+                    where = f", {names[k]} branch" if names else ""
+                    raise BlowUpError(f"step {steps + 1}{where}: {exc}") from exc
+            states = tuple(stepped)
+            steps += 1
+            yield states, dt
+        # land exactly on the target for downstream time arithmetic
+        states = tuple(State(values=s.values, time=target, grid=s.grid) for s in states)
+        yield states, None
 
 
 def run(problem: Problem, config: SchemeConfig) -> RunResult:
     """Integrate from t=0 to t_end with adaptive dt, landing exactly on
     requested snapshot times; audits mass and boundary-layer contamination."""
-    from .problem import sample_initial
-
     state = sample_initial(problem)
-    targets = sorted(set(config.snapshot_times) | {config.t_end})
-    snapshots: list[State] = []
-    if targets and targets[0] == 0.0:
-        snapshots.append(state)
-        targets = targets[1:]
-
-    mass0 = _l1(state.values, state.grid)
+    grid = state.grid
+    mass0 = _l1(state.values, grid)
     mass_series = [(0.0, mass0)]
     boundary_scale = mass0 if mass0 > 0 else 1.0
-    boundary_max = _boundary_layer_mass(state.values, state.grid) / boundary_scale
-    min_dt, max_dt = np.inf, 0.0
-    steps = 0
-    t_tol = 1e-12 * max(1.0, config.t_end)
+    boundary_max = _boundary_layer_mass(state.values, grid) / boundary_scale
+    snapshots: list[State] = []
+    dts: list[float] = []
 
-    for target in targets:
-        while state.time < target - t_tol:
-            if steps >= config.max_steps:
-                raise BudgetError(
-                    f"exceeded {config.max_steps} steps at t={state.time} "
-                    f"(target {target})")
-            dt = min(stable_dt(state, problem, config), target - state.time)
-            try:
-                state = step(state, problem, dt)
-            except BlowUpError as exc:
-                raise BlowUpError(f"step {steps + 1}: {exc}") from exc
-            steps += 1
-            min_dt = min(min_dt, dt)
-            max_dt = max(max_dt, dt)
-            mass_series.append((state.time, _l1(state.values, state.grid)))
-            boundary_max = max(
-                boundary_max,
-                _boundary_layer_mass(state.values, state.grid) / boundary_scale)
-        # land exactly on the target for downstream time arithmetic
-        state = State(values=state.values, time=target, grid=state.grid)
-        snapshots.append(state)
+    targets = sorted(set(config.snapshot_times) | {config.t_end})
+    for (state,), dt in advance((state,), problem, config, targets):
+        if dt is None:
+            snapshots.append(state)
+            continue
+        dts.append(dt)
+        mass_series.append((state.time, _l1(state.values, grid)))
+        boundary_max = max(boundary_max,
+                           _boundary_layer_mass(state.values, grid) / boundary_scale)
 
-    return RunResult(snapshots=snapshots, step_count=steps,
-                     min_dt=float(min_dt) if steps else 0.0,
-                     max_dt=float(max_dt),
+    return RunResult(snapshots=snapshots, step_count=len(dts),
+                     min_dt=float(min(dts, default=0.0)),
+                     max_dt=float(max(dts, default=0.0)),
                      boundary_mass_max=boundary_max,
                      mass_series=mass_series,
                      boundary_flagged=boundary_max > config.boundary_mass_threshold)

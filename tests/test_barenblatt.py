@@ -67,6 +67,16 @@ def test_mass_time_independent_and_monotone_in_C():
     assert bb.mass(p2, 5.0) == pytest.approx(bb.mass(p2, 1.0), rel=1e-8)
 
 
+@pytest.mark.parametrize("n, N", [(1, 20001), (2, 801)])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("C", [0.5, 2.0])
+def test_mass_matches_midpoint_sum(n, N, alpha, C):
+    p = bb.BarenblattProfile(n=n, alpha=alpha, C=C)
+    grid = Grid(n=n, L=1.05 * bb.support_radius(p, 1.5), N=N)
+    total = float(np.sum(bb.evaluate(p, grid.cell_centers(), 1.5))) * grid.cell_volume
+    assert bb.mass(p, 1.5) == pytest.approx(total, rel=1e-5)
+
+
 def test_sup_norm_decay_slope_equals_smoothing_rate():
     # the optimal-rate anchor, exercised through the generic fitter
     from pmelab import exponents

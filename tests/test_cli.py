@@ -136,6 +136,19 @@ class TestRunCommand:
         run_cli(tmp_path, "run", "--set", "N=90", "--t-end", "0.1")
         assert len(outputs(tmp_path, "json")) == 2
 
+    def test_config_file_with_override(self, tmp_path):
+        # the file's settings apply, and --set replaces a file value
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("N = 50  # cells\nL = 8\n\nflux = burgers\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(a, "run", "--config", str(cfg), "--set", "N=40",
+                       "--t-end", "0.1", "--snapshots", "2") == 0
+        assert run_cli(b, "run", "--set", "N=40", "--set", "L=8", "--set", "flux=burgers",
+                       "--t-end", "0.1", "--snapshots", "2") == 0
+        rows = outputs(a, "csv")[0].read_text().splitlines()[2:]
+        assert len(rows) == 2 * 40
+        assert rows == outputs(b, "csv")[0].read_text().splitlines()[2:]
+
 
 class TestFigure1Command:
     def test_runs_and_plots(self, tmp_path):

@@ -181,6 +181,22 @@ class TestSandwich:
             hz.run_sandwich(p, -0.1, lambda x: np.ones(x.shape[1:]),
                             sv.SchemeConfig(t_end=0.1))
 
+    def test_blowup_names_the_branch(self):
+        # f = u is NaN below -0.45, which only the lower branch
+        # -u0^- - eps psi reaches
+        def f(x, t, u):
+            u = np.asarray(u, dtype=float)
+            return np.where(u < -0.45, np.nan, u)[None]
+
+        flux = pr.FluxModel(name="nan-below", f=f,
+                            df_du=lambda x, t, u: np.ones((1,) + np.shape(u)),
+                            div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+        p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=200), alpha=1.0, p0=1.0,
+                       flux=flux, u0=lambda x: x[0] * np.exp(-x[0] ** 2))
+        psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))
+        with pytest.raises(sv.BlowUpError, match="lower branch"):
+            hz.run_sandwich(p, 0.1, psi, sv.SchemeConfig(t_end=0.5))
+
 
 class TestFigure1:
     def test_experiment_shape(self):

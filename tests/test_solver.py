@@ -39,6 +39,17 @@ class TestKirchhoff:
             sv.kirchhoff(1.0, 0.0)
 
 
+def nan_below_flux(u_min=-0.45):
+    """Linear flux f = u whose value is NaN below u_min; df_du stays 1."""
+    def f(x, t, u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u < u_min, np.nan, u)[None]
+
+    return pr.FluxModel(name="nan-below", f=f,
+                        df_du=lambda x, t, u: np.ones((1,) + np.shape(u)),
+                        div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+
+
 class TestStableDt:
     def test_pure_diffusion_formula(self):
         # dx = 0.1, alpha = 1, max|u| = 2  ->  dt = cfl * dx^2 / (2*1*2)
@@ -135,6 +146,28 @@ class TestStep:
             assert np.all(hi.values - mid.values >= -1e-12)
 
 
+    @pytest.mark.parametrize("flux2, flux1, vary", [
+        (pr.burgers_flux_model(2), pr.burgers_flux_model(1), 0),
+        (pr.burgers_flux_model(2), pr.burgers_flux_model(1), 1),
+        (pr.linear_flux_model((1.0, -2.0), 2), pr.linear_flux_model(1.0, 1), 0),
+        (pr.linear_flux_model((1.0, -2.0), 2), pr.linear_flux_model(-2.0, 1), 1),
+    ])
+    def test_2d_state_constant_along_one_axis_steps_as_1d(self, flux2, flux1, vary):
+        # u varies only along axis `vary`; the other axis must contribute nothing
+        N, dt = 80, 0.005
+        grid1, grid2 = pr.Grid(n=1, L=10.0, N=N), pr.Grid(n=2, L=10.0, N=N)
+        p1 = pr.Problem(grid=grid1, alpha=1.0, p0=1.0, flux=flux1, u0=gaussian)
+        p2 = pr.Problem(grid=grid2, alpha=1.0, p0=1.0, flux=flux2, u0=gaussian)
+        s1 = pr.sample_initial(p1)
+        spread = (slice(None), None) if vary == 0 else (None, slice(None))
+        s2 = pr.State(values=np.broadcast_to(s1.values[spread], grid2.shape),
+                      time=0.0, grid=grid2)
+        for _ in range(50):
+            s1, s2 = sv.step(s1, p1, dt), sv.step(s2, p2, dt)
+            assert np.max(np.abs(s2.values - s1.values[spread])) <= 1e-14
+        assert s2.time == s1.time
+
+
 class TestRun:
     def test_snapshots_at_exact_times(self):
         p = diffusion_problem(N=100)
@@ -151,6 +184,12 @@ class TestRun:
         p = diffusion_problem(N=200)
         with pytest.raises(sv.BudgetError):
             sv.run(p, sv.SchemeConfig(t_end=10.0, max_steps=3))
+
+    def test_blowup_names_the_step(self):
+        p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=100), alpha=1.0, p0=1.0,
+                       flux=nan_below_flux(), u0=lambda x: -0.5 * gaussian(x))
+        with pytest.raises(sv.BlowUpError, match=r"step 1\b"):
+            sv.run(p, sv.SchemeConfig(t_end=1.0))
 
     def test_sup_norm_decreases(self):
         p = diffusion_problem(N=200)

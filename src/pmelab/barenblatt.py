@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .problem import Grid
-
-
-class DomainError(ValueError):
-    """Evaluation outside the profile's domain of validity."""
 
 
 @dataclass(frozen=True)
@@ -30,11 +27,11 @@ class BarenblattProfile:
 
     def __post_init__(self) -> None:
         if self.n < 1 or int(self.n) != self.n:
-            raise DomainError(f"dimension must be a positive integer, got {self.n}")
+            raise ConfigError(f"dimension must be a positive integer, got {self.n}")
         if self.alpha <= 0:
-            raise DomainError(f"diffusion exponent must be > 0, got {self.alpha}")
+            raise ConfigError(f"diffusion exponent must be > 0, got {self.alpha}")
         if self.C <= 0:
-            raise DomainError(f"mass constant must be > 0, got {self.C}")
+            raise ConfigError(f"mass constant must be > 0, got {self.C}")
 
     @property
     def m_pme(self) -> float:
@@ -54,7 +51,7 @@ def _radius_sq(profile: BarenblattProfile, x) -> np.ndarray:
     if x.ndim and x.shape[0] == profile.n and (profile.n > 1 or x.ndim > 1):
         return np.sum(x * x, axis=0)
     if profile.n != 1:
-        raise DomainError(
+        raise ConfigError(
             f"coordinates must have leading axis of length n={profile.n}, "
             f"got shape {x.shape}")
     return x * x
@@ -63,7 +60,7 @@ def _radius_sq(profile: BarenblattProfile, x) -> np.ndarray:
 def evaluate(profile: BarenblattProfile, x, t: float):
     """U(x,t) = s^-k (C - b |x|^2 s^(-2k/n))_+^(1/a) with s = t/(a+1)."""
     if t <= 0:
-        raise DomainError(f"profile is defined for t > 0, got t={t}")
+        raise ConfigError(f"profile is defined for t > 0, got t={t}")
     s = t / (profile.alpha + 1.0)
     k = profile.k_exp
     core = profile.C - profile.b_coef * _radius_sq(profile, x) * s ** (-2.0 * k / profile.n)
@@ -74,14 +71,14 @@ def evaluate(profile: BarenblattProfile, x, t: float):
 def sup_value(profile: BarenblattProfile, t: float) -> float:
     """sup_x U(x,t) = (t/(a+1))^-k C^(1/a); an exact power law in t."""
     if t <= 0:
-        raise DomainError(f"profile is defined for t > 0, got t={t}")
+        raise ConfigError(f"profile is defined for t > 0, got t={t}")
     s = t / (profile.alpha + 1.0)
     return s ** (-profile.k_exp) * profile.C ** (1.0 / profile.alpha)
 
 
 def support_radius(profile: BarenblattProfile, t: float) -> float:
     if t <= 0:
-        raise DomainError(f"profile is defined for t > 0, got t={t}")
+        raise ConfigError(f"profile is defined for t > 0, got t={t}")
     s = t / (profile.alpha + 1.0)
     return float(np.sqrt(profile.C / profile.b_coef)) * s ** (profile.k_exp / profile.n)
 
@@ -91,7 +88,7 @@ def mass(profile: BarenblattProfile, t: float = 1.0) -> float:
     (C - b|y|^2)_+^(1/a) over R^n, which is
     C^(1/a + n/2) b^(-n/2) pi^(n/2) Gamma(1/a + 1) / Gamma(1/a + 1 + n/2)."""
     if t <= 0:
-        raise DomainError(f"profile is defined for t > 0, got t={t}")
+        raise ConfigError(f"profile is defined for t > 0, got t={t}")
     p, h = 1.0 / profile.alpha, profile.n / 2.0
     return (profile.C ** (p + h) * profile.b_coef ** (-h) * math.pi ** h
             * math.exp(math.lgamma(p + 1.0) - math.lgamma(p + 1.0 + h)))
@@ -114,9 +111,9 @@ def residual_check(profile: BarenblattProfile, grid: Grid, t: float) -> Residual
     from . import solver
 
     if grid.n != profile.n:
-        raise DomainError(f"grid dimension {grid.n} != profile dimension {profile.n}")
+        raise ConfigError(f"grid dimension {grid.n} != profile dimension {profile.n}")
     if support_radius(profile, t) >= grid.L:
-        raise DomainError(
+        raise ConfigError(
             f"support radius {support_radius(profile, t):.3g} reaches the grid "
             f"boundary L={grid.L}")
     dt = grid.dx ** 2

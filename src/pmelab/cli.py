@@ -2,7 +2,8 @@
 
 Output file names carry a stamp derived from the effective configuration (not
 wall clock), so identical invocations overwrite themselves byte-identically.
-Exit codes: 0 success and audits passing, 1 audit failure, 2 usage/config error.
+Exit codes: 0 success and audits passing, 1 audit failure or RunError,
+2 usage error or ConfigError.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import sys
 import numpy as np
 
 from . import barenblatt, exponents, harness, solver, svg
-from .problem import (ConfigError, EvaluationError, Grid, ParameterError, Problem,
-                      check_divergence_condition, flux_from_config,
+from .errors import ConfigError, RunError
+from .problem import (Grid, Problem, check_divergence_condition, flux_from_config,
                       problem_from_mapping, read_config, zero_flux_model)
 
 
@@ -408,15 +409,11 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, exponents.ParameterError,
-            harness.ParameterError, barenblatt.DomainError, ValueError,
-            FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
         print(f"pmelab {args.command}: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (solver.BlowUpError, solver.BudgetError, solver.StepSizeError,
-            EvaluationError, harness.AuditError, harness.FitError,
-            svg.PlotError) as exc:
-        print(f"pmelab {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except RunError as exc:
+        print(f"pmelab {args.command}: run error: {exc}", file=sys.stderr)
         return 1
 
 

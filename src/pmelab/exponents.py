@@ -10,18 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-
-class ParameterError(ValueError):
-    """A parameter is outside its admissible range."""
+from .errors import ConfigError
 
 
 def _check_params(n: int, q: float, alpha: float) -> None:
     if n < 1 or int(n) != n:
-        raise ParameterError(f"dimension must be a positive integer, got {n}")
+        raise ConfigError(f"dimension must be a positive integer, got {n}")
     if q < 1:
-        raise ParameterError(f"integrability index must be >= 1, got {q}")
+        raise ConfigError(f"integrability index must be >= 1, got {q}")
     if alpha <= 0:
-        raise ParameterError(f"diffusion exponent must be > 0, got {alpha}")
+        raise ConfigError(f"diffusion exponent must be > 0, got {alpha}")
 
 
 def smoothing_exponents(n: int, p0: float, alpha: float) -> tuple[float, float]:
@@ -64,7 +62,7 @@ def exponent_set(n: int, q: float, alpha: float) -> ExponentSet:
     theta = n * (q + alpha) / (n * q + 2.0 * q + 2.0 * n * alpha)
     theta_beta = theta * beta
     if theta_beta >= 2.0:
-        raise ParameterError(f"interpolation product theta*beta = {theta_beta} >= 2")
+        raise ConfigError(f"interpolation product theta*beta = {theta_beta} >= 2")
     gamma = 2.0 / (2.0 - theta_beta)
     return ExponentSet(
         n=n, q=q, alpha=alpha,
@@ -82,7 +80,7 @@ def moser_A(m: int, q: float, n: int, alpha: float) -> float:
     """Accumulated norm exponent after m dyadic halving steps (closed form)."""
     _check_params(n, q, alpha)
     if m < 1:
-        raise ParameterError(f"iteration count must be >= 1, got {m}")
+        raise ConfigError(f"iteration count must be >= 1, got {m}")
     na = n * alpha
     return (2.0 * q + na * 2.0 ** (-m)) / (2.0 * q + na)
 
@@ -121,7 +119,7 @@ def moser_exponent_sum(m: int, q: float, n: int, alpha: float) -> float:
     (closed form)."""
     _check_params(n, q, alpha)
     if m < 1:
-        raise ParameterError(f"iteration count must be >= 1, got {m}")
+        raise ConfigError(f"iteration count must be >= 1, got {m}")
     na = n * alpha
     pref = 2.0 * n * (2.0 * q + na * 2.0 ** (-m)) / (2.0 * q)
     bracket = 1.0 / (4.0 * q + 2.0 * na) - 1.0 / (2.0 ** m * 4.0 * q + 2.0 * na)
@@ -146,9 +144,9 @@ def moser_limits(q: float, n: int, alpha: float) -> tuple[float, float]:
 def moser_time_grid(m: int, t: float) -> list[float]:
     """Dyadic time ladder t_0 = 2^-m t, t_j = t_0 + (1 - 2^-j) t, ending at t."""
     if m < 1:
-        raise ParameterError(f"iteration count must be >= 1, got {m}")
+        raise ConfigError(f"iteration count must be >= 1, got {m}")
     if t <= 0:
-        raise ParameterError(f"final time must be > 0, got {t}")
+        raise ConfigError(f"final time must be > 0, got {t}")
     t0 = 2.0 ** (-m) * t
     return [t0] + [t0 + (1.0 - 2.0 ** (-j)) * t for j in range(1, m + 1)]
 
@@ -161,11 +159,11 @@ def moser_Kj_log_bound(j: int, q: float, n: int, alpha: float, C: float) -> floa
     """
     _check_params(n, q, alpha)
     if j < 1:
-        raise ParameterError(f"iterate index must be >= 1, got {j}")
+        raise ConfigError(f"iterate index must be >= 1, got {j}")
     if C <= 0:
-        raise ParameterError(f"interpolation constant must be > 0, got {C}")
+        raise ConfigError(f"interpolation constant must be > 0, got {C}")
     if q * 2.0 ** j <= 1.0:
-        raise ParameterError(f"need 2^j q > 1, got q={q}, j={j}")
+        raise ConfigError(f"need 2^j q > 1, got q={q}, j={j}")
     c_exp = (n + 2.0) * 2.0 ** (-j) / (2.0 * q) + 2.0 * n * alpha * 4.0 ** (-j) / q
     # bracket = (2^j q + alpha)^2 / (2^j 4q (2^j q - 1)), taken in log space
     log_num = 2.0 * (j * math.log(2.0) + math.log(q + alpha * 2.0 ** (-j)))
@@ -205,7 +203,7 @@ class MoserTrace:
 def moser_trace(q: float, n: int, alpha: float, m: int, C: float = 2.0) -> MoserTrace:
     _check_params(n, q, alpha)
     if m < 1:
-        raise ParameterError(f"iteration count must be >= 1, got {m}")
+        raise ConfigError(f"iteration count must be >= 1, got {m}")
     A = [moser_A(k, q, n, alpha) for k in range(1, m + 1)]
     B = [moser_B(j, m, q, n, alpha) for j in range(m + 1)]
     S = [moser_exponent_sum(k, q, n, alpha) for k in range(1, m + 1)]

@@ -11,22 +11,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import exponents, solver
-from .problem import Problem, State, figure1_flux_model, sample_initial
+from .errors import ConfigError, RunError
+from .problem import Grid, Problem, State, figure1_flux_model, sample_initial
 from .solver import RunResult, SchemeConfig
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-class ParameterError(ValueError):
-    """A parameter is outside its admissible range."""
-
-
-class AuditError(RuntimeError):
-    """An audit could not be evaluated on the given data."""
-
-
-class FitError(RuntimeError):
-    """A power-law fit is undefined for the given series."""
 
 
 def lq_norm(state: State, q) -> float:
@@ -34,7 +23,7 @@ def lq_norm(state: State, q) -> float:
     if q == math.inf:
         return float(np.max(np.abs(state.values))) if state.values.size else 0.0
     if q < 1:
-        raise ParameterError(f"norm index must be >= 1 or inf, got {q}")
+        raise ConfigError(f"norm index must be >= 1 or inf, got {q}")
     total = float(np.sum(np.abs(state.values) ** q)) * state.grid.cell_volume
     return total ** (1.0 / q)
 
@@ -56,11 +45,12 @@ def fit_decay(series: Sequence[tuple[float, float]],
     t_lo, t_hi = window
     pts = [(t, v) for t, v in series if t_lo <= t <= t_hi]
     if len(pts) < 5:
-        raise FitError(f"need >= 5 points in window {window}, got {len(pts)}")
+        raise RunError(f"power-law fit needs >= 5 points in window {window}, "
+                       f"got {len(pts)}")
     ts = np.array([p[0] for p in pts])
     vs = np.array([p[1] for p in pts])
     if np.any(ts <= 0) or np.any(vs <= 0):
-        raise FitError("log-log fit requires positive times and norms")
+        raise RunError("power-law fit requires positive times and norms")
     lt, lv = np.log(ts), np.log(vs)
     slope, intercept = np.polyfit(lt, lv, 1)
     resid = lv - (slope * lt + intercept)
@@ -95,7 +85,7 @@ def audit_lq_monotonicity(result: RunResult, q_list: Sequence,
                           tolerance: float = 1e-8) -> dict:
     """Max relative uptick of ||u(t)||_q along consecutive snapshots, per q."""
     if len(result.snapshots) < 2:
-        raise AuditError("need at least two snapshots")
+        raise RunError("L^q monotonicity audit needs at least two snapshots")
     reports = {}
     for q in q_list:
         norms = [lq_norm(s, q) for s in result.snapshots]
@@ -146,12 +136,12 @@ def audit_energy_inequality(result: RunResult, q: float, gamma: float, t0: float
     <= g int (tau-t0)^(g-1) ||u(tau)||_q^q,
     with trapezoidal time quadrature and a stated discretization slack."""
     if gamma <= 1:
-        raise ParameterError(f"weight exponent must be > 1, got {gamma}")
+        raise ConfigError(f"weight exponent must be > 1, got {gamma}")
     if q < 2:
-        raise ParameterError(f"norm index must be >= 2, got {q}")
+        raise ConfigError(f"norm index must be >= 2, got {q}")
     snaps = [s for s in result.snapshots if s.time >= t0]
     if len(snaps) < 20:
-        raise AuditError(f"need >= 20 snapshots in [{t0}, t], got {len(snaps)}")
+        raise RunError(f"energy audit needs >= 20 snapshots in [{t0}, t], got {len(snaps)}")
     t = snaps[-1].time
     taus = np.array([s.time for s in snaps])
     norm_q = np.array([lq_norm(s, q) ** q for s in snaps])
@@ -188,16 +178,16 @@ class SmoothingReport:
 def audit_smoothing(result: RunResult, p0: float, alpha: float) -> SmoothingReport:
     """Constancy audit of ||u(t)||_inf t^gamma0 / ||u0||_p0^delta0 along snapshots."""
     if not result.snapshots:
-        raise AuditError("empty run result")
+        raise RunError("smoothing audit: empty run result")
     n = result.snapshots[0].grid.n
     delta0, gamma0 = exponents.smoothing_exponents(n, p0, alpha)
     norm0 = lq_norm(result.snapshots[0], p0)
     if norm0 <= 0:
-        raise AuditError("initial datum has zero L^p0 norm")
+        raise RunError("smoothing audit: initial datum has zero L^p0 norm")
     ratios = [(s.time, lq_norm(s, math.inf) * s.time ** gamma0 / norm0 ** delta0)
               for s in result.snapshots if s.time > 0]
     if not ratios:
-        raise AuditError("no snapshots with t > 0")
+        raise RunError("smoothing audit: no snapshots with t > 0")
     vals = np.array([r for _, r in ratios])
     t_max = ratios[-1][0]
     last = np.array([r for t, r in ratios if t >= t_max / 10.0])
@@ -244,11 +234,11 @@ def run_sandwich(problem: Problem, eps: float,
     one dt sequence (the minimum of the three stability bounds per step);
     reports the most negative pointwise ordering violation over all steps."""
     if eps <= 0:
-        raise ParameterError(f"perturbation size must be > 0, got {eps}")
+        raise ConfigError(f"perturbation size must be > 0, got {eps}")
     grid = problem.grid
     psi_vals = np.broadcast_to(np.asarray(psi(grid.cell_centers()), float), grid.shape)
     if np.any(psi_vals <= 0):
-        raise ParameterError("sandwich weight psi must be strictly positive on the grid")
+        raise ConfigError("sandwich weight psi must be strictly positive on the grid")
     base = sample_initial(problem).values
     mid = State(values=base, time=0.0, grid=grid)
     low = State(values=-np.maximum(-base, 0.0) - eps * psi_vals, time=0.0, grid=grid)
@@ -278,21 +268,16 @@ def run_sandwich(problem: Problem, eps: float,
 # ---------------------------------------------------------------------------
 
 def figure1_experiment(k: float = 1.5, alpha: float = 0.5, t_end: float = 5.0,
-                       L: float = 10.0, N: int = 600, cfl_safety: float = 0.9,
-                       u0: Callable[[np.ndarray], np.ndarray] | None = None,
+                       L: float = 10.0, N: int = 600
                        ) -> tuple[Problem, RunResult, DecayRecord]:
     """Advection f(x,t,u) = -tanh(x)|u|^k u against degenerate diffusion from a
     unit Gaussian bump: growth where the flux divergence is negative, with the
     L^1 norm conserved up to boundary leakage."""
-    from .problem import Grid
-
-    if u0 is None:
-        u0 = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))
     p = Problem(grid=Grid(n=1, L=L, N=N), alpha=alpha, p0=1.0,
-                flux=figure1_flux_model(k), u0=u0)
+                flux=figure1_flux_model(k),
+                u0=lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0)))
     snap_times = tuple(float(j) * t_end / 5.0 for j in range(6))
-    config = SchemeConfig(t_end=t_end, cfl_safety=cfl_safety,
-                          snapshot_times=snap_times)
+    config = SchemeConfig(t_end=t_end, snapshot_times=snap_times)
     result = solver.run(p, config)
     record = decay_record(result, q=1.0, window=(snap_times[1], t_end))
     return p, result, record

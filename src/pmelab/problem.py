@@ -13,18 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-
-class ParameterError(ValueError):
-    """A parameter is outside its admissible range."""
-
-
-class EvaluationError(RuntimeError):
-    """An evaluator returned a non-finite value."""
-
-
-class ConfigError(ValueError):
-    """A problem configuration could not be interpreted."""
-
+from .errors import ConfigError, RunError
 
 BOUNDARY_POLICIES = ("zero_flux", "dirichlet_zero")
 
@@ -39,11 +28,11 @@ class Grid:
 
     def __post_init__(self) -> None:
         if self.n not in (1, 2):
-            raise ParameterError(f"dimension must be 1 or 2, got {self.n}")
+            raise ConfigError(f"dimension must be 1 or 2, got {self.n}")
         if self.L <= 0:
-            raise ParameterError(f"half-width must be > 0, got {self.L}")
+            raise ConfigError(f"half-width must be > 0, got {self.L}")
         if self.N < 1 or int(self.N) != self.N:
-            raise ParameterError(f"cell count must be a positive integer, got {self.N}")
+            raise ConfigError(f"cell count must be a positive integer, got {self.N}")
 
     @property
     def dx(self) -> float:
@@ -94,13 +83,13 @@ class State:
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float)
         if vals.shape != self.grid.shape:
-            raise ParameterError(
+            raise ConfigError(
                 f"state shape {vals.shape} does not match grid shape {self.grid.shape}")
         if not np.all(np.isfinite(vals)):
             idx = tuple(int(k) for k in np.argwhere(~np.isfinite(vals))[0])
-            raise EvaluationError(f"non-finite state value at cell {idx}, t={self.time}")
+            raise RunError(f"non-finite state value at cell {idx}, t={self.time}")
         if self.time < 0:
-            raise ParameterError(f"time must be >= 0, got {self.time}")
+            raise ConfigError(f"time must be >= 0, got {self.time}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -118,11 +107,11 @@ class Problem:
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
-            raise ParameterError(f"diffusion exponent must be > 0, got {self.alpha}")
+            raise ConfigError(f"diffusion exponent must be > 0, got {self.alpha}")
         if self.p0 < 1:
-            raise ParameterError(f"initial integrability must be >= 1, got {self.p0}")
+            raise ConfigError(f"initial integrability must be >= 1, got {self.p0}")
         if self.boundary_policy not in BOUNDARY_POLICIES:
-            raise ParameterError(
+            raise ConfigError(
                 f"boundary policy must be one of {BOUNDARY_POLICIES}, "
                 f"got {self.boundary_policy!r}")
 
@@ -135,7 +124,7 @@ def sample_initial(problem: Problem) -> State:
     if not np.all(np.isfinite(vals)):
         idx = tuple(int(k) for k in np.argwhere(~np.isfinite(vals))[0])
         x = tuple(float(centers[(a,) + idx]) for a in range(problem.grid.n))
-        raise EvaluationError(f"initial datum is non-finite at cell {idx}, x={x}")
+        raise RunError(f"initial datum is non-finite at cell {idx}, x={x}")
     return State(values=vals, time=0.0, grid=problem.grid)
 
 
@@ -183,7 +172,7 @@ def figure1_flux_model(k: float = 1.5) -> FluxModel:
     """One-dimensional flux f(x,t,u) = -tanh(x) |u|^k u, whose x-divergence at
     frozen u is negative where u != 0 (the growth-stimulating regime)."""
     if k <= 0:
-        raise ParameterError(f"flux power must be > 0, got {k}")
+        raise ConfigError(f"flux power must be > 0, got {k}")
 
     def f(x, t, u):
         u = np.asarray(u, dtype=float)
@@ -201,51 +190,74 @@ def figure1_flux_model(k: float = 1.5) -> FluxModel:
                      params={"k": float(k)})
 
 
-def _figure1_from_config(params: dict, n: int) -> FluxModel:
+def _figure1_from_config(n: int, k: float) -> FluxModel:
     if n != 1:
         raise ConfigError("figure1 flux is one-dimensional")
-    return figure1_flux_model(params.get("k", 1.5))
+    return figure1_flux_model(k)
 
 
-# name -> builder of (params, n)
+# name -> (builder of (n, **params), declared parameters with their defaults)
 FLUX_CATALOG = {
-    "zero": lambda params, n: zero_flux_model(n),
-    "linear": lambda params, n: linear_flux_model(params.get("c", 1.0), n),
-    "burgers": lambda params, n: burgers_flux_model(n),
-    "figure1": _figure1_from_config,
+    "zero": (zero_flux_model, {}),
+    "linear": (lambda n, c: linear_flux_model(c, n), {"c": 1.0}),
+    "burgers": (burgers_flux_model, {}),
+    "figure1": (_figure1_from_config, {"k": 1.5}),
 }
 
 
+def _from_catalog(kind: str, catalog: dict, name: str, params: dict | None, n: int):
+    """Build entry `name` of `catalog`, its declared defaults overridden by
+    `params`; an unknown name or an undeclared parameter is a ConfigError."""
+    if name not in catalog:
+        raise ConfigError(f"unknown {kind} {name!r}; catalog: {sorted(catalog)}")
+    build, defaults = catalog[name]
+    params = params or {}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"{kind} {name!r} has no parameter {', '.join(unknown)}; "
+                          f"it declares {sorted(defaults) or 'none'}")
+    return build(n, **{**defaults, **params})
+
+
 def flux_from_config(name: str, params: dict | None = None, n: int = 1) -> FluxModel:
-    if name not in FLUX_CATALOG:
-        raise ConfigError(f"unknown flux {name!r}; catalog: {sorted(FLUX_CATALOG)}")
-    return FLUX_CATALOG[name](params or {}, n)
+    return _from_catalog("flux", FLUX_CATALOG, name, params, n)
 
 
 # ---------------------------------------------------------------------------
 # Initial-datum catalog
 # ---------------------------------------------------------------------------
 
-def u0_from_config(name: str, params: dict | None = None, n: int = 1):
-    params = dict(params or {})
-    if name == "zero":
-        return lambda x: np.zeros(np.shape(x)[1:])
-    if name == "gaussian":
-        amp = params.pop("amp", 1.0)
-        width = params.pop("width", 1.0)
-        return lambda x: amp * np.exp(-np.sum(np.asarray(x) ** 2, axis=0) / width ** 2)
-    if name == "signed_gaussian":
-        # x exp(-x^2): sign-changing datum for the comparison sandwich
-        return lambda x: x[0] * np.exp(-np.sum(np.asarray(x) ** 2, axis=0))
-    if name == "barenblatt":
-        from . import barenblatt
+def _zero_datum(n: int):
+    return lambda x: np.zeros(np.shape(x)[1:])
 
-        C = params.pop("C", 1.0)
-        t = params.pop("t", 1.0)
-        alpha = params.pop("alpha", 1.0)
-        prof = barenblatt.BarenblattProfile(n=n, alpha=alpha, C=C)
-        return lambda x: barenblatt.evaluate(prof, x, t)
-    raise ConfigError(f"unknown initial datum {name!r}")
+
+def _gaussian_datum(n: int, amp: float, width: float):
+    return lambda x: amp * np.exp(-np.sum(np.asarray(x) ** 2, axis=0) / width ** 2)
+
+
+def _signed_gaussian_datum(n: int):
+    # x exp(-x^2): sign-changing datum for the comparison sandwich
+    return lambda x: x[0] * np.exp(-np.sum(np.asarray(x) ** 2, axis=0))
+
+
+def _barenblatt_datum(n: int, C: float, t: float, alpha: float):
+    from . import barenblatt
+
+    prof = barenblatt.BarenblattProfile(n=n, alpha=alpha, C=C)
+    return lambda x: barenblatt.evaluate(prof, x, t)
+
+
+# name -> (builder of (n, **params), declared parameters with their defaults)
+U0_CATALOG = {
+    "zero": (_zero_datum, {}),
+    "gaussian": (_gaussian_datum, {"amp": 1.0, "width": 1.0}),
+    "signed_gaussian": (_signed_gaussian_datum, {}),
+    "barenblatt": (_barenblatt_datum, {"C": 1.0, "t": 1.0, "alpha": 1.0}),
+}
+
+
+def u0_from_config(name: str, params: dict | None = None, n: int = 1):
+    return _from_catalog("initial datum", U0_CATALOG, name, params, n)
 
 
 # ---------------------------------------------------------------------------
@@ -263,38 +275,38 @@ def check_flux_consistency(flux: FluxModel, grid: Grid,
                            u_range: tuple[float, float] = (-1.0, 1.0),
                            samples: int = 1000, rtol: float = 1e-5,
                            seed: int = 12345) -> ConsistencyReport:
-    """Finite-difference verification that df_du and div_x_f match f."""
+    """Finite-difference verification that df_du and div_x_f match f, with
+    all samples evaluated at once (t is passed as a (samples,) array)."""
     rng = np.random.default_rng(seed)
     n = grid.n
     xs = rng.uniform(-grid.L, grid.L, size=(n, samples))
     ts = rng.uniform(0.0, 1.0, size=samples)
     us = rng.uniform(u_range[0], u_range[1], size=samples)
-    worst_du = 0.0
-    worst_div = 0.0
-    for i in range(samples):
-        x = xs[:, i:i + 1]
-        t = float(ts[i])
-        u = us[i:i + 1]
-        h = 1e-6 * max(1.0, abs(float(u[0])))
-        fd_du = (np.asarray(flux.f(x, t, u + h)) - np.asarray(flux.f(x, t, u - h))) / (2 * h)
-        stated_du = np.asarray(flux.df_du(x, t, u))
-        if not (np.all(np.isfinite(fd_du)) and np.all(np.isfinite(stated_du))):
-            raise EvaluationError(f"non-finite flux derivative at x={x.ravel()}, t={t}, u={u[0]}")
-        scale = max(1.0, float(np.max(np.abs(stated_du))))
-        worst_du = max(worst_du, float(np.max(np.abs(fd_du - stated_du))) / scale)
+    h = 1e-6 * np.maximum(1.0, np.abs(us))
+    fd_du = (np.asarray(flux.f(xs, ts, us + h)) - np.asarray(flux.f(xs, ts, us - h))) / (2 * h)
+    stated_du = np.asarray(flux.df_du(xs, ts, us))
 
-        hx = 1e-6 * max(1.0, float(np.max(np.abs(x))))
-        fd_div = 0.0
-        for j in range(n):
-            e = np.zeros_like(x)
-            e[j, 0] = hx
-            fd_div += (float(np.asarray(flux.f(x + e, t, u))[j, 0])
-                       - float(np.asarray(flux.f(x - e, t, u))[j, 0])) / (2 * hx)
-        stated_div = float(np.asarray(flux.div_x_f(x, t, u)).ravel()[0])
-        if not (np.isfinite(fd_div) and np.isfinite(stated_div)):
-            raise EvaluationError(f"non-finite flux divergence at x={x.ravel()}, t={t}, u={u[0]}")
-        scale = max(1.0, abs(stated_div))
-        worst_div = max(worst_div, abs(fd_div - stated_div) / scale)
+    hx = 1e-6 * np.maximum(1.0, np.max(np.abs(xs), axis=0))
+    fd_div = np.zeros(samples)
+    for j in range(n):
+        xp, xm = xs.copy(), xs.copy()
+        xp[j] += hx
+        xm[j] -= hx
+        fd_div += (np.asarray(flux.f(xp, ts, us))[j]
+                   - np.asarray(flux.f(xm, ts, us))[j]) / (2 * hx)
+    stated_div = np.broadcast_to(np.asarray(flux.div_x_f(xs, ts, us)), (samples,))
+
+    bad_du = ~np.all(np.isfinite(fd_du) & np.isfinite(stated_du), axis=0)
+    bad_div = ~(np.isfinite(fd_div) & np.isfinite(stated_div))
+    if np.any(bad_du | bad_div):
+        i = int(np.argmax(bad_du | bad_div))
+        what = "derivative" if bad_du[i] else "divergence"
+        raise RunError(f"non-finite flux {what} at x={xs[:, i]}, t={ts[i]}, u={us[i]}")
+    err_du = (np.max(np.abs(fd_du - stated_du), axis=0)
+              / np.maximum(1.0, np.max(np.abs(stated_du), axis=0)))
+    err_div = np.abs(fd_div - stated_div) / np.maximum(1.0, np.abs(stated_div))
+    worst_du = float(np.max(err_du, initial=0.0))
+    worst_div = float(np.max(err_div, initial=0.0))
     return ConsistencyReport(max_df_du_error=worst_du, max_div_error=worst_div,
                              ok=worst_du <= rtol and worst_div <= rtol)
 
@@ -319,10 +331,10 @@ def check_divergence_condition(flux: FluxModel, grid: Grid,
     """Sampled check of the sign condition sum_j d f_j/d x_j (x,t,u) * u >= 0
     over a deterministic (x, t, u) lattice."""
     if samples < 1:
-        raise ParameterError(f"need at least one u sample, got {samples}")
+        raise ConfigError(f"need at least one u sample, got {samples}")
     lo, hi = float(u_range[0]), float(u_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-        raise ParameterError(f"u range must be a bounded interval, got {u_range}")
+        raise ConfigError(f"u range must be a bounded interval, got {u_range}")
     X = _x_lattice(grid, per_axis=33)  # (n, P)
     us = np.linspace(lo, hi, max(samples, 64))
     worst = np.inf
@@ -331,7 +343,7 @@ def check_divergence_condition(flux: FluxModel, grid: Grid,
         vals = np.asarray(flux.div_x_f(X[:, :, None], t, us[None, :])) * us[None, :]
         if not np.all(np.isfinite(vals)):
             p, k = np.argwhere(~np.isfinite(vals))[0]
-            raise EvaluationError(
+            raise RunError(
                 f"non-finite flux divergence at x={tuple(X[:, p])}, t={t}, u={us[k]}")
         p, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
         if vals[p, k] < worst:
@@ -351,9 +363,9 @@ def check_lipschitz_in_u(flux: FluxModel, grid: Grid, M: float, T: float,
     """Empirical Lipschitz constant of u -> f(x,t,u) on |u| <= M, 0 <= t <= T,
     from difference quotients over adjacent points of a dense u grid."""
     if M <= 0 or T <= 0:
-        raise ParameterError(f"need M > 0 and T > 0, got M={M}, T={T}")
+        raise ConfigError(f"need M > 0 and T > 0, got M={M}, T={T}")
     if samples < 2:
-        raise ParameterError(f"need at least two u samples, got {samples}")
+        raise ConfigError(f"need at least two u samples, got {samples}")
     X = _x_lattice(grid, per_axis=9)
     us = np.linspace(-M, M, samples)
     du = us[1] - us[0]
@@ -362,7 +374,7 @@ def check_lipschitz_in_u(flux: FluxModel, grid: Grid, M: float, T: float,
         for p in range(X.shape[1]):
             fv = np.asarray(flux.f(X[:, p:p + 1], t, us))
             if not np.all(np.isfinite(fv)):
-                raise EvaluationError(
+                raise RunError(
                     f"non-finite flux value at x={tuple(X[:, p])}, t={t}")
             quot = np.abs(np.diff(fv, axis=-1)) / du
             best = max(best, float(np.max(quot)))
@@ -431,15 +443,7 @@ def problem_from_mapping(raw: dict[str, str]) -> Problem:
     u0_name, u0_params = _parse_catalog_value(raw.get("u0", "gaussian"))
     if u0_name == "barenblatt":
         u0_params.setdefault("alpha", alpha)
-    boundary = raw.get("boundary", "zero_flux")
-    if boundary not in BOUNDARY_POLICIES:
-        raise ConfigError(f"unknown boundary policy {boundary!r}")
     return Problem(grid=grid, alpha=alpha, p0=p0,
                    flux=flux_from_config(flux_name, flux_params, n),
                    u0=u0_from_config(u0_name, u0_params, n),
-                   boundary_policy=boundary)
-
-
-def load_problem(path) -> Problem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem_config(fh.read())
+                   boundary_policy=raw.get("boundary", "zero_flux"))

@@ -13,21 +13,12 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import ConfigError, RunError
 from .problem import Grid, Problem, State, sample_initial
 
 _DEN_GUARD = 1e-300
-
-
-class StepSizeError(RuntimeError):
-    """The stable time step underflowed."""
-
-
-class BlowUpError(RuntimeError):
-    """The update produced non-finite values."""
-
-
-class BudgetError(RuntimeError):
-    """The step budget was exhausted before reaching the final time."""
+# a run is flagged once its boundary cells hold more than this share of the initial mass
+BOUNDARY_MASS_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -35,19 +26,18 @@ class SchemeConfig:
     t_end: float
     cfl_safety: float = 0.9
     max_steps: int = 2_000_000
-    boundary_mass_threshold: float = 1e-8
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
+            raise ConfigError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.t_end <= 0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
+            raise ConfigError(f"t_end must be > 0, got {self.t_end}")
         if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         times = tuple(sorted(float(t) for t in self.snapshot_times))
         if times and (times[0] < 0 or times[-1] > self.t_end):
-            raise ValueError(f"snapshot times {times} outside [0, {self.t_end}]")
+            raise ConfigError(f"snapshot times {times} outside [0, {self.t_end}]")
         object.__setattr__(self, "snapshot_times", times)
 
 
@@ -65,7 +55,7 @@ class RunResult:
 def kirchhoff(u, alpha: float):
     """G(u) = |u|^a u/(a+1); odd, strictly increasing, G'(u) = |u|^a."""
     if alpha <= 0:
-        raise ValueError(f"diffusion exponent must be > 0, got {alpha}")
+        raise ConfigError(f"diffusion exponent must be > 0, got {alpha}")
     u = np.asarray(u, dtype=float)
     out = np.abs(u) ** alpha * u / (alpha + 1.0)
     return float(out) if out.ndim == 0 else out
@@ -92,7 +82,7 @@ def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> float:
     dt = config.cfl_safety * min(dx / (2.0 * lam_adv + _DEN_GUARD),
                                  dx * dx / (2.0 * grid.n * lam_diff + _DEN_GUARD))
     if not np.isfinite(dt) or dt <= 0.0:
-        raise StepSizeError(f"stable dt underflowed at t={state.time} (dt={dt})")
+        raise RunError(f"stable dt underflowed at t={state.time} (dt={dt})")
     return dt
 
 
@@ -149,7 +139,7 @@ def step(state: State, problem: Problem, dt: float) -> State:
 
     if not np.all(np.isfinite(new)):
         idx = tuple(int(k) for k in np.argwhere(~np.isfinite(new))[0])
-        raise BlowUpError(f"non-finite value at cell {idx} after step to t={t + dt}")
+        raise RunError(f"non-finite value at cell {idx} after step to t={t + dt}")
     return State(values=new, time=t + dt, grid=grid)
 
 
@@ -169,13 +159,13 @@ def advance(states: tuple[State, ...], problem: Problem, config: SchemeConfig,
 
     Yields ``(states, dt)`` after every step, and ``(states, None)`` with the
     time set exactly to the target each time one is reached. `names` label the
-    states in a BlowUpError."""
+    states in the error raised when a step blows up."""
     steps = 0
     t_tol = 1e-12 * max(1.0, config.t_end)
     for target in targets:
         while states[0].time < target - t_tol:
             if steps >= config.max_steps:
-                raise BudgetError(
+                raise RunError(
                     f"exceeded {config.max_steps} steps at t={states[0].time} "
                     f"(target {target})")
             dt = min(min(stable_dt(s, problem, config) for s in states),
@@ -184,9 +174,9 @@ def advance(states: tuple[State, ...], problem: Problem, config: SchemeConfig,
             for k, s in enumerate(states):
                 try:
                     stepped.append(step(s, problem, dt))
-                except BlowUpError as exc:
+                except RunError as exc:
                     where = f", {names[k]} branch" if names else ""
-                    raise BlowUpError(f"step {steps + 1}{where}: {exc}") from exc
+                    raise RunError(f"step {steps + 1}{where}: {exc}") from exc
             states = tuple(stepped)
             steps += 1
             yield states, dt
@@ -222,4 +212,4 @@ def run(problem: Problem, config: SchemeConfig) -> RunResult:
                      max_dt=float(max(dts, default=0.0)),
                      boundary_mass_max=boundary_max,
                      mass_series=mass_series,
-                     boundary_flagged=boundary_max > config.boundary_mass_threshold)
+                     boundary_flagged=boundary_max > BOUNDARY_MASS_THRESHOLD)

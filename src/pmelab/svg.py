@@ -8,10 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-
-class PlotError(ValueError):
-    """The plot request is empty or malformed."""
-
+from .errors import RunError
 
 _PALETTE = ("#1f3a93", "#c0392b", "#117a65", "#7d3c98", "#b9770e", "#34495e")
 
@@ -45,24 +42,24 @@ def render_svg(curves: Sequence[Curve], *, title: str = "", xlabel: str = "",
                logx: bool = False, logy: bool = False,
                annotations: Sequence[Annotation] = ()) -> str:
     if not curves:
-        raise PlotError("no curves to plot")
+        raise RunError("no curves to plot")
     for c in curves:
         if len(c.x) == 0 or len(c.x) != len(c.y):
-            raise PlotError(f"curve {c.label!r} has empty or mismatched data")
+            raise RunError(f"curve {c.label!r} has empty or mismatched data")
         if c.kind not in ("line", "points"):
-            raise PlotError(f"unknown curve kind {c.kind!r}")
+            raise RunError(f"unknown curve kind {c.kind!r}")
 
     def tx(v):
         if logx:
             if v <= 0:
-                raise PlotError("log x axis requires positive values")
+                raise RunError("log x axis requires positive values")
             return math.log10(v)
         return float(v)
 
     def ty(v):
         if logy:
             if v <= 0:
-                raise PlotError("log y axis requires positive values")
+                raise RunError("log y axis requires positive values")
             return math.log10(v)
         return float(v)
 

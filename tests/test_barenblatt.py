@@ -5,6 +5,7 @@ import pytest
 
 from pmelab import barenblatt as bb
 from pmelab import harness
+from pmelab.errors import ConfigError
 from pmelab.problem import Grid
 
 
@@ -16,11 +17,11 @@ def test_profile_constants():
 
 
 def test_profile_validation():
-    with pytest.raises(bb.DomainError):
+    with pytest.raises(ConfigError):
         bb.BarenblattProfile(n=1, alpha=0.0, C=1.0)
-    with pytest.raises(bb.DomainError):
+    with pytest.raises(ConfigError):
         bb.BarenblattProfile(n=1, alpha=1.0, C=0.0)
-    with pytest.raises(bb.DomainError):
+    with pytest.raises(ConfigError):
         bb.evaluate(bb.BarenblattProfile(n=1, alpha=1.0), 0.0, 0.0)
 
 
@@ -110,5 +111,5 @@ def test_residual_check_refines():
 
 def test_residual_check_support_overflow():
     p = bb.BarenblattProfile(n=1, alpha=1.0, C=1.0)
-    with pytest.raises(bb.DomainError):
+    with pytest.raises(ConfigError):
         bb.residual_check(p, Grid(n=1, L=2.0, N=100), 2.0)

@@ -6,6 +6,7 @@ import pytest
 
 from pmelab import cli, svg
 from pmelab import exponents as ex
+from pmelab.errors import RunError
 
 
 def run_cli(tmp_path, *argv):
@@ -38,7 +39,7 @@ class TestSvg:
         assert doc.count("<circle") >= 2
 
     def test_log_requires_positive(self):
-        with pytest.raises(svg.PlotError):
+        with pytest.raises(RunError, match="log x axis requires positive values"):
             svg.render_svg([svg.Curve(x=np.array([0.0, 1.0]),
                                       y=np.array([1.0, 2.0]), label="bad")],
                            title="", xlabel="x", ylabel="y", logx=True)
@@ -79,6 +80,21 @@ class TestExitCodes:
     def test_check_flux_pass(self, tmp_path):
         rc = run_cli(tmp_path, "check-flux", "--flux", "burgers")
         assert rc == 0
+
+    def test_undeclared_flux_parameter(self, tmp_path):
+        assert run_cli(tmp_path, "run", "--set", "flux=burgers k=2",
+                       "--t-end", "0.1") == 2
+        assert run_cli(tmp_path, "check-flux", "--flux", "burgers", "--k", "1.5") == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_plot_failure_is_a_run_error(self, tmp_path, monkeypatch, capsys):
+        # a plot that cannot be drawn is a failed run (1), not bad input (2)
+        monkeypatch.setattr(svg, "write_svg",
+                            lambda path, curves, **kw: svg.render_svg([], **kw))
+        rc = run_cli(tmp_path, "run", "--set", "N=40", "--t-end", "0.05",
+                     "--snapshots", "2")
+        assert rc == 1
+        assert "run error: no curves to plot" in capsys.readouterr().err
 
 
 class TestMoserTable:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmelab import exponents as ex
+from pmelab.errors import ConfigError
 
 LATTICE = [(q, n, a) for q in (1.0, 2.0, 5.0) for n in (1, 2, 3) for a in (0.5, 1.0, 2.0)]
 
@@ -46,11 +47,11 @@ def test_halving_identity_on_lattice():
 
 
 def test_parameter_validation():
-    with pytest.raises(ex.ParameterError):
+    with pytest.raises(ConfigError):
         ex.smoothing_exponents(0, 1, 1)
-    with pytest.raises(ex.ParameterError):
+    with pytest.raises(ConfigError):
         ex.smoothing_exponents(1, 0.5, 1)
-    with pytest.raises(ex.ParameterError):
+    with pytest.raises(ConfigError):
         ex.halving_exponents(1, 1, 0.0)
 
 
@@ -170,7 +171,7 @@ def test_Kj_log_bound_behavior():
     assert v == pytest.approx(expected, rel=1e-12)
     # large j: both exponents decay like 2^-j
     assert abs(ex.moser_Kj_log_bound(50, 1, 1, 1, 2.0)) < 1e-12
-    with pytest.raises(ex.ParameterError):
+    with pytest.raises(ConfigError):
         ex.moser_Kj_log_bound(0, 1, 1, 1, 2.0)
 
 

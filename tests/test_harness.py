@@ -7,6 +7,7 @@ from pmelab import exponents as ex
 from pmelab import harness as hz
 from pmelab import problem as pr
 from pmelab import solver as sv
+from pmelab.errors import ConfigError, RunError
 
 
 def gaussian(x):
@@ -46,7 +47,7 @@ class TestLqNorm:
     def test_invalid_index(self):
         grid = pr.Grid(n=1, L=1.0, N=2)
         s = pr.State(values=np.ones(2), time=0.0, grid=grid)
-        with pytest.raises(hz.ParameterError):
+        with pytest.raises(ConfigError):
             hz.lq_norm(s, 0.5)
 
 
@@ -77,12 +78,12 @@ class TestFitDecay:
         assert slope == pytest.approx(-1.0, abs=1e-12)
 
     def test_too_few_points(self):
-        with pytest.raises(hz.FitError):
+        with pytest.raises(RunError, match="fit needs >= 5 points"):
             hz.fit_decay([(1.0, 1.0), (2.0, 0.5)], (1.0, 2.0))
 
     def test_nonpositive_rejected(self):
         series = [(t, 1.0 - 0.2 * t) for t in np.linspace(1, 10, 10)]
-        with pytest.raises(hz.FitError):
+        with pytest.raises(RunError, match="fit requires positive times and norms"):
             hz.fit_decay(series, (1.0, 10.0))
 
     def test_decay_record_from_run(self):
@@ -108,7 +109,7 @@ class TestMonotonicity:
         only_end = sv.RunResult(snapshots=res.snapshots[-1:], step_count=1,
                                 min_dt=0.1, max_dt=0.1, boundary_mass_max=0.0,
                                 mass_series=[], boundary_flagged=False)
-        with pytest.raises(hz.AuditError):
+        with pytest.raises(RunError, match="needs at least two snapshots"):
             hz.audit_lq_monotonicity(only_end, [2])
 
 
@@ -131,11 +132,11 @@ class TestEnergyInequality:
 
     def test_validation(self):
         res = diffusion_run(t_end=0.5, snapshots=tuple(np.linspace(0, 0.5, 25)))
-        with pytest.raises(hz.ParameterError):
+        with pytest.raises(ConfigError):
             hz.audit_energy_inequality(res, q=2.0, gamma=1.0, t0=0.0, alpha=1.0)
-        with pytest.raises(hz.ParameterError):
+        with pytest.raises(ConfigError):
             hz.audit_energy_inequality(res, q=1.5, gamma=2.0, t0=0.0, alpha=1.0)
-        with pytest.raises(hz.AuditError):
+        with pytest.raises(RunError, match="needs >= 20 snapshots"):
             hz.audit_energy_inequality(res, q=2.0, gamma=2.0, t0=0.49, alpha=1.0)
 
 
@@ -174,10 +175,10 @@ class TestSandwich:
 
     def test_psi_must_be_positive(self):
         p = self.make_problem(N=50)
-        with pytest.raises(hz.ParameterError):
+        with pytest.raises(ConfigError):
             hz.run_sandwich(p, 0.1, lambda x: np.zeros(x.shape[1:]),
                             sv.SchemeConfig(t_end=0.1))
-        with pytest.raises(hz.ParameterError):
+        with pytest.raises(ConfigError):
             hz.run_sandwich(p, -0.1, lambda x: np.ones(x.shape[1:]),
                             sv.SchemeConfig(t_end=0.1))
 
@@ -194,7 +195,7 @@ class TestSandwich:
         p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=200), alpha=1.0, p0=1.0,
                        flux=flux, u0=lambda x: x[0] * np.exp(-x[0] ** 2))
         psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))
-        with pytest.raises(sv.BlowUpError, match="lower branch"):
+        with pytest.raises(RunError, match="lower branch.*non-finite value"):
             hz.run_sandwich(p, 0.1, psi, sv.SchemeConfig(t_end=0.5))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pmelab import problem as pr
+from pmelab.errors import ConfigError, RunError
 
 
 def gauss(x):
@@ -24,11 +25,11 @@ class TestGrid:
         assert g.cell_centers().shape == (2, 7, 7)
 
     def test_validation(self):
-        with pytest.raises(pr.ParameterError):
+        with pytest.raises(ConfigError):
             pr.Grid(n=3, L=1.0, N=4)
-        with pytest.raises(pr.ParameterError):
+        with pytest.raises(ConfigError):
             pr.Grid(n=1, L=0.0, N=4)
-        with pytest.raises(pr.ParameterError):
+        with pytest.raises(ConfigError):
             pr.Grid(n=1, L=1.0, N=0)
 
 
@@ -54,6 +55,59 @@ class TestFluxConsistency:
         grid = pr.Grid(n=2, L=5.0, N=16)
         rep = pr.check_flux_consistency(flux, grid, samples=300, rtol=1e-5)
         assert rep.ok, rep
+
+    @pytest.mark.parametrize("flux, grid", [
+        (pr.linear_flux_model(3.0, 1), pr.Grid(n=1, L=10.0, N=32)),
+        (pr.figure1_flux_model(1.5), pr.Grid(n=1, L=10.0, N=32)),
+        (pr.burgers_flux_model(2), pr.Grid(n=2, L=5.0, N=16)),
+    ], ids=lambda v: getattr(v, "name", None) or f"n{v.n}")
+    def test_matches_per_sample_loop(self, flux, grid):
+        # the same arithmetic sample by sample, so the errors agree exactly
+        rep = pr.check_flux_consistency(flux, grid, samples=200)
+        assert (rep.max_df_du_error, rep.max_div_error) == per_sample_errors(flux, grid, 200)
+
+    def test_nonfinite_names_first_sample(self):
+        def f(x, t, u):
+            return np.where(np.asarray(u) > 0.9, np.nan, np.asarray(u, dtype=float))[None]
+
+        flux = pr.FluxModel(name="nan-above", f=f,
+                            df_du=lambda x, t, u: np.ones((1,) + np.shape(u)),
+                            div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+        grid = pr.Grid(n=1, L=10.0, N=32)
+        with pytest.raises(RunError) as loop:
+            per_sample_errors(flux, grid, 200)
+        with pytest.raises(RunError, match="non-finite flux derivative") as vec:
+            pr.check_flux_consistency(flux, grid, samples=200)
+        assert str(vec.value) == str(loop.value)
+
+
+def per_sample_errors(flux, grid, samples, seed=12345):
+    """Reference for check_flux_consistency: one sample at a time."""
+    rng = np.random.default_rng(seed)
+    n = grid.n
+    xs = rng.uniform(-grid.L, grid.L, size=(n, samples))
+    ts = rng.uniform(0.0, 1.0, size=samples)
+    us = rng.uniform(-1.0, 1.0, size=samples)
+    worst_du = worst_div = 0.0
+    for i in range(samples):
+        x, t, u = xs[:, i:i + 1], float(ts[i]), us[i:i + 1]
+        h = 1e-6 * max(1.0, abs(float(u[0])))
+        fd_du = (np.asarray(flux.f(x, t, u + h)) - np.asarray(flux.f(x, t, u - h))) / (2 * h)
+        stated_du = np.asarray(flux.df_du(x, t, u))
+        if not (np.all(np.isfinite(fd_du)) and np.all(np.isfinite(stated_du))):
+            raise RunError(f"non-finite flux derivative at x={x.ravel()}, t={t}, u={u[0]}")
+        scale = max(1.0, float(np.max(np.abs(stated_du))))
+        worst_du = max(worst_du, float(np.max(np.abs(fd_du - stated_du))) / scale)
+        hx = 1e-6 * max(1.0, float(np.max(np.abs(x))))
+        fd_div = 0.0
+        for j in range(n):
+            e = np.zeros_like(x)
+            e[j, 0] = hx
+            fd_div += (float(np.asarray(flux.f(x + e, t, u))[j, 0])
+                       - float(np.asarray(flux.f(x - e, t, u))[j, 0])) / (2 * hx)
+        stated_div = float(np.asarray(flux.div_x_f(x, t, u)).ravel()[0])
+        worst_div = max(worst_div, abs(fd_div - stated_div) / max(1.0, abs(stated_div)))
+    return worst_du, worst_div
 
 
 class TestDivergenceCondition:
@@ -87,9 +141,9 @@ class TestDivergenceCondition:
 
     def test_validation(self):
         grid = pr.Grid(n=1, L=5.0, N=32)
-        with pytest.raises(pr.ParameterError):
+        with pytest.raises(ConfigError):
             pr.check_divergence_condition(pr.zero_flux_model(1), grid, (-1.0, 1.0), samples=0)
-        with pytest.raises(pr.ParameterError):
+        with pytest.raises(ConfigError):
             pr.check_divergence_condition(pr.zero_flux_model(1), grid, (-math.inf, 1.0))
 
 
@@ -113,7 +167,7 @@ class TestLipschitz:
 
     def test_validation(self):
         grid = pr.Grid(n=1, L=5.0, N=8)
-        with pytest.raises(pr.ParameterError):
+        with pytest.raises(ConfigError):
             pr.check_lipschitz_in_u(pr.zero_flux_model(1), grid, M=0.0, T=1.0)
 
 
@@ -153,18 +207,18 @@ class TestSampling:
                         flux=pr.zero_flux_model(1),
                         u0=lambda x: np.where(x[0] == 0, np.nan, x[0]))
         # N=9 puts a center exactly at x=0
-        with pytest.raises(pr.EvaluationError):
+        with pytest.raises(RunError, match="initial datum is non-finite"):
             pr.sample_initial(p2)
 
     def test_problem_validation(self):
         grid = pr.Grid(n=1, L=5.0, N=8)
-        with pytest.raises(pr.ParameterError):
+        with pytest.raises(ConfigError):
             pr.Problem(grid=grid, alpha=0.0, p0=1.0,
                        flux=pr.zero_flux_model(1), u0=gauss)
-        with pytest.raises(pr.ParameterError):
+        with pytest.raises(ConfigError):
             pr.Problem(grid=grid, alpha=1.0, p0=0.5,
                        flux=pr.zero_flux_model(1), u0=gauss)
-        with pytest.raises(pr.ParameterError):
+        with pytest.raises(ConfigError):
             pr.Problem(grid=grid, alpha=1.0, p0=1.0,
                        flux=pr.zero_flux_model(1), u0=gauss,
                        boundary_policy="reflecting")
@@ -192,15 +246,37 @@ class TestConfig:
         assert float(np.max(vals)) == pytest.approx(2.0, rel=1e-2)
 
     def test_unknown_key_named(self):
-        with pytest.raises(pr.ConfigError, match="frob"):
+        with pytest.raises(ConfigError, match="frob"):
             pr.parse_problem_config("frob = 1")
 
     def test_unknown_flux(self):
-        with pytest.raises(pr.ConfigError, match="warp"):
+        with pytest.raises(ConfigError, match="warp"):
             pr.parse_problem_config("flux = warp")
 
+    @pytest.mark.parametrize("key, value, bad", [("flux", "linear cc=3", "cc"),
+                                                 ("u0", "gaussian wdith=0.1", "wdith")])
+    def test_undeclared_catalog_parameter(self, key, value, bad):
+        with pytest.raises(ConfigError, match=bad) as info:
+            pr.problem_from_mapping({key: value})
+        # the message also names what the entry does declare
+        assert ("'c'" if key == "flux" else "'width'") in str(info.value)
+
+    def test_unknown_u0_lists_catalog(self):
+        with pytest.raises(ConfigError, match="warp") as info:
+            pr.problem_from_mapping({"u0": "warp"})
+        for name in ("barenblatt", "gaussian", "signed_gaussian", "zero"):
+            assert repr(name) in str(info.value)
+
+    def test_catalog_defaults_apply(self):
+        p = pr.problem_from_mapping({"flux": "linear", "u0": "barenblatt",
+                                     "alpha": "2"})
+        assert p.flux.params == {"c": 1.0}
+        expected = pr.u0_from_config("barenblatt", {"alpha": 2.0})
+        x = p.grid.cell_centers()
+        assert np.array_equal(p.u0(x), expected(x))
+
     def test_malformed_line(self):
-        with pytest.raises(pr.ConfigError):
+        with pytest.raises(ConfigError):
             pr.parse_problem_config("just some words")
 
     def test_defaults(self):

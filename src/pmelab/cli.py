@@ -68,16 +68,21 @@ def _problem_from_args(args) -> tuple[Problem, dict]:
     return problem_from_mapping(raw), raw
 
 
-def _snapshot_rows(result: solver.RunResult):
-    rows = []
-    for snap in result.snapshots:
-        centers = snap.grid.cell_centers()
-        flat_u = snap.values.ravel()
-        flat_x = centers.reshape(snap.grid.n, -1)
-        for i in range(flat_u.size):
-            rows.append((snap.time, *[flat_x[a, i] for a in range(snap.grid.n)],
-                         flat_u[i]))
-    return rows
+def _write_snapshot_csv(path, result: solver.RunResult) -> None:
+    """The run CSV: columns t, x0[, x1], u, one row per cell per snapshot,
+    each value as %.17g (the text of _cell). The x text of each row is made
+    once; each snapshot is then one % format over its u values."""
+    grid = result.snapshots[0].grid
+    x_fmt = ",".join(["%.17g"] * grid.n)
+    # row i of a snapshot at time text T is T + tails[i] % u[i]
+    tails = [f",{x_fmt % tuple(x)},%.17g\n"
+             for x in grid.cell_centers().reshape(grid.n, -1).T.tolist()]
+    cols = ["t"] + [f"x{a}" for a in range(grid.n)] + ["u"]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# pmelab csv v1 schema=run-snapshots\n{','.join(cols)}\n")
+        for snap in result.snapshots:
+            t = "%.17g" % snap.time
+            fh.write((t + t.join(tails)) % tuple(snap.values.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +98,7 @@ def cmd_run(args) -> int:
                 "snapshots": args.snapshots, "cfl": args.cfl}
     paths = _out_paths(args.outdir, "run", settings)
     result = solver.run(problem, config)
-    cols = ["t"] + [f"x{a}" for a in range(problem.grid.n)] + ["u"]
-    _write_csv(paths["csv"], "run-snapshots", cols, _snapshot_rows(result))
+    _write_snapshot_csv(paths["csv"], result)
     summary = {
         "step_count": result.step_count,
         "min_dt": result.min_dt,
@@ -192,12 +196,17 @@ def cmd_decay_study(args) -> int:
     problem, raw = _problem_from_args(args)
     alphas = [float(a) for a in args.alphas.split(",")] if args.alphas else [problem.alpha]
     q_list = [math.inf if s in ("inf", "oo") else float(s) for s in args.q_list.split(",")]
+    snap_times = (0.0,) + tuple(np.geomspace(args.t_end / 50.0, args.t_end, args.snapshots))
+    window = (args.t_end / 10.0, args.t_end)
+    in_window = {t for t in snap_times + (args.t_end,) if window[0] <= t <= window[1]}
+    if len(in_window) < harness.FIT_MIN_POINTS:
+        raise ConfigError(
+            f"--snapshots {args.snapshots} puts {len(in_window)} snapshot times in the "
+            f"fit window {window}; the power-law fit needs >= {harness.FIT_MIN_POINTS}")
     settings = {"command": "decay-study", **raw, "t_end": args.t_end,
                 "alphas": alphas, "q_list": [str(q) for q in q_list],
                 "snapshots": args.snapshots}
     paths = _out_paths(args.outdir, "decay-study", settings)
-    snap_times = (0.0,) + tuple(np.geomspace(args.t_end / 50.0, args.t_end, args.snapshots))
-    window = (args.t_end / 10.0, args.t_end)
 
     def one(alpha):
         p = Problem(grid=problem.grid, alpha=alpha, p0=problem.p0,

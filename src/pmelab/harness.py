@@ -38,14 +38,18 @@ class DecayRecord:
     r_squared: float
 
 
+# fewest (t, norm) points inside the window that fit_decay fits a line through
+FIT_MIN_POINTS = 5
+
+
 def fit_decay(series: Sequence[tuple[float, float]],
               window: tuple[float, float]) -> tuple[float, float, float]:
     """Least-squares line through (log t, log norm) inside the window;
     returns (slope, intercept, r^2)."""
     t_lo, t_hi = window
     pts = [(t, v) for t, v in series if t_lo <= t <= t_hi]
-    if len(pts) < 5:
-        raise RunError(f"power-law fit needs >= 5 points in window {window}, "
+    if len(pts) < FIT_MIN_POINTS:
+        raise RunError(f"power-law fit needs >= {FIT_MIN_POINTS} points in window {window}, "
                        f"got {len(pts)}")
     ts = np.array([p[0] for p in pts])
     vs = np.array([p[1] for p in pts])

@@ -2,8 +2,8 @@
 and sampled checks of the structural hypotheses on the flux.
 
 Flux evaluators are opaque callables ``(x, t, u) -> (n,) + shape(u)`` arrays
-that must broadcast; their stated derivatives are verified by finite
-differences, never trusted.
+(possibly read-only views) that must broadcast; their stated derivatives are
+verified by finite differences, never trusted.
 """
 
 from __future__ import annotations
@@ -156,13 +156,15 @@ def linear_flux_model(c: float = 1.0, n: int = 1) -> FluxModel:
 
 
 def burgers_flux_model(n: int = 1) -> FluxModel:
+    # every component is the same, so each call returns a read-only view that
+    # repeats one array n times instead of building n copies
     def f(x, t, u):
         u = np.asarray(u, dtype=float)
-        return np.stack([0.5 * u * u] * n)
+        return np.broadcast_to(0.5 * u * u, (n,) + u.shape)
 
     def df_du(x, t, u):
         u = np.asarray(u, dtype=float)
-        return np.stack([u] * n)
+        return np.broadcast_to(u, (n,) + u.shape)
 
     return FluxModel(name="burgers", f=f, df_du=df_du,
                      div_x_f=lambda x, t, u: np.zeros(np.shape(u)))

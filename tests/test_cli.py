@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from pmelab import cli, svg
+from pmelab import cli, solver, svg
 from pmelab import exponents as ex
 from pmelab.errors import RunError
+from pmelab.problem import Grid, State, problem_from_mapping
 
 
 def run_cli(tmp_path, *argv):
@@ -166,6 +167,53 @@ class TestRunCommand:
         assert rows == outputs(b, "csv")[0].read_text().splitlines()[2:]
 
 
+def reference_snapshot_csv(result):
+    """The run CSV one cell at a time: a (t, x0[, x1], u) tuple per cell, each
+    value written by cli._cell."""
+    n = result.snapshots[0].grid.n
+    lines = ["# pmelab csv v1 schema=run-snapshots",
+             ",".join(["t"] + [f"x{a}" for a in range(n)] + ["u"])]
+    for snap in result.snapshots:
+        flat_x = snap.grid.cell_centers().reshape(n, -1)
+        flat_u = snap.values.ravel()
+        for i in range(flat_u.size):
+            row = (snap.time, *[flat_x[a, i] for a in range(n)], flat_u[i])
+            lines.append(",".join(cli._cell(v) for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestSnapshotCsv:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_solver_run_matches_per_cell_reference(self, tmp_path, n):
+        problem = problem_from_mapping({"n": str(n), "N": "12", "L": "3.3",
+                                        "flux": "burgers", "u0": "signed_gaussian"})
+        result = solver.run(problem, solver.SchemeConfig(
+            t_end=0.3, snapshot_times=(0.0, 0.1, 0.3)))
+        path = tmp_path / "run.csv"
+        cli._write_snapshot_csv(path, result)
+        assert path.read_bytes() == reference_snapshot_csv(result)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_edge_values_match_per_cell_reference(self, tmp_path, n):
+        special = [-0.0, 5e-324, 1e-300, 1e300, 3.0, -7.0, -2.5, 0.1, -1e-300,
+                   -1e300, 1.0 / 3.0, 2.0 ** 53]
+        grid = Grid(n=n, L=1.0 / 3.0, N=4)
+        cells = 4 ** n
+        snaps = [State(values=np.resize(np.roll(special, k), cells).reshape(grid.shape),
+                       time=t, grid=grid)
+                 for k, t in enumerate([0.0, 1e-300, 2.0, 0.1 + 0.2])]
+        result = solver.RunResult(snapshots=snaps, step_count=0, min_dt=0.0, max_dt=0.0,
+                                  boundary_mass_max=0.0, mass_series=[],
+                                  boundary_flagged=False)
+        path = tmp_path / "run.csv"
+        cli._write_snapshot_csv(path, result)
+        text = path.read_bytes()
+        assert text == reference_snapshot_csv(result)
+        for cell in (b",-0\n", b",4.9406564584124654e-324\n",
+                     b",1.0000000000000001e+300\n", b",9007199254740992\n"):
+            assert cell in text
+
+
 class TestFigure1Command:
     def test_runs_and_plots(self, tmp_path):
         rc = run_cli(tmp_path, "figure1", "--t-end", "1.0", "--N", "200")
@@ -210,3 +258,25 @@ class TestDecayStudy:
         assert rc == 0
         payload = json.loads(outputs(tmp_path, "json")[0].read_text())
         assert payload["passed"] is True
+
+    def test_too_few_snapshots_in_fit_window(self, tmp_path, monkeypatch, capsys):
+        # checked before any step: 2 snapshots put 1 time in the window (0.1, 1)
+        calls = []
+        monkeypatch.setattr(solver, "run", lambda *a: calls.append(a))
+        rc = run_cli(tmp_path, "decay-study", "--t-end", "1", "--set", "N=50",
+                     "--snapshots", "2")
+        assert rc == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "--snapshots 2" in err and ">= 5" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_fewest_snapshots_that_fit(self, tmp_path):
+        # geomspace(t_end/50, t_end, s) puts 4 times in [t_end/10, t_end] at s=7, 5 at s=8
+        args = ["decay-study", "--t-end", "1", "--set", "N=50", "--alphas", "1"]
+        assert run_cli(tmp_path / "a", *args, "--snapshots", "7") == 2
+        assert run_cli(tmp_path / "b", *args, "--snapshots", "8") == 0
+
+    def test_default_snapshots(self, tmp_path):
+        rc = run_cli(tmp_path, "decay-study", "--t-end", "1", "--set", "N=50")
+        assert rc == 0

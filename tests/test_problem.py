@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pmelab import problem as pr
+from pmelab import solver
 from pmelab.errors import ConfigError, RunError
 
 
@@ -79,6 +80,58 @@ class TestFluxConsistency:
         with pytest.raises(RunError, match="non-finite flux derivative") as vec:
             pr.check_flux_consistency(flux, grid, samples=200)
         assert str(vec.value) == str(loop.value)
+
+
+def stacked_burgers(n):
+    """Burgers flux with every component built as its own array."""
+    def f(x, t, u):
+        u = np.asarray(u, dtype=float)
+        return np.stack([0.5 * u * u] * n)
+
+    def df_du(x, t, u):
+        u = np.asarray(u, dtype=float)
+        return np.stack([u] * n)
+
+    return pr.FluxModel(name="burgers", f=f, df_du=df_du,
+                        div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+
+
+class TestBurgersFluxViews:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_stacked_components(self, n):
+        u = np.linspace(-2.0, 2.0, 12).reshape((12,) if n == 1 else (3, 4))
+        x = np.zeros((n,) + u.shape)
+        flux, ref = pr.burgers_flux_model(n), stacked_burgers(n)
+        for got, want in ((flux.f(x, 0.0, u), ref.f(x, 0.0, u)),
+                          (flux.df_du(x, 0.0, u), ref.df_du(x, 0.0, u))):
+            assert got.shape == want.shape == (n,) + u.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_consistency_errors_unchanged(self, n):
+        grid = pr.Grid(n=n, L=5.0, N=16)
+        assert (pr.check_flux_consistency(pr.burgers_flux_model(n), grid, samples=300)
+                == pr.check_flux_consistency(stacked_burgers(n), grid, samples=300))
+
+    @pytest.mark.parametrize("n, N", [(1, 120), (2, 24)])
+    def test_steps_equal_writable_copies(self, n, N):
+        flux = pr.burgers_flux_model(n)
+        copied = pr.FluxModel(name="burgers", f=lambda x, t, u: np.array(flux.f(x, t, u)),
+                              df_du=lambda x, t, u: np.array(flux.df_du(x, t, u)),
+                              div_x_f=flux.div_x_f)
+        base = pr.problem_from_mapping({"n": str(n), "N": str(N), "L": "4",
+                                        "flux": "burgers", "u0": "signed_gaussian"})
+        config = solver.SchemeConfig(t_end=1.0)
+        states = []
+        for fl in (flux, copied):
+            p = pr.Problem(grid=base.grid, alpha=base.alpha, p0=base.p0, flux=fl,
+                           u0=base.u0)
+            s = pr.sample_initial(p)
+            for _ in range(50):
+                s = solver.step(s, p, solver.stable_dt(s, p, config))
+            states.append(s)
+        assert states[0].time == states[1].time
+        assert np.array_equal(states[0].values, states[1].values)
 
 
 def per_sample_errors(flux, grid, samples, seed=12345):

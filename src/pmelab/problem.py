@@ -2,8 +2,11 @@
 and sampled checks of the structural hypotheses on the flux.
 
 Flux evaluators are opaque callables ``(x, t, u) -> (n,) + shape(u)`` arrays
-(possibly read-only views) that must broadcast; their stated derivatives are
-verified by finite differences, never trusted.
+(possibly read-only views) that must broadcast and be pointwise: the solver
+evaluates the left then the right states of all interfaces normal to one axis
+in one call, joined along that axis, with x shaped (n,) + shape(u), so an
+evaluator must not reduce over cell axes or mix values between cells. Their
+stated derivatives are verified by finite differences, never trusted.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ class State:
                 f"state shape {vals.shape} does not match grid shape {self.grid.shape}")
         if not np.all(np.isfinite(vals)):
             idx = tuple(int(k) for k in np.argwhere(~np.isfinite(vals))[0])
-            raise RunError(f"non-finite state value at cell {idx}, t={self.time}")
+            raise RunError(f"non-finite value at cell {idx}, t={self.time}")
         if self.time < 0:
             raise ConfigError(f"time must be >= 0, got {self.time}")
         vals.setflags(write=False)
@@ -156,15 +159,16 @@ def linear_flux_model(c: float = 1.0, n: int = 1) -> FluxModel:
 
 
 def burgers_flux_model(n: int = 1) -> FluxModel:
-    # every component is the same, so each call returns a read-only view that
-    # repeats one array n times instead of building n copies
+    # all components are equal: one array as a (1,) view or a read-only (n,) view
+    def components(v):
+        return v[None] if n == 1 else np.broadcast_to(v, (n,) + v.shape)
+
     def f(x, t, u):
         u = np.asarray(u, dtype=float)
-        return np.broadcast_to(0.5 * u * u, (n,) + u.shape)
+        return components(0.5 * u * u)
 
     def df_du(x, t, u):
-        u = np.asarray(u, dtype=float)
-        return np.broadcast_to(u, (n,) + u.shape)
+        return components(np.asarray(u, dtype=float))
 
     return FluxModel(name="burgers", f=f, df_du=df_du,
                      div_x_f=lambda x, t, u: np.zeros(np.shape(u)))

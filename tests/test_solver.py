@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pmelab import barenblatt as bb
+from pmelab import harness as hz
 from pmelab import problem as pr
 from pmelab import solver as sv
 from pmelab.errors import RunError
@@ -167,6 +169,115 @@ class TestStep:
             s1, s2 = sv.step(s1, p1, dt), sv.step(s2, p2, dt)
             assert np.max(np.abs(s2.values - s1.values[spread])) <= 1e-14
         assert s2.time == s1.time
+
+
+def reference_step(u, t, dt, problem):
+    """The update as it was written before the interface states were joined:
+    a padded copy per axis and separate f and df_du calls on the left and the
+    right states (four flux calls per axis)."""
+    def cut(a, ax, start, stop):
+        idx = [slice(None)] * a.ndim
+        idx[ax] = slice(start, stop)
+        return a[tuple(idx)]
+
+    def pad1(a, ax):
+        lo, hi = cut(a, ax, None, 1), cut(a, ax, -1, None)
+        if problem.boundary_policy != "zero_flux":
+            lo = hi = np.zeros_like(lo)
+        return np.concatenate((lo, a, hi), axis=ax)
+
+    grid, flux = problem.grid, problem.flux
+    G = sv.kirchhoff(u, problem.alpha)
+    new = u
+    for ax in range(grid.n):
+        axes = [grid.axis_interfaces() if b == ax else grid.axis_centers()
+                for b in range(grid.n)]
+        xi = np.stack(np.meshgrid(*axes, indexing="ij"))
+        up = pad1(u, ax)
+        ul, ur = cut(up, ax, None, -1), cut(up, ax, 1, None)
+        fl = np.asarray(flux.f(xi, t, ul))[ax]
+        fr = np.asarray(flux.f(xi, t, ur))[ax]
+        lam = np.maximum(np.abs(np.asarray(flux.df_du(xi, t, ul))[ax]),
+                         np.abs(np.asarray(flux.df_du(xi, t, ur))[ax]))
+        fhat = 0.5 * (fl + fr) - 0.5 * lam * (ur - ul)
+        Gp = pad1(G, ax)
+        new = (new - (dt / grid.dx) * np.diff(fhat, axis=ax)
+               + (dt / grid.dx ** 2) * (cut(Gp, ax, 2, None) - 2.0 * cut(Gp, ax, 1, -1)
+                                        + cut(Gp, ax, None, -2)))
+    return new
+
+
+def counting(flux, calls):
+    """`flux` with f and df_du counting their calls into calls[0]."""
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    return dataclasses.replace(flux, f=counted(flux.f), df_du=counted(flux.df_du))
+
+
+# u0 reaches the walls of [-3, 3], so the two boundary policies differ
+STEP_IDS = ["figure1-1d", "burgers-1d", "linear-1d", "burgers-2d", "linear-2d"]
+STEP_CASES = [
+    (1, pr.figure1_flux_model(1.5), lambda x: np.exp(-x[0] ** 2 / 4.0)),
+    (1, pr.burgers_flux_model(1), lambda x: x[0] * np.exp(-x[0] ** 2 / 4.0)),
+    (1, pr.linear_flux_model(3.0, 1), lambda x: np.exp(-(x[0] - 1.0) ** 2 / 4.0)),
+    (2, pr.burgers_flux_model(2), lambda x: x[0] * np.exp(-np.sum(x ** 2, axis=0) / 4.0)),
+    (2, pr.linear_flux_model((1.0, -2.0), 2),
+     lambda x: np.exp(-np.sum(x ** 2, axis=0) / 4.0)),
+]
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
+    def test_equals_four_call_reference(self, n, flux, u0, boundary):
+        p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
+                       p0=1.0, flux=flux, u0=u0, boundary_policy=boundary)
+        s = pr.sample_initial(p)
+        u = s.values
+        cfg = sv.SchemeConfig(t_end=1.0)
+        for _ in range(50):
+            dt = sv.stable_dt(s, p, cfg)
+            u = reference_step(u, s.time, dt, p)
+            s = sv.step(s, p, dt)
+            assert np.array_equal(s.values, u)
+
+    @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
+    def test_flux_calls_per_step(self, n, flux, u0):
+        # stable_dt calls df_du once; step calls f and df_du once per axis
+        calls = [0]
+        p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=40 if n == 1 else 16), alpha=0.5,
+                       p0=1.0, flux=counting(flux, calls), u0=u0)
+        res = sv.run(p, sv.SchemeConfig(t_end=0.2))
+        assert res.step_count > 0
+        assert calls[0] == (2 * n + 1) * res.step_count
+
+
+def test_run_and_sandwich_call_step_and_stable_dt_once_per_branch_step(monkeypatch):
+    # bench/run.py --trace counts cells through these two module functions
+    calls = {"step": 0, "stable_dt": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sv, "step", counted("step", sv.step))
+    monkeypatch.setattr(sv, "stable_dt", counted("stable_dt", sv.stable_dt))
+    p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=80), alpha=1.0, p0=1.0,
+                   flux=pr.burgers_flux_model(1),
+                   u0=lambda x: x[0] * np.exp(-x[0] ** 2))
+    res = sv.run(p, sv.SchemeConfig(t_end=0.5, snapshot_times=(0.1, 0.25)))
+    assert calls == {"step": res.step_count, "stable_dt": res.step_count}
+    calls.update(step=0, stable_dt=0)
+    rep = hz.run_sandwich(p, 0.1, lambda x: np.ones(x.shape[1:]),
+                          sv.SchemeConfig(t_end=0.5))
+    assert rep.step_count > 0
+    assert calls == {"step": 3 * rep.step_count, "stable_dt": 3 * rep.step_count}
 
 
 class TestRun:

@@ -3,11 +3,21 @@
 Advection uses a local Lax-Friedrichs interface flux; diffusion is the second
 difference of the Kirchhoff function G(u) = |u|^a u/(a+1), which keeps the
 update exactly conservative and smooth through the degeneracy at u = 0.
+
+The update is monotone when dt (sum_ax lam_ax/dx + 2n max|u|^a/dx^2) <= 1,
+lam_ax being max|df_du| over the interface states of axis ax (Evje & Karlsen,
+SIAM J. Numer. Anal. 37, 2000); `stable_dt` returns cfl_safety times that
+bound. To get lam_ax it evaluates the flux, so it prepares the whole
+dt-independent part of the update and hands it to the `step` that follows on
+the same state and problem. The handoff and the per-grid scratch arrays are
+kept per thread.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -19,6 +29,28 @@ from .problem import Grid, Problem, State, sample_initial
 _DEN_GUARD = 1e-300
 # a run is flagged once its boundary cells hold more than this share of the initial mass
 BOUNDARY_MASS_THRESHOLD = 1e-8
+_SCRATCH_MAX = 8
+
+
+class _Scratch(threading.local):
+    """Per-thread state of the step kernel."""
+
+    def __init__(self) -> None:
+        # stable_dt -> step handoff: id(state) -> (state, problem, prepared terms).
+        # The entry holds the state, so its id cannot be reused while it lives.
+        self.handoff: dict[int, tuple[State, Problem, list]] = {}
+        # (shape, axis) -> scratch arrays of `_prepare`, see `_work`
+        self.work: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+
+_SCRATCH = _Scratch()
+
+
+def _bounded_put(cache: dict, key, value) -> None:
+    """cache[key] = value, first dropping the oldest entry if _SCRATCH_MAX are held."""
+    if key not in cache and len(cache) >= _SCRATCH_MAX:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
 
 @dataclass(frozen=True)
@@ -62,9 +94,9 @@ def kirchhoff(u, alpha: float):
 
 
 @functools.lru_cache(maxsize=8)
-def _coords(grid: Grid, ax: int | None = None) -> np.ndarray:
-    """Read-only cell-center coordinates, shape (n,) + shape; with ax given, those
-    of the N+1 interfaces normal to axis ax, twice over along ax (see `step`)."""
+def _coords(grid: Grid, ax: int) -> np.ndarray:
+    """Read-only coordinates of the N+1 interfaces normal to axis ax, twice over
+    along ax (see `_prepare`), at cell centers along the other axes."""
     axes = [np.tile(grid.axis_interfaces(), 2) if b == ax else grid.axis_centers()
             for b in range(grid.n)]
     coords = np.stack(np.meshgrid(*axes, indexing="ij"))
@@ -73,16 +105,14 @@ def _coords(grid: Grid, ax: int | None = None) -> np.ndarray:
 
 
 def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> float:
-    """CFL bound: advective dx/(2 max|df/du|) against diffusive dx^2/(2n max|u|^a)."""
-    grid = state.grid
-    dfu = np.asarray(problem.flux.df_du(_coords(grid), state.time, state.values))
-    lam_adv = float(np.max(np.abs(dfu))) if dfu.size else 0.0
-    lam_diff = float(np.max(np.abs(state.values) ** problem.alpha))
-    dx = grid.dx
-    dt = config.cfl_safety * min(dx / (2.0 * lam_adv + _DEN_GUARD),
-                                 dx * dx / (2.0 * grid.n * lam_diff + _DEN_GUARD))
+    """Largest monotone dt times cfl: cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2),
+    with lam_ax = max|df_du| over the interface states of axis ax. Prepares the
+    update on the way (see `_prepare`) and leaves it for `step` to reuse."""
+    rate, terms = _prepare(state, problem)
+    dt = config.cfl_safety / (rate + _DEN_GUARD)
     if not np.isfinite(dt) or dt <= 0.0:
         raise RunError(f"stable dt underflowed at t={state.time} (dt={dt})")
+    _bounded_put(_SCRATCH.handoff, id(state), (state, problem, terms))
     return dt
 
 
@@ -102,41 +132,72 @@ def _cuts(ax: int, m: int) -> tuple[tuple, ...]:
         (2, None), (1, -1), (None, -2)))
 
 
-def _llf_flux(flux, x, t: float, w: np.ndarray, ax: int, left, right) -> np.ndarray:
-    """LLF flux 0.5 (f_l + f_r) - 0.5 max|df_du| (u_r - u_l) along axis ax with
-    u_l = w[left], u_r = w[right], from one f and one df_du call. In place, and
-    called after step pads G: otherwise heap page faults slow 2-D runs by 15-30%."""
-    f = np.asarray(flux.f(x, t, w), dtype=float)[ax]
-    f = f[left] + f[right]
-    f *= 0.5
-    lam = np.abs(np.asarray(flux.df_du(x, t, w), dtype=float)[ax])
-    lam = np.maximum(lam[left], lam[right])
-    lam *= 0.5
-    lam *= w[right] - w[left]
-    f -= lam
-    return f
+def _work(shape: tuple[int, ...], ax: int) -> tuple[np.ndarray, ...]:
+    """Scratch arrays for axis ax of `_prepare` on a grid of `shape`: the joined
+    interface states and |df_du| on them, the padded G, and the LLF sum, lambda
+    and state difference at the N+1 interfaces. Reusing them keeps 2-D steps
+    from returning heap pages to the system and faulting them back in."""
+    arrays = _SCRATCH.work.get((shape, ax))
+    if arrays is None:
+        N = shape[ax]
+        arrays = tuple(np.empty(shape[:ax] + (m,) + shape[ax + 1:])
+                       for m in (2 * N + 2, 2 * N + 2, N + 2, N + 1, N + 1, N + 1))
+        _bounded_put(_SCRATCH.work, (shape, ax), arrays)
+    return arrays
 
 
-def step(state: State, problem: Problem, dt: float) -> State:
-    """One conservative explicit update; dt must respect the stable_dt bound.
-    Along each axis: the LLF flux at the interfaces, whose left then right
-    states are one array, and the second difference of G = kirchhoff(u), with
+def _prepare(state: State, problem: Problem) -> tuple[float, list]:
+    """The dt-independent half of a step: the rate sum_ax lam_ax/dx + 2n max|u|^a/dx^2
+    and, per axis, the LLF flux difference and the second difference of
+    G = kirchhoff(u). Along axis ax the left then the right states of the N+1
+    interfaces are one array, so f and df_du are called once each; u and G get
     the same ghost cells (an edge copy under zero_flux, 0 under dirichlet_zero)."""
     grid, u, t = state.grid, state.values, state.time
-    dx = grid.dx
-    G = kirchhoff(u, problem.alpha)
-    new = u
+    dx, alpha, flux = grid.dx, problem.alpha, problem.flux
+    a = np.abs(u) ** alpha
+    G = a * u / (alpha + 1.0)
+    lam_adv = 0.0
+    terms = []
     for ax in range(grid.n):
         first, last, left, right, east, west, ip1, i0, im1 = _cuts(ax, grid.N + 1)
+        w, absdf, Gp, fsum, lam, du = _work(grid.shape, ax)
         ulo, uhi, Glo, Ghi = ((u[first], u[last], G[first], G[last])
                               if problem.boundary_policy == "zero_flux"
                               else (np.zeros_like(u[first]),) * 4)
-        Gp = np.concatenate((Glo, G, Ghi), axis=ax)
-        fhat = _llf_flux(problem.flux, _coords(grid, ax), t,
-                         np.concatenate((ulo, u, u, uhi), axis=ax), ax, left, right)
-        new = (new - (dt / dx) * (fhat[east] - fhat[west])
-               + (dt / dx ** 2) * (Gp[ip1] - 2.0 * Gp[i0] + Gp[im1]))
-    return State(values=new, time=t + dt, grid=grid)
+        np.concatenate((Glo, G, Ghi), axis=ax, out=Gp)
+        np.concatenate((ulo, u, u, uhi), axis=ax, out=w)
+        x = _coords(grid, ax)
+        # 0.5 (f_l + f_r) - 0.5 max(|df_l|, |df_r|) (u_r - u_l)
+        f = np.asarray(flux.f(x, t, w), dtype=float)[ax]
+        np.add(f[left], f[right], out=fsum)
+        fsum *= 0.5
+        np.abs(np.asarray(flux.df_du(x, t, w), dtype=float)[ax], out=absdf)
+        np.maximum(absdf[left], absdf[right], out=lam)
+        lam_ax = float(np.max(lam))
+        if not math.isfinite(lam_ax):
+            raise RunError(f"non-finite flux derivative along axis {ax} at t={t}")
+        lam_adv += lam_ax / dx
+        lam *= 0.5
+        lam *= np.subtract(w[right], w[left], out=du)
+        fsum -= lam
+        lapG = Gp[ip1] - 2.0 * Gp[i0]
+        lapG += Gp[im1]
+        terms.append((fsum[east] - fsum[west], lapG))
+    return lam_adv + 2.0 * grid.n * float(np.max(a)) / dx ** 2, terms
+
+
+def step(state: State, problem: Problem, dt: float) -> State:
+    """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis; dt
+    must respect the stable_dt bound. Uses the terms that stable_dt prepared for
+    this very state and problem, else prepares them itself."""
+    entry = _SCRATCH.handoff.pop(id(state), None)
+    terms = (entry[2] if entry is not None and entry[1] is problem
+             else _prepare(state, problem)[1])
+    dx = state.grid.dx
+    new = state.values
+    for dF, lapG in terms:
+        new = new - (dt / dx) * dF + (dt / dx ** 2) * lapG
+    return State(values=new, time=state.time + dt, grid=state.grid)
 
 
 def _l1(values: np.ndarray, grid) -> float:
@@ -155,7 +216,7 @@ def advance(states: tuple[State, ...], problem: Problem, config: SchemeConfig,
 
     Yields ``(states, dt)`` after every step, and ``(states, None)`` with the
     time set exactly to the target each time one is reached. `names` label the
-    states in the error raised when a step blows up."""
+    states in the error raised when preparing or taking a step fails."""
     steps = 0
     t_tol = 1e-12 * max(1.0, config.t_end)
     for target in targets:
@@ -164,15 +225,17 @@ def advance(states: tuple[State, ...], problem: Problem, config: SchemeConfig,
                 raise RunError(
                     f"exceeded {config.max_steps} steps at t={states[0].time} "
                     f"(target {target})")
-            dt = min(min(stable_dt(s, problem, config) for s in states),
-                     target - states[0].time)
-            stepped = []
-            for k, s in enumerate(states):
-                try:
+            try:
+                dts = []
+                for k, s in enumerate(states):
+                    dts.append(stable_dt(s, problem, config))
+                dt = min(min(dts), target - states[0].time)
+                stepped = []
+                for k, s in enumerate(states):
                     stepped.append(step(s, problem, dt))
-                except RunError as exc:
-                    where = f", {names[k]} branch" if names else ""
-                    raise RunError(f"step {steps + 1}{where}: {exc}") from exc
+            except RunError as exc:
+                where = f", {names[k]} branch" if names else ""
+                raise RunError(f"step {steps + 1}{where}: {exc}") from exc
             states = tuple(stepped)
             steps += 1
             yield states, dt

@@ -198,6 +198,20 @@ class TestSandwich:
         with pytest.raises(RunError, match="lower branch.*non-finite value"):
             hz.run_sandwich(p, 0.1, psi, sv.SchemeConfig(t_end=0.5))
 
+    def test_bad_derivative_names_the_branch(self):
+        # df_du is NaN below -0.45, which only the lower branch reaches
+        def df_du(x, t, u):
+            return np.where(np.asarray(u, dtype=float) < -0.45, np.nan, 1.0)[None]
+
+        flux = pr.FluxModel(name="nan-df-below", f=lambda x, t, u: np.asarray(u, float)[None],
+                            df_du=df_du, div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+        p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=200), alpha=1.0, p0=1.0,
+                       flux=flux, u0=lambda x: x[0] * np.exp(-x[0] ** 2))
+        psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))
+        with pytest.raises(RunError,
+                           match=r"step 1\b, lower branch.*non-finite flux derivative"):
+            hz.run_sandwich(p, 0.1, psi, sv.SchemeConfig(t_end=0.5))
+
 
 class TestFigure1:
     def test_experiment_shape(self):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -53,6 +55,16 @@ def nan_below_flux(u_min=-0.45):
                         div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
 
 
+def nan_below_derivative(u_min=-0.45):
+    """Linear flux f = u whose df_du is NaN below u_min."""
+    def df_du(x, t, u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u < u_min, np.nan, 1.0)[None]
+
+    return pr.FluxModel(name="nan-df-below", f=lambda x, t, u: np.asarray(u, float)[None],
+                        df_du=df_du, div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+
+
 class TestStableDt:
     def test_pure_diffusion_formula(self):
         # dx = 0.1, alpha = 1, max|u| = 2  ->  dt = cfl * dx^2 / (2*1*2)
@@ -64,14 +76,16 @@ class TestStableDt:
         assert dt == pytest.approx(0.9 * 0.1 ** 2 / 4.0, rel=1e-9)
 
     def test_advection_dominates(self):
-        # linear flux c=5 with tiny u: dx/(2*5) beats the diffusive bound
+        # linear flux c=5 with tiny u: the monotone rule 1/(c/dx + 2 max|u|/dx^2)
+        # is set almost wholly by advection
         grid = pr.Grid(n=1, L=10.0, N=200)
         p = pr.Problem(grid=grid, alpha=1.0, p0=1.0,
                        flux=pr.linear_flux_model(5.0, 1),
                        u0=lambda x: 1e-6 * gaussian(x))
         state = pr.sample_initial(p)
         dt = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
-        assert dt == pytest.approx(0.1 / 10.0, rel=1e-6)
+        umax = float(np.max(np.abs(state.values)))
+        assert dt == pytest.approx(1.0 / (5.0 / 0.1 + 2.0 * umax / 0.01), rel=1e-12)
 
     def test_2d_halves_diffusive_bound(self):
         grid = pr.Grid(n=2, L=10.0, N=200)
@@ -247,13 +261,127 @@ class TestStepKernel:
 
     @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
     def test_flux_calls_per_step(self, n, flux, u0):
-        # stable_dt calls df_du once; step calls f and df_du once per axis
+        # stable_dt calls f and df_du once per axis and step reuses them
         calls = [0]
         p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=40 if n == 1 else 16), alpha=0.5,
                        p0=1.0, flux=counting(flux, calls), u0=u0)
         res = sv.run(p, sv.SchemeConfig(t_end=0.2))
         assert res.step_count > 0
-        assert calls[0] == (2 * n + 1) * res.step_count
+        assert calls[0] == 2 * n * res.step_count
+
+
+class TestHandoff:
+    @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
+    def test_prepared_step_equals_unprepared(self, n, flux, u0, boundary):
+        p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
+                       p0=1.0, flux=flux, u0=u0, boundary_policy=boundary)
+        s = pr.sample_initial(p)
+        cfg = sv.SchemeConfig(t_end=1.0)
+        for _ in range(20):
+            dt = sv.stable_dt(s, p, cfg)
+            # an equal state that stable_dt never saw has no entry waiting
+            cold = sv.step(pr.State(values=s.values, time=s.time, grid=s.grid), p, dt)
+            assert id(s) in sv._SCRATCH.handoff
+            s = sv.step(s, p, dt)
+            assert np.array_equal(s.values, cold.values) and s.time == cold.time
+
+    @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
+    def test_interleaved_preparations_stay_apart(self, n, flux, u0):
+        # as in the sandwich: every state is prepared before any is stepped
+        p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
+                       p0=1.0, flux=flux, u0=u0)
+        base = pr.sample_initial(p)
+        states = [pr.State(values=c * base.values, time=0.0, grid=base.grid)
+                  for c in (-0.5, 1.0, 2.0)]
+        dt = min(sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0)) for s in states)
+        cold = [sv.step(pr.State(values=s.values, time=0.0, grid=s.grid), p, dt)
+                for s in states]
+        for s, c in zip(states, cold):
+            assert np.array_equal(sv.step(s, p, dt).values, c.values)
+
+    @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
+    def test_other_problem_recomputes(self, n, flux, u0):
+        calls = [0]
+        p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=40 if n == 1 else 16), alpha=0.5,
+                       p0=1.0, flux=counting(flux, calls), u0=u0)
+        other = dataclasses.replace(p)
+        assert other == p and other is not p
+        s = pr.sample_initial(p)
+        dt = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0))
+        assert calls[0] == 2 * n
+        via_other = sv.step(s, other, dt)
+        assert calls[0] == 4 * n
+        # the entry was spent on the mismatched call, so this step recomputes too
+        assert id(s) not in sv._SCRATCH.handoff
+        again = sv.step(s, p, dt)
+        assert calls[0] == 6 * n
+        assert np.array_equal(via_other.values, again.values)
+
+    def test_bounded(self):
+        p = diffusion_problem(N=20)
+        s = pr.sample_initial(p)
+        cfg = sv.SchemeConfig(t_end=1.0)
+        for k in range(3 * sv._SCRATCH_MAX):
+            sv.stable_dt(pr.State(values=s.values, time=0.01 * k, grid=s.grid), p, cfg)
+        assert len(sv._SCRATCH.handoff) == sv._SCRATCH_MAX
+
+    def test_run_and_sandwich_leave_no_entries(self):
+        sv._SCRATCH.handoff.clear()
+        p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=80), alpha=1.0, p0=1.0,
+                       flux=pr.burgers_flux_model(1),
+                       u0=lambda x: x[0] * np.exp(-x[0] ** 2))
+        res = sv.run(p, sv.SchemeConfig(t_end=0.5, snapshot_times=(0.1, 0.25)))
+        assert res.step_count > 0 and sv._SCRATCH.handoff == {}
+        rep = hz.run_sandwich(p, 0.1, lambda x: np.ones(x.shape[1:]),
+                              sv.SchemeConfig(t_end=0.5))
+        assert rep.step_count > 0 and sv._SCRATCH.handoff == {}
+
+
+def test_threads_keep_their_own_scratch():
+    # runs on one grid shape in more threads than cores, switching often
+    def problem(amp):
+        return pr.Problem(grid=pr.Grid(n=2, L=3.0, N=24), alpha=0.5, p0=1.0,
+                          flux=pr.burgers_flux_model(2),
+                          u0=lambda x: amp * np.exp(-np.sum(x ** 2, axis=0)))
+
+    amps = (0.5, 1.0, 1.5, 2.0)
+    cfg = sv.SchemeConfig(t_end=0.3)
+    alone = [sv.run(problem(a), cfg).snapshots[-1].values for a in amps]
+    together = [None] * len(amps)
+
+    def work(k):
+        together[k] = sv.run(problem(amps[k]), cfg).snapshots[-1].values
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(amps))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for a, b in zip(alone, together):
+        assert b is not None and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, N, t_end", [(1, 200, 0.3), (2, 120, 0.1)], ids=["1d", "2d"])
+def test_monotone_step_size_keeps_sup_norm_from_rising(n, N, t_end):
+    # advective and diffusive bounds close together: taking their minimum
+    # instead of the combined rule let max|u| rise by a few percent
+    p = pr.Problem(grid=pr.Grid(n=n, L=5.0, N=N), alpha=1.0, p0=1.0,
+                   flux=pr.linear_flux_model(20.0, n),
+                   u0=lambda x: np.exp(-np.sum(x ** 2, axis=0) / 0.5))
+    times = tuple(np.linspace(0.0, t_end, 31))
+    res = sv.run(p, sv.SchemeConfig(t_end=t_end, snapshot_times=times))
+    sups = [float(np.max(np.abs(s.values))) for s in res.snapshots]
+    assert len(sups) == 31
+    rises = [(k, b / a - 1.0) for k, (a, b) in enumerate(zip(sups, sups[1:]))
+             if b > a * (1.0 + 1e-14)]
+    assert rises == []
 
 
 def test_run_and_sandwich_call_step_and_stable_dt_once_per_branch_step(monkeypatch):
@@ -303,6 +431,12 @@ class TestRun:
         with pytest.raises(RunError, match=r"step 1\b.*non-finite value"):
             sv.run(p, sv.SchemeConfig(t_end=1.0))
 
+    def test_bad_derivative_names_the_step(self):
+        p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=100), alpha=1.0, p0=1.0,
+                       flux=nan_below_derivative(), u0=lambda x: -0.5 * gaussian(x))
+        with pytest.raises(RunError, match=r"step 1\b.*non-finite flux derivative"):
+            sv.run(p, sv.SchemeConfig(t_end=1.0))
+
     def test_sup_norm_decreases(self):
         p = diffusion_problem(N=200)
         res = sv.run(p, sv.SchemeConfig(t_end=2.0, snapshot_times=(0.0, 1.0, 2.0)))
@@ -338,6 +472,20 @@ class TestBarenblattConvergence:
             errs.append(float(np.sum(np.abs(res.snapshots[-1].values - exact)) * grid.dx))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 0.9
+
+    def test_2d_refinement_order(self):
+        prof = bb.BarenblattProfile(n=2, alpha=1.0, C=1.0)
+        u0 = pr.u0_from_config("barenblatt", {"C": 1.0, "t": 1.0, "alpha": 1.0}, n=2)
+        errs = []
+        for N in (40, 80):
+            grid = pr.Grid(n=2, L=6.0, N=N)
+            p = pr.Problem(grid=grid, alpha=1.0, p0=1.0,
+                           flux=pr.zero_flux_model(2), u0=u0)
+            res = sv.run(p, sv.SchemeConfig(t_end=1.0))
+            exact = bb.evaluate(prof, grid.cell_centers(), 2.0)
+            errs.append(float(np.sum(np.abs(res.snapshots[-1].values - exact)))
+                        * grid.cell_volume)
+        assert math.log2(errs[0] / errs[1]) >= 1.5
 
     def test_2d_smoke(self):
         p = diffusion_problem(N=60, L=6.0, n=2)

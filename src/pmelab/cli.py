@@ -9,6 +9,7 @@ Exit codes: 0 success and audits passing, 1 audit failure or RunError,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -55,11 +56,13 @@ def _out_paths(outdir: str, command: str, settings: dict) -> dict:
     return {ext: f"{stem}.{ext}" for ext in ("csv", "json", "svg")}
 
 
-def _problem_from_args(args) -> tuple[Problem, dict]:
-    raw: dict[str, str] = {}
+def _problem_from_args(args, base: dict[str, str] | None = None) -> tuple[Problem, dict]:
+    """The problem and the settings made of `base`, then the --config file, then
+    each --set, a later key replacing an earlier one."""
+    raw = dict(base or {})
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = read_config(fh.read())
+            raw.update(read_config(fh.read()))
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -209,9 +212,7 @@ def cmd_decay_study(args) -> int:
     paths = _out_paths(args.outdir, "decay-study", settings)
 
     def one(alpha):
-        p = Problem(grid=problem.grid, alpha=alpha, p0=problem.p0,
-                    flux=problem.flux, u0=problem.u0,
-                    boundary_policy=problem.boundary_policy)
+        p = dataclasses.replace(problem, alpha=alpha)
         result = solver.run(p, solver.SchemeConfig(t_end=args.t_end,
                                                    snapshot_times=snap_times))
         return {q: harness.decay_record(result, q, window) for q in q_list}
@@ -301,12 +302,9 @@ def cmd_check_flux(args) -> int:
 
 
 def cmd_sandwich(args) -> int:
-    if args.config or args.set:
-        problem, raw = _problem_from_args(args)
-    else:
-        raw = {"flux": "burgers", "u0": "signed_gaussian", "N": "400", "L": "10",
-               "alpha": "1", "p0": "1"}
-        problem = problem_from_mapping(raw)
+    problem, raw = _problem_from_args(args, {
+        "flux": "burgers", "u0": "signed_gaussian", "N": "400", "L": "10",
+        "alpha": "1", "p0": "1"})
     eps_list = [float(e) for e in args.eps_list.split(",")]
     settings = {"command": "sandwich", **raw, "eps": eps_list, "t_end": args.t_end}
     paths = _out_paths(args.outdir, "sandwich", settings)

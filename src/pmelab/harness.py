@@ -63,12 +63,9 @@ def fit_decay(series: Sequence[tuple[float, float]],
     return float(slope), float(intercept), r2
 
 
-def decay_record(result_or_series, q, window: tuple[float, float]) -> DecayRecord:
-    """DecayRecord from a RunResult's snapshots (or a ready (t, norm) series)."""
-    if isinstance(result_or_series, RunResult):
-        series = [(s.time, lq_norm(s, q)) for s in result_or_series.snapshots]
-    else:
-        series = [(float(t), float(v)) for t, v in result_or_series]
+def decay_record(result: RunResult, q, window: tuple[float, float]) -> DecayRecord:
+    """DecayRecord of ||u(t)||_q along a RunResult's snapshots."""
+    series = [(s.time, lq_norm(s, q)) for s in result.snapshots]
     slope, intercept, r2 = fit_decay(series, window)
     return DecayRecord(q=q, series=series, fit_window=window,
                        fitted_slope=slope, fitted_intercept=intercept, r_squared=r2)
@@ -224,7 +221,7 @@ def sandwich_envelope(problem: Problem, eps: float,
     delta0, _ = exponents.smoothing_exponents(grid.n, problem.p0, problem.alpha)
 
     def norm(v):
-        return (float(np.sum(np.abs(v) ** problem.p0)) * grid.cell_volume) ** (1.0 / problem.p0)
+        return lq_norm(State(values=v, time=0.0, grid=grid), problem.p0)
 
     lower = norm(np.maximum(-base, 0.0) + eps * psi_vals)
     upper = norm(np.maximum(base, 0.0) + eps * psi_vals)

@@ -8,9 +8,9 @@ The update is monotone when dt (sum_ax lam_ax/dx + 2n max|u|^a/dx^2) <= 1,
 lam_ax being max|df_du| over the interface states of axis ax (Evje & Karlsen,
 SIAM J. Numer. Anal. 37, 2000); `stable_dt` returns cfl_safety times that
 bound. To get lam_ax it evaluates the flux, so it prepares the whole
-dt-independent part of the update and hands it to the `step` that follows on
-the same state and problem. The handoff and the per-grid scratch arrays are
-kept per thread.
+dt-independent part of the update and leaves it on the state it was given, for
+the `step` that follows on that state and problem. The scratch arrays of the
+preparation are cached per grid shape, axis and thread.
 """
 
 from __future__ import annotations
@@ -29,28 +29,6 @@ from .problem import Grid, Problem, State, sample_initial
 _DEN_GUARD = 1e-300
 # a run is flagged once its boundary cells hold more than this share of the initial mass
 BOUNDARY_MASS_THRESHOLD = 1e-8
-_SCRATCH_MAX = 8
-
-
-class _Scratch(threading.local):
-    """Per-thread state of the step kernel."""
-
-    def __init__(self) -> None:
-        # stable_dt -> step handoff: id(state) -> (state, problem, prepared terms).
-        # The entry holds the state, so its id cannot be reused while it lives.
-        self.handoff: dict[int, tuple[State, Problem, list]] = {}
-        # (shape, axis) -> scratch arrays of `_prepare`, see `_work`
-        self.work: dict[tuple, tuple[np.ndarray, ...]] = {}
-
-
-_SCRATCH = _Scratch()
-
-
-def _bounded_put(cache: dict, key, value) -> None:
-    """cache[key] = value, first dropping the oldest entry if _SCRATCH_MAX are held."""
-    if key not in cache and len(cache) >= _SCRATCH_MAX:
-        del cache[next(iter(cache))]
-    cache[key] = value
 
 
 @dataclass(frozen=True)
@@ -107,12 +85,13 @@ def _coords(grid: Grid, ax: int) -> np.ndarray:
 def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> float:
     """Largest monotone dt times cfl: cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2),
     with lam_ax = max|df_du| over the interface states of axis ax. Prepares the
-    update on the way (see `_prepare`) and leaves it for `step` to reuse."""
+    update on the way (see `_prepare`) and leaves it for `step` on the state, as
+    its `_prepared` attribute: (problem, terms)."""
     rate, terms = _prepare(state, problem)
     dt = config.cfl_safety / (rate + _DEN_GUARD)
     if not np.isfinite(dt) or dt <= 0.0:
         raise RunError(f"stable dt underflowed at t={state.time} (dt={dt})")
-    _bounded_put(_SCRATCH.handoff, id(state), (state, problem, terms))
+    object.__setattr__(state, "_prepared", (problem, terms))
     return dt
 
 
@@ -132,18 +111,16 @@ def _cuts(ax: int, m: int) -> tuple[tuple, ...]:
         (2, None), (1, -1), (None, -2)))
 
 
-def _work(shape: tuple[int, ...], ax: int) -> tuple[np.ndarray, ...]:
-    """Scratch arrays for axis ax of `_prepare` on a grid of `shape`: the joined
+@functools.lru_cache(maxsize=8)
+def _work(shape: tuple[int, ...], ax: int, thread: int) -> tuple[np.ndarray, ...]:
+    """Scratch arrays for axis ax of `_prepare` on a grid of `shape`, for the
+    thread of ident `thread` (live threads never share one): the joined
     interface states and |df_du| on them, the padded G, and the LLF sum, lambda
     and state difference at the N+1 interfaces. Reusing them keeps 2-D steps
     from returning heap pages to the system and faulting them back in."""
-    arrays = _SCRATCH.work.get((shape, ax))
-    if arrays is None:
-        N = shape[ax]
-        arrays = tuple(np.empty(shape[:ax] + (m,) + shape[ax + 1:])
-                       for m in (2 * N + 2, 2 * N + 2, N + 2, N + 1, N + 1, N + 1))
-        _bounded_put(_SCRATCH.work, (shape, ax), arrays)
-    return arrays
+    N = shape[ax]
+    return tuple(np.empty(shape[:ax] + (m,) + shape[ax + 1:])
+                 for m in (2 * N + 2, 2 * N + 2, N + 2, N + 1, N + 1, N + 1))
 
 
 def _prepare(state: State, problem: Problem) -> tuple[float, list]:
@@ -160,7 +137,7 @@ def _prepare(state: State, problem: Problem) -> tuple[float, list]:
     terms = []
     for ax in range(grid.n):
         first, last, left, right, east, west, ip1, i0, im1 = _cuts(ax, grid.N + 1)
-        w, absdf, Gp, fsum, lam, du = _work(grid.shape, ax)
+        w, absdf, Gp, fsum, lam, du = _work(grid.shape, ax, threading.get_ident())
         ulo, uhi, Glo, Ghi = ((u[first], u[last], G[first], G[last])
                               if problem.boundary_policy == "zero_flux"
                               else (np.zeros_like(u[first]),) * 4)
@@ -188,10 +165,10 @@ def _prepare(state: State, problem: Problem) -> tuple[float, list]:
 
 def step(state: State, problem: Problem, dt: float) -> State:
     """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis; dt
-    must respect the stable_dt bound. Uses the terms that stable_dt prepared for
-    this very state and problem, else prepares them itself."""
-    entry = _SCRATCH.handoff.pop(id(state), None)
-    terms = (entry[2] if entry is not None and entry[1] is problem
+    must respect the stable_dt bound. Uses the terms that stable_dt left on this
+    state for this very problem, else prepares them itself."""
+    entry = vars(state).pop("_prepared", None)
+    terms = (entry[1] if entry is not None and entry[0] is problem
              else _prepare(state, problem)[1])
     dx = state.grid.dx
     new = state.values

@@ -237,6 +237,17 @@ class TestSandwichCommand:
             assert entry["lower_violation"] >= -1e-12
             assert entry["upper_violation"] >= -1e-12
 
+    def test_set_overrides_the_command_problem(self, tmp_path):
+        # --set N=400 restates the default grid, so nothing else may change
+        argv = ["sandwich", "--eps-list", "0.1,0.01", "--t-end", "0.2"]
+        plain, overridden = tmp_path / "plain", tmp_path / "set"
+        assert run_cli(plain, *argv) == 0
+        assert run_cli(overridden, *argv, "--set", "N=400") == 0
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in overridden.iterdir())
+        for name in names:
+            assert (plain / name).read_bytes() == (overridden / name).read_bytes()
+
 
 class TestBarenblattValidate:
     def test_refinement_order(self, tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -280,10 +281,11 @@ class TestHandoff:
         cfg = sv.SchemeConfig(t_end=1.0)
         for _ in range(20):
             dt = sv.stable_dt(s, p, cfg)
-            # an equal state that stable_dt never saw has no entry waiting
+            # an equal state that stable_dt never saw carries no prepared terms
             cold = sv.step(pr.State(values=s.values, time=s.time, grid=s.grid), p, dt)
-            assert id(s) in sv._SCRATCH.handoff
-            s = sv.step(s, p, dt)
+            assert hasattr(s, "_prepared")
+            prepared, s = s, sv.step(s, p, dt)
+            assert not hasattr(prepared, "_prepared")
             assert np.array_equal(s.values, cold.values) and s.time == cold.time
 
     @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
@@ -312,30 +314,41 @@ class TestHandoff:
         assert calls[0] == 2 * n
         via_other = sv.step(s, other, dt)
         assert calls[0] == 4 * n
-        # the entry was spent on the mismatched call, so this step recomputes too
-        assert id(s) not in sv._SCRATCH.handoff
+        # the terms were spent on the mismatched call, so this step recomputes too
+        assert not hasattr(s, "_prepared")
         again = sv.step(s, p, dt)
         assert calls[0] == 6 * n
         assert np.array_equal(via_other.values, again.values)
 
-    def test_bounded(self):
-        p = diffusion_problem(N=20)
+    def test_unstepped_terms_die_with_their_state(self):
+        p = pr.Problem(grid=pr.Grid(n=1, L=3.0, N=40), alpha=0.5, p0=1.0,
+                       flux=pr.burgers_flux_model(1), u0=gaussian)
         s = pr.sample_initial(p)
-        cfg = sv.SchemeConfig(t_end=1.0)
-        for k in range(3 * sv._SCRATCH_MAX):
-            sv.stable_dt(pr.State(values=s.values, time=0.01 * k, grid=s.grid), p, cfg)
-        assert len(sv._SCRATCH.handoff) == sv._SCRATCH_MAX
+        sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0))
+        dF, lapG = s._prepared[1][0]
+        refs = [weakref.ref(dF), weakref.ref(lapG)]
+        del s, dF, lapG
+        assert all(r() is None for r in refs)
 
-    def test_run_and_sandwich_leave_no_entries(self):
-        sv._SCRATCH.handoff.clear()
+    def test_run_and_sandwich_states_carry_no_terms(self, monkeypatch):
+        advance, seen = sv.advance, []
+
+        def recording(*args, **kwargs):
+            for states, dt in advance(*args, **kwargs):
+                seen.extend(states)
+                yield states, dt
+
+        monkeypatch.setattr(sv, "advance", recording)
         p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=80), alpha=1.0, p0=1.0,
                        flux=pr.burgers_flux_model(1),
                        u0=lambda x: x[0] * np.exp(-x[0] ** 2))
         res = sv.run(p, sv.SchemeConfig(t_end=0.5, snapshot_times=(0.1, 0.25)))
-        assert res.step_count > 0 and sv._SCRATCH.handoff == {}
+        assert res.step_count > 0 and len(res.snapshots) == 3
+        assert not any(hasattr(s, "_prepared") for s in res.snapshots)
         rep = hz.run_sandwich(p, 0.1, lambda x: np.ones(x.shape[1:]),
                               sv.SchemeConfig(t_end=0.5))
-        assert rep.step_count > 0 and sv._SCRATCH.handoff == {}
+        assert rep.step_count > 0 and len(seen) > 3 * rep.step_count
+        assert not any(hasattr(s, "_prepared") for s in seen)
 
 
 def test_threads_keep_their_own_scratch():

@@ -94,9 +94,10 @@ def _write_snapshot_csv(path, result: solver.RunResult) -> None:
 
 def cmd_run(args) -> int:
     problem, raw = _problem_from_args(args)
-    snap_times = tuple(np.linspace(0.0, args.t_end, args.snapshots))
-    config = solver.SchemeConfig(t_end=args.t_end, cfl_safety=args.cfl,
-                                 snapshot_times=snap_times)
+    # SchemeConfig rejects a non-finite t_end before linspace computes with it
+    config = solver.SchemeConfig(t_end=args.t_end, cfl_safety=args.cfl)
+    config = dataclasses.replace(
+        config, snapshot_times=tuple(np.linspace(0.0, args.t_end, args.snapshots)))
     settings = {"command": "run", **raw, "t_end": args.t_end,
                 "snapshots": args.snapshots, "cfl": args.cfl}
     paths = _out_paths(args.outdir, "run", settings)
@@ -160,6 +161,8 @@ def cmd_figure1(args) -> int:
 
 def cmd_barenblatt_validate(args) -> int:
     grids = [int(v) for v in args.grids.split(",")]
+    if len(grids) < 2:
+        raise ConfigError(f"--grids needs at least two grids for an observed order, got {grids}")
     settings = {"command": "barenblatt-validate", "alpha": args.alpha, "C": args.C,
                 "t0": args.t0, "t1": args.t1, "L": args.L, "grids": grids}
     paths = _out_paths(args.outdir, "barenblatt-validate", settings)
@@ -248,6 +251,8 @@ def cmd_decay_study(args) -> int:
 
 
 def cmd_moser_table(args) -> int:
+    if args.m < 1:
+        raise ConfigError(f"--m must be >= 1, got {args.m}")
     settings = {"command": "moser-table", "q": args.q, "n": args.n,
                 "alpha": args.alpha, "m": args.m}
     paths = _out_paths(args.outdir, "moser-table", settings)

@@ -234,8 +234,8 @@ def run_sandwich(problem: Problem, eps: float,
     """Three lockstep runs from -u0^- - eps psi <= u0 <= u0^+ + eps psi sharing
     one dt sequence (the minimum of the three stability bounds per step);
     reports the most negative pointwise ordering violation over all steps."""
-    if eps <= 0:
-        raise ConfigError(f"perturbation size must be > 0, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ConfigError(f"perturbation size must be finite and > 0, got {eps}")
     grid = problem.grid
     psi_vals = np.broadcast_to(np.asarray(psi(grid.cell_centers()), float), grid.shape)
     if np.any(psi_vals <= 0):
@@ -245,8 +245,8 @@ def run_sandwich(problem: Problem, eps: float,
     low = State(values=-np.maximum(-base, 0.0) - eps * psi_vals, time=0.0, grid=grid)
     high = State(values=np.maximum(base, 0.0) + eps * psi_vals, time=0.0, grid=grid)
 
-    worst_low = float(np.min(mid.values - low.values))
-    worst_high = float(np.min(high.values - mid.values))
+    worst_low = float((mid.values - low.values).min())
+    worst_high = float((high.values - mid.values).min())
     steps = 0
     for (low, mid, high), dt in solver.advance(
             (low, mid, high), problem, config, (config.t_end,),
@@ -254,8 +254,8 @@ def run_sandwich(problem: Problem, eps: float,
         if dt is None:
             continue
         steps += 1
-        worst_low = min(worst_low, float(np.min(mid.values - low.values)))
-        worst_high = min(worst_high, float(np.min(high.values - mid.values)))
+        worst_low = min(worst_low, float((mid.values - low.values).min()))
+        worst_high = min(worst_high, float((high.values - mid.values).min()))
 
     return SandwichReport(eps=eps,
                           max_lower_violation=worst_low,

@@ -10,7 +10,9 @@ SIAM J. Numer. Anal. 37, 2000); `stable_dt` returns cfl_safety times that
 bound. To get lam_ax it evaluates the flux, so it prepares the whole
 dt-independent part of the update and leaves it on the state it was given, for
 the `step` that follows on that state and problem. The scratch arrays of the
-preparation are cached per grid shape, axis and thread.
+preparation are cached per grid shape, axis and thread. The catalog's zero flux
+makes no flux calls: when f and df_du are both `problem.zero_evaluator` (by
+identity, never by name) a step is its diffusion half alone, with lam_ax = 0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, RunError
-from .problem import Grid, Problem, State, sample_initial
+from .problem import Grid, Problem, State, sample_initial, zero_evaluator
 
 _DEN_GUARD = 1e-300
 # a run is flagged once its boundary cells hold more than this share of the initial mass
@@ -41,12 +43,12 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ConfigError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
-        if self.t_end <= 0:
-            raise ConfigError(f"t_end must be > 0, got {self.t_end}")
+        if not 0 < self.t_end < math.inf:
+            raise ConfigError(f"t_end must be finite and > 0, got {self.t_end}")
         if self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         times = tuple(sorted(float(t) for t in self.snapshot_times))
-        if times and (times[0] < 0 or times[-1] > self.t_end):
+        if not all(0 <= t <= self.t_end for t in times):
             raise ConfigError(f"snapshot times {times} outside [0, {self.t_end}]")
         object.__setattr__(self, "snapshot_times", times)
 
@@ -89,7 +91,7 @@ def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> float:
     its `_prepared` attribute: (problem, terms)."""
     rate, terms = _prepare(state, problem)
     dt = config.cfl_safety / (rate + _DEN_GUARD)
-    if not np.isfinite(dt) or dt <= 0.0:
+    if not math.isfinite(dt) or dt <= 0.0:
         raise RunError(f"stable dt underflowed at t={state.time} (dt={dt})")
     object.__setattr__(state, "_prepared", (problem, terms))
     return dt
@@ -125,12 +127,14 @@ def _work(shape: tuple[int, ...], ax: int, thread: int) -> tuple[np.ndarray, ...
 
 def _prepare(state: State, problem: Problem) -> tuple[float, list]:
     """The dt-independent half of a step: the rate sum_ax lam_ax/dx + 2n max|u|^a/dx^2
-    and, per axis, the LLF flux difference and the second difference of
-    G = kirchhoff(u). Along axis ax the left then the right states of the N+1
-    interfaces are one array, so f and df_du are called once each; u and G get
-    the same ghost cells (an edge copy under zero_flux, 0 under dirichlet_zero)."""
+    and, per axis, the LLF flux difference (None for the zero flux, whose +0.0
+    leaves every value as it is) and the second difference of G = kirchhoff(u).
+    Along axis ax the left then the right states of the N+1 interfaces are one
+    array, so f and df_du are called once each; u and G get the same ghost cells
+    (an edge copy under zero_flux, 0 under dirichlet_zero)."""
     grid, u, t = state.grid, state.values, state.time
     dx, alpha, flux = grid.dx, problem.alpha, problem.flux
+    advect = not (flux.f is zero_evaluator and flux.df_du is zero_evaluator)
     a = np.abs(u) ** alpha
     G = a * u / (alpha + 1.0)
     lam_adv = 0.0
@@ -142,25 +146,26 @@ def _prepare(state: State, problem: Problem) -> tuple[float, list]:
                               if problem.boundary_policy == "zero_flux"
                               else (np.zeros_like(u[first]),) * 4)
         np.concatenate((Glo, G, Ghi), axis=ax, out=Gp)
-        np.concatenate((ulo, u, u, uhi), axis=ax, out=w)
-        x = _coords(grid, ax)
-        # 0.5 (f_l + f_r) - 0.5 max(|df_l|, |df_r|) (u_r - u_l)
-        f = np.asarray(flux.f(x, t, w), dtype=float)[ax]
-        np.add(f[left], f[right], out=fsum)
-        fsum *= 0.5
-        np.abs(np.asarray(flux.df_du(x, t, w), dtype=float)[ax], out=absdf)
-        np.maximum(absdf[left], absdf[right], out=lam)
-        lam_ax = float(np.max(lam))
-        if not math.isfinite(lam_ax):
-            raise RunError(f"non-finite flux derivative along axis {ax} at t={t}")
-        lam_adv += lam_ax / dx
-        lam *= 0.5
-        lam *= np.subtract(w[right], w[left], out=du)
-        fsum -= lam
+        if advect:
+            np.concatenate((ulo, u, u, uhi), axis=ax, out=w)
+            x = _coords(grid, ax)
+            # 0.5 (f_l + f_r) - 0.5 max(|df_l|, |df_r|) (u_r - u_l)
+            f = np.asarray(flux.f(x, t, w), dtype=float)[ax]
+            np.add(f[left], f[right], out=fsum)
+            fsum *= 0.5
+            np.abs(np.asarray(flux.df_du(x, t, w), dtype=float)[ax], out=absdf)
+            np.maximum(absdf[left], absdf[right], out=lam)
+            lam_ax = float(lam.max())
+            if not math.isfinite(lam_ax):
+                raise RunError(f"non-finite flux derivative along axis {ax} at t={t}")
+            lam_adv += lam_ax / dx
+            lam *= 0.5
+            lam *= np.subtract(w[right], w[left], out=du)
+            fsum -= lam
         lapG = Gp[ip1] - 2.0 * Gp[i0]
         lapG += Gp[im1]
-        terms.append((fsum[east] - fsum[west], lapG))
-    return lam_adv + 2.0 * grid.n * float(np.max(a)) / dx ** 2, terms
+        terms.append((fsum[east] - fsum[west] if advect else None, lapG))
+    return lam_adv + 2.0 * grid.n * float(a.max()) / dx ** 2, terms
 
 
 def step(state: State, problem: Problem, dt: float) -> State:
@@ -173,16 +178,8 @@ def step(state: State, problem: Problem, dt: float) -> State:
     dx = state.grid.dx
     new = state.values
     for dF, lapG in terms:
-        new = new - (dt / dx) * dF + (dt / dx ** 2) * lapG
+        new = (new if dF is None else new - (dt / dx) * dF) + (dt / dx ** 2) * lapG
     return State(values=new, time=state.time + dt, grid=state.grid)
-
-
-def _l1(values: np.ndarray, grid) -> float:
-    return float(np.sum(np.abs(values))) * grid.cell_volume
-
-
-def _boundary_layer_mass(values: np.ndarray, grid) -> float:
-    return float(np.sum(np.abs(values.take(_boundary_cells(grid))))) * grid.cell_volume
 
 
 def advance(states: tuple[State, ...], problem: Problem, config: SchemeConfig,
@@ -225,11 +222,17 @@ def run(problem: Problem, config: SchemeConfig) -> RunResult:
     """Integrate from t=0 to t_end with adaptive dt, landing exactly on
     requested snapshot times; audits mass and boundary-layer contamination."""
     state = sample_initial(problem)
-    grid = state.grid
-    mass0 = _l1(state.values, grid)
+    volume, edge = state.grid.cell_volume, _boundary_cells(state.grid)
+
+    def audit(values) -> tuple[float, float]:
+        """L1 mass and boundary-cell mass, both from one |u|."""
+        a = np.abs(values)
+        return float(a.sum()) * volume, float(a.take(edge).sum()) * volume
+
+    mass0, boundary0 = audit(state.values)
     mass_series = [(0.0, mass0)]
     boundary_scale = mass0 if mass0 > 0 else 1.0
-    boundary_max = _boundary_layer_mass(state.values, grid) / boundary_scale
+    boundary_max = boundary0 / boundary_scale
     snapshots: list[State] = []
     dts: list[float] = []
 
@@ -239,9 +242,9 @@ def run(problem: Problem, config: SchemeConfig) -> RunResult:
             snapshots.append(state)
             continue
         dts.append(dt)
-        mass_series.append((state.time, _l1(state.values, grid)))
-        boundary_max = max(boundary_max,
-                           _boundary_layer_mass(state.values, grid) / boundary_scale)
+        mass, boundary = audit(state.values)
+        mass_series.append((state.time, mass))
+        boundary_max = max(boundary_max, boundary / boundary_scale)
 
     return RunResult(snapshots=snapshots, step_count=len(dts),
                      min_dt=float(min(dts, default=0.0)),

@@ -88,6 +88,30 @@ class TestExitCodes:
         assert run_cli(tmp_path, "check-flux", "--flux", "burgers", "--k", "1.5") == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "--t-end", "nan"], "t_end"),
+        (["run", "--t-end", "inf"], "t_end"),
+        (["run", "--set", "alpha=nan", "--t-end", "0.1"], "diffusion exponent"),
+        (["run", "--set", "L=nan", "--t-end", "0.1"], "half-width"),
+        (["run", "--set", "L=inf", "--t-end", "0.1"], "half-width"),
+        (["run", "--set", "p0=nan", "--t-end", "0.1"], "initial integrability"),
+        (["sandwich", "--set", "p0=inf", "--eps-list", "0.1,0.01", "--t-end", "0.05"],
+         "initial integrability"),
+        (["sandwich", "--eps-list", "nan,0.1", "--t-end", "0.05"], "perturbation size"),
+        (["moser-table", "--m", "0"], "--m"),
+        (["barenblatt-validate", "--grids", "100"], "--grids"),
+    ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
+            "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid"])
+    def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                               argv, named):
+        calls = []
+        monkeypatch.setattr(solver, "advance", lambda *a, **k: calls.append(a))
+        assert run_cli(tmp_path, *argv) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+        assert not any(tmp_path.glob("*.*"))
+
     def test_plot_failure_is_a_run_error(self, tmp_path, monkeypatch, capsys):
         # a plot that cannot be drawn is a failed run (1), not bad input (2)
         monkeypatch.setattr(svg, "write_svg",

@@ -34,6 +34,28 @@ class TestGrid:
             pr.Grid(n=1, L=1.0, N=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_settings_are_config_errors(bad):
+    # NaN passes a test like `x <= 0`, so each check asks for a finite value
+    grid = pr.Grid(n=1, L=1.0, N=4)
+
+    def problem(alpha=1.0, p0=1.0):
+        return pr.Problem(grid=grid, alpha=alpha, p0=p0, flux=pr.zero_flux_model(1), u0=gauss)
+
+    with pytest.raises(ConfigError, match="half-width"):
+        pr.Grid(n=1, L=bad, N=4)
+    with pytest.raises(ConfigError, match="diffusion exponent"):
+        problem(alpha=bad)
+    with pytest.raises(ConfigError, match="initial integrability"):
+        problem(p0=bad)
+    with pytest.raises(ConfigError, match="time must be finite"):
+        pr.State(values=np.zeros(4), time=bad, grid=grid)
+    with pytest.raises(ConfigError, match="t_end"):
+        solver.SchemeConfig(t_end=bad)
+    with pytest.raises(ConfigError, match="snapshot times"):
+        solver.SchemeConfig(t_end=1.0, snapshot_times=(0.5, bad))
+
+
 class TestFluxConsistency:
     # every shipped flux model must pass the finite-difference cross-check
     @pytest.mark.parametrize("flux", [

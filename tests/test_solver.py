@@ -234,7 +234,8 @@ def counting(flux, calls):
 
 
 # u0 reaches the walls of [-3, 3], so the two boundary policies differ
-STEP_IDS = ["figure1-1d", "burgers-1d", "linear-1d", "burgers-2d", "linear-2d"]
+STEP_IDS = ["figure1-1d", "burgers-1d", "linear-1d", "burgers-2d", "linear-2d",
+            "zero-1d", "zero-2d"]
 STEP_CASES = [
     (1, pr.figure1_flux_model(1.5), lambda x: np.exp(-x[0] ** 2 / 4.0)),
     (1, pr.burgers_flux_model(1), lambda x: x[0] * np.exp(-x[0] ** 2 / 4.0)),
@@ -242,6 +243,8 @@ STEP_CASES = [
     (2, pr.burgers_flux_model(2), lambda x: x[0] * np.exp(-np.sum(x ** 2, axis=0) / 4.0)),
     (2, pr.linear_flux_model((1.0, -2.0), 2),
      lambda x: np.exp(-np.sum(x ** 2, axis=0) / 4.0)),
+    (1, pr.zero_flux_model(1), lambda x: x[0] * np.exp(-x[0] ** 2 / 4.0)),
+    (2, pr.zero_flux_model(2), lambda x: x[1] * np.exp(-np.sum(x ** 2, axis=0) / 4.0)),
 ]
 
 
@@ -269,6 +272,63 @@ class TestStepKernel:
         res = sv.run(p, sv.SchemeConfig(t_end=0.2))
         assert res.step_count > 0
         assert calls[0] == 2 * n * res.step_count
+
+
+def zeros_of(x, t, u):
+    return np.zeros((len(x),) + np.shape(u))
+
+
+class TestZeroFluxSkip:
+    """The catalog's zero flux skips the advective half of the step; the skip
+    is taken by evaluator identity, so any other flux object is evaluated."""
+
+    @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_evaluated_zero_flux_gives_the_same_bits(self, n, boundary):
+        # -0.0 cells too: v - (dt/dx) * (+0.0) keeps the sign of v
+        def u0(x):
+            return np.where(x[0] > 1.0, -0.0, x[0] * np.exp(-np.sum(x ** 2, axis=0) / 4.0))
+
+        calls = [0]
+        zero = pr.zero_flux_model(n)
+        lookalike = dataclasses.replace(zero, f=zeros_of, df_du=zeros_of)
+        cfg = sv.SchemeConfig(t_end=0.5, snapshot_times=(0.1, 0.25))
+        skipped, wrapped, alike = (
+            sv.run(pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
+                              p0=1.0, flux=flux, u0=u0, boundary_policy=boundary), cfg)
+            for flux in (zero, counting(zero, calls), lookalike))
+        assert skipped.step_count > 0
+        assert calls[0] == 2 * n * wrapped.step_count
+        for other in (wrapped, alike):
+            assert other.step_count == skipped.step_count
+            assert other.mass_series == skipped.mass_series
+            assert other.boundary_mass_max == skipped.boundary_mass_max
+            for a, b in zip(skipped.snapshots, other.snapshots):
+                assert a.time == b.time and a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_skip_is_by_identity_not_name(self, n):
+        burgers = pr.burgers_flux_model(n)
+        cases = {
+            "catalog zero": (pr.zero_flux_model(n), True),
+            "look-alike zero": (dataclasses.replace(pr.zero_flux_model(n), f=zeros_of), False),
+            "named zero": (dataclasses.replace(burgers, name="zero"), False),
+            "zero f only": (dataclasses.replace(burgers, name="zero", f=pr.zero_evaluator),
+                            False),
+        }
+        grid = pr.Grid(n=n, L=3.0, N=40 if n == 1 else 16)
+        for label, (flux, skipped) in cases.items():
+            p = pr.Problem(grid=grid, alpha=0.5, p0=1.0, flux=flux, u0=gaussian)
+            s = pr.sample_initial(p)
+            sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0))
+            assert [dF is None for dF, _ in s._prepared[1]] == [skipped] * n, label
+        # a nonzero flux named "zero" steps exactly as the flux it is
+        cfg = sv.SchemeConfig(t_end=0.2)
+        named, real, zero = (
+            sv.run(pr.Problem(grid=grid, alpha=0.5, p0=1.0, flux=flux, u0=gaussian), cfg)
+            for flux in (cases["named zero"][0], burgers, pr.zero_flux_model(n)))
+        assert np.array_equal(named.snapshots[-1].values, real.snapshots[-1].values)
+        assert not np.array_equal(named.snapshots[-1].values, zero.snapshots[-1].values)
 
 
 class TestHandoff:

@@ -28,10 +28,10 @@ class BarenblattProfile:
     def __post_init__(self) -> None:
         if self.n < 1 or int(self.n) != self.n:
             raise ConfigError(f"dimension must be a positive integer, got {self.n}")
-        if self.alpha <= 0:
-            raise ConfigError(f"diffusion exponent must be > 0, got {self.alpha}")
-        if self.C <= 0:
-            raise ConfigError(f"mass constant must be > 0, got {self.C}")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError(f"diffusion exponent alpha must be finite and > 0, got {self.alpha}")
+        if not 0 < self.C < math.inf:
+            raise ConfigError(f"mass constant C must be finite and > 0, got {self.C}")
 
     @property
     def m_pme(self) -> float:
@@ -57,11 +57,17 @@ def _radius_sq(profile: BarenblattProfile, x) -> np.ndarray:
     return x * x
 
 
+def _rescaled_time(profile: BarenblattProfile, t: float) -> float:
+    """s = t/(a+1), the time of the standard source-type solution; t must be
+    finite and > 0."""
+    if not 0 < t < math.inf:
+        raise ConfigError(f"profile is defined for finite t > 0, got t={t}")
+    return t / (profile.alpha + 1.0)
+
+
 def evaluate(profile: BarenblattProfile, x, t: float):
     """U(x,t) = s^-k (C - b |x|^2 s^(-2k/n))_+^(1/a) with s = t/(a+1)."""
-    if t <= 0:
-        raise ConfigError(f"profile is defined for t > 0, got t={t}")
-    s = t / (profile.alpha + 1.0)
+    s = _rescaled_time(profile, t)
     k = profile.k_exp
     core = profile.C - profile.b_coef * _radius_sq(profile, x) * s ** (-2.0 * k / profile.n)
     out = s ** (-k) * np.maximum(core, 0.0) ** (1.0 / profile.alpha)
@@ -70,16 +76,12 @@ def evaluate(profile: BarenblattProfile, x, t: float):
 
 def sup_value(profile: BarenblattProfile, t: float) -> float:
     """sup_x U(x,t) = (t/(a+1))^-k C^(1/a); an exact power law in t."""
-    if t <= 0:
-        raise ConfigError(f"profile is defined for t > 0, got t={t}")
-    s = t / (profile.alpha + 1.0)
+    s = _rescaled_time(profile, t)
     return s ** (-profile.k_exp) * profile.C ** (1.0 / profile.alpha)
 
 
 def support_radius(profile: BarenblattProfile, t: float) -> float:
-    if t <= 0:
-        raise ConfigError(f"profile is defined for t > 0, got t={t}")
-    s = t / (profile.alpha + 1.0)
+    s = _rescaled_time(profile, t)
     return float(np.sqrt(profile.C / profile.b_coef)) * s ** (profile.k_exp / profile.n)
 
 
@@ -87,8 +89,7 @@ def mass(profile: BarenblattProfile, t: float = 1.0) -> float:
     """L^1 norm, time-independent by self-similarity: the integral of
     (C - b|y|^2)_+^(1/a) over R^n, which is
     C^(1/a + n/2) b^(-n/2) pi^(n/2) Gamma(1/a + 1) / Gamma(1/a + 1 + n/2)."""
-    if t <= 0:
-        raise ConfigError(f"profile is defined for t > 0, got t={t}")
+    _rescaled_time(profile, t)  # checks t, which the mass does not depend on
     p, h = 1.0 / profile.alpha, profile.n / 2.0
     return (profile.C ** (p + h) * profile.b_coef ** (-h) * math.pi ** h
             * math.exp(math.lgamma(p + 1.0) - math.lgamma(p + 1.0 + h)))

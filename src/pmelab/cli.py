@@ -135,13 +135,11 @@ def cmd_figure1(args) -> int:
     u_final = result.snapshots[-1].values
     _write_csv(paths["csv"], "figure1-profiles", ["x", "u_initial", "u_final"],
                zip(x, u0, u_final))
-    l1 = record.series
-    scale = l1[0][1]
-    max_uptick = max((b - a) / scale for (_, a), (_, b) in zip(l1, l1[1:])) if len(l1) > 1 else 0.0
-    mass_ok = max_uptick <= 0.005
+    audit = harness.audit_lq_monotonicity(result, (1.0,), tolerance=0.005)[1.0]
+    max_uptick, mass_ok = audit.max_uptick, audit.passed
     changed = float(np.max(np.abs(u_final - u0))) > 0.01
     summary = {
-        "l1_series": [[t, v] for t, v in l1],
+        "l1_series": [[t, v] for t, v in record.series],
         "l1_max_relative_uptick": max_uptick,
         "l1_nonincreasing_within_half_percent": mass_ok,
         "solution_moved": changed,
@@ -163,6 +161,9 @@ def cmd_barenblatt_validate(args) -> int:
     grids = [int(v) for v in args.grids.split(",")]
     if len(grids) < 2:
         raise ConfigError(f"--grids needs at least two grids for an observed order, got {grids}")
+    if not 0 < args.t0 < args.t1 < math.inf:
+        raise ConfigError(f"--t0 and --t1 must satisfy 0 < t0 < t1 < inf, "
+                          f"got {args.t0} and {args.t1}")
     settings = {"command": "barenblatt-validate", "alpha": args.alpha, "C": args.C,
                 "t0": args.t0, "t1": args.t1, "L": args.L, "grids": grids}
     paths = _out_paths(args.outdir, "barenblatt-validate", settings)
@@ -202,7 +203,10 @@ def cmd_decay_study(args) -> int:
     problem, raw = _problem_from_args(args)
     alphas = [float(a) for a in args.alphas.split(",")] if args.alphas else [problem.alpha]
     q_list = [math.inf if s in ("inf", "oo") else float(s) for s in args.q_list.split(",")]
+    # SchemeConfig rejects a non-finite t_end before geomspace computes with it
+    config = solver.SchemeConfig(t_end=args.t_end)
     snap_times = (0.0,) + tuple(np.geomspace(args.t_end / 50.0, args.t_end, args.snapshots))
+    config = dataclasses.replace(config, snapshot_times=snap_times)
     window = (args.t_end / 10.0, args.t_end)
     in_window = {t for t in snap_times + (args.t_end,) if window[0] <= t <= window[1]}
     if len(in_window) < harness.FIT_MIN_POINTS:
@@ -214,17 +218,11 @@ def cmd_decay_study(args) -> int:
                 "snapshots": args.snapshots}
     paths = _out_paths(args.outdir, "decay-study", settings)
 
-    def one(alpha):
-        p = dataclasses.replace(problem, alpha=alpha)
-        result = solver.run(p, solver.SchemeConfig(t_end=args.t_end,
-                                                   snapshot_times=snap_times))
-        return {q: harness.decay_record(result, q, window) for q in q_list}
-
-    records = [one(alpha) for alpha in alphas]
-
-    rows = []
-    fits = {}
-    for alpha, recs in zip(alphas, records):
+    rows, fits, records = [], {}, []
+    for alpha in alphas:
+        result = solver.run(dataclasses.replace(problem, alpha=alpha), config)
+        recs = {q: harness.decay_record(result, q, window) for q in q_list}
+        records.append(recs)
         for q, rec in recs.items():
             for t, v in rec.series:
                 rows.append((alpha, str(q), t, v))

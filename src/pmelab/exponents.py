@@ -16,10 +16,10 @@ from .errors import ConfigError
 def _check_params(n: int, q: float, alpha: float) -> None:
     if n < 1 or int(n) != n:
         raise ConfigError(f"dimension must be a positive integer, got {n}")
-    if q < 1:
-        raise ConfigError(f"integrability index must be >= 1, got {q}")
-    if alpha <= 0:
-        raise ConfigError(f"diffusion exponent must be > 0, got {alpha}")
+    if not 1 <= q < math.inf:
+        raise ConfigError(f"integrability index q must be finite and >= 1, got {q}")
+    if not 0 < alpha < math.inf:
+        raise ConfigError(f"diffusion exponent alpha must be finite and > 0, got {alpha}")
 
 
 def smoothing_exponents(n: int, p0: float, alpha: float) -> tuple[float, float]:
@@ -145,8 +145,8 @@ def moser_time_grid(m: int, t: float) -> list[float]:
     """Dyadic time ladder t_0 = 2^-m t, t_j = t_0 + (1 - 2^-j) t, ending at t."""
     if m < 1:
         raise ConfigError(f"iteration count must be >= 1, got {m}")
-    if t <= 0:
-        raise ConfigError(f"final time must be > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise ConfigError(f"final time must be finite and > 0, got {t}")
     t0 = 2.0 ** (-m) * t
     return [t0] + [t0 + (1.0 - 2.0 ** (-j)) * t for j in range(1, m + 1)]
 
@@ -160,8 +160,8 @@ def moser_Kj_log_bound(j: int, q: float, n: int, alpha: float, C: float) -> floa
     _check_params(n, q, alpha)
     if j < 1:
         raise ConfigError(f"iterate index must be >= 1, got {j}")
-    if C <= 0:
-        raise ConfigError(f"interpolation constant must be > 0, got {C}")
+    if not 0 < C < math.inf:
+        raise ConfigError(f"interpolation constant C must be finite and > 0, got {C}")
     if q * 2.0 ** j <= 1.0:
         raise ConfigError(f"need 2^j q > 1, got q={q}, j={j}")
     c_exp = (n + 2.0) * 2.0 ** (-j) / (2.0 * q) + 2.0 * n * alpha * 4.0 ** (-j) / q

@@ -4,9 +4,10 @@ and sampled checks of the structural hypotheses on the flux.
 Flux evaluators are opaque callables ``(x, t, u) -> (n,) + shape(u)`` arrays
 (possibly read-only views) that must broadcast and be pointwise: the solver
 evaluates the left then the right states of all interfaces normal to one axis
-in one call, joined along that axis, with x shaped (n,) + shape(u), so an
-evaluator must not reduce over cell axes or mix values between cells. Their
-stated derivatives are verified by finite differences, never trusted.
+in one call, joined along that axis and with that axis moved first, with x
+shaped (n,) + shape(u), so an evaluator must not reduce over cell axes or mix
+values between cells. Their stated derivatives are verified by finite
+differences, never trusted.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ def burgers_flux_model(n: int = 1) -> FluxModel:
 def figure1_flux_model(k: float = 1.5) -> FluxModel:
     """One-dimensional flux f(x,t,u) = -tanh(x) |u|^k u, whose x-divergence at
     frozen u is negative where u != 0 (the growth-stimulating regime)."""
-    if k <= 0:
-        raise ConfigError(f"flux power must be > 0, got {k}")
+    if not 0 < k < np.inf:
+        raise ConfigError(f"flux power k must be finite and > 0, got {k}")
 
     def f(x, t, u):
         u = np.asarray(u, dtype=float)

@@ -9,8 +9,9 @@ lam_ax being max|df_du| over the interface states of axis ax (Evje & Karlsen,
 SIAM J. Numer. Anal. 37, 2000); `stable_dt` returns cfl_safety times that
 bound. To get lam_ax it evaluates the flux, so it prepares the whole
 dt-independent part of the update and leaves it on the state it was given, for
-the `step` that follows on that state and problem. The scratch arrays of the
-preparation are cached per grid shape, axis and thread. The catalog's zero flux
+the `step` that follows on that state and problem. Each axis is computed along
+axis 0 of swapaxes views, with the interface coordinates and scratch arrays of
+one cache per grid, axis and thread (`_axis`). The catalog's zero flux
 makes no flux calls: when f and df_du are both `problem.zero_evaluator` (by
 identity, never by name) a step is its diffusion half alone, with lam_ax = 0.
 """
@@ -73,17 +74,6 @@ def kirchhoff(u, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=8)
-def _coords(grid: Grid, ax: int) -> np.ndarray:
-    """Read-only coordinates of the N+1 interfaces normal to axis ax, twice over
-    along ax (see `_prepare`), at cell centers along the other axes."""
-    axes = [np.tile(grid.axis_interfaces(), 2) if b == ax else grid.axis_centers()
-            for b in range(grid.n)]
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"))
-    coords.setflags(write=False)
-    return coords
-
-
 def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> float:
     """Largest monotone dt times cfl: cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2),
     with lam_ax = max|df_du| over the interface states of axis ax. Prepares the
@@ -106,23 +96,22 @@ def _boundary_cells(grid: Grid) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _cuts(ax: int, m: int) -> tuple[tuple, ...]:
-    """Index tuples along axis ax: [:1], [-1:], [:m], [m:], [1:], [:-1], [2:], [1:-1], [:-2]."""
-    return tuple((slice(None),) * ax + (slice(a, b),) for a, b in (
-        (None, 1), (-1, None), (None, m), (m, None), (1, None), (None, -1),
-        (2, None), (1, -1), (None, -2)))
-
-
-@functools.lru_cache(maxsize=8)
-def _work(shape: tuple[int, ...], ax: int, thread: int) -> tuple[np.ndarray, ...]:
-    """Scratch arrays for axis ax of `_prepare` on a grid of `shape`, for the
-    thread of ident `thread` (live threads never share one): the joined
-    interface states and |df_du| on them, the padded G, and the LLF sum, lambda
-    and state difference at the N+1 interfaces. Reusing them keeps 2-D steps
-    from returning heap pages to the system and faulting them back in."""
-    N = shape[ax]
-    return tuple(np.empty(shape[:ax] + (m,) + shape[ax + 1:])
-                 for m in (2 * N + 2, 2 * N + 2, N + 2, N + 1, N + 1, N + 1))
+def _axis(grid: Grid, ax: int, thread: int) -> tuple[np.ndarray, ...]:
+    """The arrays of `_prepare` for axis ax, each a view with axis ax first: the
+    read-only coordinates of the N+1 interfaces normal to ax, twice over, at cell
+    centers along the other axes (ax first after the component axis); then
+    scratch for the joined interface states and |df_du| on them, the padded G,
+    and the LLF sum, lambda and state difference at the N+1 interfaces. Keyed by
+    thread ident too, so live threads never share scratch; reusing it keeps 2-D
+    steps from returning heap pages to the system and faulting them back in."""
+    axes = [np.tile(grid.axis_interfaces(), 2) if b == ax else grid.axis_centers()
+            for b in range(grid.n)]
+    x = np.stack(np.meshgrid(*axes, indexing="ij"))
+    x.setflags(write=False)
+    shape, N = grid.shape, grid.N
+    return (x.swapaxes(1, ax + 1),) + tuple(
+        np.empty(shape[:ax] + (m,) + shape[ax + 1:]).swapaxes(0, ax)
+        for m in (2 * N + 2, 2 * N + 2, N + 2, N + 1, N + 1, N + 1))
 
 
 def _prepare(state: State, problem: Problem) -> tuple[float, list]:
@@ -131,40 +120,41 @@ def _prepare(state: State, problem: Problem) -> tuple[float, list]:
     leaves every value as it is) and the second difference of G = kirchhoff(u).
     Along axis ax the left then the right states of the N+1 interfaces are one
     array, so f and df_du are called once each; u and G get the same ghost cells
-    (an edge copy under zero_flux, 0 under dirichlet_zero)."""
-    grid, u, t = state.grid, state.values, state.time
+    (an edge copy under zero_flux, 0 under dirichlet_zero). Every axis is written
+    along axis 0 of swapaxes views, and its terms go back as views too."""
+    grid, t, m = state.grid, state.time, state.grid.N + 1
     dx, alpha, flux = grid.dx, problem.alpha, problem.flux
     advect = not (flux.f is zero_evaluator and flux.df_du is zero_evaluator)
-    a = np.abs(u) ** alpha
-    G = a * u / (alpha + 1.0)
+    a = np.abs(state.values) ** alpha
+    G = a * state.values / (alpha + 1.0)
     lam_adv = 0.0
     terms = []
     for ax in range(grid.n):
-        first, last, left, right, east, west, ip1, i0, im1 = _cuts(ax, grid.N + 1)
-        w, absdf, Gp, fsum, lam, du = _work(grid.shape, ax, threading.get_ident())
-        ulo, uhi, Glo, Ghi = ((u[first], u[last], G[first], G[last])
+        x, w, absdf, Gp, fsum, lam, du = _axis(grid, ax, threading.get_ident())
+        u, g = state.values.swapaxes(0, ax), G.swapaxes(0, ax)
+        ulo, uhi, glo, ghi = ((u[:1], u[-1:], g[:1], g[-1:])
                               if problem.boundary_policy == "zero_flux"
-                              else (np.zeros_like(u[first]),) * 4)
-        np.concatenate((Glo, G, Ghi), axis=ax, out=Gp)
+                              else (np.zeros_like(u[:1]),) * 4)
+        np.concatenate((glo, g, ghi), out=Gp)
         if advect:
-            np.concatenate((ulo, u, u, uhi), axis=ax, out=w)
-            x = _coords(grid, ax)
+            np.concatenate((ulo, u, u, uhi), out=w)
             # 0.5 (f_l + f_r) - 0.5 max(|df_l|, |df_r|) (u_r - u_l)
             f = np.asarray(flux.f(x, t, w), dtype=float)[ax]
-            np.add(f[left], f[right], out=fsum)
+            np.add(f[:m], f[m:], out=fsum)
             fsum *= 0.5
             np.abs(np.asarray(flux.df_du(x, t, w), dtype=float)[ax], out=absdf)
-            np.maximum(absdf[left], absdf[right], out=lam)
+            np.maximum(absdf[:m], absdf[m:], out=lam)
             lam_ax = float(lam.max())
             if not math.isfinite(lam_ax):
                 raise RunError(f"non-finite flux derivative along axis {ax} at t={t}")
             lam_adv += lam_ax / dx
             lam *= 0.5
-            lam *= np.subtract(w[right], w[left], out=du)
+            lam *= np.subtract(w[m:], w[:m], out=du)
             fsum -= lam
-        lapG = Gp[ip1] - 2.0 * Gp[i0]
-        lapG += Gp[im1]
-        terms.append((fsum[east] - fsum[west] if advect else None, lapG))
+        lapG = Gp[2:] - 2.0 * Gp[1:-1]
+        lapG += Gp[:-2]
+        terms.append(((fsum[1:] - fsum[:-1]).swapaxes(0, ax) if advect else None,
+                      lapG.swapaxes(0, ax)))
     return lam_adv + 2.0 * grid.n * float(a.max()) / dx ** 2, terms
 
 

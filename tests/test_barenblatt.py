@@ -25,6 +25,28 @@ def test_profile_validation():
         bb.evaluate(bb.BarenblattProfile(n=1, alpha=1.0), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("alpha, C, named", [
+    (math.nan, 1.0, "diffusion exponent alpha"),
+    (math.inf, 1.0, "diffusion exponent alpha"),
+    (1.0, math.nan, "mass constant C"),
+    (1.0, math.inf, "mass constant C"),
+])
+def test_profile_rejects_non_finite_parameters(alpha, C, named):
+    with pytest.raises(ConfigError, match=named):
+        bb.BarenblattProfile(n=1, alpha=alpha, C=C)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_every_time_dependent_function_rejects_bad_t(t):
+    p = bb.BarenblattProfile(n=1, alpha=1.0)
+    with pytest.raises(ConfigError, match="finite t > 0"):
+        bb._rescaled_time(p, t)
+    for call in (lambda: bb.evaluate(p, 0.0, t), lambda: bb.sup_value(p, t),
+                 lambda: bb.support_radius(p, t), lambda: bb.mass(p, t)):
+        with pytest.raises(ConfigError, match="finite t > 0"):
+            call()
+
+
 def test_evaluate_frozen_point():
     # t = 2 with alpha = 1 rescales to s = 1: peak value C^(1/alpha) = 1,
     # support edge at sqrt(C/b) = sqrt(12)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,13 +101,24 @@ class TestExitCodes:
         (["sandwich", "--eps-list", "nan,0.1", "--t-end", "0.05"], "perturbation size"),
         (["moser-table", "--m", "0"], "--m"),
         (["barenblatt-validate", "--grids", "100"], "--grids"),
+        (["moser-table", "--alpha", "nan"], "diffusion exponent alpha"),
+        (["moser-table", "--q", "nan"], "integrability index q"),
+        (["figure1", "--k", "nan"], "flux power k"),
+        (["check-flux", "--flux", "figure1", "--k", "nan"], "flux power k"),
+        (["barenblatt-validate", "--t0", "nan"], "--t0"),
+        (["barenblatt-validate", "--C", "nan"], "mass constant C"),
+        (["decay-study", "--t-end", "inf"], "t_end"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
-            "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid"])
+            "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
+            "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
+            "barenblatt-t0-nan", "barenblatt-C-nan", "decay-t_end-inf"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []
         monkeypatch.setattr(solver, "advance", lambda *a, **k: calls.append(a))
-        assert run_cli(tmp_path, *argv) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning on the way is a failure
+            assert run_cli(tmp_path, *argv) == 2
         assert calls == []
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err

@@ -55,6 +55,28 @@ def test_parameter_validation():
         ex.halving_exponents(1, 1, 0.0)
 
 
+@pytest.mark.parametrize("q, a, named", [
+    (math.nan, 1.0, "integrability index q"),
+    (math.inf, 1.0, "integrability index q"),
+    (1.0, math.nan, "diffusion exponent alpha"),
+    (1.0, math.inf, "diffusion exponent alpha"),
+])
+def test_parameter_validation_rejects_non_finite(q, a, named):
+    # nan slips through plain q < 1 and alpha <= 0 comparisons
+    with pytest.raises(ConfigError, match=named):
+        ex._check_params(1, q, a)
+    with pytest.raises(ConfigError, match=named):
+        ex.j0_threshold(q, 1, a)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_time_ladder_and_constant_must_be_finite(bad):
+    with pytest.raises(ConfigError, match="final time"):
+        ex.moser_time_grid(3, bad)
+    with pytest.raises(ConfigError, match="interpolation constant"):
+        ex.moser_Kj_log_bound(2, 1.0, 1, 1.0, bad)
+
+
 def test_exponent_set_structure():
     for q, n, a in LATTICE:
         s = ex.exponent_set(n, q, a)

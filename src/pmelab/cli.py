@@ -71,6 +71,16 @@ def _problem_from_args(args, base: dict[str, str] | None = None) -> tuple[Proble
     return problem_from_mapping(raw), raw
 
 
+def _number_list(option: str, text: str, admissible, requirement: str) -> list[float]:
+    """The comma-separated numbers of `option` ('inf' or 'oo' for infinity), every
+    entry checked before any work; a bad one is a ConfigError naming the option."""
+    values = [math.inf if s in ("inf", "oo") else float(s) for s in text.split(",")]
+    for v in values:
+        if not admissible(v):
+            raise ConfigError(f"{option} entries must be {requirement}, got {v}")
+    return values
+
+
 def _write_snapshot_csv(path, result: solver.RunResult) -> None:
     """The run CSV: columns t, x0[, x1], u, one row per cell per snapshot,
     each value as %.17g (the text of _cell). The x text of each row is made
@@ -159,8 +169,9 @@ def cmd_figure1(args) -> int:
 
 def cmd_barenblatt_validate(args) -> int:
     grids = [int(v) for v in args.grids.split(",")]
-    if len(grids) < 2:
-        raise ConfigError(f"--grids needs at least two grids for an observed order, got {grids}")
+    if len(grids) < 2 or any(a >= b for a, b in zip(grids, grids[1:])):
+        raise ConfigError(f"--grids needs at least two strictly increasing grid sizes "
+                          f"for an observed order, got {grids}")
     if not 0 < args.t0 < args.t1 < math.inf:
         raise ConfigError(f"--t0 and --t1 must satisfy 0 < t0 < t1 < inf, "
                           f"got {args.t0} and {args.t1}")
@@ -168,31 +179,28 @@ def cmd_barenblatt_validate(args) -> int:
                 "t0": args.t0, "t1": args.t1, "L": args.L, "grids": grids}
     paths = _out_paths(args.outdir, "barenblatt-validate", settings)
     profile = barenblatt.BarenblattProfile(n=1, alpha=args.alpha, C=args.C)
-    rows = []
-    errors = []
+    residuals, errors = [], []
     for N in grids:
         grid = Grid(n=1, L=args.L, N=N)
-        resid = barenblatt.residual_check(profile, grid, args.t0)
+        residuals.append(barenblatt.residual_check(profile, grid, args.t0).interior_l1)
         p = Problem(grid=grid, alpha=args.alpha, p0=1.0, flux=zero_flux_model(1),
                     u0=lambda x: barenblatt.evaluate(profile, x, args.t0))
         result = solver.run(p, solver.SchemeConfig(t_end=args.t1 - args.t0))
         exact = barenblatt.evaluate(profile, grid.cell_centers(), args.t1)
-        err = float(np.sum(np.abs(result.snapshots[-1].values - exact))) * grid.dx
-        errors.append(err)
-        order = (math.log(errors[-2] / err) / math.log(grids[len(errors) - 1] / grids[len(errors) - 2])
-                 if len(errors) > 1 else float("nan"))
-        rows.append((N, resid.interior_l1, err, order))
+        errors.append(float(np.sum(np.abs(result.snapshots[-1].values - exact))) * grid.dx)
+    orders = [math.log(e0 / e1) / math.log(n1 / n0)
+              for n0, n1, e0, e1 in zip(grids, grids[1:], errors, errors[1:])]
     _write_csv(paths["csv"], "barenblatt-refinement",
-               ["N", "interior_residual", "global_l1_error", "observed_order"], rows)
-    orders = [r[3] for r in rows[1:]]
-    passed = bool(orders and orders[-1] >= 0.9)
+               ["N", "interior_residual", "global_l1_error", "observed_order"],
+               zip(grids, residuals, errors, [math.nan] + orders))
+    passed = orders[-1] >= 0.9
     _write_json(paths["json"], {
         "alpha": args.alpha, "C": args.C,
         "grids": grids, "errors": errors, "orders": orders, "passed": passed,
     })
     svg.write_svg(paths["svg"], [
         svg.Curve(grids, errors, label="L1 error"),
-        svg.Curve(grids, [r[1] for r in rows], label="interior residual", dashed=True),
+        svg.Curve(grids, residuals, label="interior residual", dashed=True),
     ], title="refinement against the exact self-similar solution",
         xlabel="N", ylabel="error", logx=True, logy=True)
     print(f"barenblatt-validate: orders={['%.3f' % o for o in orders]} passed={passed}")
@@ -201,8 +209,11 @@ def cmd_barenblatt_validate(args) -> int:
 
 def cmd_decay_study(args) -> int:
     problem, raw = _problem_from_args(args)
-    alphas = [float(a) for a in args.alphas.split(",")] if args.alphas else [problem.alpha]
-    q_list = [math.inf if s in ("inf", "oo") else float(s) for s in args.q_list.split(",")]
+    alphas = (_number_list("--alphas", args.alphas, lambda a: 0 < a < math.inf,
+                           "diffusion exponents, finite and > 0")
+              if args.alphas else [problem.alpha])
+    q_list = _number_list("--q-list", args.q_list, lambda q: q == math.inf or q >= 1,
+                          "norm indices, >= 1 or inf")
     # SchemeConfig rejects a non-finite t_end before geomspace computes with it
     config = solver.SchemeConfig(t_end=args.t_end)
     snap_times = (0.0,) + tuple(np.geomspace(args.t_end / 50.0, args.t_end, args.snapshots))
@@ -308,7 +319,8 @@ def cmd_sandwich(args) -> int:
     problem, raw = _problem_from_args(args, {
         "flux": "burgers", "u0": "signed_gaussian", "N": "400", "L": "10",
         "alpha": "1", "p0": "1"})
-    eps_list = [float(e) for e in args.eps_list.split(",")]
+    eps_list = _number_list("--eps-list", args.eps_list, lambda e: 0 < e < math.inf,
+                            "perturbation sizes, finite and > 0")
     settings = {"command": "sandwich", **raw, "eps": eps_list, "t_end": args.t_end}
     paths = _out_paths(args.outdir, "sandwich", settings)
     psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))

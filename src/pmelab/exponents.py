@@ -97,9 +97,9 @@ def moser_B(j: int, m: int, q: float, n: int, alpha: float) -> float:
     """Exponent weight of the j-th iterate's constant (closed form); B_0 = 1."""
     _check_params(n, q, alpha)
     if j > m:
-        raise IndexError(f"weight index {j} exceeds iteration count {m}")
+        raise ConfigError(f"weight index {j} exceeds iteration count {m}")
     if j < 0:
-        raise IndexError(f"weight index must be >= 0, got {j}")
+        raise ConfigError(f"weight index must be >= 0, got {j}")
     if j == 0:
         return 1.0
     na = n * alpha

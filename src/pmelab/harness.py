@@ -207,20 +207,11 @@ class SandwichReport:
     step_count: int
 
 
-def sandwich_envelope(problem: Problem, eps: float,
-                      psi: Callable[[np.ndarray], np.ndarray]) -> float:
-    """max{||u0^- + eps psi||_q^delta, ||u0^+ + eps psi||_q^delta} with q = p0."""
-    grid = problem.grid
-    base = sample_initial(problem).values
-    psi_vals = np.broadcast_to(np.asarray(psi(grid.cell_centers()), float), grid.shape)
-    delta0, _ = exponents.smoothing_exponents(grid.n, problem.p0, problem.alpha)
-
-    def norm(v):
-        return lq_norm(State(values=v, time=0.0, grid=grid), problem.p0)
-
-    lower = norm(np.maximum(-base, 0.0) + eps * psi_vals)
-    upper = norm(np.maximum(base, 0.0) + eps * psi_vals)
-    return max(lower, upper) ** delta0
+def sandwich_envelope(problem: Problem, lower: State, upper: State) -> float:
+    """max{||lower||_q, ||upper||_q}^delta with q = p0; for the outer data
+    -u0^- - eps psi and u0^+ + eps psi, the norms of u0^- + eps psi and u0^+ + eps psi."""
+    delta0, _ = exponents.smoothing_exponents(problem.grid.n, problem.p0, problem.alpha)
+    return max(lq_norm(lower, problem.p0), lq_norm(upper, problem.p0)) ** delta0
 
 
 def run_sandwich(problem: Problem, eps: float,
@@ -235,10 +226,10 @@ def run_sandwich(problem: Problem, eps: float,
     psi_vals = np.broadcast_to(np.asarray(psi(grid.cell_centers()), float), grid.shape)
     if np.any(psi_vals <= 0):
         raise ConfigError("sandwich weight psi must be strictly positive on the grid")
-    base = sample_initial(problem).values
-    mid = State(values=base, time=0.0, grid=grid)
-    low = State(values=-np.maximum(-base, 0.0) - eps * psi_vals, time=0.0, grid=grid)
-    high = State(values=np.maximum(base, 0.0) + eps * psi_vals, time=0.0, grid=grid)
+    mid = sample_initial(problem)
+    low = State(values=-np.maximum(-mid.values, 0.0) - eps * psi_vals, time=0.0, grid=grid)
+    high = State(values=np.maximum(mid.values, 0.0) + eps * psi_vals, time=0.0, grid=grid)
+    envelope = sandwich_envelope(problem, low, high)
 
     worst_low = float((mid.values - low.values).min())
     worst_high = float((high.values - mid.values).min())
@@ -255,8 +246,7 @@ def run_sandwich(problem: Problem, eps: float,
     return SandwichReport(eps=eps,
                           max_lower_violation=worst_low,
                           max_upper_violation=worst_high,
-                          envelope=sandwich_envelope(problem, eps, psi),
-                          step_count=steps)
+                          envelope=envelope, step_count=steps)
 
 
 # ---------------------------------------------------------------------------

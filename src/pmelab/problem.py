@@ -218,7 +218,8 @@ FLUX_CATALOG = {
 
 def _from_catalog(kind: str, catalog: dict, name: str, params: dict | None, n: int):
     """Build entry `name` of `catalog`, its declared defaults overridden by
-    `params`; an unknown name or an undeclared parameter is a ConfigError."""
+    `params`; an unknown name, an undeclared parameter or a non-finite value is a
+    ConfigError. Builders that check a parameter themselves report it first."""
     if name not in catalog:
         raise ConfigError(f"unknown {kind} {name!r}; catalog: {sorted(catalog)}")
     build, defaults = catalog[name]
@@ -227,7 +228,11 @@ def _from_catalog(kind: str, catalog: dict, name: str, params: dict | None, n: i
     if unknown:
         raise ConfigError(f"{kind} {name!r} has no parameter {', '.join(unknown)}; "
                           f"it declares {sorted(defaults) or 'none'}")
-    return build(n, **{**defaults, **params})
+    built = build(n, **{**defaults, **params})
+    for key, value in params.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"{kind} {name!r} parameter {key} must be finite, got {value}")
+    return built
 
 
 def flux_from_config(name: str, params: dict | None = None, n: int = 1) -> FluxModel:
@@ -243,6 +248,8 @@ def _zero_datum(n: int):
 
 
 def _gaussian_datum(n: int, amp: float, width: float):
+    if not width > 0:
+        raise ConfigError(f"initial datum 'gaussian' parameter width must be > 0, got {width}")
     return lambda x: amp * np.exp(-np.sum(np.asarray(x) ** 2, axis=0) / width ** 2)
 
 
@@ -430,11 +437,6 @@ def read_config(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value.strip()
     return raw
-
-
-def parse_problem_config(text: str) -> Problem:
-    """Build a Problem from ``key = value`` lines ('#' starts a comment)."""
-    return problem_from_mapping(read_config(text))
 
 
 def problem_from_mapping(raw: dict[str, str]) -> Problem:

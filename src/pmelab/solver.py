@@ -88,14 +88,6 @@ def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _boundary_cells(grid: Grid) -> np.ndarray:
-    """Flat indices of the cells that touch the domain boundary."""
-    mask = np.ones(grid.shape, dtype=bool)
-    mask[(slice(1, -1),) * grid.n] = False
-    return np.flatnonzero(mask)
-
-
-@functools.lru_cache(maxsize=8)
 def _axis(grid: Grid, ax: int, thread: int) -> tuple[np.ndarray, ...]:
     """The arrays of `_prepare` for axis ax, each a view with axis ax first: the
     read-only coordinates of the N+1 interfaces normal to ax, twice over, at cell
@@ -212,7 +204,10 @@ def run(problem: Problem, config: SchemeConfig) -> RunResult:
     """Integrate from t=0 to t_end with adaptive dt, landing exactly on
     requested snapshot times; audits mass and boundary-layer contamination."""
     state = sample_initial(problem)
-    volume, edge = state.grid.cell_volume, _boundary_cells(state.grid)
+    volume = state.grid.cell_volume
+    edge = np.ones(state.grid.shape, dtype=bool)
+    edge[(slice(1, -1),) * state.grid.n] = False
+    edge = np.flatnonzero(edge)  # flat indices of the cells that touch the boundary
 
     def audit(values) -> tuple[float, float]:
         """L1 mass and boundary-cell mass, both from one |u|."""

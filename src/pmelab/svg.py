@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import RunError
 
@@ -38,8 +36,7 @@ def _tick_label(v: float) -> str:
 
 
 def render_svg(curves: Sequence[Curve], *, title: str = "", xlabel: str = "",
-               ylabel: str = "", width: int = 720, height: int = 480,
-               logx: bool = False, logy: bool = False,
+               ylabel: str = "", logx: bool = False, logy: bool = False,
                annotations: Sequence[Annotation] = ()) -> str:
     if not curves:
         raise RunError("no curves to plot")
@@ -74,7 +71,7 @@ def render_svg(curves: Sequence[Curve], *, title: str = "", xlabel: str = "",
     pad_y = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 
-    ml, mr, mt, mb = 70, 20, 40, 50
+    width, height, ml, mr, mt, mb = 720, 480, 70, 20, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
 
     def px(v):

@@ -108,10 +108,28 @@ class TestExitCodes:
         (["barenblatt-validate", "--t0", "nan"], "--t0"),
         (["barenblatt-validate", "--C", "nan"], "mass constant C"),
         (["decay-study", "--t-end", "inf"], "t_end"),
+        (["barenblatt-validate", "--grids", "100,100"], "--grids"),
+        (["barenblatt-validate", "--grids", "200,100"], "--grids"),
+        (["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "nan"], "--q-list"),
+        (["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "1,0.5"], "--q-list"),
+        (["decay-study", "--set", "N=50", "--t-end", "1", "--alphas", "1,nan"], "--alphas"),
+        (["sandwich", "--eps-list", "0.1,nan", "--t-end", "0.05"], "--eps-list"),
+        (["run", "--set", "u0=gaussian width=0", "--t-end", "0.1"],
+         "'gaussian' parameter width"),
+        (["run", "--set", "u0=gaussian width=-1", "--t-end", "0.1"],
+         "'gaussian' parameter width"),
+        (["run", "--set", "u0=gaussian amp=inf", "--t-end", "0.1"],
+         "'gaussian' parameter amp"),
+        (["run", "--set", "flux=linear c=nan", "--t-end", "0.1"], "'linear' parameter c"),
+        (["check-flux", "--flux", "linear", "--c", "nan"], "'linear' parameter c"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
-            "barenblatt-t0-nan", "barenblatt-C-nan", "decay-t_end-inf"])
+            "barenblatt-t0-nan", "barenblatt-C-nan", "decay-t_end-inf",
+            "repeated-grid", "descending-grids", "q-list-nan", "q-list-below-1",
+            "alphas-nan", "sandwich-late-eps-nan", "gaussian-width-0",
+            "gaussian-width-negative", "gaussian-amp-inf", "linear-c-nan",
+            "check-flux-c-nan"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []

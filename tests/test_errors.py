@@ -9,8 +9,7 @@ from pmelab import cli
 from pmelab.errors import ConfigError, RunError
 
 SOURCES = sorted(pathlib.Path(pmelab.__file__).parent.glob("*.py"))
-# moser_B's index check keeps the builtin IndexError
-RAISABLE = {"ConfigError", "RunError", "IndexError"}
+RAISABLE = {"ConfigError", "RunError"}
 
 
 def _name(node) -> str:

@@ -110,7 +110,7 @@ def test_moser_B_frozen_values():
 
 
 def test_moser_B_index_error():
-    with pytest.raises(IndexError):
+    with pytest.raises(ConfigError):
         ex.moser_B(5, 4, 1, 1, 1)
 
 

@@ -167,11 +167,41 @@ class TestSandwich:
         assert rep.max_upper_violation >= -1e-12
         assert rep.step_count > 0
 
+    @staticmethod
+    def outer_data(p, eps, psi):
+        """The sandwich's outer data -u0^- - eps psi and u0^+ + eps psi."""
+        base = pr.sample_initial(p).values
+        w = np.broadcast_to(psi(p.grid.cell_centers()), p.grid.shape)
+        return (pr.State(values=-np.maximum(-base, 0.0) - eps * w, time=0.0, grid=p.grid),
+                pr.State(values=np.maximum(base, 0.0) + eps * w, time=0.0, grid=p.grid))
+
     def test_envelope_decreases_with_eps(self):
         p = self.make_problem()
         psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0) / 8.0)
-        envs = [hz.sandwich_envelope(p, e, psi) for e in (0.4, 0.2, 0.1)]
+        envs = [hz.sandwich_envelope(p, *self.outer_data(p, e, psi))
+                for e in (0.4, 0.2, 0.1)]
         assert envs[0] > envs[1] > envs[2]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p0", [1.0, 2.0, 3.5])
+    def test_envelope_equals_two_sampling_formula(self, n, p0):
+        # the reference samples u0 and psi again and rebuilds the positive
+        # parts; |-a - b| is a + b exactly, so the two agree bit for bit
+        p = pr.Problem(grid=pr.Grid(n=n, L=5.0, N=40), alpha=1.0, p0=p0,
+                       flux=pr.zero_flux_model(n),
+                       u0=lambda x: x[0] * np.exp(-np.sum(np.asarray(x) ** 2, axis=0)))
+        psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0) / 8.0)
+        eps = 0.1
+        base = pr.sample_initial(p).values
+        w = np.broadcast_to(np.asarray(psi(p.grid.cell_centers()), float), p.grid.shape)
+        delta0, _ = ex.smoothing_exponents(n, p0, 1.0)
+
+        def norm(v):
+            return hz.lq_norm(pr.State(values=v, time=0.0, grid=p.grid), p0)
+
+        reference = max(norm(np.maximum(-base, 0.0) + eps * w),
+                        norm(np.maximum(base, 0.0) + eps * w)) ** delta0
+        assert hz.sandwich_envelope(p, *self.outer_data(p, eps, psi)) == reference
 
     def test_psi_must_be_positive(self):
         p = self.make_problem(N=50)

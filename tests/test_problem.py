@@ -312,7 +312,7 @@ class TestConfig:
         u0 = gaussian amp=2 width=0.5
         boundary = zero_flux
         """
-        p = pr.parse_problem_config(text)
+        p = pr.problem_from_mapping(pr.read_config(text))
         assert p.grid.N == 300
         assert p.alpha == 0.5
         assert p.flux.name == "figure1"
@@ -322,11 +322,11 @@ class TestConfig:
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="frob"):
-            pr.parse_problem_config("frob = 1")
+            pr.problem_from_mapping(pr.read_config("frob = 1"))
 
     def test_unknown_flux(self):
         with pytest.raises(ConfigError, match="warp"):
-            pr.parse_problem_config("flux = warp")
+            pr.problem_from_mapping(pr.read_config("flux = warp"))
 
     @pytest.mark.parametrize("key, value, bad", [("flux", "linear cc=3", "cc"),
                                                  ("u0", "gaussian wdith=0.1", "wdith")])
@@ -352,10 +352,10 @@ class TestConfig:
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError):
-            pr.parse_problem_config("just some words")
+            pr.problem_from_mapping(pr.read_config("just some words"))
 
     def test_defaults(self):
-        p = pr.parse_problem_config("")
+        p = pr.problem_from_mapping(pr.read_config(""))
         assert p.grid.n == 1
         assert p.flux.name == "zero"
         assert p.boundary_policy == "zero_flux"

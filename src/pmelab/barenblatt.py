@@ -34,10 +34,6 @@ class BarenblattProfile:
             raise ConfigError(f"mass constant C must be finite and > 0, got {self.C}")
 
     @property
-    def m_pme(self) -> float:
-        return self.alpha + 1.0
-
-    @property
     def k_exp(self) -> float:
         return self.n / (self.n * self.alpha + 2.0)
 

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import barenblatt, exponents, harness, solver, svg
 from .errors import ConfigError, RunError
-from .problem import (Grid, Problem, check_divergence_condition, flux_from_config,
-                      problem_from_mapping, read_config, zero_flux_model)
+from .problem import (Grid, Problem, check_divergence_condition, check_flux_consistency,
+                      check_lipschitz_in_u, flux_from_config, problem_from_mapping,
+                      read_config, zero_flux_model)
 
 
 def _stamp(settings: dict) -> str:
@@ -103,6 +104,8 @@ def _write_snapshot_csv(path, result: solver.RunResult) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
+    if args.snapshots < 1:
+        raise ConfigError(f"--snapshots must be >= 1, got {args.snapshots}")
     problem, raw = _problem_from_args(args)
     # SchemeConfig rejects a non-finite t_end before linspace computes with it
     config = solver.SchemeConfig(t_end=args.t_end, cfl_safety=args.cfl)
@@ -138,7 +141,7 @@ def cmd_figure1(args) -> int:
     settings = {"command": "figure1", "k": args.k, "alpha": args.alpha,
                 "t_end": args.t_end, "L": args.L, "N": args.N}
     paths = _out_paths(args.outdir, "figure1", settings)
-    problem, result, record = harness.figure1_experiment(
+    problem, result = harness.figure1_experiment(
         k=args.k, alpha=args.alpha, t_end=args.t_end, L=args.L, N=args.N)
     x = problem.grid.axis_centers()
     u0 = result.snapshots[0].values
@@ -149,7 +152,7 @@ def cmd_figure1(args) -> int:
     max_uptick, mass_ok = audit.max_uptick, audit.passed
     changed = float(np.max(np.abs(u_final - u0))) > 0.01
     summary = {
-        "l1_series": [[t, v] for t, v in record.series],
+        "l1_series": [[t, v] for t, v in audit.series],
         "l1_max_relative_uptick": max_uptick,
         "l1_nonincreasing_within_half_percent": mass_ok,
         "solution_moved": changed,
@@ -229,11 +232,12 @@ def cmd_decay_study(args) -> int:
                 "snapshots": args.snapshots}
     paths = _out_paths(args.outdir, "decay-study", settings)
 
-    rows, fits, records = [], {}, []
+    rows, fits, records, smoothing = [], {}, [], {}
     for alpha in alphas:
         result = solver.run(dataclasses.replace(problem, alpha=alpha), config)
         recs = {q: harness.decay_record(result, q, window) for q in q_list}
         records.append(recs)
+        smoothing[f"alpha={alpha:g}"] = harness.audit_smoothing(result, problem.p0, alpha)
         for q, rec in recs.items():
             for t, v in rec.series:
                 rows.append((alpha, str(q), t, v))
@@ -245,7 +249,12 @@ def cmd_decay_study(args) -> int:
                 "reference_rate": -gamma0 if q == math.inf else None,
             }
     _write_csv(paths["csv"], "decay-series", ["alpha", "q", "t", "norm"], rows)
-    _write_json(paths["json"], {"fits": fits, "fit_window": list(window), "passed": True})
+    passed = all(s.passed for s in smoothing.values())
+    _write_json(paths["json"], {
+        "fits": fits, "fit_window": list(window),
+        "smoothing_last_decade_variation": {k: s.last_decade_variation
+                                            for k, s in smoothing.items()},
+        "passed": passed})
     rec = records[0][q_list[-1]]
     fit_ts = [t for t, _ in rec.series if window[0] <= t <= window[1]]
     fit_vs = [math.exp(rec.fitted_intercept) * t ** rec.fitted_slope for t in fit_ts]
@@ -255,8 +264,9 @@ def cmd_decay_study(args) -> int:
         svg.Curve(fit_ts, fit_vs, label="fit"),
     ], title="norm decay", xlabel="t", ylabel="norm", logx=True, logy=True,
         annotations=[svg.Annotation(0.08, 0.10, f"slope {rec.fitted_slope:.4f}")])
-    print("decay-study: " + "; ".join(f"{k}: slope={v['slope']:.4f}" for k, v in fits.items()))
-    return 0
+    print("decay-study: " + "; ".join(f"{k}: slope={v['slope']:.4f}" for k, v in fits.items())
+          + f" passed={passed}")
+    return 0 if passed else 1
 
 
 def cmd_moser_table(args) -> int:
@@ -266,22 +276,25 @@ def cmd_moser_table(args) -> int:
                 "alpha": args.alpha, "m": args.m}
     paths = _out_paths(args.outdir, "moser-table", settings)
     A_inf, S_inf = exponents.moser_limits(args.q, args.n, args.alpha)
-    rows = []
-    for m in range(1, args.m + 1):
-        A = exponents.moser_A(m, args.q, args.n, args.alpha)
-        S = exponents.moser_exponent_sum(m, args.q, args.n, args.alpha)
-        rows.append((m, A, S, A - A_inf, S - S_inf))
+    trace = exponents.moser_trace(args.q, args.n, args.alpha, args.m)
+    rows = [(m, A, S, A - A_inf, S - S_inf)
+            for m, A, S in zip(range(1, args.m + 1), trace.A, trace.S)]
     _write_csv(paths["csv"], "moser-table",
                ["m", "A_m", "S_m", "A_limit_gap", "S_limit_gap"], rows)
+    ex = exponents.exponent_set(args.n, args.q, args.alpha)
+    passed = math.isfinite(trace.K_bound)
     _write_json(paths["json"], {
         "q": args.q, "n": args.n, "alpha": args.alpha, "m": args.m,
         "A_limit": A_inf, "S_limit": S_inf,
         "A_final_gap": rows[-1][3], "S_final_gap": rows[-1][4],
-        "passed": True,
+        "K_bound": trace.K_bound if passed else None,
+        "exponents": {"beta": ex.beta, "theta": ex.theta, "gamma": ex.gamma},
+        "time_ladder": exponents.moser_time_grid(args.m, 1.0),
+        "passed": passed,
     })
     print(f"moser-table: A_{args.m}={rows[-1][1]:.12g} (limit {A_inf:.12g}), "
-          f"S_{args.m}={rows[-1][2]:.12g} (limit {S_inf:.12g})")
-    return 0
+          f"S_{args.m}={rows[-1][2]:.12g} (limit {S_inf:.12g}) passed={passed}")
+    return 0 if passed else 1
 
 
 def cmd_check_flux(args) -> int:
@@ -298,21 +311,28 @@ def cmd_check_flux(args) -> int:
     grid = Grid(n=1, L=args.L, N=args.N)
     report = check_divergence_condition(flux, grid, (args.umin, args.umax),
                                         samples=args.samples)
+    M = max(abs(args.umin), abs(args.umax))
+    lipschitz = check_lipschitz_in_u(flux, grid, M, T=1.0)
+    consistency = check_flux_consistency(flux, grid, (-M, M))
+    passed = report.satisfied and consistency.ok
     _write_json(paths["json"], {
         "flux": args.flux, "params": params,
         "satisfied": report.satisfied,
         "worst_violation": report.worst_violation,
         "witness": {"x": list(report.witness[0]), "t": report.witness[1],
                     "u": report.witness[2]},
-        "passed": report.satisfied,
+        "consistency": dataclasses.asdict(consistency),
+        "lipschitz": dataclasses.asdict(lipschitz),
+        "passed": passed,
     })
     _write_csv(paths["csv"], "check-flux",
                ["satisfied", "worst_violation", "witness_x", "witness_t", "witness_u"],
                [(int(report.satisfied), report.worst_violation,
                  report.witness[0][0], report.witness[1], report.witness[2])])
     print(f"check-flux {args.flux}: satisfied={report.satisfied} "
-          f"worst={report.worst_violation:.3e} witness={report.witness}")
-    return 0 if report.satisfied else 1
+          f"worst={report.worst_violation:.3e} witness={report.witness} "
+          f"consistent={consistency.ok} C_f={lipschitz.C_f:.6g} passed={passed}")
+    return 0 if passed else 1
 
 
 def cmd_sandwich(args) -> int:

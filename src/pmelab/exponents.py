@@ -116,13 +116,13 @@ def moser_B_bruteforce(j: int, m: int, q: float, n: int, alpha: float) -> float:
 
 def moser_exponent_sum(m: int, q: float, n: int, alpha: float) -> float:
     """Accumulated time exponent S_m = sum_{j=1}^m -n/(2^j 2q + 2n alpha) B_{m-j}
-    (closed form)."""
+    (closed form, through 2^-m factors so that no large m overflows)."""
     _check_params(n, q, alpha)
     if m < 1:
         raise ConfigError(f"iteration count must be >= 1, got {m}")
     na = n * alpha
     pref = 2.0 * n * (2.0 * q + na * 2.0 ** (-m)) / (2.0 * q)
-    bracket = 1.0 / (4.0 * q + 2.0 * na) - 1.0 / (2.0 ** m * 4.0 * q + 2.0 * na)
+    bracket = 1.0 / (4.0 * q + 2.0 * na) - 2.0 ** (-m) / (4.0 * q + 2.0 * na * 2.0 ** (-m))
     return -pref * bracket
 
 
@@ -162,8 +162,7 @@ def moser_Kj_log_bound(j: int, q: float, n: int, alpha: float, C: float) -> floa
         raise ConfigError(f"iterate index must be >= 1, got {j}")
     if not 0 < C < math.inf:
         raise ConfigError(f"interpolation constant C must be finite and > 0, got {C}")
-    if q * 2.0 ** j <= 1.0:
-        raise ConfigError(f"need 2^j q > 1, got q={q}, j={j}")
+    # q >= 1 and j >= 1 give 2^j q > 1, so the logs below are defined
     c_exp = (n + 2.0) * 2.0 ** (-j) / (2.0 * q) + 2.0 * n * alpha * 4.0 ** (-j) / q
     # bracket = (2^j q + alpha)^2 / (2^j 4q (2^j q - 1)), taken in log space
     log_num = 2.0 * (j * math.log(2.0) + math.log(q + alpha * 2.0 ** (-j)))
@@ -173,22 +172,10 @@ def moser_Kj_log_bound(j: int, q: float, n: int, alpha: float, C: float) -> floa
     return c_exp * math.log(C) + b_exp * (log_num - log_den)
 
 
-def j0_threshold(q: float, n: int, alpha: float) -> int:
-    """Smallest j with 2n alpha/(2^j q) < 1, alpha/(2^j (2q-1)) < 1 and
-    alpha^2/(2^{2j} 2q (2q-1)) < 1."""
-    _check_params(n, q, alpha)
-    j = 1
-    while not (2.0 * n * alpha / (2.0 ** j * q) < 1.0
-               and alpha / (2.0 ** j * (2.0 * q - 1.0)) < 1.0
-               and alpha ** 2 / (2.0 ** (2 * j) * 2.0 * q * (2.0 * q - 1.0)) < 1.0):
-        j += 1
-    return j
-
-
 @dataclass(frozen=True)
 class MoserTrace:
     """Full record of one iteration run: sequences, exponent sums, and the
-    (finite) log bound on the accumulated constant product."""
+    bound on the accumulated constant product (inf beyond the float range)."""
 
     q: float
     n: int
@@ -209,5 +196,8 @@ def moser_trace(q: float, n: int, alpha: float, m: int, C: float = 2.0) -> Moser
     S = [moser_exponent_sum(k, q, n, alpha) for k in range(1, m + 1)]
     log_prod = sum(moser_B(m - j, m, q, n, alpha) * moser_Kj_log_bound(j, q, n, alpha, C)
                    for j in range(1, m + 1))
-    return MoserTrace(q=q, n=n, alpha=alpha, m=m, A=A, B=B, S=S,
-                      K_bound=math.exp(log_prod))
+    try:
+        K_bound = math.exp(log_prod)
+    except OverflowError:  # the bound exceeds the float range
+        K_bound = math.inf
+    return MoserTrace(q=q, n=n, alpha=alpha, m=m, A=A, B=B, S=S, K_bound=K_bound)

@@ -78,21 +78,24 @@ def decay_record(result: RunResult, q, window: tuple[float, float]) -> DecayReco
 @dataclass(frozen=True)
 class MonotonicityReport:
     q: float
+    series: list[tuple[float, float]]
     max_uptick: float
     passed: bool
 
 
 def audit_lq_monotonicity(result: RunResult, q_list: Sequence,
                           tolerance: float = 1e-8) -> dict:
-    """Max relative uptick of ||u(t)||_q along consecutive snapshots, per q."""
+    """The (t, ||u(t)||_q) series over the snapshots and its max relative uptick
+    between consecutive snapshots, per q."""
     if len(result.snapshots) < 2:
         raise RunError("L^q monotonicity audit needs at least two snapshots")
     reports = {}
     for q in q_list:
-        norms = [lq_norm(s, q) for s in result.snapshots]
+        series = [(s.time, lq_norm(s, q)) for s in result.snapshots]
+        norms = [v for _, v in series]
         scale = norms[0] if norms[0] > 0 else 1.0
         uptick = max((b - a) / scale for a, b in zip(norms, norms[1:]))
-        reports[q] = MonotonicityReport(q=q, max_uptick=uptick,
+        reports[q] = MonotonicityReport(q=q, series=series, max_uptick=uptick,
                                         passed=uptick <= tolerance)
     return reports
 
@@ -254,8 +257,7 @@ def run_sandwich(problem: Problem, eps: float,
 # ---------------------------------------------------------------------------
 
 def figure1_experiment(k: float = 1.5, alpha: float = 0.5, t_end: float = 5.0,
-                       L: float = 10.0, N: int = 600
-                       ) -> tuple[Problem, RunResult, DecayRecord]:
+                       L: float = 10.0, N: int = 600) -> tuple[Problem, RunResult]:
     """Advection f(x,t,u) = -tanh(x)|u|^k u against degenerate diffusion from a
     unit Gaussian bump: growth where the flux divergence is negative, with the
     L^1 norm conserved up to boundary leakage."""
@@ -263,7 +265,4 @@ def figure1_experiment(k: float = 1.5, alpha: float = 0.5, t_end: float = 5.0,
                 flux=figure1_flux_model(k),
                 u0=lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0)))
     snap_times = tuple(float(j) * t_end / 5.0 for j in range(6))
-    config = SchemeConfig(t_end=t_end, snapshot_times=snap_times)
-    result = solver.run(p, config)
-    record = decay_record(result, q=1.0, window=(snap_times[1], t_end))
-    return p, result, record
+    return p, solver.run(p, SchemeConfig(t_end=t_end, snapshot_times=snap_times))

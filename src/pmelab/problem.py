@@ -50,10 +50,6 @@ class Grid:
     def cell_volume(self) -> float:
         return self.dx ** self.n
 
-    @property
-    def total_measure(self) -> float:
-        return self.cell_volume * self.N ** self.n
-
     def axis_centers(self) -> np.ndarray:
         return -self.L + (np.arange(self.N) + 0.5) * self.dx
 
@@ -380,8 +376,9 @@ def check_lipschitz_in_u(flux: FluxModel, grid: Grid, M: float, T: float,
                          samples: int = 10001) -> LipschitzReport:
     """Empirical Lipschitz constant of u -> f(x,t,u) on |u| <= M, 0 <= t <= T,
     from difference quotients over adjacent points of a dense u grid."""
-    if M <= 0 or T <= 0:
-        raise ConfigError(f"need M > 0 and T > 0, got M={M}, T={T}")
+    if not (0 < M < np.inf and 0 < T < np.inf):
+        raise ConfigError(f"Lipschitz check needs a finite u bound M > 0 and time T > 0, "
+                          f"got M={M}, T={T}")
     if samples < 2:
         raise ConfigError(f"need at least two u samples, got {samples}")
     X = _x_lattice(grid, per_axis=9)

@@ -65,15 +65,6 @@ class RunResult:
     boundary_flagged: bool
 
 
-def kirchhoff(u, alpha: float):
-    """G(u) = |u|^a u/(a+1); odd, strictly increasing, G'(u) = |u|^a."""
-    if alpha <= 0:
-        raise ConfigError(f"diffusion exponent must be > 0, got {alpha}")
-    u = np.asarray(u, dtype=float)
-    out = np.abs(u) ** alpha * u / (alpha + 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> float:
     """Largest monotone dt times cfl: cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2),
     with lam_ax = max|df_du| over the interface states of axis ax. Prepares the
@@ -109,7 +100,7 @@ def _axis(grid: Grid, ax: int, thread: int) -> tuple[np.ndarray, ...]:
 def _prepare(state: State, problem: Problem) -> tuple[float, list]:
     """The dt-independent half of a step: the rate sum_ax lam_ax/dx + 2n max|u|^a/dx^2
     and, per axis, the LLF flux difference (None for the zero flux, whose +0.0
-    leaves every value as it is) and the second difference of G = kirchhoff(u).
+    leaves every value as it is) and the second difference of G(u) = |u|^a u/(a+1).
     Along axis ax the left then the right states of the N+1 interfaces are one
     array, so f and df_du are called once each; u and G get the same ghost cells
     (an edge copy under zero_flux, 0 under dirichlet_zero). Every axis is written

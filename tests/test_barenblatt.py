@@ -11,7 +11,6 @@ from pmelab.problem import Grid
 
 def test_profile_constants():
     p = bb.BarenblattProfile(n=1, alpha=1.0, C=1.0)
-    assert p.m_pme == 2.0
     assert p.k_exp == pytest.approx(1 / 3)
     assert p.b_coef == pytest.approx(1 / 12)
 

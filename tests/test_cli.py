@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -7,6 +8,7 @@ import pytest
 
 from pmelab import cli, solver, svg
 from pmelab import exponents as ex
+from pmelab import problem as pr
 from pmelab.errors import RunError
 from pmelab.problem import Grid, State, problem_from_mapping
 
@@ -82,6 +84,23 @@ class TestExitCodes:
     def test_check_flux_pass(self, tmp_path):
         rc = run_cli(tmp_path, "check-flux", "--flux", "burgers")
         assert rc == 0
+        payload = json.loads(outputs(tmp_path, "json")[0].read_text())
+        assert payload["consistency"]["ok"] is True
+        # max |u| = 1 on the default range; adjacent u samples keep C_f just below 1
+        assert 0.999 < payload["lipschitz"]["C_f"] <= 1.0
+        assert payload["passed"] is True
+
+    def test_check_flux_inconsistent_derivative_is_failure(self, tmp_path, monkeypatch):
+        def doubled_derivative(n):
+            flux = pr.burgers_flux_model(n)
+            return dataclasses.replace(flux, df_du=lambda x, t, u: 2.0 * flux.df_du(x, t, u))
+
+        monkeypatch.setitem(pr.FLUX_CATALOG, "burgers", (doubled_derivative, {}))
+        assert run_cli(tmp_path, "check-flux", "--flux", "burgers") == 1
+        payload = json.loads(outputs(tmp_path, "json")[0].read_text())
+        assert payload["satisfied"] is True
+        assert payload["consistency"]["ok"] is False
+        assert payload["passed"] is False
 
     def test_undeclared_flux_parameter(self, tmp_path):
         assert run_cli(tmp_path, "run", "--set", "flux=burgers k=2",
@@ -122,6 +141,8 @@ class TestExitCodes:
          "'gaussian' parameter amp"),
         (["run", "--set", "flux=linear c=nan", "--t-end", "0.1"], "'linear' parameter c"),
         (["check-flux", "--flux", "linear", "--c", "nan"], "'linear' parameter c"),
+        (["check-flux", "--flux", "burgers", "--umin", "0", "--umax", "0"], "u bound M > 0"),
+        (["run", "--snapshots", "0", "--t-end", "0.1"], "--snapshots"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
@@ -129,7 +150,7 @@ class TestExitCodes:
             "repeated-grid", "descending-grids", "q-list-nan", "q-list-below-1",
             "alphas-nan", "sandwich-late-eps-nan", "gaussian-width-0",
             "gaussian-width-negative", "gaussian-amp-inf", "linear-c-nan",
-            "check-flux-c-nan"])
+            "check-flux-c-nan", "check-flux-zero-range", "run-snapshots-0"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []
@@ -174,7 +195,26 @@ class TestMoserTable:
         A_inf, S_inf = ex.moser_limits(2, 2, 0.5)
         assert payload["A_limit"] == pytest.approx(A_inf, rel=1e-15)
         assert payload["S_limit"] == pytest.approx(S_inf, rel=1e-15)
+        assert payload["K_bound"] == ex.moser_trace(2, 2, 0.5, 6).K_bound
+        exps = ex.exponent_set(2, 2, 0.5)
+        assert payload["exponents"] == {"beta": exps.beta, "theta": exps.theta,
+                                        "gamma": exps.gamma}
+        assert payload["time_ladder"] == ex.moser_time_grid(6, 1.0)
         assert payload["passed"] is True
+
+    def test_large_m_reaches_the_limit(self, tmp_path):
+        assert run_cli(tmp_path, "moser-table", "--m", "1100") == 0
+        last = outputs(tmp_path, "csv")[0].read_text().splitlines()[-1].split(",")
+        _, S_inf = ex.moser_limits(1, 1, 1)
+        assert int(last[0]) == 1100
+        assert float(last[2]) == pytest.approx(S_inf, abs=1e-15)
+
+    def test_non_finite_constant_bound_is_failure(self, tmp_path):
+        # at alpha = 1e6 the log of the one-step constant bound is about 3.5e5
+        assert run_cli(tmp_path, "moser-table", "--m", "1", "--alpha", "1e6") == 1
+        payload = json.loads(outputs(tmp_path, "json")[0].read_text())
+        assert payload["K_bound"] is None
+        assert payload["passed"] is False
 
 
 class TestRunCommand:
@@ -322,7 +362,17 @@ class TestDecayStudy:
                      "--snapshots", "12")
         assert rc == 0
         payload = json.loads(outputs(tmp_path, "json")[0].read_text())
+        assert 0 <= payload["smoothing_last_decade_variation"]["alpha=1"] < 0.5
         assert payload["passed"] is True
+
+    def test_failed_smoothing_audit_is_failure(self, tmp_path):
+        # a wide datum over a short time: ||u||_inf t^gamma0 is still rising
+        rc = run_cli(tmp_path, "decay-study", "--t-end", "1", "--set", "N=50",
+                     "--set", "L=20", "--set", "u0=gaussian width=5")
+        assert rc == 1
+        payload = json.loads(outputs(tmp_path, "json")[0].read_text())
+        assert payload["smoothing_last_decade_variation"]["alpha=1"] > 0.5
+        assert payload["passed"] is False
 
     def test_too_few_snapshots_in_fit_window(self, tmp_path, monkeypatch, capsys):
         # checked before any step: 2 snapshots put 1 time in the window (0.1, 1)

@@ -65,8 +65,6 @@ def test_parameter_validation_rejects_non_finite(q, a, named):
     # nan slips through plain q < 1 and alpha <= 0 comparisons
     with pytest.raises(ConfigError, match=named):
         ex._check_params(1, q, a)
-    with pytest.raises(ConfigError, match=named):
-        ex.j0_threshold(q, 1, a)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -119,6 +117,24 @@ def test_moser_exponent_sum_frozen_values():
     assert ex.moser_exponent_sum(1, 1, 1, 1) == pytest.approx(-1 / 6, rel=1e-12)
     assert ex.moser_exponent_sum_bruteforce(1, 1, 1, 1) == pytest.approx(-1 / 6, rel=1e-12)
     assert ex.moser_exponent_sum(40, 1, 1, 1) == pytest.approx(-1 / 3, abs=1e-9)
+
+
+def test_moser_exponent_sum_equals_the_direct_bracket():
+    # 2^-m/(4q + 2n a 2^-m) is 1/(2^m 4q + 2n a) scaled by a power of two: exact
+    for q, n, a in LATTICE:
+        for m in (1, 2, 5, 13, 40):
+            na = n * a
+            direct = -(2.0 * n * (2.0 * q + na * 2.0 ** (-m)) / (2.0 * q)) * (
+                1.0 / (4.0 * q + 2.0 * na) - 1.0 / (2.0 ** m * 4.0 * q + 2.0 * na))
+            assert ex.moser_exponent_sum(m, q, n, a) == direct
+
+
+@pytest.mark.parametrize("m", [1100, 2000])
+def test_moser_exponent_sum_large_m(m):
+    # 2^m overflows a float beyond m = 1023
+    for q, n, a in LATTICE:
+        assert ex.moser_exponent_sum(m, q, n, a) == pytest.approx(
+            ex.moser_limits(q, n, a)[1], abs=1e-15)
 
 
 def test_moser_sum_monotone_decreasing():
@@ -208,13 +224,6 @@ def test_Kj_partial_sums_converge():
     assert abs(p80 - p40) < 1e-10
 
 
-def test_j0_threshold():
-    j0 = ex.j0_threshold(1.0, 1, 1.0)
-    assert 2 * 1 * 1.0 / (2 ** j0 * 1.0) < 1
-    assert 2 * 1 * 1.0 / (2 ** (j0 - 1) * 1.0) >= 1 or j0 == 1
-    assert ex.j0_threshold(5.0, 1, 0.5) == 1
-
-
 def test_moser_trace():
     tr = ex.moser_trace(1.0, 1, 1.0, 20, C=2.0)
     assert len(tr.A) == 20 and len(tr.B) == 21 and len(tr.S) == 20
@@ -223,3 +232,8 @@ def test_moser_trace():
     assert all(b < a for a, b in zip(tr.A, tr.A[1:]))
     assert all(0 < b <= 1 for b in tr.B)
     assert math.isfinite(tr.K_bound) and tr.K_bound > 0
+    assert math.isfinite(ex.moser_trace(1.0, 1, 1.0, 1100).K_bound)
+
+
+def test_moser_trace_bound_beyond_float_range_is_inf():
+    assert ex.moser_trace(1.0, 1, 1e6, 1).K_bound == math.inf

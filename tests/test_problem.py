@@ -18,11 +18,11 @@ class TestGrid:
         assert g.dx == pytest.approx(5.0)
         assert g.axis_centers()[0] == pytest.approx(-17.5)
         assert g.axis_centers()[-1] == pytest.approx(17.5)
-        assert g.total_measure == pytest.approx(40.0, rel=1e-14)
+        assert g.cell_volume * g.N == pytest.approx(40.0, rel=1e-14)
 
     def test_total_measure_2d(self):
         g = pr.Grid(n=2, L=3.0, N=7)
-        assert g.total_measure == pytest.approx(36.0, rel=1e-14)
+        assert g.cell_volume * g.N ** 2 == pytest.approx(36.0, rel=1e-14)
         assert g.cell_centers().shape == (2, 7, 7)
 
     def test_validation(self):

@@ -23,28 +23,6 @@ def diffusion_problem(N=200, L=10.0, alpha=1.0, n=1, u0=gaussian):
                       flux=pr.zero_flux_model(n), u0=u0)
 
 
-class TestKirchhoff:
-    def test_frozen_values(self):
-        assert sv.kirchhoff(2.0, 1.0) == pytest.approx(2.0)
-        assert sv.kirchhoff(-2.0, 1.0) == pytest.approx(-2.0)
-        assert sv.kirchhoff(2.0, 0.5) == pytest.approx(2.0 * math.sqrt(2.0) / 1.5,
-                                                       rel=1e-14)
-        assert sv.kirchhoff(0.0, 3.0) == 0.0
-
-    def test_odd_and_increasing(self):
-        u = np.linspace(-3, 3, 101)
-        g = sv.kirchhoff(u, 0.7)
-        assert np.allclose(g, -sv.kirchhoff(-u, 0.7), atol=1e-15)
-        assert np.all(np.diff(g) > 0)
-
-    def test_scalar_returns_float(self):
-        assert isinstance(sv.kirchhoff(1.5, 1.0), float)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            sv.kirchhoff(1.0, 0.0)
-
-
 def nan_below_flux(u_min=-0.45):
     """Linear flux f = u whose value is NaN below u_min; df_du stays 1."""
     def f(x, t, u):
@@ -202,7 +180,7 @@ def reference_step(u, t, dt, problem):
         return np.concatenate((lo, a, hi), axis=ax)
 
     grid, flux = problem.grid, problem.flux
-    G = sv.kirchhoff(u, problem.alpha)
+    G = np.abs(u) ** problem.alpha * u / (problem.alpha + 1.0)  # Kirchhoff transform
     new = u
     for ax in range(grid.n):
         axes = [grid.axis_interfaces() if b == ax else grid.axis_centers()

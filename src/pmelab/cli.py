@@ -282,6 +282,10 @@ def cmd_moser_table(args) -> int:
     _write_csv(paths["csv"], "moser-table",
                ["m", "A_m", "S_m", "A_limit_gap", "S_limit_gap"], rows)
     ex = exponents.exponent_set(args.n, args.q, args.alpha)
+    try:
+        ladder = exponents.moser_time_grid(args.m, 1.0)
+    except ConfigError:  # rungs closer than the float spacing near t = 1
+        ladder = None
     passed = math.isfinite(trace.K_bound)
     _write_json(paths["json"], {
         "q": args.q, "n": args.n, "alpha": args.alpha, "m": args.m,
@@ -289,7 +293,7 @@ def cmd_moser_table(args) -> int:
         "A_final_gap": rows[-1][3], "S_final_gap": rows[-1][4],
         "K_bound": trace.K_bound if passed else None,
         "exponents": {"beta": ex.beta, "theta": ex.theta, "gamma": ex.gamma},
-        "time_ladder": exponents.moser_time_grid(args.m, 1.0),
+        "time_ladder": ladder,
         "passed": passed,
     })
     print(f"moser-table: A_{args.m}={rows[-1][1]:.12g} (limit {A_inf:.12g}), "

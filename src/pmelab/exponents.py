@@ -60,10 +60,7 @@ def exponent_set(n: int, q: float, alpha: float) -> ExponentSet:
     delta_half, kappa_half = halving_exponents(n, q, alpha)
     beta = 2.0 * q / (q + alpha)
     theta = n * (q + alpha) / (n * q + 2.0 * q + 2.0 * n * alpha)
-    theta_beta = theta * beta
-    if theta_beta >= 2.0:
-        raise ConfigError(f"interpolation product theta*beta = {theta_beta} >= 2")
-    gamma = 2.0 / (2.0 - theta_beta)
+    gamma = 2.0 / (2.0 - theta * beta)  # theta*beta = 2nq/(nq + 2q + 2n alpha) < 2
     return ExponentSet(
         n=n, q=q, alpha=alpha,
         delta0=delta0, gamma0=gamma0,
@@ -142,13 +139,17 @@ def moser_limits(q: float, n: int, alpha: float) -> tuple[float, float]:
 
 
 def moser_time_grid(m: int, t: float) -> list[float]:
-    """Dyadic time ladder t_0 = 2^-m t, t_j = t_0 + (1 - 2^-j) t, ending at t."""
+    """Dyadic time ladder t_0 = 2^-m t, t_j = t_0 + (1 - 2^-j) t, ending at t; a
+    ConfigError when it does not increase strictly in floats (from about m = 53)."""
     if m < 1:
         raise ConfigError(f"iteration count must be >= 1, got {m}")
     if not 0 < t < math.inf:
         raise ConfigError(f"final time must be finite and > 0, got {t}")
     t0 = 2.0 ** (-m) * t
-    return [t0] + [t0 + (1.0 - 2.0 ** (-j)) * t for j in range(1, m + 1)]
+    ladder = [t0] + [t0 + (1.0 - 2.0 ** (-j)) * t for j in range(1, m + 1)]
+    if not all(a < b for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError(f"time ladder for m={m}, t={t!r} is not strictly increasing")
+    return ladder
 
 
 def moser_Kj_log_bound(j: int, q: float, n: int, alpha: float, C: float) -> float:

@@ -8,8 +8,8 @@ The update is monotone when dt (sum_ax lam_ax/dx + 2n max|u|^a/dx^2) <= 1,
 lam_ax being max|df_du| over the interface states of axis ax (Evje & Karlsen,
 SIAM J. Numer. Anal. 37, 2000); `stable_dt` returns cfl_safety times that
 bound. To get lam_ax it evaluates the flux, so it prepares the whole
-dt-independent part of the update and leaves it on the state it was given, for
-the `step` that follows on that state and problem. Each axis is computed along
+dt-independent part of the update and returns those terms beside dt;
+`advance` hands each state's terms to its `step`. Each axis is computed along
 axis 0 of swapaxes views, with the interface coordinates and scratch arrays of
 one cache per grid, axis and thread (`_axis`). The catalog's zero flux
 makes no flux calls: when f and df_du are both `problem.zero_evaluator` (by
@@ -32,13 +32,13 @@ from .problem import Grid, Problem, State, sample_initial, zero_evaluator
 _DEN_GUARD = 1e-300
 # a run is flagged once its boundary cells hold more than this share of the initial mass
 BOUNDARY_MASS_THRESHOLD = 1e-8
+MAX_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
     t_end: float
     cfl_safety: float = 0.9
-    max_steps: int = 2_000_000
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -46,8 +46,6 @@ class SchemeConfig:
             raise ConfigError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if not 0 < self.t_end < math.inf:
             raise ConfigError(f"t_end must be finite and > 0, got {self.t_end}")
-        if self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         times = tuple(sorted(float(t) for t in self.snapshot_times))
         if not all(0 <= t <= self.t_end for t in times):
             raise ConfigError(f"snapshot times {times} outside [0, {self.t_end}]")
@@ -65,17 +63,15 @@ class RunResult:
     boundary_flagged: bool
 
 
-def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> float:
-    """Largest monotone dt times cfl: cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2),
-    with lam_ax = max|df_du| over the interface states of axis ax. Prepares the
-    update on the way (see `_prepare`) and leaves it for `step` on the state, as
-    its `_prepared` attribute: (problem, terms)."""
+def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> tuple[float, list]:
+    """(dt, terms): cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2), lam_ax = max|df_du|
+    over the interface states of axis ax, and the dt-independent terms of the update
+    prepared on the way (see `_prepare`), for `step(state, problem, dt, terms)`."""
     rate, terms = _prepare(state, problem)
     dt = config.cfl_safety / (rate + _DEN_GUARD)
     if not math.isfinite(dt) or dt <= 0.0:
         raise RunError(f"stable dt underflowed at t={state.time} (dt={dt})")
-    object.__setattr__(state, "_prepared", (problem, terms))
-    return dt
+    return dt, terms
 
 
 @functools.lru_cache(maxsize=8)
@@ -141,13 +137,12 @@ def _prepare(state: State, problem: Problem) -> tuple[float, list]:
     return lam_adv + 2.0 * grid.n * float(a.max()) / dx ** 2, terms
 
 
-def step(state: State, problem: Problem, dt: float) -> State:
+def step(state: State, problem: Problem, dt: float, terms: list | None = None) -> State:
     """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis; dt
-    must respect the stable_dt bound. Uses the terms that stable_dt left on this
-    state for this very problem, else prepares them itself."""
-    entry = vars(state).pop("_prepared", None)
-    terms = (entry[1] if entry is not None and entry[0] is problem
-             else _prepare(state, problem)[1])
+    must respect the stable_dt bound. Applies the terms that stable_dt returned
+    for this state and problem, or prepares them itself when given none."""
+    if terms is None:
+        terms = _prepare(state, problem)[1]
     dx = state.grid.dx
     new = state.values
     for dF, lapG in terms:
@@ -168,18 +163,17 @@ def advance(states: tuple[State, ...], problem: Problem, config: SchemeConfig,
     t_tol = 1e-12 * max(1.0, config.t_end)
     for target in targets:
         while states[0].time < target - t_tol:
-            if steps >= config.max_steps:
+            if steps >= MAX_STEPS:
                 raise RunError(
-                    f"exceeded {config.max_steps} steps at t={states[0].time} "
-                    f"(target {target})")
+                    f"exceeded {MAX_STEPS} steps at t={states[0].time} (target {target})")
             try:
-                dts = []
+                prepared = []
                 for k, s in enumerate(states):
-                    dts.append(stable_dt(s, problem, config))
-                dt = min(min(dts), target - states[0].time)
+                    prepared.append(stable_dt(s, problem, config))
+                dt = min(min(d for d, _ in prepared), target - states[0].time)
                 stepped = []
                 for k, s in enumerate(states):
-                    stepped.append(step(s, problem, dt))
+                    stepped.append(step(s, problem, dt, prepared.pop(0)[1]))  # freed as used
             except RunError as exc:
                 where = f", {names[k]} branch" if names else ""
                 raise RunError(f"step {steps + 1}{where}: {exc}") from exc

@@ -62,9 +62,21 @@ UNREACHED_ON_PURPOSE = {
     "exponents.moser_B_bruteforce",  # literal-product oracle of moser_B (criterion 1)
     "exponents.moser_exponent_sum_bruteforce",  # literal-sum oracle of S_m (criterion 1)
     "barenblatt.sup_value",  # exact sup-norm power law, the oracle of criterion 3
+    "barenblatt.mass",  # exact conserved mass; test_barenblatt integrates against it
     # criterion 7; needs >= 20 snapshots, and decay-study runs with 13 in criterion 10
     "harness.audit_energy_inequality",
 }
+
+
+def _references(node) -> list[str]:
+    """The names that `node` reads, less the parameters and assignment targets
+    bound inside it: a local `mass` is not a reference to `barenblatt.mass`."""
+    bound = {a.arg for a in ast.walk(node) if isinstance(a, ast.arg)} | {
+        ref.id for ref in ast.walk(node)
+        if isinstance(ref, ast.Name) and isinstance(ref.ctx, ast.Store)}
+    return [_name(ref) for ref in ast.walk(node)
+            if isinstance(ref, ast.Attribute)
+            or isinstance(ref, ast.Name) and ref.id not in bound]
 
 
 def test_every_public_function_is_reached_from_the_cli():
@@ -93,8 +105,22 @@ def test_every_public_function_is_reached_from_the_cli():
         name = todo.pop()
         if name not in reached:
             reached.add(name)
-            todo += [_name(ref) for node in nodes.get(name, []) for ref in ast.walk(node)
-                     if isinstance(ref, (ast.Name, ast.Attribute))]
+            todo += [ref for node in nodes.get(name, []) for ref in _references(node)]
     unreached = {f"{module}.{qualname}" for module, qualname, name in public
                  if name not in reached}
     assert unreached == UNREACHED_ON_PURPOSE
+
+
+def test_frozen_objects_are_set_only_in_post_init():
+    # object.__setattr__ writes through a frozen dataclass; outside the class's
+    # own __post_init__ it would change an object after it is built
+    stray = []
+    for p in SOURCES:
+        tree = ast.parse(p.read_text())
+        building = {id(node) for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                    for node in ast.walk(fn)}
+        stray += [f"{p.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                  and _name(node.value) == "object" and id(node) not in building]
+    assert stray == []

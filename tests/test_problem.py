@@ -150,7 +150,7 @@ class TestBurgersFluxViews:
                            u0=base.u0)
             s = pr.sample_initial(p)
             for _ in range(50):
-                s = solver.step(s, p, solver.stable_dt(s, p, config))
+                s = solver.step(s, p, *solver.stable_dt(s, p, config))
             states.append(s)
         assert states[0].time == states[1].time
         assert np.array_equal(states[0].values, states[1].values)

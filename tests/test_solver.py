@@ -2,7 +2,6 @@ import dataclasses
 import math
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -51,7 +50,7 @@ class TestStableDt:
         p = diffusion_problem(N=200)
         u = np.full(grid.shape, 2.0)
         state = pr.State(values=u, time=0.0, grid=grid)
-        dt = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=0.9))
+        dt, _ = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=0.9))
         assert dt == pytest.approx(0.9 * 0.1 ** 2 / 4.0, rel=1e-9)
 
     def test_advection_dominates(self):
@@ -62,7 +61,7 @@ class TestStableDt:
                        flux=pr.linear_flux_model(5.0, 1),
                        u0=lambda x: 1e-6 * gaussian(x))
         state = pr.sample_initial(p)
-        dt = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
+        dt, _ = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
         umax = float(np.max(np.abs(state.values)))
         assert dt == pytest.approx(1.0 / (5.0 / 0.1 + 2.0 * umax / 0.01), rel=1e-12)
 
@@ -70,13 +69,13 @@ class TestStableDt:
         grid = pr.Grid(n=2, L=10.0, N=200)
         p = diffusion_problem(N=200, n=2, u0=lambda x: np.ones(x.shape[1:]))
         state = pr.sample_initial(p)
-        dt = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
+        dt, _ = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
         assert dt == pytest.approx(0.1 ** 2 / 4.0, rel=1e-9)
 
     def test_zero_state_finite(self):
         p = diffusion_problem(u0=lambda x: np.zeros(x.shape[1:]))
         state = pr.sample_initial(p)
-        dt = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0))
+        dt, _ = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0))
         assert math.isfinite(dt) and dt > 0
 
 
@@ -122,7 +121,7 @@ class TestStep:
         hi = pr.sample_initial(p)
         cfg = sv.SchemeConfig(t_end=1.0)
         for _ in range(200):
-            dt = min(sv.stable_dt(lo, p, cfg), sv.stable_dt(hi, p, cfg))
+            dt = min(sv.stable_dt(lo, p, cfg)[0], sv.stable_dt(hi, p, cfg)[0])
             lo = sv.step(lo, p, dt)
             hi = sv.step(hi, p, dt)
             assert np.all(hi.values - lo.values >= -1e-12)
@@ -136,7 +135,7 @@ class TestStep:
         hi = pr.State(values=mid.values + 0.05, time=0.0, grid=grid)
         cfg = sv.SchemeConfig(t_end=1.0)
         for _ in range(200):
-            dt = min(sv.stable_dt(mid, p, cfg), sv.stable_dt(hi, p, cfg))
+            dt = min(sv.stable_dt(mid, p, cfg)[0], sv.stable_dt(hi, p, cfg)[0])
             mid = sv.step(mid, p, dt)
             hi = sv.step(hi, p, dt)
             assert np.all(hi.values - mid.values >= -1e-12)
@@ -236,9 +235,9 @@ class TestStepKernel:
         u = s.values
         cfg = sv.SchemeConfig(t_end=1.0)
         for _ in range(50):
-            dt = sv.stable_dt(s, p, cfg)
+            dt, terms = sv.stable_dt(s, p, cfg)
             u = reference_step(u, s.time, dt, p)
-            s = sv.step(s, p, dt)
+            s = sv.step(s, p, dt, terms)
             assert np.array_equal(s.values, u)
 
     @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
@@ -298,8 +297,8 @@ class TestZeroFluxSkip:
         for label, (flux, skipped) in cases.items():
             p = pr.Problem(grid=grid, alpha=0.5, p0=1.0, flux=flux, u0=gaussian)
             s = pr.sample_initial(p)
-            sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0))
-            assert [dF is None for dF, _ in s._prepared[1]] == [skipped] * n, label
+            _, terms = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0))
+            assert [dF is None for dF, _ in terms] == [skipped] * n, label
         # a nonzero flux named "zero" steps exactly as the flux it is
         cfg = sv.SchemeConfig(t_end=0.2)
         named, real, zero = (
@@ -318,13 +317,10 @@ class TestHandoff:
         s = pr.sample_initial(p)
         cfg = sv.SchemeConfig(t_end=1.0)
         for _ in range(20):
-            dt = sv.stable_dt(s, p, cfg)
-            # an equal state that stable_dt never saw carries no prepared terms
-            cold = sv.step(pr.State(values=s.values, time=s.time, grid=s.grid), p, dt)
-            assert hasattr(s, "_prepared")
-            prepared, s = s, sv.step(s, p, dt)
-            assert not hasattr(prepared, "_prepared")
-            assert np.array_equal(s.values, cold.values) and s.time == cold.time
+            dt, terms = sv.stable_dt(s, p, cfg)
+            cold = sv.step(s, p, dt)
+            s = sv.step(s, p, dt, terms)
+            assert s.values.tobytes() == cold.values.tobytes() and s.time == cold.time
 
     @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
     def test_interleaved_preparations_stay_apart(self, n, flux, u0):
@@ -334,59 +330,11 @@ class TestHandoff:
         base = pr.sample_initial(p)
         states = [pr.State(values=c * base.values, time=0.0, grid=base.grid)
                   for c in (-0.5, 1.0, 2.0)]
-        dt = min(sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0)) for s in states)
-        cold = [sv.step(pr.State(values=s.values, time=0.0, grid=s.grid), p, dt)
-                for s in states]
-        for s, c in zip(states, cold):
-            assert np.array_equal(sv.step(s, p, dt).values, c.values)
-
-    @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
-    def test_other_problem_recomputes(self, n, flux, u0):
-        calls = [0]
-        p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=40 if n == 1 else 16), alpha=0.5,
-                       p0=1.0, flux=counting(flux, calls), u0=u0)
-        other = dataclasses.replace(p)
-        assert other == p and other is not p
-        s = pr.sample_initial(p)
-        dt = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0))
-        assert calls[0] == 2 * n
-        via_other = sv.step(s, other, dt)
-        assert calls[0] == 4 * n
-        # the terms were spent on the mismatched call, so this step recomputes too
-        assert not hasattr(s, "_prepared")
-        again = sv.step(s, p, dt)
-        assert calls[0] == 6 * n
-        assert np.array_equal(via_other.values, again.values)
-
-    def test_unstepped_terms_die_with_their_state(self):
-        p = pr.Problem(grid=pr.Grid(n=1, L=3.0, N=40), alpha=0.5, p0=1.0,
-                       flux=pr.burgers_flux_model(1), u0=gaussian)
-        s = pr.sample_initial(p)
-        sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0))
-        dF, lapG = s._prepared[1][0]
-        refs = [weakref.ref(dF), weakref.ref(lapG)]
-        del s, dF, lapG
-        assert all(r() is None for r in refs)
-
-    def test_run_and_sandwich_states_carry_no_terms(self, monkeypatch):
-        advance, seen = sv.advance, []
-
-        def recording(*args, **kwargs):
-            for states, dt in advance(*args, **kwargs):
-                seen.extend(states)
-                yield states, dt
-
-        monkeypatch.setattr(sv, "advance", recording)
-        p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=80), alpha=1.0, p0=1.0,
-                       flux=pr.burgers_flux_model(1),
-                       u0=lambda x: x[0] * np.exp(-x[0] ** 2))
-        res = sv.run(p, sv.SchemeConfig(t_end=0.5, snapshot_times=(0.1, 0.25)))
-        assert res.step_count > 0 and len(res.snapshots) == 3
-        assert not any(hasattr(s, "_prepared") for s in res.snapshots)
-        rep = hz.run_sandwich(p, 0.1, lambda x: np.ones(x.shape[1:]),
-                              sv.SchemeConfig(t_end=0.5))
-        assert rep.step_count > 0 and len(seen) > 3 * rep.step_count
-        assert not any(hasattr(s, "_prepared") for s in seen)
+        prepared = [sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0)) for s in states]
+        dt = min(d for d, _ in prepared)
+        for s, (_, terms) in zip(states, prepared):
+            handed, cold = sv.step(s, p, dt, terms), sv.step(s, p, dt)
+            assert handed.values.tobytes() == cold.values.tobytes()
 
 
 def test_threads_keep_their_own_scratch():
@@ -436,27 +384,43 @@ def test_monotone_step_size_keeps_sup_norm_from_rising(n, N, t_end):
 
 
 def test_run_and_sandwich_call_step_and_stable_dt_once_per_branch_step(monkeypatch):
-    # bench/run.py --trace counts cells through these two module functions
+    # bench/run.py --trace wraps these two module functions as below: it counts
+    # cells through them and hands each call a copy of the problem with traced
+    # f and df_du; here every call gets a fresh copy, so no step may lean on
+    # the identity of the problem its stable_dt saw
     calls = {"step": 0, "stable_dt": 0}
+    flux_calls = [0]
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(state, p, *rest):
             calls[name] += 1
-            return fn(*args)
+            return fn(state, dataclasses.replace(p, flux=counting(p.flux, flux_calls)), *rest)
         return wrapper
 
-    monkeypatch.setattr(sv, "step", counted("step", sv.step))
-    monkeypatch.setattr(sv, "stable_dt", counted("stable_dt", sv.stable_dt))
     p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=80), alpha=1.0, p0=1.0,
                    flux=pr.burgers_flux_model(1),
                    u0=lambda x: x[0] * np.exp(-x[0] ** 2))
-    res = sv.run(p, sv.SchemeConfig(t_end=0.5, snapshot_times=(0.1, 0.25)))
+    n = p.grid.n
+    cfg = sv.SchemeConfig(t_end=0.5, snapshot_times=(0.1, 0.25))
+    sandwich = (p, 0.1, lambda x: np.ones(x.shape[1:]), sv.SchemeConfig(t_end=0.5))
+    plain, plain_rep = sv.run(p, cfg), hz.run_sandwich(*sandwich)
+
+    monkeypatch.setattr(sv, "step", counted("step", sv.step))
+    monkeypatch.setattr(sv, "stable_dt", counted("stable_dt", sv.stable_dt))
+    res = sv.run(p, cfg)
     assert calls == {"step": res.step_count, "stable_dt": res.step_count}
+    assert flux_calls[0] == 2 * n * res.step_count
+    assert res.step_count == plain.step_count and len(res.snapshots) == 3
+    for a, b in zip(res.snapshots, plain.snapshots):
+        assert a.time == b.time and a.values.tobytes() == b.values.tobytes()
+
     calls.update(step=0, stable_dt=0)
-    rep = hz.run_sandwich(p, 0.1, lambda x: np.ones(x.shape[1:]),
-                          sv.SchemeConfig(t_end=0.5))
+    flux_calls[0] = 0
+    rep = hz.run_sandwich(*sandwich)
     assert rep.step_count > 0
     assert calls == {"step": 3 * rep.step_count, "stable_dt": 3 * rep.step_count}
+    assert flux_calls[0] == 2 * n * 3 * rep.step_count
+    assert rep == plain_rep
 
 
 class TestRun:
@@ -471,10 +435,11 @@ class TestRun:
         res = sv.run(p, sv.SchemeConfig(t_end=0.3))
         assert res.snapshots[-1].time == 0.3
 
-    def test_step_budget(self):
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(sv, "MAX_STEPS", 3)
         p = diffusion_problem(N=200)
         with pytest.raises(RunError, match="exceeded 3 steps"):
-            sv.run(p, sv.SchemeConfig(t_end=10.0, max_steps=3))
+            sv.run(p, sv.SchemeConfig(t_end=10.0))
 
     def test_blowup_names_the_step(self):
         p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=100), alpha=1.0, p0=1.0,

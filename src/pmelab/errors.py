@@ -6,4 +6,9 @@ class ConfigError(ValueError):
 
 
 class RunError(RuntimeError):
-    """A run, audit, fit, evaluation or plot could not complete."""
+    """A run, audit, fit, evaluation or plot could not complete. `branch` is the
+    leading index of a stacked state (see `problem.State`) where it failed, if any."""
+
+    def __init__(self, message: str, branch: int | None = None) -> None:
+        super().__init__(message)
+        self.branch = branch

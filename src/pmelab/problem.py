@@ -2,12 +2,9 @@
 and sampled checks of the structural hypotheses on the flux.
 
 Flux evaluators are opaque callables ``(x, t, u) -> (n,) + shape(u)`` arrays
-(possibly read-only views) that must broadcast and be pointwise: the solver
-evaluates the left then the right states of all interfaces normal to one axis
-in one call, joined along that axis and with that axis moved first, with x
-shaped (n,) + shape(u), so an evaluator must not reduce over cell axes or mix
-values between cells. Their stated derivatives are verified by finite
-differences, never trusted.
+(possibly read-only views) that must broadcast and be pointwise (see
+`FluxModel`). Their stated derivatives are verified by finite differences,
+never trusted.
 """
 
 from __future__ import annotations
@@ -63,7 +60,14 @@ class Grid:
 
 @dataclass(frozen=True)
 class FluxModel:
-    """Evaluator bundle for f, its u-derivative, and its x-divergence at frozen u."""
+    """Evaluator bundle for f, its u-derivative, and its x-divergence at frozen u.
+
+    The solver calls f and df_du once per axis and step on the left then the
+    right states of all interfaces normal to that axis, joined along it and with
+    it moved first. For a stacked state (see `State`) u also has a branch axis,
+    where x has a singleton axis: x is shaped (n,) + shape(u) with that axis set
+    to 1, so f and df_du must broadcast x against u, and must not reduce over
+    cell or branch axes or mix values between cells."""
 
     name: str
     f: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
@@ -74,7 +78,9 @@ class FluxModel:
 
 @dataclass(frozen=True)
 class State:
-    """Discrete solution snapshot: cell averages on a grid at one time."""
+    """Discrete solution snapshot: cell averages on a grid at one time. The values
+    have the grid's shape, or (B,) + grid shape for B >= 1 solutions (branches)
+    stacked along a leading axis and stepped together."""
 
     values: np.ndarray
     time: float
@@ -82,12 +88,15 @@ class State:
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise ConfigError(
-                f"state shape {vals.shape} does not match grid shape {self.grid.shape}")
+        shape = self.grid.shape
+        if vals.shape != shape and (vals.shape[1:] != shape or vals.shape[0] < 1):
+            raise ConfigError(f"state shape {vals.shape} is neither the grid shape "
+                              f"{shape} nor (B,) + {shape}, B >= 1")
         if not np.isfinite(vals).all():
+            b = vals.ndim - self.grid.n
             idx = tuple(int(k) for k in np.argwhere(~np.isfinite(vals))[0])
-            raise RunError(f"non-finite value at cell {idx}, t={self.time}")
+            raise RunError(f"non-finite value at cell {idx[b:]}, t={self.time}",
+                           branch=idx[0] if b else None)
         if not 0 <= self.time < np.inf:
             raise ConfigError(f"time must be finite and >= 0, got {self.time}")
         vals.setflags(write=False)

@@ -56,6 +56,38 @@ def test_non_finite_settings_are_config_errors(bad):
         solver.SchemeConfig(t_end=1.0, snapshot_times=(0.5, bad))
 
 
+class TestStateShape:
+    @pytest.mark.parametrize("n", (1, 2))
+    @pytest.mark.parametrize("B", (1, 3))
+    def test_stack_of_branches_is_accepted(self, n, B):
+        grid = pr.Grid(n=n, L=1.0, N=4)
+        s = pr.State(values=np.zeros((B,) + grid.shape), time=0.0, grid=grid)
+        assert s.values.shape == (B,) + grid.shape and not s.values.flags.writeable
+
+    @pytest.mark.parametrize("n, shape", [
+        (1, (5,)), (1, (3, 5)), (1, (2, 3, 4)), (1, (0, 4)), (1, ()),
+        (2, (4,)), (2, (4, 5)), (2, (3, 4, 5)), (2, (2, 3, 4, 4)), (2, (0, 4, 4)),
+    ], ids=["1d-cells", "1d-stack-cells", "1d-extra-axis", "1d-empty-stack", "1d-scalar",
+            "2d-one-axis", "2d-cells", "2d-stack-cells", "2d-extra-axis", "2d-empty-stack"])
+    def test_other_shapes_are_config_errors(self, n, shape):
+        with pytest.raises(ConfigError, match="state shape"):
+            pr.State(values=np.zeros(shape), time=0.0, grid=pr.Grid(n=n, L=1.0, N=4))
+
+    def test_non_finite_check_covers_the_stack(self):
+        grid = pr.Grid(n=2, L=1.0, N=4)
+        values = np.zeros((3,) + grid.shape)
+        values[2, 1, 3] = np.nan
+        with pytest.raises(RunError, match=r"cell \(1, 3\)") as exc:
+            pr.State(values=values, time=0.0, grid=grid)
+        assert exc.value.branch == 2
+        values[2, 1, 3] = 0.0
+        values = values[0]
+        values[0, 1] = np.inf
+        with pytest.raises(RunError, match=r"cell \(0, 1\)") as exc:
+            pr.State(values=values, time=0.0, grid=grid)
+        assert exc.value.branch is None
+
+
 class TestFluxConsistency:
     # every shipped flux model must pass the finite-difference cross-check
     @pytest.mark.parametrize("flux", [

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmelab import barenblatt as bb
 from pmelab import harness as hz
@@ -337,6 +339,47 @@ class TestHandoff:
             assert handed.values.tobytes() == cold.values.tobytes()
 
 
+@given(data=st.data())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_stacked_advance_steps_each_branch_as_alone(data):
+    # a stacked state (the sandwich's branches) must give every branch, at
+    # every step, the bits of its own stable_dt and step with the shared dt
+    n = data.draw(st.sampled_from((1, 2)), label="n")
+    name = data.draw(st.sampled_from(
+        [k for k in sorted(pr.FLUX_CATALOG) if n == 1 or k != "figure1"]), label="flux")
+    params = {"c": data.draw(st.floats(-3.0, 3.0), label="c")} if name == "linear" else {}
+    boundary = data.draw(st.sampled_from(pr.BOUNDARY_POLICIES), label="boundary")
+    alpha = data.draw(st.floats(0.25, 2.0), label="alpha")
+    B = data.draw(st.integers(1, 3), label="B")
+    amps = data.draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)),
+                              min_size=B, max_size=B), label="amplitudes")
+    grid = pr.Grid(n=n, L=3.0, N=24 if n == 1 else 10)
+    p = pr.Problem(grid=grid, alpha=alpha, p0=1.0, flux=pr.flux_from_config(name, params, n),
+                   u0=gaussian, boundary_policy=boundary)
+    x = grid.cell_centers()
+    r2 = np.sum(x ** 2, axis=0)
+    branches = [pr.State(values=a * x[0] * np.exp(-r2) + c * np.exp(-r2 / 4.0),
+                         time=0.0, grid=grid) for a, c in amps]
+    stacked = pr.State(values=np.stack([s.values for s in branches]), time=0.0, grid=grid)
+    cfg = sv.SchemeConfig(t_end=0.06)
+    pending = [0.02, cfg.t_end]  # the targets not yet reached
+    steps = 0
+    for stacked, dt in sv.advance(stacked, p, cfg, tuple(pending)):
+        if dt is None:
+            target = pending.pop(0)
+            branches = [pr.State(values=s.values, time=target, grid=grid) for s in branches]
+        else:
+            steps += 1
+            prepared = [sv.stable_dt(s, p, cfg) for s in branches]
+            ref_dt = min(min(d for d, _ in prepared), pending[0] - branches[0].time)
+            branches = [sv.step(s, p, ref_dt, terms) for s, (_, terms) in zip(branches, prepared)]
+            assert dt == ref_dt
+        assert [stacked.time] * B == [s.time for s in branches]
+        for k, s in enumerate(branches):
+            assert stacked.values[k].tobytes() == s.values.tobytes(), (steps, k)
+    assert steps > 0 and stacked.time == cfg.t_end
+
+
 def test_threads_keep_their_own_scratch():
     # runs on one grid shape in more threads than cores, switching often
     def problem(amp):
@@ -383,17 +426,20 @@ def test_monotone_step_size_keeps_sup_norm_from_rising(n, N, t_end):
     assert rises == []
 
 
-def test_run_and_sandwich_call_step_and_stable_dt_once_per_branch_step(monkeypatch):
+def test_run_and_sandwich_call_step_and_stable_dt_once_per_step(monkeypatch):
     # bench/run.py --trace wraps these two module functions as below: it counts
     # cells through them and hands each call a copy of the problem with traced
     # f and df_du; here every call gets a fresh copy, so no step may lean on
-    # the identity of the problem its stable_dt saw
+    # the identity of the problem its stable_dt saw. The sandwich steps its
+    # three branches as one stacked state: one call each per lockstep step.
     calls = {"step": 0, "stable_dt": 0}
     flux_calls = [0]
+    cells = [0]
 
     def counted(name, fn):
         def wrapper(state, p, *rest):
             calls[name] += 1
+            cells[0] += state.values.size if name == "step" else 0
             return fn(state, dataclasses.replace(p, flux=counting(p.flux, flux_calls)), *rest)
         return wrapper
 
@@ -415,11 +461,12 @@ def test_run_and_sandwich_call_step_and_stable_dt_once_per_branch_step(monkeypat
         assert a.time == b.time and a.values.tobytes() == b.values.tobytes()
 
     calls.update(step=0, stable_dt=0)
-    flux_calls[0] = 0
+    flux_calls[0] = cells[0] = 0
     rep = hz.run_sandwich(*sandwich)
     assert rep.step_count > 0
-    assert calls == {"step": 3 * rep.step_count, "stable_dt": 3 * rep.step_count}
-    assert flux_calls[0] == 2 * n * 3 * rep.step_count
+    assert calls == {"step": rep.step_count, "stable_dt": rep.step_count}
+    assert flux_calls[0] == 2 * n * rep.step_count
+    assert cells[0] == 3 * p.grid.N * rep.step_count
     assert rep == plain_rep
 
 

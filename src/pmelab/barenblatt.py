@@ -81,11 +81,10 @@ def support_radius(profile: BarenblattProfile, t: float) -> float:
     return float(np.sqrt(profile.C / profile.b_coef)) * s ** (profile.k_exp / profile.n)
 
 
-def mass(profile: BarenblattProfile, t: float = 1.0) -> float:
-    """L^1 norm, time-independent by self-similarity: the integral of
-    (C - b|y|^2)_+^(1/a) over R^n, which is
+def mass(profile: BarenblattProfile) -> float:
+    """L^1 norm at every t > 0, time-independent by self-similarity: the integral
+    of (C - b|y|^2)_+^(1/a) over R^n, which is
     C^(1/a + n/2) b^(-n/2) pi^(n/2) Gamma(1/a + 1) / Gamma(1/a + 1 + n/2)."""
-    _rescaled_time(profile, t)  # checks t, which the mass does not depend on
     p, h = 1.0 / profile.alpha, profile.n / 2.0
     return (profile.C ** (p + h) * profile.b_coef ** (-h) * math.pi ** h
             * math.exp(math.lgamma(p + 1.0) - math.lgamma(p + 1.0 + h)))

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import barenblatt, exponents, harness, solver, svg
 from .errors import ConfigError, RunError
-from .problem import (Grid, Problem, check_divergence_condition, check_flux_consistency,
-                      check_lipschitz_in_u, flux_from_config, problem_from_mapping,
-                      read_config, zero_flux_model)
+from .problem import (DIVERGENCE_MIN_SAMPLES, Grid, Problem, check_divergence_condition,
+                      check_flux_consistency, check_lipschitz_in_u, flux_from_config,
+                      problem_from_mapping, read_config, zero_flux_model)
 
 
 def _stamp(settings: dict) -> str:
@@ -74,11 +74,14 @@ def _problem_from_args(args, base: dict[str, str] | None = None) -> tuple[Proble
 
 def _number_list(option: str, text: str, admissible, requirement: str) -> list[float]:
     """The comma-separated numbers of `option` ('inf' or 'oo' for infinity), every
-    entry checked before any work; a bad one is a ConfigError naming the option."""
+    entry checked before any work; a bad or repeated one is a ConfigError naming
+    the option."""
     values = [math.inf if s in ("inf", "oo") else float(s) for s in text.split(",")]
-    for v in values:
+    for i, v in enumerate(values):
         if not admissible(v):
             raise ConfigError(f"{option} entries must be {requirement}, got {v}")
+        if v in values[:i]:
+            raise ConfigError(f"{option} entries must differ, got {v} twice")
     return values
 
 
@@ -232,22 +235,22 @@ def cmd_decay_study(args) -> int:
                 "snapshots": args.snapshots}
     paths = _out_paths(args.outdir, "decay-study", settings)
 
-    rows, fits, records, smoothing = [], {}, [], {}
+    rows, fits, smoothing, plotted = [], {}, {}, None
     for alpha in alphas:
         result = solver.run(dataclasses.replace(problem, alpha=alpha), config)
         recs = {q: harness.decay_record(result, q, window) for q in q_list}
-        records.append(recs)
-        smoothing[f"alpha={alpha:g}"] = harness.audit_smoothing(result, problem.p0, alpha)
+        report = harness.audit_smoothing(result, problem.p0, alpha)
+        smoothing[f"alpha={alpha:g}"] = report
         for q, rec in recs.items():
             for t, v in rec.series:
                 rows.append((alpha, str(q), t, v))
-            _, gamma0 = exponents.smoothing_exponents(problem.grid.n, problem.p0, alpha)
             fits[f"alpha={alpha:g},q={q}"] = {
                 "slope": rec.fitted_slope,
                 "intercept": rec.fitted_intercept,
                 "r_squared": rec.r_squared,
-                "reference_rate": -gamma0 if q == math.inf else None,
+                "reference_rate": -report.gamma0 if q == math.inf else None,
             }
+        plotted = plotted or recs[q_list[-1]]  # the first alpha's last q
     _write_csv(paths["csv"], "decay-series", ["alpha", "q", "t", "norm"], rows)
     passed = all(s.passed for s in smoothing.values())
     _write_json(paths["json"], {
@@ -255,15 +258,14 @@ def cmd_decay_study(args) -> int:
         "smoothing_last_decade_variation": {k: s.last_decade_variation
                                             for k, s in smoothing.items()},
         "passed": passed})
-    rec = records[0][q_list[-1]]
-    fit_ts = [t for t, _ in rec.series if window[0] <= t <= window[1]]
-    fit_vs = [math.exp(rec.fitted_intercept) * t ** rec.fitted_slope for t in fit_ts]
+    fit_ts = [t for t, _ in plotted.series if window[0] <= t <= window[1]]
+    fit_vs = [math.exp(plotted.fitted_intercept) * t ** plotted.fitted_slope for t in fit_ts]
     svg.write_svg(paths["svg"], [
-        svg.Curve([t for t, _ in rec.series if t > 0],
-                  [v for t, v in rec.series if t > 0], label="norm", kind="points"),
+        svg.Curve([t for t, _ in plotted.series if t > 0],
+                  [v for t, v in plotted.series if t > 0], label="norm", kind="points"),
         svg.Curve(fit_ts, fit_vs, label="fit"),
     ], title="norm decay", xlabel="t", ylabel="norm", logx=True, logy=True,
-        annotations=[svg.Annotation(0.08, 0.10, f"slope {rec.fitted_slope:.4f}")])
+        annotations=[svg.Annotation(0.08, 0.10, f"slope {plotted.fitted_slope:.4f}")])
     print("decay-study: " + "; ".join(f"{k}: slope={v['slope']:.4f}" for k, v in fits.items())
           + f" passed={passed}")
     return 0 if passed else 1
@@ -302,6 +304,8 @@ def cmd_moser_table(args) -> int:
 
 
 def cmd_check_flux(args) -> int:
+    if args.samples < DIVERGENCE_MIN_SAMPLES:
+        raise ConfigError(f"--samples must be >= {DIVERGENCE_MIN_SAMPLES}, got {args.samples}")
     params = {}
     if args.k is not None:
         params["k"] = args.k
@@ -316,7 +320,7 @@ def cmd_check_flux(args) -> int:
     report = check_divergence_condition(flux, grid, (args.umin, args.umax),
                                         samples=args.samples)
     M = max(abs(args.umin), abs(args.umax))
-    lipschitz = check_lipschitz_in_u(flux, grid, M, T=1.0)
+    C_f = check_lipschitz_in_u(flux, grid, M)
     consistency = check_flux_consistency(flux, grid, (-M, M))
     passed = report.satisfied and consistency.ok
     _write_json(paths["json"], {
@@ -326,7 +330,7 @@ def cmd_check_flux(args) -> int:
         "witness": {"x": list(report.witness[0]), "t": report.witness[1],
                     "u": report.witness[2]},
         "consistency": dataclasses.asdict(consistency),
-        "lipschitz": dataclasses.asdict(lipschitz),
+        "lipschitz": {"C_f": C_f},
         "passed": passed,
     })
     _write_csv(paths["csv"], "check-flux",
@@ -335,7 +339,7 @@ def cmd_check_flux(args) -> int:
                  report.witness[0][0], report.witness[1], report.witness[2])])
     print(f"check-flux {args.flux}: satisfied={report.satisfied} "
           f"worst={report.worst_violation:.3e} witness={report.witness} "
-          f"consistent={consistency.ok} C_f={lipschitz.C_f:.6g} passed={passed}")
+          f"consistent={consistency.ok} C_f={C_f:.6g} passed={passed}")
     return 0 if passed else 1
 
 

@@ -40,15 +40,11 @@ def halving_exponents(n: int, q: float, alpha: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ExponentSet:
-    """All decay/iteration constants for one parameter triple (n, q, alpha)."""
+    """The interpolation triple beta, theta, gamma for one (n, q, alpha)."""
 
     n: int
     q: float
     alpha: float
-    delta0: float
-    gamma0: float
-    delta_half: float
-    kappa_half: float
     theta: float
     beta: float
     gamma: float
@@ -56,17 +52,10 @@ class ExponentSet:
 
 def exponent_set(n: int, q: float, alpha: float) -> ExponentSet:
     _check_params(n, q, alpha)
-    delta0, gamma0 = smoothing_exponents(n, q, alpha)
-    delta_half, kappa_half = halving_exponents(n, q, alpha)
     beta = 2.0 * q / (q + alpha)
     theta = n * (q + alpha) / (n * q + 2.0 * q + 2.0 * n * alpha)
     gamma = 2.0 / (2.0 - theta * beta)  # theta*beta = 2nq/(nq + 2q + 2n alpha) < 2
-    return ExponentSet(
-        n=n, q=q, alpha=alpha,
-        delta0=delta0, gamma0=gamma0,
-        delta_half=delta_half, kappa_half=kappa_half,
-        theta=theta, beta=beta, gamma=gamma,
-    )
+    return ExponentSet(n=n, q=q, alpha=alpha, theta=theta, beta=beta, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +141,10 @@ def moser_time_grid(m: int, t: float) -> list[float]:
     return ladder
 
 
+# stand-in value of the interpolation constant in the K_bound of moser_trace
+INTERPOLATION_C = 2.0
+
+
 def moser_Kj_log_bound(j: int, q: float, n: int, alpha: float, C: float) -> float:
     """Log of the upper bound for the j-th iterate's multiplicative constant,
     given a stand-in value C for the interpolation constant.
@@ -188,14 +181,14 @@ class MoserTrace:
     K_bound: float
 
 
-def moser_trace(q: float, n: int, alpha: float, m: int, C: float = 2.0) -> MoserTrace:
+def moser_trace(q: float, n: int, alpha: float, m: int) -> MoserTrace:
     _check_params(n, q, alpha)
     if m < 1:
         raise ConfigError(f"iteration count must be >= 1, got {m}")
     A = [moser_A(k, q, n, alpha) for k in range(1, m + 1)]
     B = [moser_B(j, m, q, n, alpha) for j in range(m + 1)]
     S = [moser_exponent_sum(k, q, n, alpha) for k in range(1, m + 1)]
-    log_prod = sum(moser_B(m - j, m, q, n, alpha) * moser_Kj_log_bound(j, q, n, alpha, C)
+    log_prod = sum(B[m - j] * moser_Kj_log_bound(j, q, n, alpha, INTERPOLATION_C)
                    for j in range(1, m + 1))
     try:
         K_bound = math.exp(log_prod)

@@ -222,8 +222,8 @@ def run_sandwich(problem: Problem, eps: float,
                  config: SchemeConfig) -> SandwichReport:
     """Three lockstep runs from -u0^- - eps psi <= u0 <= u0^+ + eps psi, stepped
     as the rows of one stacked state and so sharing one dt sequence (the minimum
-    of the three stability bounds per step); reports the most negative pointwise
-    ordering violation over all steps."""
+    of the three stability bounds per step) that lands on config's snapshot times;
+    reports the most negative pointwise ordering violation over all steps."""
     if not 0 < eps < math.inf:
         raise ConfigError(f"perturbation size must be finite and > 0, got {eps}")
     grid = problem.grid
@@ -239,7 +239,7 @@ def run_sandwich(problem: Problem, eps: float,
     worst_high = float((high.values - mid.values).min())
     steps = 0
     stack = State(values=np.stack((low.values, mid.values, high.values)), time=0.0, grid=grid)
-    for stack, dt in solver.advance(stack, problem, config, (config.t_end,),
+    for stack, dt in solver.advance(stack, problem, config,
                                     names=("lower", "middle", "upper")):
         if dt is None:
             continue

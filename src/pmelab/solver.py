@@ -198,18 +198,19 @@ def step(state: State, problem: Problem, dt: float, terms: list | None = None) -
     return State(values=new, time=state.time + dt, grid=state.grid)
 
 
-def advance(state: State, problem: Problem, config: SchemeConfig, targets,
+def advance(state: State, problem: Problem, config: SchemeConfig,
             names: tuple[str, ...] = ()) -> Iterator[tuple[State, float | None]]:
-    """Step `state` through the sorted `targets`, each step by its stable_dt
-    clipped to the next target; the branches of a stacked state share that dt.
+    """Step `state` through the landing times, config's snapshot times and t_end
+    in increasing order, each step by its stable_dt clipped to the next landing
+    time; the branches of a stacked state share that dt.
 
     Yields ``(state, dt)`` after every step, and ``(state, None)`` with the
-    time set exactly to the target each time one is reached. `names` label the
-    branches, by leading index, in the error raised when preparing or taking a
-    step fails."""
+    time set exactly to the landing time each time one is reached. `names` label
+    the branches, by leading index, in the error raised when preparing or taking
+    a step fails."""
     steps = 0
     t_tol = 1e-12 * max(1.0, config.t_end)
-    for target in targets:
+    for target in sorted(set(config.snapshot_times) | {config.t_end}):
         while state.time < target - t_tol:
             if steps >= MAX_STEPS:
                 raise RunError(
@@ -251,8 +252,7 @@ def run(problem: Problem, config: SchemeConfig) -> RunResult:
     snapshots: list[State] = []
     dts: list[float] = []
 
-    targets = sorted(set(config.snapshot_times) | {config.t_end})
-    for state, dt in advance(state, problem, config, targets):
+    for state, dt in advance(state, problem, config):
         if dt is None:
             snapshots.append(state)
             continue

@@ -41,7 +41,7 @@ def test_every_time_dependent_function_rejects_bad_t(t):
     with pytest.raises(ConfigError, match="finite t > 0"):
         bb._rescaled_time(p, t)
     for call in (lambda: bb.evaluate(p, 0.0, t), lambda: bb.sup_value(p, t),
-                 lambda: bb.support_radius(p, t), lambda: bb.mass(p, t)):
+                 lambda: bb.support_radius(p, t)):
         with pytest.raises(ConfigError, match="finite t > 0"):
             call()
 
@@ -80,13 +80,15 @@ def test_mass_frozen_value():
 
 
 def test_mass_time_independent_and_monotone_in_C():
-    p = bb.BarenblattProfile(n=1, alpha=1.0, C=1.0)
-    m1 = bb.mass(p, 1.0)
-    assert bb.mass(p, 2.0) == pytest.approx(m1, rel=1e-8)
-    assert bb.mass(p, 5.0) == pytest.approx(m1, rel=1e-8)
+    # the mass takes no t: the profile integrates to it at every time
+    for p, N in ((bb.BarenblattProfile(n=1, alpha=1.0, C=1.0), 20001),
+                 (bb.BarenblattProfile(n=2, alpha=1.0, C=0.5), 801)):
+        for t in (1.0, 2.0, 5.0):
+            grid = Grid(n=p.n, L=1.05 * bb.support_radius(p, t), N=N)
+            total = float(np.sum(bb.evaluate(p, grid.cell_centers(), t))) * grid.cell_volume
+            assert bb.mass(p) == pytest.approx(total, rel=1e-5)
+    m1 = bb.mass(bb.BarenblattProfile(n=1, alpha=1.0, C=1.0))
     assert bb.mass(bb.BarenblattProfile(n=1, alpha=1.0, C=2.0)) > m1
-    p2 = bb.BarenblattProfile(n=2, alpha=1.0, C=0.5)
-    assert bb.mass(p2, 5.0) == pytest.approx(bb.mass(p2, 1.0), rel=1e-8)
 
 
 @pytest.mark.parametrize("n, N", [(1, 20001), (2, 801)])
@@ -96,7 +98,7 @@ def test_mass_matches_midpoint_sum(n, N, alpha, C):
     p = bb.BarenblattProfile(n=n, alpha=alpha, C=C)
     grid = Grid(n=n, L=1.05 * bb.support_radius(p, 1.5), N=N)
     total = float(np.sum(bb.evaluate(p, grid.cell_centers(), 1.5))) * grid.cell_volume
-    assert bb.mass(p, 1.5) == pytest.approx(total, rel=1e-5)
+    assert bb.mass(p) == pytest.approx(total, rel=1e-5)
 
 
 def test_sup_norm_decay_slope_equals_smoothing_rate():

@@ -143,6 +143,12 @@ class TestExitCodes:
         (["check-flux", "--flux", "linear", "--c", "nan"], "'linear' parameter c"),
         (["check-flux", "--flux", "burgers", "--umin", "0", "--umax", "0"], "u bound M > 0"),
         (["run", "--snapshots", "0", "--t-end", "0.1"], "--snapshots"),
+        (["check-flux", "--flux", "burgers", "--samples", "5"], "--samples"),
+        (["check-flux", "--flux", "burgers", "--samples", "63"], "--samples"),
+        (["sandwich", "--eps-list", "0.1,0.1", "--t-end", "0.05"], "--eps-list"),
+        (["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "2,2"], "--q-list"),
+        (["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "inf,1,oo"], "--q-list"),
+        (["decay-study", "--set", "N=50", "--t-end", "1", "--alphas", "1,1.0"], "--alphas"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
@@ -150,7 +156,9 @@ class TestExitCodes:
             "repeated-grid", "descending-grids", "q-list-nan", "q-list-below-1",
             "alphas-nan", "sandwich-late-eps-nan", "gaussian-width-0",
             "gaussian-width-negative", "gaussian-amp-inf", "linear-c-nan",
-            "check-flux-c-nan", "check-flux-zero-range", "run-snapshots-0"])
+            "check-flux-c-nan", "check-flux-zero-range", "run-snapshots-0",
+            "check-flux-samples-5", "check-flux-samples-63", "eps-repeated",
+            "q-list-repeated", "q-list-inf-repeated", "alphas-repeated"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []

@@ -61,6 +61,8 @@ UNREACHED_ON_PURPOSE = {
     "exponents.moser_A_bruteforce",  # literal-product oracle of moser_A (criterion 1)
     "exponents.moser_B_bruteforce",  # literal-product oracle of moser_B (criterion 1)
     "exponents.moser_exponent_sum_bruteforce",  # literal-sum oracle of S_m (criterion 1)
+    # the paper's norm-halving exponents in closed form; test_halving_* pins them
+    "exponents.halving_exponents",
     "barenblatt.sup_value",  # exact sup-norm power law, the oracle of criterion 3
     "barenblatt.mass",  # exact conserved mass; test_barenblatt integrates against it
     # criterion 7; needs >= 20 snapshots, and decay-study runs with 13 in criterion 10

@@ -241,13 +241,17 @@ def test_Kj_partial_sums_converge():
 
 
 def test_moser_trace():
-    tr = ex.moser_trace(1.0, 1, 1.0, 20, C=2.0)
+    tr = ex.moser_trace(1.0, 1, 1.0, 20)
     assert len(tr.A) == 20 and len(tr.B) == 21 and len(tr.S) == 20
     assert tr.B[0] == 1.0
     assert all(0 < a <= 1 for a in tr.A)
     assert all(b < a for a, b in zip(tr.A, tr.A[1:]))
     assert all(0 < b <= 1 for b in tr.B)
     assert math.isfinite(tr.K_bound) and tr.K_bound > 0
+    # the bound from moser_B computed afresh for each j, with C = 2
+    log_prod = sum(ex.moser_B(20 - j, 20, 1.0, 1, 1.0)
+                   * ex.moser_Kj_log_bound(j, 1.0, 1, 1.0, 2.0) for j in range(1, 21))
+    assert tr.K_bound == math.exp(log_prod)
     assert math.isfinite(ex.moser_trace(1.0, 1, 1.0, 1100).K_bound)
 
 

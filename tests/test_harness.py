@@ -203,6 +203,22 @@ class TestSandwich:
                         norm(np.maximum(base, 0.0) + eps * w)) ** delta0
         assert hz.sandwich_envelope(p, *self.outer_data(p, eps, psi)) == reference
 
+    def test_lands_on_snapshot_times(self, monkeypatch):
+        # a landing sets the time exactly, so the next step starts at it
+        starts, step = [], sv.step
+
+        def recording_step(state, *rest):
+            starts.append(state.time)
+            return step(state, *rest)
+
+        monkeypatch.setattr(sv, "step", recording_step)
+        times = (0.013, 0.05, 0.1)
+        psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))
+        rep = hz.run_sandwich(self.make_problem(N=50), 0.1, psi,
+                              sv.SchemeConfig(t_end=0.2, snapshot_times=times))
+        assert set(times) <= set(starts)
+        assert rep.step_count == len(starts)
+
     def test_psi_must_be_positive(self):
         p = self.make_problem(N=50)
         with pytest.raises(ConfigError):

@@ -98,7 +98,7 @@ class TestFluxConsistency:
     ], ids=lambda f: f.name)
     def test_catalog_1d(self, flux):
         grid = pr.Grid(n=1, L=10.0, N=32)
-        rep = pr.check_flux_consistency(flux, grid, samples=1000, rtol=1e-5)
+        rep = pr.check_flux_consistency(flux, grid)
         assert rep.ok, rep
 
     @pytest.mark.parametrize("flux", [
@@ -108,7 +108,7 @@ class TestFluxConsistency:
     ], ids=lambda f: f.name)
     def test_catalog_2d(self, flux):
         grid = pr.Grid(n=2, L=5.0, N=16)
-        rep = pr.check_flux_consistency(flux, grid, samples=300, rtol=1e-5)
+        rep = pr.check_flux_consistency(flux, grid)
         assert rep.ok, rep
 
     @pytest.mark.parametrize("flux, grid", [
@@ -118,8 +118,8 @@ class TestFluxConsistency:
     ], ids=lambda v: getattr(v, "name", None) or f"n{v.n}")
     def test_matches_per_sample_loop(self, flux, grid):
         # the same arithmetic sample by sample, so the errors agree exactly
-        rep = pr.check_flux_consistency(flux, grid, samples=200)
-        assert (rep.max_df_du_error, rep.max_div_error) == per_sample_errors(flux, grid, 200)
+        rep = pr.check_flux_consistency(flux, grid)
+        assert (rep.max_df_du_error, rep.max_div_error) == per_sample_errors(flux, grid)
 
     def test_nonfinite_names_first_sample(self):
         def f(x, t, u):
@@ -130,9 +130,9 @@ class TestFluxConsistency:
                             div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
         grid = pr.Grid(n=1, L=10.0, N=32)
         with pytest.raises(RunError) as loop:
-            per_sample_errors(flux, grid, 200)
+            per_sample_errors(flux, grid)
         with pytest.raises(RunError, match="non-finite flux derivative") as vec:
-            pr.check_flux_consistency(flux, grid, samples=200)
+            pr.check_flux_consistency(flux, grid)
         assert str(vec.value) == str(loop.value)
 
 
@@ -164,8 +164,8 @@ class TestBurgersFluxViews:
     @pytest.mark.parametrize("n", [1, 2])
     def test_consistency_errors_unchanged(self, n):
         grid = pr.Grid(n=n, L=5.0, N=16)
-        assert (pr.check_flux_consistency(pr.burgers_flux_model(n), grid, samples=300)
-                == pr.check_flux_consistency(stacked_burgers(n), grid, samples=300))
+        assert (pr.check_flux_consistency(pr.burgers_flux_model(n), grid)
+                == pr.check_flux_consistency(stacked_burgers(n), grid))
 
     @pytest.mark.parametrize("n, N", [(1, 120), (2, 24)])
     def test_steps_equal_writable_copies(self, n, N):
@@ -188,8 +188,9 @@ class TestBurgersFluxViews:
         assert np.array_equal(states[0].values, states[1].values)
 
 
-def per_sample_errors(flux, grid, samples, seed=12345):
-    """Reference for check_flux_consistency: one sample at a time."""
+def per_sample_errors(flux, grid, samples=1000, seed=12345):
+    """Reference for check_flux_consistency (1000 samples from seed 12345): one
+    sample at a time."""
     rng = np.random.default_rng(seed)
     n = grid.n
     xs = rng.uniform(-grid.L, grid.L, size=(n, samples))
@@ -250,32 +251,57 @@ class TestDivergenceCondition:
         grid = pr.Grid(n=1, L=5.0, N=32)
         with pytest.raises(ConfigError):
             pr.check_divergence_condition(pr.zero_flux_model(1), grid, (-1.0, 1.0), samples=0)
+        with pytest.raises(ConfigError, match="at least 64"):
+            pr.check_divergence_condition(pr.zero_flux_model(1), grid, (-1.0, 1.0), samples=63)
         with pytest.raises(ConfigError):
             pr.check_divergence_condition(pr.zero_flux_model(1), grid, (-math.inf, 1.0))
+
+
+def per_point_lipschitz(flux, grid, M):
+    """Reference for check_lipschitz_in_u: one flux call per t and x point."""
+    X = pr._x_lattice(grid, per_axis=9)
+    us = np.linspace(-M, M, 10001)
+    du = us[1] - us[0]
+    best = 0.0
+    for t in (0.0, 0.5, 1.0):
+        for p in range(X.shape[1]):
+            fv = np.asarray(flux.f(X[:, p:p + 1], t, us))
+            best = max(best, float(np.max(np.abs(np.diff(fv, axis=-1)) / du)))
+    return best
 
 
 class TestLipschitz:
     def test_linear(self):
         grid = pr.Grid(n=1, L=5.0, N=8)
-        rep = pr.check_lipschitz_in_u(pr.linear_flux_model(3.0, 1), grid, M=1.0, T=1.0)
-        assert rep.C_f == pytest.approx(3.0, abs=1e-9)
+        C_f = pr.check_lipschitz_in_u(pr.linear_flux_model(3.0, 1), grid, M=1.0)
+        assert C_f == pytest.approx(3.0, abs=1e-9)
 
     def test_burgers_dense_sampling(self):
-        # sup |df/du| on |u| <= 2 is 2; adjacent-pair quotients approach it as O(du)
+        # the quotient of u^2/2 over [u, u + du] is u + du/2, largest at the top
+        # pair: M - du/2 with du = 2M/10000
         grid = pr.Grid(n=1, L=5.0, N=2)
-        rep = pr.check_lipschitz_in_u(pr.burgers_flux_model(1), grid, M=2.0, T=1.0,
-                                      samples=4_000_001)
-        assert rep.C_f == pytest.approx(2.0, abs=1e-6)
+        C_f = pr.check_lipschitz_in_u(pr.burgers_flux_model(1), grid, M=2.0)
+        assert C_f == pytest.approx(2.0 - 2.0 / 10000, rel=1e-12)
 
     def test_zero(self):
         grid = pr.Grid(n=1, L=5.0, N=8)
-        rep = pr.check_lipschitz_in_u(pr.zero_flux_model(1), grid, M=1.0, T=1.0)
-        assert rep.C_f == 0.0
+        assert pr.check_lipschitz_in_u(pr.zero_flux_model(1), grid, M=1.0) == 0.0
+
+    @pytest.mark.parametrize("n, name", [(1, "zero"), (1, "linear"), (1, "burgers"),
+                                         (1, "figure1"), (2, "zero"), (2, "linear"),
+                                         (2, "burgers")])
+    def test_matches_per_point_loop(self, n, name):
+        # the same arithmetic on the same values, so the constants agree bitwise
+        flux = pr.flux_from_config(name, {"c": -2.5} if name == "linear" else {}, n)
+        grid = pr.Grid(n=n, L=3.0, N=16)
+        for M in (0.7, 2.0):
+            assert pr.check_lipschitz_in_u(flux, grid, M) == per_point_lipschitz(flux, grid, M)
 
     def test_validation(self):
         grid = pr.Grid(n=1, L=5.0, N=8)
-        with pytest.raises(ConfigError):
-            pr.check_lipschitz_in_u(pr.zero_flux_model(1), grid, M=0.0, T=1.0)
+        for M in (0.0, math.inf):
+            with pytest.raises(ConfigError, match="u bound M > 0"):
+                pr.check_lipschitz_in_u(pr.zero_flux_model(1), grid, M=M)
 
 
 class TestSampling:

@@ -361,10 +361,10 @@ def test_stacked_advance_steps_each_branch_as_alone(data):
     branches = [pr.State(values=a * x[0] * np.exp(-r2) + c * np.exp(-r2 / 4.0),
                          time=0.0, grid=grid) for a, c in amps]
     stacked = pr.State(values=np.stack([s.values for s in branches]), time=0.0, grid=grid)
-    cfg = sv.SchemeConfig(t_end=0.06)
-    pending = [0.02, cfg.t_end]  # the targets not yet reached
+    cfg = sv.SchemeConfig(t_end=0.06, snapshot_times=(0.02,))
+    pending = [0.02, cfg.t_end]  # the landing times not yet reached
     steps = 0
-    for stacked, dt in sv.advance(stacked, p, cfg, tuple(pending)):
+    for stacked, dt in sv.advance(stacked, p, cfg):
         if dt is None:
             target = pending.pop(0)
             branches = [pr.State(values=s.values, time=target, grid=grid) for s in branches]

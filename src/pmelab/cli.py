@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -87,13 +88,14 @@ def _number_list(option: str, text: str, admissible, requirement: str) -> list[f
 
 def _write_snapshot_csv(path, result: solver.RunResult) -> None:
     """The run CSV: columns t, x0[, x1], u, one row per cell per snapshot,
-    each value as %.17g (the text of _cell). The x text of each row is made
-    once; each snapshot is then one % format over its u values."""
+    each value as %.17g (the text of _cell). The N cell centers of an axis are
+    formatted once and the x text of each row is joined from them; each
+    snapshot is then one % format over its u values."""
     grid = result.snapshots[0].grid
-    x_fmt = ",".join(["%.17g"] * grid.n)
-    # row i of a snapshot at time text T is T + tails[i] % u[i]
-    tails = [f",{x_fmt % tuple(x)},%.17g\n"
-             for x in grid.cell_centers().reshape(grid.n, -1).T.tolist()]
+    centers = ["%.17g" % c for c in grid.axis_centers().tolist()]
+    # row i of a snapshot at time text T is T + tails[i] % u[i], cells in C order
+    tails = ["," + ",".join(x) + ",%.17g\n"
+             for x in itertools.product(centers, repeat=grid.n)]
     cols = ["t"] + [f"x{a}" for a in range(grid.n)] + ["u"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# pmelab csv v1 schema=run-snapshots\n{','.join(cols)}\n")
@@ -218,6 +220,9 @@ def cmd_decay_study(args) -> int:
     alphas = (_number_list("--alphas", args.alphas, lambda a: 0 < a < math.inf,
                            "diffusion exponents, finite and > 0")
               if args.alphas else [problem.alpha])
+    if len({f"{a:g}" for a in alphas}) < len(alphas):
+        raise ConfigError(f"--alphas entries must differ in 6 significant digits, the "
+                          f"precision of the output keys alpha=..., got {args.alphas}")
     q_list = _number_list("--q-list", args.q_list, lambda q: q == math.inf or q >= 1,
                           "norm indices, >= 1 or inf")
     # SchemeConfig rejects a non-finite t_end before geomspace computes with it

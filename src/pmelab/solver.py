@@ -18,9 +18,14 @@ largest of the branches' rates, which gives bitwise the smallest of their own
 dt. The flux evaluators then get u with that branch axis and x with a
 singleton axis in its place, so they must broadcast x against u.
 
-Each axis is computed along axis 0 of swapaxes views (none for axis 0 of an
-unstacked state), with the interface coordinates and scratch arrays of one
-cache per grid, axis, value shape and thread (`_axis`). The catalog's zero flux
+Each axis is computed along axis 0, with the interface coordinates and scratch
+arrays of one cache per grid, axis, value shape and thread (`_axis`). Their
+layout follows the value shape: C-contiguous with the axis first for an
+unstacked state, so that axis 1 of a 2-D state is transposed once, as u and G
+are padded, and not read in strides; swapaxes views for a stacked state (see
+`_axis` for why). Beside what the flux evaluators return, a step allocates only
+|u|^a, G, the terms and the new values, so 2-D runs seldom hand heap pages back
+to the system only to fault them in again. The catalog's zero flux
 makes no flux calls: when f and df_du are both `problem.zero_evaluator` (by
 identity, never by name) a step is its diffusion half alone, with lam_ax = 0,
 and its cache holds no coordinates.
@@ -108,30 +113,48 @@ def _peak(v: np.ndarray, k: int, b: int):
 def _axis(grid: Grid, ax: int, shape: tuple[int, ...], advect: bool,
           thread: int) -> tuple[np.ndarray | None, ...]:
     """The arrays of `_prepare` for axis ax of values of this shape (grid.shape
-    or (B,) + grid.shape), each a view with axis ax first: scratch for the padded
-    G; then, for a flux that advects (None otherwise), the read-only coordinates
-    of the N+1 interfaces normal to ax, twice over, at cell centers along the
-    other axes (ax first after the component axis, and a singleton axis for the
-    branch axis, so that x broadcasts against u), and scratch for the joined
-    interface states and |df_du| on them, and the LLF sum, lambda and state
-    difference at the N+1 interfaces. Keyed by thread ident too, so live threads
-    never share scratch; reusing it keeps 2-D steps from returning heap pages to
-    the system and faulting them back in."""
+    or (B,) + grid.shape), each with axis ax first: scratch for the padded G;
+    then, for a flux that advects (None otherwise), the read-only coordinates of
+    the N+1 interfaces normal to ax, twice over, at cell centers along the other
+    axes (ax first after the component axis, and a singleton axis for the branch
+    axis, so that x broadcasts against u), and scratch for the joined interface
+    states and |df_du| on them, and the LLF sum, lambda and state difference at
+    the N+1 interfaces.
+
+    The layout follows the value shape. For an unstacked state every array is
+    C-contiguous with ax first, so along axis 1 of a 2-D state the concatenates
+    into the padded u and G are the step's one transpose and the LLF arithmetic
+    runs on whole rows (on the strided halves of the value layout it ran about
+    2x slower). For a stacked state they are swapaxes views of arrays laid out
+    as the values, which measured faster on the sandwich's (3, N) states.
+    Keyed by thread ident too, so live threads never share scratch; reusing it
+    keeps 2-D steps from returning heap pages to the system and faulting them
+    back in."""
     N, b = grid.N, len(shape) - grid.n
     k = ax + b
 
     def scratch(m: int) -> np.ndarray:
-        return _first(np.empty(shape[:k] + (m,) + shape[k + 1:]), k)
+        if b:
+            return _first(np.empty(shape[:k] + (m,) + shape[k + 1:]), k)
+        return np.empty((m,) + shape[:k] + shape[k + 1:])
 
     if not advect:
         return (scratch(N + 2),) + (None,) * 6
     axes = [np.tile(grid.axis_interfaces(), 2) if d == ax else grid.axis_centers()
             for d in range(grid.n)]
     x = np.stack(np.meshgrid(*axes, indexing="ij"))
+    x = x.reshape((grid.n,) + (1,) * b + x.shape[1:]).swapaxes(1, k + 1)
+    if not b:
+        x = np.ascontiguousarray(x)
     x.setflags(write=False)
-    x = x.reshape((grid.n,) + (1,) * b + x.shape[1:])
-    return (scratch(N + 2), x.swapaxes(1, k + 1)) + tuple(
+    return (scratch(N + 2), x) + tuple(
         scratch(m) for m in (2 * N + 2, 2 * N + 2, N + 1, N + 1, N + 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _buffer(shape: tuple[int, ...], thread: int) -> np.ndarray:
+    """`step`'s scratch for one scaled term, per value shape and thread."""
+    return np.empty(shape)
 
 
 def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
@@ -148,8 +171,10 @@ def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
     m, b = grid.N + 1, values.ndim - grid.n
     dx, alpha, flux = grid.dx, problem.alpha, problem.flux
     advect = not (flux.f is zero_evaluator and flux.df_du is zero_evaluator)
-    a = np.abs(values) ** alpha
-    G = a * values / (alpha + 1.0)
+    a = np.abs(values)
+    a **= alpha
+    G = a * values
+    G /= alpha + 1.0
     lam_adv = 0.0
     terms = []
     for ax in range(grid.n):
@@ -179,7 +204,8 @@ def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
             lam *= np.subtract(w[m:], w[:m], out=du)
             fsum -= lam
             dF = _first(fsum[1:] - fsum[:-1], k)
-        lapG = Gp[2:] - 2.0 * Gp[1:-1]
+        lapG = np.multiply(2.0, Gp[1:-1])
+        np.subtract(Gp[2:], lapG, out=lapG)
         lapG += Gp[:-2]
         terms.append((dF, _first(lapG, k)))
     return lam_adv + 2.0 * grid.n * _peak(a, 0, b) / dx ** 2, terms
@@ -188,13 +214,18 @@ def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
 def step(state: State, problem: Problem, dt: float, terms: list | None = None) -> State:
     """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis; dt
     must respect the stable_dt bound. Applies the terms that stable_dt returned
-    for this state and problem, or prepares them itself when given none."""
+    for this state and problem, or prepares them itself when given none. Writes
+    neither the state nor the terms: each scaled term goes through one cached
+    buffer into the one new array."""
     if terms is None:
         terms = _prepare(state, problem)[1]
-    dx = state.grid.dx
-    new = state.values
+    dx, u = state.grid.dx, state.values
+    buf = _buffer(u.shape, threading.get_ident())
+    new = np.empty_like(u)
     for dF, lapG in terms:
-        new = (new if dF is None else new - (dt / dx) * dF) + (dt / dx ** 2) * lapG
+        if dF is not None:
+            u = np.subtract(u, np.multiply(dt / dx, dF, out=buf), out=new)
+        u = np.add(u, np.multiply(dt / dx ** 2, lapG, out=buf), out=new)
     return State(values=new, time=state.time + dt, grid=state.grid)
 
 
@@ -239,10 +270,11 @@ def run(problem: Problem, config: SchemeConfig) -> RunResult:
     edge = np.ones(state.grid.shape, dtype=bool)
     edge[(slice(1, -1),) * state.grid.n] = False
     edge = np.flatnonzero(edge)  # flat indices of the cells that touch the boundary
+    scratch = np.empty_like(state.values)
 
     def audit(values) -> tuple[float, float]:
         """L1 mass and boundary-cell mass, both from one |u|."""
-        a = np.abs(values)
+        a = np.abs(values, out=scratch)
         return float(a.sum()) * volume, float(a.take(edge).sum()) * volume
 
     mass0, boundary0 = audit(state.values)

@@ -149,6 +149,8 @@ class TestExitCodes:
         (["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "2,2"], "--q-list"),
         (["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "inf,1,oo"], "--q-list"),
         (["decay-study", "--set", "N=50", "--t-end", "1", "--alphas", "1,1.0"], "--alphas"),
+        (["decay-study", "--set", "N=50", "--t-end", "1", "--alphas", "1,1.0000001"],
+         "--alphas"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
@@ -158,7 +160,8 @@ class TestExitCodes:
             "gaussian-width-negative", "gaussian-amp-inf", "linear-c-nan",
             "check-flux-c-nan", "check-flux-zero-range", "run-snapshots-0",
             "check-flux-samples-5", "check-flux-samples-63", "eps-repeated",
-            "q-list-repeated", "q-list-inf-repeated", "alphas-repeated"])
+            "q-list-repeated", "q-list-inf-repeated", "alphas-repeated",
+            "alphas-equal-keys"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []

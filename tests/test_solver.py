@@ -339,6 +339,57 @@ class TestHandoff:
             assert handed.values.tobytes() == cold.values.tobytes()
 
 
+def term_bytes(terms):
+    return [tuple(None if a is None else a.tobytes() for a in term) for term in terms]
+
+
+def assert_step_leaves_inputs(s, p):
+    """step writes neither state.values nor the terms, so the same terms step
+    the same state twice to the same bits."""
+    cfg = sv.SchemeConfig(t_end=1.0)
+    for _ in range(3):
+        dt, terms = sv.stable_dt(s, p, cfg)
+        values, before = s.values.tobytes(), term_bytes(terms)
+        first = sv.step(s, p, dt, terms)
+        assert s.values.tobytes() == values
+        assert term_bytes(terms) == before
+        assert sv.step(s, p, dt, terms).values.tobytes() == first.values.tobytes()
+        s = first
+
+
+class TestStepLeavesInputs:
+    @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
+    def test_unstacked(self, n, flux, u0, boundary):
+        p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
+                       p0=1.0, flux=flux, u0=u0, boundary_policy=boundary)
+        assert_step_leaves_inputs(pr.sample_initial(p), p)
+
+    @pytest.mark.parametrize("case", (0, 3), ids=[STEP_IDS[0], STEP_IDS[3]])
+    def test_stacked(self, case):
+        n, flux, u0 = STEP_CASES[case]
+        p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
+                       p0=1.0, flux=flux, u0=u0)
+        base = pr.sample_initial(p)
+        stacked = np.stack([c * base.values for c in (-0.5, 1.0, 2.0)])
+        assert_step_leaves_inputs(pr.State(values=stacked, time=0.0, grid=base.grid), p)
+
+
+def test_axis_layout_follows_the_value_shape():
+    # unstacked: every array C-contiguous with its axis first, axis 1 of 2-D too;
+    # stacked: swapaxes views of arrays laid out as the values
+    grid, thread = pr.Grid(n=2, L=3.0, N=12), threading.get_ident()
+    for ax in (0, 1):
+        Gp, x, *rest = sv._axis(grid, ax, grid.shape, True, thread)
+        assert all(a.flags.c_contiguous for a in [Gp, x] + rest)
+        assert not x.flags.writeable and x.shape == (2, 2 * grid.N + 2, grid.N)
+        assert sv._axis(grid, ax, grid.shape, False, thread)[0].flags.c_contiguous
+        Gp, x, *rest = sv._axis(grid, ax, (3,) + grid.shape, True, thread)
+        assert all(a.swapaxes(0, ax + 1).flags.c_contiguous for a in [Gp] + rest)
+        back = x.swapaxes(1, ax + 2)
+        assert back.flags.c_contiguous and back.shape[1] == 1
+
+
 @given(data=st.data())
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_stacked_advance_steps_each_branch_as_alone(data):

@@ -13,7 +13,8 @@ The list covers the seven commands of acceptance criterion 10, the commands
 of the four benchmark workloads at their middle parameters, and cases the
 criterion-10 list leaves out: a long Moser table, every catalog flux under
 check-flux, data at the walls under both boundary policies, a 2-D sandwich,
-and options given a value that is rejected before any work.
+2-D runs with and without advection, and options given a value that is
+rejected before any work.
 """
 
 from __future__ import annotations
@@ -57,6 +58,14 @@ COMMANDS = [
     ["decay-study", "--t-end", "1.0", "--set", "N=100", "--q-list", "2,2",
      "--snapshots", "12"],
     ["decay-study", "--t-end", "1.0", "--set", "N=100", "--alphas", "1,1",
+     "--snapshots", "12"],
+    # 2-D steps on both axes: no advection, and advection with zero ghost cells
+    ["run", "--set", "n=2", "--set", "flux=zero", "--set", "u0=signed_gaussian",
+     "--set", "L=2", "--set", "N=40", "--t-end", "0.5"],
+    ["run", "--set", "n=2", "--set", "flux=linear c=1.5", "--set", "u0=gaussian width=1.5",
+     "--set", "boundary=dirichlet_zero", "--set", "L=2", "--set", "N=40",
+     "--t-end", "0.3"],
+    ["decay-study", "--t-end", "1.0", "--set", "N=50", "--alphas", "1,1.0000001",
      "--snapshots", "12"],
 ]
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import exponents, solver
 from .errors import ConfigError, RunError
-from .problem import Grid, Problem, State, figure1_flux_model, sample_initial
+from .problem import Problem, State, sample_initial
 from .solver import RunResult, SchemeConfig
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -253,18 +253,3 @@ def run_sandwich(problem: Problem, eps: float,
                           max_upper_violation=worst_high,
                           envelope=envelope, step_count=steps)
 
-
-# ---------------------------------------------------------------------------
-# Figure-1 experiment
-# ---------------------------------------------------------------------------
-
-def figure1_experiment(k: float = 1.5, alpha: float = 0.5, t_end: float = 5.0,
-                       L: float = 10.0, N: int = 600) -> tuple[Problem, RunResult]:
-    """Advection f(x,t,u) = -tanh(x)|u|^k u against degenerate diffusion from a
-    unit Gaussian bump: growth where the flux divergence is negative, with the
-    L^1 norm conserved up to boundary leakage."""
-    p = Problem(grid=Grid(n=1, L=L, N=N), alpha=alpha, p0=1.0,
-                flux=figure1_flux_model(k),
-                u0=lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0)))
-    snap_times = tuple(float(j) * t_end / 5.0 for j in range(6))
-    return p, solver.run(p, SchemeConfig(t_end=t_end, snapshot_times=snap_times))

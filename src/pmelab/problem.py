@@ -447,14 +447,13 @@ def problem_from_mapping(raw: dict[str, str]) -> Problem:
     for key in raw:
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown key {key!r}")
-    try:
-        n = int(raw.get("n", "1"))
-        L = float(raw.get("L", "10"))
-        N = int(raw.get("N", "400"))
-        alpha = float(raw.get("alpha", "1"))
-        p0 = float(raw.get("p0", "1"))
-    except ValueError as exc:
-        raise ConfigError(f"non-numeric scalar setting: {exc}") from exc
+    def scalar(key, parse, default):
+        try:
+            return parse(raw.get(key, default))
+        except ValueError as exc:
+            raise ConfigError(f"non-numeric scalar setting {key}: {exc}") from exc
+    n, L, N = scalar("n", int, "1"), scalar("L", float, "10"), scalar("N", int, "400")
+    alpha, p0 = scalar("alpha", float, "1"), scalar("p0", float, "1")
     grid = Grid(n=n, L=L, N=N)
     flux_name, flux_params = _parse_catalog_value(raw.get("flux", "zero"))
     u0_name, u0_params = _parse_catalog_value(raw.get("u0", "gaussian"))

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -151,6 +152,11 @@ class TestExitCodes:
         (["decay-study", "--set", "N=50", "--t-end", "1", "--alphas", "1,1.0"], "--alphas"),
         (["decay-study", "--set", "N=50", "--t-end", "1", "--alphas", "1,1.0000001"],
          "--alphas"),
+        (["barenblatt-validate", "--grids", "100,abc"], "--grids"),
+        (["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "1,x"], "--q-list"),
+        (["decay-study", "--set", "N=50", "--t-end", "1", "--alphas", "1,x"], "--alphas"),
+        (["sandwich", "--eps-list", "0.1,zz", "--t-end", "0.05"], "--eps-list"),
+        (["run", "--set", "N=abc", "--t-end", "0.1"], "setting N"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
@@ -161,7 +167,8 @@ class TestExitCodes:
             "check-flux-c-nan", "check-flux-zero-range", "run-snapshots-0",
             "check-flux-samples-5", "check-flux-samples-63", "eps-repeated",
             "q-list-repeated", "q-list-inf-repeated", "alphas-repeated",
-            "alphas-equal-keys"])
+            "alphas-equal-keys", "grids-non-numeric", "q-list-non-numeric",
+            "alphas-non-numeric", "eps-non-numeric", "scalar-non-numeric"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []
@@ -406,3 +413,67 @@ class TestDecayStudy:
     def test_default_snapshots(self, tmp_path):
         rc = run_cli(tmp_path, "decay-study", "--t-end", "1", "--set", "N=50")
         assert rc == 0
+
+
+# A small invocation of each subcommand, and for each of its options but
+# --config and --set a changed value, given on top of a base that admits it
+STAMP_CASES = [
+    (["run", "--set", "N=20", "--t-end", "0.01"],
+     [["--t-end", "0.02"], ["--snapshots", "3"], ["--cfl", "0.5"]]),
+    (["figure1", "--N", "20", "--t-end", "0.01"],
+     [["--k", "1.2"], ["--alpha", "0.7"], ["--t-end", "0.02"], ["--L", "8"], ["--N", "30"]]),
+    (["barenblatt-validate", "--grids", "20,40", "--t1", "1.1"],
+     [["--alpha", "0.5"], ["--C", "2"], ["--t0", "0.5"], ["--t1", "1.2"], ["--L", "15"],
+      ["--grids", "20,50"]]),
+    (["decay-study", "--set", "N=20", "--t-end", "0.1", "--snapshots", "8"],
+     [["--t-end", "0.2"], ["--q-list", "1,2"], ["--snapshots", "9"], ["--alphas", "0.5"]]),
+    (["moser-table", "--m", "3"],
+     [["--q", "2"], ["--n", "2"], ["--alpha", "0.5"], ["--m", "4"]]),
+    (["check-flux", "--flux", "linear", "--N", "16"],
+     [["--flux", "burgers"], ["--c", "2"], ["--umin", "-2"], ["--umax", "2"],
+      ["--samples", "65"], ["--L", "5"], ["--N", "32"]]),
+    (["check-flux", "--flux", "figure1", "--N", "16"], [["--k", "1.2"]]),
+    (["sandwich", "--set", "N=20", "--eps-list", "0.1,0.01", "--t-end", "0.01"],
+     [["--eps-list", "0.2,0.01"], ["--t-end", "0.02"]]),
+]
+
+
+class TestStamp:
+    @staticmethod
+    def stem(tmp_path, capsys, argv):
+        """The output stem of one invocation, checked to write one file set and
+        to print one line ending in the JSON verdict."""
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert cli.dispatch(["--outdir", str(out)] + argv) in (0, 1)
+        (stem,) = {p.stem for p in out.iterdir()}
+        passed = json.loads((out / f"{stem}.json").read_text())["passed"]
+        assert capsys.readouterr().out.endswith(f" passed={passed}\n")
+        return stem
+
+    def test_cases_cover_every_option(self):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for command, parser in subparsers.choices.items():
+            options = {a.option_strings[0] for a in parser._actions if a.option_strings}
+            tested = {change[0] for base, changes in STAMP_CASES if base[0] == command
+                      for change in changes}
+            assert tested == options - {"-h", "--config", "--set"}, command
+
+    @pytest.mark.parametrize("base, changes", STAMP_CASES,
+                             ids=[" ".join(base[:3]) for base, _ in STAMP_CASES])
+    def test_every_changed_option_changes_the_stem(self, tmp_path, capsys, base, changes):
+        stems = [self.stem(tmp_path, capsys, base)]
+        stems += [self.stem(tmp_path, capsys, base + change) for change in changes]
+        assert len(set(stems)) == len(stems)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--t-end", "0.01"],
+        ["decay-study", "--t-end", "0.1", "--snapshots", "8"],
+        ["sandwich", "--eps-list", "0.1,0.01", "--t-end", "0.01"]])
+    def test_config_file_and_set_give_one_stem(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("N = 20\nL = 8\n")
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        assert (self.stem(runs, capsys, argv + ["--config", str(cfg)])
+                == self.stem(runs, capsys, argv + ["--set", "N=20", "--set", "L=8"]))

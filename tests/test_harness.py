@@ -261,7 +261,11 @@ class TestSandwich:
 
 class TestFigure1:
     def test_experiment_shape(self):
-        p, res = hz.figure1_experiment(t_end=1.0, N=300, L=10.0)
+        # the problem and snapshot times of `pmelab figure1 --t-end 1 --N 300`
+        p = pr.problem_from_mapping({"flux": "figure1 k=1.5", "u0": "gaussian",
+                                     "alpha": "0.5", "L": "10.0", "N": "300"})
+        res = sv.run(p, sv.SchemeConfig(t_end=1.0,
+                                        snapshot_times=tuple(j / 5.0 for j in range(6))))
         assert p.flux.name == "figure1"
         assert len(res.snapshots) >= 5
         # L^1 of |u| is conserved by the scheme; norm ordering still audited

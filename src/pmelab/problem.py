@@ -4,7 +4,8 @@ and sampled checks of the structural hypotheses on the flux.
 Flux evaluators are opaque callables ``(x, t, u) -> (n,) + shape(u)`` arrays
 (possibly read-only views) that must broadcast and be pointwise (see
 `FluxModel`). Their stated derivatives are verified by finite differences,
-never trusted.
+never trusted. The solver steps with each flux's `FluxSplit` and never calls
+the evaluators.
 """
 
 from __future__ import annotations
@@ -59,21 +60,52 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class FluxModel:
-    """Evaluator bundle for f, its u-derivative, and its x-divergence at frozen u.
+class FluxSplit:
+    """The Engquist-Osher split of a flux f_j(x, t, u) = a_j(x) g(u), by which the
+    solver steps it (Engquist & Osher, Math. Comp. 36, 1981).
 
-    The solver calls f and df_du once per axis and step on the left then the
-    right states of all interfaces normal to that axis, joined along it and with
-    it moved first. For a stacked state (see `State`) u also has a branch axis,
-    where x has a singleton axis: x is shaped (n,) + shape(u) with that axis set
-    to 1, so f and df_du must broadcast x against u, and must not reduce over
-    cell or branch axes or mix values between cells."""
+    g = g_up + g_down, with g_up nondecreasing, g_down nonincreasing, and at
+    each u at most one of them changing, so |g'| = g_up' - g_down'. The flux at
+    the interface x between the states u_l and u_r is f+(x, u_l) + f-(x, u_r),
+    with f+ = a+ g_up + a- g_down nondecreasing and f- = a- g_up + a+ g_down
+    nonincreasing in u (a+ = max(a, 0), a- = min(a, 0)); f+ + f- = f. Both
+    slopes are bounded by |a(x)| |g'(u)| = |df/du|.
+
+    `a` is a tuple of n per-axis constants, or a function of x (shape (n,) +
+    cells, as for f) with time-independent values; the solver evaluates it
+    once per grid and axis, on the interfaces. `g(u, out)` is pointwise: it
+    gets the padded cells of one axis and a tuple of three scratch arrays of
+    u's shape and returns (g_up(u), g_down(u), |g'(u)|), each of them u itself,
+    one of the scratch arrays or a new array, and g_down as None where it is 0
+    (g nondecreasing)."""
+
+    a: tuple[float, ...] | Callable[[np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray, tuple[np.ndarray, ...]], tuple]
+
+    def __post_init__(self) -> None:
+        if not callable(self.a):
+            object.__setattr__(self, "a", tuple(float(c) for c in self.a))
+
+
+@dataclass(frozen=True)
+class FluxModel:
+    """Evaluator bundle for f, its u-derivative and its x-divergence at frozen u,
+    which the sampled checks call, and the split by which the solver steps f.
+
+    The solver reads only `split`, and a flux without one cannot be stepped
+    (see `Problem`): it evaluates the split's a once per grid and axis at the
+    interfaces, and its g once per axis and step on the N+2 padded cells. The
+    Engquist-Osher flux has dF/du_l in [0, lam] and dF/du_r in [-lam, 0], lam
+    the largest |a| |g'|, so the solver's step-size rule is the monotone
+    bound. The evaluators must broadcast x against u, and must not reduce over
+    cell axes or mix values between cells."""
 
     name: str
     f: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
     df_du: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
     div_x_f: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
+    split: FluxSplit | None = None
 
 
 @dataclass(frozen=True)
@@ -123,6 +155,9 @@ class Problem:
             raise ConfigError(
                 f"boundary policy must be one of {BOUNDARY_POLICIES}, "
                 f"got {self.boundary_policy!r}")
+        if self.flux.split is None:
+            raise ConfigError(f"flux {self.flux.name!r} states no Engquist-Osher split "
+                              f"(FluxModel.split), so it cannot be stepped")
 
 
 def sample_initial(problem: Problem) -> State:
@@ -142,17 +177,35 @@ def sample_initial(problem: Problem) -> State:
 # ---------------------------------------------------------------------------
 
 def zero_evaluator(x, t, u):
-    """f and df_du of the zero flux, for any n = len(x). The solver skips the advective
-    half of the step for a flux whose f and df_du are both this very function."""
+    """f and df_du of the zero flux, for any n = len(x)."""
     return np.zeros((np.shape(x)[0],) + np.shape(u))
+
+
+def _zero_g(u, out):
+    zeros = out[0]
+    zeros.fill(0.0)
+    return zeros, None, zeros
+
+
+# The zero flux's split, for any n. The solver skips the advective half of the
+# step for a flux whose split is this very object (by identity, never by value).
+ZERO_SPLIT = FluxSplit(a=lambda x: np.zeros(np.shape(x)), g=_zero_g)
 
 
 def zero_flux_model(n: int = 1) -> FluxModel:
     return FluxModel(name="zero", f=zero_evaluator, df_du=zero_evaluator,
-                     div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+                     div_x_f=lambda x, t, u: np.zeros(np.shape(u)), split=ZERO_SPLIT)
+
+
+def _identity_g(u, out):
+    # g = u: all of it nondecreasing, |g'| = 1
+    ones = out[2]
+    ones.fill(1.0)
+    return u, None, ones
 
 
 def linear_flux_model(c: float = 1.0, n: int = 1) -> FluxModel:
+    """f_j = c_j u, split as max(c_j, 0) u + min(c_j, 0) u: upwind."""
     cvec = np.broadcast_to(np.asarray(c, dtype=float), (n,))
 
     def f(x, t, u):
@@ -165,10 +218,24 @@ def linear_flux_model(c: float = 1.0, n: int = 1) -> FluxModel:
 
     return FluxModel(name="linear", f=f, df_du=df_du,
                      div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                     params={"c": float(cvec[0])})
+                     params={"c": float(cvec[0])},
+                     split=FluxSplit(a=tuple(cvec), g=_identity_g))
+
+
+def _burgers_g(u, out):
+    # g = u^2/2 = max(u, 0)^2/2 + min(u, 0)^2/2, |g'| = |u|
+    up, down, slope = out
+    np.maximum(u, 0.0, out=up)
+    up *= up
+    up *= 0.5
+    np.minimum(u, 0.0, out=down)
+    down *= down
+    down *= 0.5
+    return up, down, np.abs(u, out=slope)
 
 
 def burgers_flux_model(n: int = 1) -> FluxModel:
+    """f_j = u^2/2 in every component, split as max(u, 0)^2/2 + min(u, 0)^2/2."""
     # all components are equal: one array as a (1,) view or a read-only (n,) view
     def components(v):
         return v[None] if n == 1 else np.broadcast_to(v, (n,) + v.shape)
@@ -181,12 +248,14 @@ def burgers_flux_model(n: int = 1) -> FluxModel:
         return components(np.asarray(u, dtype=float))
 
     return FluxModel(name="burgers", f=f, df_du=df_du,
-                     div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+                     div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
+                     split=FluxSplit(a=(1.0,) * n, g=_burgers_g))
 
 
 def figure1_flux_model(k: float = 1.5) -> FluxModel:
     """One-dimensional flux f(x,t,u) = -tanh(x) |u|^k u, whose x-divergence at
-    frozen u is negative where u != 0 (the growth-stimulating regime)."""
+    frozen u is negative where u != 0 (the growth-stimulating regime). Its split
+    is a(x) = -tanh(x) and g = |u|^k u, which is nondecreasing."""
     if not 0 < k < np.inf:
         raise ConfigError(f"flux power k must be finite and > 0, got {k}")
 
@@ -202,8 +271,17 @@ def figure1_flux_model(k: float = 1.5) -> FluxModel:
         u = np.asarray(u, dtype=float)
         return -np.abs(u) ** k * u / np.cosh(x[0]) ** 2
 
+    def g(u, out):
+        power, value, _ = out
+        np.abs(u, out=power)
+        power **= k
+        np.multiply(power, u, out=value)
+        power *= k + 1.0
+        return value, None, power
+
     return FluxModel(name="figure1", f=f, df_du=df_du, div_x_f=div_x_f,
-                     params={"k": float(k)})
+                     params={"k": float(k)},
+                     split=FluxSplit(a=lambda x: -np.tanh(x), g=g))
 
 
 def _figure1_from_config(n: int, k: float) -> FluxModel:

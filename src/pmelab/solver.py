@@ -1,34 +1,42 @@
 """Conservative monotone explicit scheme for u_t + div f(x,t,u) = div(|u|^a grad u).
 
-Advection uses a local Lax-Friedrichs interface flux; diffusion is the second
-difference of the Kirchhoff function G(u) = |u|^a u/(a+1), which keeps the
-update exactly conservative and smooth through the degeneracy at u = 0.
+Advection uses the Engquist-Osher interface flux F = f+(u_l) + f-(u_r) of the
+flux's `problem.FluxSplit`: f = a(x) g(u), with f+ nondecreasing and f-
+nonincreasing in u (Engquist & Osher, Math. Comp. 36, 1981). Diffusion is the
+second difference of the Kirchhoff function G(u) = |u|^a u/(a+1), which keeps
+the update exactly conservative and smooth through the degeneracy at u = 0.
 
-The update is monotone when dt (sum_ax lam_ax/dx + 2n max|u|^a/dx^2) <= 1,
-lam_ax being max|df_du| over the interface states of axis ax (Evje & Karlsen,
-SIAM J. Numer. Anal. 37, 2000); `stable_dt` returns cfl_safety times that
-bound. To get lam_ax it evaluates the flux, so it prepares the whole
-dt-independent part of the update and returns those terms beside dt;
-`advance` hands them to `step`.
+The step size obeys dt (sum_ax lam_ax/dx + 2n max|u|^a/dx^2) <= 1, lam_ax being
+the largest |a| max(|g'(u_l)|, |g'(u_r)|) over the interfaces normal to axis ax
+(Evje & Karlsen, SIAM J. Numer. Anal. 37, 2000). Under Engquist-Osher,
+dF/du_l is in [0, lam_ax] and dF/du_r in [-lam_ax, 0], and a cell's two
+interfaces share one |f'(u_i)| between them, so this is the monotone bound
+(Crandall & Majda, Math. Comp. 34, 1980): every entry of the one-step Jacobian
+is >= 0. (An a(x) that turns from negative to positive inside a cell could
+take up to 2 lam_ax there; no catalog flux does.) `stable_dt` returns
+cfl_safety times that bound. To get lam_ax it evaluates g, so it prepares the
+whole dt-independent part of the update and returns those terms beside dt;
+`advance` hands them to `step`. f and df_du are never called here.
 
 A state may stack B solutions (branches) along a leading axis, as the
 comparison sandwich does. They are prepared and stepped in the same calls,
 every value as for its branch alone, and share one dt: stable_dt takes the
 largest of the branches' rates, which gives bitwise the smallest of their own
-dt. The flux evaluators then get u with that branch axis and x with a
-singleton axis in its place, so they must broadcast x against u.
+dt. g then gets u with that branch axis, and a(x) is cached with a singleton
+axis in its place.
 
-Each axis is computed along axis 0, with the interface coordinates and scratch
-arrays of one cache per grid, axis, value shape and thread (`_axis`). Their
-layout follows the value shape: C-contiguous with the axis first for an
+Each axis is computed along axis 0, with the coefficients a+, a- and |a| at
+the interfaces and the scratch arrays of one cache per grid, axis, value shape,
+a and thread (`_axis`); g is evaluated once per step on the N+2 padded cells.
+Their layout follows the value shape: C-contiguous with the axis first for an
 unstacked state, so that axis 1 of a 2-D state is transposed once, as u and G
 are padded, and not read in strides; swapaxes views for a stacked state (see
-`_axis` for why). Beside what the flux evaluators return, a step allocates only
-|u|^a, G, the terms and the new values, so 2-D runs seldom hand heap pages back
-to the system only to fault them in again. The catalog's zero flux
-makes no flux calls: when f and df_du are both `problem.zero_evaluator` (by
-identity, never by name) a step is its diffusion half alone, with lam_ax = 0,
-and its cache holds no coordinates.
+`_axis` for why). Beside what g returns, a step allocates only |u|^a, G, the
+terms and the new values, so 2-D runs seldom hand heap pages back to the
+system only to fault them in again. The catalog's zero flux makes no g calls:
+when the flux's split is `problem.ZERO_SPLIT` (by identity, never by name or
+value) a step is its diffusion half alone, with lam_ax = 0, and its cache holds
+no coefficients.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, RunError
-from .problem import Grid, Problem, State, sample_initial, zero_evaluator
+from .problem import ZERO_SPLIT, Grid, Problem, State, sample_initial
 
 _DEN_GUARD = 1e-300
 # a run is flagged once its boundary cells hold more than this share of the initial mass
@@ -79,9 +87,9 @@ class RunResult:
 
 
 def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> tuple[float, list]:
-    """(dt, terms): cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2), lam_ax = max|df_du|
-    over the interface states of axis ax, and the dt-independent terms of the update
-    prepared on the way (see `_prepare`), for `step(state, problem, dt, terms)`.
+    """(dt, terms): cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2), lam_ax = the largest
+    |a| |g'| over the interface states of axis ax, and the dt-independent terms of
+    the update prepared on the way (see `_prepare`), for `step(state, problem, dt, terms)`.
     A stacked state gets the dt of its largest branch rate: cfl / (rate + guard)
     is monotone in the rate, so that is bitwise the smallest branch dt."""
     rate, terms = _prepare(state, problem)
@@ -110,26 +118,26 @@ def _peak(v: np.ndarray, k: int, b: int):
 
 
 @functools.lru_cache(maxsize=8)
-def _axis(grid: Grid, ax: int, shape: tuple[int, ...], advect: bool,
-          thread: int) -> tuple[np.ndarray | None, ...]:
+def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, thread: int) -> tuple:
     """The arrays of `_prepare` for axis ax of values of this shape (grid.shape
     or (B,) + grid.shape), each with axis ax first: scratch for the padded G;
-    then, for a flux that advects (None otherwise), the read-only coordinates of
-    the N+1 interfaces normal to ax, twice over, at cell centers along the other
-    axes (ax first after the component axis, and a singleton axis for the branch
-    axis, so that x broadcasts against u), and scratch for the joined interface
-    states and |df_du| on them, and the LLF sum, lambda and state difference at
-    the N+1 interfaces.
+    then, for a flux that advects (None otherwise), scratch for the padded u,
+    three for the split's g on it and two at the N+1 interfaces, and the
+    coefficients (a+, a-, |a|) of the split's `a` (the FluxSplit field) at the
+    interfaces normal to ax. They are floats for per-axis constants, and
+    otherwise read-only arrays of a at cell centers along the other axes, with
+    a singleton axis in place of the branch axis, so that they broadcast
+    against the values.
 
     The layout follows the value shape. For an unstacked state every array is
     C-contiguous with ax first, so along axis 1 of a 2-D state the concatenates
-    into the padded u and G are the step's one transpose and the LLF arithmetic
-    runs on whole rows (on the strided halves of the value layout it ran about
-    2x slower). For a stacked state they are swapaxes views of arrays laid out
-    as the values, which measured faster on the sandwich's (3, N) states.
-    Keyed by thread ident too, so live threads never share scratch; reusing it
-    keeps 2-D steps from returning heap pages to the system and faulting them
-    back in."""
+    into the padded u and G are the step's one transpose and the flux
+    arithmetic runs on whole rows (on the strided halves of the value layout
+    it ran about 2x slower). For a stacked state the scratch arrays are
+    swapaxes views of arrays laid out as the values, which measured faster on
+    the sandwich's (3, N) states. Keyed by thread ident too, so live threads
+    never share scratch; reusing it keeps 2-D steps from returning heap pages
+    to the system and faulting them back in."""
     N, b = grid.N, len(shape) - grid.n
     k = ax + b
 
@@ -138,17 +146,22 @@ def _axis(grid: Grid, ax: int, shape: tuple[int, ...], advect: bool,
             return _first(np.empty(shape[:k] + (m,) + shape[k + 1:]), k)
         return np.empty((m,) + shape[:k] + shape[k + 1:])
 
-    if not advect:
-        return (scratch(N + 2),) + (None,) * 6
-    axes = [np.tile(grid.axis_interfaces(), 2) if d == ax else grid.axis_centers()
-            for d in range(grid.n)]
-    x = np.stack(np.meshgrid(*axes, indexing="ij"))
-    x = x.reshape((grid.n,) + (1,) * b + x.shape[1:]).swapaxes(1, k + 1)
-    if not b:
-        x = np.ascontiguousarray(x)
-    x.setflags(write=False)
-    return (scratch(N + 2), x) + tuple(
-        scratch(m) for m in (2 * N + 2, 2 * N + 2, N + 1, N + 1, N + 1))
+    if a is None:
+        return (scratch(N + 2),) + (None,) * 5
+    if callable(a):
+        axes = [grid.axis_interfaces() if d == ax else grid.axis_centers()
+                for d in range(grid.n)]
+        x = np.stack(np.meshgrid(*axes, indexing="ij"))
+        c = np.asarray(a(x), dtype=float)[ax]
+        c = np.ascontiguousarray(_first(c.reshape((1,) * b + c.shape), k))
+        coef = (np.maximum(c, 0.0), np.minimum(c, 0.0), np.abs(c))
+        for v in coef:
+            v.setflags(write=False)
+    else:
+        coef = (max(a[ax], 0.0), min(a[ax], 0.0), abs(a[ax]))
+    return ((scratch(N + 2), scratch(N + 2),
+             (scratch(N + 2), scratch(N + 2), scratch(N + 2)),
+             scratch(N + 1), scratch(N + 1), coef))
 
 
 @functools.lru_cache(maxsize=8)
@@ -157,20 +170,35 @@ def _buffer(shape: tuple[int, ...], thread: int) -> np.ndarray:
     return np.empty(shape)
 
 
+def _half(coef, left, right, out: np.ndarray) -> np.ndarray:
+    """coef (left[:-1] + right[1:]) into out, a None side being 0: one half of
+    the Engquist-Osher sum at the N+1 interfaces, from values on the N+2 cells."""
+    if left is None:
+        return np.multiply(coef, right[1:], out=out)
+    if right is None:
+        return np.multiply(coef, left[:-1], out=out)
+    np.add(left[:-1], right[1:], out=out)
+    out *= coef
+    return out
+
+
 def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
     """The dt-independent half of a step: the rate sum_ax lam_ax/dx + 2n max|u|^a/dx^2
-    and, per axis, the LLF flux difference (None for the zero flux, whose +0.0
-    leaves every value as it is) and the second difference of G(u) = |u|^a u/(a+1).
-    Along axis ax the left then the right states of the N+1 interfaces are one
-    array, so f and df_du are called once each; u and G get the same ghost cells
-    (an edge copy under zero_flux, 0 under dirichlet_zero). Every axis is written
-    along axis 0 of swapaxes views, and its terms go back as views too. A stacked
-    state (b = 1 leading branch axis) is computed in the same calls, every value
-    as it would be for its branch alone, and its rate is one float per branch."""
+    and, per axis, the Engquist-Osher flux difference (None for the zero flux,
+    whose +0.0 leaves every value as it is) and the second difference of
+    G(u) = |u|^a u/(a+1). Along axis ax, u and G get the same ghost cells (an
+    edge copy under zero_flux, 0 under dirichlet_zero). At each interface the
+    flux is a+ (g_up(u_l) + g_down(u_r)) + a- (g_down(u_l) + g_up(u_r)); for a
+    constant a that is its own sign's half alone, the upwind side, and lam_ax
+    is |a| times the largest |g'| over the padded cells. Every axis is written
+    along axis 0 of swapaxes views, and its terms go back as views too. A
+    stacked state (b = 1 leading branch axis) is computed in the same calls,
+    every value as it would be for its branch alone, and its rate is one float
+    per branch."""
     values, grid, t = state.values, state.grid, state.time
-    m, b = grid.N + 1, values.ndim - grid.n
-    dx, alpha, flux = grid.dx, problem.alpha, problem.flux
-    advect = not (flux.f is zero_evaluator and flux.df_du is zero_evaluator)
+    b = values.ndim - grid.n
+    dx, alpha, split = grid.dx, problem.alpha, problem.flux.split
+    advect = split is not ZERO_SPLIT
     a = np.abs(values)
     a **= alpha
     G = a * values
@@ -179,8 +207,9 @@ def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
     terms = []
     for ax in range(grid.n):
         k = ax + b
-        Gp, x, w, absdf, fsum, lam, du = _axis(grid, ax, values.shape, advect,
-                                               threading.get_ident())
+        Gp, Up, gbuf, F, tmp, coef = _axis(grid, ax, values.shape,
+                                           split.a if advect else None,
+                                           threading.get_ident())
         u, g = _first(values, k), _first(G, k)
         ulo, uhi, glo, ghi = ((u[:1], u[-1:], g[:1], g[-1:])
                               if problem.boundary_policy == "zero_flux"
@@ -188,22 +217,26 @@ def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
         np.concatenate((glo, g, ghi), out=Gp)
         dF = None
         if advect:
-            np.concatenate((ulo, u, u, uhi), out=w)
-            # 0.5 (f_l + f_r) - 0.5 max(|df_l|, |df_r|) (u_r - u_l)
-            f = np.asarray(flux.f(x, t, w), dtype=float)[ax]
-            np.add(f[:m], f[m:], out=fsum)
-            fsum *= 0.5
-            np.abs(np.asarray(flux.df_du(x, t, w), dtype=float)[ax], out=absdf)
-            np.maximum(absdf[:m], absdf[m:], out=lam)
-            lam_ax = _peak(lam, k, b)
+            np.concatenate((ulo, u, uhi), out=Up)
+            up, down, slope = split.g(Up, gbuf)
+            plus, minus, size = coef
+            if isinstance(size, float):
+                if plus:
+                    _half(plus, up, down, F)
+                else:
+                    _half(minus, down, up, F)
+                lam_ax = size * _peak(slope, k, b)
+            else:
+                _half(plus, up, down, F)
+                F += _half(minus, down, up, tmp)
+                np.maximum(slope[:-1], slope[1:], out=tmp)
+                tmp *= size
+                lam_ax = _peak(tmp, k, b)
             if not math.isfinite(lam_ax if not b else lam_ax.max()):
                 raise RunError(f"non-finite flux derivative along axis {ax} at t={t}",
                                branch=int(np.isfinite(lam_ax).argmin()) if b else None)
             lam_adv += lam_ax / dx
-            lam *= 0.5
-            lam *= np.subtract(w[m:], w[:m], out=du)
-            fsum -= lam
-            dF = _first(fsum[1:] - fsum[:-1], k)
+            dF = _first(F[1:] - F[:-1], k)
         lapG = np.multiply(2.0, Gp[1:-1])
         np.subtract(Gp[2:], lapG, out=lapG)
         lapG += Gp[:-2]

@@ -235,9 +235,13 @@ class TestSandwich:
             u = np.asarray(u, dtype=float)
             return np.where(u < -0.45, np.nan, u)[None]
 
+        def g(u, out):  # the split's g = u, NaN where f is
+            return np.where(u < -0.45, np.nan, u), None, np.ones_like(u)
+
         flux = pr.FluxModel(name="nan-below", f=f,
                             df_du=lambda x, t, u: np.ones((1,) + np.shape(u)),
-                            div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+                            div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
+                            split=pr.FluxSplit(a=(1.0,), g=g))
         p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=200), alpha=1.0, p0=1.0,
                        flux=flux, u0=lambda x: x[0] * np.exp(-x[0] ** 2))
         psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))
@@ -249,8 +253,12 @@ class TestSandwich:
         def df_du(x, t, u):
             return np.where(np.asarray(u, dtype=float) < -0.45, np.nan, 1.0)[None]
 
+        def g(u, out):  # the split's |g'|, NaN where df_du is
+            return u, None, np.where(u < -0.45, np.nan, 1.0)
+
         flux = pr.FluxModel(name="nan-df-below", f=lambda x, t, u: np.asarray(u, float)[None],
-                            df_du=df_du, div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+                            df_du=df_du, div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
+                            split=pr.FluxSplit(a=(1.0,), g=g))
         p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=200), alpha=1.0, p0=1.0,
                        flux=flux, u0=lambda x: x[0] * np.exp(-x[0] ** 2))
         psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))

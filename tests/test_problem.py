@@ -136,6 +136,30 @@ class TestFluxConsistency:
         assert str(vec.value) == str(loop.value)
 
 
+class TestCatalogSplits:
+    @pytest.mark.parametrize("name, n", [("zero", 1), ("zero", 2), ("linear", 1),
+                                         ("linear", 2), ("burgers", 1), ("burgers", 2),
+                                         ("figure1", 1)])
+    def test_split_states_the_flux(self, name, n):
+        # a (g_up + g_down) = f and |a| |g'| = |df_du| on a lattice of x and u,
+        # with g_up nondecreasing and g_down nonincreasing in u
+        params = {"c": -1.5} if name == "linear" else {}
+        flux = pr.flux_from_config(name, params, n)
+        grid = pr.Grid(n=n, L=3.0, N=8)
+        x = pr._x_lattice(grid, per_axis=8)[:, :, None]  # (n, P, 1)
+        u = np.linspace(-2.0, 2.0, 41)[None, :] + 0.0 * x[0]  # (P, 41)
+        split = flux.split
+        a = (np.asarray(split.a(x), dtype=float) if callable(split.a)
+             else np.reshape(split.a, (n, 1, 1)))
+        up, down, slope = split.g(u.copy(), tuple(np.empty_like(u) for _ in range(3)))
+        g = up if down is None else up + down
+        assert np.allclose(a * g, flux.f(x, 0.0, u), rtol=1e-14, atol=1e-15)
+        assert np.allclose(np.abs(a) * slope, np.abs(flux.df_du(x, 0.0, u)),
+                           rtol=1e-14, atol=1e-15)
+        assert np.all(np.diff(up, axis=-1) >= 0)
+        assert down is None or np.all(np.diff(down, axis=-1) <= 0)
+
+
 def stacked_burgers(n):
     """Burgers flux with every component built as its own array."""
     def f(x, t, u):
@@ -169,10 +193,17 @@ class TestBurgersFluxViews:
 
     @pytest.mark.parametrize("n, N", [(1, 120), (2, 24)])
     def test_steps_equal_writable_copies(self, n, N):
+        # the split's g hands back u, its scratch or new arrays: the step gives
+        # the same bits from fresh writable copies of them
         flux = pr.burgers_flux_model(n)
+
+        def g(u, out):
+            return tuple(None if v is None else np.array(v) for v in flux.split.g(u, out))
+
         copied = pr.FluxModel(name="burgers", f=lambda x, t, u: np.array(flux.f(x, t, u)),
                               df_du=lambda x, t, u: np.array(flux.df_du(x, t, u)),
-                              div_x_f=flux.div_x_f)
+                              div_x_f=flux.div_x_f,
+                              split=pr.FluxSplit(a=flux.split.a, g=g))
         base = pr.problem_from_mapping({"n": str(n), "N": str(N), "L": "4",
                                         "flux": "burgers", "u0": "signed_gaussian"})
         config = solver.SchemeConfig(t_end=1.0)

@@ -12,7 +12,7 @@ from pmelab import barenblatt as bb
 from pmelab import harness as hz
 from pmelab import problem as pr
 from pmelab import solver as sv
-from pmelab.errors import RunError
+from pmelab.errors import ConfigError, RunError
 
 
 def gaussian(x):
@@ -25,24 +25,32 @@ def diffusion_problem(N=200, L=10.0, alpha=1.0, n=1, u0=gaussian):
 
 
 def nan_below_flux(u_min=-0.45):
-    """Linear flux f = u whose value is NaN below u_min; df_du stays 1."""
+    """Linear flux f = u whose value (its split's g) is NaN below u_min; |g'| stays 1."""
     def f(x, t, u):
         u = np.asarray(u, dtype=float)
         return np.where(u < u_min, np.nan, u)[None]
 
+    def g(u, out):
+        return np.where(u < u_min, np.nan, u), None, np.ones_like(u)
+
     return pr.FluxModel(name="nan-below", f=f,
                         df_du=lambda x, t, u: np.ones((1,) + np.shape(u)),
-                        div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+                        div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
+                        split=pr.FluxSplit(a=(1.0,), g=g))
 
 
 def nan_below_derivative(u_min=-0.45):
-    """Linear flux f = u whose df_du is NaN below u_min."""
+    """Linear flux f = u whose df_du (its split's |g'|) is NaN below u_min."""
     def df_du(x, t, u):
         u = np.asarray(u, dtype=float)
         return np.where(u < u_min, np.nan, 1.0)[None]
 
+    def g(u, out):
+        return u, None, np.where(u < u_min, np.nan, 1.0)
+
     return pr.FluxModel(name="nan-df-below", f=lambda x, t, u: np.asarray(u, float)[None],
-                        df_du=df_du, div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+                        df_du=df_du, div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
+                        split=pr.FluxSplit(a=(1.0,), g=g))
 
 
 class TestStableDt:
@@ -165,10 +173,11 @@ class TestStep:
         assert s2.time == s1.time
 
 
-def reference_step(u, t, dt, problem):
-    """The update as it was written before the interface states were joined:
-    a padded copy per axis and separate f and df_du calls on the left and the
-    right states (four flux calls per axis)."""
+def reference_step(u, t, dt, problem, halves):
+    """The Engquist-Osher update written out longhand: a padded copy per axis
+    and, at each interface, f+(u_l) + f-(u_r) from the closed-form halves
+    (x, u) -> (n,) + shape(u) of the flux, called on the left and on the right
+    states."""
     def cut(a, ax, start, stop):
         idx = [slice(None)] * a.ndim
         idx[ax] = slice(start, stop)
@@ -180,7 +189,8 @@ def reference_step(u, t, dt, problem):
             lo = hi = np.zeros_like(lo)
         return np.concatenate((lo, a, hi), axis=ax)
 
-    grid, flux = problem.grid, problem.flux
+    grid = problem.grid
+    fplus, fminus = halves
     G = np.abs(u) ** problem.alpha * u / (problem.alpha + 1.0)  # Kirchhoff transform
     new = u
     for ax in range(grid.n):
@@ -189,11 +199,7 @@ def reference_step(u, t, dt, problem):
         xi = np.stack(np.meshgrid(*axes, indexing="ij"))
         up = pad1(u, ax)
         ul, ur = cut(up, ax, None, -1), cut(up, ax, 1, None)
-        fl = np.asarray(flux.f(xi, t, ul))[ax]
-        fr = np.asarray(flux.f(xi, t, ur))[ax]
-        lam = np.maximum(np.abs(np.asarray(flux.df_du(xi, t, ul))[ax]),
-                         np.abs(np.asarray(flux.df_du(xi, t, ur))[ax]))
-        fhat = 0.5 * (fl + fr) - 0.5 * lam * (ur - ul)
+        fhat = fplus(xi, ul)[ax] + fminus(xi, ur)[ax]
         Gp = pad1(G, ax)
         new = (new - (dt / grid.dx) * np.diff(fhat, axis=ax)
                + (dt / grid.dx ** 2) * (cut(Gp, ax, 2, None) - 2.0 * cut(Gp, ax, 1, -1)
@@ -201,11 +207,48 @@ def reference_step(u, t, dt, problem):
     return new
 
 
+def upwind_halves(c):
+    return (lambda x, u: np.stack([max(cj, 0.0) * u for cj in c]),
+            lambda x, u: np.stack([min(cj, 0.0) * u for cj in c]))
+
+
+def burgers_halves(n):
+    return (lambda x, u: np.stack([0.5 * np.maximum(u, 0.0) ** 2] * n),
+            lambda x, u: np.stack([0.5 * np.minimum(u, 0.0) ** 2] * n))
+
+
+def figure1_halves(k):
+    def half(clip):
+        return lambda x, u: (clip(-np.tanh(x[0]), 0.0) * (np.abs(u) ** k * u))[None]
+    return half(np.maximum), half(np.minimum)
+
+
+def zero_halves(n):
+    zero = lambda x, u: np.zeros((n,) + np.shape(u))  # noqa: E731
+    return zero, zero
+
+
 def counting(flux, calls):
-    """`flux` with f and df_du counting their calls into calls[0]."""
+    """`flux` with its split's g counting its calls into calls["g"], and its
+    split's a, when that is a function, into calls["a"]."""
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    split = flux.split
+    a = counted("a", split.a) if callable(split.a) else split.a
+    return dataclasses.replace(
+        flux, split=dataclasses.replace(split, a=a, g=counted("g", split.g)))
+
+
+def traced(flux, calls):
+    """`flux` wrapped as bench/worker.py --trace 1 wraps it: f and df_du
+    counting their calls into calls["f"], the split as it was."""
     def counted(fn):
         def wrapper(*args):
-            calls[0] += 1
+            calls["f"] = calls.get("f", 0) + 1
             return fn(*args)
         return wrapper
 
@@ -225,12 +268,18 @@ STEP_CASES = [
     (1, pr.zero_flux_model(1), lambda x: x[0] * np.exp(-x[0] ** 2 / 4.0)),
     (2, pr.zero_flux_model(2), lambda x: x[1] * np.exp(-np.sum(x ** 2, axis=0) / 4.0)),
 ]
+EO_HALVES = dict(zip(STEP_IDS, [
+    figure1_halves(1.5), burgers_halves(1), upwind_halves((3.0,)), burgers_halves(2),
+    upwind_halves((1.0, -2.0)), zero_halves(1), zero_halves(2)]))
 
 
 class TestStepKernel:
+    # the name is that of the LLF reference this one replaced, which made four
+    # flux calls per axis; the reference is now the Engquist-Osher update
     @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
-    @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
-    def test_equals_four_call_reference(self, n, flux, u0, boundary):
+    @pytest.mark.parametrize("case", range(len(STEP_CASES)), ids=STEP_IDS)
+    def test_equals_four_call_reference(self, case, boundary):
+        n, flux, u0 = STEP_CASES[case]
         p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
                        p0=1.0, flux=flux, u0=u0, boundary_policy=boundary)
         s = pr.sample_initial(p)
@@ -238,28 +287,116 @@ class TestStepKernel:
         cfg = sv.SchemeConfig(t_end=1.0)
         for _ in range(50):
             dt, terms = sv.stable_dt(s, p, cfg)
-            u = reference_step(u, s.time, dt, p)
+            u = reference_step(u, s.time, dt, p, EO_HALVES[STEP_IDS[case]])
             s = sv.step(s, p, dt, terms)
             assert np.array_equal(s.values, u)
 
+    @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("case", range(len(STEP_CASES)), ids=STEP_IDS)
+    def test_rate_is_the_largest_flux_slope(self, case, boundary):
+        # lam_ax = max |df_du| over the left and right states of the interfaces,
+        # from the sampled-check evaluator; bit for bit where a is constant
+        n, flux, u0 = STEP_CASES[case]
+        p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
+                       p0=1.0, flux=flux, u0=u0, boundary_policy=boundary)
+        s = pr.sample_initial(p)
+        u, grid = s.values, p.grid
+        lam = 0.0
+        for ax in range(n):
+            axes = [grid.axis_interfaces() if b == ax else grid.axis_centers()
+                    for b in range(n)]
+            xi = np.stack(np.meshgrid(*axes, indexing="ij"))
+            lo, hi = np.take(u, [0], axis=ax), np.take(u, [-1], axis=ax)
+            if boundary != "zero_flux":
+                lo = hi = np.zeros_like(lo)
+            up = np.concatenate((lo, u, hi), axis=ax)
+            ul, ur = np.delete(up, -1, axis=ax), np.delete(up, 0, axis=ax)
+            lam += float(np.max(np.maximum(np.abs(flux.df_du(xi, 0.0, ul)[ax]),
+                                           np.abs(flux.df_du(xi, 0.0, ur)[ax])))) / grid.dx
+        rate = lam + 2.0 * n * float(np.max(np.abs(u) ** 0.5)) / grid.dx ** 2
+        dt, _ = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
+        if callable(flux.split.a):
+            assert dt == pytest.approx(1.0 / rate, rel=1e-14)
+        else:
+            assert dt == 1.0 / (rate + 1e-300)
+
     @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
     def test_flux_calls_per_step(self, n, flux, u0):
-        # stable_dt calls f and df_du once per axis and step reuses them
-        calls = [0]
+        # stable_dt calls the split's g once per axis and step reuses what it
+        # prepared; a function a is evaluated once per axis in the whole run
+        calls = {}
         p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=40 if n == 1 else 16), alpha=0.5,
                        p0=1.0, flux=counting(flux, calls), u0=u0)
         res = sv.run(p, sv.SchemeConfig(t_end=0.2))
         assert res.step_count > 0
-        assert calls[0] == 2 * n * res.step_count
+        assert calls["g"] == n * res.step_count
+        assert calls.get("a", 0) == (n if callable(flux.split.a) else 0)
+
+    @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_function_a_steps_as_the_constants_it_equals(self, n, boundary):
+        # the array path (a of x, cached at the interfaces) against the
+        # per-axis constants, unstacked and stacked
+        const = pr.linear_flux_model((1.0, -2.0)[:n], n)
+        c = np.array((1.0, -2.0)[:n])
+        of_x = dataclasses.replace(const, split=dataclasses.replace(
+            const.split, a=lambda x: np.broadcast_to(c.reshape((n,) + (1,) * (x.ndim - 1)),
+                                                     x.shape)))
+        grid = pr.Grid(n=n, L=3.0, N=40 if n == 1 else 12)
+        x = grid.cell_centers()
+        u = x[0] * np.exp(-np.sum(x ** 2, axis=0) / 2.0)
+        for values in (u, np.stack([u, -2.0 * u, u + 0.5])):
+            states = []
+            for flux in (const, of_x):
+                p = pr.Problem(grid=grid, alpha=0.5, p0=1.0, flux=flux, u0=gaussian,
+                               boundary_policy=boundary)
+                s = pr.State(values=values, time=0.0, grid=grid)
+                for _ in range(20):
+                    s = sv.step(s, p, *sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0)))
+                states.append(s.values)
+            assert np.array_equal(*states)
 
 
-def zeros_of(x, t, u):
-    return np.zeros((len(x),) + np.shape(u))
+def test_flux_without_split_cannot_be_stepped():
+    bare = dataclasses.replace(pr.burgers_flux_model(1), name="bare", split=None)
+    with pytest.raises(ConfigError, match="'bare' states no Engquist-Osher split"):
+        pr.Problem(grid=pr.Grid(n=1, L=3.0, N=20), alpha=1.0, p0=1.0, flux=bare,
+                   u0=gaussian)
+
+
+@pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+@pytest.mark.parametrize("n", (1, 2))
+def test_traced_evaluators_step_as_the_plain_model(n, boundary):
+    # bench/worker.py --trace 1 replaces f and df_du by timed wrappers; the step
+    # never calls them, so every catalog flux, the zero flux too, steps to the
+    # same bits with the same steps, and the zero flux still skips advection
+    grid = pr.Grid(n=n, L=3.0, N=40 if n == 1 else 16)
+    cfg = sv.SchemeConfig(t_end=0.2, snapshot_times=(0.1,))
+    for name in sorted(pr.FLUX_CATALOG):
+        if n == 2 and name == "figure1":
+            continue
+        plain, calls = pr.flux_from_config(name, None, n), {}
+        runs = [sv.run(pr.Problem(grid=grid, alpha=0.5, p0=1.0, flux=flux,
+                                  u0=lambda x: x[0] * np.exp(-np.sum(x ** 2, axis=0)),
+                                  boundary_policy=boundary), cfg)
+                for flux in (plain, traced(plain, calls))]
+        assert calls == {}, name
+        assert runs[0].step_count == runs[1].step_count > 0, name
+        for a, b in zip(runs[0].snapshots, runs[1].snapshots):
+            assert a.time == b.time and a.values.tobytes() == b.values.tobytes(), name
+        p = pr.Problem(grid=grid, alpha=0.5, p0=1.0, flux=traced(plain, calls), u0=gaussian)
+        _, terms = sv.stable_dt(pr.sample_initial(p), p, cfg)
+        assert [dF is None for dF, _ in terms] == [name == "zero"] * n, name
+
+
+def zeros_g(u, out):
+    return np.zeros_like(u), None, np.zeros_like(u)
 
 
 class TestZeroFluxSkip:
     """The catalog's zero flux skips the advective half of the step; the skip
-    is taken by evaluator identity, so any other flux object is evaluated."""
+    is taken by the identity of its split, so a flux with any other split is
+    evaluated, and one whose evaluators alone are replaced is still skipped."""
 
     @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
     @pytest.mark.parametrize("n", (1, 2))
@@ -268,17 +405,18 @@ class TestZeroFluxSkip:
         def u0(x):
             return np.where(x[0] > 1.0, -0.0, x[0] * np.exp(-np.sum(x ** 2, axis=0) / 4.0))
 
-        calls = [0]
+        calls = {}
         zero = pr.zero_flux_model(n)
-        lookalike = dataclasses.replace(zero, f=zeros_of, df_du=zeros_of)
+        lookalike = dataclasses.replace(zero, split=pr.FluxSplit(
+            a=lambda x: np.zeros(np.shape(x)), g=zeros_g))
         cfg = sv.SchemeConfig(t_end=0.5, snapshot_times=(0.1, 0.25))
-        skipped, wrapped, alike = (
+        skipped, wrapped, alike, traced_zero = (
             sv.run(pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
                               p0=1.0, flux=flux, u0=u0, boundary_policy=boundary), cfg)
-            for flux in (zero, counting(zero, calls), lookalike))
+            for flux in (zero, counting(zero, calls), lookalike, traced(zero, calls)))
         assert skipped.step_count > 0
-        assert calls[0] == 2 * n * wrapped.step_count
-        for other in (wrapped, alike):
+        assert calls == {"a": n, "g": n * wrapped.step_count}
+        for other in (wrapped, alike, traced_zero):
             assert other.step_count == skipped.step_count
             assert other.mass_series == skipped.mass_series
             assert other.boundary_mass_max == skipped.boundary_mass_max
@@ -287,13 +425,16 @@ class TestZeroFluxSkip:
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_skip_is_by_identity_not_name(self, n):
-        burgers = pr.burgers_flux_model(n)
+        burgers, zero = pr.burgers_flux_model(n), pr.zero_flux_model(n)
         cases = {
-            "catalog zero": (pr.zero_flux_model(n), True),
-            "look-alike zero": (dataclasses.replace(pr.zero_flux_model(n), f=zeros_of), False),
+            "catalog zero": (zero, True),
+            "traced evaluators": (traced(zero, {}), True),
+            "look-alike split": (dataclasses.replace(zero, split=pr.FluxSplit(
+                a=pr.ZERO_SPLIT.a, g=pr.ZERO_SPLIT.g)), False),
             "named zero": (dataclasses.replace(burgers, name="zero"), False),
-            "zero f only": (dataclasses.replace(burgers, name="zero", f=pr.zero_evaluator),
-                            False),
+            "zero evaluators": (dataclasses.replace(burgers, name="zero",
+                                                    f=pr.zero_evaluator,
+                                                    df_du=pr.zero_evaluator), False),
         }
         grid = pr.Grid(n=n, L=3.0, N=40 if n == 1 else 16)
         for label, (flux, skipped) in cases.items():
@@ -305,7 +446,7 @@ class TestZeroFluxSkip:
         cfg = sv.SchemeConfig(t_end=0.2)
         named, real, zero = (
             sv.run(pr.Problem(grid=grid, alpha=0.5, p0=1.0, flux=flux, u0=gaussian), cfg)
-            for flux in (cases["named zero"][0], burgers, pr.zero_flux_model(n)))
+            for flux in (cases["zero evaluators"][0], burgers, pr.zero_flux_model(n)))
         assert np.array_equal(named.snapshots[-1].values, real.snapshots[-1].values)
         assert not np.array_equal(named.snapshots[-1].values, zero.snapshots[-1].values)
 
@@ -377,17 +518,24 @@ class TestStepLeavesInputs:
 
 def test_axis_layout_follows_the_value_shape():
     # unstacked: every array C-contiguous with its axis first, axis 1 of 2-D too;
-    # stacked: swapaxes views of arrays laid out as the values
-    grid, thread = pr.Grid(n=2, L=3.0, N=12), threading.get_ident()
+    # stacked: scratch as swapaxes views of arrays laid out as the values, and
+    # coefficients with a singleton axis for the branches; constant a: floats
+    grid, thread, N = pr.Grid(n=2, L=3.0, N=12), threading.get_ident(), 12
+    a = lambda x: np.tanh(x)  # noqa: E731
     for ax in (0, 1):
-        Gp, x, *rest = sv._axis(grid, ax, grid.shape, True, thread)
-        assert all(a.flags.c_contiguous for a in [Gp, x] + rest)
-        assert not x.flags.writeable and x.shape == (2, 2 * grid.N + 2, grid.N)
-        assert sv._axis(grid, ax, grid.shape, False, thread)[0].flags.c_contiguous
-        Gp, x, *rest = sv._axis(grid, ax, (3,) + grid.shape, True, thread)
-        assert all(a.swapaxes(0, ax + 1).flags.c_contiguous for a in [Gp] + rest)
-        back = x.swapaxes(1, ax + 2)
-        assert back.flags.c_contiguous and back.shape[1] == 1
+        Gp, Up, gbuf, F, tmp, coef = sv._axis(grid, ax, grid.shape, a, thread)
+        assert all(v.flags.c_contiguous for v in [Gp, Up, *gbuf, F, tmp, *coef])
+        assert [v.shape[0] for v in [Gp, Up, *gbuf, F, tmp]] == [N + 2] * 5 + [N + 1] * 2
+        assert all(not v.flags.writeable and v.shape == (N + 1, N) for v in coef)
+        # component ax of a at the interfaces normal to ax, first along them
+        want = np.broadcast_to(np.tanh(grid.axis_interfaces())[:, None], (N + 1, N))
+        assert np.array_equal(coef[0] + coef[1], want)
+        assert sv._axis(grid, ax, grid.shape, None, thread)[0].flags.c_contiguous
+        assert sv._axis(grid, ax, grid.shape, (2.0, -3.0), thread)[5] == (
+            (2.0, 0.0, 2.0) if ax == 0 else (0.0, -3.0, 3.0))
+        Gp, Up, gbuf, F, tmp, coef = sv._axis(grid, ax, (3,) + grid.shape, a, thread)
+        assert all(v.swapaxes(0, ax + 1).flags.c_contiguous for v in [Gp, Up, *gbuf, F, tmp])
+        assert all(v.shape[ax + 1] == 1 and v.ndim == 3 for v in coef)
 
 
 @given(data=st.data())
@@ -480,11 +628,12 @@ def test_monotone_step_size_keeps_sup_norm_from_rising(n, N, t_end):
 def test_run_and_sandwich_call_step_and_stable_dt_once_per_step(monkeypatch):
     # bench/run.py --trace wraps these two module functions as below: it counts
     # cells through them and hands each call a copy of the problem with traced
-    # f and df_du; here every call gets a fresh copy, so no step may lean on
-    # the identity of the problem its stable_dt saw. The sandwich steps its
-    # three branches as one stacked state: one call each per lockstep step.
+    # f and df_du; here every call gets a fresh copy with a counted split g,
+    # so no step may lean on the identity of the problem its stable_dt saw.
+    # The sandwich steps its three branches as one stacked state: one call
+    # each per lockstep step.
     calls = {"step": 0, "stable_dt": 0}
-    flux_calls = [0]
+    flux_calls = {}
     cells = [0]
 
     def counted(name, fn):
@@ -506,19 +655,76 @@ def test_run_and_sandwich_call_step_and_stable_dt_once_per_step(monkeypatch):
     monkeypatch.setattr(sv, "stable_dt", counted("stable_dt", sv.stable_dt))
     res = sv.run(p, cfg)
     assert calls == {"step": res.step_count, "stable_dt": res.step_count}
-    assert flux_calls[0] == 2 * n * res.step_count
+    assert flux_calls == {"g": n * res.step_count}
     assert res.step_count == plain.step_count and len(res.snapshots) == 3
     for a, b in zip(res.snapshots, plain.snapshots):
         assert a.time == b.time and a.values.tobytes() == b.values.tobytes()
 
     calls.update(step=0, stable_dt=0)
-    flux_calls[0] = cells[0] = 0
+    flux_calls.clear()
+    cells[0] = 0
     rep = hz.run_sandwich(*sandwich)
     assert rep.step_count > 0
     assert calls == {"step": rep.step_count, "stable_dt": rep.step_count}
-    assert flux_calls[0] == 2 * n * rep.step_count
+    assert flux_calls == {"g": n * rep.step_count}
     assert cells[0] == 3 * p.grid.N * rep.step_count
     assert rep == plain_rep
+
+
+def test_burgers_jump_step_keeps_order():
+    # u0 = 10 | -10 and v0 = u0 + 0.01 in cell 9, one shared step at cfl 0.9:
+    # an interface flux whose dF/du_l can exceed lam (LLF's can reach 2 lam at
+    # a jump) gave (v - u)[9] = -1.69e-4, so ordered data crossed
+    grid = pr.Grid(n=1, L=3.0, N=20)
+    p = pr.Problem(grid=grid, alpha=1.0, p0=1.0, flux=pr.burgers_flux_model(1),
+                   u0=lambda x: np.where(x[0] < 0.0, 10.0, -10.0))
+    u = pr.sample_initial(p).values
+    v = u.copy()
+    v[9] += 0.01
+    s = pr.State(values=np.stack([u, v]), time=0.0, grid=grid)
+    dt, terms = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0, cfl_safety=0.9))
+    new = sv.step(s, p, dt, terms).values
+    assert dt == pytest.approx(3.518e-3, rel=1e-3)
+    assert float(np.min(new[1] - new[0])) >= 0.0
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_one_step_jacobian_is_nonnegative(data):
+    # monotone means d(step u)_i/du_j >= 0 for all i, j (Crandall & Majda,
+    # Math. Comp. 34, 1980): u and its one-cell perturbations by h step as one
+    # stacked state, under one shared dt, and every difference quotient is >= 0
+    n = data.draw(st.sampled_from((1, 2)), label="n")
+    name = data.draw(st.sampled_from(
+        [k for k in sorted(pr.FLUX_CATALOG) if n == 1 or k != "figure1"]), label="flux")
+    params = ({"c": data.draw(st.floats(-5.0, 5.0), label="c")} if name == "linear" else
+              {"k": data.draw(st.floats(0.5, 2.5), label="k")} if name == "figure1" else {})
+    boundary = data.draw(st.sampled_from(pr.BOUNDARY_POLICIES), label="boundary")
+    alpha = data.draw(st.floats(0.3, 3.0), label="alpha")
+    grid = pr.Grid(n=n, L=3.0, N=20 if n == 1 else 6)
+    x = grid.cell_centers()
+    if data.draw(st.booleans(), label="jumps"):
+        # piecewise constant along x0 (2-D: along x0 + x1) with two jumps
+        levels = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+                           label="levels")
+        cuts = sorted(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+                                label="cuts"))
+        u = np.asarray(levels)[np.digitize(np.sum(x, axis=0) / n, cuts)]
+    else:
+        amp = data.draw(st.floats(-10.0, 10.0), label="amp")
+        width = data.draw(st.floats(0.3, 2.0), label="width")
+        u = amp * np.exp(-np.sum(x ** 2, axis=0) / width ** 2)
+    p = pr.Problem(grid=grid, alpha=alpha, p0=1.0, flux=pr.flux_from_config(name, params, n),
+                   u0=gaussian, boundary_policy=boundary)
+    h, cells = 1e-3, u.size
+    stacked = np.repeat(u[None], cells + 1, axis=0).reshape(cells + 1, cells)
+    stacked[1:] += h * np.eye(cells)
+    s = pr.State(values=stacked.reshape((cells + 1,) + grid.shape), time=0.0, grid=grid)
+    dt, terms = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0, cfl_safety=0.9))
+    new = sv.step(s, p, dt, terms).values.reshape(cells + 1, cells)
+    jac = (new[1:] - new[0]) / h  # row j: the response to a bump in cell j
+    j, i = np.unravel_index(int(jac.argmin()), jac.shape)
+    assert jac[j, i] >= -1e-9, (jac[j, i], int(i), int(j), u.ravel()[[i, j]].tolist())
 
 
 class TestRun:

@@ -13,10 +13,10 @@ The list covers the seven commands of acceptance criterion 10, the commands
 of the four benchmark workloads at their middle parameters, and cases the
 criterion-10 list leaves out: a long Moser table, every catalog flux under
 check-flux, data at the walls under both boundary policies, a 2-D sandwich,
-2-D runs with and without advection, every option of figure1 and
-barenblatt-validate off its default, a run at a smaller CFL factor, and
-options given a value that is rejected before any work, non-numeric text
-among them.
+2-D runs with and without advection, 1-D Burgers from signed data under both
+boundary policies, every option of figure1 and barenblatt-validate off its
+default, a run at a smaller CFL factor, and options given a value that is
+rejected before any work, non-numeric text among them.
 """
 
 from __future__ import annotations
@@ -69,6 +69,11 @@ COMMANDS = [
      "--t-end", "0.3"],
     ["decay-study", "--t-end", "1.0", "--set", "N=50", "--alphas", "1,1.0000001",
      "--snapshots", "12"],
+    # 1-D Burgers, unstacked, with signed data under both boundary policies
+    ["run", "--set", "flux=burgers", "--set", "u0=signed_gaussian", "--set", "L=3",
+     "--set", "N=120", "--t-end", "1"],
+    ["run", "--set", "flux=burgers", "--set", "u0=signed_gaussian", "--set", "L=3",
+     "--set", "N=120", "--set", "boundary=dirichlet_zero", "--t-end", "1"],
     # every option of figure1 and barenblatt-validate off its default, and a run's CFL
     ["figure1", "--k", "1.2", "--alpha", "0.7", "--t-end", "0.5", "--L", "8", "--N", "150"],
     ["barenblatt-validate", "--alpha", "0.5", "--C", "2", "--t0", "0.5", "--t1", "1",

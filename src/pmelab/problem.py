@@ -5,7 +5,7 @@ Flux evaluators are opaque callables ``(x, t, u) -> (n,) + shape(u)`` arrays
 (possibly read-only views) that must broadcast and be pointwise (see
 `FluxModel`). Their stated derivatives are verified by finite differences,
 never trusted. The solver steps with each flux's `FluxSplit` and never calls
-the evaluators.
+the evaluators, so the same check verifies the split against them.
 """
 
 from __future__ import annotations
@@ -71,20 +71,16 @@ class FluxSplit:
     nonincreasing in u (a+ = max(a, 0), a- = min(a, 0)); f+ + f- = f. Both
     slopes are bounded by |a(x)| |g'(u)| = |df/du|.
 
-    `a` is a tuple of n per-axis constants, or a function of x (shape (n,) +
-    cells, as for f) with time-independent values; the solver evaluates it
-    once per grid and axis, on the interfaces. `g(u, out)` is pointwise: it
-    gets the padded cells of one axis and a tuple of three scratch arrays of
-    u's shape and returns (g_up(u), g_down(u), |g'(u)|), each of them u itself,
-    one of the scratch arrays or a new array, and g_down as None where it is 0
-    (g nondecreasing)."""
+    `a` is a function of x (shape (n,) + cells, as for f) with
+    time-independent values; the solver evaluates it once per grid and axis,
+    on the interfaces. `g(u, out)` is pointwise: it gets the padded cells of
+    one axis and a tuple of three scratch arrays of u's shape and returns
+    (g_up(u), g_down(u), |g'(u)|), each of them u itself, one of the scratch
+    arrays or a new array, and g_down as None where it is 0 (g nondecreasing).
+    `check_flux_consistency` checks all of this against f and df_du."""
 
-    a: tuple[float, ...] | Callable[[np.ndarray], np.ndarray]
+    a: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray, tuple[np.ndarray, ...]], tuple]
-
-    def __post_init__(self) -> None:
-        if not callable(self.a):
-            object.__setattr__(self, "a", tuple(float(c) for c in self.a))
 
 
 @dataclass(frozen=True)
@@ -95,10 +91,11 @@ class FluxModel:
     The solver reads only `split`, and a flux without one cannot be stepped
     (see `Problem`): it evaluates the split's a once per grid and axis at the
     interfaces, and its g once per axis and step on the N+2 padded cells. The
-    Engquist-Osher flux has dF/du_l in [0, lam] and dF/du_r in [-lam, 0], lam
-    the largest |a| |g'|, so the solver's step-size rule is the monotone
-    bound. The evaluators must broadcast x against u, and must not reduce over
-    cell axes or mix values between cells."""
+    Engquist-Osher flux has dF/du_l >= 0 >= dF/du_r, and the solver's rate is
+    the largest rate at which g leaves a cell through its faces, so its
+    step-size rule is the monotone bound. `check_flux_consistency` checks the
+    split against f and df_du. The evaluators must broadcast x against u, and
+    must not reduce over cell axes or mix values between cells."""
 
     name: str
     f: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
@@ -219,7 +216,9 @@ def linear_flux_model(c: float = 1.0, n: int = 1) -> FluxModel:
     return FluxModel(name="linear", f=f, df_du=df_du,
                      div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
                      params={"c": float(cvec[0])},
-                     split=FluxSplit(a=tuple(cvec), g=_identity_g))
+                     split=FluxSplit(a=lambda x: np.broadcast_to(
+                         cvec.reshape((n,) + (1,) * (np.ndim(x) - 1)), np.shape(x)),
+                         g=_identity_g))
 
 
 def _burgers_g(u, out):
@@ -249,7 +248,7 @@ def burgers_flux_model(n: int = 1) -> FluxModel:
 
     return FluxModel(name="burgers", f=f, df_du=df_du,
                      div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                     split=FluxSplit(a=(1.0,) * n, g=_burgers_g))
+                     split=FluxSplit(a=lambda x: np.ones(np.shape(x)), g=_burgers_g))
 
 
 def figure1_flux_model(k: float = 1.5) -> FluxModel:
@@ -369,14 +368,16 @@ def u0_from_config(name: str, params: dict | None = None, n: int = 1):
 class ConsistencyReport:
     max_df_du_error: float
     max_div_error: float
+    max_split_error: float | None  # None for a flux without a split
     ok: bool
 
 
 def check_flux_consistency(flux: FluxModel, grid: Grid,
                            u_range: tuple[float, float] = (-1.0, 1.0)) -> ConsistencyReport:
     """Finite-difference verification, at 1000 (x, t, u) samples drawn from seed
-    12345, that df_du and div_x_f match f to a relative error of 1e-5, with all
-    samples evaluated at once (t is passed as a (samples,) array)."""
+    12345, that df_du and div_x_f match f, and the split (when there is one)
+    matches f and df_du (see `_split_errors`), to a relative error of 1e-5, with
+    all samples evaluated at once (t is passed as a (samples,) array)."""
     samples = 1000
     rng = np.random.default_rng(12345)
     n = grid.n
@@ -396,20 +397,52 @@ def check_flux_consistency(flux: FluxModel, grid: Grid,
         fd_div += (np.asarray(flux.f(xp, ts, us))[j]
                    - np.asarray(flux.f(xm, ts, us))[j]) / (2 * hx)
     stated_div = np.broadcast_to(np.asarray(flux.div_x_f(xs, ts, us)), (samples,))
+    err_split = (np.zeros(samples) if flux.split is None
+                 else _split_errors(flux, xs, ts, us, h, stated_du))
 
     bad_du = ~np.all(np.isfinite(fd_du) & np.isfinite(stated_du), axis=0)
     bad_div = ~(np.isfinite(fd_div) & np.isfinite(stated_div))
-    if np.any(bad_du | bad_div):
-        i = int(np.argmax(bad_du | bad_div))
-        what = "derivative" if bad_du[i] else "divergence"
+    bad = bad_du | bad_div | ~np.isfinite(err_split)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        what = "derivative" if bad_du[i] else "divergence" if bad_div[i] else "split"
         raise RunError(f"non-finite flux {what} at x={xs[:, i]}, t={ts[i]}, u={us[i]}")
     err_du = (np.max(np.abs(fd_du - stated_du), axis=0)
               / np.maximum(1.0, np.max(np.abs(stated_du), axis=0)))
     err_div = np.abs(fd_div - stated_div) / np.maximum(1.0, np.abs(stated_div))
     worst_du = float(np.max(err_du, initial=0.0))
     worst_div = float(np.max(err_div, initial=0.0))
+    worst_split = None if flux.split is None else float(np.max(err_split, initial=0.0))
     return ConsistencyReport(max_df_du_error=worst_du, max_div_error=worst_div,
-                             ok=worst_du <= 1e-5 and worst_div <= 1e-5)
+                             max_split_error=worst_split,
+                             ok=worst_du <= 1e-5 and worst_div <= 1e-5
+                             and (worst_split is None or worst_split <= 1e-5))
+
+
+def _split_errors(flux: FluxModel, xs, ts, us, h, stated_du) -> np.ndarray:
+    """Per sample, the worst relative error of the flux's split: a (g_up + g_down)
+    against f, |a| |g'| against |df_du|, and by central differences of step h,
+    g_up' - g_down' against |g'|, with g_up' >= 0 >= g_down' (a decrease of g_up
+    or an increase of g_down counts as error). Where these hold, the solver's
+    interface flux is monotone under its step-size rule."""
+    def halves(u):
+        up, down, slope = flux.split.g(u, tuple(np.empty_like(u) for _ in range(3)))
+        down = np.zeros_like(u) if down is None else down
+        return np.array(up), np.array(down), np.array(slope)  # g may hand back u or out
+
+    up, down, slope = halves(us)
+    up_hi, down_hi, _ = halves(us + h)
+    up_lo, down_lo, _ = halves(us - h)
+    d_up, d_down = (up_hi - up_lo) / (2 * h), (down_hi - down_lo) / (2 * h)
+    a = np.asarray(flux.split.a(xs), dtype=float)
+    f = np.asarray(flux.f(xs, ts, us))
+    scale = np.maximum(1.0, slope)
+    return np.max([
+        np.max(np.abs(a * (up + down) - f), axis=0) / np.maximum(1.0, np.max(np.abs(f), axis=0)),
+        np.max(np.abs(np.abs(a) * slope - np.abs(stated_du)), axis=0)
+        / np.maximum(1.0, np.max(np.abs(stated_du), axis=0)),
+        np.abs(d_up - d_down - slope) / scale,
+        np.maximum(-d_up, d_down) / scale], axis=0)
 
 
 def _x_lattice(grid: Grid, per_axis: int) -> np.ndarray:

@@ -7,16 +7,20 @@ second difference of the Kirchhoff function G(u) = |u|^a u/(a+1), which keeps
 the update exactly conservative and smooth through the degeneracy at u = 0.
 
 The step size obeys dt (sum_ax lam_ax/dx + 2n max|u|^a/dx^2) <= 1, lam_ax being
-the largest |a| max(|g'(u_l)|, |g'(u_r)|) over the interfaces normal to axis ax
-(Evje & Karlsen, SIAM J. Numer. Anal. 37, 2000). Under Engquist-Osher,
-dF/du_l is in [0, lam_ax] and dF/du_r in [-lam_ax, 0], and a cell's two
-interfaces share one |f'(u_i)| between them, so this is the monotone bound
-(Crandall & Majda, Math. Comp. 34, 1980): every entry of the one-step Jacobian
-is >= 0. (An a(x) that turns from negative to positive inside a cell could
-take up to 2 lam_ax there; no catalog flux does.) `stable_dt` returns
-cfl_safety times that bound. To get lam_ax it evaluates g, so it prepares the
-whole dt-independent part of the update and returns those terms beside dt;
-`advance` hands them to `step`. f and df_du are never called here.
+the largest reach_i |g'(u_i)| over the cells along axis ax (Evje & Karlsen,
+SIAM J. Numer. Anal. 37, 2000), where reach_i = max(a+_r - a-_l, a+_l - a-_r),
+from a at the cell's left and right faces, is the rate at which one half of g
+leaves the cell through both faces. Under Engquist-Osher dF/du_l and -dF/du_r
+are >= 0, and cell i's diagonal entry loses at most dt/dx reach_i |g'(u_i)| per
+axis, so this is the monotone bound (Crandall & Majda, Math. Comp. 34, 1980)
+for every split: every entry of the one-step Jacobian is >= 0. Where a keeps
+its sign across a cell, or changes it at a face, reach_i is the larger |a| of
+the two faces, so lam_ax is the largest |a| max(|g'(u_l)|, |g'(u_r)|) over the
+interfaces; where a changes sign inside the cell it is |a_l| + |a_r|.
+`stable_dt` returns cfl_safety times that bound. To get lam_ax it evaluates g,
+so it prepares the whole dt-independent part of the update and returns those
+terms beside dt; `advance` hands them to `step`. f and df_du are never called
+here.
 
 A state may stack B solutions (branches) along a leading axis, as the
 comparison sandwich does. They are prepared and stepped in the same calls,
@@ -25,9 +29,10 @@ largest of the branches' rates, which gives bitwise the smallest of their own
 dt. g then gets u with that branch axis, and a(x) is cached with a singleton
 axis in its place.
 
-Each axis is computed along axis 0, with the coefficients a+, a- and |a| at
-the interfaces and the scratch arrays of one cache per grid, axis, value shape,
-a and thread (`_axis`); g is evaluated once per step on the N+2 padded cells.
+Each axis is computed along axis 0, with the coefficients a+ and a- at the
+interfaces, the reach at the cells and the scratch arrays of one cache per
+grid, axis, value shape, a and thread (`_axis`); g is evaluated once per step
+on the N+2 padded cells.
 Their layout follows the value shape: C-contiguous with the axis first for an
 unstacked state, so that axis 1 of a 2-D state is transposed once, as u and G
 are padded, and not read in strides; swapaxes views for a stacked state (see
@@ -88,7 +93,7 @@ class RunResult:
 
 def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> tuple[float, list]:
     """(dt, terms): cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2), lam_ax = the largest
-    |a| |g'| over the interface states of axis ax, and the dt-independent terms of
+    reach |g'| over the cells along axis ax, and the dt-independent terms of
     the update prepared on the way (see `_prepare`), for `step(state, problem, dt, terms)`.
     A stacked state gets the dt of its largest branch rate: cfl / (rate + guard)
     is monotone in the rate, so that is bitwise the smallest branch dt."""
@@ -123,11 +128,13 @@ def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, thread: int) -> tuple:
     or (B,) + grid.shape), each with axis ax first: scratch for the padded G;
     then, for a flux that advects (None otherwise), scratch for the padded u,
     three for the split's g on it and two at the N+1 interfaces, and the
-    coefficients (a+, a-, |a|) of the split's `a` (the FluxSplit field) at the
-    interfaces normal to ax. They are floats for per-axis constants, and
-    otherwise read-only arrays of a at cell centers along the other axes, with
-    a singleton axis in place of the branch axis, so that they broadcast
-    against the values.
+    read-only coefficients of the split's a(x) (the FluxSplit field) normal to
+    ax: a+ and a- at the interfaces, and at the N cells the reach
+    max(a+_{i+1/2} - a-_{i-1/2}, a+_{i-1/2} - a-_{i+1/2}), the rate at which a
+    half of g leaves cell i through its two faces. Along the other axes they
+    are taken at cell centers, with a singleton axis in place of the branch
+    axis, so that they broadcast against the values; a coefficient with one
+    value everywhere (a constant a) is that float, which costs no array reads.
 
     The layout follows the value shape. For an unstacked state every array is
     C-contiguous with ax first, so along axis 1 of a 2-D state the concatenates
@@ -148,20 +155,29 @@ def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, thread: int) -> tuple:
 
     if a is None:
         return (scratch(N + 2),) + (None,) * 5
-    if callable(a):
-        axes = [grid.axis_interfaces() if d == ax else grid.axis_centers()
-                for d in range(grid.n)]
-        x = np.stack(np.meshgrid(*axes, indexing="ij"))
-        c = np.asarray(a(x), dtype=float)[ax]
-        c = np.ascontiguousarray(_first(c.reshape((1,) * b + c.shape), k))
-        coef = (np.maximum(c, 0.0), np.minimum(c, 0.0), np.abs(c))
-        for v in coef:
-            v.setflags(write=False)
-    else:
-        coef = (max(a[ax], 0.0), min(a[ax], 0.0), abs(a[ax]))
+    axes = [grid.axis_interfaces() if d == ax else grid.axis_centers()
+            for d in range(grid.n)]
+    c = np.asarray(a(np.stack(np.meshgrid(*axes, indexing="ij"))), dtype=float)[ax]
+    c = np.ascontiguousarray(_first(c.reshape((1,) * b + c.shape), k))
+    plus, minus = np.maximum(c, 0.0), np.minimum(c, 0.0)
+    reach = np.maximum(plus[1:] - minus[:-1], plus[:-1] - minus[1:])
+    plus, minus, reach = map(_uniform, (plus, minus, reach))
+    # each half of the flux with its coefficient and whether it takes g_down
+    # on the left; one that a zeroes everywhere is left out, but never both
+    halves = [(plus, False), (minus, True)]
+    halves = [h for h in halves if np.any(h[0])] or halves[:1]
     return ((scratch(N + 2), scratch(N + 2),
              (scratch(N + 2), scratch(N + 2), scratch(N + 2)),
-             scratch(N + 1), scratch(N + 1), coef))
+             scratch(N + 1), scratch(N + 1), (halves, reach)))
+
+
+def _uniform(v: np.ndarray) -> float | np.ndarray:
+    """v as a float where all its values are equal (numpy broadcasts either),
+    else v made read-only."""
+    if np.all(v == v.flat[0]):
+        return float(v.flat[0])
+    v.setflags(write=False)
+    return v
 
 
 @functools.lru_cache(maxsize=8)
@@ -188,9 +204,8 @@ def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
     whose +0.0 leaves every value as it is) and the second difference of
     G(u) = |u|^a u/(a+1). Along axis ax, u and G get the same ghost cells (an
     edge copy under zero_flux, 0 under dirichlet_zero). At each interface the
-    flux is a+ (g_up(u_l) + g_down(u_r)) + a- (g_down(u_l) + g_up(u_r)); for a
-    constant a that is its own sign's half alone, the upwind side, and lam_ax
-    is |a| times the largest |g'| over the padded cells. Every axis is written
+    flux is a+ (g_up(u_l) + g_down(u_r)) + a- (g_down(u_l) + g_up(u_r)), and
+    lam_ax is the largest reach |g'| over the N cells. Every axis is written
     along axis 0 of swapaxes views, and its terms go back as views too. A
     stacked state (b = 1 leading branch axis) is computed in the same calls,
     every value as it would be for its branch alone, and its rate is one float
@@ -219,19 +234,14 @@ def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
         if advect:
             np.concatenate((ulo, u, uhi), out=Up)
             up, down, slope = split.g(Up, gbuf)
-            plus, minus, size = coef
-            if isinstance(size, float):
-                if plus:
-                    _half(plus, up, down, F)
+            halves, reach = coef
+            for i, (c, flip) in enumerate(halves):
+                left, right = (down, up) if flip else (up, down)
+                if i:
+                    F += _half(c, left, right, tmp)
                 else:
-                    _half(minus, down, up, F)
-                lam_ax = size * _peak(slope, k, b)
-            else:
-                _half(plus, up, down, F)
-                F += _half(minus, down, up, tmp)
-                np.maximum(slope[:-1], slope[1:], out=tmp)
-                tmp *= size
-                lam_ax = _peak(tmp, k, b)
+                    _half(c, left, right, F)
+            lam_ax = _peak(np.multiply(reach, slope[1:-1], out=tmp[:-1]), k, b)
             if not math.isfinite(lam_ax if not b else lam_ax.max()):
                 raise RunError(f"non-finite flux derivative along axis {ax} at t={t}",
                                branch=int(np.isfinite(lam_ax).argmin()) if b else None)

@@ -103,6 +103,31 @@ class TestExitCodes:
         assert payload["consistency"]["ok"] is False
         assert payload["passed"] is False
 
+    @pytest.mark.parametrize("broken", ["doubled a", "swapped halves"])
+    def test_check_flux_split_that_misstates_the_flux_is_failure(self, tmp_path, monkeypatch,
+                                                                  broken):
+        # f, df_du and div_x_f are right; the split the solver steps is not
+        def broken_split(n):
+            flux = pr.burgers_flux_model(n)
+            split = flux.split
+
+            def swapped(u, out):
+                up, down, slope = split.g(u, out)
+                return down, up, slope
+
+            return dataclasses.replace(flux, split=(
+                dataclasses.replace(split, a=lambda x: 2.0 * split.a(x))
+                if broken == "doubled a" else dataclasses.replace(split, g=swapped)))
+
+        monkeypatch.setitem(pr.FLUX_CATALOG, "burgers", (broken_split, {}))
+        assert run_cli(tmp_path, "check-flux", "--flux", "burgers") == 1
+        payload = json.loads(outputs(tmp_path, "json")[0].read_text())
+        assert payload["satisfied"] is True
+        assert payload["consistency"]["max_df_du_error"] < 1e-5
+        assert payload["consistency"]["max_split_error"] > 0.1
+        assert payload["consistency"]["ok"] is False
+        assert payload["passed"] is False
+
     def test_undeclared_flux_parameter(self, tmp_path):
         assert run_cli(tmp_path, "run", "--set", "flux=burgers k=2",
                        "--t-end", "0.1") == 2

@@ -241,7 +241,7 @@ class TestSandwich:
         flux = pr.FluxModel(name="nan-below", f=f,
                             df_du=lambda x, t, u: np.ones((1,) + np.shape(u)),
                             div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                            split=pr.FluxSplit(a=(1.0,), g=g))
+                            split=pr.FluxSplit(a=lambda x: np.ones(np.shape(x)), g=g))
         p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=200), alpha=1.0, p0=1.0,
                        flux=flux, u0=lambda x: x[0] * np.exp(-x[0] ** 2))
         psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))
@@ -258,7 +258,7 @@ class TestSandwich:
 
         flux = pr.FluxModel(name="nan-df-below", f=lambda x, t, u: np.asarray(u, float)[None],
                             df_du=df_du, div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                            split=pr.FluxSplit(a=(1.0,), g=g))
+                            split=pr.FluxSplit(a=lambda x: np.ones(np.shape(x)), g=g))
         p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=200), alpha=1.0, p0=1.0,
                        flux=flux, u0=lambda x: x[0] * np.exp(-x[0] ** 2))
         psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,6 +122,29 @@ class TestFluxConsistency:
         rep = pr.check_flux_consistency(flux, grid)
         assert (rep.max_df_du_error, rep.max_div_error) == per_sample_errors(flux, grid)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_catalog_splits_match(self, n):
+        names = [name for name in pr.FLUX_CATALOG if n == 1 or name != "figure1"]
+        for name in names:
+            rep = pr.check_flux_consistency(pr.flux_from_config(name, None, n),
+                                            pr.Grid(n=n, L=5.0, N=16), (-2.0, 2.0))
+            assert rep.ok and rep.max_split_error <= 1e-8, (name, rep)  # FD rounding
+
+    @pytest.mark.parametrize("broken", ["doubled a", "swapped halves", "halved slope"])
+    def test_split_that_misstates_the_flux_fails(self, broken):
+        flux = pr.burgers_flux_model(1)
+        bad = dataclasses.replace(flux, split=broken_splits(flux)[broken])
+        grid = pr.Grid(n=1, L=5.0, N=16)
+        rep, good = pr.check_flux_consistency(bad, grid), pr.check_flux_consistency(flux, grid)
+        assert not rep.ok and rep.max_split_error > 0.1
+        assert (rep.max_df_du_error, rep.max_div_error) == (good.max_df_du_error,
+                                                            good.max_div_error)
+
+    def test_flux_without_split_is_checked_on_f(self):
+        flux = dataclasses.replace(pr.burgers_flux_model(1), split=None)
+        rep = pr.check_flux_consistency(flux, pr.Grid(n=1, L=5.0, N=16))
+        assert rep.ok and rep.max_split_error is None
+
     def test_nonfinite_names_first_sample(self):
         def f(x, t, u):
             return np.where(np.asarray(u) > 0.9, np.nan, np.asarray(u, dtype=float))[None]
@@ -149,8 +173,7 @@ class TestCatalogSplits:
         x = pr._x_lattice(grid, per_axis=8)[:, :, None]  # (n, P, 1)
         u = np.linspace(-2.0, 2.0, 41)[None, :] + 0.0 * x[0]  # (P, 41)
         split = flux.split
-        a = (np.asarray(split.a(x), dtype=float) if callable(split.a)
-             else np.reshape(split.a, (n, 1, 1)))
+        a = np.asarray(split.a(x), dtype=float)
         up, down, slope = split.g(u.copy(), tuple(np.empty_like(u) for _ in range(3)))
         g = up if down is None else up + down
         assert np.allclose(a * g, flux.f(x, 0.0, u), rtol=1e-14, atol=1e-15)
@@ -161,7 +184,8 @@ class TestCatalogSplits:
 
 
 def stacked_burgers(n):
-    """Burgers flux with every component built as its own array."""
+    """Burgers flux with every component built as its own array, and the
+    catalog's split."""
     def f(x, t, u):
         u = np.asarray(u, dtype=float)
         return np.stack([0.5 * u * u] * n)
@@ -171,7 +195,26 @@ def stacked_burgers(n):
         return np.stack([u] * n)
 
     return pr.FluxModel(name="burgers", f=f, df_du=df_du,
-                        div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+                        div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
+                        split=pr.burgers_flux_model(n).split)
+
+
+def broken_splits(flux):
+    """Splits of `flux` that the solver would step wrongly: a doubled, g_up and
+    g_down swapped (neither is monotone), and |g'| halved."""
+    split = flux.split
+
+    def swapped(u, out):
+        up, down, slope = split.g(u, out)
+        return down, up, slope
+
+    def flat(u, out):
+        up, down, slope = split.g(u, out)
+        return up, down, 0.5 * slope
+
+    return {"doubled a": dataclasses.replace(split, a=lambda x: 2.0 * split.a(x)),
+            "swapped halves": dataclasses.replace(split, g=swapped),
+            "halved slope": dataclasses.replace(split, g=flat)}
 
 
 class TestBurgersFluxViews:

@@ -36,7 +36,7 @@ def nan_below_flux(u_min=-0.45):
     return pr.FluxModel(name="nan-below", f=f,
                         df_du=lambda x, t, u: np.ones((1,) + np.shape(u)),
                         div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                        split=pr.FluxSplit(a=(1.0,), g=g))
+                        split=pr.FluxSplit(a=lambda x: np.ones(np.shape(x)), g=g))
 
 
 def nan_below_derivative(u_min=-0.45):
@@ -50,7 +50,7 @@ def nan_below_derivative(u_min=-0.45):
 
     return pr.FluxModel(name="nan-df-below", f=lambda x, t, u: np.asarray(u, float)[None],
                         df_du=df_du, div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                        split=pr.FluxSplit(a=(1.0,), g=g))
+                        split=pr.FluxSplit(a=lambda x: np.ones(np.shape(x)), g=g))
 
 
 class TestStableDt:
@@ -230,7 +230,7 @@ def zero_halves(n):
 
 def counting(flux, calls):
     """`flux` with its split's g counting its calls into calls["g"], and its
-    split's a, when that is a function, into calls["a"]."""
+    split's a into calls["a"]."""
     def counted(name, fn):
         def wrapper(*args):
             calls[name] = calls.get(name, 0) + 1
@@ -238,9 +238,8 @@ def counting(flux, calls):
         return wrapper
 
     split = flux.split
-    a = counted("a", split.a) if callable(split.a) else split.a
-    return dataclasses.replace(
-        flux, split=dataclasses.replace(split, a=a, g=counted("g", split.g)))
+    return dataclasses.replace(flux, split=dataclasses.replace(
+        split, a=counted("a", split.a), g=counted("g", split.g)))
 
 
 def traced(flux, calls):
@@ -295,7 +294,8 @@ class TestStepKernel:
     @pytest.mark.parametrize("case", range(len(STEP_CASES)), ids=STEP_IDS)
     def test_rate_is_the_largest_flux_slope(self, case, boundary):
         # lam_ax = max |df_du| over the left and right states of the interfaces,
-        # from the sampled-check evaluator; bit for bit where a is constant
+        # from the sampled-check evaluator; bit for bit where a is constant (the
+        # rate is taken per cell, which gives the same maximum)
         n, flux, u0 = STEP_CASES[case]
         p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
                        p0=1.0, flux=flux, u0=u0, boundary_policy=boundary)
@@ -315,7 +315,7 @@ class TestStepKernel:
                                            np.abs(flux.df_du(xi, 0.0, ur)[ax])))) / grid.dx
         rate = lam + 2.0 * n * float(np.max(np.abs(u) ** 0.5)) / grid.dx ** 2
         dt, _ = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
-        if callable(flux.split.a):
+        if flux.name == "figure1":
             assert dt == pytest.approx(1.0 / rate, rel=1e-14)
         else:
             assert dt == 1.0 / (rate + 1e-300)
@@ -323,38 +323,14 @@ class TestStepKernel:
     @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
     def test_flux_calls_per_step(self, n, flux, u0):
         # stable_dt calls the split's g once per axis and step reuses what it
-        # prepared; a function a is evaluated once per axis in the whole run
+        # prepared; a is evaluated once per axis in the whole run
         calls = {}
         p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=40 if n == 1 else 16), alpha=0.5,
                        p0=1.0, flux=counting(flux, calls), u0=u0)
         res = sv.run(p, sv.SchemeConfig(t_end=0.2))
         assert res.step_count > 0
         assert calls["g"] == n * res.step_count
-        assert calls.get("a", 0) == (n if callable(flux.split.a) else 0)
-
-    @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
-    @pytest.mark.parametrize("n", (1, 2))
-    def test_function_a_steps_as_the_constants_it_equals(self, n, boundary):
-        # the array path (a of x, cached at the interfaces) against the
-        # per-axis constants, unstacked and stacked
-        const = pr.linear_flux_model((1.0, -2.0)[:n], n)
-        c = np.array((1.0, -2.0)[:n])
-        of_x = dataclasses.replace(const, split=dataclasses.replace(
-            const.split, a=lambda x: np.broadcast_to(c.reshape((n,) + (1,) * (x.ndim - 1)),
-                                                     x.shape)))
-        grid = pr.Grid(n=n, L=3.0, N=40 if n == 1 else 12)
-        x = grid.cell_centers()
-        u = x[0] * np.exp(-np.sum(x ** 2, axis=0) / 2.0)
-        for values in (u, np.stack([u, -2.0 * u, u + 0.5])):
-            states = []
-            for flux in (const, of_x):
-                p = pr.Problem(grid=grid, alpha=0.5, p0=1.0, flux=flux, u0=gaussian,
-                               boundary_policy=boundary)
-                s = pr.State(values=values, time=0.0, grid=grid)
-                for _ in range(20):
-                    s = sv.step(s, p, *sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0)))
-                states.append(s.values)
-            assert np.array_equal(*states)
+        assert calls["a"] == n
 
 
 def test_flux_without_split_cannot_be_stepped():
@@ -519,23 +495,30 @@ class TestStepLeavesInputs:
 def test_axis_layout_follows_the_value_shape():
     # unstacked: every array C-contiguous with its axis first, axis 1 of 2-D too;
     # stacked: scratch as swapaxes views of arrays laid out as the values, and
-    # coefficients with a singleton axis for the branches; constant a: floats
+    # coefficients with a singleton axis for the branches
     grid, thread, N = pr.Grid(n=2, L=3.0, N=12), threading.get_ident(), 12
     a = lambda x: np.tanh(x)  # noqa: E731
     for ax in (0, 1):
         Gp, Up, gbuf, F, tmp, coef = sv._axis(grid, ax, grid.shape, a, thread)
-        assert all(v.flags.c_contiguous for v in [Gp, Up, *gbuf, F, tmp, *coef])
+        (plus, left_up), (minus, left_down), reach = *coef[0], coef[1]
+        assert all(v.flags.c_contiguous for v in [Gp, Up, *gbuf, F, tmp, plus, minus, reach])
         assert [v.shape[0] for v in [Gp, Up, *gbuf, F, tmp]] == [N + 2] * 5 + [N + 1] * 2
-        assert all(not v.flags.writeable and v.shape == (N + 1, N) for v in coef)
-        # component ax of a at the interfaces normal to ax, first along them
+        assert (left_up, left_down) == (False, True)
+        assert all(not v.flags.writeable for v in (plus, minus, reach))
+        assert [v.shape for v in (plus, minus, reach)] == [(N + 1, N), (N + 1, N), (N, N)]
+        # component ax of a at the interfaces normal to ax, first along them; it
+        # keeps its sign in every cell, so the reach is the larger |a| of the two faces
         want = np.broadcast_to(np.tanh(grid.axis_interfaces())[:, None], (N + 1, N))
-        assert np.array_equal(coef[0] + coef[1], want)
+        assert np.array_equal(plus + minus, want)
+        assert np.array_equal(reach, np.maximum(abs(want[:-1]), abs(want[1:])))
         assert sv._axis(grid, ax, grid.shape, None, thread)[0].flags.c_contiguous
-        assert sv._axis(grid, ax, grid.shape, (2.0, -3.0), thread)[5] == (
-            (2.0, 0.0, 2.0) if ax == 0 else (0.0, -3.0, 3.0))
+        # a uniform coefficient is a float, and a half that a zeroes is left out
+        uniform = sv._axis(grid, ax, grid.shape, lambda x: -2.0 * np.ones(np.shape(x)), thread)
+        assert uniform[5] == ([(-2.0, True)], 2.0)
         Gp, Up, gbuf, F, tmp, coef = sv._axis(grid, ax, (3,) + grid.shape, a, thread)
         assert all(v.swapaxes(0, ax + 1).flags.c_contiguous for v in [Gp, Up, *gbuf, F, tmp])
-        assert all(v.shape[ax + 1] == 1 and v.ndim == 3 for v in coef)
+        (plus, _), (minus, _), reach = *coef[0], coef[1]
+        assert all(v.shape[ax + 1] == 1 and v.ndim == 3 for v in (plus, minus, reach))
 
 
 @given(data=st.data())
@@ -628,8 +611,9 @@ def test_monotone_step_size_keeps_sup_norm_from_rising(n, N, t_end):
 def test_run_and_sandwich_call_step_and_stable_dt_once_per_step(monkeypatch):
     # bench/run.py --trace wraps these two module functions as below: it counts
     # cells through them and hands each call a copy of the problem with traced
-    # f and df_du; here every call gets a fresh copy with a counted split g,
-    # so no step may lean on the identity of the problem its stable_dt saw.
+    # f and df_du; here every call gets a fresh copy with a counted split g
+    # and a, so no step may lean on the identity of the problem its stable_dt
+    # saw (a fresh a misses the coefficient cache: n calls per stable_dt).
     # The sandwich steps its three branches as one stacked state: one call
     # each per lockstep step.
     calls = {"step": 0, "stable_dt": 0}
@@ -655,7 +639,7 @@ def test_run_and_sandwich_call_step_and_stable_dt_once_per_step(monkeypatch):
     monkeypatch.setattr(sv, "stable_dt", counted("stable_dt", sv.stable_dt))
     res = sv.run(p, cfg)
     assert calls == {"step": res.step_count, "stable_dt": res.step_count}
-    assert flux_calls == {"g": n * res.step_count}
+    assert flux_calls == {"g": n * res.step_count, "a": n * res.step_count}
     assert res.step_count == plain.step_count and len(res.snapshots) == 3
     for a, b in zip(res.snapshots, plain.snapshots):
         assert a.time == b.time and a.values.tobytes() == b.values.tobytes()
@@ -666,7 +650,7 @@ def test_run_and_sandwich_call_step_and_stable_dt_once_per_step(monkeypatch):
     rep = hz.run_sandwich(*sandwich)
     assert rep.step_count > 0
     assert calls == {"step": rep.step_count, "stable_dt": rep.step_count}
-    assert flux_calls == {"g": n * rep.step_count}
+    assert flux_calls == {"g": n * rep.step_count, "a": n * rep.step_count}
     assert cells[0] == 3 * p.grid.N * rep.step_count
     assert rep == plain_rep
 
@@ -716,7 +700,13 @@ def test_one_step_jacobian_is_nonnegative(data):
         u = amp * np.exp(-np.sum(x ** 2, axis=0) / width ** 2)
     p = pr.Problem(grid=grid, alpha=alpha, p0=1.0, flux=pr.flux_from_config(name, params, n),
                    u0=gaussian, boundary_policy=boundary)
-    h, cells = 1e-3, u.size
+    assert_monotone_step(p, u)
+
+
+def assert_monotone_step(p, u, h=1e-3):
+    """u and its one-cell perturbations by h step as one stacked state, under
+    one shared dt at cfl 0.9, and every difference quotient is >= 0."""
+    grid, cells = p.grid, u.size
     stacked = np.repeat(u[None], cells + 1, axis=0).reshape(cells + 1, cells)
     stacked[1:] += h * np.eye(cells)
     s = pr.State(values=stacked.reshape((cells + 1,) + grid.shape), time=0.0, grid=grid)
@@ -725,6 +715,19 @@ def test_one_step_jacobian_is_nonnegative(data):
     jac = (new[1:] - new[0]) / h  # row j: the response to a bump in cell j
     j, i = np.unravel_index(int(jac.argmin()), jac.shape)
     assert jac[j, i] >= -1e-9, (jac[j, i], int(i), int(j), u.ravel()[[i, j]].tolist())
+
+
+@pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+def test_a_turning_sign_inside_a_cell_keeps_the_step_monotone(boundary):
+    # a = tanh(20 x) on an odd grid turns from -1 to +1 inside the middle cell,
+    # which then loses g = u through both faces: its diagonal entry is
+    # 1 - dt/dx (|a_l| + |a_r|), below 0 if the rate took only the larger |a|
+    linear = pr.linear_flux_model(1.0, 1)
+    flux = dataclasses.replace(linear, split=dataclasses.replace(
+        linear.split, a=lambda x: np.tanh(20.0 * x)))
+    p = pr.Problem(grid=pr.Grid(n=1, L=3.0, N=21), alpha=1.0, p0=1.0, flux=flux,
+                   u0=gaussian, boundary_policy=boundary)
+    assert_monotone_step(p, pr.sample_initial(p).values)
 
 
 class TestRun:

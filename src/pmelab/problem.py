@@ -109,7 +109,13 @@ class FluxModel:
 class State:
     """Discrete solution snapshot: cell averages on a grid at one time. The values
     have the grid's shape, or (B,) + grid shape for B >= 1 solutions (branches)
-    stacked along a leading axis and stepped together."""
+    stacked along a leading axis and stepped together.
+
+    A State keeps a read-only copy of the values, so later writes to the
+    caller's array do not reach it, and checks that each is finite. The states
+    `solver.step` returns (`_Stepped`) skip both: their values are the step's
+    own new array, read-only, and the next step's max|u|^a, NaN or inf exactly
+    when some value is, or the State built at the landing time checks them."""
 
     values: np.ndarray
     time: float
@@ -130,6 +136,13 @@ class State:
             raise ConfigError(f"time must be finite and >= 0, got {self.time}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+
+class _Stepped(State):
+    """A State that takes its values as they are (see `State`)."""
+
+    def __post_init__(self) -> None:
+        pass
 
 
 @dataclass(frozen=True)

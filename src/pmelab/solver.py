@@ -38,10 +38,15 @@ unstacked state, so that axis 1 of a 2-D state is transposed once, as u and G
 are padded, and not read in strides; swapaxes views for a stacked state (see
 `_axis` for why). Beside what g returns, a step allocates only |u|^a, G, the
 terms and the new values, so 2-D runs seldom hand heap pages back to the
-system only to fault them in again. The catalog's zero flux makes no g calls:
-when the flux's split is `problem.ZERO_SPLIT` (by identity, never by name or
-value) a step is its diffusion half alone, with lam_ax = 0, and its cache holds
-no coefficients.
+system only to fault them in again; the new values become the stepped `State`
+as they are, read-only, with no copy and no finiteness scan. A blow-up is
+caught where the next step takes max|u|^a, NaN or inf exactly when some value
+is (or when |u|^a overflows), before any other arithmetic; only then is its
+cell looked up. After the last step before a landing time, the `State` built
+at the landing checks every value. `advance` names the step that made it.
+The catalog's zero flux makes no g calls: when the flux's split is
+`problem.ZERO_SPLIT` (by identity, never by name or value) a step is its
+diffusion half alone, with lam_ax = 0, and its cache holds no coefficients.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, RunError
-from .problem import ZERO_SPLIT, Grid, Problem, State, sample_initial
+from .problem import ZERO_SPLIT, Grid, Problem, State, _Stepped, sample_initial
 
 _DEN_GUARD = 1e-300
 # a run is flagged once its boundary cells hold more than this share of the initial mass
@@ -137,7 +142,7 @@ def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, thread: int) -> tuple:
     value everywhere (a constant a) is that float, which costs no array reads.
 
     The layout follows the value shape. For an unstacked state every array is
-    C-contiguous with ax first, so along axis 1 of a 2-D state the concatenates
+    C-contiguous with ax first, so along axis 1 of a 2-D state the copies
     into the padded u and G are the step's one transpose and the flux
     arithmetic runs on whole rows (on the strided halves of the value layout
     it ran about 2x slower). For a stacked state the scratch arrays are
@@ -198,6 +203,16 @@ def _half(coef, left, right, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pad(v: np.ndarray, edge: bool, out: np.ndarray) -> np.ndarray:
+    """v along axis 0 into out[1:-1], between ghost cells: edge copies, or 0."""
+    out[1:-1] = v
+    if edge:
+        out[0], out[-1] = v[0], v[-1]
+    else:
+        out[0] = out[-1] = 0.0
+    return out
+
+
 def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
     """The dt-independent half of a step: the rate sum_ax lam_ax/dx + 2n max|u|^a/dx^2
     and, per axis, the Engquist-Osher flux difference (None for the zero flux,
@@ -209,15 +224,20 @@ def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
     along axis 0 of swapaxes views, and its terms go back as views too. A
     stacked state (b = 1 leading branch axis) is computed in the same calls,
     every value as it would be for its branch alone, and its rate is one float
-    per branch."""
+    per branch. A non-finite value raises as in `State`, found by max|u|^a
+    before any other arithmetic on u."""
     values, grid, t = state.values, state.grid, state.time
     b = values.ndim - grid.n
     dx, alpha, split = grid.dx, problem.alpha, problem.flux.split
     advect = split is not ZERO_SPLIT
     a = np.abs(values)
     a **= alpha
+    peak = _peak(a, 0, b)
+    if not math.isfinite(peak if not b else peak.max()):
+        State(values=values, time=t, grid=grid)  # raises if some value is not finite
     G = a * values
     G /= alpha + 1.0
+    edge = problem.boundary_policy == "zero_flux"
     lam_adv = 0.0
     terms = []
     for ax in range(grid.n):
@@ -225,15 +245,10 @@ def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
         Gp, Up, gbuf, F, tmp, coef = _axis(grid, ax, values.shape,
                                            split.a if advect else None,
                                            threading.get_ident())
-        u, g = _first(values, k), _first(G, k)
-        ulo, uhi, glo, ghi = ((u[:1], u[-1:], g[:1], g[-1:])
-                              if problem.boundary_policy == "zero_flux"
-                              else (np.zeros_like(u[:1]),) * 4)
-        np.concatenate((glo, g, ghi), out=Gp)
+        _pad(_first(G, k), edge, Gp)
         dF = None
         if advect:
-            np.concatenate((ulo, u, uhi), out=Up)
-            up, down, slope = split.g(Up, gbuf)
+            up, down, slope = split.g(_pad(_first(values, k), edge, Up), gbuf)
             halves, reach = coef
             for i, (c, flip) in enumerate(halves):
                 left, right = (down, up) if flip else (up, down)
@@ -251,7 +266,7 @@ def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
         np.subtract(Gp[2:], lapG, out=lapG)
         lapG += Gp[:-2]
         terms.append((dF, _first(lapG, k)))
-    return lam_adv + 2.0 * grid.n * _peak(a, 0, b) / dx ** 2, terms
+    return lam_adv + 2.0 * grid.n * peak / dx ** 2, terms
 
 
 def step(state: State, problem: Problem, dt: float, terms: list | None = None) -> State:
@@ -259,7 +274,7 @@ def step(state: State, problem: Problem, dt: float, terms: list | None = None) -
     must respect the stable_dt bound. Applies the terms that stable_dt returned
     for this state and problem, or prepares them itself when given none. Writes
     neither the state nor the terms: each scaled term goes through one cached
-    buffer into the one new array."""
+    buffer into the one new array, returned read-only and unchecked."""
     if terms is None:
         terms = _prepare(state, problem)[1]
     dx, u = state.grid.dx, state.values
@@ -269,7 +284,8 @@ def step(state: State, problem: Problem, dt: float, terms: list | None = None) -
         if dF is not None:
             u = np.subtract(u, np.multiply(dt / dx, dF, out=buf), out=new)
         u = np.add(u, np.multiply(dt / dx ** 2, lapG, out=buf), out=new)
-    return State(values=new, time=state.time + dt, grid=state.grid)
+    new.setflags(write=False)
+    return _Stepped(values=new, time=state.time + dt, grid=state.grid)
 
 
 def advance(state: State, problem: Problem, config: SchemeConfig,
@@ -279,11 +295,18 @@ def advance(state: State, problem: Problem, config: SchemeConfig,
     time; the branches of a stacked state share that dt.
 
     Yields ``(state, dt)`` after every step, and ``(state, None)`` with the
-    time set exactly to the landing time each time one is reached. `names` label
-    the branches, by leading index, in the error raised when preparing or taking
-    a step fails."""
+    time set exactly to the landing time each time one is reached. An error
+    raised when preparing a step names the step, and `names` label the
+    branches, by leading index. A non-finite value is found when the next step
+    prepares, or at the landing State, and is named by the step that made it."""
     steps = 0
     t_tol = 1e-12 * max(1.0, config.t_end)
+
+    def label(exc: RunError, made: int) -> str:
+        named = names and exc.branch is not None
+        where = f", {names[exc.branch]} branch" if named else ""
+        return f"step {made}{where}: {exc}"
+
     for target in sorted(set(config.snapshot_times) | {config.t_end}):
         while state.time < target - t_tol:
             if steps >= MAX_STEPS:
@@ -291,17 +314,20 @@ def advance(state: State, problem: Problem, config: SchemeConfig,
                     f"exceeded {MAX_STEPS} steps at t={state.time} (target {target})")
             try:
                 dt, terms = stable_dt(state, problem, config)
-                dt = min(dt, target - state.time)
-                state = step(state, problem, dt, terms)
             except RunError as exc:
-                named = names and exc.branch is not None
-                where = f", {names[exc.branch]} branch" if named else ""
-                raise RunError(f"step {steps + 1}{where}: {exc}") from exc
+                # the state holds a non-finite value only if the last step made it
+                made = steps + bool(np.isfinite(state.values).all())
+                raise RunError(label(exc, made)) from exc
+            dt = min(dt, target - state.time)
+            state = step(state, problem, dt, terms)
             del terms  # freed before the next prepare
             steps += 1
             yield state, dt
         # land exactly on the target for downstream time arithmetic
-        state = State(values=state.values, time=target, grid=state.grid)
+        try:
+            state = State(values=state.values, time=target, grid=state.grid)
+        except RunError as exc:
+            raise RunError(label(exc, steps)) from exc
         yield state, None
 
 

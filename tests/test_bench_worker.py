@@ -1,0 +1,53 @@
+"""The contract between the benchmark worker and the package: a traced round
+must count the same cell updates at the `solver.step` hook as the run results
+hold, and must write the same bytes as a plain round. bench/run.py rejects a
+round that breaks either, so a change to how a run steps is checked here on
+small inputs, in the same subprocess the benchmark uses."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+WORKER = ROOT / "bench" / "worker.py"
+
+OPS = [
+    {"name": "run-1d", "cli": ["run", "--set", "flux=burgers", "--set", "N=60",
+                               "--t-end", "1"]},
+    {"name": "run-2d", "cli": ["run", "--set", "n=2", "--set", "flux=burgers",
+                               "--set", "N=20", "--t-end", "1"]},
+    {"name": "sandwich", "cli": ["sandwich", "--set", "N=60", "--eps-list", "0.1,0.01",
+                                 "--t-end", "0.2"]},
+    {"name": "barenblatt-validate", "cli": ["barenblatt-validate", "--grids", "40,80"]},
+    {"name": "probe", "probe": {"c": 20.0, "L": 5.0, "N": 50, "alpha": 1.0, "width2": 0.5,
+                                "t_end": 0.3, "snapshots": 4}},
+]
+
+
+def run_round(tmp_path: pathlib.Path, traced: bool) -> tuple[dict, dict]:
+    """(result.json, {file name: bytes}) of one worker round on OPS."""
+    round_dir = tmp_path / ("traced" if traced else "plain")
+    round_dir.mkdir()
+    spec = round_dir / "spec.json"
+    spec.write_text(json.dumps({"src": str(ROOT / "src"), "round_dir": str(round_dir),
+                                "trace": traced, "ops": OPS}))
+    proc = subprocess.run([sys.executable, str(WORKER), str(spec)], capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((round_dir / "result.json").read_text())
+    out = round_dir / "out"
+    return result, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def test_traced_round_counts_and_writes_as_the_plain_round(tmp_path):
+    plain, plain_files = run_round(tmp_path, traced=False)
+    traced, traced_files = run_round(tmp_path, traced=True)
+    for result in (plain, traced):
+        assert [(o["name"], o["status"]) for o in result["ops"]] == \
+            [(op["name"], 0) for op in OPS], [o["detail"] for o in result["ops"]]
+    assert traced["cell_updates"] == plain["cell_updates"] > 0
+    assert traced["traced_cell_updates"] == traced["cell_updates"]
+    assert traced_files == plain_files
+    assert {name.split("_")[0] for name in traced_files} == {
+        op["cli"][0] for op in OPS if "cli" in op}

@@ -53,6 +53,25 @@ def nan_below_derivative(u_min=-0.45):
                         split=pr.FluxSplit(a=lambda x: np.ones(np.shape(x)), g=g))
 
 
+def poison_step(monkeypatch, at: int, bad: float, cell) -> list[int]:
+    """Make call number `at` of sv.step, on a 1-D grid, write `bad` into `cell` of
+    its new values through the diffusion term, as a blow-up in that step would;
+    returns the running count of calls."""
+    real, calls = sv.step, [0]
+
+    def step(state, p, dt, terms):
+        calls[0] += 1
+        if calls[0] == at:
+            (dF, lapG), = terms
+            lapG = lapG.copy()
+            lapG[cell] = bad
+            terms = [(dF, lapG)]
+        return real(state, p, dt, terms)
+
+    monkeypatch.setattr(sv, "step", step)
+    return calls
+
+
 class TestStableDt:
     def test_pure_diffusion_formula(self):
         # dx = 0.1, alpha = 1, max|u| = 2  ->  dt = cfl * dx^2 / (2*1*2)
@@ -492,6 +511,46 @@ class TestStepLeavesInputs:
         assert_step_leaves_inputs(pr.State(values=stacked, time=0.0, grid=base.grid), p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("flux", [pr.zero_flux_model(1), pr.burgers_flux_model(1)],
+                         ids=["zero", "burgers"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["unstacked", "stacked"])
+def test_stable_dt_reports_a_non_finite_value(monkeypatch, bad, flux, stacked):
+    # found in max|u|^a before any other arithmetic: not as an underflowed dt,
+    # and without a numpy RuntimeWarning (an error under this suite's filters)
+    p = pr.Problem(grid=pr.Grid(n=1, L=3.0, N=60), alpha=0.5, p0=1.0, flux=flux,
+                   u0=lambda x: x[0] * np.exp(-x[0] ** 2 / 4.0))
+    s = pr.sample_initial(p)
+    if stacked:
+        s = pr.State(values=np.stack([s.values, 2.0 * s.values]), time=0.0, grid=p.grid)
+    cfg = sv.SchemeConfig(t_end=1.0)
+    poison_step(monkeypatch, 1, bad, (1, 7) if stacked else 7)
+    s = sv.step(s, p, *sv.stable_dt(s, p, cfg))
+    with pytest.raises(RunError, match=r"^non-finite value at cell \(7,\), t=") as exc:
+        sv.stable_dt(s, p, cfg)
+    assert exc.value.branch == (1 if stacked else None)
+
+
+@pytest.mark.parametrize("case", range(len(STEP_CASES)), ids=STEP_IDS)
+def test_states_own_their_values(case):
+    # a State copies a caller's array; a stepped state is the step's own new
+    # array, read-only, sharing memory with neither its input nor the terms
+    n, flux, u0 = STEP_CASES[case]
+    p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
+                   p0=1.0, flux=flux, u0=u0)
+    mine = pr.sample_initial(p).values.copy()
+    s = pr.State(values=mine, time=0.0, grid=p.grid)
+    before = s.values.tobytes()
+    mine += 1.0
+    assert s.values.tobytes() == before and not s.values.flags.writeable
+    dt, terms = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0))
+    new = sv.step(s, p, dt, terms).values
+    assert not new.flags.writeable
+    assert not np.shares_memory(new, s.values)
+    for term in terms:
+        assert not any(np.shares_memory(new, t) for t in term if t is not None)
+
+
 def test_axis_layout_follows_the_value_shape():
     # unstacked: every array C-contiguous with its axis first, axis 1 of 2-D too;
     # stacked: scratch as swapaxes views of arrays laid out as the values, and
@@ -759,6 +818,35 @@ class TestRun:
                        flux=nan_below_derivative(), u0=lambda x: -0.5 * gaussian(x))
         with pytest.raises(RunError, match=r"step 1\b.*non-finite flux derivative"):
             sv.run(p, sv.SchemeConfig(t_end=1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("last", [False, True], ids=["mid-run", "last-step"])
+    def test_blowup_is_named_by_the_step_that_made_it(self, monkeypatch, bad, last):
+        # a stepped state is not scanned: the next prepare finds the value in
+        # max|u|^a, or the State built at the landing after the last step does
+        p = diffusion_problem(N=100)
+        cfg = sv.SchemeConfig(t_end=0.2)
+        total = sv.run(p, cfg).step_count
+        assert total >= 3
+        at = total if last else total // 2
+        calls = poison_step(monkeypatch, at, bad, 7)
+        with pytest.raises(RunError, match=rf"^step {at}: non-finite value at cell \(7,\)") as exc:
+            sv.run(p, cfg)
+        assert calls == [at]
+        assert str(exc.value).endswith("t=0.2") == last
+
+    def test_stacked_blowup_names_its_branch_at_the_landing(self, monkeypatch):
+        p = diffusion_problem(N=100)
+        base = pr.sample_initial(p).values
+        stack = pr.State(values=np.stack([0.5 * base, base, 2.0 * base]), time=0.0, grid=p.grid)
+        cfg = sv.SchemeConfig(t_end=0.2)
+        total = sum(dt is not None for _, dt in sv.advance(stack, p, cfg))
+        poison_step(monkeypatch, total, np.inf, (1, 7))
+        with pytest.raises(RunError, match=rf"^step {total}, middle branch: "
+                                           rf"non-finite value at cell \(7,\), t=0.2$") as exc:
+            for _ in sv.advance(stack, p, cfg, names=("lower", "middle", "upper")):
+                pass
+        assert exc.value.__cause__.branch == 1
 
     def test_sup_norm_decreases(self):
         p = diffusion_problem(N=200)

@@ -15,8 +15,9 @@ criterion-10 list leaves out: a long Moser table, every catalog flux under
 check-flux, data at the walls under both boundary policies, a 2-D sandwich,
 2-D runs with and without advection, 1-D Burgers from signed data under both
 boundary policies, every option of figure1 and barenblatt-validate off its
-default, a run at a smaller CFL factor, and options given a value that is
-rejected before any work, non-numeric text among them.
+default, a run at a smaller CFL factor, the benchmark's step-size probe with
+its 31 snapshots, and options given a value that is rejected before any work,
+non-numeric text among them.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ COMMANDS = [
     ["barenblatt-validate", "--alpha", "0.5", "--C", "2", "--t0", "0.5", "--t1", "1",
      "--L", "15", "--grids", "60,120"],
     ["run", "--set", "N=100", "--t-end", "0.3", "--cfl", "0.5"],
+    # the benchmark's step-size probe through the CLI: 31 landings, each one a
+    # State built and checked from a stepped state
+    ["run", "--set", "flux=linear c=20", "--set", "L=5", "--set", "N=200", "--set", "alpha=1",
+     "--set", "u0=gaussian width=0.7071067811865476", "--t-end", "0.3", "--snapshots", "31"],
     # non-numeric text in a list option and in a scalar setting
     ["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "1,x"],
     ["run", "--set", "N=abc", "--t-end", "0.1"],

@@ -19,41 +19,33 @@ the two faces, so lam_ax is the largest |a| max(|g'(u_l)|, |g'(u_r)|) over the
 interfaces; where a changes sign inside the cell it is |a_l| + |a_r|.
 `stable_dt` returns cfl_safety times that bound. To get lam_ax it evaluates g,
 so it prepares the whole dt-independent part of the update and returns those
-terms beside dt; `advance` hands them to `step`. f and df_du are never called
-here.
+terms beside dt, for `step`; f and df_du are never called here.
 
 A state may stack B solutions (branches) along a leading axis, as the
 comparison sandwich does. They are prepared and stepped in the same calls,
 every value as for its branch alone, and share one dt: stable_dt takes the
 largest of the branches' rates, which gives bitwise the smallest of their own
-dt. g then gets u with that branch axis, and a(x) is cached with a singleton
-axis in its place.
+dt. g gets u with that branch axis, and a(x) a singleton axis in its place.
 
-Each axis is computed along axis 0, with the coefficients a+ and a- at the
-interfaces, the reach at the cells and the scratch arrays of one cache per
-grid, axis, value shape, a and thread (`_axis`); g is evaluated once per step
-on the N+2 padded cells.
-Their layout follows the value shape: C-contiguous with the axis first for an
-unstacked state, so that axis 1 of a 2-D state is transposed once, as u and G
-are padded, and not read in strides; swapaxes views for a stacked state (see
-`_axis` for why). Beside what g returns, a step allocates only |u|^a, G, the
-terms and the new values, so 2-D runs seldom hand heap pages back to the
-system only to fault them in again; the new values become the stepped `State`
-as they are, read-only, with no copy and no finiteness scan. A blow-up is
-caught where the next step takes max|u|^a, NaN or inf exactly when some value
-is (or when |u|^a overflows), before any other arithmetic; only then is its
-cell looked up. After the last step before a landing time, the `State` built
-at the landing checks every value. `advance` names the step that made it.
+Each axis is computed along axis 0 of the scratch arrays and coefficients of
+`_axis` (a+ and a- at the interfaces, the reach at the cells), in the layout
+that `_axis` gives; g is evaluated once per step on the N+2 padded cells.
+`advance` builds that scratch once per run (`_scratch`) and hands it to every
+`stable_dt` and `step`; called without it, they build their own. A step's new
+values become the stepped `State` as they are, read-only, with no copy and no
+finiteness scan. A blow-up is caught where the next step takes max|u|^a, NaN
+or inf exactly when some value is (or when |u|^a overflows), before any other
+arithmetic, or after the last step before a landing time by the `State` built
+at the landing. `advance` yields a stepped state only once one of these checks
+has passed, and names the step that made a bad value.
 The catalog's zero flux makes no g calls: when the flux's split is
 `problem.ZERO_SPLIT` (by identity, never by name or value) a step is its
-diffusion half alone, with lam_ax = 0, and its cache holds no coefficients.
+diffusion half alone, with lam_ax = 0, and its scratch holds no coefficients.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -96,13 +88,15 @@ class RunResult:
     boundary_flagged: bool
 
 
-def stable_dt(state: State, problem: Problem, config: SchemeConfig) -> tuple[float, list]:
+def stable_dt(state: State, problem: Problem, config: SchemeConfig,
+              work: tuple | None = None) -> tuple[float, list]:
     """(dt, terms): cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2), lam_ax = the largest
     reach |g'| over the cells along axis ax, and the dt-independent terms of
     the update prepared on the way (see `_prepare`), for `step(state, problem, dt, terms)`.
     A stacked state gets the dt of its largest branch rate: cfl / (rate + guard)
-    is monotone in the rate, so that is bitwise the smallest branch dt."""
-    rate, terms = _prepare(state, problem)
+    is monotone in the rate, so that is bitwise the smallest branch dt. `work`
+    is the run's scratch (`_scratch`), built afresh when not given."""
+    rate, terms = _prepare(state, problem, work)
     branch = None
     if isinstance(rate, np.ndarray):
         branch = int(rate.argmax())
@@ -127,8 +121,15 @@ def _peak(v: np.ndarray, k: int, b: int):
     return v.reshape(len(v), -1).max(1)
 
 
-@functools.lru_cache(maxsize=8)
-def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, thread: int) -> tuple:
+def _scratch(state: State, problem: Problem) -> tuple:
+    """One run's scratch for this state's grid and value shape: `_axis` for each axis
+    (advecting unless the split is `ZERO_SPLIT`), and a buffer for |u|^a, G and `step`."""
+    grid, shape, split = state.grid, state.values.shape, problem.flux.split
+    a = None if split is ZERO_SPLIT else split.a
+    return tuple(_axis(grid, ax, shape, a) for ax in range(grid.n)), np.empty(shape)
+
+
+def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a) -> tuple:
     """The arrays of `_prepare` for axis ax of values of this shape (grid.shape
     or (B,) + grid.shape), each with axis ax first: scratch for the padded G;
     then, for a flux that advects (None otherwise), scratch for the padded u,
@@ -147,9 +148,8 @@ def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, thread: int) -> tuple:
     arithmetic runs on whole rows (on the strided halves of the value layout
     it ran about 2x slower). For a stacked state the scratch arrays are
     swapaxes views of arrays laid out as the values, which measured faster on
-    the sandwich's (3, N) states. Keyed by thread ident too, so live threads
-    never share scratch; reusing it keeps 2-D steps from returning heap pages
-    to the system and faulting them back in."""
+    the sandwich's (3, N) states. Reused by every step of a run, the scratch
+    keeps 2-D steps from faulting heap pages in again and again."""
     N, b = grid.N, len(shape) - grid.n
     k = ax + b
 
@@ -185,12 +185,6 @@ def _uniform(v: np.ndarray) -> float | np.ndarray:
     return v
 
 
-@functools.lru_cache(maxsize=8)
-def _buffer(shape: tuple[int, ...], thread: int) -> np.ndarray:
-    """`step`'s scratch for one scaled term, per value shape and thread."""
-    return np.empty(shape)
-
-
 def _half(coef, left, right, out: np.ndarray) -> np.ndarray:
     """coef (left[:-1] + right[1:]) into out, a None side being 0: one half of
     the Engquist-Osher sum at the N+1 interfaces, from values on the N+2 cells."""
@@ -213,7 +207,8 @@ def _pad(v: np.ndarray, edge: bool, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
+def _prepare(state: State, problem: Problem,
+             work: tuple | None) -> tuple[float | np.ndarray, list]:
     """The dt-independent half of a step: the rate sum_ax lam_ax/dx + 2n max|u|^a/dx^2
     and, per axis, the Engquist-Osher flux difference (None for the zero flux,
     whose +0.0 leaves every value as it is) and the second difference of
@@ -225,30 +220,28 @@ def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
     stacked state (b = 1 leading branch axis) is computed in the same calls,
     every value as it would be for its branch alone, and its rate is one float
     per branch. A non-finite value raises as in `State`, found by max|u|^a
-    before any other arithmetic on u."""
+    before any other arithmetic on u. |u|^a, G and all scratch are `work`'s."""
     values, grid, t = state.values, state.grid, state.time
     b = values.ndim - grid.n
-    dx, alpha, split = grid.dx, problem.alpha, problem.flux.split
-    advect = split is not ZERO_SPLIT
-    a = np.abs(values)
+    dx, alpha, g = grid.dx, problem.alpha, problem.flux.split.g
+    axes, buf = work or _scratch(state, problem)
+    a = np.abs(values, out=buf)
     a **= alpha
     peak = _peak(a, 0, b)
     if not math.isfinite(peak if not b else peak.max()):
         State(values=values, time=t, grid=grid)  # raises if some value is not finite
-    G = a * values
+    G = np.multiply(a, values, out=a)
     G /= alpha + 1.0
     edge = problem.boundary_policy == "zero_flux"
     lam_adv = 0.0
     terms = []
     for ax in range(grid.n):
         k = ax + b
-        Gp, Up, gbuf, F, tmp, coef = _axis(grid, ax, values.shape,
-                                           split.a if advect else None,
-                                           threading.get_ident())
+        Gp, Up, gbuf, F, tmp, coef = axes[ax]
         _pad(_first(G, k), edge, Gp)
         dF = None
-        if advect:
-            up, down, slope = split.g(_pad(_first(values, k), edge, Up), gbuf)
+        if coef is not None:
+            up, down, slope = g(_pad(_first(values, k), edge, Up), gbuf)
             halves, reach = coef
             for i, (c, flip) in enumerate(halves):
                 left, right = (down, up) if flip else (up, down)
@@ -269,16 +262,18 @@ def _prepare(state: State, problem: Problem) -> tuple[float | np.ndarray, list]:
     return lam_adv + 2.0 * grid.n * peak / dx ** 2, terms
 
 
-def step(state: State, problem: Problem, dt: float, terms: list | None = None) -> State:
+def step(state: State, problem: Problem, dt: float, terms: list | None = None,
+         work: tuple | None = None) -> State:
     """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis; dt
     must respect the stable_dt bound. Applies the terms that stable_dt returned
     for this state and problem, or prepares them itself when given none. Writes
-    neither the state nor the terms: each scaled term goes through one cached
-    buffer into the one new array, returned read-only and unchecked."""
+    neither the state nor the terms: each scaled term goes through the buffer
+    of `work` (or a fresh one) into the one new array, returned read-only and
+    unchecked; `advance` yields the state once it has been checked."""
     if terms is None:
-        terms = _prepare(state, problem)[1]
+        terms = _prepare(state, problem, work)[1]
     dx, u = state.grid.dx, state.values
-    buf = _buffer(u.shape, threading.get_ident())
+    buf = np.empty(u.shape) if work is None else work[1]
     new = np.empty_like(u)
     for dF, lapG in terms:
         if dF is not None:
@@ -294,40 +289,44 @@ def advance(state: State, problem: Problem, config: SchemeConfig,
     in increasing order, each step by its stable_dt clipped to the next landing
     time; the branches of a stacked state share that dt.
 
-    Yields ``(state, dt)`` after every step, and ``(state, None)`` with the
+    Yields ``(state, dt)`` for every step, and ``(state, None)`` with the
     time set exactly to the landing time each time one is reached. An error
     raised when preparing a step names the step, and `names` label the
     branches, by leading index. A non-finite value is found when the next step
-    prepares, or at the landing State, and is named by the step that made it."""
+    prepares, or at the landing State, and is named by the step that made it;
+    a stepped state is yielded only after that check has passed."""
     steps = 0
     t_tol = 1e-12 * max(1.0, config.t_end)
+    work = _scratch(state, problem)
+    pending = ()  # the last (stepped state, dt), until a check has passed on it
 
     def label(exc: RunError, made: int) -> str:
-        named = names and exc.branch is not None
-        where = f", {names[exc.branch]} branch" if named else ""
+        where = f", {names[exc.branch]} branch" if names and exc.branch is not None else ""
         return f"step {made}{where}: {exc}"
 
     for target in sorted(set(config.snapshot_times) | {config.t_end}):
         while state.time < target - t_tol:
             if steps >= MAX_STEPS:
-                raise RunError(
-                    f"exceeded {MAX_STEPS} steps at t={state.time} (target {target})")
+                raise RunError(f"exceeded {MAX_STEPS} steps at t={state.time} (target {target})")
             try:
-                dt, terms = stable_dt(state, problem, config)
+                dt, terms = stable_dt(state, problem, config, work)
             except RunError as exc:
                 # the state holds a non-finite value only if the last step made it
                 made = steps + bool(np.isfinite(state.values).all())
                 raise RunError(label(exc, made)) from exc
+            yield from pending
             dt = min(dt, target - state.time)
-            state = step(state, problem, dt, terms)
+            state = step(state, problem, dt, terms, work)
             del terms  # freed before the next prepare
             steps += 1
-            yield state, dt
+            pending = ((state, dt),)
         # land exactly on the target for downstream time arithmetic
         try:
-            state = State(values=state.values, time=target, grid=state.grid)
+            landed = State(values=state.values, time=target, grid=state.grid)
         except RunError as exc:
             raise RunError(label(exc, steps)) from exc
+        yield from pending
+        state, pending = landed, ()
         yield state, None
 
 

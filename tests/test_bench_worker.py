@@ -19,7 +19,10 @@ OPS = [
                                "--set", "N=20", "--t-end", "1"]},
     {"name": "sandwich", "cli": ["sandwich", "--set", "N=60", "--eps-list", "0.1,0.01",
                                  "--t-end", "0.2"]},
+    {"name": "figure1", "cli": ["figure1", "--N", "60", "--t-end", "0.2"]},
     {"name": "barenblatt-validate", "cli": ["barenblatt-validate", "--grids", "40,80"]},
+    {"name": "decay-study", "cli": ["decay-study", "--set", "N=60", "--set", "L=20",
+                                    "--t-end", "10", "--alphas", "0.5,1.0"]},
     {"name": "probe", "probe": {"c": 20.0, "L": 5.0, "N": 50, "alpha": 1.0, "width2": 0.5,
                                 "t_end": 0.3, "snapshots": 4}},
 ]

@@ -126,3 +126,23 @@ def test_frozen_objects_are_set_only_in_post_init():
                   if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
                   and _name(node.value) == "object" and id(node) not in building]
     assert stray == []
+
+
+def test_no_module_caches_or_threads():
+    # scratch belongs to a run (solver.advance builds it once), so no module
+    # keeps a process-wide cache, and the package starts no threads
+    stray = []
+    for p in SOURCES:
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and _name(node.value) == "functools":
+                names = [f"functools.{node.attr}"]
+            else:
+                continue
+            stray += [f"{p.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "threading"
+                      or name in ("functools.lru_cache", "functools.cache")]
+    assert stray == []

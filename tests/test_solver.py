@@ -56,17 +56,18 @@ def nan_below_derivative(u_min=-0.45):
 def poison_step(monkeypatch, at: int, bad: float, cell) -> list[int]:
     """Make call number `at` of sv.step, on a 1-D grid, write `bad` into `cell` of
     its new values through the diffusion term, as a blow-up in that step would;
-    returns the running count of calls."""
+    returns the running count of calls. Further arguments (the run's scratch)
+    pass through as they came."""
     real, calls = sv.step, [0]
 
-    def step(state, p, dt, terms):
+    def step(state, p, dt, terms, *rest):
         calls[0] += 1
         if calls[0] == at:
             (dF, lapG), = terms
             lapG = lapG.copy()
             lapG[cell] = bad
             terms = [(dF, lapG)]
-        return real(state, p, dt, terms)
+        return real(state, p, dt, terms, *rest)
 
     monkeypatch.setattr(sv, "step", step)
     return calls
@@ -555,10 +556,10 @@ def test_axis_layout_follows_the_value_shape():
     # unstacked: every array C-contiguous with its axis first, axis 1 of 2-D too;
     # stacked: scratch as swapaxes views of arrays laid out as the values, and
     # coefficients with a singleton axis for the branches
-    grid, thread, N = pr.Grid(n=2, L=3.0, N=12), threading.get_ident(), 12
+    grid, N = pr.Grid(n=2, L=3.0, N=12), 12
     a = lambda x: np.tanh(x)  # noqa: E731
     for ax in (0, 1):
-        Gp, Up, gbuf, F, tmp, coef = sv._axis(grid, ax, grid.shape, a, thread)
+        Gp, Up, gbuf, F, tmp, coef = sv._axis(grid, ax, grid.shape, a)
         (plus, left_up), (minus, left_down), reach = *coef[0], coef[1]
         assert all(v.flags.c_contiguous for v in [Gp, Up, *gbuf, F, tmp, plus, minus, reach])
         assert [v.shape[0] for v in [Gp, Up, *gbuf, F, tmp]] == [N + 2] * 5 + [N + 1] * 2
@@ -570,11 +571,11 @@ def test_axis_layout_follows_the_value_shape():
         want = np.broadcast_to(np.tanh(grid.axis_interfaces())[:, None], (N + 1, N))
         assert np.array_equal(plus + minus, want)
         assert np.array_equal(reach, np.maximum(abs(want[:-1]), abs(want[1:])))
-        assert sv._axis(grid, ax, grid.shape, None, thread)[0].flags.c_contiguous
+        assert sv._axis(grid, ax, grid.shape, None)[0].flags.c_contiguous
         # a uniform coefficient is a float, and a half that a zeroes is left out
-        uniform = sv._axis(grid, ax, grid.shape, lambda x: -2.0 * np.ones(np.shape(x)), thread)
+        uniform = sv._axis(grid, ax, grid.shape, lambda x: -2.0 * np.ones(np.shape(x)))
         assert uniform[5] == ([(-2.0, True)], 2.0)
-        Gp, Up, gbuf, F, tmp, coef = sv._axis(grid, ax, (3,) + grid.shape, a, thread)
+        Gp, Up, gbuf, F, tmp, coef = sv._axis(grid, ax, (3,) + grid.shape, a)
         assert all(v.swapaxes(0, ax + 1).flags.c_contiguous for v in [Gp, Up, *gbuf, F, tmp])
         (plus, _), (minus, _), reach = *coef[0], coef[1]
         assert all(v.shape[ax + 1] == 1 and v.ndim == 3 for v in (plus, minus, reach))
@@ -672,11 +673,12 @@ def test_run_and_sandwich_call_step_and_stable_dt_once_per_step(monkeypatch):
     # cells through them and hands each call a copy of the problem with traced
     # f and df_du; here every call gets a fresh copy with a counted split g
     # and a, so no step may lean on the identity of the problem its stable_dt
-    # saw (a fresh a misses the coefficient cache: n calls per stable_dt).
-    # The sandwich steps its three branches as one stacked state: one call
-    # each per lockstep step.
+    # saw. The run's scratch is built once from the problem that advance
+    # received, so its split's a is called n times per run (own_calls) and
+    # never on a copy (flux_calls). The sandwich steps its three branches as
+    # one stacked state: one call each per lockstep step.
     calls = {"step": 0, "stable_dt": 0}
-    flux_calls = {}
+    flux_calls, own_calls = {}, {}
     cells = [0]
 
     def counted(name, fn):
@@ -687,29 +689,33 @@ def test_run_and_sandwich_call_step_and_stable_dt_once_per_step(monkeypatch):
         return wrapper
 
     p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=80), alpha=1.0, p0=1.0,
-                   flux=pr.burgers_flux_model(1),
+                   flux=counting(pr.burgers_flux_model(1), own_calls),
                    u0=lambda x: x[0] * np.exp(-x[0] ** 2))
     n = p.grid.n
     cfg = sv.SchemeConfig(t_end=0.5, snapshot_times=(0.1, 0.25))
     sandwich = (p, 0.1, lambda x: np.ones(x.shape[1:]), sv.SchemeConfig(t_end=0.5))
     plain, plain_rep = sv.run(p, cfg), hz.run_sandwich(*sandwich)
+    own_calls.clear()
 
     monkeypatch.setattr(sv, "step", counted("step", sv.step))
     monkeypatch.setattr(sv, "stable_dt", counted("stable_dt", sv.stable_dt))
     res = sv.run(p, cfg)
     assert calls == {"step": res.step_count, "stable_dt": res.step_count}
-    assert flux_calls == {"g": n * res.step_count, "a": n * res.step_count}
+    assert flux_calls == {"g": n * res.step_count}
+    assert own_calls == {"a": n, "g": n * res.step_count}
     assert res.step_count == plain.step_count and len(res.snapshots) == 3
     for a, b in zip(res.snapshots, plain.snapshots):
         assert a.time == b.time and a.values.tobytes() == b.values.tobytes()
 
     calls.update(step=0, stable_dt=0)
     flux_calls.clear()
+    own_calls.clear()
     cells[0] = 0
     rep = hz.run_sandwich(*sandwich)
     assert rep.step_count > 0
     assert calls == {"step": rep.step_count, "stable_dt": rep.step_count}
-    assert flux_calls == {"g": n * rep.step_count, "a": n * rep.step_count}
+    assert flux_calls == {"g": n * rep.step_count}
+    assert own_calls == {"a": n, "g": n * rep.step_count}
     assert cells[0] == 3 * p.grid.N * rep.step_count
     assert rep == plain_rep
 
@@ -847,6 +853,36 @@ class TestRun:
             for _ in sv.advance(stack, p, cfg, names=("lower", "middle", "upper")):
                 pass
         assert exc.value.__cause__.branch == 1
+
+    @pytest.mark.parametrize("last", [False, True], ids=["mid-run", "last-step"])
+    def test_advance_yields_no_unchecked_state(self, monkeypatch, last):
+        # the state a poisoned step makes is never yielded: advance raises at the
+        # next prepare or at the landing, having yielded only finite states
+        p = diffusion_problem(N=100)
+        cfg = sv.SchemeConfig(t_end=0.2, snapshot_times=(0.1,))
+        total = sv.run(p, cfg).step_count
+        at = total if last else total // 2
+        poison_step(monkeypatch, at, np.inf, 7)
+        seen = []
+        with pytest.raises(RunError, match=rf"^step {at}: non-finite value at cell \(7,\)"):
+            for s, dt in sv.advance(pr.sample_initial(p), p, cfg):
+                seen.append((dt is not None, bool(np.isfinite(s.values).all())))
+        assert all(finite for _, finite in seen)
+        assert sum(stepped for stepped, _ in seen) == at - 1
+
+    @pytest.mark.parametrize("last", [False, True], ids=["mid-run", "last-step"])
+    def test_sandwich_blowup_is_named_before_any_audit(self, monkeypatch, last):
+        # a step that makes the lower and middle branches +inf at one cell: the
+        # sandwich's ordering audit never sees inf - inf (a RuntimeWarning,
+        # an error under this suite's filters) and the run raises the labelled error
+        p = diffusion_problem(N=100)
+        sandwich = (p, 0.1, lambda x: np.ones(x.shape[1:]), sv.SchemeConfig(t_end=0.2))
+        total = hz.run_sandwich(*sandwich).step_count
+        at = total if last else total // 2
+        poison_step(monkeypatch, at, np.inf, (slice(0, 2), 7))
+        with pytest.raises(RunError, match=rf"^step {at}, lower branch: "
+                                           rf"non-finite value at cell \(7,\)"):
+            hz.run_sandwich(*sandwich)
 
     def test_sup_norm_decreases(self):
         p = diffusion_problem(N=200)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .errors import ConfigError
-from .problem import Grid
+from .problem import Grid, Problem, State, zero_flux_model
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,6 @@ def residual_check(profile: BarenblattProfile, grid: Grid, t: float) -> Residual
     Reported globally and restricted to the interior {U > 0.01 sup U}, since
     the free boundary dominates the global error.
     """
-    from . import problem as prob
-    from . import solver
-
     if grid.n != profile.n:
         raise ConfigError(f"grid dimension {grid.n} != profile dimension {profile.n}")
     if support_radius(profile, t) >= grid.L:
@@ -116,10 +114,9 @@ def residual_check(profile: BarenblattProfile, grid: Grid, t: float) -> Residual
     centers = grid.cell_centers()
     U1 = evaluate(profile, centers, t)
     U2 = evaluate(profile, centers, t + dt)
-    p = prob.Problem(grid=grid, alpha=profile.alpha, p0=1.0,
-                     flux=prob.zero_flux_model(grid.n),
-                     u0=lambda x: evaluate(profile, x, t))
-    state = prob.State(values=U1, time=0.0, grid=grid)
+    p = Problem(grid=grid, alpha=profile.alpha, p0=1.0, flux=zero_flux_model(grid.n),
+                u0=lambda x: evaluate(profile, x, t))
+    state = State(values=U1, time=0.0, grid=grid)
     Dh = (solver.step(state, p, dt).values - U1) / dt
     resid = np.abs((U2 - U1) / dt - Dh)
     interior = U1 > 0.01 * float(np.max(U1))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -210,18 +211,15 @@ def cmd_barenblatt_validate(args) -> Report:
         raise ConfigError(f"--t0 and --t1 must satisfy 0 < t0 < t1 < inf, "
                           f"got {args.t0} and {args.t1}")
     profile = barenblatt.BarenblattProfile(n=1, alpha=args.alpha, C=args.C)
-    residuals, errors = [], []
-    for N in grids:
-        problem = problem_from_mapping({
-            "flux": "zero", "u0": f"barenblatt C={args.C!r} t={args.t0!r}",
-            "alpha": repr(args.alpha), "L": repr(args.L), "N": str(N)})
-        grid = problem.grid
-        residuals.append(barenblatt.residual_check(profile, grid, args.t0).interior_l1)
-        result = solver.run(problem, solver.SchemeConfig(t_end=args.t1 - args.t0))
-        exact = barenblatt.evaluate(profile, grid.cell_centers(), args.t1)
-        errors.append(float(np.sum(np.abs(result.snapshots[-1].values - exact))) * grid.dx)
-    orders = [math.log(e0 / e1) / math.log(n1 / n0)
-              for n0, n1, e0, e1 in zip(grids, grids[1:], errors, errors[1:])]
+    boxes = [Grid(n=1, L=args.L, N=N) for N in grids]  # a bad L or N is named first
+    if barenblatt.support_radius(profile, args.t1) >= args.L:  # exact on R, not on the box
+        raise ConfigError(f"--t1 {args.t1} puts the exact support at radius "
+                          f"{barenblatt.support_radius(profile, args.t1):.3g} >= --L {args.L}")
+    residuals = [barenblatt.residual_check(profile, g, args.t0).interior_l1 for g in boxes]
+    errors, orders = harness.refinement_study(
+        {"flux": "zero", "u0": f"barenblatt C={args.C!r} t={args.t0!r}",
+         "alpha": repr(args.alpha), "L": repr(args.L)},
+        grids, functools.partial(barenblatt.evaluate, profile), args.t0, args.t1)
     summary = {"alpha": args.alpha, "C": args.C, "grids": grids, "errors": errors,
                "orders": orders, "passed": orders[-1] >= 0.9}
     return Report(

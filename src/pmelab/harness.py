@@ -1,6 +1,6 @@
 """Theorem-by-theorem numerical audits: norm monotonicity, the weighted energy
 inequality, the smoothing-effect ratio, the sign-splitting comparison sandwich,
-and power-law decay fits."""
+power-law decay fits, and the refinement study against an exact solution."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from . import exponents, solver
 from .errors import ConfigError, RunError
-from .problem import Problem, State, sample_initial
+from .problem import Problem, State, problem_from_mapping, sample_initial
 from .solver import RunResult, SchemeConfig
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -253,3 +253,22 @@ def run_sandwich(problem: Problem, eps: float,
                           max_upper_violation=worst_high,
                           envelope=envelope, step_count=steps)
 
+
+# ---------------------------------------------------------------------------
+# Refinement study against an exact solution
+# ---------------------------------------------------------------------------
+
+def refinement_study(settings: dict, grids: Sequence[int],
+                     exact: Callable[[np.ndarray, float], np.ndarray],
+                     t0: float, t1: float) -> tuple[list[float], list[float]]:
+    """L1 errors against exact(x, t1) of one run per N in grids, settings with that N
+    run from t0 to t1, and the orders log(e0/e1)/log(n1/n0) between consecutive grids."""
+    errors = []
+    for N in grids:
+        problem = problem_from_mapping({**settings, "N": str(N)})
+        u = solver.run(problem, SchemeConfig(t_end=t1 - t0)).snapshots[-1].values
+        gap = np.abs(u - exact(problem.grid.cell_centers(), t1))
+        errors.append(float(np.sum(gap)) * problem.grid.cell_volume)
+    orders = [math.log(e0 / e1) / math.log(n1 / n0)
+              for n0, n1, e0, e1 in zip(grids, grids[1:], errors, errors[1:])]
+    return errors, orders

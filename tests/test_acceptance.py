@@ -4,6 +4,7 @@ Each test exercises one acceptance criterion at its stated tolerance and
 prints a single pass/fail line directly to the terminal.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -89,17 +90,9 @@ def test_criterion_03_barenblatt_optimal_rate(report):
 
 
 def test_criterion_04_solver_accuracy(report):
-    prof = bb.BarenblattProfile(n=1, alpha=1.0, C=1.0)
-    u0 = lambda x: bb.evaluate(prof, x, 1.0)
-    errs = []
-    for N in (400, 800):
-        grid = pr.Grid(n=1, L=20.0, N=N)
-        p = pr.Problem(grid=grid, alpha=1.0, p0=1.0,
-                       flux=pr.zero_flux_model(1), u0=u0)
-        res = sv.run(p, sv.SchemeConfig(t_end=1.0))
-        exact = bb.evaluate(prof, grid.axis_centers(), 2.0)
-        errs.append(float(np.sum(np.abs(res.snapshots[-1].values - exact))) * grid.dx)
-    order = math.log2(errs[0] / errs[1])
+    errs, (order,) = hz.refinement_study(
+        {"L": "20", "flux": "zero", "u0": "barenblatt C=1 t=1"}, (400, 800),
+        functools.partial(bb.evaluate, bb.BarenblattProfile(n=1, alpha=1.0)), 1.0, 2.0)
     report(4, "refinement order against exact profile", order >= 0.9,
            f"(order {order:.3f}, errors {errs[0]:.3e} -> {errs[1]:.3e})")
 

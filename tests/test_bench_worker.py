@@ -1,13 +1,15 @@
 """The contract between the benchmark worker and the package: a traced round
 must count the same cell updates at the `solver.step` hook as the run results
-hold, and must write the same bytes as a plain round. bench/run.py rejects a
-round that breaks either, so a change to how a run steps is checked here on
-small inputs, in the same subprocess the benchmark uses."""
+hold, write the same bytes as a plain round and keep the same final profiles.
+bench/run.py rejects a round that breaks any of these, so a change to how a run
+steps is checked here on small inputs, in the same subprocess the benchmark uses."""
 
 import json
 import pathlib
 import subprocess
 import sys
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKER = ROOT / "bench" / "worker.py"
@@ -20,7 +22,8 @@ OPS = [
     {"name": "sandwich", "cli": ["sandwich", "--set", "N=60", "--eps-list", "0.1,0.01",
                                  "--t-end", "0.2"]},
     {"name": "figure1", "cli": ["figure1", "--N", "60", "--t-end", "0.2"]},
-    {"name": "barenblatt-validate", "cli": ["barenblatt-validate", "--grids", "40,80"]},
+    {"name": "barenblatt-validate", "keep": "final_profiles",
+     "cli": ["barenblatt-validate", "--grids", "40,80"]},
     {"name": "decay-study", "cli": ["decay-study", "--set", "N=60", "--set", "L=20",
                                     "--t-end", "10", "--alphas", "0.5,1.0"]},
     {"name": "probe", "probe": {"c": 20.0, "L": 5.0, "N": 50, "alpha": 1.0, "width2": 0.5,
@@ -52,5 +55,8 @@ def test_traced_round_counts_and_writes_as_the_plain_round(tmp_path):
     assert traced["cell_updates"] == plain["cell_updates"] > 0
     assert traced["traced_cell_updates"] == traced["cell_updates"]
     assert traced_files == plain_files
+    for round_name in ("plain", "traced"):
+        with np.load(tmp_path / round_name / "raw.npz") as raw:
+            assert sorted(raw.files) == ["barenblatt-validate_40", "barenblatt-validate_80"]
     assert {name.split("_")[0] for name in traced_files} == {
         op["cli"][0] for op in OPS if "cli" in op}

@@ -1,7 +1,6 @@
 import argparse
 import dataclasses
 import json
-import math
 import warnings
 
 import numpy as np
@@ -182,6 +181,7 @@ class TestExitCodes:
         (["decay-study", "--set", "N=50", "--t-end", "1", "--alphas", "1,x"], "--alphas"),
         (["sandwich", "--eps-list", "0.1,zz", "--t-end", "0.05"], "--eps-list"),
         (["run", "--set", "N=abc", "--t-end", "0.1"], "setting N"),
+        (["barenblatt-validate", "--L", "3"], "--t1"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
@@ -193,7 +193,7 @@ class TestExitCodes:
             "check-flux-samples-5", "check-flux-samples-63", "eps-repeated",
             "q-list-repeated", "q-list-inf-repeated", "alphas-repeated",
             "alphas-equal-keys", "grids-non-numeric", "q-list-non-numeric",
-            "alphas-non-numeric", "eps-non-numeric", "scalar-non-numeric"])
+            "alphas-non-numeric", "eps-non-numeric", "scalar-non-numeric", "support-past-L"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []

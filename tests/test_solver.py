@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import sys
 import threading
@@ -906,33 +907,16 @@ class TestRun:
 
 class TestBarenblattConvergence:
     def test_first_order_on_refinement(self):
-        # advance the exact self-similar profile from t=1 to t=2 and compare
-        prof = bb.BarenblattProfile(n=1, alpha=1.0, C=1.0)
-        u0 = pr.u0_from_config("barenblatt", {"C": 1.0, "t": 1.0, "alpha": 1.0}, n=1)
-        errs = []
-        for N in (100, 200, 400):
-            grid = pr.Grid(n=1, L=10.0, N=N)
-            p = pr.Problem(grid=grid, alpha=1.0, p0=1.0,
-                           flux=pr.zero_flux_model(1), u0=u0)
-            res = sv.run(p, sv.SchemeConfig(t_end=1.0))
-            exact = bb.evaluate(prof, grid.axis_centers(), 2.0)
-            errs.append(float(np.sum(np.abs(res.snapshots[-1].values - exact)) * grid.dx))
-        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        _, orders = hz.refinement_study(
+            {"L": "10", "flux": "zero", "u0": "barenblatt C=1 t=1"}, (100, 200, 400),
+            functools.partial(bb.evaluate, bb.BarenblattProfile(n=1, alpha=1.0)), 1.0, 2.0)
         assert min(orders) >= 0.9
 
     def test_2d_refinement_order(self):
-        prof = bb.BarenblattProfile(n=2, alpha=1.0, C=1.0)
-        u0 = pr.u0_from_config("barenblatt", {"C": 1.0, "t": 1.0, "alpha": 1.0}, n=2)
-        errs = []
-        for N in (40, 80):
-            grid = pr.Grid(n=2, L=6.0, N=N)
-            p = pr.Problem(grid=grid, alpha=1.0, p0=1.0,
-                           flux=pr.zero_flux_model(2), u0=u0)
-            res = sv.run(p, sv.SchemeConfig(t_end=1.0))
-            exact = bb.evaluate(prof, grid.cell_centers(), 2.0)
-            errs.append(float(np.sum(np.abs(res.snapshots[-1].values - exact)))
-                        * grid.cell_volume)
-        assert math.log2(errs[0] / errs[1]) >= 1.5
+        _, (order,) = hz.refinement_study(
+            {"n": "2", "L": "6", "flux": "zero", "u0": "barenblatt C=1 t=1"}, (40, 80),
+            functools.partial(bb.evaluate, bb.BarenblattProfile(n=2, alpha=1.0)), 1.0, 2.0)
+        assert order >= 1.5
 
     def test_2d_smoke(self):
         p = diffusion_problem(N=60, L=6.0, n=2)

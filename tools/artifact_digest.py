@@ -17,7 +17,7 @@ check-flux, data at the walls under both boundary policies, a 2-D sandwich,
 boundary policies, every option of figure1 and barenblatt-validate off its
 default, a run at a smaller CFL factor, the benchmark's step-size probe with
 its 31 snapshots, and options given a value that is rejected before any work,
-non-numeric text among them.
+non-numeric text and a box too small for the exact solution among them.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ COMMANDS = [
      "--snapshots", "12"],
     ["decay-study", "--t-end", "1.0", "--set", "N=100", "--alphas", "1,1",
      "--snapshots", "12"],
+    # the exact support reaches L=3 by t1=2
+    ["barenblatt-validate", "--L", "3", "--grids", "100,200"],
     # 2-D steps on both axes: no advection, and advection with zero ghost cells
     ["run", "--set", "n=2", "--set", "flux=zero", "--set", "u0=signed_gaussian",
      "--set", "L=2", "--set", "N=40", "--t-end", "0.5"],

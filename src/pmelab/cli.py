@@ -25,7 +25,7 @@ from . import barenblatt, exponents, harness, solver, svg
 from .errors import ConfigError, RunError
 from .problem import (DIVERGENCE_MIN_SAMPLES, Grid, Problem, check_divergence_condition,
                       check_flux_consistency, check_lipschitz_in_u, flux_from_config,
-                      problem_from_mapping, read_config)
+                      parse_catalog_value, problem_from_mapping, read_config)
 
 
 def _cell(v) -> str:
@@ -320,30 +320,28 @@ def cmd_moser_table(args) -> Report:
 def cmd_check_flux(args) -> Report:
     if args.samples < DIVERGENCE_MIN_SAMPLES:
         raise ConfigError(f"--samples must be >= {DIVERGENCE_MIN_SAMPLES}, got {args.samples}")
-    params = {key: getattr(args, key) for key in ("k", "c") if getattr(args, key) is not None}
-    flux = flux_from_config(args.flux, params, n=1)
+    name, params = parse_catalog_value(args.flux)
+    flux = flux_from_config(name, params, n=1)
     grid = Grid(n=1, L=args.L, N=args.N)
     report = check_divergence_condition(flux, grid, (args.umin, args.umax),
                                         samples=args.samples)
     M = max(abs(args.umin), abs(args.umax))
     C_f = check_lipschitz_in_u(flux, grid, M)
     consistency = check_flux_consistency(flux, grid, (-M, M))
+    (x,), u = report.witness
     summary = {
-        "flux": args.flux, "params": params,
+        "flux": name, "params": params,
         "satisfied": report.satisfied,
         "worst_violation": report.worst_violation,
-        "witness": {"x": list(report.witness[0]), "t": report.witness[1],
-                    "u": report.witness[2]},
+        "witness": {"x": [x], "u": u},
         "consistency": dataclasses.asdict(consistency),
         "lipschitz": {"C_f": C_f},
         "passed": report.satisfied and consistency.ok,
     }
     return Report(
-        {}, _table("check-flux",
-                   ["satisfied", "worst_violation", "witness_x", "witness_t", "witness_u"],
-                   [(int(report.satisfied), report.worst_violation,
-                     report.witness[0][0], report.witness[1], report.witness[2])]),
-        summary, f"check-flux {args.flux}: satisfied={report.satisfied} "
+        {}, _table("check-flux", ["satisfied", "worst_violation", "witness_x", "witness_u"],
+                   [(int(report.satisfied), report.worst_violation, x, u)]),
+        summary, f"check-flux {name}: satisfied={report.satisfied} "
                  f"worst={report.worst_violation:.3e} witness={report.witness} "
                  f"consistent={consistency.ok} C_f={C_f:.6g}")
 
@@ -435,9 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_moser_table)
 
     p = sub.add_parser("check-flux", help="sampled flux-divergence sign check")
-    p.add_argument("--flux", required=True)
-    p.add_argument("--k", type=float)
-    p.add_argument("--c", type=float)
+    p.add_argument("--flux", required=True, help="catalog entry, e.g. 'linear c=3'")
     p.add_argument("--umin", type=float, default=-1.0)
     p.add_argument("--umax", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=64)

@@ -1,16 +1,18 @@
 """Continuous problem definitions: grids, advection flux models, initial data,
 and sampled checks of the structural hypotheses on the flux.
 
-Flux evaluators are opaque callables ``(x, t, u) -> (n,) + shape(u)`` arrays
-(possibly read-only views) that must broadcast and be pointwise (see
-`FluxModel`). Their stated derivatives are verified by finite differences,
-never trusted. The solver steps with each flux's `FluxSplit` and never calls
-the evaluators, so the same check verifies the split against them.
+A flux f_j(x, u) = a_j(x) g(u) is stated by its Engquist-Osher `FluxSplit`, by
+which the solver steps it, and the checks read that split: the sign condition
+from div a(x) g(u) u, the Lipschitz constant in u from max|a| max|g'|. The
+split's stated derivatives (div_a, |g'|) are verified by finite differences,
+never trusted. The evaluators f and df_du of a `FluxModel`, pointwise
+callables ``(x, u) -> (n,) + shape(u)`` (possibly read-only views), are held
+to the split by the same check; the solver never calls them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -61,7 +63,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class FluxSplit:
-    """The Engquist-Osher split of a flux f_j(x, t, u) = a_j(x) g(u), by which the
+    """The Engquist-Osher split of a flux f_j(x, u) = a_j(x) g(u), by which the
     solver steps it (Engquist & Osher, Math. Comp. 36, 1981).
 
     g = g_up + g_down, with g_up nondecreasing, g_down nonincreasing, and at
@@ -71,38 +73,36 @@ class FluxSplit:
     nonincreasing in u (a+ = max(a, 0), a- = min(a, 0)); f+ + f- = f. Both
     slopes are bounded by |a(x)| |g'(u)| = |df/du|.
 
-    `a` is a function of x (shape (n,) + cells, as for f) with
-    time-independent values; the solver evaluates it once per grid and axis,
-    on the interfaces. `g(u, out)` is pointwise: it gets the padded cells of
-    one axis and a tuple of three scratch arrays of u's shape and returns
-    (g_up(u), g_down(u), |g'(u)|), each of them u itself, one of the scratch
-    arrays or a new array, and g_down as None where it is 0 (g nondecreasing).
-    `check_flux_consistency` checks all of this against f and df_du."""
+    `a` is a function of x (shape (n,) + cells, as for f); the solver evaluates
+    it once per grid and axis, on the interfaces. `div_a(x)` is
+    sum_j d a_j/d x_j, of shape cells. `g(u, out)` is pointwise: it gets the
+    padded cells of one axis and a tuple of three scratch arrays of u's shape
+    and returns (g_up(u), g_down(u), |g'(u)|), each of them u itself, one of
+    the scratch arrays or a new array, and g_down as None where it is 0 (g
+    nondecreasing). `check_flux_consistency` checks all of this."""
 
     a: Callable[[np.ndarray], np.ndarray]
+    div_a: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray, tuple[np.ndarray, ...]], tuple]
 
 
 @dataclass(frozen=True)
 class FluxModel:
-    """Evaluator bundle for f, its u-derivative and its x-divergence at frozen u,
-    which the sampled checks call, and the split by which the solver steps f.
+    """A flux by the split that the solver steps and the checks read, and the
+    evaluators f(x, u) and df/du(x, u) that `check_flux_consistency` holds the
+    split to.
 
-    The solver reads only `split`, and a flux without one cannot be stepped
-    (see `Problem`): it evaluates the split's a once per grid and axis at the
-    interfaces, and its g once per axis and step on the N+2 padded cells. The
+    The solver reads only `split`: it evaluates a once per grid and axis at the
+    interfaces, and g once per axis and step on the N+2 padded cells. The
     Engquist-Osher flux has dF/du_l >= 0 >= dF/du_r, and the solver's rate is
     the largest rate at which g leaves a cell through its faces, so its
-    step-size rule is the monotone bound. `check_flux_consistency` checks the
-    split against f and df_du. The evaluators must broadcast x against u, and
-    must not reduce over cell axes or mix values between cells."""
+    step-size rule is the monotone bound. The evaluators must broadcast x
+    against u, and must not reduce over cell axes or mix values between cells."""
 
     name: str
-    f: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
-    df_du: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
-    div_x_f: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
-    split: FluxSplit | None = None
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    df_du: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    split: FluxSplit
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,6 @@ class Problem:
             raise ConfigError(
                 f"boundary policy must be one of {BOUNDARY_POLICIES}, "
                 f"got {self.boundary_policy!r}")
-        if self.flux.split is None:
-            raise ConfigError(f"flux {self.flux.name!r} states no Engquist-Osher split "
-                              f"(FluxModel.split), so it cannot be stepped")
 
 
 def sample_initial(problem: Problem) -> State:
@@ -186,9 +183,14 @@ def sample_initial(problem: Problem) -> State:
 # Built-in flux catalog
 # ---------------------------------------------------------------------------
 
-def zero_evaluator(x, t, u):
+def zero_evaluator(x, u):
     """f and df_du of the zero flux, for any n = len(x)."""
     return np.zeros((np.shape(x)[0],) + np.shape(u))
+
+
+def _no_divergence(x):
+    # div_a of a split whose a does not depend on x
+    return np.zeros(np.shape(x)[1:])
 
 
 def _zero_g(u, out):
@@ -199,12 +201,11 @@ def _zero_g(u, out):
 
 # The zero flux's split, for any n. The solver skips the advective half of the
 # step for a flux whose split is this very object (by identity, never by value).
-ZERO_SPLIT = FluxSplit(a=lambda x: np.zeros(np.shape(x)), g=_zero_g)
+ZERO_SPLIT = FluxSplit(a=lambda x: np.zeros(np.shape(x)), div_a=_no_divergence, g=_zero_g)
 
 
 def zero_flux_model(n: int = 1) -> FluxModel:
-    return FluxModel(name="zero", f=zero_evaluator, df_du=zero_evaluator,
-                     div_x_f=lambda x, t, u: np.zeros(np.shape(u)), split=ZERO_SPLIT)
+    return FluxModel(name="zero", f=zero_evaluator, df_du=zero_evaluator, split=ZERO_SPLIT)
 
 
 def _identity_g(u, out):
@@ -218,20 +219,18 @@ def linear_flux_model(c: float = 1.0, n: int = 1) -> FluxModel:
     """f_j = c_j u, split as max(c_j, 0) u + min(c_j, 0) u: upwind."""
     cvec = np.broadcast_to(np.asarray(c, dtype=float), (n,))
 
-    def f(x, t, u):
+    def f(x, u):
         u = np.asarray(u, dtype=float)
         return np.stack([cj * u for cj in cvec])
 
-    def df_du(x, t, u):
+    def df_du(x, u):
         u = np.asarray(u, dtype=float)
         return np.stack([np.full(u.shape, cj) for cj in cvec])
 
     return FluxModel(name="linear", f=f, df_du=df_du,
-                     div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                     params={"c": float(cvec[0])},
                      split=FluxSplit(a=lambda x: np.broadcast_to(
                          cvec.reshape((n,) + (1,) * (np.ndim(x) - 1)), np.shape(x)),
-                         g=_identity_g))
+                         div_a=_no_divergence, g=_identity_g))
 
 
 def _burgers_g(u, out):
@@ -252,36 +251,33 @@ def burgers_flux_model(n: int = 1) -> FluxModel:
     def components(v):
         return v[None] if n == 1 else np.broadcast_to(v, (n,) + v.shape)
 
-    def f(x, t, u):
+    def f(x, u):
         u = np.asarray(u, dtype=float)
         return components(0.5 * u * u)
 
-    def df_du(x, t, u):
+    def df_du(x, u):
         return components(np.asarray(u, dtype=float))
 
     return FluxModel(name="burgers", f=f, df_du=df_du,
-                     div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                     split=FluxSplit(a=lambda x: np.ones(np.shape(x)), g=_burgers_g))
+                     split=FluxSplit(a=lambda x: np.ones(np.shape(x)), div_a=_no_divergence,
+                                     g=_burgers_g))
 
 
 def figure1_flux_model(k: float = 1.5) -> FluxModel:
-    """One-dimensional flux f(x,t,u) = -tanh(x) |u|^k u, whose x-divergence at
-    frozen u is negative where u != 0 (the growth-stimulating regime). Its split
-    is a(x) = -tanh(x) and g = |u|^k u, which is nondecreasing."""
+    """One-dimensional flux f(x, u) = -tanh(x) |u|^k u, split as a(x) = -tanh(x)
+    and g = |u|^k u, which is nondecreasing. div a = -sech^2(x) < 0, so the
+    x-divergence at frozen u is negative where u != 0 (the growth-stimulating
+    regime)."""
     if not 0 < k < np.inf:
         raise ConfigError(f"flux power k must be finite and > 0, got {k}")
 
-    def f(x, t, u):
+    def f(x, u):
         u = np.asarray(u, dtype=float)
         return (-np.tanh(x[0]) * np.abs(u) ** k * u)[None]
 
-    def df_du(x, t, u):
+    def df_du(x, u):
         u = np.asarray(u, dtype=float)
         return (-(k + 1.0) * np.tanh(x[0]) * np.abs(u) ** k)[None]
-
-    def div_x_f(x, t, u):
-        u = np.asarray(u, dtype=float)
-        return -np.abs(u) ** k * u / np.cosh(x[0]) ** 2
 
     def g(u, out):
         power, value, _ = out
@@ -291,9 +287,9 @@ def figure1_flux_model(k: float = 1.5) -> FluxModel:
         power *= k + 1.0
         return value, None, power
 
-    return FluxModel(name="figure1", f=f, df_du=df_du, div_x_f=div_x_f,
-                     params={"k": float(k)},
-                     split=FluxSplit(a=lambda x: -np.tanh(x), g=g))
+    return FluxModel(name="figure1", f=f, df_du=df_du,
+                     split=FluxSplit(a=lambda x: -np.tanh(x),
+                                     div_a=lambda x: -1.0 / np.cosh(x[0]) ** 2, g=g))
 
 
 def _figure1_from_config(n: int, k: float) -> FluxModel:
@@ -381,37 +377,43 @@ def u0_from_config(name: str, params: dict | None = None, n: int = 1):
 class ConsistencyReport:
     max_df_du_error: float
     max_div_error: float
-    max_split_error: float | None  # None for a flux without a split
+    max_split_error: float
     ok: bool
+
+
+def _halves(split: FluxSplit, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g_up(u), g_down(u) (zeros where the split gives None) and |g'(u)|, each a
+    new array (g may hand back u or its scratch)."""
+    up, down, slope = split.g(u, tuple(np.empty_like(u) for _ in range(3)))
+    down = np.zeros_like(u) if down is None else down
+    return np.array(up), np.array(down), np.array(slope)
 
 
 def check_flux_consistency(flux: FluxModel, grid: Grid,
                            u_range: tuple[float, float] = (-1.0, 1.0)) -> ConsistencyReport:
-    """Finite-difference verification, at 1000 (x, t, u) samples drawn from seed
-    12345, that df_du and div_x_f match f, and the split (when there is one)
+    """Finite-difference verification, at 1000 (x, u) samples drawn from seed
+    12345, that df_du matches f, the split's div_a matches its a, and the split
     matches f and df_du (see `_split_errors`), to a relative error of 1e-5, with
-    all samples evaluated at once (t is passed as a (samples,) array)."""
+    all samples evaluated at once."""
     samples = 1000
     rng = np.random.default_rng(12345)
     n = grid.n
     xs = rng.uniform(-grid.L, grid.L, size=(n, samples))
-    ts = rng.uniform(0.0, 1.0, size=samples)
     us = rng.uniform(u_range[0], u_range[1], size=samples)
     h = 1e-6 * np.maximum(1.0, np.abs(us))
-    fd_du = (np.asarray(flux.f(xs, ts, us + h)) - np.asarray(flux.f(xs, ts, us - h))) / (2 * h)
-    stated_du = np.asarray(flux.df_du(xs, ts, us))
+    fd_du = (np.asarray(flux.f(xs, us + h)) - np.asarray(flux.f(xs, us - h))) / (2 * h)
+    stated_du = np.asarray(flux.df_du(xs, us))
 
+    a = flux.split.a
     hx = 1e-6 * np.maximum(1.0, np.max(np.abs(xs), axis=0))
     fd_div = np.zeros(samples)
     for j in range(n):
         xp, xm = xs.copy(), xs.copy()
         xp[j] += hx
         xm[j] -= hx
-        fd_div += (np.asarray(flux.f(xp, ts, us))[j]
-                   - np.asarray(flux.f(xm, ts, us))[j]) / (2 * hx)
-    stated_div = np.broadcast_to(np.asarray(flux.div_x_f(xs, ts, us)), (samples,))
-    err_split = (np.zeros(samples) if flux.split is None
-                 else _split_errors(flux, xs, ts, us, h, stated_du))
+        fd_div += (np.asarray(a(xp))[j] - np.asarray(a(xm))[j]) / (2 * hx)
+    stated_div = np.broadcast_to(np.asarray(flux.split.div_a(xs)), (samples,))
+    err_split = _split_errors(flux, xs, us, h, stated_du)
 
     bad_du = ~np.all(np.isfinite(fd_du) & np.isfinite(stated_du), axis=0)
     bad_div = ~(np.isfinite(fd_div) & np.isfinite(stated_div))
@@ -419,36 +421,30 @@ def check_flux_consistency(flux: FluxModel, grid: Grid,
     if np.any(bad):
         i = int(np.argmax(bad))
         what = "derivative" if bad_du[i] else "divergence" if bad_div[i] else "split"
-        raise RunError(f"non-finite flux {what} at x={xs[:, i]}, t={ts[i]}, u={us[i]}")
+        raise RunError(f"non-finite flux {what} at x={xs[:, i]}, u={us[i]}")
     err_du = (np.max(np.abs(fd_du - stated_du), axis=0)
               / np.maximum(1.0, np.max(np.abs(stated_du), axis=0)))
     err_div = np.abs(fd_div - stated_div) / np.maximum(1.0, np.abs(stated_div))
     worst_du = float(np.max(err_du, initial=0.0))
     worst_div = float(np.max(err_div, initial=0.0))
-    worst_split = None if flux.split is None else float(np.max(err_split, initial=0.0))
+    worst_split = float(np.max(err_split, initial=0.0))
     return ConsistencyReport(max_df_du_error=worst_du, max_div_error=worst_div,
                              max_split_error=worst_split,
-                             ok=worst_du <= 1e-5 and worst_div <= 1e-5
-                             and (worst_split is None or worst_split <= 1e-5))
+                             ok=max(worst_du, worst_div, worst_split) <= 1e-5)
 
 
-def _split_errors(flux: FluxModel, xs, ts, us, h, stated_du) -> np.ndarray:
+def _split_errors(flux: FluxModel, xs, us, h, stated_du) -> np.ndarray:
     """Per sample, the worst relative error of the flux's split: a (g_up + g_down)
     against f, |a| |g'| against |df_du|, and by central differences of step h,
     g_up' - g_down' against |g'|, with g_up' >= 0 >= g_down' (a decrease of g_up
     or an increase of g_down counts as error). Where these hold, the solver's
     interface flux is monotone under its step-size rule."""
-    def halves(u):
-        up, down, slope = flux.split.g(u, tuple(np.empty_like(u) for _ in range(3)))
-        down = np.zeros_like(u) if down is None else down
-        return np.array(up), np.array(down), np.array(slope)  # g may hand back u or out
-
-    up, down, slope = halves(us)
-    up_hi, down_hi, _ = halves(us + h)
-    up_lo, down_lo, _ = halves(us - h)
+    up, down, slope = _halves(flux.split, us)
+    up_hi, down_hi, _ = _halves(flux.split, us + h)
+    up_lo, down_lo, _ = _halves(flux.split, us - h)
     d_up, d_down = (up_hi - up_lo) / (2 * h), (down_hi - down_lo) / (2 * h)
     a = np.asarray(flux.split.a(xs), dtype=float)
-    f = np.asarray(flux.f(xs, ts, us))
+    f = np.asarray(flux.f(xs, us))
     scale = np.maximum(1.0, slope)
     return np.max([
         np.max(np.abs(a * (up + down) - f), axis=0) / np.maximum(1.0, np.max(np.abs(f), axis=0)),
@@ -469,11 +465,9 @@ def _x_lattice(grid: Grid, per_axis: int) -> np.ndarray:
 class DivergenceReport:
     satisfied: bool
     worst_violation: float
-    witness: tuple[tuple[float, ...], float, float]
+    witness: tuple[tuple[float, ...], float]  # (x, u)
 
 
-# the sampled flux checks look at these times
-CHECK_TIMES = (0.0, 0.5, 1.0)
 # fewest u points of the divergence check's lattice
 DIVERGENCE_MIN_SAMPLES = 64
 
@@ -481,8 +475,9 @@ DIVERGENCE_MIN_SAMPLES = 64
 def check_divergence_condition(flux: FluxModel, grid: Grid,
                                u_range: tuple[float, float],
                                samples: int = DIVERGENCE_MIN_SAMPLES) -> DivergenceReport:
-    """Sampled check of the sign condition sum_j d f_j/d x_j (x,t,u) * u >= 0
-    over a deterministic lattice of x, t in CHECK_TIMES and `samples` u points."""
+    """Sampled check of the sign condition sum_j d f_j/d x_j (x, u) * u >= 0,
+    read from the split as div_a(x) (g_up + g_down)(u) u, over a deterministic
+    lattice of x and `samples` u points."""
     if samples < DIVERGENCE_MIN_SAMPLES:
         raise ConfigError(f"need at least {DIVERGENCE_MIN_SAMPLES} u samples, got {samples}")
     lo, hi = float(u_range[0]), float(u_range[1])
@@ -490,41 +485,33 @@ def check_divergence_condition(flux: FluxModel, grid: Grid,
         raise ConfigError(f"u range must be a bounded interval, got {u_range}")
     X = _x_lattice(grid, per_axis=33)  # (n, P)
     us = np.linspace(lo, hi, samples)
-    worst = np.inf
-    witness = None
-    for t in CHECK_TIMES:
-        vals = np.asarray(flux.div_x_f(X[:, :, None], t, us[None, :])) * us[None, :]
-        if not np.all(np.isfinite(vals)):
-            p, k = np.argwhere(~np.isfinite(vals))[0]
-            raise RunError(
-                f"non-finite flux divergence at x={tuple(X[:, p])}, t={t}, u={us[k]}")
-        p, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        if vals[p, k] < worst:
-            worst = float(vals[p, k])
-            witness = (tuple(float(v) for v in X[:, p]), float(t), float(us[k]))
+    up, down, _ = _halves(flux.split, us)
+    vals = np.asarray(flux.split.div_a(X))[:, None] * (up + down) * us  # (P, samples)
+    if not np.all(np.isfinite(vals)):
+        p, k = np.argwhere(~np.isfinite(vals))[0]
+        raise RunError(f"non-finite flux divergence at x={tuple(X[:, p])}, u={us[k]}")
+    p, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    worst = float(vals[p, k])
     return DivergenceReport(satisfied=worst >= -1e-12, worst_violation=worst,
-                            witness=witness)
+                            witness=(tuple(float(v) for v in X[:, p]), float(us[k])))
 
 
 def check_lipschitz_in_u(flux: FluxModel, grid: Grid, M: float) -> float:
-    """Empirical Lipschitz constant of u -> f(x,t,u) on |u| <= M, t in CHECK_TIMES,
-    from difference quotients over adjacent points of a 10001-point u grid, with
-    one flux call per t over the whole x lattice."""
+    """The Lipschitz constant of u -> f(x, u) on |u| <= M, read from the split as
+    max |a_j| over the x lattice times max |g'| over a 10001-point u grid: the
+    sup of |df/du| = |a| |g'| over those points."""
     if not 0 < M < np.inf:
         raise ConfigError(f"Lipschitz check needs a finite u bound M > 0, got M={M}")
     X = _x_lattice(grid, per_axis=9)  # (n, P)
     us = np.linspace(-M, M, 10001)
-    du = us[1] - us[0]
-    u = np.broadcast_to(us, (X.shape[1], us.size))
-    best = 0.0
-    for t in CHECK_TIMES:
-        fv = np.asarray(flux.f(X[:, :, None], t, u))  # (n, P, 10001)
-        finite = np.isfinite(fv).all(axis=(0, 2))
-        if not finite.all():
-            raise RunError(
-                f"non-finite flux value at x={tuple(X[:, finite.argmin()])}, t={t}")
-        best = max(best, float(np.max(np.abs(np.diff(fv, axis=-1)) / du)))
-    return best
+    a = np.abs(np.asarray(flux.split.a(X), dtype=float))
+    slope = _halves(flux.split, us)[2]
+    finite_x, finite_u = np.isfinite(a).all(axis=0), np.isfinite(slope)
+    if not finite_x.all():
+        raise RunError(f"non-finite split a at x={tuple(X[:, finite_x.argmin()])}")
+    if not finite_u.all():
+        raise RunError(f"non-finite flux derivative |g'| at u={us[finite_u.argmin()]}")
+    return float(np.max(a) * np.max(slope))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +521,7 @@ def check_lipschitz_in_u(flux: FluxModel, grid: Grid, M: float) -> float:
 _KNOWN_KEYS = ("n", "L", "N", "alpha", "p0", "flux", "u0", "boundary")
 
 
-def _parse_catalog_value(value: str) -> tuple[str, dict]:
+def parse_catalog_value(value: str) -> tuple[str, dict]:
     parts = value.split()
     if not parts:
         raise ConfigError("empty catalog entry")
@@ -579,8 +566,8 @@ def problem_from_mapping(raw: dict[str, str]) -> Problem:
     n, L, N = scalar("n", int, "1"), scalar("L", float, "10"), scalar("N", int, "400")
     alpha, p0 = scalar("alpha", float, "1"), scalar("p0", float, "1")
     grid = Grid(n=n, L=L, N=N)
-    flux_name, flux_params = _parse_catalog_value(raw.get("flux", "zero"))
-    u0_name, u0_params = _parse_catalog_value(raw.get("u0", "gaussian"))
+    flux_name, flux_params = parse_catalog_value(raw.get("flux", "zero"))
+    u0_name, u0_params = parse_catalog_value(raw.get("u0", "gaussian"))
     if u0_name == "barenblatt":
         u0_params.setdefault("alpha", alpha)
     return Problem(grid=grid, alpha=alpha, p0=p0,

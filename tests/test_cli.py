@@ -78,7 +78,7 @@ class TestExitCodes:
         assert rc == 2
 
     def test_check_flux_violation_is_failure(self, tmp_path):
-        rc = run_cli(tmp_path, "check-flux", "--flux", "figure1", "--k", "1.5")
+        rc = run_cli(tmp_path, "check-flux", "--flux", "figure1 k=1.5")
         assert rc == 1
 
     def test_check_flux_pass(self, tmp_path):
@@ -86,14 +86,14 @@ class TestExitCodes:
         assert rc == 0
         payload = json.loads(outputs(tmp_path, "json")[0].read_text())
         assert payload["consistency"]["ok"] is True
-        # max |u| = 1 on the default range; adjacent u samples keep C_f just below 1
-        assert 0.999 < payload["lipschitz"]["C_f"] <= 1.0
+        # max|a| max|g'| = 1 * max|u| on the default range |u| <= 1
+        assert payload["lipschitz"]["C_f"] == 1.0
         assert payload["passed"] is True
 
     def test_check_flux_inconsistent_derivative_is_failure(self, tmp_path, monkeypatch):
         def doubled_derivative(n):
             flux = pr.burgers_flux_model(n)
-            return dataclasses.replace(flux, df_du=lambda x, t, u: 2.0 * flux.df_du(x, t, u))
+            return dataclasses.replace(flux, df_du=lambda x, u: 2.0 * flux.df_du(x, u))
 
         monkeypatch.setitem(pr.FLUX_CATALOG, "burgers", (doubled_derivative, {}))
         assert run_cli(tmp_path, "check-flux", "--flux", "burgers") == 1
@@ -105,7 +105,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("broken", ["doubled a", "swapped halves"])
     def test_check_flux_split_that_misstates_the_flux_is_failure(self, tmp_path, monkeypatch,
                                                                   broken):
-        # f, df_du and div_x_f are right; the split the solver steps is not
+        # f, df_du and div_a are right; the split the solver steps is not
         def broken_split(n):
             flux = pr.burgers_flux_model(n)
             split = flux.split
@@ -130,7 +130,7 @@ class TestExitCodes:
     def test_undeclared_flux_parameter(self, tmp_path):
         assert run_cli(tmp_path, "run", "--set", "flux=burgers k=2",
                        "--t-end", "0.1") == 2
-        assert run_cli(tmp_path, "check-flux", "--flux", "burgers", "--k", "1.5") == 2
+        assert run_cli(tmp_path, "check-flux", "--flux", "burgers k=1.5") == 2
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, named", [
@@ -148,7 +148,7 @@ class TestExitCodes:
         (["moser-table", "--alpha", "nan"], "diffusion exponent alpha"),
         (["moser-table", "--q", "nan"], "integrability index q"),
         (["figure1", "--k", "nan"], "flux power k"),
-        (["check-flux", "--flux", "figure1", "--k", "nan"], "flux power k"),
+        (["check-flux", "--flux", "figure1 k=nan"], "flux power k"),
         (["barenblatt-validate", "--t0", "nan"], "--t0"),
         (["barenblatt-validate", "--C", "nan"], "mass constant C"),
         (["decay-study", "--t-end", "inf"], "t_end"),
@@ -165,7 +165,7 @@ class TestExitCodes:
         (["run", "--set", "u0=gaussian amp=inf", "--t-end", "0.1"],
          "'gaussian' parameter amp"),
         (["run", "--set", "flux=linear c=nan", "--t-end", "0.1"], "'linear' parameter c"),
-        (["check-flux", "--flux", "linear", "--c", "nan"], "'linear' parameter c"),
+        (["check-flux", "--flux", "linear c=nan"], "'linear' parameter c"),
         (["check-flux", "--flux", "burgers", "--umin", "0", "--umax", "0"], "u bound M > 0"),
         (["run", "--snapshots", "0", "--t-end", "0.1"], "--snapshots"),
         (["check-flux", "--flux", "burgers", "--samples", "5"], "--samples"),
@@ -455,9 +455,9 @@ STAMP_CASES = [
     (["moser-table", "--m", "3"],
      [["--q", "2"], ["--n", "2"], ["--alpha", "0.5"], ["--m", "4"]]),
     (["check-flux", "--flux", "linear", "--N", "16"],
-     [["--flux", "burgers"], ["--c", "2"], ["--umin", "-2"], ["--umax", "2"],
+     [["--flux", "burgers"], ["--flux", "linear c=2"], ["--umin", "-2"], ["--umax", "2"],
       ["--samples", "65"], ["--L", "5"], ["--N", "32"]]),
-    (["check-flux", "--flux", "figure1", "--N", "16"], [["--k", "1.2"]]),
+    (["check-flux", "--flux", "figure1", "--N", "16"], [["--flux", "figure1 k=1.2"]]),
     (["sandwich", "--set", "N=20", "--eps-list", "0.1,0.01", "--t-end", "0.01"],
      [["--eps-list", "0.2,0.01"], ["--t-end", "0.02"]]),
 ]

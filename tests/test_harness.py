@@ -228,39 +228,19 @@ class TestSandwich:
             hz.run_sandwich(p, -0.1, lambda x: np.ones(x.shape[1:]),
                             sv.SchemeConfig(t_end=0.1))
 
-    def test_blowup_names_the_branch(self):
+    def test_blowup_names_the_branch(self, nan_below_flux):
         # f = u is NaN below -0.45, which only the lower branch
         # -u0^- - eps psi reaches
-        def f(x, t, u):
-            u = np.asarray(u, dtype=float)
-            return np.where(u < -0.45, np.nan, u)[None]
-
-        def g(u, out):  # the split's g = u, NaN where f is
-            return np.where(u < -0.45, np.nan, u), None, np.ones_like(u)
-
-        flux = pr.FluxModel(name="nan-below", f=f,
-                            df_du=lambda x, t, u: np.ones((1,) + np.shape(u)),
-                            div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                            split=pr.FluxSplit(a=lambda x: np.ones(np.shape(x)), g=g))
         p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=200), alpha=1.0, p0=1.0,
-                       flux=flux, u0=lambda x: x[0] * np.exp(-x[0] ** 2))
+                       flux=nan_below_flux, u0=lambda x: x[0] * np.exp(-x[0] ** 2))
         psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))
         with pytest.raises(RunError, match="lower branch.*non-finite value"):
             hz.run_sandwich(p, 0.1, psi, sv.SchemeConfig(t_end=0.5))
 
-    def test_bad_derivative_names_the_branch(self):
+    def test_bad_derivative_names_the_branch(self, nan_below_derivative):
         # df_du is NaN below -0.45, which only the lower branch reaches
-        def df_du(x, t, u):
-            return np.where(np.asarray(u, dtype=float) < -0.45, np.nan, 1.0)[None]
-
-        def g(u, out):  # the split's |g'|, NaN where df_du is
-            return u, None, np.where(u < -0.45, np.nan, 1.0)
-
-        flux = pr.FluxModel(name="nan-df-below", f=lambda x, t, u: np.asarray(u, float)[None],
-                            df_du=df_du, div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                            split=pr.FluxSplit(a=lambda x: np.ones(np.shape(x)), g=g))
         p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=200), alpha=1.0, p0=1.0,
-                       flux=flux, u0=lambda x: x[0] * np.exp(-x[0] ** 2))
+                       flux=nan_below_derivative, u0=lambda x: x[0] * np.exp(-x[0] ** 2))
         psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))
         with pytest.raises(RunError,
                            match=r"step 1\b, lower branch.*non-finite flux derivative"):

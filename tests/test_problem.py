@@ -140,23 +140,22 @@ class TestFluxConsistency:
         assert (rep.max_df_du_error, rep.max_div_error) == (good.max_df_du_error,
                                                             good.max_div_error)
 
-    def test_flux_without_split_is_checked_on_f(self):
-        flux = dataclasses.replace(pr.burgers_flux_model(1), split=None)
-        rep = pr.check_flux_consistency(flux, pr.Grid(n=1, L=5.0, N=16))
-        assert rep.ok and rep.max_split_error is None
+    def test_misstated_divergence_fails(self):
+        # figure1's split with div a = +sech^2 x, the sign of the sign condition flipped
+        flux = pr.figure1_flux_model(1.5)
+        bad = dataclasses.replace(flux, split=dataclasses.replace(
+            flux.split, div_a=lambda x: 1.0 / np.cosh(x[0]) ** 2))
+        rep = pr.check_flux_consistency(bad, pr.Grid(n=1, L=10.0, N=32))
+        assert not rep.ok and rep.max_div_error > 0.1
+        assert pr.check_divergence_condition(bad, pr.Grid(n=1, L=10.0, N=64),
+                                             (-1.0, 1.0)).satisfied
 
-    def test_nonfinite_names_first_sample(self):
-        def f(x, t, u):
-            return np.where(np.asarray(u) > 0.9, np.nan, np.asarray(u, dtype=float))[None]
-
-        flux = pr.FluxModel(name="nan-above", f=f,
-                            df_du=lambda x, t, u: np.ones((1,) + np.shape(u)),
-                            div_x_f=lambda x, t, u: np.zeros(np.shape(u)))
+    def test_nonfinite_names_first_sample(self, nan_below_flux):
         grid = pr.Grid(n=1, L=10.0, N=32)
         with pytest.raises(RunError) as loop:
-            per_sample_errors(flux, grid)
+            per_sample_errors(nan_below_flux, grid)
         with pytest.raises(RunError, match="non-finite flux derivative") as vec:
-            pr.check_flux_consistency(flux, grid)
+            pr.check_flux_consistency(nan_below_flux, grid)
         assert str(vec.value) == str(loop.value)
 
 
@@ -176,8 +175,8 @@ class TestCatalogSplits:
         a = np.asarray(split.a(x), dtype=float)
         up, down, slope = split.g(u.copy(), tuple(np.empty_like(u) for _ in range(3)))
         g = up if down is None else up + down
-        assert np.allclose(a * g, flux.f(x, 0.0, u), rtol=1e-14, atol=1e-15)
-        assert np.allclose(np.abs(a) * slope, np.abs(flux.df_du(x, 0.0, u)),
+        assert np.allclose(a * g, flux.f(x, u), rtol=1e-14, atol=1e-15)
+        assert np.allclose(np.abs(a) * slope, np.abs(flux.df_du(x, u)),
                            rtol=1e-14, atol=1e-15)
         assert np.all(np.diff(up, axis=-1) >= 0)
         assert down is None or np.all(np.diff(down, axis=-1) <= 0)
@@ -186,17 +185,15 @@ class TestCatalogSplits:
 def stacked_burgers(n):
     """Burgers flux with every component built as its own array, and the
     catalog's split."""
-    def f(x, t, u):
+    def f(x, u):
         u = np.asarray(u, dtype=float)
         return np.stack([0.5 * u * u] * n)
 
-    def df_du(x, t, u):
+    def df_du(x, u):
         u = np.asarray(u, dtype=float)
         return np.stack([u] * n)
 
-    return pr.FluxModel(name="burgers", f=f, df_du=df_du,
-                        div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                        split=pr.burgers_flux_model(n).split)
+    return pr.FluxModel(name="burgers", f=f, df_du=df_du, split=pr.burgers_flux_model(n).split)
 
 
 def broken_splits(flux):
@@ -223,8 +220,7 @@ class TestBurgersFluxViews:
         u = np.linspace(-2.0, 2.0, 12).reshape((12,) if n == 1 else (3, 4))
         x = np.zeros((n,) + u.shape)
         flux, ref = pr.burgers_flux_model(n), stacked_burgers(n)
-        for got, want in ((flux.f(x, 0.0, u), ref.f(x, 0.0, u)),
-                          (flux.df_du(x, 0.0, u), ref.df_du(x, 0.0, u))):
+        for got, want in ((flux.f(x, u), ref.f(x, u)), (flux.df_du(x, u), ref.df_du(x, u))):
             assert got.shape == want.shape == (n,) + u.shape
             assert np.array_equal(got, want)
 
@@ -243,10 +239,9 @@ class TestBurgersFluxViews:
         def g(u, out):
             return tuple(None if v is None else np.array(v) for v in flux.split.g(u, out))
 
-        copied = pr.FluxModel(name="burgers", f=lambda x, t, u: np.array(flux.f(x, t, u)),
-                              df_du=lambda x, t, u: np.array(flux.df_du(x, t, u)),
-                              div_x_f=flux.div_x_f,
-                              split=pr.FluxSplit(a=flux.split.a, g=g))
+        copied = pr.FluxModel(name="burgers", f=lambda x, u: np.array(flux.f(x, u)),
+                              df_du=lambda x, u: np.array(flux.df_du(x, u)),
+                              split=dataclasses.replace(flux.split, g=g))
         base = pr.problem_from_mapping({"n": str(n), "N": str(N), "L": "4",
                                         "flux": "burgers", "u0": "signed_gaussian"})
         config = solver.SchemeConfig(t_end=1.0)
@@ -268,16 +263,15 @@ def per_sample_errors(flux, grid, samples=1000, seed=12345):
     rng = np.random.default_rng(seed)
     n = grid.n
     xs = rng.uniform(-grid.L, grid.L, size=(n, samples))
-    ts = rng.uniform(0.0, 1.0, size=samples)
     us = rng.uniform(-1.0, 1.0, size=samples)
     worst_du = worst_div = 0.0
     for i in range(samples):
-        x, t, u = xs[:, i:i + 1], float(ts[i]), us[i:i + 1]
+        x, u = xs[:, i:i + 1], us[i:i + 1]
         h = 1e-6 * max(1.0, abs(float(u[0])))
-        fd_du = (np.asarray(flux.f(x, t, u + h)) - np.asarray(flux.f(x, t, u - h))) / (2 * h)
-        stated_du = np.asarray(flux.df_du(x, t, u))
+        fd_du = (np.asarray(flux.f(x, u + h)) - np.asarray(flux.f(x, u - h))) / (2 * h)
+        stated_du = np.asarray(flux.df_du(x, u))
         if not (np.all(np.isfinite(fd_du)) and np.all(np.isfinite(stated_du))):
-            raise RunError(f"non-finite flux derivative at x={x.ravel()}, t={t}, u={u[0]}")
+            raise RunError(f"non-finite flux derivative at x={x.ravel()}, u={u[0]}")
         scale = max(1.0, float(np.max(np.abs(stated_du))))
         worst_du = max(worst_du, float(np.max(np.abs(fd_du - stated_du))) / scale)
         hx = 1e-6 * max(1.0, float(np.max(np.abs(x))))
@@ -285,9 +279,9 @@ def per_sample_errors(flux, grid, samples=1000, seed=12345):
         for j in range(n):
             e = np.zeros_like(x)
             e[j, 0] = hx
-            fd_div += (float(np.asarray(flux.f(x + e, t, u))[j, 0])
-                       - float(np.asarray(flux.f(x - e, t, u))[j, 0])) / (2 * hx)
-        stated_div = float(np.asarray(flux.div_x_f(x, t, u)).ravel()[0])
+            fd_div += (float(np.asarray(flux.split.a(x + e))[j, 0])
+                       - float(np.asarray(flux.split.a(x - e))[j, 0])) / (2 * hx)
+        stated_div = float(np.asarray(flux.split.div_a(x)).ravel()[0])
         worst_div = max(worst_div, abs(fd_div - stated_div) / max(1.0, abs(stated_div)))
     return worst_du, worst_div
 
@@ -310,9 +304,10 @@ class TestDivergenceCondition:
         grid = pr.Grid(n=1, L=10.0, N=64)
         rep = pr.check_divergence_condition(pr.figure1_flux_model(1.5), grid, (-1.0, 1.0))
         assert not rep.satisfied
-        assert rep.worst_violation < 0
-        x, t, u = rep.witness
-        assert u != 0
+        # div a g(u) u = -sech^2(x) |u|^(k+2), most negative at |u| = 1 and the
+        # lattice x nearest 0; the first of u = -1 and u = 1
+        assert rep.worst_violation == -1.0 / np.cosh(0.15625) ** 2
+        assert rep.witness == ((0.15625,), -1.0)
 
     def test_x_independent_always_satisfies(self):
         grid = pr.Grid(n=1, L=5.0, N=32)
@@ -332,30 +327,25 @@ class TestDivergenceCondition:
 
 
 def per_point_lipschitz(flux, grid, M):
-    """Reference for check_lipschitz_in_u: one flux call per t and x point."""
+    """Reference for check_lipschitz_in_u: |a| |g'| at one x point and one u
+    point at a time."""
     X = pr._x_lattice(grid, per_axis=9)
-    us = np.linspace(-M, M, 10001)
-    du = us[1] - us[0]
-    best = 0.0
-    for t in (0.0, 0.5, 1.0):
-        for p in range(X.shape[1]):
-            fv = np.asarray(flux.f(X[:, p:p + 1], t, us))
-            best = max(best, float(np.max(np.abs(np.diff(fv, axis=-1)) / du)))
-    return best
+    slopes = np.array([pr._halves(flux.split, np.array([u]))[2][0]
+                       for u in np.linspace(-M, M, 10001)])
+    return max(float(np.max(np.max(np.abs(flux.split.a(X[:, p:p + 1]))) * slopes))
+               for p in range(X.shape[1]))
 
 
 class TestLipschitz:
     def test_linear(self):
         grid = pr.Grid(n=1, L=5.0, N=8)
         C_f = pr.check_lipschitz_in_u(pr.linear_flux_model(3.0, 1), grid, M=1.0)
-        assert C_f == pytest.approx(3.0, abs=1e-9)
+        assert C_f == 3.0
 
     def test_burgers_dense_sampling(self):
-        # the quotient of u^2/2 over [u, u + du] is u + du/2, largest at the top
-        # pair: M - du/2 with du = 2M/10000
+        # |df/du| = |u| reaches M = 2 at the ends of the u grid
         grid = pr.Grid(n=1, L=5.0, N=2)
-        C_f = pr.check_lipschitz_in_u(pr.burgers_flux_model(1), grid, M=2.0)
-        assert C_f == pytest.approx(2.0 - 2.0 / 10000, rel=1e-12)
+        assert pr.check_lipschitz_in_u(pr.burgers_flux_model(1), grid, M=2.0) == 2.0
 
     def test_zero(self):
         grid = pr.Grid(n=1, L=5.0, N=8)
@@ -370,6 +360,10 @@ class TestLipschitz:
         grid = pr.Grid(n=n, L=3.0, N=16)
         for M in (0.7, 2.0):
             assert pr.check_lipschitz_in_u(flux, grid, M) == per_point_lipschitz(flux, grid, M)
+
+    def test_nonfinite_derivative_names_u(self, nan_below_derivative):
+        with pytest.raises(RunError, match=r"\|g'\| at u=-1\.0$"):
+            pr.check_lipschitz_in_u(nan_below_derivative, pr.Grid(n=1, L=5.0, N=8), M=1.0)
 
     def test_validation(self):
         grid = pr.Grid(n=1, L=5.0, N=8)
@@ -448,7 +442,8 @@ class TestConfig:
         assert p.grid.N == 300
         assert p.alpha == 0.5
         assert p.flux.name == "figure1"
-        assert p.flux.params["k"] == 1.5
+        u = np.linspace(-2.0, 2.0, 9)
+        assert np.array_equal(pr._halves(p.flux.split, u)[0], np.abs(u) ** 1.5 * u)
         vals = pr.sample_initial(p).values
         assert float(np.max(vals)) == pytest.approx(2.0, rel=1e-2)
 
@@ -477,9 +472,9 @@ class TestConfig:
     def test_catalog_defaults_apply(self):
         p = pr.problem_from_mapping({"flux": "linear", "u0": "barenblatt",
                                      "alpha": "2"})
-        assert p.flux.params == {"c": 1.0}
-        expected = pr.u0_from_config("barenblatt", {"alpha": 2.0})
         x = p.grid.cell_centers()
+        assert np.all(p.flux.split.a(x) == 1.0)
+        expected = pr.u0_from_config("barenblatt", {"alpha": 2.0})
         assert np.array_equal(p.u0(x), expected(x))
 
     def test_malformed_line(self):

@@ -25,35 +25,6 @@ def diffusion_problem(N=200, L=10.0, alpha=1.0, n=1, u0=gaussian):
                       flux=pr.zero_flux_model(n), u0=u0)
 
 
-def nan_below_flux(u_min=-0.45):
-    """Linear flux f = u whose value (its split's g) is NaN below u_min; |g'| stays 1."""
-    def f(x, t, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u < u_min, np.nan, u)[None]
-
-    def g(u, out):
-        return np.where(u < u_min, np.nan, u), None, np.ones_like(u)
-
-    return pr.FluxModel(name="nan-below", f=f,
-                        df_du=lambda x, t, u: np.ones((1,) + np.shape(u)),
-                        div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                        split=pr.FluxSplit(a=lambda x: np.ones(np.shape(x)), g=g))
-
-
-def nan_below_derivative(u_min=-0.45):
-    """Linear flux f = u whose df_du (its split's |g'|) is NaN below u_min."""
-    def df_du(x, t, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u < u_min, np.nan, 1.0)[None]
-
-    def g(u, out):
-        return u, None, np.where(u < u_min, np.nan, 1.0)
-
-    return pr.FluxModel(name="nan-df-below", f=lambda x, t, u: np.asarray(u, float)[None],
-                        df_du=df_du, div_x_f=lambda x, t, u: np.zeros(np.shape(u)),
-                        split=pr.FluxSplit(a=lambda x: np.ones(np.shape(x)), g=g))
-
-
 def poison_step(monkeypatch, at: int, bad: float, cell) -> list[int]:
     """Make call number `at` of sv.step, on a 1-D grid, write `bad` into `cell` of
     its new values through the diffusion term, as a blow-up in that step would;
@@ -332,8 +303,8 @@ class TestStepKernel:
                 lo = hi = np.zeros_like(lo)
             up = np.concatenate((lo, u, hi), axis=ax)
             ul, ur = np.delete(up, -1, axis=ax), np.delete(up, 0, axis=ax)
-            lam += float(np.max(np.maximum(np.abs(flux.df_du(xi, 0.0, ul)[ax]),
-                                           np.abs(flux.df_du(xi, 0.0, ur)[ax])))) / grid.dx
+            lam += float(np.max(np.maximum(np.abs(flux.df_du(xi, ul)[ax]),
+                                           np.abs(flux.df_du(xi, ur)[ax])))) / grid.dx
         rate = lam + 2.0 * n * float(np.max(np.abs(u) ** 0.5)) / grid.dx ** 2
         dt, _ = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
         if flux.name == "figure1":
@@ -355,10 +326,10 @@ class TestStepKernel:
 
 
 def test_flux_without_split_cannot_be_stepped():
-    bare = dataclasses.replace(pr.burgers_flux_model(1), name="bare", split=None)
-    with pytest.raises(ConfigError, match="'bare' states no Engquist-Osher split"):
-        pr.Problem(grid=pr.Grid(n=1, L=3.0, N=20), alpha=1.0, p0=1.0, flux=bare,
-                   u0=gaussian)
+    # the split is a required field, so a flux without one cannot even be built
+    burgers = pr.burgers_flux_model(1)
+    with pytest.raises(TypeError, match="split"):
+        pr.FluxModel(name="bare", f=burgers.f, df_du=burgers.df_du)
 
 
 @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
@@ -405,7 +376,7 @@ class TestZeroFluxSkip:
         calls = {}
         zero = pr.zero_flux_model(n)
         lookalike = dataclasses.replace(zero, split=pr.FluxSplit(
-            a=lambda x: np.zeros(np.shape(x)), g=zeros_g))
+            a=lambda x: np.zeros(np.shape(x)), div_a=pr.ZERO_SPLIT.div_a, g=zeros_g))
         cfg = sv.SchemeConfig(t_end=0.5, snapshot_times=(0.1, 0.25))
         skipped, wrapped, alike, traced_zero = (
             sv.run(pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
@@ -427,7 +398,7 @@ class TestZeroFluxSkip:
             "catalog zero": (zero, True),
             "traced evaluators": (traced(zero, {}), True),
             "look-alike split": (dataclasses.replace(zero, split=pr.FluxSplit(
-                a=pr.ZERO_SPLIT.a, g=pr.ZERO_SPLIT.g)), False),
+                a=pr.ZERO_SPLIT.a, div_a=pr.ZERO_SPLIT.div_a, g=pr.ZERO_SPLIT.g)), False),
             "named zero": (dataclasses.replace(burgers, name="zero"), False),
             "zero evaluators": (dataclasses.replace(burgers, name="zero",
                                                     f=pr.zero_evaluator,
@@ -814,15 +785,15 @@ class TestRun:
         with pytest.raises(RunError, match="exceeded 3 steps"):
             sv.run(p, sv.SchemeConfig(t_end=10.0))
 
-    def test_blowup_names_the_step(self):
+    def test_blowup_names_the_step(self, nan_below_flux):
         p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=100), alpha=1.0, p0=1.0,
-                       flux=nan_below_flux(), u0=lambda x: -0.5 * gaussian(x))
+                       flux=nan_below_flux, u0=lambda x: -0.5 * gaussian(x))
         with pytest.raises(RunError, match=r"step 1\b.*non-finite value"):
             sv.run(p, sv.SchemeConfig(t_end=1.0))
 
-    def test_bad_derivative_names_the_step(self):
+    def test_bad_derivative_names_the_step(self, nan_below_derivative):
         p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=100), alpha=1.0, p0=1.0,
-                       flux=nan_below_derivative(), u0=lambda x: -0.5 * gaussian(x))
+                       flux=nan_below_derivative, u0=lambda x: -0.5 * gaussian(x))
         with pytest.raises(RunError, match=r"step 1\b.*non-finite flux derivative"):
             sv.run(p, sv.SchemeConfig(t_end=1.0))
 

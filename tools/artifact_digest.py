@@ -50,7 +50,8 @@ COMMANDS = [
     # further cases
     ["moser-table", "--m", "60"],
     ["check-flux", "--flux", "figure1"],
-    ["check-flux", "--flux", "linear", "--c", "3"],
+    ["check-flux", "--flux", "linear c=3"],
+    ["check-flux", "--flux", "zero"],
     ["run", "--set", "flux=linear c=3", "--set", "u0=gaussian width=8", "--set", "L=5",
      "--set", "N=100", "--t-end", "0.5"],
     ["run", "--set", "flux=figure1", "--set", "alpha=1.7", "--set", "boundary=dirichlet_zero",

@@ -85,20 +85,24 @@ def _number_list(option: str, text: str, admissible, requirement: str) -> list[f
 
 def _write_snapshot_csv(path, result: solver.RunResult) -> None:
     """The run CSV: columns t, x0[, x1], u, one row per cell per snapshot,
-    each value as %.17g (the text of _cell). The N cell centers of an axis are
-    formatted once and the x text of each row is joined from them; each
-    snapshot is then one % format over its u values."""
+    each value as %.17g (the text of _cell). The N cell centers of an axis and
+    the distinct u values of a snapshot (by bit pattern, so -0.0 and 0.0 stay
+    apart) are each formatted once, and every row joins its text from them by
+    index, so the bytes equal %.17g of every cell."""
     grid = result.snapshots[0].grid
     centers = ["%.17g" % c for c in grid.axis_centers().tolist()]
-    # row i of a snapshot at time text T is T + tails[i] % u[i], cells in C order
-    tails = ["," + ",".join(x) + ",%.17g\n"
+    # row i of a snapshot at time text T is T + tails[i] % text(u[i]), cells in C order
+    tails = ["," + ",".join(x) + ",%s\n"
              for x in itertools.product(centers, repeat=grid.n)]
     cols = ["t"] + [f"x{a}" for a in range(grid.n)] + ["u"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# pmelab csv v1 schema=run-snapshots\n{','.join(cols)}\n")
         for snap in result.snapshots:
             t = "%.17g" % snap.time
-            fh.write((t + t.join(tails)) % tuple(snap.values.ravel().tolist()))
+            bits, inverse = np.unique(snap.values.ravel().view(np.int64),
+                                      return_inverse=True)
+            texts = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+            fh.write((t + t.join(tails)) % tuple(map(texts.__getitem__, inverse.tolist())))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmelab import cli, solver, svg
 from pmelab import exponents as ex
@@ -319,6 +321,15 @@ def reference_snapshot_csv(result):
     return ("\n".join(lines) + "\n").encode()
 
 
+def snapshot_result(grid, snapshots):
+    """A RunResult that holds one State per (time, flat u values) pair."""
+    return solver.RunResult(
+        snapshots=[State(values=np.reshape(u, grid.shape), time=t, grid=grid)
+                   for t, u in snapshots],
+        step_count=0, min_dt=0.0, max_dt=0.0, boundary_mass_max=0.0, mass_series=[],
+        boundary_flagged=False)
+
+
 class TestSnapshotCsv:
     @pytest.mark.parametrize("n", [1, 2])
     def test_solver_run_matches_per_cell_reference(self, tmp_path, n):
@@ -349,6 +360,50 @@ class TestSnapshotCsv:
         for cell in (b",-0\n", b",4.9406564584124654e-324\n",
                      b",1.0000000000000001e+300\n", b",9007199254740992\n"):
             assert cell in text
+
+    # each case: cells -> the u values of each snapshot
+    CASES = {
+        "signed-zeros": lambda cells: [np.resize([0.0, -0.0, 1.5, -0.0], cells)],
+        "repeats-within-and-across": lambda cells: [
+            np.resize([1e-86, 0.25, 1e-86, -3.0], cells),
+            np.resize([0.25, 7.0, 1e-86], cells),
+            np.resize([-3.0, 1e-86], cells)],
+        "one-value": lambda cells: [np.full(cells, 1.0 / 3.0), np.full(cells, -0.0)],
+        "all-distinct": lambda cells: [(np.arange(cells) - 2.5) ** 3 / 7.0,
+                                       np.exp(-np.arange(cells) * 20.0)],
+    }
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_dedupe_cases_match_per_cell_reference(self, tmp_path, case, n):
+        grid = Grid(n=n, L=2.0, N=5)
+        snaps = self.CASES[case](5 ** n)
+        if case == "all-distinct":
+            assert all(np.unique(u).size == u.size for u in snaps)
+        result = snapshot_result(grid, [(0.1 * k, u) for k, u in enumerate(snaps)])
+        path = tmp_path / "run.csv"
+        cli._write_snapshot_csv(path, result)
+        text = path.read_bytes()
+        assert text == reference_snapshot_csv(result)
+        if case == "signed-zeros":
+            assert b",0\n" in text and b",-0\n" in text
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_any_values_match_per_cell_reference(self, tmp_path_factory, data):
+        # finite floats mixed with a small pool, so that values repeat
+        n = data.draw(st.sampled_from((1, 2)), label="n")
+        grid = Grid(n=n, L=1.0, N=data.draw(st.integers(1, 5), label="N"))
+        value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0]))
+        cells = grid.N ** n
+        snaps = data.draw(st.lists(
+            st.tuples(st.floats(0.0, 1e6), st.lists(value, min_size=cells, max_size=cells)),
+            min_size=1, max_size=3), label="snapshots")
+        result = snapshot_result(grid, snaps)
+        path = tmp_path_factory.mktemp("csv") / "run.csv"
+        cli._write_snapshot_csv(path, result)
+        assert path.read_bytes() == reference_snapshot_csv(result)
 
 
 class TestFigure1Command:

@@ -16,8 +16,9 @@ check-flux, data at the walls under both boundary policies, a 2-D sandwich,
 2-D runs with and without advection, 1-D Burgers from signed data under both
 boundary policies, every option of figure1 and barenblatt-validate off its
 default, a run at a smaller CFL factor, the benchmark's step-size probe with
-its 31 snapshots, and options given a value that is rejected before any work,
-non-numeric text and a box too small for the exact solution among them.
+its 31 snapshots, a run whose CSV holds signed zeros (-0 at t=0, 0 after),
+and options given a value that is rejected before any work, non-numeric text
+and a box too small for the exact solution among them.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ COMMANDS = [
     # State built and checked from a stepped state
     ["run", "--set", "flux=linear c=20", "--set", "L=5", "--set", "N=200", "--set", "alpha=1",
      "--set", "u0=gaussian width=0.7071067811865476", "--t-end", "0.3", "--snapshots", "31"],
+    # signed zeros: the datum -0.0 everywhere steps to +0.0, and the CSV keeps both texts
+    ["run", "--set", "u0=gaussian amp=-0.0", "--set", "N=20", "--t-end", "0.1",
+     "--snapshots", "3"],
     # non-numeric text in a list option and in a scalar setting
     ["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "1,x"],
     ["run", "--set", "N=abc", "--t-end", "0.1"],

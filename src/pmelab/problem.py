@@ -22,6 +22,14 @@ from .errors import ConfigError, RunError
 BOUNDARY_POLICIES = ("zero_flux", "dirichlet_zero")
 
 
+def _square(v: float) -> float:
+    """v ** 2 as Python's pow gives it (not always v * v), inf where that overflows."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return np.inf
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform cell-centered grid on [-L, L]^n."""
@@ -37,6 +45,9 @@ class Grid:
             raise ConfigError(f"half-width must be finite and > 0, got {self.L}")
         if self.N < 1 or int(self.N) != self.N:
             raise ConfigError(f"cell count must be a positive integer, got {self.N}")
+        if not 0 < _square(self.dx) < np.inf:  # the solver divides by dx ** 2
+            raise ConfigError(f"cell width 2L/N must have a square that is > 0 and finite, "
+                              f"got L={self.L}, N={self.N}")
 
     @property
     def dx(self) -> float:
@@ -79,7 +90,8 @@ class FluxSplit:
     padded cells of one axis and a tuple of three scratch arrays of u's shape
     and returns (g_up(u), g_down(u), |g'(u)|), each of them u itself, one of
     the scratch arrays or a new array, and g_down as None where it is 0 (g
-    nondecreasing). `check_flux_consistency` checks all of this."""
+    nondecreasing). It leaves u as it is: under dirichlet_zero the solver sets
+    the ghost cells once per run. `check_flux_consistency` checks the rest."""
 
     a: Callable[[np.ndarray], np.ndarray]
     div_a: Callable[[np.ndarray], np.ndarray]
@@ -339,9 +351,11 @@ def _zero_datum(n: int):
 
 
 def _gaussian_datum(n: int, amp: float, width: float):
-    if not width > 0:
-        raise ConfigError(f"initial datum 'gaussian' parameter width must be > 0, got {width}")
-    return lambda x: amp * np.exp(-np.sum(np.asarray(x) ** 2, axis=0) / width ** 2)
+    w2 = _square(width) if width > 0 else 0.0
+    if not 0 < w2 < np.inf or 1.0 / w2 == np.inf:
+        raise ConfigError(f"initial datum 'gaussian' parameter width must be > 0, with a "
+                          f"square and its reciprocal > 0 and finite, got {width}")
+    return lambda x: amp * np.exp(-np.sum(np.asarray(x) ** 2, axis=0) / w2)
 
 
 def _signed_gaussian_datum(n: int):

@@ -30,8 +30,13 @@ dt. g gets u with that branch axis, and a(x) a singleton axis in its place.
 Each axis is computed along axis 0 of the scratch arrays and coefficients of
 `_axis` (a+ and a- at the interfaces, the reach at the cells), in the layout
 that `_axis` gives; g is evaluated once per step on the N+2 padded cells.
-`advance` builds that scratch once per run (`_scratch`) and hands it to every
-`stable_dt` and `step`; called without it, they build their own. A step's new
+`advance` builds a step plan once per run (`_scratch`): those arrays, the
+slice views each step takes, the arrays the terms are written to (so they
+hold until the plan's next prepare) and the grid constants. It hands the plan
+to every `stable_dt` and `step`; called without one, they build their own.
+A step does no identity arithmetic: no |u|^a pass at alpha = 1, no product
+by a coefficient of 1.0, and for a reach that is one float c, lam_ax is
+c max|g'|, bit for bit max(c |g'|) as rounding is monotone. A step's new
 values become the stepped `State` as they are, read-only, with no copy and no
 finiteness scan. A blow-up is caught where the next step takes max|u|^a, NaN
 or inf exactly when some value is (or when |u|^a overflows), before any other
@@ -89,13 +94,13 @@ class RunResult:
 
 
 def stable_dt(state: State, problem: Problem, config: SchemeConfig,
-              work: tuple | None = None) -> tuple[float, list]:
+              work: tuple | None = None) -> tuple[float, tuple]:
     """(dt, terms): cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2), lam_ax = the largest
     reach |g'| over the cells along axis ax, and the dt-independent terms of
     the update prepared on the way (see `_prepare`), for `step(state, problem, dt, terms)`.
     A stacked state gets the dt of its largest branch rate: cfl / (rate + guard)
     is monotone in the rate, so that is bitwise the smallest branch dt. `work`
-    is the run's scratch (`_scratch`), built afresh when not given."""
+    is the run's step plan (`_scratch`), built afresh when not given."""
     rate, terms = _prepare(state, problem, work)
     branch = None
     if isinstance(rate, np.ndarray):
@@ -122,25 +127,41 @@ def _peak(v: np.ndarray, k: int, b: int):
 
 
 def _scratch(state: State, problem: Problem) -> tuple:
-    """One run's scratch for this state's grid and value shape: `_axis` for each axis
-    (advecting unless the split is `ZERO_SPLIT`), and a buffer for |u|^a, G and `step`."""
+    """One run's step plan, for this state's grid and value shape and this problem's
+    alpha, boundary policy and split's a (its g is read at every prepare, never
+    kept): ((dx, dx^2, buf), (b, 2n, power, alpha + 1, edge, G, axes, terms)).
+    buf holds |u|^a in `_prepare`, then `step`'s scaled terms; power is None
+    at alpha = 1; edge is the zero_flux policy; G, in the value layout, is the
+    middle of axis 0's padded G, where `_prepare` computes G(u); axes are the
+    `_axis` of each axis; terms are their dF (None for the zero flux) and
+    lapG in the value layout, which every prepare with this plan rewrites."""
     grid, shape, split = state.grid, state.values.shape, problem.flux.split
+    b, edge, dx = len(shape) - grid.n, problem.boundary_policy == "zero_flux", grid.dx
     a = None if split is ZERO_SPLIT else split.a
-    return tuple(_axis(grid, ax, shape, a) for ax in range(grid.n)), np.empty(shape)
+    axes = tuple(_axis(grid, ax, shape, a, edge) for ax in range(grid.n))
+    terms = tuple((None if adv is None else _first(adv[-1], k), _first(lapG, k))
+                  for k, _, _, _, _, lapG, adv in axes)
+    power = None if problem.alpha == 1 else problem.alpha
+    return ((dx, dx ** 2, np.empty(shape)),
+            (b, 2.0 * grid.n, power, problem.alpha + 1.0, edge,
+             _first(axes[0][2], b), axes, terms))
 
 
-def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a) -> tuple:
+def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, edge: bool) -> tuple:
     """The arrays of `_prepare` for axis ax of values of this shape (grid.shape
-    or (B,) + grid.shape), each with axis ax first: scratch for the padded G;
-    then, for a flux that advects (None otherwise), scratch for the padded u,
-    three for the split's g on it and two at the N+1 interfaces, and the
-    read-only coefficients of the split's a(x) (the FluxSplit field) normal to
-    ax: a+ and a- at the interfaces, and at the N cells the reach
-    max(a+_{i+1/2} - a-_{i-1/2}, a+_{i-1/2} - a-_{i+1/2}), the rate at which a
-    half of g leaves cell i through its two faces. Along the other axes they
+    or (B,) + grid.shape), each with axis ax first: (k, Gp, Gp[1:-1], Gp[2:],
+    Gp[:-2], lapG, adv), k = ax + b, Gp the padded G and lapG at the N cells.
+    adv is None for a flux that does not advect, else (Up, Up[1:-1], gbuf,
+    halves, reach, F, F[1:], F[:-1], tmp, tmp[:-1], dF): the padded u, three
+    arrays for the split's g on it, the read-only coefficients of the split's
+    a(x) (the FluxSplit field) normal to ax, two arrays at the N+1 interfaces
+    and dF. halves holds a+ and a- at the interfaces, and reach at the N cells
+    is max(a+_{i+1/2} - a-_{i-1/2}, a+_{i-1/2} - a-_{i+1/2}), the rate at which
+    a half of g leaves cell i through its two faces. Along the other axes they
     are taken at cell centers, with a singleton axis in place of the branch
     axis, so that they broadcast against the values; a coefficient with one
     value everywhere (a constant a) is that float, which costs no array reads.
+    Ghost cells under dirichlet_zero are set to 0 here, once for the run.
 
     The layout follows the value shape. For an unstacked state every array is
     C-contiguous with ax first, so along axis 1 of a 2-D state the copies
@@ -158,8 +179,16 @@ def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a) -> tuple:
             return _first(np.empty(shape[:k] + (m,) + shape[k + 1:]), k)
         return np.empty((m,) + shape[:k] + shape[k + 1:])
 
+    def padded() -> np.ndarray:
+        p = scratch(N + 2)
+        if not edge:
+            p[0] = p[-1] = 0.0
+        return p
+
+    Gp = padded()
+    lap = (k, Gp, Gp[1:-1], Gp[2:], Gp[:-2], scratch(N))
     if a is None:
-        return (scratch(N + 2),) + (None,) * 5
+        return lap + (None,)
     axes = [grid.axis_interfaces() if d == ax else grid.axis_centers()
             for d in range(grid.n)]
     c = np.asarray(a(np.stack(np.meshgrid(*axes, indexing="ij"))), dtype=float)[ax]
@@ -171,9 +200,9 @@ def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a) -> tuple:
     # on the left; one that a zeroes everywhere is left out, but never both
     halves = [(plus, False), (minus, True)]
     halves = [h for h in halves if np.any(h[0])] or halves[:1]
-    return ((scratch(N + 2), scratch(N + 2),
-             (scratch(N + 2), scratch(N + 2), scratch(N + 2)),
-             scratch(N + 1), scratch(N + 1), (halves, reach)))
+    Up, F, tmp = padded(), scratch(N + 1), scratch(N + 1)
+    return lap + ((Up, Up[1:-1], (scratch(N + 2), scratch(N + 2), scratch(N + 2)),
+                   halves, reach, F, F[1:], F[:-1], tmp, tmp[:-1], scratch(N)),)
 
 
 def _uniform(v: np.ndarray) -> float | np.ndarray:
@@ -187,28 +216,20 @@ def _uniform(v: np.ndarray) -> float | np.ndarray:
 
 def _half(coef, left, right, out: np.ndarray) -> np.ndarray:
     """coef (left[:-1] + right[1:]) into out, a None side being 0: one half of
-    the Engquist-Osher sum at the N+1 interfaces, from values on the N+2 cells."""
+    the Engquist-Osher sum at the N+1 interfaces, from values on the N+2 cells.
+    A coefficient of 1.0 (Burgers) multiplies by nothing."""
     if left is None:
         return np.multiply(coef, right[1:], out=out)
     if right is None:
         return np.multiply(coef, left[:-1], out=out)
     np.add(left[:-1], right[1:], out=out)
-    out *= coef
-    return out
-
-
-def _pad(v: np.ndarray, edge: bool, out: np.ndarray) -> np.ndarray:
-    """v along axis 0 into out[1:-1], between ghost cells: edge copies, or 0."""
-    out[1:-1] = v
-    if edge:
-        out[0], out[-1] = v[0], v[-1]
-    else:
-        out[0] = out[-1] = 0.0
+    if type(coef) is not float or coef != 1.0:
+        out *= coef
     return out
 
 
 def _prepare(state: State, problem: Problem,
-             work: tuple | None) -> tuple[float | np.ndarray, list]:
+             work: tuple | None) -> tuple[float | np.ndarray, tuple]:
     """The dt-independent half of a step: the rate sum_ax lam_ax/dx + 2n max|u|^a/dx^2
     and, per axis, the Engquist-Osher flux difference (None for the zero flux,
     whose +0.0 leaves every value as it is) and the second difference of
@@ -216,69 +237,76 @@ def _prepare(state: State, problem: Problem,
     edge copy under zero_flux, 0 under dirichlet_zero). At each interface the
     flux is a+ (g_up(u_l) + g_down(u_r)) + a- (g_down(u_l) + g_up(u_r)), and
     lam_ax is the largest reach |g'| over the N cells. Every axis is written
-    along axis 0 of swapaxes views, and its terms go back as views too. A
-    stacked state (b = 1 leading branch axis) is computed in the same calls,
-    every value as it would be for its branch alone, and its rate is one float
-    per branch. A non-finite value raises as in `State`, found by max|u|^a
-    before any other arithmetic on u. |u|^a, G and all scratch are `work`'s."""
-    values, grid, t = state.values, state.grid, state.time
-    b = values.ndim - grid.n
-    dx, alpha, g = grid.dx, problem.alpha, problem.flux.split.g
-    axes, buf = work or _scratch(state, problem)
+    along axis 0 of swapaxes views. A stacked state (b = 1 leading branch
+    axis) is computed in the same calls, every value as it would be for its
+    branch alone, and its rate is one float per branch. A non-finite value
+    raises as in `State`, found by max|u|^a before any other arithmetic on u.
+    Every array written, the returned terms too, is the plan `work`'s
+    (`_scratch`, built afresh when not given): they hold until its next prepare."""
+    values = state.values
+    (dx, dx2, buf), (b, two_n, power, alpha1, edge, G, axes, terms) = (
+        work or _scratch(state, problem))
     a = np.abs(values, out=buf)
-    a **= alpha
+    if power is not None:
+        a **= power
     peak = _peak(a, 0, b)
     if not math.isfinite(peak if not b else peak.max()):
-        State(values=values, time=t, grid=grid)  # raises if some value is not finite
-    G = np.multiply(a, values, out=a)
-    G /= alpha + 1.0
-    edge = problem.boundary_policy == "zero_flux"
+        State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
+    np.multiply(a, values, out=G)
+    G /= alpha1
+    g = problem.flux.split.g
     lam_adv = 0.0
-    terms = []
-    for ax in range(grid.n):
-        k = ax + b
-        Gp, Up, gbuf, F, tmp, coef = axes[ax]
-        _pad(_first(G, k), edge, Gp)
-        dF = None
-        if coef is not None:
-            up, down, slope = g(_pad(_first(values, k), edge, Up), gbuf)
-            halves, reach = coef
+    for k, Gp, Gmid, Ghi, Glo, lapG, adv in axes:
+        if k != b:  # axis 0's padded G already holds G
+            Gmid[...] = _first(G, k)
+        if edge:
+            Gp[0], Gp[-1] = Gp[1], Gp[-2]
+        if adv is not None:
+            Up, Umid, gbuf, halves, reach, F, Fhi, Flo, tmp, tmp_lo, dF = adv
+            Umid[...] = _first(values, k)
+            if edge:
+                Up[0], Up[-1] = Up[1], Up[-2]
+            up, down, slope = g(Up, gbuf)
             for i, (c, flip) in enumerate(halves):
                 left, right = (down, up) if flip else (up, down)
                 if i:
                     F += _half(c, left, right, tmp)
                 else:
                     _half(c, left, right, F)
-            lam_ax = _peak(np.multiply(reach, slope[1:-1], out=tmp[:-1]), k, b)
+            if isinstance(reach, float):  # max(c s_i) is c max(s_i) bit for bit, c >= 0
+                lam_ax = reach * _peak(slope[1:-1], k, b)
+            else:
+                lam_ax = _peak(np.multiply(reach, slope[1:-1], out=tmp_lo), k, b)
             if not math.isfinite(lam_ax if not b else lam_ax.max()):
-                raise RunError(f"non-finite flux derivative along axis {ax} at t={t}",
+                raise RunError(f"non-finite flux derivative along axis {k - b} at t={state.time}",
                                branch=int(np.isfinite(lam_ax).argmin()) if b else None)
             lam_adv += lam_ax / dx
-            dF = _first(F[1:] - F[:-1], k)
-        lapG = np.multiply(2.0, Gp[1:-1])
-        np.subtract(Gp[2:], lapG, out=lapG)
-        lapG += Gp[:-2]
-        terms.append((dF, _first(lapG, k)))
-    return lam_adv + 2.0 * grid.n * peak / dx ** 2, terms
+            np.subtract(Fhi, Flo, out=dF)
+        np.multiply(2.0, Gmid, out=lapG)
+        np.subtract(Ghi, lapG, out=lapG)
+        lapG += Glo
+    return lam_adv + two_n * peak / dx2, terms
 
 
-def step(state: State, problem: Problem, dt: float, terms: list | None = None,
+def step(state: State, problem: Problem, dt: float, terms: tuple | None = None,
          work: tuple | None = None) -> State:
     """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis; dt
     must respect the stable_dt bound. Applies the terms that stable_dt returned
-    for this state and problem, or prepares them itself when given none. Writes
-    neither the state nor the terms: each scaled term goes through the buffer
-    of `work` (or a fresh one) into the one new array, returned read-only and
-    unchecked; `advance` yields the state once it has been checked."""
+    for this state and problem, or prepares them itself when given none, with
+    the plan `work` (`_scratch`, built afresh when not given). Writes neither
+    the state nor the terms: each scaled term goes through the plan's buffer
+    into the one new array, returned read-only and unchecked; `advance` yields
+    the state once it has been checked."""
+    work = work or _scratch(state, problem)
     if terms is None:
         terms = _prepare(state, problem, work)[1]
-    dx, u = state.grid.dx, state.values
-    buf = np.empty(u.shape) if work is None else work[1]
+    (dx, dx2, buf), _ = work
+    u = state.values
     new = np.empty_like(u)
     for dF, lapG in terms:
         if dF is not None:
             u = np.subtract(u, np.multiply(dt / dx, dF, out=buf), out=new)
-        u = np.add(u, np.multiply(dt / dx ** 2, lapG, out=buf), out=new)
+        u = np.add(u, np.multiply(dt / dx2, lapG, out=buf), out=new)
     new.setflags(write=False)
     return _Stepped(values=new, time=state.time + dt, grid=state.grid)
 
@@ -317,7 +345,6 @@ def advance(state: State, problem: Problem, config: SchemeConfig,
             yield from pending
             dt = min(dt, target - state.time)
             state = step(state, problem, dt, terms, work)
-            del terms  # freed before the next prepare
             steps += 1
             pending = ((state, dt),)
         # land exactly on the target for downstream time arithmetic

@@ -166,6 +166,14 @@ class TestExitCodes:
          "'gaussian' parameter width"),
         (["run", "--set", "u0=gaussian amp=inf", "--t-end", "0.1"],
          "'gaussian' parameter amp"),
+        (["run", "--set", "u0=gaussian width=1e-300", "--t-end", "0.1"],
+         "'gaussian' parameter width"),
+        (["run", "--set", "u0=gaussian width=1e-160", "--t-end", "0.1"],
+         "'gaussian' parameter width"),
+        (["run", "--set", "u0=gaussian width=1e200", "--t-end", "0.1"],
+         "'gaussian' parameter width"),
+        (["run", "--set", "L=1e-170", "--t-end", "0.1"], "got L=1e-170, N="),
+        (["run", "--set", "L=1e160", "--t-end", "0.1"], "got L=1e+160, N="),
         (["run", "--set", "flux=linear c=nan", "--t-end", "0.1"], "'linear' parameter c"),
         (["check-flux", "--flux", "linear c=nan"], "'linear' parameter c"),
         (["check-flux", "--flux", "burgers", "--umin", "0", "--umax", "0"], "u bound M > 0"),
@@ -190,7 +198,9 @@ class TestExitCodes:
             "barenblatt-t0-nan", "barenblatt-C-nan", "decay-t_end-inf",
             "repeated-grid", "descending-grids", "q-list-nan", "q-list-below-1",
             "alphas-nan", "sandwich-late-eps-nan", "gaussian-width-0",
-            "gaussian-width-negative", "gaussian-amp-inf", "linear-c-nan",
+            "gaussian-width-negative", "gaussian-amp-inf",
+            "gaussian-width-square-0", "gaussian-width-reciprocal-inf",
+            "gaussian-width-square-inf", "L-dx-square-0", "L-dx-square-inf", "linear-c-nan",
             "check-flux-c-nan", "check-flux-zero-range", "run-snapshots-0",
             "check-flux-samples-5", "check-flux-samples-63", "eps-repeated",
             "q-list-repeated", "q-list-inf-repeated", "alphas-repeated",

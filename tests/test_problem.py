@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,15 @@ class TestGrid:
             pr.Grid(n=1, L=0.0, N=4)
         with pytest.raises(ConfigError):
             pr.Grid(n=1, L=1.0, N=0)
+
+    def test_cell_width_must_have_a_positive_finite_square(self):
+        # the solver divides by dx ** 2: a square that underflows to 0 or
+        # overflows is a ConfigError that names L and N
+        for L, N in [(1e-170, 4), (1e-160, 10 ** 6), (1e160, 4)]:
+            with pytest.raises(ConfigError, match=re.escape(f"got L={L}, N={N}")):
+                pr.Grid(n=1, L=L, N=N)
+        for L in (1e-160, 1e150):  # a subnormal square, a large one
+            assert 0 < pr.Grid(n=2, L=L, N=4).cell_volume < math.inf
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

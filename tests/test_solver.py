@@ -266,21 +266,48 @@ EO_HALVES = dict(zip(STEP_IDS, [
 
 class TestStepKernel:
     # the name is that of the LLF reference this one replaced, which made four
-    # flux calls per axis; the reference is now the Engquist-Osher update
+    # flux calls per axis; the reference is now the Engquist-Osher update.
+    # alpha = 1 is the case whose |u|^alpha pass the step leaves out.
     @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
     @pytest.mark.parametrize("case", range(len(STEP_CASES)), ids=STEP_IDS)
     def test_equals_four_call_reference(self, case, boundary):
         n, flux, u0 = STEP_CASES[case]
-        p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
-                       p0=1.0, flux=flux, u0=u0, boundary_policy=boundary)
-        s = pr.sample_initial(p)
-        u = s.values
-        cfg = sv.SchemeConfig(t_end=1.0)
-        for _ in range(50):
-            dt, terms = sv.stable_dt(s, p, cfg)
-            u = reference_step(u, s.time, dt, p, EO_HALVES[STEP_IDS[case]])
-            s = sv.step(s, p, dt, terms)
-            assert np.array_equal(s.values, u)
+        for alpha in (0.5, 1.0):
+            p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=alpha,
+                           p0=1.0, flux=flux, u0=u0, boundary_policy=boundary)
+            s = pr.sample_initial(p)
+            u = s.values
+            cfg = sv.SchemeConfig(t_end=1.0)
+            for _ in range(50):
+                dt, terms = sv.stable_dt(s, p, cfg)
+                u = reference_step(u, s.time, dt, p, EO_HALVES[STEP_IDS[case]])
+                s = sv.step(s, p, dt, terms)
+                assert np.array_equal(s.values, u), alpha
+
+    @pytest.mark.parametrize("stacked", (False, True), ids=("unstacked", "stacked"))
+    @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("case", range(len(STEP_CASES)), ids=STEP_IDS)
+    def test_advance_equals_the_reference(self, case, boundary, stacked):
+        # through advance: one plan for the whole run, its terms written in place
+        # at every prepare, a landing on the way, and each branch of a stacked
+        # state stepped as the reference steps it alone with the shared dt
+        n, flux, u0 = STEP_CASES[case]
+        amps = (-0.5, 1.0, 2.0) if stacked else (1.0,)
+        for alpha in (0.5, 1.0):
+            p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=alpha,
+                           p0=1.0, flux=flux, u0=u0, boundary_policy=boundary)
+            branches = [c * pr.sample_initial(p).values for c in amps]
+            s = pr.State(values=np.stack(branches) if stacked else branches[0], time=0.0,
+                         grid=p.grid)
+            steps = 0
+            for s, dt in sv.advance(s, p, sv.SchemeConfig(t_end=0.1, snapshot_times=(0.05,))):
+                if dt is None:
+                    continue
+                branches = [reference_step(u, s.time, dt, p, EO_HALVES[STEP_IDS[case]])
+                            for u in branches]
+                steps += 1
+                assert np.array_equal(s.values, np.stack(branches) if stacked else branches[0])
+            assert steps > 5 and s.time == 0.1
 
     @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
     @pytest.mark.parametrize("case", range(len(STEP_CASES)), ids=STEP_IDS)
@@ -524,17 +551,28 @@ def test_states_own_their_values(case):
         assert not any(np.shares_memory(new, t) for t in term if t is not None)
 
 
+def same_view(v, w):
+    return v.__array_interface__ == w.__array_interface__
+
+
 def test_axis_layout_follows_the_value_shape():
     # unstacked: every array C-contiguous with its axis first, axis 1 of 2-D too;
     # stacked: scratch as swapaxes views of arrays laid out as the values, and
-    # coefficients with a singleton axis for the branches
+    # coefficients with a singleton axis for the branches. The plan keeps the
+    # slices each step takes, and sets dirichlet_zero ghost cells once.
     grid, N = pr.Grid(n=2, L=3.0, N=12), 12
     a = lambda x: np.tanh(x)  # noqa: E731
     for ax in (0, 1):
-        Gp, Up, gbuf, F, tmp, coef = sv._axis(grid, ax, grid.shape, a)
-        (plus, left_up), (minus, left_down), reach = *coef[0], coef[1]
-        assert all(v.flags.c_contiguous for v in [Gp, Up, *gbuf, F, tmp, plus, minus, reach])
-        assert [v.shape[0] for v in [Gp, Up, *gbuf, F, tmp]] == [N + 2] * 5 + [N + 1] * 2
+        k, Gp, Gmid, Ghi, Glo, lapG, adv = sv._axis(grid, ax, grid.shape, a, True)
+        Up, Umid, gbuf, halves, reach, F, Fhi, Flo, tmp, tmp_lo, dF = adv
+        (plus, left_up), (minus, left_down) = halves
+        arrays = [Gp, Up, *gbuf, F, tmp, lapG, dF]
+        assert k == ax
+        assert all(v.flags.c_contiguous for v in arrays + [plus, minus, reach])
+        assert [v.shape[0] for v in arrays] == [N + 2] * 5 + [N + 1] * 2 + [N] * 2
+        assert all(same_view(v, w) for v, w in [
+            (Gmid, Gp[1:-1]), (Ghi, Gp[2:]), (Glo, Gp[:-2]), (Umid, Up[1:-1]),
+            (Fhi, F[1:]), (Flo, F[:-1]), (tmp_lo, tmp[:-1])])
         assert (left_up, left_down) == (False, True)
         assert all(not v.flags.writeable for v in (plus, minus, reach))
         assert [v.shape for v in (plus, minus, reach)] == [(N + 1, N), (N + 1, N), (N, N)]
@@ -543,14 +581,33 @@ def test_axis_layout_follows_the_value_shape():
         want = np.broadcast_to(np.tanh(grid.axis_interfaces())[:, None], (N + 1, N))
         assert np.array_equal(plus + minus, want)
         assert np.array_equal(reach, np.maximum(abs(want[:-1]), abs(want[1:])))
-        assert sv._axis(grid, ax, grid.shape, None)[0].flags.c_contiguous
+        zero = sv._axis(grid, ax, grid.shape, None, False)
+        assert zero[1].flags.c_contiguous and zero[-1] is None
+        assert not zero[1][[0, -1]].any()  # dirichlet_zero ghosts, set once
         # a uniform coefficient is a float, and a half that a zeroes is left out
-        uniform = sv._axis(grid, ax, grid.shape, lambda x: -2.0 * np.ones(np.shape(x)))
-        assert uniform[5] == ([(-2.0, True)], 2.0)
-        Gp, Up, gbuf, F, tmp, coef = sv._axis(grid, ax, (3,) + grid.shape, a)
-        assert all(v.swapaxes(0, ax + 1).flags.c_contiguous for v in [Gp, Up, *gbuf, F, tmp])
-        (plus, _), (minus, _), reach = *coef[0], coef[1]
-        assert all(v.shape[ax + 1] == 1 and v.ndim == 3 for v in (plus, minus, reach))
+        uniform = sv._axis(grid, ax, grid.shape, lambda x: -2.0 * np.ones(np.shape(x)), True)
+        assert uniform[-1][3:5] == ([(-2.0, True)], 2.0)
+        k, Gp, *_, lapG, adv = sv._axis(grid, ax, (3,) + grid.shape, a, True)
+        Up, _, gbuf, halves, reach, F, _, _, tmp, _, dF = adv
+        assert k == ax + 1
+        assert all(v.swapaxes(0, k).flags.c_contiguous for v in [Gp, Up, *gbuf, F, tmp, lapG, dF])
+        (plus, _), (minus, _) = halves
+        assert all(v.shape[k] == 1 and v.ndim == 3 for v in (plus, minus, reach))
+    # the plan: G(u) in the middle of axis 0's padded G, and terms laid out as
+    # the values, for a flux that advects and for the zero flux; alpha = 1 takes
+    # no power
+    for flux, shape in [(pr.burgers_flux_model(2), grid.shape),
+                        (pr.zero_flux_model(2), (3,) + grid.shape)]:
+        p = pr.Problem(grid=grid, alpha=1.0, p0=1.0, flux=flux, u0=gaussian)
+        s = pr.State(values=np.ones(shape), time=0.0, grid=grid)
+        (dx, dx2, buf), (b, two_n, power, alpha1, edge, G, axes, terms) = sv._scratch(s, p)
+        assert (dx, dx2, b, two_n, power, alpha1, edge) == (
+            grid.dx, grid.dx ** 2, len(shape) - 2, 4.0, None, 2.0, True)
+        assert buf.shape == G.shape == shape and same_view(G, sv._first(axes[0][2], b))
+        for (dF, lap), (k, *_, lapG, adv) in zip(terms, axes):
+            assert lap.shape == shape and same_view(lap, sv._first(lapG, k))
+            assert (dF is None) == (adv is None) == (flux.name == "zero")
+            assert dF is None or dF.shape == shape and same_view(dF, sv._first(adv[-1], k))
 
 
 @given(data=st.data())

@@ -34,9 +34,9 @@ that `_axis` gives; g is evaluated once per step on the N+2 padded cells.
 slice views each step takes, the arrays the terms are written to (so they
 hold until the plan's next prepare) and the grid constants. It hands the plan
 to every `stable_dt` and `step`; called without one, they build their own.
-A step does no identity arithmetic: no |u|^a pass at alpha = 1, no product
-by a coefficient of 1.0, and for a reach that is one float c, lam_ax is
-c max|g'|, bit for bit max(c |g'|) as rounding is monotone. A step's new
+A step does no identity arithmetic: no |u|^a pass at alpha = 1, and for a
+reach that is one float c, lam_ax is c max|g'|, bit for bit max(c |g'|) as
+rounding is monotone. A step's new
 values become the stepped `State` as they are, read-only, with no copy and no
 finiteness scan. A blow-up is caught where the next step takes max|u|^a, NaN
 or inf exactly when some value is (or when |u|^a overflows), before any other
@@ -216,15 +216,13 @@ def _uniform(v: np.ndarray) -> float | np.ndarray:
 
 def _half(coef, left, right, out: np.ndarray) -> np.ndarray:
     """coef (left[:-1] + right[1:]) into out, a None side being 0: one half of
-    the Engquist-Osher sum at the N+1 interfaces, from values on the N+2 cells.
-    A coefficient of 1.0 (Burgers) multiplies by nothing."""
+    the Engquist-Osher sum at the N+1 interfaces, from values on the N+2 cells."""
     if left is None:
         return np.multiply(coef, right[1:], out=out)
     if right is None:
         return np.multiply(coef, left[:-1], out=out)
     np.add(left[:-1], right[1:], out=out)
-    if type(coef) is not float or coef != 1.0:
-        out *= coef
+    out *= coef
     return out
 
 
@@ -293,15 +291,15 @@ def step(state: State, problem: Problem, dt: float, terms: tuple | None = None,
     """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis; dt
     must respect the stable_dt bound. Applies the terms that stable_dt returned
     for this state and problem, or prepares them itself when given none, with
-    the plan `work` (`_scratch`, built afresh when not given). Writes neither
+    the plan `work` (`_scratch`, built afresh only to prepare). Writes neither
     the state nor the terms: each scaled term goes through the plan's buffer
-    into the one new array, returned read-only and unchecked; `advance` yields
-    the state once it has been checked."""
-    work = work or _scratch(state, problem)
-    if terms is None:
-        terms = _prepare(state, problem, work)[1]
-    (dx, dx2, buf), _ = work
+    (or a fresh one) into the one new array, returned read-only and unchecked;
+    `advance` yields the state once it has been checked."""
     u = state.values
+    if terms is None:
+        work = work or _scratch(state, problem)
+        terms = _prepare(state, problem, work)[1]
+    dx, dx2, buf = work[0] if work else (state.grid.dx, state.grid.dx ** 2, np.empty(u.shape))
     new = np.empty_like(u)
     for dF, lapG in terms:
         if dF is not None:

@@ -17,10 +17,9 @@ check-flux, data at the walls under both boundary policies, a 2-D sandwich,
 boundary policies, every option of figure1 and barenblatt-validate off its
 default, a run at a smaller CFL factor, the benchmark's step-size probe with
 its 31 snapshots, a run whose CSV holds signed zeros (-0 at t=0, 0 after),
-runs that take and skip each identity the step drops (alpha = 1, a unit
-coefficient, a uniform reach), and options given a value that is rejected
-before any work, non-numeric text and a box too small for the exact solution
-among them.
+runs that take and skip each identity the step drops (alpha = 1, a uniform
+reach), and options given a value that is rejected before any work,
+non-numeric text and a box too small for the exact solution among them.
 """
 
 from __future__ import annotations
@@ -93,10 +92,9 @@ COMMANDS = [
     # signed zeros: the datum -0.0 everywhere steps to +0.0, and the CSV keeps both texts
     ["run", "--set", "u0=gaussian amp=-0.0", "--set", "N=20", "--t-end", "0.1",
      "--snapshots", "3"],
-    # the step's identity drops (alpha = 1, a float coefficient of 1.0, a
-    # uniform reach), each beside a case that does not take it: a coefficient
-    # of -1.0, a unit coefficient and uniform reach on both axes of 2-D, and an
-    # array reach at alpha = 1
+    # the step's identity drops (alpha = 1, a uniform reach), each beside a
+    # case that does not take it: coefficients of -1.0 and 1.0, a uniform
+    # reach on both axes of 2-D, and an array reach at alpha = 1
     ["run", "--set", "flux=linear c=-1", "--set", "alpha=1", "--set", "N=100",
      "--t-end", "0.5"],
     ["run", "--set", "n=2", "--set", "flux=linear c=1", "--set", "u0=gaussian",

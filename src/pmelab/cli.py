@@ -239,6 +239,8 @@ def cmd_barenblatt_validate(args) -> Report:
 
 
 def cmd_decay_study(args) -> Report:
+    if args.snapshots < 1:
+        raise ConfigError(f"--snapshots must be >= 1, got {args.snapshots}")
     problem, raw = _problem_from_args(args)
     alphas = (_number_list("--alphas", args.alphas, lambda a: 0 < a < math.inf,
                            "diffusion exponents, finite and > 0")

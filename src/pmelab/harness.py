@@ -217,13 +217,23 @@ def sandwich_envelope(problem: Problem, lower: State, upper: State) -> float:
     return max(lq_norm(lower, problem.p0), lq_norm(upper, problem.p0)) ** delta0
 
 
+def _ordering(block: np.ndarray, worst_low: float, worst_high: float) -> tuple[float, float]:
+    """The running minima of u - lower and upper - u, taken over a block of
+    stacked (lower, u, upper) states as well."""
+    lo, u, hi = block.swapaxes(0, 1)
+    return min(worst_low, float((u - lo).min())), min(worst_high, float((hi - u).min()))
+
+
 def run_sandwich(problem: Problem, eps: float,
                  psi: Callable[[np.ndarray], np.ndarray],
                  config: SchemeConfig) -> SandwichReport:
     """Three lockstep runs from -u0^- - eps psi <= u0 <= u0^+ + eps psi, stepped
     as the rows of one stacked state and so sharing one dt sequence (the minimum
     of the three stability bounds per step) that lands on config's snapshot times;
-    reports the most negative pointwise ordering violation over all steps."""
+    reports the most negative pointwise ordering violation over all steps.
+    Every state is audited: it is copied into the next row of one
+    `solver.audit_block`, whose two minima are taken once it is full and once
+    after the run."""
     if not 0 < eps < math.inf:
         raise ConfigError(f"perturbation size must be finite and > 0, got {eps}")
     grid = problem.grid
@@ -235,18 +245,22 @@ def run_sandwich(problem: Problem, eps: float,
     high = State(values=np.maximum(mid.values, 0.0) + eps * psi_vals, time=0.0, grid=grid)
     envelope = sandwich_envelope(problem, low, high)
 
-    worst_low = float((mid.values - low.values).min())
-    worst_high = float((high.values - mid.values).min())
-    steps = 0
     stack = State(values=np.stack((low.values, mid.values, high.values)), time=0.0, grid=grid)
+    block = solver.audit_block(stack.values)
+    block[0] = stack.values
+    filled, worst_low, worst_high = 1, math.inf, math.inf
+    steps = 0
     for stack, dt in solver.advance(stack, problem, config,
                                     names=("lower", "middle", "upper")):
         if dt is None:
             continue
         steps += 1
-        lo, u, hi = stack.values
-        worst_low = min(worst_low, float((u - lo).min()))
-        worst_high = min(worst_high, float((hi - u).min()))
+        if filled == len(block):
+            worst_low, worst_high = _ordering(block, worst_low, worst_high)
+            filled = 0
+        block[filled] = stack.values
+        filled += 1
+    worst_low, worst_high = _ordering(block[:filled], worst_low, worst_high)
 
     return SandwichReport(eps=eps,
                           max_lower_violation=worst_low,

@@ -127,7 +127,8 @@ class State:
     caller's array do not reach it, and checks that each is finite. The states
     `solver.step` returns (`_Stepped`) skip both: their values are the step's
     own new array, read-only, and the next step's max|u|^a, NaN or inf exactly
-    when some value is, or the State built at the landing time checks them."""
+    when some value is, or the finiteness check at the landing time checks
+    them. A landing state (`_Stepped` too) shares the array it lands."""
 
     values: np.ndarray
     time: float

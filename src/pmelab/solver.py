@@ -40,9 +40,10 @@ rounding is monotone. A step's new
 values become the stepped `State` as they are, read-only, with no copy and no
 finiteness scan. A blow-up is caught where the next step takes max|u|^a, NaN
 or inf exactly when some value is (or when |u|^a overflows), before any other
-arithmetic, or after the last step before a landing time by the `State` built
-at the landing. `advance` yields a stepped state only once one of these checks
-has passed, and names the step that made a bad value.
+arithmetic, or after the last step before a landing time by a finiteness
+check at the landing, whose state shares the last stepped state's array.
+`advance` yields a stepped state only once one of these checks has passed, and
+names the step that made a bad value.
 The catalog's zero flux makes no g calls: when the flux's split is
 `problem.ZERO_SPLIT` (by identity, never by name or value) a step is its
 diffusion half alone, with lam_ax = 0, and its scratch holds no coefficients.
@@ -63,6 +64,8 @@ _DEN_GUARD = 1e-300
 # a run is flagged once its boundary cells hold more than this share of the initial mass
 BOUNDARY_MASS_THRESHOLD = 1e-8
 MAX_STEPS = 2_000_000
+# float64 values in one block of audited states (256 KiB), see `audit_block`
+AUDIT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,10 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class RunResult:
+    """mass_series holds the (t, L1 mass) of the initial and every stepped
+    state, boundary_mass_max the largest share of the initial mass in the
+    boundary cells over those states (see `run`)."""
+
     snapshots: list[State]
     step_count: int
     min_dt: float
@@ -319,7 +326,7 @@ def advance(state: State, problem: Problem, config: SchemeConfig,
     time set exactly to the landing time each time one is reached. An error
     raised when preparing a step names the step, and `names` label the
     branches, by leading index. A non-finite value is found when the next step
-    prepares, or at the landing State, and is named by the step that made it;
+    prepares, or at the landing, and is named by the step that made it;
     a stepped state is yielded only after that check has passed."""
     steps = 0
     t_tol = 1e-12 * max(1.0, config.t_end)
@@ -345,47 +352,71 @@ def advance(state: State, problem: Problem, config: SchemeConfig,
             state = step(state, problem, dt, terms, work)
             steps += 1
             pending = ((state, dt),)
-        # land exactly on the target for downstream time arithmetic
-        try:
-            landed = State(values=state.values, time=target, grid=state.grid)
-        except RunError as exc:
-            raise RunError(label(exc, steps)) from exc
+        # land exactly on the target for downstream time arithmetic, on the
+        # same read-only array; a State is built only to name a bad value
+        if not np.isfinite(state.values).all():
+            try:
+                State(values=state.values, time=target, grid=state.grid)
+            except RunError as exc:
+                raise RunError(label(exc, steps)) from exc
+        landed = _Stepped(values=state.values, time=target, grid=state.grid)
         yield from pending
         state, pending = landed, ()
         yield state, None
 
 
+def audit_block(values: np.ndarray) -> np.ndarray:
+    """An empty block of max(1, AUDIT_BLOCK // values.size) rows of the shape of
+    values, in which `run` and `harness.run_sandwich` gather states and then
+    reduce their audits once per block."""
+    return np.empty((max(1, AUDIT_BLOCK // values.size),) + values.shape)
+
+
 def run(problem: Problem, config: SchemeConfig) -> RunResult:
     """Integrate from t=0 to t_end with adaptive dt, landing exactly on
-    requested snapshot times; audits mass and boundary-layer contamination."""
+    requested snapshot times; audits mass and boundary-layer contamination.
+
+    Every state, the initial one and each stepped one, is audited: its |u|
+    goes into the next row of an `audit_block`, and each full block, and the
+    last one after the run, gives its rows' masses and largest boundary-cell
+    sum in one reduction each, bit for bit the per-state sums."""
     state = sample_initial(problem)
     volume = state.grid.cell_volume
     edge = np.ones(state.grid.shape, dtype=bool)
     edge[(slice(1, -1),) * state.grid.n] = False
     edge = np.flatnonzero(edge)  # flat indices of the cells that touch the boundary
-    scratch = np.empty_like(state.values)
+    block = audit_block(state.values)
+    rows = block.reshape(len(block), -1)
+    times = [0.0]  # of the rows filled since the last reduction
+    np.abs(state.values, out=block[0])
+    filled = 1
+    mass_series: list[tuple[float, float]] = []
+    boundary_sums = []  # the largest boundary-cell sum of |u| in each block
 
-    def audit(values) -> tuple[float, float]:
-        """L1 mass and boundary-cell mass, both from one |u|."""
-        a = np.abs(values, out=scratch)
-        return float(a.sum()) * volume, float(a.take(edge).sum()) * volume
+    def reduce(k: int) -> None:
+        """Masses and the largest boundary-cell sum of the first k rows."""
+        mass_series.extend(zip(times, (np.add.reduce(rows[:k], axis=1) * volume).tolist()))
+        boundary_sums.append(np.add.reduce(rows[:k].take(edge, axis=1), axis=1).max())
+        times.clear()
 
-    mass0, boundary0 = audit(state.values)
-    mass_series = [(0.0, mass0)]
-    boundary_scale = mass0 if mass0 > 0 else 1.0
-    boundary_max = boundary0 / boundary_scale
     snapshots: list[State] = []
     dts: list[float] = []
-
     for state, dt in advance(state, problem, config):
         if dt is None:
             snapshots.append(state)
             continue
         dts.append(dt)
-        mass, boundary = audit(state.values)
-        mass_series.append((state.time, mass))
-        boundary_max = max(boundary_max, boundary / boundary_scale)
+        if filled == len(block):
+            reduce(filled)
+            filled = 0
+        np.abs(state.values, out=block[filled])
+        times.append(state.time)
+        filled += 1
+    reduce(filled)
 
+    mass0 = mass_series[0][1]
+    # x volume / scale is monotone, so this is the largest per-state quotient
+    boundary_max = float(max(boundary_sums)) * volume / (mass0 if mass0 > 0 else 1.0)
     return RunResult(snapshots=snapshots, step_count=len(dts),
                      min_dt=float(min(dts, default=0.0)),
                      max_dt=float(max(dts, default=0.0)),

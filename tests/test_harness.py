@@ -219,6 +219,37 @@ class TestSandwich:
         assert set(times) <= set(starts)
         assert rep.step_count == len(starts)
 
+    @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+    def test_block_minima_equal_the_per_state_minima(self, monkeypatch, boundary):
+        # blocks of 1, 2 and 3 rows, of all states but one, of exactly all of
+        # them, and the default block give the minima of u - lower and
+        # upper - u that a per-state audit gives, bit for bit; the smallest
+        # value is the initial state's alone under zero_flux and the last
+        # stepped state's alone under dirichlet_zero
+        p = pr.Problem(grid=pr.Grid(n=1, L=3.0, N=30), alpha=1.0, p0=1.0,
+                       flux=pr.burgers_flux_model(1), u0=lambda x: x[0] * np.exp(-x[0] ** 2),
+                       boundary_policy=boundary)
+        psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0) / 8.0)
+        cfg = sv.SchemeConfig(t_end=0.3, snapshot_times=(0.1,))
+        lower, upper = self.outer_data(p, 0.1, psi)
+        stack = pr.State(values=np.stack((lower.values, pr.sample_initial(p).values,
+                                          upper.values)), time=0.0, grid=p.grid)
+        stacks = [stack.values] + [s.values for s, dt in sv.advance(stack, p, cfg)
+                                   if dt is not None]
+        lows = [float((u - lo).min()) for lo, u, _ in stacks]
+        highs = [float((hi - u).min()) for _, u, hi in stacks]
+        states, at = len(stacks), 0 if boundary == "zero_flux" else -1
+        assert states > 4
+        for worst in (lows, highs):
+            assert worst[at] == min(worst) < min(worst[1:] if at == 0 else worst[:-1])
+        for rows in (1, 2, 3, states - 1, states, None):
+            if rows is not None:
+                monkeypatch.setattr(sv, "AUDIT_BLOCK", rows * stack.values.size)
+            rep = hz.run_sandwich(p, 0.1, psi, cfg)
+            assert rep.step_count == states - 1
+            assert (rep.max_lower_violation.hex(), rep.max_upper_violation.hex()) == (
+                min(lows).hex(), min(highs).hex()), rows
+
     def test_psi_must_be_positive(self):
         p = self.make_problem(N=50)
         with pytest.raises(ConfigError):

@@ -913,6 +913,17 @@ class TestRun:
                                            rf"non-finite value at cell \(7,\)"):
             hz.run_sandwich(*sandwich)
 
+    def test_landing_shares_the_stepped_array(self):
+        p = diffusion_problem(N=100)
+        last = landings = 0
+        for s, dt in sv.advance(pr.sample_initial(p), p,
+                                sv.SchemeConfig(t_end=0.2, snapshot_times=(0.1,))):
+            if dt is None:
+                assert s.values is last.values and not s.values.flags.writeable
+                landings += 1
+            last = s
+        assert landings == 2
+
     def test_sup_norm_decreases(self):
         p = diffusion_problem(N=200)
         res = sv.run(p, sv.SchemeConfig(t_end=2.0, snapshot_times=(0.0, 1.0, 2.0)))
@@ -931,6 +942,61 @@ class TestRun:
             sv.SchemeConfig(t_end=1.0, cfl_safety=0.0)
         with pytest.raises(ValueError):
             sv.SchemeConfig(t_end=1.0, snapshot_times=(2.0,))
+
+
+def per_state_audit(p, cfg):
+    """`run`'s audit taken state by state over `advance`, as before it was
+    reduced per block: the mass series and each state's boundary-mass share."""
+    state = pr.sample_initial(p)
+    volume = state.grid.cell_volume
+    edge = np.ones(state.grid.shape, dtype=bool)
+    edge[(slice(1, -1),) * state.grid.n] = False
+    edge = np.flatnonzero(edge)
+
+    def audit(values):
+        a = np.abs(values)
+        return float(a.sum()) * volume, float(a.take(edge).sum()) * volume
+
+    mass0, boundary0 = audit(state.values)
+    series = [(0.0, mass0)]
+    scale = mass0 if mass0 > 0 else 1.0
+    shares = [boundary0 / scale]
+    for state, dt in sv.advance(state, p, cfg):
+        if dt is not None:
+            mass, boundary = audit(state.values)
+            series.append((state.time, mass))
+            shares.append(boundary / scale)
+    return series, shares
+
+
+@pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+@pytest.mark.parametrize("n, N, t_end", [(1, 40, 0.5), (2, 12, 0.5), (2, 100, 0.01)],
+                         ids=["1d", "2d", "2d-rows-past-8192"])
+def test_block_audit_equals_the_per_state_audit(monkeypatch, n, N, t_end, boundary):
+    # blocks of 1, 2 and 3 rows, of all states but one, of exactly all of
+    # them, and the default block: every mass, the boundary maximum and the
+    # flag as a per-state audit gives them, bit for bit; advection towards
+    # the walls from data that reach them. Rows of 10,000 values are longer
+    # than numpy's ufunc buffer (np.getbufsize(), 8192 by default).
+    p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=N), alpha=1.0, p0=1.0,
+                   flux=pr.linear_flux_model(1.0, n),
+                   u0=lambda x: np.exp(-np.sum(x ** 2, axis=0) / 4.0),
+                   boundary_policy=boundary)
+    cfg = sv.SchemeConfig(t_end=t_end, snapshot_times=(t_end / 2,))
+    series, shares = per_state_audit(p, cfg)
+    states, worst = len(series), max(shares)
+    assert states > 4 and worst > sv.BOUNDARY_MASS_THRESHOLD
+    if boundary == "zero_flux":  # the largest share is the last state's alone
+        assert shares[-1] == worst > max(shares[:-1])
+    size = p.grid.N ** n
+    for rows in (1, 2, 3, states - 1, states, None):
+        if rows is not None:
+            monkeypatch.setattr(sv, "AUDIT_BLOCK", rows * size)
+        res = sv.run(p, cfg)
+        assert res.step_count == states - 1
+        assert [(t.hex(), m.hex()) for t, m in res.mass_series] == [
+            (t.hex(), m.hex()) for t, m in series], rows
+        assert res.boundary_mass_max.hex() == worst.hex() and res.boundary_flagged
 
 
 class TestBarenblattConvergence:

@@ -18,7 +18,8 @@ boundary policies, every option of figure1 and barenblatt-validate off its
 default, a run at a smaller CFL factor, the benchmark's step-size probe with
 its 31 snapshots, a run whose CSV holds signed zeros (-0 at t=0, 0 after),
 runs that take and skip each identity the step drops (alpha = 1, a uniform
-reach), and options given a value that is rejected before any work,
+reach), a run whose data reach the zero_flux wall over more than one audit
+block, and options given a value that is rejected before any work,
 non-numeric text and a box too small for the exact solution among them.
 """
 
@@ -100,6 +101,9 @@ COMMANDS = [
     ["run", "--set", "n=2", "--set", "flux=linear c=1", "--set", "u0=gaussian",
      "--set", "L=2", "--set", "N=40", "--t-end", "0.3"],
     ["run", "--set", "flux=figure1", "--set", "alpha=1", "--set", "N=200", "--t-end", "1.0"],
+    # data at the zero_flux wall (the wall reproducer): its largest boundary
+    # mass comes after the run's first audit block
+    ["run", "--set", "flux=linear c=1", "--set", "L=3", "--set", "N=120", "--t-end", "3"],
     # non-numeric text in a list option and in a scalar setting
     ["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "1,x"],
     ["run", "--set", "N=abc", "--t-end", "0.1"],

@@ -117,7 +117,10 @@ def residual_check(profile: BarenblattProfile, grid: Grid, t: float) -> Residual
     p = Problem(grid=grid, alpha=profile.alpha, p0=1.0, flux=zero_flux_model(grid.n),
                 u0=lambda x: evaluate(profile, x, t))
     state = State(values=U1, time=0.0, grid=grid)
-    Dh = (solver.step(state, p, dt).values - U1) / dt
+    plan = solver.plan(state, p)
+    # prepares the plan's terms; the residual steps by its own dt, not the stable one
+    solver.stable_dt(state, p, solver.SchemeConfig(t_end=dt), plan)
+    Dh = (solver.step(state, p, dt, plan).values - U1) / dt
     resid = np.abs((U2 - U1) / dt - Dh)
     interior = U1 > 0.01 * float(np.max(U1))
     return ResidualReport(

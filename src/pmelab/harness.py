@@ -217,13 +217,6 @@ def sandwich_envelope(problem: Problem, lower: State, upper: State) -> float:
     return max(lq_norm(lower, problem.p0), lq_norm(upper, problem.p0)) ** delta0
 
 
-def _ordering(block: np.ndarray, worst_low: float, worst_high: float) -> tuple[float, float]:
-    """The running minima of u - lower and upper - u, taken over a block of
-    stacked (lower, u, upper) states as well."""
-    lo, u, hi = block.swapaxes(0, 1)
-    return min(worst_low, float((u - lo).min())), min(worst_high, float((hi - u).min()))
-
-
 def run_sandwich(problem: Problem, eps: float,
                  psi: Callable[[np.ndarray], np.ndarray],
                  config: SchemeConfig) -> SandwichReport:
@@ -231,9 +224,8 @@ def run_sandwich(problem: Problem, eps: float,
     as the rows of one stacked state and so sharing one dt sequence (the minimum
     of the three stability bounds per step) that lands on config's snapshot times;
     reports the most negative pointwise ordering violation over all steps.
-    Every state is audited: it is copied into the next row of one
-    `solver.audit_block`, whose two minima are taken once it is full and once
-    after the run."""
+    Every state is audited: `solver.audited` copies it into a block, whose
+    minima of u - lower and upper - u are taken once per block."""
     if not 0 < eps < math.inf:
         raise ConfigError(f"perturbation size must be finite and > 0, got {eps}")
     grid = problem.grid
@@ -246,26 +238,18 @@ def run_sandwich(problem: Problem, eps: float,
     envelope = sandwich_envelope(problem, low, high)
 
     stack = State(values=np.stack((low.values, mid.values, high.values)), time=0.0, grid=grid)
-    block = solver.audit_block(stack.values)
-    block[0] = stack.values
-    filled, worst_low, worst_high = 1, math.inf, math.inf
-    steps = 0
-    for stack, dt in solver.advance(stack, problem, config,
-                                    names=("lower", "middle", "upper")):
-        if dt is None:
-            continue
-        steps += 1
-        if filled == len(block):
-            worst_low, worst_high = _ordering(block, worst_low, worst_high)
-            filled = 0
-        block[filled] = stack.values
-        filled += 1
-    worst_low, worst_high = _ordering(block[:filled], worst_low, worst_high)
+    lows, highs = [], []  # the two minima of each block
 
-    return SandwichReport(eps=eps,
-                          max_lower_violation=worst_low,
-                          max_upper_violation=worst_high,
-                          envelope=envelope, step_count=steps)
+    def reduce(block: np.ndarray, times: list[float]) -> None:
+        lo, u, hi = block.swapaxes(0, 1)
+        lows.append(float((u - lo).min()))
+        highs.append(float((hi - u).min()))
+
+    _, dts = solver.audited(stack, problem, config, np.positive, reduce,
+                            names=("lower", "middle", "upper"))
+    return SandwichReport(eps=eps, max_lower_violation=min(lows),
+                          max_upper_violation=min(highs),
+                          envelope=envelope, step_count=len(dts))
 
 
 # ---------------------------------------------------------------------------

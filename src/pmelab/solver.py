@@ -18,8 +18,8 @@ its sign across a cell, or changes it at a face, reach_i is the larger |a| of
 the two faces, so lam_ax is the largest |a| max(|g'(u_l)|, |g'(u_r)|) over the
 interfaces; where a changes sign inside the cell it is |a_l| + |a_r|.
 `stable_dt` returns cfl_safety times that bound. To get lam_ax it evaluates g,
-so it prepares the whole dt-independent part of the update and returns those
-terms beside dt, for `step`; f and df_du are never called here.
+so it prepares the whole dt-independent part of the update into the step
+plan, for `step`; f and df_du are never called here.
 
 A state may stack B solutions (branches) along a leading axis, as the
 comparison sandwich does. They are prepared and stepped in the same calls,
@@ -27,33 +27,43 @@ every value as for its branch alone, and share one dt: stable_dt takes the
 largest of the branches' rates, which gives bitwise the smallest of their own
 dt. g gets u with that branch axis, and a(x) a singleton axis in its place.
 
-Each axis is computed along axis 0 of the scratch arrays and coefficients of
-`_axis` (a+ and a- at the interfaces, the reach at the cells), in the layout
-that `_axis` gives; g is evaluated once per step on the N+2 padded cells.
-`advance` builds a step plan once per run (`_scratch`): those arrays, the
-slice views each step takes, the arrays the terms are written to (so they
-hold until the plan's next prepare) and the grid constants. It hands the plan
-to every `stable_dt` and `step`; called without one, they build their own.
+Stepping takes a plan (`plan`), built once per run by `advance`: the arrays
+of `_axis` for each axis (a+ and a- at the interfaces, the reach at the cells,
+the padded u and G with the slice views each step takes, the arrays the terms
+dF and lapG are written to), the grid constants and one buffer, which holds
+|u|^a and then each scaled term. Every axis is computed along axis 0 of its
+arrays, in the layout that `_axis` gives; G is computed straight into the
+middle of axis 0's padded G, and g is evaluated once per step and axis on the
+N+2 padded cells. Along each axis u and G get the same ghost cells: an edge
+copy under zero_flux, 0 under dirichlet_zero. `stable_dt` writes the plan's terms and `step` reads them,
+so they hold until the plan's next `stable_dt`. No module keeps a cache.
 A step does no identity arithmetic: no |u|^a pass at alpha = 1, and for a
 reach that is one float c, lam_ax is c max|g'|, bit for bit max(c |g'|) as
-rounding is monotone. A step's new
-values become the stepped `State` as they are, read-only, with no copy and no
-finiteness scan. A blow-up is caught where the next step takes max|u|^a, NaN
-or inf exactly when some value is (or when |u|^a overflows), before any other
-arithmetic, or after the last step before a landing time by a finiteness
-check at the landing, whose state shares the last stepped state's array.
-`advance` yields a stepped state only once one of these checks has passed, and
-names the step that made a bad value.
-The catalog's zero flux makes no g calls: when the flux's split is
-`problem.ZERO_SPLIT` (by identity, never by name or value) a step is its
-diffusion half alone, with lam_ax = 0, and its scratch holds no coefficients.
+rounding is monotone. The catalog's zero flux makes no g calls: when the
+flux's split is `problem.ZERO_SPLIT` (by identity, never by name or value) a
+step is its diffusion half alone, with lam_ax = 0, and its plan holds no
+coefficients.
+
+A step's new values become the stepped `State` as they are, read-only, with
+no copy and no finiteness scan. A blow-up is caught where the next step takes
+max|u|^a, NaN or inf exactly when some value is (or when |u|^a overflows),
+before any other arithmetic, or after the last step before a landing time by
+a finiteness check at the landing, whose state shares the last stepped
+state's array. `advance` yields a stepped state only once one of these checks
+has passed, and names the step that made a bad value.
+
+`audited` is the one audited loop over `advance`, for `run` and
+`harness.run_sandwich`: it writes every state, the initial one and each
+stepped one, into the next row of a block of at most AUDIT_BLOCK values (one
+state at least), and hands each full block, and the last one, to the
+caller's reduction, whose results equal the per-state ones bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -64,7 +74,7 @@ _DEN_GUARD = 1e-300
 # a run is flagged once its boundary cells hold more than this share of the initial mass
 BOUNDARY_MASS_THRESHOLD = 1e-8
 MAX_STEPS = 2_000_000
-# float64 values in one block of audited states (256 KiB), see `audit_block`
+# float64 values in one block of audited states (256 KiB), see `audited`
 AUDIT_BLOCK = 1 << 15
 
 
@@ -100,25 +110,6 @@ class RunResult:
     boundary_flagged: bool
 
 
-def stable_dt(state: State, problem: Problem, config: SchemeConfig,
-              work: tuple | None = None) -> tuple[float, tuple]:
-    """(dt, terms): cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2), lam_ax = the largest
-    reach |g'| over the cells along axis ax, and the dt-independent terms of
-    the update prepared on the way (see `_prepare`), for `step(state, problem, dt, terms)`.
-    A stacked state gets the dt of its largest branch rate: cfl / (rate + guard)
-    is monotone in the rate, so that is bitwise the smallest branch dt. `work`
-    is the run's step plan (`_scratch`), built afresh when not given."""
-    rate, terms = _prepare(state, problem, work)
-    branch = None
-    if isinstance(rate, np.ndarray):
-        branch = int(rate.argmax())
-        rate = float(rate[branch])
-    dt = config.cfl_safety / (rate + _DEN_GUARD)
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise RunError(f"stable dt underflowed at t={state.time} (dt={dt})", branch=branch)
-    return dt, terms
-
-
 def _first(v: np.ndarray, k: int) -> np.ndarray:
     """v with its axis k first (swapaxes, which swaps back as well), or v itself for k = 0."""
     return v.swapaxes(0, k) if k else v
@@ -133,15 +124,15 @@ def _peak(v: np.ndarray, k: int, b: int):
     return v.reshape(len(v), -1).max(1)
 
 
-def _scratch(state: State, problem: Problem) -> tuple:
-    """One run's step plan, for this state's grid and value shape and this problem's
-    alpha, boundary policy and split's a (its g is read at every prepare, never
-    kept): ((dx, dx^2, buf), (b, 2n, power, alpha + 1, edge, G, axes, terms)).
-    buf holds |u|^a in `_prepare`, then `step`'s scaled terms; power is None
-    at alpha = 1; edge is the zero_flux policy; G, in the value layout, is the
-    middle of axis 0's padded G, where `_prepare` computes G(u); axes are the
-    `_axis` of each axis; terms are their dF (None for the zero flux) and
-    lapG in the value layout, which every prepare with this plan rewrites."""
+def plan(state: State, problem: Problem) -> tuple:
+    """A step plan for states of this one's grid and value shape under this
+    problem's alpha, boundary policy and split's a (its g is read at every
+    prepare, never kept): ((dx, dx^2, buf), (b, 2n, power, alpha + 1, edge, G,
+    axes), terms). buf holds |u|^a in `stable_dt`, then `step`'s scaled terms;
+    power is None at alpha = 1; edge is the zero_flux policy; G, in the value
+    layout, is the middle of axis 0's padded G; axes are the `_axis` of each
+    axis; terms are their (dF, lapG) in the value layout, dF None for the zero
+    flux, which every `stable_dt` with this plan rewrites."""
     grid, shape, split = state.grid, state.values.shape, problem.flux.split
     b, edge, dx = len(shape) - grid.n, problem.boundary_policy == "zero_flux", grid.dx
     a = None if split is ZERO_SPLIT else split.a
@@ -150,12 +141,12 @@ def _scratch(state: State, problem: Problem) -> tuple:
                   for k, _, _, _, _, lapG, adv in axes)
     power = None if problem.alpha == 1 else problem.alpha
     return ((dx, dx ** 2, np.empty(shape)),
-            (b, 2.0 * grid.n, power, problem.alpha + 1.0, edge,
-             _first(axes[0][2], b), axes, terms))
+            (b, 2.0 * grid.n, power, problem.alpha + 1.0, edge, _first(axes[0][2], b), axes),
+            terms)
 
 
 def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, edge: bool) -> tuple:
-    """The arrays of `_prepare` for axis ax of values of this shape (grid.shape
+    """The arrays of `stable_dt` for axis ax of values of this shape (grid.shape
     or (B,) + grid.shape), each with axis ax first: (k, Gp, Gp[1:-1], Gp[2:],
     Gp[:-2], lapG, adv), k = ax + b, Gp the padded G and lapG at the N cells.
     adv is None for a flux that does not advect, else (Up, Up[1:-1], gbuf,
@@ -233,24 +224,16 @@ def _half(coef, left, right, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prepare(state: State, problem: Problem,
-             work: tuple | None) -> tuple[float | np.ndarray, tuple]:
-    """The dt-independent half of a step: the rate sum_ax lam_ax/dx + 2n max|u|^a/dx^2
-    and, per axis, the Engquist-Osher flux difference (None for the zero flux,
-    whose +0.0 leaves every value as it is) and the second difference of
-    G(u) = |u|^a u/(a+1). Along axis ax, u and G get the same ghost cells (an
-    edge copy under zero_flux, 0 under dirichlet_zero). At each interface the
-    flux is a+ (g_up(u_l) + g_down(u_r)) + a- (g_down(u_l) + g_up(u_r)), and
-    lam_ax is the largest reach |g'| over the N cells. Every axis is written
-    along axis 0 of swapaxes views. A stacked state (b = 1 leading branch
-    axis) is computed in the same calls, every value as it would be for its
-    branch alone, and its rate is one float per branch. A non-finite value
-    raises as in `State`, found by max|u|^a before any other arithmetic on u.
-    Every array written, the returned terms too, is the plan `work`'s
-    (`_scratch`, built afresh when not given): they hold until its next prepare."""
+def stable_dt(state: State, problem: Problem, config: SchemeConfig, plan: tuple) -> float:
+    """cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2), lam_ax being the largest
+    reach |g'| over the cells along axis ax; for a stacked state, the dt of its
+    largest branch rate, which is bitwise the smallest branch dt. On the way it
+    prepares `plan`'s terms for `step(state, problem, dt, plan)`: per axis the
+    Engquist-Osher flux difference and the second difference of G(u). A
+    non-finite value raises as in `State`, found by max|u|^a before any other
+    arithmetic on u."""
     values = state.values
-    (dx, dx2, buf), (b, two_n, power, alpha1, edge, G, axes, terms) = (
-        work or _scratch(state, problem))
+    (dx, dx2, buf), (b, two_n, power, alpha1, edge, G, axes), _ = plan
     a = np.abs(values, out=buf)
     if power is not None:
         a **= power
@@ -260,7 +243,7 @@ def _prepare(state: State, problem: Problem,
     np.multiply(a, values, out=G)
     G /= alpha1
     g = problem.flux.split.g
-    lam_adv = 0.0
+    rate = 0.0
     for k, Gp, Gmid, Ghi, Glo, lapG, adv in axes:
         if k != b:  # axis 0's padded G already holds G
             Gmid[...] = _first(G, k)
@@ -285,28 +268,30 @@ def _prepare(state: State, problem: Problem,
             if not math.isfinite(lam_ax if not b else lam_ax.max()):
                 raise RunError(f"non-finite flux derivative along axis {k - b} at t={state.time}",
                                branch=int(np.isfinite(lam_ax).argmin()) if b else None)
-            lam_adv += lam_ax / dx
+            rate += lam_ax / dx
             np.subtract(Fhi, Flo, out=dF)
         np.multiply(2.0, Gmid, out=lapG)
         np.subtract(Ghi, lapG, out=lapG)
         lapG += Glo
-    return lam_adv + two_n * peak / dx2, terms
+    rate += two_n * peak / dx2
+    branch = None
+    if b:
+        branch = int(rate.argmax())
+        rate = float(rate[branch])
+    dt = config.cfl_safety / (rate + _DEN_GUARD)
+    if not math.isfinite(dt) or dt <= 0.0:
+        raise RunError(f"stable dt underflowed at t={state.time} (dt={dt})", branch=branch)
+    return dt
 
 
-def step(state: State, problem: Problem, dt: float, terms: tuple | None = None,
-         work: tuple | None = None) -> State:
-    """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis; dt
-    must respect the stable_dt bound. Applies the terms that stable_dt returned
-    for this state and problem, or prepares them itself when given none, with
-    the plan `work` (`_scratch`, built afresh only to prepare). Writes neither
-    the state nor the terms: each scaled term goes through the plan's buffer
-    (or a fresh one) into the one new array, returned read-only and unchecked;
-    `advance` yields the state once it has been checked."""
+def step(state: State, problem: Problem, dt: float, plan: tuple) -> State:
+    """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis with
+    the terms that `stable_dt` last prepared into `plan` from this state; dt
+    must respect its bound. Writes neither the state nor the terms: each scaled
+    term goes through the plan's buffer into the one new array, returned
+    read-only and unchecked; `advance` yields the state once it has been checked."""
+    (dx, dx2, buf), _, terms = plan
     u = state.values
-    if terms is None:
-        work = work or _scratch(state, problem)
-        terms = _prepare(state, problem, work)[1]
-    dx, dx2, buf = work[0] if work else (state.grid.dx, state.grid.dx ** 2, np.empty(u.shape))
     new = np.empty_like(u)
     for dF, lapG in terms:
         if dF is not None:
@@ -330,7 +315,7 @@ def advance(state: State, problem: Problem, config: SchemeConfig,
     a stepped state is yielded only after that check has passed."""
     steps = 0
     t_tol = 1e-12 * max(1.0, config.t_end)
-    work = _scratch(state, problem)
+    work = plan(state, problem)
     pending = ()  # the last (stepped state, dt), until a check has passed on it
 
     def label(exc: RunError, made: int) -> str:
@@ -342,14 +327,14 @@ def advance(state: State, problem: Problem, config: SchemeConfig,
             if steps >= MAX_STEPS:
                 raise RunError(f"exceeded {MAX_STEPS} steps at t={state.time} (target {target})")
             try:
-                dt, terms = stable_dt(state, problem, config, work)
+                dt = stable_dt(state, problem, config, work)
             except RunError as exc:
                 # the state holds a non-finite value only if the last step made it
                 made = steps + bool(np.isfinite(state.values).all())
                 raise RunError(label(exc, made)) from exc
             yield from pending
             dt = min(dt, target - state.time)
-            state = step(state, problem, dt, terms, work)
+            state = step(state, problem, dt, work)
             steps += 1
             pending = ((state, dt),)
         # land exactly on the target for downstream time arithmetic, on the
@@ -365,55 +350,54 @@ def advance(state: State, problem: Problem, config: SchemeConfig,
         yield state, None
 
 
-def audit_block(values: np.ndarray) -> np.ndarray:
-    """An empty block of max(1, AUDIT_BLOCK // values.size) rows of the shape of
-    values, in which `run` and `harness.run_sandwich` gather states and then
-    reduce their audits once per block."""
-    return np.empty((max(1, AUDIT_BLOCK // values.size),) + values.shape)
+def audited(state: State, problem: Problem, config: SchemeConfig,
+            row: Callable[..., np.ndarray], reduce: Callable[[np.ndarray, list[float]], None],
+            names: tuple[str, ...] = ()) -> tuple[list[State], list[float]]:
+    """`advance` from `state`, auditing every state once per block: the initial
+    state and each stepped one is written by row(values, out=...) into the next
+    row of a block of max(1, AUDIT_BLOCK // values.size) rows, and each full
+    block, and the last one after the run, goes to reduce(rows, times) with
+    the times of its rows. Returns the landed states and the steps' dts."""
+    block = np.empty((max(1, AUDIT_BLOCK // state.values.size),) + state.values.shape)
+    size = len(block)
+    row(state.values, out=block[0])
+    times = [state.time]  # of the rows filled since the last reduction
+    landed, dts = [], []
+    for state, dt in advance(state, problem, config, names):
+        if dt is None:
+            landed.append(state)
+            continue
+        dts.append(dt)
+        if len(times) == size:
+            reduce(block, times)
+            times = []
+        row(state.values, out=block[len(times)])
+        times.append(state.time)
+    reduce(block[:len(times)], times)
+    return landed, dts
 
 
 def run(problem: Problem, config: SchemeConfig) -> RunResult:
     """Integrate from t=0 to t_end with adaptive dt, landing exactly on
     requested snapshot times; audits mass and boundary-layer contamination.
 
-    Every state, the initial one and each stepped one, is audited: its |u|
-    goes into the next row of an `audit_block`, and each full block, and the
-    last one after the run, gives its rows' masses and largest boundary-cell
-    sum in one reduction each, bit for bit the per-state sums."""
+    Every state, the initial one and each stepped one, is audited: `audited`
+    gathers its |u| in a block, whose rows give their masses and largest
+    boundary-cell sum in one reduction each, bit for bit the per-state sums."""
     state = sample_initial(problem)
     volume = state.grid.cell_volume
     edge = np.ones(state.grid.shape, dtype=bool)
     edge[(slice(1, -1),) * state.grid.n] = False
     edge = np.flatnonzero(edge)  # flat indices of the cells that touch the boundary
-    block = audit_block(state.values)
-    rows = block.reshape(len(block), -1)
-    times = [0.0]  # of the rows filled since the last reduction
-    np.abs(state.values, out=block[0])
-    filled = 1
     mass_series: list[tuple[float, float]] = []
     boundary_sums = []  # the largest boundary-cell sum of |u| in each block
 
-    def reduce(k: int) -> None:
-        """Masses and the largest boundary-cell sum of the first k rows."""
-        mass_series.extend(zip(times, (np.add.reduce(rows[:k], axis=1) * volume).tolist()))
-        boundary_sums.append(np.add.reduce(rows[:k].take(edge, axis=1), axis=1).max())
-        times.clear()
+    def reduce(block: np.ndarray, times: list[float]) -> None:
+        rows = block.reshape(len(block), -1)
+        mass_series.extend(zip(times, (np.add.reduce(rows, axis=1) * volume).tolist()))
+        boundary_sums.append(np.add.reduce(rows.take(edge, axis=1), axis=1).max())
 
-    snapshots: list[State] = []
-    dts: list[float] = []
-    for state, dt in advance(state, problem, config):
-        if dt is None:
-            snapshots.append(state)
-            continue
-        dts.append(dt)
-        if filled == len(block):
-            reduce(filled)
-            filled = 0
-        np.abs(state.values, out=block[filled])
-        times.append(state.time)
-        filled += 1
-    reduce(filled)
-
+    snapshots, dts = audited(state, problem, config, np.abs, reduce)
     mass0 = mass_series[0][1]
     # x volume / scale is monotone, so this is the largest per-state quotient
     boundary_max = float(max(boundary_sums)) * volume / (mass0 if mass0 > 0 else 1.0)

@@ -317,6 +317,14 @@ class TestRunCommand:
         assert len(rows) == 2 * 40
         assert rows == outputs(b, "csv")[0].read_text().splitlines()[2:]
 
+    def test_mass_at_the_boundary_fails(self, tmp_path):
+        # advection carries the datum into the wall cells of a short box
+        assert run_cli(tmp_path, "run", "--set", "flux=linear c=1", "--set", "L=3",
+                       "--set", "N=60", "--t-end", "3") == 1
+        payload = json.loads(outputs(tmp_path, "json")[0].read_text())
+        assert payload["boundary_flagged"] is True and payload["passed"] is False
+        assert payload["boundary_mass_max"] == pytest.approx(2.681e-2, rel=1e-3)
+
 
 def reference_snapshot_csv(result):
     """The run CSV one cell at a time: a (t, x0[, x1], u) tuple per cell, each
@@ -428,6 +436,13 @@ class TestFigure1Command:
         assert payload["l1_nonincreasing_within_half_percent"] is True
         assert payload["solution_moved"] is True
         assert payload["passed"] is True
+
+    def test_a_solution_that_has_not_moved_fails(self, tmp_path):
+        # five steps to t = 1e-3 leave the L1 series flat at every snapshot
+        assert run_cli(tmp_path, "figure1", "--t-end", "1e-3", "--N", "100") == 1
+        payload = json.loads(outputs(tmp_path, "json")[0].read_text())
+        assert payload["solution_moved"] is False
+        assert payload["passed"] is False
 
 
 class TestSandwichCommand:

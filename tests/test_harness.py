@@ -130,6 +130,18 @@ class TestEnergyInequality:
         audit = hz.audit_energy_inequality(res, q=4.0, gamma=3.0, t0=0.0, alpha=1.0)
         assert audit.passed, audit
 
+    def test_frozen_solution_fails(self):
+        # a datum that never decays: the norm terms cancel, so the margin is
+        # minus the dissipation term, -0.36 of the rhs, beyond the 5% slack
+        grid = pr.Grid(n=1, L=10.0, N=200)
+        u = gaussian(grid.cell_centers())
+        snaps = [pr.State(values=u, time=t, grid=grid) for t in np.linspace(0.0, 1.0, 21)]
+        res = sv.RunResult(snapshots=snaps, step_count=20, min_dt=0.05, max_dt=0.05,
+                           boundary_mass_max=0.0, mass_series=[], boundary_flagged=False)
+        audit = hz.audit_energy_inequality(res, q=2.0, gamma=2.0, t0=0.0, alpha=1.0)
+        assert audit.margin / audit.rhs_term == pytest.approx(-0.36, abs=0.005)
+        assert not audit.passed
+
     def test_validation(self):
         res = diffusion_run(t_end=0.5, snapshots=tuple(np.linspace(0, 0.5, 25)))
         with pytest.raises(ConfigError):

@@ -260,8 +260,9 @@ class TestBurgersFluxViews:
             p = pr.Problem(grid=base.grid, alpha=base.alpha, p0=base.p0, flux=fl,
                            u0=base.u0)
             s = pr.sample_initial(p)
+            plan = solver.plan(s, p)
             for _ in range(50):
-                s = solver.step(s, p, *solver.stable_dt(s, p, config))
+                s = solver.step(s, p, solver.stable_dt(s, p, config, plan), plan)
             states.append(s)
         assert states[0].time == states[1].time
         assert np.array_equal(states[0].values, states[1].values)

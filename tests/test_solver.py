@@ -25,21 +25,28 @@ def diffusion_problem(N=200, L=10.0, alpha=1.0, n=1, u0=gaussian):
                       flux=pr.zero_flux_model(n), u0=u0)
 
 
+def prepared(state, p, cfg=None):
+    """(dt, plan): a fresh plan for `state`, prepared by its stable_dt under cfg
+    (t_end 1 by default); the plan's terms are plan[-1]."""
+    plan = sv.plan(state, p)
+    return sv.stable_dt(state, p, cfg or sv.SchemeConfig(t_end=1.0), plan), plan
+
+
 def poison_step(monkeypatch, at: int, bad: float, cell) -> list[int]:
     """Make call number `at` of sv.step, on a 1-D grid, write `bad` into `cell` of
-    its new values through the diffusion term, as a blow-up in that step would;
-    returns the running count of calls. Further arguments (the run's scratch)
-    pass through as they came."""
+    its new values through the diffusion term, as a blow-up in that step would,
+    by stepping with a copy of the plan whose lapG is poisoned; returns the
+    running count of calls."""
     real, calls = sv.step, [0]
 
-    def step(state, p, dt, terms, *rest):
+    def step(state, p, dt, plan):
         calls[0] += 1
         if calls[0] == at:
-            (dF, lapG), = terms
+            (dF, lapG), = plan[-1]
             lapG = lapG.copy()
             lapG[cell] = bad
-            terms = [(dF, lapG)]
-        return real(state, p, dt, terms, *rest)
+            plan = plan[:-1] + (((dF, lapG),),)
+        return real(state, p, dt, plan)
 
     monkeypatch.setattr(sv, "step", step)
     return calls
@@ -52,7 +59,7 @@ class TestStableDt:
         p = diffusion_problem(N=200)
         u = np.full(grid.shape, 2.0)
         state = pr.State(values=u, time=0.0, grid=grid)
-        dt, _ = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=0.9))
+        dt, _ = prepared(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=0.9))
         assert dt == pytest.approx(0.9 * 0.1 ** 2 / 4.0, rel=1e-9)
 
     def test_advection_dominates(self):
@@ -63,7 +70,7 @@ class TestStableDt:
                        flux=pr.linear_flux_model(5.0, 1),
                        u0=lambda x: 1e-6 * gaussian(x))
         state = pr.sample_initial(p)
-        dt, _ = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
+        dt, _ = prepared(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
         umax = float(np.max(np.abs(state.values)))
         assert dt == pytest.approx(1.0 / (5.0 / 0.1 + 2.0 * umax / 0.01), rel=1e-12)
 
@@ -71,13 +78,13 @@ class TestStableDt:
         grid = pr.Grid(n=2, L=10.0, N=200)
         p = diffusion_problem(N=200, n=2, u0=lambda x: np.ones(x.shape[1:]))
         state = pr.sample_initial(p)
-        dt, _ = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
+        dt, _ = prepared(state, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
         assert dt == pytest.approx(0.1 ** 2 / 4.0, rel=1e-9)
 
     def test_zero_state_finite(self):
         p = diffusion_problem(u0=lambda x: np.zeros(x.shape[1:]))
         state = pr.sample_initial(p)
-        dt, _ = sv.stable_dt(state, p, sv.SchemeConfig(t_end=1.0))
+        dt, _ = prepared(state, p)
         assert math.isfinite(dt) and dt > 0
 
 
@@ -85,14 +92,14 @@ class TestStep:
     def test_zero_state_fixed_point(self):
         p = diffusion_problem(N=64, u0=lambda x: np.zeros(x.shape[1:]))
         s = pr.sample_initial(p)
-        s1 = sv.step(s, p, 1e-4)
+        s1 = sv.step(s, p, 1e-4, prepared(s, p)[1])
         assert np.all(s1.values == 0)
         assert s1.time == pytest.approx(1e-4)
 
     def test_constant_state_zero_flux_fixed_point(self):
         p = diffusion_problem(N=64, u0=lambda x: np.full(x.shape[1:], 0.7))
         s = pr.sample_initial(p)
-        s1 = sv.step(s, p, 1e-4)
+        s1 = sv.step(s, p, 1e-4, prepared(s, p)[1])
         assert s1.values == pytest.approx(np.full(64, 0.7), abs=1e-15)
 
     def test_mass_conservation(self):
@@ -123,9 +130,10 @@ class TestStep:
         hi = pr.sample_initial(p)
         cfg = sv.SchemeConfig(t_end=1.0)
         for _ in range(200):
-            dt = min(sv.stable_dt(lo, p, cfg)[0], sv.stable_dt(hi, p, cfg)[0])
-            lo = sv.step(lo, p, dt)
-            hi = sv.step(hi, p, dt)
+            (dt_lo, lo_plan), (dt_hi, hi_plan) = prepared(lo, p, cfg), prepared(hi, p, cfg)
+            dt = min(dt_lo, dt_hi)
+            lo = sv.step(lo, p, dt, lo_plan)
+            hi = sv.step(hi, p, dt, hi_plan)
             assert np.all(hi.values - lo.values >= -1e-12)
 
     def test_signed_data_comparison(self):
@@ -137,9 +145,10 @@ class TestStep:
         hi = pr.State(values=mid.values + 0.05, time=0.0, grid=grid)
         cfg = sv.SchemeConfig(t_end=1.0)
         for _ in range(200):
-            dt = min(sv.stable_dt(mid, p, cfg)[0], sv.stable_dt(hi, p, cfg)[0])
-            mid = sv.step(mid, p, dt)
-            hi = sv.step(hi, p, dt)
+            (dt_mid, mid_plan), (dt_hi, hi_plan) = prepared(mid, p, cfg), prepared(hi, p, cfg)
+            dt = min(dt_mid, dt_hi)
+            mid = sv.step(mid, p, dt, mid_plan)
+            hi = sv.step(hi, p, dt, hi_plan)
             assert np.all(hi.values - mid.values >= -1e-12)
 
 
@@ -160,7 +169,7 @@ class TestStep:
         s2 = pr.State(values=np.broadcast_to(s1.values[spread], grid2.shape),
                       time=0.0, grid=grid2)
         for _ in range(50):
-            s1, s2 = sv.step(s1, p1, dt), sv.step(s2, p2, dt)
+            s1, s2 = sv.step(s1, p1, dt, prepared(s1, p1)[1]), sv.step(s2, p2, dt, prepared(s2, p2)[1])
             assert np.max(np.abs(s2.values - s1.values[spread])) <= 1e-14
         assert s2.time == s1.time
 
@@ -279,9 +288,9 @@ class TestStepKernel:
             u = s.values
             cfg = sv.SchemeConfig(t_end=1.0)
             for _ in range(50):
-                dt, terms = sv.stable_dt(s, p, cfg)
+                dt, plan = prepared(s, p, cfg)
                 u = reference_step(u, s.time, dt, p, EO_HALVES[STEP_IDS[case]])
-                s = sv.step(s, p, dt, terms)
+                s = sv.step(s, p, dt, plan)
                 assert np.array_equal(s.values, u), alpha
 
     @pytest.mark.parametrize("stacked", (False, True), ids=("unstacked", "stacked"))
@@ -333,7 +342,7 @@ class TestStepKernel:
             lam += float(np.max(np.maximum(np.abs(flux.df_du(xi, ul)[ax]),
                                            np.abs(flux.df_du(xi, ur)[ax])))) / grid.dx
         rate = lam + 2.0 * n * float(np.max(np.abs(u) ** 0.5)) / grid.dx ** 2
-        dt, _ = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
+        dt, _ = prepared(s, p, sv.SchemeConfig(t_end=1.0, cfl_safety=1.0))
         if flux.name == "figure1":
             assert dt == pytest.approx(1.0 / rate, rel=1e-14)
         else:
@@ -380,7 +389,7 @@ def test_traced_evaluators_step_as_the_plain_model(n, boundary):
         for a, b in zip(runs[0].snapshots, runs[1].snapshots):
             assert a.time == b.time and a.values.tobytes() == b.values.tobytes(), name
         p = pr.Problem(grid=grid, alpha=0.5, p0=1.0, flux=traced(plain, calls), u0=gaussian)
-        _, terms = sv.stable_dt(pr.sample_initial(p), p, cfg)
+        terms = prepared(pr.sample_initial(p), p, cfg)[1][-1]
         assert [dF is None for dF, _ in terms] == [name == "zero"] * n, name
 
 
@@ -435,7 +444,7 @@ class TestZeroFluxSkip:
         for label, (flux, skipped) in cases.items():
             p = pr.Problem(grid=grid, alpha=0.5, p0=1.0, flux=flux, u0=gaussian)
             s = pr.sample_initial(p)
-            _, terms = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0))
+            terms = prepared(s, p)[1][-1]
             assert [dF is None for dF, _ in terms] == [skipped] * n, label
         # a nonzero flux named "zero" steps exactly as the flux it is
         cfg = sv.SchemeConfig(t_end=0.2)
@@ -450,14 +459,18 @@ class TestHandoff:
     @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
     @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
     def test_prepared_step_equals_unprepared(self, n, flux, u0, boundary):
+        # a fresh plan steps like the run's plan, reused and prepared again at every step
         p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
                        p0=1.0, flux=flux, u0=u0, boundary_policy=boundary)
         s = pr.sample_initial(p)
         cfg = sv.SchemeConfig(t_end=1.0)
+        reused = sv.plan(s, p)
         for _ in range(20):
-            dt, terms = sv.stable_dt(s, p, cfg)
-            cold = sv.step(s, p, dt)
-            s = sv.step(s, p, dt, terms)
+            dt = sv.stable_dt(s, p, cfg, reused)
+            fresh_dt, fresh = prepared(s, p, cfg)
+            cold = sv.step(s, p, dt, fresh)
+            s = sv.step(s, p, dt, reused)
+            assert fresh_dt == dt
             assert s.values.tobytes() == cold.values.tobytes() and s.time == cold.time
 
     @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
@@ -468,10 +481,10 @@ class TestHandoff:
         base = pr.sample_initial(p)
         states = [pr.State(values=c * base.values, time=0.0, grid=base.grid)
                   for c in (-0.5, 1.0, 2.0)]
-        prepared = [sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0)) for s in states]
-        dt = min(d for d, _ in prepared)
-        for s, (_, terms) in zip(states, prepared):
-            handed, cold = sv.step(s, p, dt, terms), sv.step(s, p, dt)
+        plans = [prepared(s, p) for s in states]
+        dt = min(d for d, _ in plans)
+        for s, (_, plan) in zip(states, plans):
+            handed, cold = sv.step(s, p, dt, plan), sv.step(s, p, dt, prepared(s, p)[1])
             assert handed.values.tobytes() == cold.values.tobytes()
 
 
@@ -480,16 +493,15 @@ def term_bytes(terms):
 
 
 def assert_step_leaves_inputs(s, p):
-    """step writes neither state.values nor the terms, so the same terms step
-    the same state twice to the same bits."""
-    cfg = sv.SchemeConfig(t_end=1.0)
+    """step writes neither state.values nor the plan's terms, so the same plan
+    steps the same state twice to the same bits."""
     for _ in range(3):
-        dt, terms = sv.stable_dt(s, p, cfg)
-        values, before = s.values.tobytes(), term_bytes(terms)
-        first = sv.step(s, p, dt, terms)
+        dt, plan = prepared(s, p)
+        values, before = s.values.tobytes(), term_bytes(plan[-1])
+        first = sv.step(s, p, dt, plan)
         assert s.values.tobytes() == values
-        assert term_bytes(terms) == before
-        assert sv.step(s, p, dt, terms).values.tobytes() == first.values.tobytes()
+        assert term_bytes(plan[-1]) == before
+        assert sv.step(s, p, dt, plan).values.tobytes() == first.values.tobytes()
         s = first
 
 
@@ -525,9 +537,9 @@ def test_stable_dt_reports_a_non_finite_value(monkeypatch, bad, flux, stacked):
         s = pr.State(values=np.stack([s.values, 2.0 * s.values]), time=0.0, grid=p.grid)
     cfg = sv.SchemeConfig(t_end=1.0)
     poison_step(monkeypatch, 1, bad, (1, 7) if stacked else 7)
-    s = sv.step(s, p, *sv.stable_dt(s, p, cfg))
+    s = sv.step(s, p, *prepared(s, p, cfg))
     with pytest.raises(RunError, match=r"^non-finite value at cell \(7,\), t=") as exc:
-        sv.stable_dt(s, p, cfg)
+        prepared(s, p, cfg)
     assert exc.value.branch == (1 if stacked else None)
 
 
@@ -543,11 +555,11 @@ def test_states_own_their_values(case):
     before = s.values.tobytes()
     mine += 1.0
     assert s.values.tobytes() == before and not s.values.flags.writeable
-    dt, terms = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0))
-    new = sv.step(s, p, dt, terms).values
+    dt, plan = prepared(s, p)
+    new = sv.step(s, p, dt, plan).values
     assert not new.flags.writeable
     assert not np.shares_memory(new, s.values)
-    for term in terms:
+    for term in plan[-1]:
         assert not any(np.shares_memory(new, t) for t in term if t is not None)
 
 
@@ -600,7 +612,7 @@ def test_axis_layout_follows_the_value_shape():
                         (pr.zero_flux_model(2), (3,) + grid.shape)]:
         p = pr.Problem(grid=grid, alpha=1.0, p0=1.0, flux=flux, u0=gaussian)
         s = pr.State(values=np.ones(shape), time=0.0, grid=grid)
-        (dx, dx2, buf), (b, two_n, power, alpha1, edge, G, axes, terms) = sv._scratch(s, p)
+        (dx, dx2, buf), (b, two_n, power, alpha1, edge, G, axes), terms = sv.plan(s, p)
         assert (dx, dx2, b, two_n, power, alpha1, edge) == (
             grid.dx, grid.dx ** 2, len(shape) - 2, 4.0, None, 2.0, True)
         assert buf.shape == G.shape == shape and same_view(G, sv._first(axes[0][2], b))
@@ -641,9 +653,9 @@ def test_stacked_advance_steps_each_branch_as_alone(data):
             branches = [pr.State(values=s.values, time=target, grid=grid) for s in branches]
         else:
             steps += 1
-            prepared = [sv.stable_dt(s, p, cfg) for s in branches]
-            ref_dt = min(min(d for d, _ in prepared), pending[0] - branches[0].time)
-            branches = [sv.step(s, p, ref_dt, terms) for s, (_, terms) in zip(branches, prepared)]
+            plans = [prepared(s, p, cfg) for s in branches]
+            ref_dt = min(min(d for d, _ in plans), pending[0] - branches[0].time)
+            branches = [sv.step(s, p, ref_dt, plan) for s, (_, plan) in zip(branches, plans)]
             assert dt == ref_dt
         assert [stacked.time] * B == [s.time for s in branches]
         for k, s in enumerate(branches):
@@ -702,7 +714,7 @@ def test_run_and_sandwich_call_step_and_stable_dt_once_per_step(monkeypatch):
     # cells through them and hands each call a copy of the problem with traced
     # f and df_du; here every call gets a fresh copy with a counted split g
     # and a, so no step may lean on the identity of the problem its stable_dt
-    # saw. The run's scratch is built once from the problem that advance
+    # saw. The run's plan is built once from the problem that advance
     # received, so its split's a is called n times per run (own_calls) and
     # never on a copy (flux_calls). The sandwich steps its three branches as
     # one stacked state: one call each per lockstep step.
@@ -760,8 +772,8 @@ def test_burgers_jump_step_keeps_order():
     v = u.copy()
     v[9] += 0.01
     s = pr.State(values=np.stack([u, v]), time=0.0, grid=grid)
-    dt, terms = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0, cfl_safety=0.9))
-    new = sv.step(s, p, dt, terms).values
+    dt, plan = prepared(s, p, sv.SchemeConfig(t_end=1.0, cfl_safety=0.9))
+    new = sv.step(s, p, dt, plan).values
     assert dt == pytest.approx(3.518e-3, rel=1e-3)
     assert float(np.min(new[1] - new[0])) >= 0.0
 
@@ -804,8 +816,8 @@ def assert_monotone_step(p, u, h=1e-3):
     stacked = np.repeat(u[None], cells + 1, axis=0).reshape(cells + 1, cells)
     stacked[1:] += h * np.eye(cells)
     s = pr.State(values=stacked.reshape((cells + 1,) + grid.shape), time=0.0, grid=grid)
-    dt, terms = sv.stable_dt(s, p, sv.SchemeConfig(t_end=1.0, cfl_safety=0.9))
-    new = sv.step(s, p, dt, terms).values.reshape(cells + 1, cells)
+    dt, plan = prepared(s, p, sv.SchemeConfig(t_end=1.0, cfl_safety=0.9))
+    new = sv.step(s, p, dt, plan).values.reshape(cells + 1, cells)
     jac = (new[1:] - new[0]) / h  # row j: the response to a bump in cell j
     j, i = np.unravel_index(int(jac.argmin()), jac.shape)
     assert jac[j, i] >= -1e-9, (jac[j, i], int(i), int(j), u.ravel()[[i, j]].tolist())

@@ -27,22 +27,37 @@ every value as for its branch alone, and share one dt: stable_dt takes the
 largest of the branches' rates, which gives bitwise the smallest of their own
 dt. g gets u with that branch axis, and a(x) a singleton axis in its place.
 
-Stepping takes a plan (`plan`), built once per run by `advance`: the arrays
-of `_axis` for each axis (a+ and a- at the interfaces, the reach at the cells,
-the padded u and G with the slice views each step takes, the arrays the terms
-dF and lapG are written to), the grid constants and one buffer, which holds
-|u|^a and then each scaled term. Every axis is computed along axis 0 of its
-arrays, in the layout that `_axis` gives; G is computed straight into the
-middle of axis 0's padded G, and g is evaluated once per step and axis on the
-N+2 padded cells. Along each axis u and G get the same ghost cells: an edge
-copy under zero_flux, 0 under dirichlet_zero. `stable_dt` writes the plan's terms and `step` reads them,
-so they hold until the plan's next `stable_dt`. No module keeps a cache.
+Stepping takes a plan (`plan`), built once per run and passed to `advance`:
+the arrays of `_axis` for each axis (a+ and a- at the interfaces, the reach
+at the cells, the padded u and G with the slice views each step takes, the
+arrays the terms dF and lapG are written to), the grid constants and one
+buffer, which holds |u|^a and then each scaled term. Every axis is computed
+along axis 0 of its arrays. For an unstacked state they are C-contiguous with
+that axis first, so along axis 1 of a 2-D state the copies into the padded u
+and G are the step's one transpose and the flux arithmetic runs on whole rows
+(on the strided halves of the value layout it ran about 2x slower); for a
+stacked state they are swapaxes views of arrays laid out as the values, which
+measured faster on the sandwich's (3, N) states. G is computed straight into
+the middle of axis 0's padded G, and g is evaluated once per step and axis on
+the N+2 padded cells. Along each axis u and G get the same ghost cells: an
+edge copy under zero_flux, 0 under dirichlet_zero, set once per plan.
+`stable_dt` writes the plan's terms and `step` reads them, so they hold until
+the plan's next `stable_dt`. No module keeps a cache, and the scratch reused by
+every step keeps 2-D steps from faulting heap pages in again and again.
 A step does no identity arithmetic: no |u|^a pass at alpha = 1, and for a
 reach that is one float c, lam_ax is c max|g'|, bit for bit max(c |g'|) as
 rounding is monotone. The catalog's zero flux makes no g calls: when the
 flux's split is `problem.ZERO_SPLIT` (by identity, never by name or value) a
 step is its diffusion half alone, with lam_ax = 0, and its plan holds no
 coefficients.
+
+In conservation form mass leaves only through the walls (Crandall & Majda),
+so the plan of an unstacked state keeps, per axis, the [low, high] mass that
+left through its two walls, and `step` adds dt dx^(n-1) times the outward
+wall fluxes: -F and F at the first and last interfaces, and -(G_ghost -
+G_edge)/dx at each wall. An edge-copy ghost makes the diffusive one exactly 0,
+so under zero_flux an axis without advection sums nothing. Then
+M(T) - M(0) + the total outflow is 0 to round-off.
 
 A step's new values become the stepped `State` as they are, read-only, with
 no copy and no finiteness scan. A blow-up is caught where the next step takes
@@ -51,19 +66,13 @@ before any other arithmetic, or after the last step before a landing time by
 a finiteness check at the landing, whose state shares the last stepped
 state's array. `advance` yields a stepped state only once one of these checks
 has passed, and names the step that made a bad value.
-
-`audited` is the one audited loop over `advance`, for `run` and
-`harness.run_sandwich`: it writes every state, the initial one and each
-stepped one, into the next row of a block of at most AUDIT_BLOCK values (one
-state at least), and hands each full block, and the last one, to the
-caller's reduction, whose results equal the per-state ones bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -71,11 +80,7 @@ from .errors import ConfigError, RunError
 from .problem import ZERO_SPLIT, Grid, Problem, State, _Stepped, sample_initial
 
 _DEN_GUARD = 1e-300
-# a run is flagged once its boundary cells hold more than this share of the initial mass
-BOUNDARY_MASS_THRESHOLD = 1e-8
 MAX_STEPS = 2_000_000
-# float64 values in one block of audited states (256 KiB), see `audited`
-AUDIT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -97,17 +102,14 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """mass_series holds the (t, L1 mass) of the initial and every stepped
-    state, boundary_mass_max the largest share of the initial mass in the
-    boundary cells over those states (see `run`)."""
+    """wall_outflow holds, per axis, the [low, high] mass that left the box
+    through that axis' two walls over the run."""
 
     snapshots: list[State]
     step_count: int
     min_dt: float
     max_dt: float
-    boundary_mass_max: float
-    mass_series: list[tuple[float, float]]
-    boundary_flagged: bool
+    wall_outflow: list[list[float]]
 
 
 def _first(v: np.ndarray, k: int) -> np.ndarray:
@@ -128,11 +130,12 @@ def plan(state: State, problem: Problem) -> tuple:
     """A step plan for states of this one's grid and value shape under this
     problem's alpha, boundary policy and split's a (its g is read at every
     prepare, never kept): ((dx, dx^2, buf), (b, 2n, power, alpha + 1, edge, G,
-    axes), terms). buf holds |u|^a in `stable_dt`, then `step`'s scaled terms;
-    power is None at alpha = 1; edge is the zero_flux policy; G, in the value
-    layout, is the middle of axis 0's padded G; axes are the `_axis` of each
-    axis; terms are their (dF, lapG) in the value layout, dF None for the zero
-    flux, which every `stable_dt` with this plan rewrites."""
+    axes), (outflow, walls), terms). power is None at alpha = 1, edge is the
+    zero_flux policy, G the values' G(u) and axes the `_axis` of each axis;
+    terms are their (dF, lapG) in the value layout, dF None for the zero flux.
+    outflow is the per-axis [low, high] wall outflow of a run with this plan,
+    None for a stacked state, and walls the (F or None, Gp or None, face area
+    or None in 1-D, outflow[ax]) of each axis that sums it."""
     grid, shape, split = state.grid, state.values.shape, problem.flux.split
     b, edge, dx = len(shape) - grid.n, problem.boundary_policy == "zero_flux", grid.dx
     a = None if split is ZERO_SPLIT else split.a
@@ -140,9 +143,13 @@ def plan(state: State, problem: Problem) -> tuple:
     terms = tuple((None if adv is None else _first(adv[-1], k), _first(lapG, k))
                   for k, _, _, _, _, lapG, adv in axes)
     power = None if problem.alpha == 1 else problem.alpha
+    outflow = None if b else [[0.0, 0.0] for _ in axes]
+    face = None if grid.n == 1 else dx ** (grid.n - 1)
+    walls = () if b else tuple((None if adv is None else adv[5], None if edge else Gp, face,
+                                outflow[k]) for k, Gp, *_, adv in axes if adv or not edge)
     return ((dx, dx ** 2, np.empty(shape)),
             (b, 2.0 * grid.n, power, problem.alpha + 1.0, edge, _first(axes[0][2], b), axes),
-            terms)
+            (outflow, walls), terms)
 
 
 def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, edge: bool) -> tuple:
@@ -151,24 +158,11 @@ def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, edge: bool) -> tuple:
     Gp[:-2], lapG, adv), k = ax + b, Gp the padded G and lapG at the N cells.
     adv is None for a flux that does not advect, else (Up, Up[1:-1], gbuf,
     halves, reach, F, F[1:], F[:-1], tmp, tmp[:-1], dF): the padded u, three
-    arrays for the split's g on it, the read-only coefficients of the split's
-    a(x) (the FluxSplit field) normal to ax, two arrays at the N+1 interfaces
-    and dF. halves holds a+ and a- at the interfaces, and reach at the N cells
-    is max(a+_{i+1/2} - a-_{i-1/2}, a+_{i-1/2} - a-_{i+1/2}), the rate at which
-    a half of g leaves cell i through its two faces. Along the other axes they
-    are taken at cell centers, with a singleton axis in place of the branch
-    axis, so that they broadcast against the values; a coefficient with one
-    value everywhere (a constant a) is that float, which costs no array reads.
-    Ghost cells under dirichlet_zero are set to 0 here, once for the run.
-
-    The layout follows the value shape. For an unstacked state every array is
-    C-contiguous with ax first, so along axis 1 of a 2-D state the copies
-    into the padded u and G are the step's one transpose and the flux
-    arithmetic runs on whole rows (on the strided halves of the value layout
-    it ran about 2x slower). For a stacked state the scratch arrays are
-    swapaxes views of arrays laid out as the values, which measured faster on
-    the sandwich's (3, N) states. Reused by every step of a run, the scratch
-    keeps 2-D steps from faulting heap pages in again and again."""
+    arrays for g on it, a+ and a- of the split's a(x) normal to ax at the
+    interfaces, each with whether it takes g's falling half on the left, the
+    reach at the cells, two arrays at the N+1 interfaces and dF. The
+    coefficients are read-only and broadcast against the values; one with one
+    value everywhere is that float."""
     N, b = grid.N, len(shape) - grid.n
     k = ax + b
 
@@ -233,7 +227,7 @@ def stable_dt(state: State, problem: Problem, config: SchemeConfig, plan: tuple)
     non-finite value raises as in `State`, found by max|u|^a before any other
     arithmetic on u."""
     values = state.values
-    (dx, dx2, buf), (b, two_n, power, alpha1, edge, G, axes), _ = plan
+    (dx, dx2, buf), (b, two_n, power, alpha1, edge, G, axes), _, _ = plan
     a = np.abs(values, out=buf)
     if power is not None:
         a **= power
@@ -289,23 +283,33 @@ def step(state: State, problem: Problem, dt: float, plan: tuple) -> State:
     the terms that `stable_dt` last prepared into `plan` from this state; dt
     must respect its bound. Writes neither the state nor the terms: each scaled
     term goes through the plan's buffer into the one new array, returned
-    read-only and unchecked; `advance` yields the state once it has been checked."""
-    (dx, dx2, buf), _, terms = plan
+    read-only and unchecked; `advance` yields the state once it has been checked.
+    Adds the mass that leaves through the walls to the plan's outflow."""
+    (dx, dx2, buf), _, (_, walls), terms = plan
     u = state.values
     new = np.empty_like(u)
     for dF, lapG in terms:
         if dF is not None:
             u = np.subtract(u, np.multiply(dt / dx, dF, out=buf), out=new)
         u = np.add(u, np.multiply(dt / dx2, lapG, out=buf), out=new)
+    for F, Gp, face, total in walls:  # the outward fluxes at the low and high wall
+        low, high = (0.0, 0.0) if F is None else (-F[0], F[-1])
+        if Gp is not None:
+            low, high = low + (Gp[1] - Gp[0]) / dx, high + (Gp[-2] - Gp[-1]) / dx
+        if face is not None:  # a wall of n > 1 dimensions is a row of cell faces
+            low, high = face * low.sum(), face * high.sum()
+        total[0] += dt * float(low)
+        total[1] += dt * float(high)
     new.setflags(write=False)
     return _Stepped(values=new, time=state.time + dt, grid=state.grid)
 
 
-def advance(state: State, problem: Problem, config: SchemeConfig,
+def advance(state: State, problem: Problem, config: SchemeConfig, work: tuple,
             names: tuple[str, ...] = ()) -> Iterator[tuple[State, float | None]]:
-    """Step `state` through the landing times, config's snapshot times and t_end
-    in increasing order, each step by its stable_dt clipped to the next landing
-    time; the branches of a stacked state share that dt.
+    """Step `state` with `work`, a `plan` for it, through the landing times,
+    config's snapshot times and t_end in increasing order, each step by its
+    stable_dt clipped to the next landing time; the branches of a stacked
+    state share that dt.
 
     Yields ``(state, dt)`` for every step, and ``(state, None)`` with the
     time set exactly to the landing time each time one is reached. An error
@@ -315,7 +319,6 @@ def advance(state: State, problem: Problem, config: SchemeConfig,
     a stepped state is yielded only after that check has passed."""
     steps = 0
     t_tol = 1e-12 * max(1.0, config.t_end)
-    work = plan(state, problem)
     pending = ()  # the last (stepped state, dt), until a check has passed on it
 
     def label(exc: RunError, made: int) -> str:
@@ -350,60 +353,18 @@ def advance(state: State, problem: Problem, config: SchemeConfig,
         yield state, None
 
 
-def audited(state: State, problem: Problem, config: SchemeConfig,
-            row: Callable[..., np.ndarray], reduce: Callable[[np.ndarray, list[float]], None],
-            names: tuple[str, ...] = ()) -> tuple[list[State], list[float]]:
-    """`advance` from `state`, auditing every state once per block: the initial
-    state and each stepped one is written by row(values, out=...) into the next
-    row of a block of max(1, AUDIT_BLOCK // values.size) rows, and each full
-    block, and the last one after the run, goes to reduce(rows, times) with
-    the times of its rows. Returns the landed states and the steps' dts."""
-    block = np.empty((max(1, AUDIT_BLOCK // state.values.size),) + state.values.shape)
-    size = len(block)
-    row(state.values, out=block[0])
-    times = [state.time]  # of the rows filled since the last reduction
-    landed, dts = [], []
-    for state, dt in advance(state, problem, config, names):
-        if dt is None:
-            landed.append(state)
-            continue
-        dts.append(dt)
-        if len(times) == size:
-            reduce(block, times)
-            times = []
-        row(state.values, out=block[len(times)])
-        times.append(state.time)
-    reduce(block[:len(times)], times)
-    return landed, dts
-
-
 def run(problem: Problem, config: SchemeConfig) -> RunResult:
     """Integrate from t=0 to t_end with adaptive dt, landing exactly on
-    requested snapshot times; audits mass and boundary-layer contamination.
-
-    Every state, the initial one and each stepped one, is audited: `audited`
-    gathers its |u| in a block, whose rows give their masses and largest
-    boundary-cell sum in one reduction each, bit for bit the per-state sums."""
+    requested snapshot times, and total each wall's outflow."""
     state = sample_initial(problem)
-    volume = state.grid.cell_volume
-    edge = np.ones(state.grid.shape, dtype=bool)
-    edge[(slice(1, -1),) * state.grid.n] = False
-    edge = np.flatnonzero(edge)  # flat indices of the cells that touch the boundary
-    mass_series: list[tuple[float, float]] = []
-    boundary_sums = []  # the largest boundary-cell sum of |u| in each block
-
-    def reduce(block: np.ndarray, times: list[float]) -> None:
-        rows = block.reshape(len(block), -1)
-        mass_series.extend(zip(times, (np.add.reduce(rows, axis=1) * volume).tolist()))
-        boundary_sums.append(np.add.reduce(rows.take(edge, axis=1), axis=1).max())
-
-    snapshots, dts = audited(state, problem, config, np.abs, reduce)
-    mass0 = mass_series[0][1]
-    # x volume / scale is monotone, so this is the largest per-state quotient
-    boundary_max = float(max(boundary_sums)) * volume / (mass0 if mass0 > 0 else 1.0)
+    work = plan(state, problem)
+    snapshots, dts = [], []
+    for state, dt in advance(state, problem, config, work):
+        if dt is None:
+            snapshots.append(state)
+        else:
+            dts.append(dt)
     return RunResult(snapshots=snapshots, step_count=len(dts),
                      min_dt=float(min(dts, default=0.0)),
                      max_dt=float(max(dts, default=0.0)),
-                     boundary_mass_max=boundary_max,
-                     mass_series=mass_series,
-                     boundary_flagged=boundary_max > BOUNDARY_MASS_THRESHOLD)
+                     wall_outflow=work[2][0])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmelab import cli, solver, svg
+from pmelab import cli, harness, solver, svg
 from pmelab import exponents as ex
 from pmelab import problem as pr
 from pmelab.errors import RunError
@@ -318,12 +318,44 @@ class TestRunCommand:
         assert rows == outputs(b, "csv")[0].read_text().splitlines()[2:]
 
     def test_mass_at_the_boundary_fails(self, tmp_path):
-        # advection carries the datum into the wall cells of a short box
+        # advection carries about half the datum out through the high wall of a
+        # short box; the mass budget still closes
         assert run_cli(tmp_path, "run", "--set", "flux=linear c=1", "--set", "L=3",
                        "--set", "N=60", "--t-end", "3") == 1
         payload = json.loads(outputs(tmp_path, "json")[0].read_text())
-        assert payload["boundary_flagged"] is True and payload["passed"] is False
-        assert payload["boundary_mass_max"] == pytest.approx(2.681e-2, rel=1e-3)
+        (low, high), = payload["wall_outflow"]
+        mass0 = payload["masses"][0][1]  # of a positive datum, its L1 norm
+        assert payload["passed"] is False
+        assert high / mass0 == pytest.approx(0.4928, rel=1e-3) and -1e-3 < low / mass0 < 0
+        assert abs(payload["budget_residual"]) <= 1e-13 * mass0
+
+    @pytest.mark.parametrize("boundary", ["zero_flux", "dirichlet_zero"])
+    def test_symmetric_leak_fails(self, tmp_path, boundary):
+        # Burgers from the odd datum x exp(-x^2): the two walls let out the same
+        # mass with opposite signs, so the signed mass barely moves, and the
+        # wall outflow alone fails the run
+        settings = {"flux": "burgers", "u0": "signed_gaussian", "L": "3", "N": "120",
+                    "boundary": boundary}
+        assert run_cli(tmp_path, "run", *[f"--set={k}={v}" for k, v in settings.items()],
+                       "--t-end", "1") == 1
+        payload = json.loads(outputs(tmp_path, "json")[0].read_text())
+        norm = harness.lq_norm(pr.sample_initial(problem_from_mapping(settings)), 1)
+        (low, high), = payload["wall_outflow"]
+        share = {"zero_flux": 9.70e-8, "dirichlet_zero": 1.88e-6}[boundary]
+        assert -low / norm == pytest.approx(share, rel=1e-2)
+        assert high / norm == pytest.approx(share, rel=1e-2)
+        masses = [m for _, m in payload["masses"]]
+        assert abs(masses[-1] - masses[0]) < 1e-15 < 1e-12 * norm < high
+
+    def test_2d_zero_flux_run_passes(self, tmp_path):
+        # no advection and edge-copy ghosts: no wall is summed, however much
+        # of the signed datum lies in the wall cells
+        assert run_cli(tmp_path, "run", "--set", "n=2", "--set", "flux=zero",
+                       "--set", "u0=signed_gaussian", "--set", "L=2", "--set", "N=40",
+                       "--t-end", "0.5") == 0
+        payload = json.loads(outputs(tmp_path, "json")[0].read_text())
+        assert payload["wall_outflow"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert payload["passed"] is True
 
 
 def reference_snapshot_csv(result):
@@ -346,8 +378,7 @@ def snapshot_result(grid, snapshots):
     return solver.RunResult(
         snapshots=[State(values=np.reshape(u, grid.shape), time=t, grid=grid)
                    for t, u in snapshots],
-        step_count=0, min_dt=0.0, max_dt=0.0, boundary_mass_max=0.0, mass_series=[],
-        boundary_flagged=False)
+        step_count=0, min_dt=0.0, max_dt=0.0, wall_outflow=[])
 
 
 class TestSnapshotCsv:
@@ -371,8 +402,7 @@ class TestSnapshotCsv:
                        time=t, grid=grid)
                  for k, t in enumerate([0.0, 1e-300, 2.0, 0.1 + 0.2])]
         result = solver.RunResult(snapshots=snaps, step_count=0, min_dt=0.0, max_dt=0.0,
-                                  boundary_mass_max=0.0, mass_series=[],
-                                  boundary_flagged=False)
+                                  wall_outflow=[])
         path = tmp_path / "run.csv"
         cli._write_snapshot_csv(path, result)
         text = path.read_bytes()

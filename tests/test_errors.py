@@ -129,7 +129,7 @@ def test_frozen_objects_are_set_only_in_post_init():
 
 
 def test_no_module_caches_or_threads():
-    # a step plan belongs to a run (solver.advance builds it once), so no module
+    # a step plan belongs to a run (built once and passed to solver.advance), so no module
     # keeps a process-wide cache, and the package starts no threads
     stray = []
     for p in SOURCES:

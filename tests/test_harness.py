@@ -107,8 +107,7 @@ class TestMonotonicity:
     def test_needs_two_snapshots(self):
         res = diffusion_run(t_end=0.1)
         only_end = sv.RunResult(snapshots=res.snapshots[-1:], step_count=1,
-                                min_dt=0.1, max_dt=0.1, boundary_mass_max=0.0,
-                                mass_series=[], boundary_flagged=False)
+                                min_dt=0.1, max_dt=0.1, wall_outflow=[])
         with pytest.raises(RunError, match="needs at least two snapshots"):
             hz.audit_lq_monotonicity(only_end, [2])
 
@@ -137,7 +136,7 @@ class TestEnergyInequality:
         u = gaussian(grid.cell_centers())
         snaps = [pr.State(values=u, time=t, grid=grid) for t in np.linspace(0.0, 1.0, 21)]
         res = sv.RunResult(snapshots=snaps, step_count=20, min_dt=0.05, max_dt=0.05,
-                           boundary_mass_max=0.0, mass_series=[], boundary_flagged=False)
+                           wall_outflow=[])
         audit = hz.audit_energy_inequality(res, q=2.0, gamma=2.0, t0=0.0, alpha=1.0)
         assert audit.margin / audit.rhs_term == pytest.approx(-0.36, abs=0.005)
         assert not audit.passed
@@ -246,7 +245,8 @@ class TestSandwich:
         lower, upper = self.outer_data(p, 0.1, psi)
         stack = pr.State(values=np.stack((lower.values, pr.sample_initial(p).values,
                                           upper.values)), time=0.0, grid=p.grid)
-        stacks = [stack.values] + [s.values for s, dt in sv.advance(stack, p, cfg)
+        stacks = [stack.values] + [s.values for s, dt in sv.advance(stack, p, cfg,
+                                                                    sv.plan(stack, p))
                                    if dt is not None]
         lows = [float((u - lo).min()) for lo, u, _ in stacks]
         highs = [float((hi - u).min()) for _, u, hi in stacks]
@@ -256,7 +256,7 @@ class TestSandwich:
             assert worst[at] == min(worst) < min(worst[1:] if at == 0 else worst[:-1])
         for rows in (1, 2, 3, states - 1, states, None):
             if rows is not None:
-                monkeypatch.setattr(sv, "AUDIT_BLOCK", rows * stack.values.size)
+                monkeypatch.setattr(hz, "AUDIT_BLOCK", rows * stack.values.size)
             rep = hz.run_sandwich(p, 0.1, psi, cfg)
             assert rep.step_count == states - 1
             assert (rep.max_lower_violation.hex(), rep.max_upper_violation.hex()) == (

@@ -235,6 +235,11 @@ def cmd_barenblatt_validate(args) -> Report:
     if barenblatt.support_radius(profile, args.t1) >= args.L:  # exact on R, not on the box
         raise ConfigError(f"--t1 {args.t1} puts the exact support at radius "
                           f"{barenblatt.support_radius(profile, args.t1):.3g} >= --L {args.L}")
+    for g in boxes:  # a datum that vanishes on the grid, or a one-cell spike, is not resolved
+        sampled = float(np.sum(barenblatt.evaluate(profile, g.cell_centers(), args.t0))) * g.dx
+        if not abs(sampled / barenblatt.mass(profile) - 1.0) <= 0.5:
+            raise ConfigError(f"--t0 {args.t0} gives grid N={g.N} a sampled datum of mass "
+                              f"{sampled:.3g}, not within half of {barenblatt.mass(profile):.3g}")
     residuals = [barenblatt.residual_check(profile, g, args.t0).interior_l1 for g in boxes]
     errors, orders = harness.refinement_study(
         {"flux": "zero", "u0": f"barenblatt C={args.C!r} t={args.t0!r}",

@@ -152,10 +152,12 @@ class State:
 
 
 class _Stepped(State):
-    """A State that takes its values as they are (see `State`)."""
+    """A State that takes its values as they are (see `State`), set without
+    the frozen dataclass's __init__."""
 
-    def __post_init__(self) -> None:
-        pass
+    def __init__(self, values: np.ndarray, time: float, grid: Grid) -> None:
+        fields = self.__dict__
+        fields["values"], fields["time"], fields["grid"] = values, time, grid
 
 
 @dataclass(frozen=True)

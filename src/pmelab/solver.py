@@ -30,26 +30,33 @@ dt. g gets u with that branch axis, and a(x) a singleton axis in its place.
 Stepping takes a plan (`plan`), built once per run and passed to `advance`:
 the arrays of `_axis` for each axis (a+ and a- at the interfaces, the reach
 at the cells, the padded u and G with the slice views each step takes, the
-arrays the terms dF and lapG are written to), the grid constants and one
-buffer, which holds |u|^a and then each scaled term. Every axis is computed
-along axis 0 of its arrays. For an unstacked state they are C-contiguous with
-that axis first, so along axis 1 of a 2-D state the copies into the padded u
-and G are the step's one transpose and the flux arithmetic runs on whole rows
-(on the strided halves of the value layout it ran about 2x slower); for a
-stacked state they are swapaxes views of arrays laid out as the values, which
-measured faster on the sandwich's (3, N) states. G is computed straight into
-the middle of axis 0's padded G, and g is evaluated once per step and axis on
-the N+2 padded cells. Along each axis u and G get the same ghost cells: an
-edge copy under zero_flux, 0 under dirichlet_zero, set once per plan.
-`stable_dt` writes the plan's terms and `step` reads them, so they hold until
-the plan's next `stable_dt`. No module keeps a cache, and the scratch reused by
-every step keeps 2-D steps from faulting heap pages in again and again.
+arrays the terms dF and lapG are written to) and one buffer, which holds
+|u|^a and then each scaled term, bound into two functions chosen once for the
+run's configuration: n, stacked or not, the boundary policy, the zero split
+or an advecting one, a uniform or an array reach, the halves that a keeps and
+the power. prepare, which `stable_dt` calls, writes the terms and returns the
+rate; apply, which `step` calls, returns the new values. So a step decides
+none of these and makes little more than its numpy calls. Every axis is
+computed along axis 0 of its arrays. For an unstacked state they are
+C-contiguous with that axis first, so along axis 1 of a 2-D state the copies
+into the padded u and G are the step's one transpose and the flux arithmetic
+runs on whole rows (on the strided halves of the value layout it ran about 2x
+slower); for a stacked state they are swapaxes views of arrays laid out as
+the values, which measured faster on the sandwich's (3, N) states. G is
+computed straight into the middle of axis 0's padded G, and g is evaluated
+once per step and axis on the N+2 padded cells. Along each axis u and G get
+the same ghost cells: an edge copy at every prepare under zero_flux, 0 set
+once per plan under dirichlet_zero. The terms are the plan's last entry,
+which `step` reads at every call: `stable_dt` writes them and they hold until
+the plan's next `stable_dt`. No module keeps a cache, and the scratch reused
+by every step keeps 2-D steps from faulting heap pages in again and again.
 A step does no identity arithmetic: no |u|^a pass at alpha = 1, and for a
 reach that is one float c, lam_ax is c max|g'|, bit for bit max(c |g'|) as
-rounding is monotone. The catalog's zero flux makes no g calls: when the
-flux's split is `problem.ZERO_SPLIT` (by identity, never by name or value) a
-step is its diffusion half alone, with lam_ax = 0, and its plan holds no
-coefficients.
+rounding is monotone. Where alpha + 1 is a power of two, G's division by it
+is a product by its reciprocal, and 2 G is G + G: each rounds the same real
+number. The catalog's zero flux makes no g calls: when the flux's split is
+`problem.ZERO_SPLIT` (by identity, never by name or value) a step is its
+diffusion half alone, with lam_ax = 0, and its plan holds no coefficients.
 
 In conservation form mass leaves only through the walls (Crandall & Majda),
 so the plan of an unstacked state keeps, per axis, the [low, high] mass that
@@ -71,6 +78,7 @@ has passed, and names the step that made a bad value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -112,48 +120,87 @@ class RunResult:
     wall_outflow: list[list[float]]
 
 
+_max = np.maximum.reduce  # over the given axes (None: all) without ndarray.max's wrapper
+_LO, _HI = slice(None, -1), slice(1, None)
+
+
 def _first(v: np.ndarray, k: int) -> np.ndarray:
     """v with its axis k first (swapaxes, which swaps back as well), or v itself for k = 0."""
     return v.swapaxes(0, k) if k else v
 
 
-def _peak(v: np.ndarray, k: int, b: int):
-    """max of v, whose axis k is first: a float, or for a stacked state (b = 1)
-    the array of per-branch maxima."""
-    if not b:
-        return float(v.max())
-    v = _first(v, k)
-    return v.reshape(len(v), -1).max(1)
-
-
 def plan(state: State, problem: Problem) -> tuple:
     """A step plan for states of this one's grid and value shape under this
-    problem's alpha, boundary policy and split's a (its g is read at every
-    prepare, never kept): ((dx, dx^2, buf), (b, 2n, power, alpha + 1, edge, G,
-    axes), (outflow, walls), terms). power is None at alpha = 1, edge is the
-    zero_flux policy, G the values' G(u) and axes the `_axis` of each axis;
-    terms are their (dF, lapG) in the value layout, dF None for the zero flux.
-    outflow is the per-axis [low, high] wall outflow of a run with this plan,
-    None for a stacked state, and walls the (F or None, Gp or None, face area
-    or None in 1-D, outflow[ax]) of each axis that sums it."""
+    problem's alpha, boundary policy and split's a (its g is passed to every
+    prepare, never kept): (prepare, apply, outflow, rates, terms).
+    prepare(state, g) writes terms and returns the rate of `stable_dt`;
+    apply(u, dt, terms) returns the new values of one step, read-only, and
+    adds to outflow, the per-axis [low, high] wall outflow of a run with this
+    plan (None for a stacked state). terms are the per-axis (dF, lapG) in the
+    value layout, dF None for the zero flux; rates is None, or the list of a
+    stacked state's branch rates at the last prepare."""
     grid, shape, split = state.grid, state.values.shape, problem.flux.split
-    b, edge, dx = len(shape) - grid.n, problem.boundary_policy == "zero_flux", grid.dx
-    a = None if split is ZERO_SPLIT else split.a
-    axes = tuple(_axis(grid, ax, shape, a, edge) for ax in range(grid.n))
-    terms = tuple((None if adv is None else _first(adv[-1], k), _first(lapG, k))
-                  for k, _, _, _, _, lapG, adv in axes)
-    power = None if problem.alpha == 1 else problem.alpha
+    b, dx, dx2, two_n = len(shape) - grid.n, grid.dx, grid.dx ** 2, 2.0 * grid.n
+    a, edge = None if split is ZERO_SPLIT else split.a, problem.boundary_policy == "zero_flux"
+    axes = [_axis(grid, ax, shape, a, edge) for ax in range(grid.n)]
+    G, buf, power = _first(axes[0][2], b), np.empty(shape), problem.alpha
+    alpha1 = power + 1.0
+    # G /= alpha + 1 as G *= 1/(alpha + 1) where that is exact: both round the same number
+    scale, by = (np.multiply, 1 / alpha1) if math.frexp(alpha1)[0] == 0.5 else (np.divide, alpha1)
+    # 0-d arrays: numpy converts a float operand again at every call
+    by, cF, cG = np.array(by), np.empty(()), np.empty(())
+    magnitude = np.abs if power == 1 else lambda v, out: operator.ipow(np.abs(v, out=out), power)
+    red, finite, finish, rates = None, math.isfinite, float, None
+    if b:  # per-branch maxima and rates, the largest rate setting dt
+        red, rates = tuple(range(1, len(shape))), []  # the last rates, as floats
+        finite = lambda peak: all(map(math.isfinite, peak.tolist()))  # noqa: E731
+
+        def finish(rate):  # the largest rate; rates keeps each for stable_dt's error
+            rates[:] = rate.tolist()
+            return max(rates)
     outflow = None if b else [[0.0, 0.0] for _ in axes]
-    face = None if grid.n == 1 else dx ** (grid.n - 1)
-    walls = () if b else tuple((None if adv is None else adv[5], None if edge else Gp, face,
-                                outflow[k]) for k, Gp, *_, adv in axes if adv or not edge)
-    return ((dx, dx ** 2, np.empty(shape)),
-            (b, 2.0 * grid.n, power, problem.alpha + 1.0, edge, _first(axes[0][2], b), axes),
-            (outflow, walls), terms)
+    advects, laps, walls, ops = [], [], [], []  # ops: apply's (axis, term slot, c, ufunc)
+    for ax, (k, Gp, Gmid, Ghi, Glo, lapG, adv) in enumerate(axes):
+        if ax:  # a later axis takes G(u) into the middle of its own padded G
+            laps.append(lambda Gv=_first(Gmid, k): np.copyto(Gv, G))
+        laps.append(_lap(Gp, Gmid, Ghi, Glo, lapG, edge))
+        if adv is not None:
+            advects.append(_advect(ax, k, adv, edge, b, finite))
+            ops.append((ax, 0, cF, np.subtract))
+        ops.append((ax, 1, cG, np.add))
+        if not b and (adv or not edge):
+            walls.append(_wall(adv, Gp, edge, dx, grid.n, outflow[ax]))
+
+    def prepare(state, g):
+        values = state.values
+        a = magnitude(values, buf)
+        peak = _max(a, red)
+        if not finite(peak):
+            State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
+        scale(np.multiply(a, values, out=G), by, out=G)
+        rate = 0.0
+        for advect in advects:
+            rate += advect(state, g) / dx
+        for lap in laps:
+            lap()
+        return finish(rate + two_n * peak / dx2)
+
+    def apply(u, dt, terms):
+        new, cF[()], cG[()] = np.empty(shape), dt / dx, dt / dx2
+        for ax, slot, c, ufunc in ops:
+            u = ufunc(u, np.multiply(c, terms[ax][slot], out=buf), out=new)
+        for wall in walls:
+            wall(dt)
+        new.setflags(write=False)
+        return new
+
+    terms = tuple((None if adv is None else _first(adv[-1], k), _first(lapG, k))
+                  for k, *_, lapG, adv in axes)
+    return prepare, apply, outflow, rates, terms
 
 
 def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, edge: bool) -> tuple:
-    """The arrays of `stable_dt` for axis ax of values of this shape (grid.shape
+    """The arrays of `plan` for axis ax of values of this shape (grid.shape
     or (B,) + grid.shape), each with axis ax first: (k, Gp, Gp[1:-1], Gp[2:],
     Gp[:-2], lapG, adv), k = ax + b, Gp the padded G and lapG at the N cells.
     adv is None for a flux that does not advect, else (Up, Up[1:-1], gbuf,
@@ -206,102 +253,104 @@ def _uniform(v: np.ndarray) -> float | np.ndarray:
     return v
 
 
-def _half(coef, left, right, out: np.ndarray) -> np.ndarray:
-    """coef (left[:-1] + right[1:]) into out, a None side being 0: one half of
-    the Engquist-Osher sum at the N+1 interfaces, from values on the N+2 cells."""
-    if left is None:
-        return np.multiply(coef, right[1:], out=out)
-    if right is None:
-        return np.multiply(coef, left[:-1], out=out)
-    np.add(left[:-1], right[1:], out=out)
-    out *= coef
-    return out
+def _ghosts(p: np.ndarray, edge: bool) -> tuple:
+    """(to, src): the ghost cells of the padded p and what each prepare copies
+    into them, its edge cells under zero_flux; under dirichlet_zero both are
+    empty, the ghosts holding the 0 that `_axis` set."""
+    return (p[::len(p) - 1], p[1:-1][::max(len(p) - 3, 1)]) if edge else (p[:0], p[:0])
+
+
+def _lap(Gp, Gmid, Ghi, Glo, lapG, edge: bool):
+    """lap(): the second difference of the padded G into lapG."""
+    to, src = _ghosts(Gp, edge)
+
+    def lap():
+        to[...] = src
+        np.add(Gmid, Gmid, out=lapG)  # 2 G, bit for bit
+        np.subtract(Ghi, lapG, out=lapG)
+        np.add(lapG, Glo, out=lapG)
+    return lap
+
+
+def _advect(ax: int, k: int, adv: tuple, edge: bool, b: int, finite):
+    """advect(state, g): the Engquist-Osher flux and its difference dF along
+    axis ax from the state's values, and the returned lam_ax: the largest
+    reach |g'| over the cells, per branch for a stacked state (b = 1), which
+    `finite` checks."""
+    Up, Umid, gbuf, halves, reach, F, Fhi, Flo, tmp, tmp_lo, dF = adv
+    (to, src), Uv, flux = _ghosts(Up, edge), _first(Umid, k), _engquist_osher(halves, F, tmp)
+    red = tuple(i for i in range(Up.ndim) if i != k) if b else None  # all but the branch axis
+    peak = ((lambda s: reach * _max(s, red)) if isinstance(reach, float)  # c max(s_i) = max(c s_i)
+            else lambda s: _max(np.multiply(reach, s, out=tmp_lo), red))  # bit for bit, c >= 0
+
+    def advect(state, g):
+        Uv[...] = state.values
+        to[...] = src
+        up, down, slope = g(Up, gbuf)
+        flux(up, down)
+        lam = peak(slope[1:-1])
+        if not finite(lam):
+            raise RunError(f"non-finite flux derivative along axis {ax} at t={state.time}",
+                           branch=int(np.isfinite(lam).argmin()) if b else None)
+        np.subtract(Fhi, Flo, out=dF)
+        return lam
+    return advect
+
+
+def _engquist_osher(halves: list, F: np.ndarray, tmp: np.ndarray):
+    """flux(up, down): F = the sum over halves of c (left[:-1] + right[1:]) at
+    the N+1 interfaces from g's halves on the N+2 cells, up on the left of
+    the plus half and on the right of the minus half (flip), a None down
+    being 0; the second half goes through tmp."""
+    def half(c, flip, out):
+        c, su, sd = np.asarray(c), *((_HI, _LO) if flip else (_LO, _HI))
+        return lambda up, down: (np.multiply(c, up[su], out=out) if down is None else
+                                 np.multiply(np.add(up[su], down[sd], out=out), c, out=out))
+
+    first, *rest = [half(c, flip, out) for (c, flip), out in zip(halves, (F, tmp))]
+    return first if not rest else lambda u, d: np.add(first(u, d), rest[0](u, d), out=F)
+
+
+def _wall(adv, Gp, edge: bool, dx: float, n: int, total: list):
+    """wall(dt): adds dt times the outward flux through the low and the high
+    wall to total: -F and F at the first and last interfaces (0 without adv),
+    and -(G_ghost - G_edge)/dx at each wall (0 for an edge copy), summed over
+    the dx^(n-1) faces of a wall in n > 1 dimensions."""
+    face, F, Gp = dx ** (n - 1), (0.0, 0.0) if adv is None else adv[5], (0.0, 0.0) if edge else Gp
+    if n == 1 and edge:  # F alone, as floats
+        def wall(dt):
+            total[0] -= dt * F.item(0)
+            total[1] += dt * F.item(-1)
+        return wall
+
+    def wall(dt):
+        total[0] += dt * float(face * ((Gp[1] - Gp[0]) / dx - F[0]).sum())
+        total[1] += dt * float(face * (F[-1] + (Gp[-2] - Gp[-1]) / dx).sum())
+    return wall
 
 
 def stable_dt(state: State, problem: Problem, config: SchemeConfig, plan: tuple) -> float:
     """cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2), lam_ax being the largest
     reach |g'| over the cells along axis ax; for a stacked state, the dt of its
-    largest branch rate, which is bitwise the smallest branch dt. On the way it
-    prepares `plan`'s terms for `step(state, problem, dt, plan)`: per axis the
-    Engquist-Osher flux difference and the second difference of G(u). A
-    non-finite value raises as in `State`, found by max|u|^a before any other
-    arithmetic on u."""
-    values = state.values
-    (dx, dx2, buf), (b, two_n, power, alpha1, edge, G, axes), _, _ = plan
-    a = np.abs(values, out=buf)
-    if power is not None:
-        a **= power
-    peak = _peak(a, 0, b)
-    if not math.isfinite(peak if not b else peak.max()):
-        State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
-    np.multiply(a, values, out=G)
-    G /= alpha1
-    g = problem.flux.split.g
-    rate = 0.0
-    for k, Gp, Gmid, Ghi, Glo, lapG, adv in axes:
-        if k != b:  # axis 0's padded G already holds G
-            Gmid[...] = _first(G, k)
-        if edge:
-            Gp[0], Gp[-1] = Gp[1], Gp[-2]
-        if adv is not None:
-            Up, Umid, gbuf, halves, reach, F, Fhi, Flo, tmp, tmp_lo, dF = adv
-            Umid[...] = _first(values, k)
-            if edge:
-                Up[0], Up[-1] = Up[1], Up[-2]
-            up, down, slope = g(Up, gbuf)
-            for i, (c, flip) in enumerate(halves):
-                left, right = (down, up) if flip else (up, down)
-                if i:
-                    F += _half(c, left, right, tmp)
-                else:
-                    _half(c, left, right, F)
-            if isinstance(reach, float):  # max(c s_i) is c max(s_i) bit for bit, c >= 0
-                lam_ax = reach * _peak(slope[1:-1], k, b)
-            else:
-                lam_ax = _peak(np.multiply(reach, slope[1:-1], out=tmp_lo), k, b)
-            if not math.isfinite(lam_ax if not b else lam_ax.max()):
-                raise RunError(f"non-finite flux derivative along axis {k - b} at t={state.time}",
-                               branch=int(np.isfinite(lam_ax).argmin()) if b else None)
-            rate += lam_ax / dx
-            np.subtract(Fhi, Flo, out=dF)
-        np.multiply(2.0, Gmid, out=lapG)
-        np.subtract(Ghi, lapG, out=lapG)
-        lapG += Glo
-    rate += two_n * peak / dx2
-    branch = None
-    if b:
-        branch = int(rate.argmax())
-        rate = float(rate[branch])
-    dt = config.cfl_safety / (rate + _DEN_GUARD)
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise RunError(f"stable dt underflowed at t={state.time} (dt={dt})", branch=branch)
-    return dt
+    largest branch rate, which is bitwise the smallest branch dt. Prepares
+    `plan`'s terms for `step(state, problem, dt, plan)` from the state and
+    problem.flux.split.g. A non-finite value raises as in `State`, found by
+    max|u|^a before any other arithmetic on u."""
+    dt = config.cfl_safety / (plan[0](state, problem.flux.split.g) + _DEN_GUARD)
+    if 0.0 < dt < math.inf:
+        return dt
+    raise RunError(f"stable dt underflowed at t={state.time} (dt={dt})",
+                   branch=None if plan[3] is None else int(np.argmax(plan[3])))
 
 
 def step(state: State, problem: Problem, dt: float, plan: tuple) -> State:
     """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis with
     the terms that `stable_dt` last prepared into `plan` from this state; dt
-    must respect its bound. Writes neither the state nor the terms: each scaled
-    term goes through the plan's buffer into the one new array, returned
-    read-only and unchecked; `advance` yields the state once it has been checked.
-    Adds the mass that leaves through the walls to the plan's outflow."""
-    (dx, dx2, buf), _, (_, walls), terms = plan
-    u = state.values
-    new = np.empty_like(u)
-    for dF, lapG in terms:
-        if dF is not None:
-            u = np.subtract(u, np.multiply(dt / dx, dF, out=buf), out=new)
-        u = np.add(u, np.multiply(dt / dx2, lapG, out=buf), out=new)
-    for F, Gp, face, total in walls:  # the outward fluxes at the low and high wall
-        low, high = (0.0, 0.0) if F is None else (-F[0], F[-1])
-        if Gp is not None:
-            low, high = low + (Gp[1] - Gp[0]) / dx, high + (Gp[-2] - Gp[-1]) / dx
-        if face is not None:  # a wall of n > 1 dimensions is a row of cell faces
-            low, high = face * low.sum(), face * high.sum()
-        total[0] += dt * float(low)
-        total[1] += dt * float(high)
-    new.setflags(write=False)
-    return _Stepped(values=new, time=state.time + dt, grid=state.grid)
+    must respect its bound. Writes neither the state nor the terms, returns the
+    new state read-only and unchecked (`advance` yields it once it has been
+    checked) and adds the mass that leaves through the walls to the plan's
+    outflow."""
+    return _Stepped(plan[1](state.values, dt, plan[-1]), state.time + dt, state.grid)
 
 
 def advance(state: State, problem: Problem, config: SchemeConfig, work: tuple,
@@ -317,9 +366,8 @@ def advance(state: State, problem: Problem, config: SchemeConfig, work: tuple,
     branches, by leading index. A non-finite value is found when the next step
     prepares, or at the landing, and is named by the step that made it;
     a stepped state is yielded only after that check has passed."""
-    steps = 0
+    steps, last = 0, None  # last: the dt of the last stepped state, until a check has passed on it
     t_tol = 1e-12 * max(1.0, config.t_end)
-    pending = ()  # the last (stepped state, dt), until a check has passed on it
 
     def label(exc: RunError, made: int) -> str:
         where = f", {names[exc.branch]} branch" if names and exc.branch is not None else ""
@@ -335,11 +383,11 @@ def advance(state: State, problem: Problem, config: SchemeConfig, work: tuple,
                 # the state holds a non-finite value only if the last step made it
                 made = steps + bool(np.isfinite(state.values).all())
                 raise RunError(label(exc, made)) from exc
-            yield from pending
-            dt = min(dt, target - state.time)
-            state = step(state, problem, dt, work)
+            if last is not None:
+                yield state, last
+            last = dt if dt <= target - state.time else target - state.time
+            state = step(state, problem, last, work)
             steps += 1
-            pending = ((state, dt),)
         # land exactly on the target for downstream time arithmetic, on the
         # same read-only array; a State is built only to name a bad value
         if not np.isfinite(state.values).all():
@@ -347,9 +395,9 @@ def advance(state: State, problem: Problem, config: SchemeConfig, work: tuple,
                 State(values=state.values, time=target, grid=state.grid)
             except RunError as exc:
                 raise RunError(label(exc, steps)) from exc
-        landed = _Stepped(values=state.values, time=target, grid=state.grid)
-        yield from pending
-        state, pending = landed, ()
+        if last is not None:
+            yield state, last
+        state, last = _Stepped(state.values, target, state.grid), None
         yield state, None
 
 
@@ -358,13 +406,15 @@ def run(problem: Problem, config: SchemeConfig) -> RunResult:
     requested snapshot times, and total each wall's outflow."""
     state = sample_initial(problem)
     work = plan(state, problem)
-    snapshots, dts = [], []
+    snapshots, steps, lo, hi = [], 0, math.inf, 0.0
     for state, dt in advance(state, problem, config, work):
         if dt is None:
             snapshots.append(state)
         else:
-            dts.append(dt)
-    return RunResult(snapshots=snapshots, step_count=len(dts),
-                     min_dt=float(min(dts, default=0.0)),
-                     max_dt=float(max(dts, default=0.0)),
-                     wall_outflow=work[2][0])
+            steps += 1
+            if dt < lo:
+                lo = dt
+            if dt > hi:
+                hi = dt
+    return RunResult(snapshots=snapshots, step_count=steps, min_dt=lo if steps else 0.0,
+                     max_dt=hi, wall_outflow=work[2])

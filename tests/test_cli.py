@@ -193,6 +193,11 @@ class TestExitCodes:
         (["run", "--set", "N=abc", "--t-end", "0.1"], "setting N"),
         (["barenblatt-validate", "--L", "3"], "--t1"),
         (["decay-study", "--set", "N=50", "--t-end", "1", "--snapshots", "-3"], "--snapshots"),
+        # the exact datum at t0 is 0 at every cell centre, or one cell of about 1e100
+        (["barenblatt-validate", "--grids", "10,20", "--t0", "1e-6"],
+         "--t0 1e-06 gives grid N=10"),
+        (["barenblatt-validate", "--grids", "11,21", "--t0", "1e-300"],
+         "--t0 1e-300 gives grid N=11"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
@@ -207,7 +212,8 @@ class TestExitCodes:
             "q-list-repeated", "q-list-inf-repeated", "alphas-repeated",
             "alphas-equal-keys", "grids-non-numeric", "q-list-non-numeric",
             "alphas-non-numeric", "eps-non-numeric", "scalar-non-numeric", "support-past-L",
-            "decay-snapshots-negative"])
+            "decay-snapshots-negative", "barenblatt-datum-vanishes",
+            "barenblatt-datum-spike"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []

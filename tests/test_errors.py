@@ -64,7 +64,6 @@ UNREACHED_ON_PURPOSE = {
     # the paper's norm-halving exponents in closed form; test_halving_* pins them
     "exponents.halving_exponents",
     "barenblatt.sup_value",  # exact sup-norm power law, the oracle of criterion 3
-    "barenblatt.mass",  # exact conserved mass; test_barenblatt integrates against it
     # criterion 7; needs >= 20 snapshots, and decay-study runs with 13 in criterion 10
     "harness.audit_energy_inequality",
 }

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import math
 import sys
 import threading
@@ -308,14 +309,18 @@ class TestStepKernel:
         # state stepped as the reference steps it alone with the shared dt
         n, flux, u0 = STEP_CASES[case]
         amps = (-0.5, 1.0, 2.0) if stacked else (1.0,)
-        for alpha in (0.5, 1.0):
+        # alpha = 1 and 3 take G's division by alpha + 1 (2, 4) as a product by
+        # its reciprocal; alpha = 0.5 and 2 divide
+        for alpha in (0.5, 1.0, 2.0, 3.0):
             p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=alpha,
                            p0=1.0, flux=flux, u0=u0, boundary_policy=boundary)
             branches = [c * pr.sample_initial(p).values for c in amps]
             s = pr.State(values=np.stack(branches) if stacked else branches[0], time=0.0,
                          grid=p.grid)
             steps = 0
-            cfg = sv.SchemeConfig(t_end=0.1, snapshot_times=(0.05,))
+            # at alpha > 1 a smaller CFL factor keeps more than 5 steps where |u| < 1
+            cfg = sv.SchemeConfig(t_end=0.1, snapshot_times=(0.05,),
+                                  cfl_safety=0.9 if alpha <= 1 else 0.5)
             for s, dt in sv.advance(s, p, cfg, sv.plan(s, p)):
                 if dt is None:
                     continue
@@ -613,28 +618,44 @@ def test_axis_layout_follows_the_value_shape():
         assert all(v.shape[k] == 1 and v.ndim == 3 for v in (plus, minus, reach))
     # the plan: G(u) in the middle of axis 0's padded G, and terms laid out as
     # the values, for a flux that advects and for the zero flux; alpha = 1 takes
-    # no power
+    # no power. The plan's arrays are those its bound closures hold.
     for flux, shape in [(pr.burgers_flux_model(2), grid.shape),
                         (pr.zero_flux_model(2), (3,) + grid.shape)]:
         p = pr.Problem(grid=grid, alpha=1.0, p0=1.0, flux=flux, u0=gaussian)
         s = pr.State(values=np.ones(shape), time=0.0, grid=grid)
-        (dx, dx2, buf), (b, two_n, power, alpha1, edge, G, axes), (outflow, walls), terms = \
-            sv.plan(s, p)
-        assert (dx, dx2, b, two_n, power, alpha1, edge) == (
-            grid.dx, grid.dx ** 2, len(shape) - 2, 4.0, None, 2.0, True)
-        assert buf.shape == G.shape == shape and same_view(G, sv._first(axes[0][2], b))
-        for (dF, lap), (k, *_, lapG, adv) in zip(terms, axes):
-            assert lap.shape == shape and same_view(lap, sv._first(lapG, k))
-            assert (dF is None) == (adv is None) == (flux.name == "zero")
-            assert dF is None or dF.shape == shape and same_view(dF, sv._first(adv[-1], k))
+        prepare, apply, outflow, rates, terms = sv.plan(s, p)
+        env, b = closure(prepare), len(shape) - 2
+        dx, dx2, two_n, buf, G = (env[name] for name in ("dx", "dx2", "two_n", "buf", "G"))
+        (lap0, copy, lap1), advects = env["laps"], env["advects"]
+        assert (dx, dx2, two_n, env["magnitude"], env["scale"], env["by"]) == (
+            grid.dx, grid.dx ** 2, 4.0, np.abs, np.multiply, 0.5)
+        axes = [closure(lap0), closure(lap1)]
+        assert buf.shape == G.shape == shape and same_view(G, sv._first(axes[0]["Gmid"], b))
+        assert closure(copy)["G"] is G and same_view(copy.__defaults__[0],
+                                                     sv._first(axes[1]["Gmid"], b + 1))
+        assert (advects == []) == (flux.name == "zero")
+        for ax, ((dF, lap), lap_env) in enumerate(zip(terms, axes)):
+            k = ax + b
+            assert lap.shape == shape and same_view(lap, sv._first(lap_env["lapG"], k))
+            assert (dF is None) == (flux.name == "zero")
+            assert dF is None or dF.shape == shape and same_view(
+                dF, sv._first(closure(advects[ax])["dF"], k))
         # wall sums for each axis of an unstacked state that advects under
         # zero_flux, with its F alone (the diffusive wall flux is 0); none if stacked
+        walls = closure(apply)["walls"]
         if b:
-            assert outflow is None and walls == ()
+            assert outflow is None and walls == [] and rates == []
         else:
-            assert outflow == [[0.0, 0.0]] * 2 and len(walls) == 2
-            for (F, Gp, face, total), (*_, adv), out in zip(walls, axes, outflow):
-                assert F is adv[5] and Gp is None and face == grid.dx and total is out
+            assert outflow == [[0.0, 0.0]] * 2 and len(walls) == 2 and rates is None
+            for ax, (wall, out) in enumerate(zip(walls, outflow)):
+                w = closure(wall)
+                assert same_view(w["F"][1:], closure(advects[ax])["Fhi"])
+                assert w["Gp"] == (0.0, 0.0) and w["face"] == grid.dx and w["total"] is out
+
+
+def closure(fn) -> dict:
+    """The variables that a function the plan bound reads from its builder."""
+    return inspect.getclosurevars(fn).nonlocals
 
 
 @given(data=st.data())
@@ -774,6 +795,55 @@ def test_run_and_sandwich_call_step_and_stable_dt_once_per_step(monkeypatch):
     assert own_calls == {"a": n, "g": n * rep.step_count}
     assert cells[0] == 3 * p.grid.N * rep.step_count
     assert rep == plain_rep
+
+
+@pytest.mark.parametrize("n, flux", [(1, "zero"), (1, "burgers"), (2, "zero"), (2, "burgers")])
+def test_step_hook_counts_the_cells_the_worker_counts(monkeypatch, n, flux):
+    # bench/worker.py --trace 1 wraps sv.step and sv.stable_dt, counts
+    # state.values.size at step and checks the sum against its formula from what
+    # the calls return: step_count * size for a run, 3 * step_count * N^n for a
+    # sandwich. A loop that stops going through the two module names fails here.
+    calls, cells = {"step": 0, "stable_dt": 0}, [0]
+
+    def counted(name, fn):
+        def wrapper(state, *rest):
+            calls[name] += 1
+            cells[0] += state.values.size if name == "step" else 0
+            return fn(state, *rest)
+        return wrapper
+
+    monkeypatch.setattr(sv, "step", counted("step", sv.step))
+    monkeypatch.setattr(sv, "stable_dt", counted("stable_dt", sv.stable_dt))
+    p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=40 if n == 1 else 12), alpha=0.5, p0=1.0,
+                   flux=pr.flux_from_config(flux, None, n), u0=gaussian)
+    res = sv.run(p, sv.SchemeConfig(t_end=0.2, snapshot_times=(0.1,)))
+    assert res.step_count > 0
+    assert calls == {"step": res.step_count, "stable_dt": res.step_count}
+    assert cells[0] == res.step_count * res.snapshots[0].values.size
+    calls.update(step=0, stable_dt=0)
+    cells[0] = 0
+    rep = hz.run_sandwich(p, 0.1, lambda x: np.ones(x.shape[1:]), sv.SchemeConfig(t_end=0.2))
+    assert rep.step_count > 0
+    assert calls == {"step": rep.step_count, "stable_dt": rep.step_count}
+    assert cells[0] == 3 * rep.step_count * p.grid.N ** n
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 52, 1023])
+def test_halving_by_a_power_of_two_is_a_product(k):
+    # G = |u|^alpha u / (alpha + 1) is taken as a product by 2^-k where alpha + 1
+    # is 2^k: both round the same real number, so every bit agrees, on signed
+    # zeros, subnormals (which may round), the largest floats, infinities and NaN
+    tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+    x = np.array([0.0, 1.0, 3.0, 1.0 / 3.0, tiny, 3 * tiny, 2.2250738585072014e-308,
+                  np.nextafter(2.2250738585072014e-308, 0.0), 1e-300, huge,
+                  np.nextafter(huge, 0.0), np.inf, np.nan])
+    x = np.concatenate([x, -x])
+    assert np.divide(x, 2.0 ** k).tobytes() == np.multiply(x, 2.0 ** -k).tobytes()
+    # and on random bit patterns, signalling NaNs among them
+    bits = np.random.default_rng(k).integers(0, 2 ** 63, size=4096, dtype=np.int64)
+    bits = np.concatenate([bits, bits | np.int64(-2 ** 63)]).view(np.float64)
+    with np.errstate(invalid="ignore"):
+        assert np.divide(bits, 2.0 ** k).tobytes() == np.multiply(bits, 2.0 ** -k).tobytes()
 
 
 def test_burgers_jump_step_keeps_order():

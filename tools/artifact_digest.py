@@ -18,9 +18,10 @@ boundary policies, every option of figure1 and barenblatt-validate off its
 default, a run at a smaller CFL factor, the benchmark's step-size probe with
 its 31 snapshots, a run whose CSV holds signed zeros (-0 at t=0, 0 after),
 runs that take and skip each identity the step drops (alpha = 1, a uniform
-reach), a run whose data advect out through a zero_flux wall, and options
-given a value that is rejected before any work, non-numeric text and a box
-too small for the exact solution among them.
+reach), runs at alpha = 3 and alpha = 2 (G's division by alpha + 1 taken as a
+product, and not), a run whose data advect out through a zero_flux wall, and
+options given a value that is rejected before any work, non-numeric text and
+a box too small for the exact solution among them.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ COMMANDS = [
     ["run", "--set", "n=2", "--set", "flux=linear c=1", "--set", "u0=gaussian",
      "--set", "L=2", "--set", "N=40", "--t-end", "0.3"],
     ["run", "--set", "flux=figure1", "--set", "alpha=1", "--set", "N=200", "--t-end", "1.0"],
+    # G(u) = |u|^alpha u/(alpha+1): alpha + 1 = 4 is a power of two, whose
+    # division the step takes as a product by 1/4; alpha + 1 = 3 is not
+    ["run", "--set", "alpha=3", "--set", "u0=signed_gaussian", "--set", "L=5",
+     "--set", "N=200", "--t-end", "1"],
+    ["run", "--set", "flux=burgers", "--set", "alpha=2", "--set", "u0=signed_gaussian",
+     "--set", "L=5", "--set", "N=200", "--t-end", "1"],
     # data at the zero_flux wall (the wall reproducer): advection carries about
     # half the mass out through the high wall, and the run fails
     ["run", "--set", "flux=linear c=1", "--set", "L=3", "--set", "N=120", "--t-end", "3"],

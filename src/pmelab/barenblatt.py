@@ -56,10 +56,11 @@ def _radius_sq(profile: BarenblattProfile, x) -> np.ndarray:
 
 def _rescaled_time(profile: BarenblattProfile, t: float) -> float:
     """s = t/(a+1), the time of the standard source-type solution; t must be
-    finite and > 0."""
-    if not 0 < t < math.inf:
-        raise ConfigError(f"profile is defined for finite t > 0, got t={t}")
-    return t / (profile.alpha + 1.0)
+    finite and > 0, and so must s, which a subnormal t can round to 0."""
+    s = t / (profile.alpha + 1.0)
+    if not 0 < s < math.inf:
+        raise ConfigError(f"profile is defined for finite t > 0 with t/(alpha+1) > 0, got t={t}")
+    return s
 
 
 def evaluate(profile: BarenblattProfile, x, t: float):

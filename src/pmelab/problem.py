@@ -248,15 +248,18 @@ def linear_flux_model(c: float = 1.0, n: int = 1) -> FluxModel:
                          div_a=_no_divergence, g=_identity_g))
 
 
+_ZERO, _HALF = np.array(0.0), np.array(0.5)  # numpy converts a float operand at every call
+
+
 def _burgers_g(u, out):
     # g = u^2/2 = max(u, 0)^2/2 + min(u, 0)^2/2, |g'| = |u|
     up, down, slope = out
-    np.maximum(u, 0.0, out=up)
+    np.maximum(u, _ZERO, out=up)
     up *= up
-    up *= 0.5
-    np.minimum(u, 0.0, out=down)
+    up *= _HALF
+    np.minimum(u, _ZERO, out=down)
     down *= down
-    down *= 0.5
+    down *= _HALF
     return up, down, np.abs(u, out=slope)
 
 
@@ -294,12 +297,14 @@ def figure1_flux_model(k: float = 1.5) -> FluxModel:
         u = np.asarray(u, dtype=float)
         return (-(k + 1.0) * np.tanh(x[0]) * np.abs(u) ** k)[None]
 
+    k1 = np.array(k + 1.0)  # 0-d: numpy converts a float operand at every call
+
     def g(u, out):
         power, value, _ = out
         np.abs(u, out=power)
         power **= k
         np.multiply(power, u, out=value)
-        power *= k + 1.0
+        power *= k1
         return value, None, power
 
     return FluxModel(name="figure1", f=f, df_du=df_du,

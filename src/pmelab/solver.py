@@ -58,6 +58,24 @@ number. The catalog's zero flux makes no g calls: when the flux's split is
 `problem.ZERO_SPLIT` (by identity, never by name or value) a step is its
 diffusion half alone, with lam_ax = 0, and its plan holds no coefficients.
 
+An unstacked 1-D state under the zero split is stepped on a window [lo, hi)
+of its cells. Every cell outside the window holds +0.0, and so do the plan's
+G and lapG there; the window's first and last cells are margins, each +0.0
+or against a wall. This is exact: G(+0.0) = +0.0 and the 3-point stencil
+reads a cell and its two neighbours alone, so a +0.0 cell with +0.0
+neighbours steps to +0.0 + dt/dx^2 (+0.0) = +0.0, bit for bit. The support
+thus grows by at most one cell per step (the degenerate equation's finite
+speed of propagation, which the scheme keeps exactly), and max|u|^a over the
+window is the one over all cells. prepare scans the value bits of a state
+that this plan's apply did not make (a run's first state, or any other), so
+-0.0 cells fall inside, and zeroes G and lapG. Along a chain of its own
+states (a landing shares the stepped array) it widens the window by one cell
+on each side whose margin turned nonzero, and never shrinks it. The second
+difference reads the ghost cells only where the window lies against a wall.
+apply starts from zeros and writes the window alone, reading only the
+window's part of the terms. Advecting splits, stacked states and 2-D step
+every cell.
+
 In conservation form mass leaves only through the walls (Crandall & Majda),
 so the plan of an unstacked state keeps, per axis, the [low, high] mass that
 left through its two walls, and `step` adds dt dx^(n-1) times the outward
@@ -196,7 +214,51 @@ def plan(state: State, problem: Problem) -> tuple:
 
     terms = tuple((None if adv is None else _first(adv[-1], k), _first(lapG, k))
                   for k, *_, lapG, adv in axes)
-    return prepare, apply, outflow, rates, terms
+    if b or advects or grid.n > 1:
+        return prepare, apply, outflow, rates, terms
+    # 1-D zero flux: the window [lo, hi) alone, as the module docstring says
+    # last: the array the window is kept for, the last that apply made or prepare scanned
+    N, Gp, lapG, lo, hi, last, views = grid.N, axes[0][1], terms[0][1], 0, 0, None, ()
+
+    def bind():  # the window's buf, G and lapG, and its second difference
+        nonlocal views
+        lw, edges = lapG[lo:hi], edge and (lo == 0 or hi == N)  # ghosts read at a wall only
+        views = (buf[lo:hi], G[lo:hi], lw,
+                 _lap(Gp, Gp[lo + 1:hi + 1], Gp[lo + 2:hi + 2], Gp[lo:hi], lw, edges))
+
+    def prepare_window(state, g):
+        nonlocal lo, hi, last
+        values = state.values
+        if values is not last:  # scan the value bits, so -0.0 is in the window
+            nz, last = values.view(np.int64) != 0, values
+            lo, hi = max(int(nz.argmax()) - 1, 0), min(N + 1 - int(nz[::-1].argmax()), N)
+            G[...] = lapG[...] = 0.0
+            bind()
+        elif lo and values.item(lo) or hi < N and values.item(hi - 1):  # a margin turned nonzero
+            lo -= lo > 0 and values.item(lo) != 0
+            hi += hi < N and values.item(hi - 1) != 0
+            bind()
+        bw, Gw, _, lap = views
+        v = values[lo:hi]
+        a = magnitude(v, bw)
+        peak = float(_max(a, None))
+        if not finite(peak):
+            State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
+        scale(np.multiply(a, v, out=Gw), by, out=Gw)
+        lap()
+        return two_n * peak / dx2
+
+    def apply_window(u, dt, given):
+        nonlocal last
+        new, cG[()] = np.zeros(N), dt / dx2
+        lw = views[2] if given is terms else given[0][1][lo:hi]
+        np.add(u[lo:hi], np.multiply(cG, lw, out=views[0]), out=new[lo:hi])
+        for wall in walls:
+            wall(dt)
+        new.setflags(write=False)
+        last = new
+        return new
+    return prepare_window, apply_window, outflow, rates, terms
 
 
 def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, edge: bool) -> tuple:
@@ -349,7 +411,8 @@ def step(state: State, problem: Problem, dt: float, plan: tuple) -> State:
     must respect its bound. Writes neither the state nor the terms, returns the
     new state read-only and unchecked (`advance` yields it once it has been
     checked) and adds the mass that leaves through the walls to the plan's
-    outflow."""
+    outflow. A plan of an unstacked 1-D state under the zero flux reads only
+    its window's part of the terms (see the module docstring)."""
     return _Stepped(plan[1](state.values, dt, plan[-1]), state.time + dt, state.grid)
 
 

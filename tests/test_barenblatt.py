@@ -46,6 +46,16 @@ def test_every_time_dependent_function_rejects_bad_t(t):
             call()
 
 
+def test_every_time_dependent_function_rejects_a_time_that_rescales_to_0():
+    # 5e-324 / 2 rounds to 0, where s^-k divides by zero
+    p = bb.BarenblattProfile(n=1, alpha=1.0)
+    for call in (lambda: bb.evaluate(p, 0.0, 5e-324), lambda: bb.sup_value(p, 5e-324),
+                 lambda: bb.support_radius(p, 5e-324)):
+        with pytest.raises(ConfigError, match=r"t/\(alpha\+1\) > 0, got t=5e-324$"):
+            call()
+    assert bb._rescaled_time(p, 1e-323) == 5e-324
+
+
 def test_evaluate_frozen_point():
     # t = 2 with alpha = 1 rescales to s = 1: peak value C^(1/alpha) = 1,
     # support edge at sqrt(C/b) = sqrt(12)

@@ -198,6 +198,9 @@ class TestExitCodes:
          "--t0 1e-06 gives grid N=10"),
         (["barenblatt-validate", "--grids", "11,21", "--t0", "1e-300"],
          "--t0 1e-300 gives grid N=11"),
+        # t0/(alpha+1) rounds to 0, where the exact solution is not defined
+        (["barenblatt-validate", "--grids", "10,20", "--t0", "5e-324"],
+         "t/(alpha+1) > 0, got t=5e-324"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
@@ -213,7 +216,7 @@ class TestExitCodes:
             "alphas-equal-keys", "grids-non-numeric", "q-list-non-numeric",
             "alphas-non-numeric", "eps-non-numeric", "scalar-non-numeric", "support-past-L",
             "decay-snapshots-negative", "barenblatt-datum-vanishes",
-            "barenblatt-datum-spike"])
+            "barenblatt-datum-spike", "barenblatt-t0-rescales-to-0"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []

@@ -373,6 +373,94 @@ class TestStepKernel:
         assert calls["a"] == n
 
 
+# compact 1-D data on [-2, 2], N = 40, whose cells that are exactly +0.0 the
+# zero-flux step leaves out until the support reaches them
+def _spike(x):
+    return np.where(np.arange(x.shape[1]) == 17, 1.0, 0.0)
+
+
+def _signed_zeros(x):
+    # a negative bump with +0.0 on both sides, then a stretch of -0.0 cells
+    bump = -np.maximum(1.0 - (2.0 * (x[0] + 0.5)) ** 2, 0.0)
+    return np.where(x[0] > 1.0, -0.0, np.where(np.abs(x[0] + 0.5) < 0.5, bump, 0.0))
+
+
+COMPACT = {
+    "barenblatt": lambda alpha: lambda x: bb.evaluate(
+        bb.BarenblattProfile(n=1, alpha=alpha, C=0.5), x[0], 0.05),
+    "spike": lambda alpha: _spike,
+    "signed-zeros": lambda alpha: _signed_zeros,
+    "all-zero": lambda alpha: lambda x: np.zeros(x.shape[1:]),
+}
+
+
+def reference_dt(u, p, cfg):
+    """cfl / (2 max|u|^alpha / dx^2), the 1-D zero-flux stable dt written out."""
+    return cfg.cfl_safety / (2.0 * float(np.max(np.abs(u) ** p.alpha)) / p.grid.dx ** 2
+                             + 1e-300)
+
+
+def reference_outflow(u, p, dt, outflow):
+    """Adds dt times the diffusive flux out through each wall: 0 for an edge
+    copy, G at the edge cell over dx for a dirichlet_zero ghost."""
+    if p.boundary_policy == "zero_flux":
+        return
+    G = np.abs(u) ** p.alpha * u / (p.alpha + 1.0)
+    outflow[0] += dt * (1.0 * ((G[0] - 0.0) / p.grid.dx - 0.0))
+    outflow[1] += dt * (1.0 * (0.0 + (G[-1] - 0.0) / p.grid.dx))
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0, 3.0))
+@pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+@pytest.mark.parametrize("data", COMPACT)
+def test_compact_data_step_as_the_reference(data, boundary, alpha):
+    # the zero-flux step of 1-D compact data, through advance and a landing:
+    # every state (signed zeros too), every dt and the wall outflow bit for bit
+    p = pr.Problem(grid=pr.Grid(n=1, L=2.0, N=40), alpha=alpha, p0=1.0,
+                   flux=pr.zero_flux_model(1), u0=COMPACT[data](alpha), boundary_policy=boundary)
+    cfg = sv.SchemeConfig(t_end=1.0, snapshot_times=(0.1,), cfl_safety=0.9 if alpha <= 1 else 0.5)
+    s = pr.sample_initial(p)
+    u, t, pending, outflow, steps = s.values, 0.0, [0.1, 1.0], [0.0, 0.0], 0
+    work = sv.plan(s, p)
+    for s, dt in sv.advance(s, p, cfg, work):
+        if dt is None:
+            t = pending.pop(0)
+            continue
+        ref_dt = reference_dt(u, p, cfg)
+        assert dt == (ref_dt if ref_dt <= pending[0] - t else pending[0] - t), steps
+        reference_outflow(u, p, dt, outflow)
+        u, t, steps = reference_step(u, t, dt, p, zero_halves(1)), t + dt, steps + 1
+        assert s.values.tobytes() == u.tobytes(), steps
+    # all zero: a dt of about cfl/1e-300 reaches each landing in one step
+    assert steps == 2 if data == "all-zero" else steps > 5
+    assert s.time == 1.0 and [list(map(float.hex, o)) for o in work[2]] == [
+        list(map(float.hex, outflow))]
+    if data == "barenblatt":  # the support grew from inside the box to both walls
+        first = pr.sample_initial(p).values
+        assert first[0] == first[-1] == 0.0 and u[0] != 0.0 and u[-1] != 0.0
+
+
+@pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+def test_a_state_the_plan_did_not_make_steps_as_the_reference(boundary):
+    # in the middle of a chain the plan is handed a state with a wider support
+    # than the cells it has stepped so far; it must find that support again
+    p = pr.Problem(grid=pr.Grid(n=1, L=2.0, N=40), alpha=1.0, p0=1.0,
+                   flux=pr.zero_flux_model(1), u0=_spike, boundary_policy=boundary)
+    cfg = sv.SchemeConfig(t_end=1.0)
+    s = pr.sample_initial(p)
+    work = sv.plan(s, p)
+    for _ in range(3):
+        s = sv.step(s, p, sv.stable_dt(s, p, cfg, work), work)
+    x = p.grid.cell_centers()[0]
+    s = pr.State(values=np.maximum(1.0 - x ** 2, 0.0), time=s.time, grid=p.grid)
+    u = s.values
+    for k in range(10):
+        dt = sv.stable_dt(s, p, cfg, work)
+        assert dt == reference_dt(u, p, cfg), k
+        u, s = reference_step(u, s.time, dt, p, zero_halves(1)), sv.step(s, p, dt, work)
+        assert s.values.tobytes() == u.tobytes(), k
+
+
 def test_flux_without_split_cannot_be_stepped():
     # the split is a required field, so a flux without one cannot even be built
     burgers = pr.burgers_flux_model(1)

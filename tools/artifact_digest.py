@@ -19,9 +19,10 @@ default, a run at a smaller CFL factor, the benchmark's step-size probe with
 its 31 snapshots, a run whose CSV holds signed zeros (-0 at t=0, 0 after),
 runs that take and skip each identity the step drops (alpha = 1, a uniform
 reach), runs at alpha = 3 and alpha = 2 (G's division by alpha + 1 taken as a
-product, and not), a run whose data advect out through a zero_flux wall, and
-options given a value that is rejected before any work, non-numeric text and
-a box too small for the exact solution among them.
+product, and not), a run whose data advect out through a zero_flux wall,
+compact data whose support reaches the walls under both boundary policies,
+and options given a value that is rejected before any work, non-numeric text
+and a box too small for the exact solution among them.
 """
 
 from __future__ import annotations
@@ -111,6 +112,12 @@ COMMANDS = [
     # data at the zero_flux wall (the wall reproducer): advection carries about
     # half the mass out through the high wall, and the run fails
     ["run", "--set", "flux=linear c=1", "--set", "L=3", "--set", "N=120", "--t-end", "3"],
+    # compact data whose support reaches the walls: the zero-flux step works on
+    # the cells the support can reach, until it spans the box
+    ["run", "--set", "flux=zero", "--set", "u0=barenblatt C=1 t=1", "--set", "L=3",
+     "--set", "N=120", "--t-end", "5"],
+    ["run", "--set", "flux=zero", "--set", "u0=barenblatt C=1 t=1", "--set", "L=3",
+     "--set", "N=120", "--set", "boundary=dirichlet_zero", "--t-end", "5"],
     # non-numeric text in a list option and in a scalar setting
     ["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "1,x"],
     ["run", "--set", "N=abc", "--t-end", "0.1"],

@@ -347,6 +347,9 @@ def cmd_moser_table(args) -> Report:
 def cmd_check_flux(args) -> Report:
     if args.samples < DIVERGENCE_MIN_SAMPLES:
         raise ConfigError(f"--samples must be >= {DIVERGENCE_MIN_SAMPLES}, got {args.samples}")
+    if not math.isfinite(2.0 * max(abs(args.umin), abs(args.umax))):  # the width of [-M, M]
+        raise ConfigError(f"--umin {args.umin} and --umax {args.umax}: 2 max(|umin|, |umax|) "
+                          "overflows")
     name, params = parse_catalog_value(args.flux)
     flux = flux_from_config(name, params, n=1)
     grid = Grid(n=1, L=args.L, N=args.N)

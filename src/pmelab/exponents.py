@@ -13,13 +13,18 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 
-def _check_params(n: int, q: float, alpha: float) -> None:
+def _check_params(n: int, q: float, alpha: float, sums: bool = False) -> None:
+    """Admissible n, q and alpha; with `sums`, also the closed forms' denominators
+    4q + 2n alpha (twice 2q + n alpha) and nq + 2q + 2n alpha finite."""
     if n < 1 or int(n) != n:
         raise ConfigError(f"dimension must be a positive integer, got {n}")
     if not 1 <= q < math.inf:
         raise ConfigError(f"integrability index q must be finite and >= 1, got {q}")
     if not 0 < alpha < math.inf:
         raise ConfigError(f"diffusion exponent alpha must be finite and > 0, got {alpha}")
+    if sums and not math.isfinite(max(4.0 * q, n * q + 2.0 * q) + 2.0 * n * alpha):
+        raise ConfigError(f"q={q}, n={n} and alpha={alpha} overflow the denominator "
+                          "4q + 2n alpha or nq + 2q + 2n alpha")
 
 
 def smoothing_exponents(n: int, p0: float, alpha: float) -> tuple[float, float]:
@@ -51,7 +56,7 @@ class ExponentSet:
 
 
 def exponent_set(n: int, q: float, alpha: float) -> ExponentSet:
-    _check_params(n, q, alpha)
+    _check_params(n, q, alpha, sums=True)
     beta = 2.0 * q / (q + alpha)
     theta = n * (q + alpha) / (n * q + 2.0 * q + 2.0 * n * alpha)
     gamma = 2.0 / (2.0 - theta * beta)  # theta*beta = 2nq/(nq + 2q + 2n alpha) < 2
@@ -122,7 +127,7 @@ def moser_exponent_sum_bruteforce(m: int, q: float, n: int, alpha: float) -> flo
 
 def moser_limits(q: float, n: int, alpha: float) -> tuple[float, float]:
     """(lim A_m, lim S_m) as m -> inf: (2q/(2q+n alpha), -n/(2q+n alpha))."""
-    _check_params(n, q, alpha)
+    _check_params(n, q, alpha, sums=True)
     den = 2.0 * q + n * alpha
     return 2.0 * q / den, -n / den
 
@@ -182,7 +187,7 @@ class MoserTrace:
 
 
 def moser_trace(q: float, n: int, alpha: float, m: int) -> MoserTrace:
-    _check_params(n, q, alpha)
+    _check_params(n, q, alpha, sums=True)
     if m < 1:
         raise ConfigError(f"iteration count must be >= 1, got {m}")
     A = [moser_A(k, q, n, alpha) for k in range(1, m + 1)]

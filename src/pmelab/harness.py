@@ -1,11 +1,6 @@
 """Theorem-by-theorem numerical audits: norm monotonicity, the weighted energy
 inequality, the smoothing-effect ratio, the sign-splitting comparison sandwich,
 power-law decay fits, and the refinement study against an exact solution.
-
-The sandwich audits every state, the initial one and each stepped one: it
-copies the state into the next row of a block of max(1, AUDIT_BLOCK //
-values.size) states, and takes the ordering minima of each full block, and of
-the last one, in one reduction, bit for bit the per-state minima.
 """
 
 from __future__ import annotations
@@ -231,8 +226,9 @@ def run_sandwich(problem: Problem, eps: float,
     """Three lockstep runs from -u0^- - eps psi <= u0 <= u0^+ + eps psi, stepped
     as the rows of one stacked state and so sharing one dt sequence (the minimum
     of the three stability bounds per step) that lands on config's snapshot times;
-    reports the most negative pointwise ordering violation over all steps,
-    audited once per block of states."""
+    reports the most negative pointwise ordering violation over the initial and
+    every stepped state, whose minima are taken once per block of
+    max(1, AUDIT_BLOCK // values.size) states, bit for bit the per-state minima."""
     if not 0 < eps < math.inf:
         raise ConfigError(f"perturbation size must be finite and > 0, got {eps}")
     grid = problem.grid

@@ -100,16 +100,10 @@ class FluxSplit:
 
 @dataclass(frozen=True)
 class FluxModel:
-    """A flux by the split that the solver steps and the checks read, and the
-    evaluators f(x, u) and df/du(x, u) that `check_flux_consistency` holds the
-    split to.
-
-    The solver reads only `split`: it evaluates a once per grid and axis at the
-    interfaces, and g once per axis and step on the N+2 padded cells. The
-    Engquist-Osher flux has dF/du_l >= 0 >= dF/du_r, and the solver's rate is
-    the largest rate at which g leaves a cell through its faces, so its
-    step-size rule is the monotone bound. The evaluators must broadcast x
-    against u, and must not reduce over cell axes or mix values between cells."""
+    """A flux by its `FluxSplit`, which the solver steps and the checks read,
+    and the evaluators f(x, u) and df/du(x, u) that `check_flux_consistency`
+    holds the split to. The evaluators must broadcast x against u, and must not
+    reduce over cell axes or mix values between cells."""
 
     name: str
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -125,10 +119,8 @@ class State:
 
     A State keeps a read-only copy of the values, so later writes to the
     caller's array do not reach it, and checks that each is finite. The states
-    `solver.step` returns (`_Stepped`) skip both: their values are the step's
-    own new array, read-only, and the next step's max|u|^a, NaN or inf exactly
-    when some value is, or the finiteness check at the landing time checks
-    them. A landing state (`_Stepped` too) shares the array it lands."""
+    that the solver makes (`_Stepped`) skip both; the `solver` module docstring
+    says where their values are checked."""
 
     values: np.ndarray
     time: float
@@ -511,7 +503,7 @@ def check_divergence_condition(flux: FluxModel, grid: Grid,
     vals = np.asarray(flux.split.div_a(X))[:, None] * (up + down) * us  # (P, samples)
     if not np.all(np.isfinite(vals)):
         p, k = np.argwhere(~np.isfinite(vals))[0]
-        raise RunError(f"non-finite flux divergence at x={tuple(X[:, p])}, u={us[k]}")
+        raise RunError(f"non-finite flux divergence at x={tuple(X[:, p].tolist())}, u={us[k]}")
     p, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
     worst = float(vals[p, k])
     return DivergenceReport(satisfied=worst >= -1e-12, worst_violation=worst,
@@ -530,7 +522,7 @@ def check_lipschitz_in_u(flux: FluxModel, grid: Grid, M: float) -> float:
     slope = _halves(flux.split, us)[2]
     finite_x, finite_u = np.isfinite(a).all(axis=0), np.isfinite(slope)
     if not finite_x.all():
-        raise RunError(f"non-finite split a at x={tuple(X[:, finite_x.argmin()])}")
+        raise RunError(f"non-finite split a at x={tuple(X[:, finite_x.argmin()].tolist())}")
     if not finite_u.all():
         raise RunError(f"non-finite flux derivative |g'| at u={us[finite_u.argmin()]}")
     return float(np.max(a) * np.max(slope))

@@ -28,28 +28,25 @@ largest of the branches' rates, which gives bitwise the smallest of their own
 dt. g gets u with that branch axis, and a(x) a singleton axis in its place.
 
 Stepping takes a plan (`plan`), built once per run and passed to `advance`:
-the arrays of `_axis` for each axis (a+ and a- at the interfaces, the reach
-at the cells, the padded u and G with the slice views each step takes, the
-arrays the terms dF and lapG are written to) and one buffer, which holds
-|u|^a and then each scaled term, bound into two functions chosen once for the
-run's configuration: n, stacked or not, the boundary policy, the zero split
-or an advecting one, a uniform or an array reach, the halves that a keeps and
-the power. prepare, which `stable_dt` calls, writes the terms and returns the
+the arrays of `_axis` for each axis and one buffer, which holds |u|^a and
+then each scaled term, bound into two functions chosen once for the run's
+configuration: n, stacked or not, the boundary policy, the zero split or an
+advecting one, a uniform or an array reach, the halves that a keeps and the
+power. prepare, which `stable_dt` calls, writes the terms and returns the
 rate; apply, which `step` calls, returns the new values. So a step decides
 none of these and makes little more than its numpy calls. Every axis is
 computed along axis 0 of its arrays. For an unstacked state they are
 C-contiguous with that axis first, so along axis 1 of a 2-D state the copies
 into the padded u and G are the step's one transpose and the flux arithmetic
-runs on whole rows (on the strided halves of the value layout it ran about 2x
-slower); for a stacked state they are swapaxes views of arrays laid out as
-the values, which measured faster on the sandwich's (3, N) states. G is
-computed straight into the middle of axis 0's padded G, and g is evaluated
-once per step and axis on the N+2 padded cells. Along each axis u and G get
-the same ghost cells: an edge copy at every prepare under zero_flux, 0 set
-once per plan under dirichlet_zero. The terms are the plan's last entry,
-which `step` reads at every call: `stable_dt` writes them and they hold until
-the plan's next `stable_dt`. No module keeps a cache, and the scratch reused
-by every step keeps 2-D steps from faulting heap pages in again and again.
+runs on whole rows; for a stacked state they are swapaxes views of arrays
+laid out as the values. G is computed straight into the middle of axis 0's
+padded G, and g is evaluated once per step and axis on the N+2 padded cells.
+Along each axis u and G get the same ghost cells: an edge copy at every
+prepare under zero_flux, 0 set once per plan under dirichlet_zero. The terms
+are the plan's last entry, which `step` reads at every call: `stable_dt`
+writes them and they hold until the plan's next `stable_dt`. No module keeps
+a cache, and the scratch reused by every step keeps 2-D steps from faulting
+heap pages in again and again.
 A step does no identity arithmetic: no |u|^a pass at alpha = 1, and for a
 reach that is one float c, lam_ax is c max|g'|, bit for bit max(c |g'|) as
 rounding is monotone. Where alpha + 1 is a power of two, G's division by it

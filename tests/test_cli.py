@@ -201,6 +201,14 @@ class TestExitCodes:
         # t0/(alpha+1) rounds to 0, where the exact solution is not defined
         (["barenblatt-validate", "--grids", "10,20", "--t0", "5e-324"],
          "t/(alpha+1) > 0, got t=5e-324"),
+        # a u range whose width 2M overflows the float range
+        (["check-flux", "--flux", "linear c=1", "--umax", "1e308"],
+         "--umin -1.0 and --umax 1e+308"),
+        (["check-flux", "--flux", "linear c=1", "--umin=-1e308", "--umax", "1e308"],
+         "--umin -1e+308 and --umax 1e+308"),
+        # exponents whose closed forms' denominators overflow
+        (["moser-table", "--q", "1e308"], "q=1e+308, n=1 and alpha=1.0"),
+        (["moser-table", "--n", "2", "--alpha", "1e308"], "q=1.0, n=2 and alpha=1e+308"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
@@ -216,7 +224,9 @@ class TestExitCodes:
             "alphas-equal-keys", "grids-non-numeric", "q-list-non-numeric",
             "alphas-non-numeric", "eps-non-numeric", "scalar-non-numeric", "support-past-L",
             "decay-snapshots-negative", "barenblatt-datum-vanishes",
-            "barenblatt-datum-spike", "barenblatt-t0-rescales-to-0"])
+            "barenblatt-datum-spike", "barenblatt-t0-rescales-to-0",
+            "check-flux-range-overflows", "check-flux-signed-range-overflows",
+            "moser-q-overflows", "moser-alpha-overflows"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []

@@ -67,6 +67,17 @@ def test_parameter_validation_rejects_non_finite(q, a, named):
         ex._check_params(1, q, a)
 
 
+@pytest.mark.parametrize("n, q, a", [(1, 1e308, 1.0), (2, 1.0, 1e308), (5, 3e307, 1.0)])
+def test_moser_table_functions_reject_overflowing_denominators(n, q, a):
+    # 4q + 2n alpha or nq + 2q + 2n alpha overflows; smoothing_exponents, which
+    # other commands call, does not check these sums and still returns
+    for call in (lambda: ex.moser_limits(q, n, a), lambda: ex.exponent_set(n, q, a),
+                 lambda: ex.moser_trace(q, n, a, 3)):
+        with pytest.raises(ConfigError, match=f"n={n} and alpha"):
+            call()
+    assert ex.smoothing_exponents(n, q, a)[1] == pytest.approx(0.0, abs=1e-300)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_time_ladder_and_constant_must_be_finite(bad):
     with pytest.raises(ConfigError, match="final time"):

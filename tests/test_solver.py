@@ -1160,6 +1160,16 @@ def test_mass_budget_closes_with_data_at_the_walls(n, name, boundary):
     assert (largest > 1e-4 * scale) == (name != "zero" or boundary == "dirichlet_zero")
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP 1: the zero_flux wall passes f(u_edge)")
+def test_zero_flux_wall_conserves_mass():
+    # the wall reproducer, `pmelab run --set "flux=linear c=1" --set L=3 --set N=120
+    # --t-end 3`: a zero_flux wall lets no mass through, so sum(u) stays put
+    p = pr.problem_from_mapping({"flux": "linear c=1", "L": "3", "N": "120"})
+    res = sv.run(p, sv.SchemeConfig(t_end=3.0, snapshot_times=(0.0,)))
+    first, last = (float(np.sum(s.values)) for s in (res.snapshots[0], res.snapshots[-1]))
+    assert abs(last - first) <= 1e-13 * float(np.sum(np.abs(res.snapshots[0].values)))
+
+
 class TestBarenblattConvergence:
     def test_first_order_on_refinement(self):
         _, orders = hz.refinement_study(

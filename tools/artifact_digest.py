@@ -21,8 +21,9 @@ runs that take and skip each identity the step drops (alpha = 1, a uniform
 reach), runs at alpha = 3 and alpha = 2 (G's division by alpha + 1 taken as a
 product, and not), a run whose data advect out through a zero_flux wall,
 compact data whose support reaches the walls under both boundary policies,
-and options given a value that is rejected before any work, non-numeric text
-and a box too small for the exact solution among them.
+and options given a value that is rejected before any work, non-numeric text,
+a box too small for the exact solution, a check-flux u range that overflows and
+moser-table exponents that overflow among them.
 """
 
 from __future__ import annotations
@@ -121,6 +122,13 @@ COMMANDS = [
     # non-numeric text in a list option and in a scalar setting
     ["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "1,x"],
     ["run", "--set", "N=abc", "--t-end", "0.1"],
+    # a u range whose width 2M overflows: rejected before any sampling
+    ["check-flux", "--flux", "linear c=1", "--umax", "1e308"],
+    ["check-flux", "--flux", "linear c=1", "--umin=-1e308", "--umax", "1e308"],
+    # q, n and alpha whose closed forms' denominators overflow: rejected before
+    # any NaN or Infinity reaches the JSON
+    ["moser-table", "--q", "1e308"],
+    ["moser-table", "--n", "2", "--alpha", "1e308"],
 ]
 
 

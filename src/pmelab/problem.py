@@ -86,12 +86,13 @@ class FluxSplit:
 
     `a` is a function of x (shape (n,) + cells, as for f); the solver evaluates
     it once per grid and axis, on the interfaces. `div_a(x)` is
-    sum_j d a_j/d x_j, of shape cells. `g(u, out)` is pointwise: it gets the
-    padded cells of one axis and a tuple of three scratch arrays of u's shape
-    and returns (g_up(u), g_down(u), |g'(u)|), each of them u itself, one of
-    the scratch arrays or a new array, and g_down as None where it is 0 (g
-    nondecreasing). It leaves u as it is: under dirichlet_zero the solver sets
-    the ghost cells once per run. `check_flux_consistency` checks the rest."""
+    sum_j d a_j/d x_j, of shape cells. `g(u, out)` is pointwise: once per step
+    it gets the padded cells of axis 0, whose halves the solver copies to the
+    other axes, and a tuple of three scratch arrays of u's shape, and returns
+    (g_up(u), g_down(u), |g'(u)|), each of them u itself, one of the scratch
+    arrays or a new array, and g_down as None where it is 0 (g nondecreasing).
+    It leaves u as it is: under dirichlet_zero the solver sets the ghost cells
+    once per run. `check_flux_consistency` checks the rest."""
 
     a: Callable[[np.ndarray], np.ndarray]
     div_a: Callable[[np.ndarray], np.ndarray]
@@ -168,6 +169,9 @@ class Problem:
             raise ConfigError(f"diffusion exponent must be finite and > 0, got {self.alpha}")
         if not 1 <= self.p0 < np.inf:
             raise ConfigError(f"initial integrability must be finite and >= 1, got {self.p0}")
+        if not np.isfinite(2.0 * self.p0 + self.grid.n * self.alpha):
+            raise ConfigError(f"p0={self.p0}, n={self.grid.n} and alpha={self.alpha} overflow "
+                              "the smoothing exponents' denominator 2 p0 + n alpha")
         if self.boundary_policy not in BOUNDARY_POLICIES:
             raise ConfigError(
                 f"boundary policy must be one of {BOUNDARY_POLICIES}, "

@@ -37,16 +37,21 @@ rate; apply, which `step` calls, returns the new values. So a step decides
 none of these and makes little more than its numpy calls. Every axis is
 computed along axis 0 of its arrays. For an unstacked state they are
 C-contiguous with that axis first, so along axis 1 of a 2-D state the copies
-into the padded u and G are the step's one transpose and the flux arithmetic
+into its padded arrays are the step's transposes and the flux arithmetic
 runs on whole rows; for a stacked state they are swapaxes views of arrays
 laid out as the values. G is computed straight into the middle of axis 0's
-padded G, and g is evaluated once per step and axis on the N+2 padded cells.
-Along each axis u and G get the same ghost cells: an edge copy at every
-prepare under zero_flux, 0 set once per plan under dirichlet_zero. The terms
-are the plan's last entry, which `step` reads at every call: `stable_dt`
-writes them and they hold until the plan's next `stable_dt`. No module keeps
-a cache, and the scratch reused by every step keeps 2-D steps from faulting
-heap pages in again and again.
+padded G, and g is evaluated once per step, on axis 0's N+2 padded u. The
+padded u and G get their ghost cells as an edge copy at every prepare under
+zero_flux, and as 0 set once per plan under dirichlet_zero. A later axis
+copies G and g's halves into its own padded arrays: the interior as the
+step's transpose, and the ghost cells of g's halves as an edge copy under
+zero_flux or, under dirichlet_zero, as the g(0) of axis 0's ghost cells. It
+copies |g'| only where its reach is an array; a uniform reach c takes c times
+the max|g'| that axis 0 took. As g is pointwise, each value is bit for bit
+what g gives on the axis' own cells. The terms are the plan's last entry,
+which `step` reads at every call: `stable_dt` writes them and they hold until
+the plan's next `stable_dt`. No module keeps a cache, and the scratch reused
+by every step keeps 2-D steps from faulting heap pages in again and again.
 A step does no identity arithmetic: no |u|^a pass at alpha = 1, and for a
 reach that is one float c, lam_ax is c max|g'|, bit for bit max(c |g'|) as
 rounding is monotone. Where alpha + 1 is a power of two, G's division by it
@@ -61,9 +66,11 @@ G and lapG there; the window's first and last cells are margins, each +0.0
 or against a wall. This is exact: G(+0.0) = +0.0 and the 3-point stencil
 reads a cell and its two neighbours alone, so a +0.0 cell with +0.0
 neighbours steps to +0.0 + dt/dx^2 (+0.0) = +0.0, bit for bit. The support
-thus grows by at most one cell per step (the degenerate equation's finite
-speed of propagation, which the scheme keeps exactly), and max|u|^a over the
-window is the one over all cells. prepare scans the value bits of a state
+thus grows by at most one cell per step, and max|u|^a over the window is the
+one over all cells. This rests on +0.0 alone, not on the equation's finite
+speed of propagation: the numerical support runs some 5 to 10 cells ahead of
+the exact front, where each cell holds about a power of its neighbour, and
+is held back only by underflow to +0.0. prepare scans the value bits of a state
 that this plan's apply did not make (a run's first state, or any other), so
 -0.0 cells fall inside, and zeroes G and lapG. Along a chain of its own
 states (a landing shares the stepped array) it widens the window by one cell
@@ -174,13 +181,17 @@ def plan(state: State, problem: Problem) -> tuple:
             rates[:] = rate.tolist()
             return max(rates)
     outflow = None if b else [[0.0, 0.0] for _ in axes]
+    # axis 0's g_up, g_down, |g'| and max|g'| of the step, which later axes copy;
+    # it takes max|g'| for them where one of their reaches is uniform
+    got, keep_max = [None] * 4, a is not None and any(
+        isinstance(adv[4], float) for *_, adv in axes[1:])
     advects, laps, walls, ops = [], [], [], []  # ops: apply's (axis, term slot, c, ufunc)
     for ax, (k, Gp, Gmid, Ghi, Glo, lapG, adv) in enumerate(axes):
         if ax:  # a later axis takes G(u) into the middle of its own padded G
             laps.append(lambda Gv=_first(Gmid, k): np.copyto(Gv, G))
         laps.append(_lap(Gp, Gmid, Ghi, Glo, lapG, edge))
         if adv is not None:
-            advects.append(_advect(ax, k, adv, edge, b, finite))
+            advects.append(_advect(ax, k, adv, edge, b, finite, got, keep_max))
             ops.append((ax, 0, cF, np.subtract))
         ops.append((ax, 1, cG, np.add))
         if not b and (adv or not edge):
@@ -263,8 +274,9 @@ def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, edge: bool) -> tuple:
     or (B,) + grid.shape), each with axis ax first: (k, Gp, Gp[1:-1], Gp[2:],
     Gp[:-2], lapG, adv), k = ax + b, Gp the padded G and lapG at the N cells.
     adv is None for a flux that does not advect, else (Up, Up[1:-1], gbuf,
-    halves, reach, F, F[1:], F[:-1], tmp, tmp[:-1], dF): the padded u, three
-    arrays for g on it, a+ and a- of the split's a(x) normal to ax at the
+    halves, reach, F, F[1:], F[:-1], tmp, tmp[:-1], dF): the padded u (None
+    along a later axis, as g is evaluated on axis 0 alone), three padded arrays
+    for g's halves, a+ and a- of the split's a(x) normal to ax at the
     interfaces, each with whether it takes g's falling half on the left, the
     reach at the cells, two arrays at the N+1 interfaces and dF. The
     coefficients are read-only and broadcast against the values; one with one
@@ -298,8 +310,9 @@ def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, edge: bool) -> tuple:
     # on the left; one that a zeroes everywhere is left out, but never both
     halves = [(plus, False), (minus, True)]
     halves = [h for h in halves if np.any(h[0])] or halves[:1]
-    Up, F, tmp = padded(), scratch(N + 1), scratch(N + 1)
-    return lap + ((Up, Up[1:-1], (scratch(N + 2), scratch(N + 2), scratch(N + 2)),
+    Up, F, tmp = padded() if ax == 0 else None, scratch(N + 1), scratch(N + 1)
+    gbuf = (scratch(N + 2), scratch(N + 2), scratch(N + 2))
+    return lap + ((Up, None if Up is None else Up[1:-1], gbuf,
                    halves, reach, F, F[1:], F[:-1], tmp, tmp[:-1], scratch(N)),)
 
 
@@ -331,29 +344,77 @@ def _lap(Gp, Gmid, Ghi, Glo, lapG, edge: bool):
     return lap
 
 
-def _advect(ax: int, k: int, adv: tuple, edge: bool, b: int, finite):
+def _advect(ax: int, k: int, adv: tuple, edge: bool, b: int, finite, got: list,
+            keep_max: bool):
     """advect(state, g): the Engquist-Osher flux and its difference dF along
     axis ax from the state's values, and the returned lam_ax: the largest
     reach |g'| over the cells, per branch for a stacked state (b = 1), which
-    `finite` checks."""
+    `finite` checks. Axis 0 evaluates g on its padded u, and keeps g_up,
+    g_down and |g'| in got[:3], and max|g'| in got[3] where keep_max. A later
+    axis copies them from got into its own padded arrays: g's halves whole,
+    |g'| only for an array reach; a uniform reach c gives c got[3]."""
     Up, Umid, gbuf, halves, reach, F, Fhi, Flo, tmp, tmp_lo, dF = adv
-    (to, src), Uv, flux = _ghosts(Up, edge), _first(Umid, k), _engquist_osher(halves, F, tmp)
-    red = tuple(i for i in range(Up.ndim) if i != k) if b else None  # all but the branch axis
-    peak = ((lambda s: reach * _max(s, red)) if isinstance(reach, float)  # c max(s_i) = max(c s_i)
+    flux, uniform = _engquist_osher(halves, F, tmp), isinstance(reach, float)
+    red = tuple(i for i in range(F.ndim) if i != k) if b else None  # all but the branch axis
+    peak = ((lambda s: reach * _max(s, red)) if uniform  # c max(s_i) = max(c s_i)
             else lambda s: _max(np.multiply(reach, s, out=tmp_lo), red))  # bit for bit, c >= 0
+    if ax == 0:
+        (to, src), Uv = _ghosts(Up, edge), _first(Umid, k)
+
+        def evaluate(values, g):
+            Uv[...] = values
+            to[...] = src
+            up, down, slope = got[:3] = g(Up, gbuf)
+            return up, down, slope[1:-1]
+
+        if keep_max and uniform:
+            def peak(s):
+                got[3] = m = _max(s, red)
+                return reach * m
+        elif keep_max:
+            def peak(s, own=peak):
+                got[3] = _max(s, red)
+                return own(s)
+    else:
+        copy_up, copy_down = (_copy_half(p, b, k, edge) for p in gbuf[:2])
+        slope = gbuf[2][1:-1]
+
+        def evaluate(values, g):
+            up, down, _ = got[:3]
+            return copy_up(up), None if down is None else copy_down(down), slope
+
+        if uniform:
+            peak = lambda _: reach * got[3]  # noqa: E731
+        else:
+            def peak(s, into=_first(slope, k), own=peak):
+                np.copyto(into, _first(got[2][1:-1], b))
+                return own(s)
 
     def advect(state, g):
-        Uv[...] = state.values
-        to[...] = src
-        up, down, slope = g(Up, gbuf)
+        up, down, slope = evaluate(state.values, g)
         flux(up, down)
-        lam = peak(slope[1:-1])
+        lam = peak(slope)
         if not finite(lam):
             raise RunError(f"non-finite flux derivative along axis {ax} at t={state.time}",
                            branch=int(np.isfinite(lam).argmin()) if b else None)
         np.subtract(Fhi, Flo, out=dF)
         return lam
     return advect
+
+
+def _copy_half(p: np.ndarray, b: int, k: int, edge: bool):
+    """copy(v): axis 0's padded half v of g into p, this axis' padded array,
+    returning p: the interior as the step's transpose, and the ghost cells as
+    an edge copy under zero_flux or, under dirichlet_zero, g(0) read from
+    v's first cell, one of axis 0's ghost cells (g is pointwise)."""
+    mid, (to, src) = _first(p[1:-1], k), _ghosts(p, edge)
+    ends = to if edge else p[::len(p) - 1]
+
+    def copy(v):
+        np.copyto(mid, _first(v[1:-1], b))
+        ends[...] = src if edge else v.item(0)
+        return p
+    return copy
 
 
 def _engquist_osher(halves: list, F: np.ndarray, tmp: np.ndarray):

@@ -209,6 +209,11 @@ class TestExitCodes:
         # exponents whose closed forms' denominators overflow
         (["moser-table", "--q", "1e308"], "q=1e+308, n=1 and alpha=1.0"),
         (["moser-table", "--n", "2", "--alpha", "1e308"], "q=1.0, n=2 and alpha=1e+308"),
+        # p0 whose smoothing exponents' denominator 2 p0 + n alpha overflows
+        (["sandwich", "--set", "p0=1e308", "--set", "N=50", "--eps-list", "0.1,0.01",
+          "--t-end", "0.05"], "p0=1e+308, n=1 and alpha=1.0"),
+        (["decay-study", "--set", "p0=1e308", "--set", "N=50", "--t-end", "1"],
+         "p0=1e+308, n=1 and alpha=1.0"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
@@ -226,7 +231,8 @@ class TestExitCodes:
             "decay-snapshots-negative", "barenblatt-datum-vanishes",
             "barenblatt-datum-spike", "barenblatt-t0-rescales-to-0",
             "check-flux-range-overflows", "check-flux-signed-range-overflows",
-            "moser-q-overflows", "moser-alpha-overflows"])
+            "moser-q-overflows", "moser-alpha-overflows", "sandwich-p0-overflows",
+            "decay-p0-overflows"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []

@@ -67,6 +67,18 @@ def test_non_finite_settings_are_config_errors(bad):
         solver.SchemeConfig(t_end=1.0, snapshot_times=(0.5, bad))
 
 
+def test_problem_rejects_an_overflowing_smoothing_denominator():
+    # 2 p0 + n alpha divides both smoothing exponents; inf would make 2 p0/inf NaN
+    def problem(n, alpha, p0):
+        return pr.Problem(grid=pr.Grid(n=n, L=1.0, N=4), alpha=alpha, p0=p0,
+                          flux=pr.zero_flux_model(n), u0=gauss)
+
+    for n, alpha, p0 in ((1, 1.0, 1e308), (2, 1e308, 1.0)):
+        with pytest.raises(ConfigError, match=r"overflow .* 2 p0 \+ n alpha"):
+            problem(n, alpha, p0)
+    problem(2, 1e307, 1e307)
+
+
 class TestStateShape:
     @pytest.mark.parametrize("n", (1, 2))
     @pytest.mark.parametrize("B", (1, 3))

@@ -1,12 +1,20 @@
-"""tools/loc.py counts each line of a module as exactly one kind."""
+"""tools/loc.py counts each line of a module as exactly one kind, and
+tools/step_cost.py times the steps of each of its cases."""
 
 import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("loc", ROOT / "tools" / "loc.py")
-loc = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(loc)
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+loc, step_cost = _tool("loc"), _tool("step_cost")
 
 SOURCE = '''"""Module docstring
 over two lines."""
@@ -31,3 +39,15 @@ class A:
 def test_counts_each_line_as_one_kind():
     assert loc.count(SOURCE) == {"docstring": 6, "comment": 1, "blank": 4, "code": 6,
                                  "lines": 17}
+
+
+def test_step_cost_times_each_case_on_a_tiny_grid():
+    for settings, t_end, snapshots in step_cost.CASES.values():
+        tiny = dict(settings, N="8" if settings.get("n") == "2" else "20")
+        steps, cost = step_cost.measure(tiny, t_end / 100.0, snapshots, repeats=2)
+        assert steps > 0 and cost > 0.0
+
+
+def test_step_cost_wants_a_source_tree(capsys):
+    assert step_cost.main([]) == 2 and step_cost.main([str(ROOT)]) == 2
+    assert "usage" in capsys.readouterr().err

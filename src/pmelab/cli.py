@@ -25,7 +25,8 @@ from . import barenblatt, exponents, harness, solver, svg
 from .errors import ConfigError, RunError
 from .problem import (DIVERGENCE_MIN_SAMPLES, Grid, Problem, check_divergence_condition,
                       check_flux_consistency, check_lipschitz_in_u, flux_from_config,
-                      parse_catalog_value, problem_from_mapping, read_config)
+                      parse_catalog_value, problem_from_mapping, read_config,
+                      sample_initial)
 
 
 def _cell(v) -> str:
@@ -281,6 +282,9 @@ def cmd_decay_study(args) -> Report:
         raise ConfigError(
             f"--snapshots {args.snapshots} puts {len(in_window)} snapshot times in the "
             f"fit window {window}; the power-law fit needs >= {harness.FIT_MIN_POINTS}")
+    if not harness.lq_norm(sample_initial(problem), problem.p0) > 0:
+        raise ConfigError(f"the datum u0 has zero L^p0 norm (p0={problem.p0}) on the grid; "
+                          "the power-law fits and the smoothing audit need it > 0")
 
     rows, fits, smoothing, plotted = [], {}, {}, None
     for alpha in alphas:

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 
-def _check_params(n: int, q: float, alpha: float, sums: bool = False) -> None:
+def _check_params(n: int, q: float, alpha: float, sums: bool = False,
+                  m: int | None = None) -> None:
     """Admissible n, q and alpha; with `sums`, also the closed forms' denominators
-    4q + 2n alpha (twice 2q + n alpha) and nq + 2q + 2n alpha finite."""
+    4q + 2n alpha (twice 2q + n alpha) and nq + 2q + 2n alpha finite; with `m`,
+    an iteration count >= 1."""
     if n < 1 or int(n) != n:
         raise ConfigError(f"dimension must be a positive integer, got {n}")
     if not 1 <= q < math.inf:
@@ -25,6 +27,8 @@ def _check_params(n: int, q: float, alpha: float, sums: bool = False) -> None:
     if sums and not math.isfinite(max(4.0 * q, n * q + 2.0 * q) + 2.0 * n * alpha):
         raise ConfigError(f"q={q}, n={n} and alpha={alpha} overflow the denominator "
                           "4q + 2n alpha or nq + 2q + 2n alpha")
+    if m is not None and m < 1:
+        raise ConfigError(f"iteration count must be >= 1, got {m}")
 
 
 def smoothing_exponents(n: int, p0: float, alpha: float) -> tuple[float, float]:
@@ -69,9 +73,7 @@ def exponent_set(n: int, q: float, alpha: float) -> ExponentSet:
 
 def moser_A(m: int, q: float, n: int, alpha: float) -> float:
     """Accumulated norm exponent after m dyadic halving steps (closed form)."""
-    _check_params(n, q, alpha)
-    if m < 1:
-        raise ConfigError(f"iteration count must be >= 1, got {m}")
+    _check_params(n, q, alpha, m=m)
     na = n * alpha
     return (2.0 * q + na * 2.0 ** (-m)) / (2.0 * q + na)
 
@@ -108,9 +110,7 @@ def moser_B_bruteforce(j: int, m: int, q: float, n: int, alpha: float) -> float:
 def moser_exponent_sum(m: int, q: float, n: int, alpha: float) -> float:
     """Accumulated time exponent S_m = sum_{j=1}^m -n/(2^j 2q + 2n alpha) B_{m-j}
     (closed form, through 2^-m factors so that no large m overflows)."""
-    _check_params(n, q, alpha)
-    if m < 1:
-        raise ConfigError(f"iteration count must be >= 1, got {m}")
+    _check_params(n, q, alpha, m=m)
     na = n * alpha
     pref = 2.0 * n * (2.0 * q + na * 2.0 ** (-m)) / (2.0 * q)
     bracket = 1.0 / (4.0 * q + 2.0 * na) - 2.0 ** (-m) / (4.0 * q + 2.0 * na * 2.0 ** (-m))
@@ -173,30 +173,28 @@ def moser_Kj_log_bound(j: int, q: float, n: int, alpha: float, C: float) -> floa
 
 @dataclass(frozen=True)
 class MoserTrace:
-    """Full record of one iteration run: sequences, exponent sums, and the
-    bound on the accumulated constant product (inf beyond the float range)."""
+    """Full record of one iteration run: the norm exponents A_1..A_m, the
+    exponent sums S_1..S_m, and the bound on the accumulated constant product
+    (inf beyond the float range)."""
 
     q: float
     n: int
     alpha: float
     m: int
     A: list[float]
-    B: list[float]
     S: list[float]
     K_bound: float
 
 
 def moser_trace(q: float, n: int, alpha: float, m: int) -> MoserTrace:
-    _check_params(n, q, alpha, sums=True)
-    if m < 1:
-        raise ConfigError(f"iteration count must be >= 1, got {m}")
+    _check_params(n, q, alpha, sums=True, m=m)
     A = [moser_A(k, q, n, alpha) for k in range(1, m + 1)]
-    B = [moser_B(j, m, q, n, alpha) for j in range(m + 1)]
     S = [moser_exponent_sum(k, q, n, alpha) for k in range(1, m + 1)]
-    log_prod = sum(B[m - j] * moser_Kj_log_bound(j, q, n, alpha, INTERPOLATION_C)
+    log_prod = sum(moser_B(m - j, m, q, n, alpha)
+                   * moser_Kj_log_bound(j, q, n, alpha, INTERPOLATION_C)
                    for j in range(1, m + 1))
     try:
         K_bound = math.exp(log_prod)
     except OverflowError:  # the bound exceeds the float range
         K_bound = math.inf
-    return MoserTrace(q=q, n=n, alpha=alpha, m=m, A=A, B=B, S=S, K_bound=K_bound)
+    return MoserTrace(q=q, n=n, alpha=alpha, m=m, A=A, S=S, K_bound=K_bound)

@@ -35,7 +35,6 @@ def lq_norm(state: State, q) -> float:
 class DecayRecord:
     q: float
     series: list[tuple[float, float]]
-    fit_window: tuple[float, float]
     fitted_slope: float
     fitted_intercept: float
     r_squared: float
@@ -70,8 +69,8 @@ def decay_record(result: RunResult, q, window: tuple[float, float]) -> DecayReco
     """DecayRecord of ||u(t)||_q along a RunResult's snapshots."""
     series = [(s.time, lq_norm(s, q)) for s in result.snapshots]
     slope, intercept, r2 = fit_decay(series, window)
-    return DecayRecord(q=q, series=series, fit_window=window,
-                       fitted_slope=slope, fitted_intercept=intercept, r_squared=r2)
+    return DecayRecord(q=q, series=series, fitted_slope=slope, fitted_intercept=intercept,
+                       r_squared=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +111,6 @@ class EnergyAudit:
     gamma: float
     q: float
     t0: float
-    t: float
-    lhs_norm_term: float
     lhs_dissipation_term: float
     rhs_term: float
     margin: float
@@ -156,10 +153,8 @@ def audit_energy_inequality(result: RunResult, q: float, gamma: float, t0: float
     lhs_diss = q * (q - 1.0) * float(_trapezoid(w * dissip, taus))
     rhs = gamma * float(_trapezoid((taus - t0) ** (gamma - 1.0) * norm_q, taus))
     margin = rhs - (lhs_norm + lhs_diss)
-    return EnergyAudit(gamma=gamma, q=q, t0=t0, t=t,
-                       lhs_norm_term=lhs_norm, lhs_dissipation_term=lhs_diss,
-                       rhs_term=rhs, margin=margin,
-                       passed=margin >= -slack * rhs)
+    return EnergyAudit(gamma=gamma, q=q, t0=t0, lhs_dissipation_term=lhs_diss,
+                       rhs_term=rhs, margin=margin, passed=margin >= -slack * rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +164,7 @@ def audit_energy_inequality(result: RunResult, q: float, gamma: float, t0: float
 @dataclass(frozen=True)
 class SmoothingReport:
     p0: float
-    delta0: float
     gamma0: float
-    ratio_series: list[tuple[float, float]]
-    sup_ratio: float
     last_decade_variation: float
     passed: bool
 
@@ -190,13 +182,10 @@ def audit_smoothing(result: RunResult, p0: float, alpha: float) -> SmoothingRepo
               for s in result.snapshots if s.time > 0]
     if not ratios:
         raise RunError("smoothing audit: no snapshots with t > 0")
-    vals = np.array([r for _, r in ratios])
     t_max = ratios[-1][0]
     last = np.array([r for t, r in ratios if t >= t_max / 10.0])
     variation = float((last.max() - last.min()) / last.min()) if last.min() > 0 else math.inf
-    return SmoothingReport(p0=p0, delta0=delta0, gamma0=gamma0,
-                           ratio_series=ratios, sup_ratio=float(vals.max()),
-                           last_decade_variation=variation,
+    return SmoothingReport(p0=p0, gamma0=gamma0, last_decade_variation=variation,
                            passed=variation < 0.5)
 
 

@@ -118,17 +118,17 @@ class State:
     have the grid's shape, or (B,) + grid shape for B >= 1 solutions (branches)
     stacked along a leading axis and stepped together.
 
-    A State keeps a read-only copy of the values, so later writes to the
-    caller's array do not reach it, and checks that each is finite. The states
-    that the solver makes (`_Stepped`) skip both; the `solver` module docstring
-    says where their values are checked."""
+    A State keeps a read-only C-ordered copy of the values, so later writes to
+    the caller's array do not reach it, and checks that each is finite. The
+    states that the solver makes (`_Stepped`) skip both; the `solver` module
+    docstring says where their values are checked."""
 
     values: np.ndarray
     time: float
     grid: Grid
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float, order="C")
         shape = self.grid.shape
         if vals.shape != shape and (vals.shape[1:] != shape or vals.shape[0] < 1):
             raise ConfigError(f"state shape {vals.shape} is neither the grid shape "
@@ -181,8 +181,8 @@ class Problem:
 def sample_initial(problem: Problem) -> State:
     """Pointwise sample of the initial datum at cell centers, as a t=0 state."""
     centers = problem.grid.cell_centers()
-    vals = np.asarray(problem.u0(centers), dtype=float)
-    vals = np.broadcast_to(vals, problem.grid.shape).copy()
+    # a view: State keeps its own copy
+    vals = np.broadcast_to(np.asarray(problem.u0(centers), dtype=float), problem.grid.shape)
     if not np.all(np.isfinite(vals)):
         idx = tuple(int(k) for k in np.argwhere(~np.isfinite(vals))[0])
         x = tuple(float(centers[(a,) + idx]) for a in range(problem.grid.n))

@@ -48,10 +48,12 @@ step's transpose, and the ghost cells of g's halves as an edge copy under
 zero_flux or, under dirichlet_zero, as the g(0) of axis 0's ghost cells. It
 copies |g'| only where its reach is an array; a uniform reach c takes c times
 the max|g'| that axis 0 took. As g is pointwise, each value is bit for bit
-what g gives on the axis' own cells. The terms are the plan's last entry,
-which `step` reads at every call: `stable_dt` writes them and they hold until
-the plan's next `stable_dt`. No module keeps a cache, and the scratch reused
-by every step keeps 2-D steps from faulting heap pages in again and again.
+what g gives on the axis' own cells. apply applies the terms that its own
+plan holds, bound when the plan is built, so nothing hands terms back to it:
+`stable_dt` writes them and they hold until the plan's next `stable_dt`. They
+are also the plan's last entry, to be read. No module keeps a cache, and the
+scratch reused by every step keeps 2-D steps from faulting heap pages in
+again and again.
 A step does no identity arithmetic: no |u|^a pass at alpha = 1, and for a
 reach that is one float c, lam_ax is c max|g'|, bit for bit max(c |g'|) as
 rounding is monotone. Where alpha + 1 is a power of two, G's division by it
@@ -156,9 +158,9 @@ def plan(state: State, problem: Problem) -> tuple:
     problem's alpha, boundary policy and split's a (its g is passed to every
     prepare, never kept): (prepare, apply, outflow, rates, terms).
     prepare(state, g) writes terms and returns the rate of `stable_dt`;
-    apply(u, dt, terms) returns the new values of one step, read-only, and
-    adds to outflow, the per-axis [low, high] wall outflow of a run with this
-    plan (None for a stacked state). terms are the per-axis (dF, lapG) in the
+    apply(u, dt) returns the new values of one step from the terms, read-only,
+    and adds to outflow, the per-axis [low, high] wall outflow of a run with
+    this plan (None for a stacked state). terms are the per-axis (dF, lapG) in the
     value layout, dF None for the zero flux; rates is None, or the list of a
     stacked state's branch rates at the last prepare."""
     grid, shape, split = state.grid, state.values.shape, problem.flux.split
@@ -185,15 +187,17 @@ def plan(state: State, problem: Problem) -> tuple:
     # it takes max|g'| for them where one of their reaches is uniform
     got, keep_max = [None] * 4, a is not None and any(
         isinstance(adv[4], float) for *_, adv in axes[1:])
-    advects, laps, walls, ops = [], [], [], []  # ops: apply's (axis, term slot, c, ufunc)
+    terms = tuple((None if adv is None else _first(adv[-1], k), _first(lapG, k))
+                  for k, *_, lapG, adv in axes)
+    advects, laps, walls, ops = [], [], [], []  # ops: apply's (term, c, ufunc)
     for ax, (k, Gp, Gmid, Ghi, Glo, lapG, adv) in enumerate(axes):
         if ax:  # a later axis takes G(u) into the middle of its own padded G
             laps.append(lambda Gv=_first(Gmid, k): np.copyto(Gv, G))
         laps.append(_lap(Gp, Gmid, Ghi, Glo, lapG, edge))
         if adv is not None:
             advects.append(_advect(ax, k, adv, edge, b, finite, got, keep_max))
-            ops.append((ax, 0, cF, np.subtract))
-        ops.append((ax, 1, cG, np.add))
+            ops.append((terms[ax][0], cF, np.subtract))
+        ops.append((terms[ax][1], cG, np.add))
         if not b and (adv or not edge):
             walls.append(_wall(adv, Gp, edge, dx, grid.n, outflow[ax]))
 
@@ -211,17 +215,15 @@ def plan(state: State, problem: Problem) -> tuple:
             lap()
         return finish(rate + two_n * peak / dx2)
 
-    def apply(u, dt, terms):
+    def apply(u, dt):
         new, cF[()], cG[()] = np.empty(shape), dt / dx, dt / dx2
-        for ax, slot, c, ufunc in ops:
-            u = ufunc(u, np.multiply(c, terms[ax][slot], out=buf), out=new)
+        for term, c, ufunc in ops:
+            u = ufunc(u, np.multiply(c, term, out=buf), out=new)
         for wall in walls:
             wall(dt)
         new.setflags(write=False)
         return new
 
-    terms = tuple((None if adv is None else _first(adv[-1], k), _first(lapG, k))
-                  for k, *_, lapG, adv in axes)
     if b or advects or grid.n > 1:
         return prepare, apply, outflow, rates, terms
     # 1-D zero flux: the window [lo, hi) alone, as the module docstring says
@@ -256,11 +258,10 @@ def plan(state: State, problem: Problem) -> tuple:
         lap()
         return two_n * peak / dx2
 
-    def apply_window(u, dt, given):
+    def apply_window(u, dt):
         nonlocal last
         new, cG[()] = np.zeros(N), dt / dx2
-        lw = views[2] if given is terms else given[0][1][lo:hi]
-        np.add(u[lo:hi], np.multiply(cG, lw, out=views[0]), out=new[lo:hi])
+        np.add(u[lo:hi], np.multiply(cG, views[2], out=views[0]), out=new[lo:hi])
         for wall in walls:
             wall(dt)
         new.setflags(write=False)
@@ -464,14 +465,15 @@ def stable_dt(state: State, problem: Problem, config: SchemeConfig, plan: tuple)
 
 
 def step(state: State, problem: Problem, dt: float, plan: tuple) -> State:
-    """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis with
-    the terms that `stable_dt` last prepared into `plan` from this state; dt
-    must respect its bound. Writes neither the state nor the terms, returns the
-    new state read-only and unchecked (`advance` yields it once it has been
-    checked) and adds the mass that leaves through the walls to the plan's
-    outflow. A plan of an unstacked 1-D state under the zero flux reads only
-    its window's part of the terms (see the module docstring)."""
-    return _Stepped(plan[1](state.values, dt, plan[-1]), state.time + dt, state.grid)
+    """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis by
+    the plan's apply(u, dt), from the terms that `stable_dt` last prepared into
+    `plan` from this state, which apply holds itself; dt must respect its
+    bound. Writes neither the state nor the terms, returns the new state
+    read-only and unchecked (`advance` yields it once it has been checked) and
+    adds the mass that leaves through the walls to the plan's outflow. A plan
+    of an unstacked 1-D state under the zero flux reads only its window's part
+    of the terms (see the module docstring)."""
+    return _Stepped(plan[1](state.values, dt), state.time + dt, state.grid)
 
 
 def advance(state: State, problem: Problem, config: SchemeConfig, work: tuple,

@@ -46,19 +46,15 @@ def render_svg(curves: Sequence[Curve], *, title: str = "", xlabel: str = "",
         if c.kind not in ("line", "points"):
             raise RunError(f"unknown curve kind {c.kind!r}")
 
-    def tx(v):
-        if logx:
-            if v <= 0:
-                raise RunError("log x axis requires positive values")
-            return math.log10(v)
-        return float(v)
+    def axis(log: bool, name: str):
+        """The map of a data value to its log10 on a log axis, or to itself."""
+        def to(v):
+            if log and v <= 0:
+                raise RunError(f"log {name} axis requires positive values")
+            return math.log10(v) if log else float(v)
+        return to
 
-    def ty(v):
-        if logy:
-            if v <= 0:
-                raise RunError("log y axis requires positive values")
-            return math.log10(v)
-        return float(v)
+    tx, ty = axis(logx, "x"), axis(logy, "y")
 
     xs = [tx(v) for c in curves for v in c.x]
     ys = [ty(v) for c in curves for v in c.y]

@@ -214,6 +214,11 @@ class TestExitCodes:
           "--t-end", "0.05"], "p0=1e+308, n=1 and alpha=1.0"),
         (["decay-study", "--set", "p0=1e308", "--set", "N=50", "--t-end", "1"],
          "p0=1e+308, n=1 and alpha=1.0"),
+        # a datum of zero L^p0 norm, whose decay no power law fits
+        (["decay-study", "--set", "u0=zero", "--set", "N=50", "--t-end", "1"],
+         "u0 has zero L^p0 norm (p0=1.0)"),
+        (["decay-study", "--set", "u0=gaussian amp=0", "--set", "N=50", "--t-end", "1"],
+         "u0 has zero L^p0 norm (p0=1.0)"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
@@ -232,7 +237,7 @@ class TestExitCodes:
             "barenblatt-datum-spike", "barenblatt-t0-rescales-to-0",
             "check-flux-range-overflows", "check-flux-signed-range-overflows",
             "moser-q-overflows", "moser-alpha-overflows", "sandwich-p0-overflows",
-            "decay-p0-overflows"])
+            "decay-p0-overflows", "decay-zero-datum", "decay-gaussian-amp-0"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []
@@ -343,15 +348,18 @@ class TestRunCommand:
         assert rows == outputs(b, "csv")[0].read_text().splitlines()[2:]
 
     def test_mass_at_the_boundary_fails(self, tmp_path):
-        # advection carries about half the datum out through the high wall of a
-        # short box; the mass budget still closes
+        # advection carries about half the datum out through the high
+        # dirichlet_zero wall of a short box, and diffusion a trace through the
+        # low one; the mass budget still closes
         assert run_cli(tmp_path, "run", "--set", "flux=linear c=1", "--set", "L=3",
-                       "--set", "N=60", "--t-end", "3") == 1
+                       "--set", "N=60", "--set", "boundary=dirichlet_zero",
+                       "--t-end", "3") == 1
         payload = json.loads(outputs(tmp_path, "json")[0].read_text())
         (low, high), = payload["wall_outflow"]
         mass0 = payload["masses"][0][1]  # of a positive datum, its L1 norm
         assert payload["passed"] is False
-        assert high / mass0 == pytest.approx(0.4928, rel=1e-3) and -1e-3 < low / mass0 < 0
+        assert high / mass0 == pytest.approx(0.5475, rel=1e-3)
+        assert low / mass0 == pytest.approx(4.0e-9, rel=1e-2)
         assert abs(payload["budget_residual"]) <= 1e-13 * mass0
 
     @pytest.mark.parametrize("boundary", ["zero_flux", "dirichlet_zero"])

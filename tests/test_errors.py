@@ -112,6 +112,33 @@ def test_every_public_function_is_reached_from_the_cli():
     assert unreached == UNREACHED_ON_PURPOSE
 
 
+def test_every_record_field_is_read():
+    # a dataclass field of the package must be read as an attribute in the
+    # package or its tests, or belong to a record that dataclasses.asdict
+    # writes out whole; else the value is kept for no one
+    tests = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    trees = {p: ast.parse(p.read_text()) for p in SOURCES + tests}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    read = {node.attr for node in nodes
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    # the record written whole: asdict(name), name assigned the call of a
+    # function whose return annotation is the record's class
+    returns = {node.name: _name(node.returns) for node in nodes
+               if isinstance(node, ast.FunctionDef) and node.returns is not None}
+    made = {node.targets[0].id: returns.get(_name(node.value)) for node in nodes
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Call)}
+    whole = {made.get(_name(arg)) for node in nodes
+             if isinstance(node, ast.Call) and _name(node) == "asdict" for arg in node.args}
+    unread = [f"{node.name}.{item.target.id}"
+              for p in SOURCES for node in ast.walk(trees[p])
+              if isinstance(node, ast.ClassDef) and node.name not in whole
+              and any(_name(d) == "dataclass" for d in node.decorator_list)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and item.target.id not in read]
+    assert unread == []
+
+
 def test_frozen_objects_are_set_only_in_post_init():
     # object.__setattr__ writes through a frozen dataclass; outside the class's
     # own __post_init__ it would change an object after it is built

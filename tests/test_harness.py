@@ -159,9 +159,7 @@ class TestSmoothing:
         res = sv.run(p, sv.SchemeConfig(t_end=40.0, snapshot_times=times))
         rep = hz.audit_smoothing(res, p0=1.0, alpha=1.0)
         assert rep.passed, rep
-        d0, g0 = ex.smoothing_exponents(1, 1.0, 1.0)
-        assert rep.delta0 == d0 and rep.gamma0 == g0
-        assert rep.sup_ratio > 0
+        assert rep.gamma0 == ex.smoothing_exponents(1, 1.0, 1.0)[1]
 
 
 class TestSandwich:

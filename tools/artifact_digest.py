@@ -24,8 +24,9 @@ the step drops (alpha = 1, a uniform reach), runs at alpha = 3 and alpha = 2
 advect out through a zero_flux wall, compact data whose support reaches the
 walls under both boundary policies, and options given a value that is rejected
 before any work, non-numeric text, a box too small for the exact solution, a
-check-flux u range that overflows, moser-table exponents that overflow and a
-sandwich p0 that overflows the smoothing exponents among them.
+check-flux u range that overflows, moser-table exponents that overflow, a
+sandwich p0 that overflows the smoothing exponents and a decay-study datum of
+zero L^p0 norm among them.
 """
 
 from __future__ import annotations
@@ -139,6 +140,8 @@ COMMANDS = [
     # a p0 whose smoothing exponents' denominator 2 p0 + n alpha overflows
     ["sandwich", "--set", "p0=1e308", "--set", "N=50", "--eps-list", "0.1,0.01",
      "--t-end", "0.05"],
+    # a decay-study datum of zero L^p0 norm: rejected before any run
+    ["decay-study", "--set", "u0=zero", "--set", "N=50", "--t-end", "1"],
 ]
 
 

@@ -87,12 +87,14 @@ class FluxSplit:
     `a` is a function of x (shape (n,) + cells, as for f); the solver evaluates
     it once per grid and axis, on the interfaces. `div_a(x)` is
     sum_j d a_j/d x_j, of shape cells. `g(u, out)` is pointwise: once per step
-    it gets the padded cells of axis 0, whose halves the solver copies to the
-    other axes, and a tuple of three scratch arrays of u's shape, and returns
-    (g_up(u), g_down(u), |g'(u)|), each of them u itself, one of the scratch
-    arrays or a new array, and g_down as None where it is 0 (g nondecreasing).
-    It leaves u as it is: under dirichlet_zero the solver sets the ghost cells
-    once per run. `check_flux_consistency` checks the rest."""
+    it gets the whole padded state, flat after a stacked state's branch axis:
+    one ghost cell on each side of every axis, the corner ghost cells of 2-D
+    at 0. With it come three scratch arrays of u's shape, as a tuple, and it
+    returns (g_up(u), g_down(u), |g'(u)|), each of them u itself, one of the
+    scratch arrays or a new array, and g_down as None where it is 0 (g
+    nondecreasing). It leaves u as it is: the solver sets the ghost cells
+    under dirichlet_zero once per run. `check_flux_consistency` checks the
+    rest."""
 
     a: Callable[[np.ndarray], np.ndarray]
     div_a: Callable[[np.ndarray], np.ndarray]
@@ -181,13 +183,14 @@ class Problem:
 def sample_initial(problem: Problem) -> State:
     """Pointwise sample of the initial datum at cell centers, as a t=0 state."""
     centers = problem.grid.cell_centers()
-    # a view: State keeps its own copy
+    # a view: State keeps its own copy, and scans it for a non-finite value
     vals = np.broadcast_to(np.asarray(problem.u0(centers), dtype=float), problem.grid.shape)
-    if not np.all(np.isfinite(vals)):
+    try:
+        return State(values=vals, time=0.0, grid=problem.grid)
+    except RunError:
         idx = tuple(int(k) for k in np.argwhere(~np.isfinite(vals))[0])
         x = tuple(float(centers[(a,) + idx]) for a in range(problem.grid.n))
-        raise RunError(f"initial datum is non-finite at cell {idx}, x={x}")
-    return State(values=vals, time=0.0, grid=problem.grid)
+        raise RunError(f"initial datum is non-finite at cell {idx}, x={x}") from None
 
 
 # ---------------------------------------------------------------------------

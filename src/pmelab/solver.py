@@ -25,35 +25,42 @@ A state may stack B solutions (branches) along a leading axis, as the
 comparison sandwich does. They are prepared and stepped in the same calls,
 every value as for its branch alone, and share one dt: stable_dt takes the
 largest of the branches' rates, which gives bitwise the smallest of their own
-dt. g gets u with that branch axis, and a(x) a singleton axis in its place.
+dt. g gets the padded u with that branch axis first, and the coefficients of
+a(x) broadcast against it.
 
 Stepping takes a plan (`plan`), built once per run and passed to `advance`:
-the arrays of `_axis` for each axis and one buffer, which holds |u|^a and
-then each scaled term, bound into two functions chosen once for the run's
-configuration: n, stacked or not, the boundary policy, the zero split or an
-advecting one, a uniform or an array reach, the halves that a keeps and the
-power. prepare, which `stable_dt` calls, writes the terms and returns the
-rate; apply, which `step` calls, returns the new values. So a step decides
-none of these and makes little more than its numpy calls. Every axis is
-computed along axis 0 of its arrays. For an unstacked state they are
-C-contiguous with that axis first, so along axis 1 of a 2-D state the copies
-into its padded arrays are the step's transposes and the flux arithmetic
-runs on whole rows; for a stacked state they are swapaxes views of arrays
-laid out as the values. G is computed straight into the middle of axis 0's
-padded G, and g is evaluated once per step, on axis 0's N+2 padded u. The
-padded u and G get their ghost cells as an edge copy at every prepare under
-zero_flux, and as 0 set once per plan under dirichlet_zero. A later axis
-copies G and g's halves into its own padded arrays: the interior as the
-step's transpose, and the ghost cells of g's halves as an edge copy under
-zero_flux or, under dirichlet_zero, as the g(0) of axis 0's ghost cells. It
-copies |g'| only where its reach is an array; a uniform reach c takes c times
-the max|g'| that axis 0 took. As g is pointwise, each value is bit for bit
-what g gives on the axis' own cells. apply applies the terms that its own
-plan holds, bound when the plan is built, so nothing hands terms back to it:
-`stable_dt` writes them and they hold until the plan's next `stable_dt`. They
-are also the plan's last entry, to be read. No module keeps a cache, and the
-scratch reused by every step keeps 2-D steps from faulting heap pages in
-again and again.
+one padded u and G, the arrays of `_axis` for each axis and apply's scratch,
+bound into two functions chosen once for the run's configuration: n, stacked
+or not, the boundary policy, the zero split or an advecting one, a uniform
+or an array reach, the halves that a keeps and the power. prepare, which
+`stable_dt` calls, writes the terms and returns the rate; apply, which
+`step` calls, returns the new values. So a step decides none of these and
+makes little more than its numpy calls.
+
+prepare copies the values into the padded u, C-contiguous, which holds one
+ghost cell on each side of every axis: (N+2)^n cells, after a stacked
+state's branch axis. Its ghost cells are an edge copy, written at every
+prepare, under zero_flux, and 0 under dirichlet_zero; the corner ghost cells
+of 2-D hold 0 under both. On its flat view the neighbours of cell m along
+axis ax are m - s and m + s, s = (N+2)^(n-1-ax): N+2 and 1 in 2-D, 1 in 1-D.
+|u|^a, G and g's halves are evaluated once per step on the whole padded u.
+Each is pointwise, so its ghost values are bit for bit those of an edge
+copy, or G(0) = 0 and g(0), and max|u|^a over the padded u is the one over
+the cells. Each axis' interface flux F, its difference dF and the second
+difference of G are then one slice operation each on flat arrays, over the
+rows window: the cells of axis-0 rows 1..N at full padded width, and for F,
+the interfaces from one stride below it. What they give at the ghost cells
+of another axis is never read. A uniform reach c takes c times the max|g'|
+over the cells, which is taken once per step. apply works over the rows
+window too: in 1-D, where that is the cells, from the values into the new
+array; in 2-D from the padded u into one scratch array, whose cells it then
+copies into the new C-ordered values. The terms are dF and lapG as views at
+the cells, in the value layout. apply applies the terms that its own plan
+holds, bound when the plan is built, so nothing hands terms back to it:
+`stable_dt` writes them and they hold until the plan's next `stable_dt`.
+They are also the plan's last entry, to be read. No module keeps a cache,
+and the scratch reused by every step keeps 2-D steps from faulting heap
+pages in again and again.
 A step does no identity arithmetic: no |u|^a pass at alpha = 1, and for a
 reach that is one float c, lam_ax is c max|g'|, bit for bit max(c |g'|) as
 rounding is monotone. Where alpha + 1 is a power of two, G's division by it
@@ -145,12 +152,6 @@ class RunResult:
 
 
 _max = np.maximum.reduce  # over the given axes (None: all) without ndarray.max's wrapper
-_LO, _HI = slice(None, -1), slice(1, None)
-
-
-def _first(v: np.ndarray, k: int) -> np.ndarray:
-    """v with its axis k first (swapaxes, which swaps back as well), or v itself for k = 0."""
-    return v.swapaxes(0, k) if k else v
 
 
 def plan(state: State, problem: Problem) -> tuple:
@@ -166,9 +167,17 @@ def plan(state: State, problem: Problem) -> tuple:
     grid, shape, split = state.grid, state.values.shape, problem.flux.split
     b, dx, dx2, two_n = len(shape) - grid.n, grid.dx, grid.dx ** 2, 2.0 * grid.n
     a, edge = None if split is ZERO_SPLIT else split.a, problem.boundary_policy == "zero_flux"
-    axes = [_axis(grid, ax, shape, a, edge) for ax in range(grid.n)]
-    G, buf, power = _first(axes[0][2], b), np.empty(shape), problem.alpha
-    alpha1 = power + 1.0
+    # the padded u and G, whose ghost cells that no edge copy writes hold 0 for the run
+    U, G = (np.zeros(shape[:b] + (grid.N + 2,) * grid.n) for _ in range(2))
+    cells = (slice(None),) * b + (slice(1, -1),) * grid.n  # U's cells that are not ghosts
+    Uf, Uin, ghosts = U.reshape(shape[:b] + (-1,)), U[cells], _ghosts(U, grid.n, edge)
+    axes, r = [_axis(grid, ax, G, a) for ax in range(grid.n)], (grid.N + 2) ** (grid.n - 1)
+    # apply runs over the rows window, in 2-D from U there into work, whose cells
+    # it copies out: faster than reading the terms' strided views at the cells
+    Urows = Uf[(slice(None),) * b + (slice(r, Uf.shape[-1] - r),)]
+    buf, work = np.empty(Urows.shape), None if grid.n == 1 else np.empty(Urows.shape)
+    done = None if work is None else _cells(work, grid.N, grid.n)
+    power, alpha1 = problem.alpha, problem.alpha + 1.0
     # G /= alpha + 1 as G *= 1/(alpha + 1) where that is exact: both round the same number
     scale, by = (np.multiply, 1 / alpha1) if math.frexp(alpha1)[0] == 0.5 else (np.divide, alpha1)
     # 0-d arrays: numpy converts a float operand again at every call
@@ -183,42 +192,51 @@ def plan(state: State, problem: Problem) -> tuple:
             rates[:] = rate.tolist()
             return max(rates)
     outflow = None if b else [[0.0, 0.0] for _ in axes]
-    # axis 0's g_up, g_down, |g'| and max|g'| of the step, which later axes copy;
-    # it takes max|g'| for them where one of their reaches is uniform
-    got, keep_max = [None] * 4, a is not None and any(
-        isinstance(adv[4], float) for *_, adv in axes[1:])
-    terms = tuple((None if adv is None else _first(adv[-1], k), _first(lapG, k))
-                  for k, *_, lapG, adv in axes)
+    terms = tuple((None if adv is None else adv[-1], lap[-1]) for _, lap, adv in axes)
+    gbuf = tuple(np.empty(Uf.shape) for _ in range(3))  # g's scratch
+    # a uniform reach c takes c max|g'|, max|g'| taken once per step
+    top = any(isinstance(adv[1], float) for _, _, adv in axes if adv)
     advects, laps, walls, ops = [], [], [], []  # ops: apply's (term, c, ufunc)
-    for ax, (k, Gp, Gmid, Ghi, Glo, lapG, adv) in enumerate(axes):
-        if ax:  # a later axis takes G(u) into the middle of its own padded G
-            laps.append(lambda Gv=_first(Gmid, k): np.copyto(Gv, G))
-        laps.append(_lap(Gp, Gmid, Ghi, Glo, lapG, edge))
+    for ax, (s, lap, adv) in enumerate(axes):
+        laps.append(_lap(*lap[:-1]))
         if adv is not None:
-            advects.append(_advect(ax, k, adv, edge, b, finite, got, keep_max))
-            ops.append((terms[ax][0], cF, np.subtract))
-        ops.append((terms[ax][1], cG, np.add))
+            advects.append(_advect(ax, s, adv, b, finite, _cells(buf, grid.N, grid.n), red))
+            ops.append((adv[6], cF, np.subtract))
+        ops.append((lap[3], cG, np.add))
         if not b and (adv or not edge):
-            walls.append(_wall(adv, Gp, edge, dx, grid.n, outflow[ax]))
+            walls.append(_wall(ax, adv, G, edge, dx, outflow[ax]))
 
     def prepare(state, g):
         values = state.values
-        a = magnitude(values, buf)
+        Uin[...] = values
+        for to, src in ghosts:
+            to[...] = src
+        a = magnitude(U, G)
         peak = _max(a, red)
         if not finite(peak):
             State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
-        scale(np.multiply(a, values, out=G), by, out=G)
+        scale(np.multiply(a, U, out=G), by, out=G)
         rate = 0.0
-        for advect in advects:
-            rate += advect(state, g) / dx
+        if advects:  # g's halves on the padded u, |g'| at the cells and max|g'| if top
+            up, down, slope = g(Uf, gbuf)
+            slope = slope.reshape(U.shape)[cells]
+            most = _max(slope, red) if top else None
+            for advect in advects:
+                rate += advect(state, up, down, slope, most) / dx
         for lap in laps:
             lap()
         return finish(rate + two_n * peak / dx2)
 
     def apply(u, dt):
         new, cF[()], cG[()] = np.empty(shape), dt / dx, dt / dx2
-        for term, c, ufunc in ops:
-            u = ufunc(u, np.multiply(c, term, out=buf), out=new)
+        if work is None:  # 1-D: the rows window is the cells
+            for term, c, ufunc in ops:
+                u = ufunc(u, np.multiply(c, term, out=buf), out=new)
+        else:
+            u = Urows  # which prepare wrote from u
+            for term, c, ufunc in ops:
+                u = ufunc(u, np.multiply(c, term, out=buf), out=work)
+            new[...] = done
         for wall in walls:
             wall(dt)
         new.setflags(write=False)
@@ -228,13 +246,13 @@ def plan(state: State, problem: Problem) -> tuple:
         return prepare, apply, outflow, rates, terms
     # 1-D zero flux: the window [lo, hi) alone, as the module docstring says
     # last: the array the window is kept for, the last that apply made or prepare scanned
-    N, Gp, lapG, lo, hi, last, views = grid.N, axes[0][1], terms[0][1], 0, 0, None, ()
+    N, lapG, lo, hi, last, views = grid.N, terms[0][1], 0, 0, None, ()
 
     def bind():  # the window's buf, G and lapG, and its second difference
         nonlocal views
         lw, edges = lapG[lo:hi], edge and (lo == 0 or hi == N)  # ghosts read at a wall only
-        views = (buf[lo:hi], G[lo:hi], lw,
-                 _lap(Gp, Gp[lo + 1:hi + 1], Gp[lo + 2:hi + 2], Gp[lo:hi], lw, edges))
+        views = (buf[lo:hi], G[lo + 1:hi + 1], lw,
+                 _lap(G[lo + 1:hi + 1], G[lo + 2:hi + 2], G[lo:hi], lw, _ghosts(G, 1, edges)))
 
     def prepare_window(state, g):
         nonlocal lo, hi, last
@@ -270,51 +288,63 @@ def plan(state: State, problem: Problem) -> tuple:
     return prepare_window, apply_window, outflow, rates, terms
 
 
-def _axis(grid: Grid, ax: int, shape: tuple[int, ...], a, edge: bool) -> tuple:
-    """The arrays of `plan` for axis ax of values of this shape (grid.shape
-    or (B,) + grid.shape), each with axis ax first: (k, Gp, Gp[1:-1], Gp[2:],
-    Gp[:-2], lapG, adv), k = ax + b, Gp the padded G and lapG at the N cells.
-    adv is None for a flux that does not advect, else (Up, Up[1:-1], gbuf,
-    halves, reach, F, F[1:], F[:-1], tmp, tmp[:-1], dF): the padded u (None
-    along a later axis, as g is evaluated on axis 0 alone), three padded arrays
-    for g's halves, a+ and a- of the split's a(x) normal to ax at the
-    interfaces, each with whether it takes g's falling half on the left, the
-    reach at the cells, two arrays at the N+1 interfaces and dF. The
-    coefficients are read-only and broadcast against the values; one with one
-    value everywhere is that float."""
-    N, b = grid.N, len(shape) - grid.n
-    k = ax + b
+def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
+    """The arrays of `plan` for axis ax, laid out as G, the padded G of values
+    of shape grid.shape or (B,) + grid.shape: (s, lap, adv). s = (N+2)^(n-1-ax)
+    is the stride of axis ax on G's flat view, so the neighbours of flat cell m
+    along it are m - s and m + s; m runs over the rows window, the cells of
+    axis-0 rows 1..N at full padded width. lap is (G[m], G[m+s], G[m-s], lapG,
+    lapG at the cells), lapG being over the rows window. adv is None for a flux
+    that does not advect, else (halves, reach, left, right, F, tmp, dF, F
+    padded, dF at the cells): a+ and a- of the split's a(x) normal to ax at the
+    interfaces m | m+s, each with whether it takes g's falling half on the left;
+    the reach at the cells; the index of the interfaces' left cells m and right
+    cells m+s on a flat padded array, m from one stride below the rows window
+    to its end; F, the window of the padded F over those m, and tmp of its
+    shape; and dF over the rows window. The views at the cells are in the
+    value layout. The coefficients are read-only and broadcast against the
+    values: one with one value everywhere is that float, an array one is on
+    F's window, with its edge values at the interfaces that no cell reads."""
+    n, N, b = grid.n, grid.N, G.ndim - grid.n
+    s, r, end = (N + 2) ** (n - 1 - ax), (N + 2) ** (n - 1), (N + 2) ** n - (N + 2) ** (n - 1)
 
-    def scratch(m: int) -> np.ndarray:
-        if b:
-            return _first(np.empty(shape[:k] + (m,) + shape[k + 1:]), k)
-        return np.empty((m,) + shape[:k] + shape[k + 1:])
+    def at(lo: int, hi: int) -> tuple:  # the index of [lo, hi) on a flat padded array
+        return (slice(None),) * b + (slice(lo, hi),)
 
-    def padded() -> np.ndarray:
-        p = scratch(N + 2)
-        if not edge:
-            p[0] = p[-1] = 0.0
-        return p
-
-    Gp = padded()
-    lap = (k, Gp, Gp[1:-1], Gp[2:], Gp[:-2], scratch(N))
+    Gf, lapG = G.reshape(G.shape[:b] + (-1,)), np.empty(G.shape[:b] + (end - r,))
+    lap = (Gf[at(r, end)], Gf[at(r + s, end + s)], Gf[at(r - s, end - s)], lapG,
+           _cells(lapG, N, n))
     if a is None:
-        return lap + (None,)
-    axes = [grid.axis_interfaces() if d == ax else grid.axis_centers()
-            for d in range(grid.n)]
+        return s, lap, None
+    axes = [grid.axis_interfaces() if d == ax else grid.axis_centers() for d in range(n)]
     c = np.asarray(a(np.stack(np.meshgrid(*axes, indexing="ij"))), dtype=float)[ax]
-    c = np.ascontiguousarray(_first(c.reshape((1,) * b + c.shape), k))
+    lo, hi = (slice(None),) * ax + (slice(None, -1),), (slice(None),) * ax + (slice(1, None),)
     plus, minus = np.maximum(c, 0.0), np.minimum(c, 0.0)
-    reach = np.maximum(plus[1:] - minus[:-1], plus[:-1] - minus[1:])
-    plus, minus, reach = map(_uniform, (plus, minus, reach))
+    reach = _uniform(np.maximum(plus[hi] - minus[lo], plus[lo] - minus[hi]))
+
+    def laid(v: np.ndarray) -> float | np.ndarray:  # v on F's window, or its one value
+        v = _uniform(v)
+        if isinstance(v, float):
+            return v
+        v = np.pad(v, [(0, 1) if d == ax else (1, 1) for d in range(n)], "edge")
+        v = v.ravel()[r - s:end]
+        v.setflags(write=False)
+        return v
+
     # each half of the flux with its coefficient and whether it takes g_down
     # on the left; one that a zeroes everywhere is left out, but never both
-    halves = [(plus, False), (minus, True)]
+    halves = [(laid(plus), False), (laid(minus), True)]
     halves = [h for h in halves if np.any(h[0])] or halves[:1]
-    Up, F, tmp = padded() if ax == 0 else None, scratch(N + 1), scratch(N + 1)
-    gbuf = (scratch(N + 2), scratch(N + 2), scratch(N + 2))
-    return lap + ((Up, None if Up is None else Up[1:-1], gbuf,
-                   halves, reach, F, F[1:], F[:-1], tmp, tmp[:-1], scratch(N)),)
+    F, dF = np.empty(G.shape), np.empty(lapG.shape)
+    Fw = F.reshape(Gf.shape)[at(r - s, end)]
+    return s, lap, (halves, reach, at(r - s, end), at(r, end + s), Fw, np.empty(Fw.shape),
+                    dF, F, _cells(dF, N, n))
+
+
+def _cells(v: np.ndarray, N: int, n: int) -> np.ndarray:
+    """The view at the cells, in the value layout, of v over the rows window."""
+    v = v.reshape(v.shape[:-1] + (N,) + (N + 2,) * (n - 1))
+    return v[(Ellipsis, slice(None)) + (slice(1, -1),) * (n - 1)]
 
 
 def _uniform(v: np.ndarray) -> float | np.ndarray:
@@ -326,75 +356,45 @@ def _uniform(v: np.ndarray) -> float | np.ndarray:
     return v
 
 
-def _ghosts(p: np.ndarray, edge: bool) -> tuple:
-    """(to, src): the ghost cells of the padded p and what each prepare copies
-    into them, its edge cells under zero_flux; under dirichlet_zero both are
-    empty, the ghosts holding the 0 that `_axis` set."""
-    return (p[::len(p) - 1], p[1:-1][::max(len(p) - 3, 1)]) if edge else (p[:0], p[:0])
+def _ghosts(p: np.ndarray, n: int, edge: bool) -> list:
+    """[(to, src)]: per axis of the padded p, its two ghost cells at the other
+    axes' cells and the edge cells that each prepare copies into them under
+    zero_flux; none under dirichlet_zero, whose ghost cells hold the 0 that
+    the plan set."""
+    N = p.shape[-1] - 2
+
+    def at(ax: int, k: slice) -> np.ndarray:
+        return p[(Ellipsis,) + tuple(k if d == ax else slice(1, -1) for d in range(n))]
+    return [(at(ax, slice(None, None, N + 1)), at(ax, slice(1, N + 1, max(N - 1, 1))))
+            for ax in range(n)] if edge else []
 
 
-def _lap(Gp, Gmid, Ghi, Glo, lapG, edge: bool):
-    """lap(): the second difference of the padded G into lapG."""
-    to, src = _ghosts(Gp, edge)
-
+def _lap(Gmid, Ghi, Glo, lapG, ghosts=()):
+    """lap(): the copies of `_ghosts` into G's ghost cells, then the second
+    difference Ghi - 2 Gmid + Glo into lapG."""
     def lap():
-        to[...] = src
+        for to, src in ghosts:
+            to[...] = src
         np.add(Gmid, Gmid, out=lapG)  # 2 G, bit for bit
         np.subtract(Ghi, lapG, out=lapG)
         np.add(lapG, Glo, out=lapG)
     return lap
 
 
-def _advect(ax: int, k: int, adv: tuple, edge: bool, b: int, finite, got: list,
-            keep_max: bool):
-    """advect(state, g): the Engquist-Osher flux and its difference dF along
-    axis ax from the state's values, and the returned lam_ax: the largest
-    reach |g'| over the cells, per branch for a stacked state (b = 1), which
-    `finite` checks. Axis 0 evaluates g on its padded u, and keeps g_up,
-    g_down and |g'| in got[:3], and max|g'| in got[3] where keep_max. A later
-    axis copies them from got into its own padded arrays: g's halves whole,
-    |g'| only for an array reach; a uniform reach c gives c got[3]."""
-    Up, Umid, gbuf, halves, reach, F, Fhi, Flo, tmp, tmp_lo, dF = adv
-    flux, uniform = _engquist_osher(halves, F, tmp), isinstance(reach, float)
-    red = tuple(i for i in range(F.ndim) if i != k) if b else None  # all but the branch axis
-    peak = ((lambda s: reach * _max(s, red)) if uniform  # c max(s_i) = max(c s_i)
-            else lambda s: _max(np.multiply(reach, s, out=tmp_lo), red))  # bit for bit, c >= 0
-    if ax == 0:
-        (to, src), Uv = _ghosts(Up, edge), _first(Umid, k)
+def _advect(ax: int, s: int, adv: tuple, b: int, finite, buf: np.ndarray, red):
+    """advect(state, up, down, slope, top): the Engquist-Osher flux and its
+    difference dF along axis ax from g's halves up and down on the flat padded
+    u, and the returned lam_ax: the largest reach |g'| over the cells, per
+    branch for a stacked state (b = 1), which `finite` checks, from slope,
+    |g'| at the cells, or for a uniform reach c as c top, top being max|g'|."""
+    halves, reach, left, right, F, tmp, dF, *_ = adv
+    flux, Fhi, Flo = _engquist_osher(halves, F, tmp, left, right), F[..., s:], F[..., :-s]
+    peak = ((lambda slope, top: reach * top) if isinstance(reach, float)  # c max(s_i) = max(c s_i)
+            else lambda slope, top: _max(np.multiply(reach, slope, out=buf), red))  # c >= 0
 
-        def evaluate(values, g):
-            Uv[...] = values
-            to[...] = src
-            up, down, slope = got[:3] = g(Up, gbuf)
-            return up, down, slope[1:-1]
-
-        if keep_max and uniform:
-            def peak(s):
-                got[3] = m = _max(s, red)
-                return reach * m
-        elif keep_max:
-            def peak(s, own=peak):
-                got[3] = _max(s, red)
-                return own(s)
-    else:
-        copy_up, copy_down = (_copy_half(p, b, k, edge) for p in gbuf[:2])
-        slope = gbuf[2][1:-1]
-
-        def evaluate(values, g):
-            up, down, _ = got[:3]
-            return copy_up(up), None if down is None else copy_down(down), slope
-
-        if uniform:
-            peak = lambda _: reach * got[3]  # noqa: E731
-        else:
-            def peak(s, into=_first(slope, k), own=peak):
-                np.copyto(into, _first(got[2][1:-1], b))
-                return own(s)
-
-    def advect(state, g):
-        up, down, slope = evaluate(state.values, g)
+    def advect(state, up, down, slope, top):
         flux(up, down)
-        lam = peak(slope)
+        lam = peak(slope, top)
         if not finite(lam):
             raise RunError(f"non-finite flux derivative along axis {ax} at t={state.time}",
                            branch=int(np.isfinite(lam).argmin()) if b else None)
@@ -403,28 +403,14 @@ def _advect(ax: int, k: int, adv: tuple, edge: bool, b: int, finite, got: list,
     return advect
 
 
-def _copy_half(p: np.ndarray, b: int, k: int, edge: bool):
-    """copy(v): axis 0's padded half v of g into p, this axis' padded array,
-    returning p: the interior as the step's transpose, and the ghost cells as
-    an edge copy under zero_flux or, under dirichlet_zero, g(0) read from
-    v's first cell, one of axis 0's ghost cells (g is pointwise)."""
-    mid, (to, src) = _first(p[1:-1], k), _ghosts(p, edge)
-    ends = to if edge else p[::len(p) - 1]
-
-    def copy(v):
-        np.copyto(mid, _first(v[1:-1], b))
-        ends[...] = src if edge else v.item(0)
-        return p
-    return copy
-
-
-def _engquist_osher(halves: list, F: np.ndarray, tmp: np.ndarray):
-    """flux(up, down): F = the sum over halves of c (left[:-1] + right[1:]) at
-    the N+1 interfaces from g's halves on the N+2 cells, up on the left of
-    the plus half and on the right of the minus half (flip), a None down
-    being 0; the second half goes through tmp."""
+def _engquist_osher(halves: list, F: np.ndarray, tmp: np.ndarray, left: tuple, right: tuple):
+    """flux(up, down): F = the sum over halves of c (g_l + g_r) at the
+    interfaces from g's halves on the flat padded cells, read at the left and
+    the right cells of each interface: up on the left of the plus half and on
+    the right of the minus half (flip), a None down being 0; the second half
+    goes through tmp."""
     def half(c, flip, out):
-        c, su, sd = np.asarray(c), *((_HI, _LO) if flip else (_LO, _HI))
+        c, su, sd = np.asarray(c), *((right, left) if flip else (left, right))
         return lambda up, down: (np.multiply(c, up[su], out=out) if down is None else
                                  np.multiply(np.add(up[su], down[sd], out=out), c, out=out))
 
@@ -432,21 +418,27 @@ def _engquist_osher(halves: list, F: np.ndarray, tmp: np.ndarray):
     return first if not rest else lambda u, d: np.add(first(u, d), rest[0](u, d), out=F)
 
 
-def _wall(adv, Gp, edge: bool, dx: float, n: int, total: list):
+def _wall(ax: int, adv, G: np.ndarray, edge: bool, dx: float, total: list):
     """wall(dt): adds dt times the outward flux through the low and the high
-    wall to total: -F and F at the first and last interfaces (0 without adv),
-    and -(G_ghost - G_edge)/dx at each wall (0 for an edge copy), summed over
-    the dx^(n-1) faces of a wall in n > 1 dimensions."""
-    face, F, Gp = dx ** (n - 1), (0.0, 0.0) if adv is None else adv[5], (0.0, 0.0) if edge else Gp
+    wall of axis ax to total: -F and F at the first and last interfaces (0
+    without adv), and -(G_ghost - G_edge)/dx at each wall (0 for an edge
+    copy), summed over the dx^(n-1) faces of a wall in n > 1 dimensions."""
+    n, N = G.ndim, G.shape[0] - 2
+
+    def at(v: np.ndarray, k: int) -> np.ndarray:  # v's cells k along ax, one cell wide
+        return v[tuple(slice(k, k + 1) if d == ax else slice(1, -1) for d in range(n))]
+    face, F = dx ** (n - 1), (0.0, 0.0) if adv is None else (at(adv[-2], 0), at(adv[-2], N))
     if n == 1 and edge:  # F alone, as floats
-        def wall(dt):
+        def wall(dt, F=adv[-2]):
             total[0] -= dt * F.item(0)
-            total[1] += dt * F.item(-1)
+            total[1] += dt * F.item(N)
         return wall
+    ghost_lo, edge_lo, edge_hi, ghost_hi = (0.0,) * 4 if edge else (
+        at(G, k) for k in (0, 1, N, N + 1))
 
     def wall(dt):
-        total[0] += dt * float(face * ((Gp[1] - Gp[0]) / dx - F[0]).sum())
-        total[1] += dt * float(face * (F[-1] + (Gp[-2] - Gp[-1]) / dx).sum())
+        total[0] += dt * float(face * ((edge_lo - ghost_lo) / dx - F[0]).sum())
+        total[1] += dt * float(face * (F[1] + (edge_hi - ghost_hi) / dx).sum())
     return wall
 
 

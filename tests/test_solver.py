@@ -707,85 +707,111 @@ def same_view(v, w):
 
 
 def test_axis_layout_follows_the_value_shape():
-    # unstacked: every array C-contiguous with its axis first, axis 1 of 2-D too;
-    # stacked: scratch as swapaxes views of arrays laid out as the values, and
-    # coefficients with a singleton axis for the branches. The plan keeps the
-    # slices each step takes, and sets dirichlet_zero ghost cells once. g is
-    # evaluated on axis 0's padded u alone: axis 1 has none.
+    # one padded layout: (N+2)^n cells, C-contiguous after a stacked state's
+    # branch axis, each axis a stride on its flat view. Every window the step
+    # takes is a contiguous slice of a flat array over the rows window (the
+    # cells of axis-0 rows 1..N at full padded width), the terms are views of
+    # them at the cells, and coefficients broadcast against the values
     grid, N = pr.Grid(n=2, L=3.0, N=12), 12
-    a = lambda x: np.tanh(x)  # noqa: E731
+    P, a = N + 2, lambda x: np.tanh(x)  # noqa: E731
+    rows = slice(P, P * (N + 1))
     for ax in (0, 1):
-        k, Gp, Gmid, Ghi, Glo, lapG, adv = sv._axis(grid, ax, grid.shape, a, True)
-        Up, Umid, gbuf, halves, reach, F, Fhi, Flo, tmp, tmp_lo, dF = adv
+        G = np.zeros((P, P))
+        s, (Gmid, Ghi, Glo, lapG, lap_cells), adv = sv._axis(grid, ax, G, a)
+        halves, reach, left, right, F, tmp, dF, Fp, dF_cells = adv
         (plus, left_up), (minus, left_down) = halves
-        arrays = [Gp, *gbuf, F, tmp, lapG, dF]
-        views = [(Gmid, Gp[1:-1]), (Ghi, Gp[2:]), (Glo, Gp[:-2]), (Fhi, F[1:]),
-                 (Flo, F[:-1]), (tmp_lo, tmp[:-1])]
-        if ax == 0:
-            arrays, views = arrays + [Up], views + [(Umid, Up[1:-1])]
-        else:
-            assert Up is Umid is None
-        assert k == ax
-        assert all(v.flags.c_contiguous for v in arrays + [plus, minus, reach])
-        assert [v.shape[0] for v in arrays] == ([N + 2] * 4 + [N + 1] * 2 + [N] * 2
-                                                + [N + 2] * (ax == 0))
-        assert all(same_view(v, w) for v, w in views)
+        flat, lo = G.ravel(), P - s  # the interfaces from one stride below the rows window
+        assert s == (P, 1)[ax]
+        assert same_view(Gmid, flat[rows]) and same_view(Ghi, flat[P + s:P * (N + 1) + s])
+        assert same_view(Glo, flat[P - s:P * (N + 1) - s])
+        assert (left, right) == ((slice(lo, P * (N + 1)),), (slice(P, P * (N + 1) + s),))
+        assert Fp.shape == (P, P) and same_view(F, Fp.ravel()[lo:P * (N + 1)])
+        assert all(v.flags.c_contiguous for v in (lapG, dF, tmp, reach))
+        assert lapG.shape == dF.shape == (N * P,) and tmp.shape == F.shape
+        for view, over in ((lap_cells, lapG), (dF_cells, dF)):
+            assert view.shape == grid.shape and same_view(view, over.reshape(N, P)[:, 1:-1])
         assert (left_up, left_down) == (False, True)
         assert all(not v.flags.writeable for v in (plus, minus, reach))
-        assert [v.shape for v in (plus, minus, reach)] == [(N + 1, N), (N + 1, N), (N, N)]
-        # component ax of a at the interfaces normal to ax, first along them; it
-        # keeps its sign in every cell, so the reach is the larger |a| of the two faces
-        want = np.broadcast_to(np.tanh(grid.axis_interfaces())[:, None], (N + 1, N))
-        assert np.array_equal(plus + minus, want)
-        assert np.array_equal(reach, np.maximum(abs(want[:-1]), abs(want[1:])))
-        zero = sv._axis(grid, ax, grid.shape, None, False)
-        assert zero[1].flags.c_contiguous and zero[-1] is None
-        assert not zero[1][[0, -1]].any()  # dirichlet_zero ghosts, set once
+        assert plus.shape == minus.shape == F.shape and reach.shape == grid.shape
+        # component ax of a at interface m | m+s, laid out on the padded cells
+        want = np.tanh(grid.axis_interfaces())
+        laid = np.zeros(P * P)
+        laid[lo:P * (N + 1)] = plus + minus
+        laid = laid.reshape(P, P)
+        laid = laid[:N + 1, 1:-1] if ax == 0 else laid[1:-1, :N + 1].T  # interfaces first
+        assert np.array_equal(laid, np.broadcast_to(want[:, None], (N + 1, N)))
+        # a keeps its sign in every cell, so the reach is the larger |a| of the two faces
+        faces = np.broadcast_to(np.maximum(abs(want[:-1]), abs(want[1:]))[:, None], (N, N))
+        assert np.array_equal(reach, faces if ax == 0 else faces.T)
+        zero = sv._axis(grid, ax, G, None)
+        assert zero[0] == s and zero[2] is None
         # a uniform coefficient is a float, and a half that a zeroes is left out
-        uniform = sv._axis(grid, ax, grid.shape, lambda x: -2.0 * np.ones(np.shape(x)), True)
-        assert uniform[-1][3:5] == ([(-2.0, True)], 2.0)
-        k, Gp, *_, lapG, adv = sv._axis(grid, ax, (3,) + grid.shape, a, True)
-        Up, _, gbuf, halves, reach, F, _, _, tmp, _, dF = adv
-        assert k == ax + 1
-        assert all(v.swapaxes(0, k).flags.c_contiguous
-                   for v in [Gp, *[Up] * (ax == 0), *gbuf, F, tmp, lapG, dF])
-        (plus, _), (minus, _) = halves
-        assert all(v.shape[k] == 1 and v.ndim == 3 for v in (plus, minus, reach))
-    # the plan: G(u) in the middle of axis 0's padded G, and terms laid out as
-    # the values, for a flux that advects and for the zero flux; alpha = 1 takes
-    # no power. The plan's arrays are those its bound closures hold.
-    for flux, shape in [(pr.burgers_flux_model(2), grid.shape),
-                        (pr.zero_flux_model(2), (3,) + grid.shape)]:
-        p = pr.Problem(grid=grid, alpha=1.0, p0=1.0, flux=flux, u0=gaussian)
-        s = pr.State(values=np.ones(shape), time=0.0, grid=grid)
+        uniform = sv._axis(grid, ax, G, lambda x: -2.0 * np.ones(np.shape(x)))
+        assert uniform[2][:2] == ([(-2.0, True)], 2.0)
+        # stacked: the same windows behind the branch axis, the coefficients unchanged
+        G3 = np.zeros((3, P, P))
+        s3, (Gmid, *_, lapG, lap_cells), adv = sv._axis(grid, ax, G3, a)
+        assert s3 == s and same_view(Gmid, G3.reshape(3, -1)[:, rows])
+        assert lapG.shape == (3, N * P) and lapG.flags.c_contiguous
+        assert same_view(lap_cells, lapG.reshape(3, N, P)[:, :, 1:-1])
+        assert adv[0][0][0].shape == plus.shape and adv[1].shape == grid.shape
+    # the plan: one padded u and G, ghost cells at 0 but for the edge copies of
+    # zero_flux, g evaluated on the whole flat padded u, and terms laid out as
+    # the values; alpha = 1 takes no power. The plan's arrays are those its
+    # bound closures hold.
+    for flux, shape, boundary in [(pr.burgers_flux_model(2), grid.shape, "zero_flux"),
+                                  (pr.burgers_flux_model(2), grid.shape, "dirichlet_zero"),
+                                  (pr.zero_flux_model(2), (3,) + grid.shape, "zero_flux")]:
+        p = pr.Problem(grid=grid, alpha=1.0, p0=1.0, flux=flux, u0=gaussian,
+                       boundary_policy=boundary)
+        u = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        s = pr.State(values=u, time=0.0, grid=grid)
         prepare, apply, outflow, rates, terms = sv.plan(s, p)
         env, b = closure(prepare), len(shape) - 2
-        dx, dx2, two_n, buf, G = (env[name] for name in ("dx", "dx2", "two_n", "buf", "G"))
-        (lap0, copy, lap1), advects = env["laps"], env["advects"]
-        assert (dx, dx2, two_n, env["magnitude"], env["scale"], env["by"]) == (
-            grid.dx, grid.dx ** 2, 4.0, np.abs, np.multiply, 0.5)
-        axes = [closure(lap0), closure(lap1)]
-        assert buf.shape == G.shape == shape and same_view(G, sv._first(axes[0]["Gmid"], b))
-        assert closure(copy)["G"] is G and same_view(copy.__defaults__[0],
-                                                     sv._first(axes[1]["Gmid"], b + 1))
+        U, G, Uf = (env[name] for name in ("U", "G", "Uf"))
+        assert (env["dx"], env["dx2"], env["two_n"], env["magnitude"], env["scale"],
+                env["by"]) == (grid.dx, grid.dx ** 2, 4.0, np.abs, np.multiply, 0.5)
+        assert U.shape == G.shape == shape[:b] + (P, P) and U.flags.c_contiguous
+        assert same_view(Uf, U.reshape(shape[:b] + (-1,)))
+        # apply runs from U over the rows window into work, whose cells it copies out
+        Urows, buf, work = (closure(apply)[name] for name in ("Urows", "buf", "work"))
+        assert same_view(Urows, Uf[..., rows]) and buf.shape == work.shape == Urows.shape
+        got = []
+        prepare(s, lambda v, out: got.append(v.copy()) or flux.split.g(v, out))
+        assert len(got) == (flux.name != "zero")
+        padded = np.pad(u, [(0, 0)] * b + [(1, 1)] * 2,
+                        "edge" if boundary == "zero_flux" else "constant")
+        padded[..., ::P - 1, ::P - 1] = 0.0  # corner ghost cells
+        assert np.array_equal(U, padded) and np.array_equal(G, padded * padded / 2)
+        assert all(v.shape == Uf.shape and np.array_equal(v, Uf) for v in got)
+        laps, advects = env["laps"], env["advects"]
         assert (advects == []) == (flux.name == "zero")
-        for ax, ((dF, lap), lap_env) in enumerate(zip(terms, axes)):
-            k = ax + b
-            assert lap.shape == shape and same_view(lap, sv._first(lap_env["lapG"], k))
+        for ax, ((dF, lap), lap_fn) in enumerate(zip(terms, laps)):
+            assert lap.shape == shape and same_view(
+                lap, closure(lap_fn)["lapG"].reshape(shape[:b] + (N, P))[..., 1:-1])
             assert (dF is None) == (flux.name == "zero")
             assert dF is None or dF.shape == shape and same_view(
-                dF, sv._first(closure(advects[ax])["dF"], k))
-        # wall sums for each axis of an unstacked state that advects under
-        # zero_flux, with its F alone (the diffusive wall flux is 0); none if stacked
+                dF, closure(advects[ax])["dF"].reshape(N, P)[:, 1:-1])
+        # wall sums for each axis of an unstacked state: under zero_flux with F
+        # alone (the diffusive wall flux is 0), under dirichlet_zero with G's
+        # ghost and edge cells too; none if stacked
         walls = closure(apply)["walls"]
         if b:
-            assert outflow is None and walls == [] and rates == []
-        else:
-            assert outflow == [[0.0, 0.0]] * 2 and len(walls) == 2 and rates is None
-            for ax, (wall, out) in enumerate(zip(walls, outflow)):
-                w = closure(wall)
-                assert same_view(w["F"][1:], closure(advects[ax])["Fhi"])
-                assert w["Gp"] == (0.0, 0.0) and w["face"] == grid.dx and w["total"] is out
+            assert outflow is None and walls == [] and len(rates) == 3
+            continue
+        assert outflow == [[0.0, 0.0]] * 2 and len(walls) == 2 and rates is None
+        for ax, (wall, out) in enumerate(zip(walls, outflow)):
+            w, adv = closure(wall), closure(advects[ax])
+            assert w["face"] == grid.dx and w["total"] is out
+            assert all(v.shape == ((1, N), (N, 1))[ax] for v in w["F"])
+            assert np.shares_memory(w["F"][0], adv["Flo"])
+            assert np.shares_memory(w["F"][1], adv["Fhi"])
+            cells = [[slice(1, -1)] * 2 for _ in range(4)]
+            for at, k in zip(cells, (0, 1, N, N + 1)):
+                at[ax] = slice(k, k + 1)
+            names = ("ghost_lo", "edge_lo", "edge_hi", "ghost_hi")
+            assert all(w[name] == 0.0 if boundary == "zero_flux" else
+                       same_view(w[name], G[tuple(at)]) for name, at in zip(names, cells))
 
 
 def closure(fn) -> dict:

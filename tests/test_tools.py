@@ -1,7 +1,9 @@
-"""tools/loc.py counts each line of a module as exactly one kind, and
-tools/step_cost.py times the steps of each of its cases."""
+"""tools/loc.py counts each line of a module as exactly one kind,
+tools/step_cost.py times the steps of each of its cases, and
+tools/artifact_digest.py digests what a command writes, the same each time."""
 
 import importlib.util
+import os
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -14,7 +16,7 @@ def _tool(name):
     return module
 
 
-loc, step_cost = _tool("loc"), _tool("step_cost")
+loc, step_cost, artifact_digest = _tool("loc"), _tool("step_cost"), _tool("artifact_digest")
 
 SOURCE = '''"""Module docstring
 over two lines."""
@@ -51,3 +53,16 @@ def test_step_cost_times_each_case_on_a_tiny_grid():
 def test_step_cost_wants_a_source_tree(capsys):
     assert step_cost.main([]) == 2 and step_cost.main([str(ROOT)]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_artifact_digest_wants_a_source_tree(capsys):
+    assert artifact_digest.main([]) == 2 and artifact_digest.main([str(ROOT)]) == 2
+    assert "usage" in capsys.readouterr().err
+
+
+def test_artifact_digest_of_a_command_is_the_same_twice():
+    src, cmd = str(ROOT / "src"), ["moser-table", "--m", "3"]
+    first = artifact_digest.digest(src, cmd)
+    assert first["exit"] == 0
+    assert sorted(os.path.splitext(name)[1] for name in first["files"]) == [".csv", ".json"]
+    assert artifact_digest.digest(src, cmd) == first

@@ -12,11 +12,13 @@ digest, so comparing two trees is one `diff` of their digests.
 The list covers the seven commands of acceptance criterion 10, the commands of
 the four benchmark workloads at their middle parameters, and cases the
 criterion-10 list leaves out: a long Moser table, every catalog flux under
-check-flux, data at the walls under both boundary policies, a 2-D sandwich,
-2-D runs with and without advection, 1-D Burgers from signed data under both
-boundary policies, 2-D Burgers from signed data under dirichlet_zero (g's
-falling half and the g(0) ghost cells that axis 1 copies), every option of
-figure1 and barenblatt-validate off its default, a run at a smaller CFL
+check-flux, data at the walls under both boundary policies, a 2-D sandwich
+under both boundary policies, 2-D runs with and without advection, 1-D
+Burgers from signed data under both boundary policies, 2-D Burgers from
+signed data under dirichlet_zero (g's falling half and its g(0) ghost
+cells), 2-D compact data without advection that reaches the dirichlet_zero
+walls (the diffusive wall outflow, read from G's ghost cells), every option
+of figure1 and barenblatt-validate off its default, a run at a smaller CFL
 factor, the benchmark's step-size probe with its 31 snapshots, a run whose CSV
 holds signed zeros (-0 at t=0, 0 after), runs that take and skip each identity
 the step drops (alpha = 1, a uniform reach), runs at alpha = 3 and alpha = 2
@@ -66,6 +68,8 @@ COMMANDS = [
     ["run", "--set", "flux=figure1", "--set", "alpha=1.7", "--set", "boundary=dirichlet_zero",
      "--set", "N=200", "--t-end", "1.0"],
     ["sandwich", "--set", "n=2", "--set", "N=40", "--eps-list", "0.1,0.01", "--t-end", "0.2"],
+    ["sandwich", "--set", "n=2", "--set", "N=40", "--set", "boundary=dirichlet_zero",
+     "--eps-list", "0.1,0.01", "--t-end", "0.2"],
     ["check-flux", "--flux", "burgers", "--samples", "5"],
     ["sandwich", "--eps-list", "0.1,0.1", "--t-end", "0.2"],
     ["decay-study", "--t-end", "1.0", "--set", "N=100", "--q-list", "2,2",
@@ -88,8 +92,8 @@ COMMANDS = [
     ["run", "--set", "flux=burgers", "--set", "u0=signed_gaussian", "--set", "L=3",
      "--set", "N=120", "--set", "boundary=dirichlet_zero", "--t-end", "1"],
     # 2-D Burgers from signed data under dirichlet_zero: g's falling half, and
-    # the g(0) ghost cells that axis 1 copies from axis 0; mass leaves through
-    # the walls, so the run fails its budget verdict
+    # g(0) at the ghost cells; mass leaves through the walls, so the run fails
+    # its budget verdict
     ["run", "--set", "n=2", "--set", "flux=burgers", "--set", "u0=signed_gaussian",
      "--set", "boundary=dirichlet_zero", "--set", "L=2", "--set", "N=40", "--t-end", "0.3"],
     # every option of figure1 and barenblatt-validate off its default, and a run's CFL
@@ -127,6 +131,10 @@ COMMANDS = [
      "--set", "N=120", "--t-end", "5"],
     ["run", "--set", "flux=zero", "--set", "u0=barenblatt C=1 t=1", "--set", "L=3",
      "--set", "N=120", "--set", "boundary=dirichlet_zero", "--t-end", "5"],
+    # 2-D compact data that reach the dirichlet_zero walls by t=0.2: the
+    # diffusive wall outflow reads G's ghost cells
+    ["run", "--set", "n=2", "--set", "flux=zero", "--set", "u0=barenblatt C=0.5 t=0.2",
+     "--set", "L=2", "--set", "N=40", "--set", "boundary=dirichlet_zero", "--t-end", "1"],
     # non-numeric text in a list option and in a scalar setting
     ["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "1,x"],
     ["run", "--set", "N=abc", "--t-end", "0.1"],

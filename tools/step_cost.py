@@ -1,4 +1,4 @@
-"""Microseconds per step of `solver.run` for four fixed problems.
+"""Microseconds per step of `solver.run` for five fixed problems.
 
     python3 tools/step_cost.py SRC
 
@@ -8,8 +8,10 @@ process and prints the best run's wall time over its step count, with the
 step count. The cases are the 1-D zero flux of the decay-study benchmark
 (N=800, L=40, a unit Gaussian to t=50) at alpha = 0.5 and alpha = 1, the
 default `figure1` problem (N=600) and the burgers-2d benchmark's problem
-(N=160, L=10, 11 snapshots to t=3). Run it alternately on two trees to
-compare their steps; the figures are those of the machine it runs on.
+(N=160, L=10, 11 snapshots to t=3), under its zero_flux walls and under
+dirichlet_zero, whose ghost cells hold g(0) and G(0). Run it alternately on
+two trees to compare their steps; the figures are those of the machine it
+runs on.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ CASES = {
                  "N": "600"}, 5.0, 6),
     "burgers-2d": ({"n": "2", "flux": "burgers", "u0": "gaussian amp=1.0 width=1.0",
                     "N": "160", "L": "10.0"}, 3.0, 11),
+    "burgers-2d dirichlet_zero": ({"n": "2", "flux": "burgers",
+                                   "u0": "gaussian amp=1.0 width=1.0", "N": "160", "L": "10.0",
+                                   "boundary": "dirichlet_zero"}, 3.0, 11),
 }
 
 

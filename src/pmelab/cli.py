@@ -3,7 +3,8 @@
 Output file names carry a stamp that hashes every option as parsed (not wall
 clock), so identical invocations overwrite themselves byte-identically.
 Exit codes: 0 success and audits passing, 1 audit failure or RunError,
-2 usage error or ConfigError.
+2 usage error or ConfigError, an unreadable --config or an unusable --outdir
+among them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable
+from typing import Iterable
 
 import numpy as np
 
@@ -37,14 +38,19 @@ def _cell(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _table(schema: str, columns: list[str], rows) -> Callable[[str], None]:
-    """The writer of a CSV with a schema line, a header and one line per row."""
-    def write(path) -> None:
-        lines = [f"# pmelab csv v1 schema={schema}", ",".join(columns)]
-        lines += [",".join(_cell(v) for v in row) for row in rows]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return write
+def _table(schema: str, columns: list[str], rows) -> list[str]:
+    """The text of a CSV: its schema line and header, then one line per row."""
+    return ([f"# pmelab csv v1 schema={schema}\n{','.join(columns)}\n"]
+            + [",".join(_cell(v) for v in row) + "\n" for row in rows])
+
+
+def _on_path(option: str, path: str, call, **kwargs):
+    """call(path, **kwargs); an OSError, such as a directory given for a file
+    or a file for a directory, is a ConfigError naming the option."""
+    try:
+        return call(path, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"{option} {path!r} is unusable: {exc.strerror}") from None
 
 
 def _problem_from_args(args, base: dict[str, str] | None = None) -> tuple[Problem, dict]:
@@ -52,7 +58,7 @@ def _problem_from_args(args, base: dict[str, str] | None = None) -> tuple[Proble
     each --set, a later key replacing an earlier one."""
     raw = dict(base or {})
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with _on_path("--config", args.config, open, encoding="utf-8") as fh:
             raw.update(read_config(fh.read()))
     for item in args.set or []:
         if "=" not in item:
@@ -97,37 +103,36 @@ def _mass_budget(result: solver.RunResult) -> tuple[list, float, float]:
     return masses, residual, max(abs(v) for w in result.wall_outflow for v in w)
 
 
-def _write_snapshot_csv(path, result: solver.RunResult) -> None:
-    """The run CSV: columns t, x0[, x1], u, one row per cell per snapshot,
-    each value as %.17g (the text of _cell). The N cell centers of an axis and
-    the distinct u values of a snapshot (by bit pattern, so -0.0 and 0.0 stay
-    apart) are each formatted once, and every row joins its text from them by
-    index, so the bytes equal %.17g of every cell."""
+def _snapshot_csv(result: solver.RunResult) -> Iterable[str]:
+    """The text of the run CSV, _table's header and then one piece per snapshot:
+    columns t, x0[, x1], u, one row per cell, each value as %.17g (the text of
+    _cell). The N cell centers of an axis and the distinct u values of a
+    snapshot (by bit pattern, so -0.0 and 0.0 stay apart) are each formatted
+    once, and every row joins its text from them by index, so the bytes equal
+    %.17g of every cell."""
     grid = result.snapshots[0].grid
     centers = ["%.17g" % c for c in grid.axis_centers().tolist()]
     # row i of a snapshot at time text T is T + tails[i] % text(u[i]), cells in C order
     tails = ["," + ",".join(x) + ",%s\n"
              for x in itertools.product(centers, repeat=grid.n)]
-    cols = ["t"] + [f"x{a}" for a in range(grid.n)] + ["u"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# pmelab csv v1 schema=run-snapshots\n{','.join(cols)}\n")
-        for snap in result.snapshots:
-            t = "%.17g" % snap.time
-            bits, inverse = np.unique(snap.values.ravel().view(np.int64),
-                                      return_inverse=True)
-            texts = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-            fh.write((t + t.join(tails)) % tuple(map(texts.__getitem__, inverse.tolist())))
+    yield from _table("run-snapshots", ["t"] + [f"x{a}" for a in range(grid.n)] + ["u"], ())
+    for snap in result.snapshots:
+        t = "%.17g" % snap.time
+        bits, inverse = np.unique(snap.values.ravel().view(np.int64), return_inverse=True)
+        texts = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+        yield (t + t.join(tails)) % tuple(map(texts.__getitem__, inverse.tolist()))
 
 
 @dataclasses.dataclass(frozen=True)
 class Report:
     """What one command made: the values its parsing made of its options (a
-    --set/--config mapping, a parsed list), the CSV writer, the JSON summary with
-    its verdict under "passed", the stdout line before that verdict, and the SVG
-    curves with the keywords of svg.write_svg, if the command plots."""
+    --set/--config mapping, a parsed list), the text of its CSV in pieces, the
+    JSON summary with its verdict under "passed", the stdout line before that
+    verdict, and the SVG curves with the keywords of svg.write_svg, if the
+    command plots."""
 
     settings: dict
-    csv: Callable[[str], None]
+    csv: Iterable[str]
     summary: dict
     line: str
     curves: list | None = None
@@ -144,13 +149,14 @@ def _stamp(args, settings: dict) -> str:
 
 
 def _emit(args, report: Report) -> int:
-    """Write the report's files as <command>_<stamp>.{csv,json,svg}, print its
-    line with the verdict, and return the exit code: 0 if it passed, else 1."""
-    os.makedirs(args.outdir, exist_ok=True)
+    """Write the report's files into --outdir as <command>_<stamp>.{csv,json,svg},
+    the CSV piece by piece, print its line with the verdict, and return the exit
+    code: 0 if it passed, else 1."""
     stem = os.path.join(args.outdir, f"{args.command}_{_stamp(args, report.settings)}")
-    report.csv(stem + ".csv")
-    with open(stem + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(report.summary, indent=2, sort_keys=True) + "\n")
+    summary = [json.dumps(report.summary, indent=2, sort_keys=True), "\n"]
+    for path, pieces in ((stem + ".csv", report.csv), (stem + ".json", summary)):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
     if report.curves is not None:
         svg.write_svg(stem + ".svg", report.curves, **report.plot)
     passed = report.summary["passed"]
@@ -185,7 +191,7 @@ def cmd_run(args) -> Report:
     x = problem.grid.axis_centers()
     curves = [svg.Curve(x, result.snapshots[0].values, label="initial", dashed=True),
               svg.Curve(x, result.snapshots[-1].values, label="final")]
-    return Report(raw, lambda path: _write_snapshot_csv(path, result), summary,
+    return Report(raw, _snapshot_csv(result), summary,
                   f"run: steps={result.step_count} "
                   f"wall_outflow_max={largest:.3e}",
                   curves if problem.grid.n == 1 else None,  # a 2-D run has no plot
@@ -491,8 +497,9 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _on_path("--outdir", args.outdir, os.makedirs, exist_ok=True)
         return _emit(args, args.func(args))
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"pmelab {args.command}: configuration error: {exc}", file=sys.stderr)
         return 2
     except RunError as exc:

@@ -121,9 +121,7 @@ class State:
     stacked along a leading axis and stepped together.
 
     A State keeps a read-only C-ordered copy of the values, so later writes to
-    the caller's array do not reach it, and checks that each is finite. The
-    states that the solver makes (`_Stepped`) skip both; the `solver` module
-    docstring says where their values are checked."""
+    the caller's array do not reach it, and checks that each is finite."""
 
     values: np.ndarray
     time: float
@@ -144,15 +142,6 @@ class State:
             raise ConfigError(f"time must be finite and >= 0, got {self.time}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-
-class _Stepped(State):
-    """A State that takes its values as they are (see `State`), set without
-    the frozen dataclass's __init__."""
-
-    def __init__(self, values: np.ndarray, time: float, grid: Grid) -> None:
-        fields = self.__dict__
-        fields["values"], fields["time"], fields["grid"] = values, time, grid
 
 
 @dataclass(frozen=True)
@@ -264,16 +253,14 @@ def _burgers_g(u, out):
 
 def burgers_flux_model(n: int = 1) -> FluxModel:
     """f_j = u^2/2 in every component, split as max(u, 0)^2/2 + min(u, 0)^2/2."""
-    # all components are equal: one array as a (1,) view or a read-only (n,) view
-    def components(v):
-        return v[None] if n == 1 else np.broadcast_to(v, (n,) + v.shape)
-
+    # all components are equal: one array as a read-only (n,) view
     def f(x, u):
         u = np.asarray(u, dtype=float)
-        return components(0.5 * u * u)
+        return np.broadcast_to(0.5 * u * u, (n,) + u.shape)
 
     def df_du(x, u):
-        return components(np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        return np.broadcast_to(u, (n,) + u.shape)
 
     return FluxModel(name="burgers", f=f, df_du=df_du,
                      split=FluxSplit(a=lambda x: np.ones(np.shape(x)), div_a=_no_divergence,

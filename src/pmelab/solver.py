@@ -116,7 +116,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, RunError
-from .problem import ZERO_SPLIT, Grid, Problem, State, _Stepped, sample_initial
+from .problem import ZERO_SPLIT, Grid, Problem, State, sample_initial
 
 _DEN_GUARD = 1e-300
 MAX_STEPS = 2_000_000
@@ -137,6 +137,16 @@ class SchemeConfig:
         if not all(0 <= t <= self.t_end for t in times):
             raise ConfigError(f"snapshot times {times} outside [0, {self.t_end}]")
         object.__setattr__(self, "snapshot_times", times)
+
+
+class _Stepped(State):
+    """A State that takes a step's values as they are, read-only, with no copy
+    and no finiteness scan (the module docstring says where they are checked),
+    set without the frozen dataclass's __init__."""
+
+    def __init__(self, values: np.ndarray, time: float, grid: Grid) -> None:
+        fields = self.__dict__
+        fields["values"], fields["time"], fields["grid"] = values, time, grid
 
 
 @dataclass(frozen=True)

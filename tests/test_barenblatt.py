@@ -146,3 +146,13 @@ def test_residual_check_support_overflow():
     p = bb.BarenblattProfile(n=1, alpha=1.0, C=1.0)
     with pytest.raises(ConfigError):
         bb.residual_check(p, Grid(n=1, L=2.0, N=100), 2.0)
+
+
+def test_bad_dimension_coordinates_and_grid_are_named():
+    with pytest.raises(ConfigError, match="dimension must be a positive integer, got 0"):
+        bb.BarenblattProfile(n=0, alpha=1.0)
+    p2 = bb.BarenblattProfile(n=2, alpha=1.0)
+    with pytest.raises(ConfigError, match=r"leading axis of length n=2, got shape \(3, 4\)"):
+        bb.evaluate(p2, np.zeros((3, 4)), 1.0)
+    with pytest.raises(ConfigError, match="grid dimension 1 != profile dimension 2"):
+        bb.residual_check(p2, Grid(n=1, L=10.0, N=100), 1.0)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -49,6 +50,31 @@ class TestSvg:
             svg.render_svg([svg.Curve(x=np.array([0.0, 1.0]),
                                       y=np.array([1.0, 2.0]), label="bad")],
                            title="", xlabel="x", ylabel="y", logx=True)
+
+    def test_bad_curves_are_named(self):
+        with pytest.raises(RunError, match="curve 'c' has empty or mismatched data"):
+            svg.render_svg([svg.Curve(x=[1.0, 2.0], y=[1.0], label="c")])
+        with pytest.raises(RunError, match="unknown curve kind 'bars'"):
+            svg.render_svg([svg.Curve(x=[1.0], y=[1.0], kind="bars")])
+
+    @pytest.mark.parametrize("setting, x_ticks, y_ticks", [
+        ("N=1", "-0.5 -0.25 0 0.25 0.5", None),  # one cell: flat x, and flat y
+        ("u0=zero", None, "-0.55 -0.275 0 0.275 0.55"),  # u = 0: flat y only
+    ])
+    def test_flat_ranges_are_widened(self, tmp_path, setting, x_ticks, y_ticks):
+        # a flat range becomes its value +-0.5, and y is padded by 5% more: the
+        # lone cell at x = 0 plots at mid-width, a flat u at mid-height
+        assert run_cli(tmp_path, "run", "--set", setting, "--t-end", "0.01") == 0
+        doc = outputs(tmp_path, "svg")[0].read_text()
+        labels = re.findall(r'font-size="11">([^<]*)<', doc)
+        ticks = " ".join(labels[0::2]) if x_ticks else " ".join(labels[1::2])
+        assert ticks == (x_ticks or y_ticks)
+        points = [p.split(",") for line in re.findall(r'points="([^"]*)"', doc)
+                  for p in line.split()]
+        assert len(points) == (2 if x_ticks else 800)
+        assert all(y == "235.00" for _, y in points)
+        if x_ticks:
+            assert all(x == "385.00" for x, _ in points)
 
     def test_deterministic_string(self):
         x = np.linspace(0.0, 1.0, 7)
@@ -219,6 +245,16 @@ class TestExitCodes:
          "u0 has zero L^p0 norm (p0=1.0)"),
         (["decay-study", "--set", "u0=gaussian amp=0", "--set", "N=50", "--t-end", "1"],
          "u0 has zero L^p0 norm (p0=1.0)"),
+        # --set text and catalog entries that do not parse, and a flux that has no 2-D form
+        (["run", "--set", "foo", "--t-end", "0.1"],
+         "override 'foo' is not of the form key=value"),
+        (["run", "--set", "flux=", "--t-end", "0.1"], "empty catalog entry"),
+        (["run", "--set", "flux=linear c", "--t-end", "0.1"],
+         "malformed parameter 'c' (expected key=value)"),
+        (["run", "--set", "flux=linear c=x", "--t-end", "0.1"], "non-numeric parameter 'c=x'"),
+        (["run", "--set", "bogus=1", "--t-end", "0.1"], "unknown key 'bogus'"),
+        (["run", "--set", "n=2", "--set", "flux=figure1", "--t-end", "0.1"],
+         "figure1 flux is one-dimensional"),
     ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
@@ -237,7 +273,9 @@ class TestExitCodes:
             "barenblatt-datum-spike", "barenblatt-t0-rescales-to-0",
             "check-flux-range-overflows", "check-flux-signed-range-overflows",
             "moser-q-overflows", "moser-alpha-overflows", "sandwich-p0-overflows",
-            "decay-p0-overflows", "decay-zero-datum", "decay-gaussian-amp-0"])
+            "decay-p0-overflows", "decay-zero-datum", "decay-gaussian-amp-0",
+            "set-without-equals", "flux-empty", "flux-parameter-without-value",
+            "flux-parameter-non-numeric", "unknown-set-key", "figure1-in-2d"])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
         calls = []
@@ -249,6 +287,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
         assert not any(tmp_path.glob("*.*"))
+
+    @pytest.mark.parametrize("option", ["--config", "--outdir"])
+    def test_unusable_path_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                   option):
+        # a --config that is a directory, an --outdir that is a file
+        calls = []
+        monkeypatch.setattr(solver, "advance", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(ex, "moser_trace", lambda *a: calls.append(a))
+        a_file = tmp_path / "file"
+        a_file.write_text("")
+        if option == "--config":
+            argv = ["--outdir", str(tmp_path), "run", "--config", str(tmp_path)]
+            named = f"--config {str(tmp_path)!r} is unusable: Is a directory"
+        else:
+            argv = ["--outdir", str(a_file), "moser-table", "--m", "3"]
+            named = f"--outdir {str(a_file)!r} is unusable: File exists"
+        assert cli.dispatch(argv) == 2
+        assert calls == []
+        assert f"configuration error: {named}\n" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--cfl", "5e-324", "--t-end", "0.01"],
+         "step 1: stable dt underflowed at t=0.0 (dt=0.0)"),
+        # |u|^400 u overflows on the u range
+        (["check-flux", "--flux", "figure1 k=400", "--umax", "10"],
+         "non-finite flux divergence at x=(-9.84375,), u=5.984126984126984"),
+    ], ids=["dt-underflows", "divergence-overflows"])
+    def test_run_error_exits_1_and_writes_nothing(self, tmp_path, capsys, argv, message):
+        assert run_cli(tmp_path, *argv) == 1
+        assert f"pmelab {argv[0]}: run error: {message}\n" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_plot_failure_is_a_run_error(self, tmp_path, monkeypatch, capsys):
         # a plot that cannot be drawn is a failed run (1), not bad input (2)
@@ -414,19 +485,22 @@ def snapshot_result(grid, snapshots):
         step_count=0, min_dt=0.0, max_dt=0.0, wall_outflow=[])
 
 
+def snapshot_csv(result) -> bytes:
+    """The bytes that _emit writes of the run CSV's pieces."""
+    return "".join(cli._snapshot_csv(result)).encode("utf-8")
+
+
 class TestSnapshotCsv:
     @pytest.mark.parametrize("n", [1, 2])
-    def test_solver_run_matches_per_cell_reference(self, tmp_path, n):
+    def test_solver_run_matches_per_cell_reference(self, n):
         problem = problem_from_mapping({"n": str(n), "N": "12", "L": "3.3",
                                         "flux": "burgers", "u0": "signed_gaussian"})
         result = solver.run(problem, solver.SchemeConfig(
             t_end=0.3, snapshot_times=(0.0, 0.1, 0.3)))
-        path = tmp_path / "run.csv"
-        cli._write_snapshot_csv(path, result)
-        assert path.read_bytes() == reference_snapshot_csv(result)
+        assert snapshot_csv(result) == reference_snapshot_csv(result)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_edge_values_match_per_cell_reference(self, tmp_path, n):
+    def test_edge_values_match_per_cell_reference(self, n):
         special = [-0.0, 5e-324, 1e-300, 1e300, 3.0, -7.0, -2.5, 0.1, -1e-300,
                    -1e300, 1.0 / 3.0, 2.0 ** 53]
         grid = Grid(n=n, L=1.0 / 3.0, N=4)
@@ -436,9 +510,7 @@ class TestSnapshotCsv:
                  for k, t in enumerate([0.0, 1e-300, 2.0, 0.1 + 0.2])]
         result = solver.RunResult(snapshots=snaps, step_count=0, min_dt=0.0, max_dt=0.0,
                                   wall_outflow=[])
-        path = tmp_path / "run.csv"
-        cli._write_snapshot_csv(path, result)
-        text = path.read_bytes()
+        text = snapshot_csv(result)
         assert text == reference_snapshot_csv(result)
         for cell in (b",-0\n", b",4.9406564584124654e-324\n",
                      b",1.0000000000000001e+300\n", b",9007199254740992\n"):
@@ -458,22 +530,20 @@ class TestSnapshotCsv:
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_dedupe_cases_match_per_cell_reference(self, tmp_path, case, n):
+    def test_dedupe_cases_match_per_cell_reference(self, case, n):
         grid = Grid(n=n, L=2.0, N=5)
         snaps = self.CASES[case](5 ** n)
         if case == "all-distinct":
             assert all(np.unique(u).size == u.size for u in snaps)
         result = snapshot_result(grid, [(0.1 * k, u) for k, u in enumerate(snaps)])
-        path = tmp_path / "run.csv"
-        cli._write_snapshot_csv(path, result)
-        text = path.read_bytes()
+        text = snapshot_csv(result)
         assert text == reference_snapshot_csv(result)
         if case == "signed-zeros":
             assert b",0\n" in text and b",-0\n" in text
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_any_values_match_per_cell_reference(self, tmp_path_factory, data):
+    def test_any_values_match_per_cell_reference(self, data):
         # finite floats mixed with a small pool, so that values repeat
         n = data.draw(st.sampled_from((1, 2)), label="n")
         grid = Grid(n=n, L=1.0, N=data.draw(st.integers(1, 5), label="N"))
@@ -484,9 +554,7 @@ class TestSnapshotCsv:
             st.tuples(st.floats(0.0, 1e6), st.lists(value, min_size=cells, max_size=cells)),
             min_size=1, max_size=3), label="snapshots")
         result = snapshot_result(grid, snaps)
-        path = tmp_path_factory.mktemp("csv") / "run.csv"
-        cli._write_snapshot_csv(path, result)
-        assert path.read_bytes() == reference_snapshot_csv(result)
+        assert snapshot_csv(result) == reference_snapshot_csv(result)
 
 
 class TestFigure1Command:

@@ -267,3 +267,12 @@ def test_moser_trace():
 
 def test_moser_trace_bound_beyond_float_range_is_inf():
     assert ex.moser_trace(1.0, 1, 1e6, 1).K_bound == math.inf
+
+
+def test_negative_weight_index_and_no_iterations_are_named():
+    with pytest.raises(ConfigError, match="weight index must be >= 0, got -1"):
+        ex.moser_B(-1, 3, 1.0, 1, 1.0)
+    with pytest.raises(ConfigError, match="iteration count must be >= 1, got 0"):
+        ex.moser_trace(1.0, 1, 1.0, 0)
+    with pytest.raises(ConfigError, match="iteration count must be >= 1, got 0"):
+        ex.moser_time_grid(0, 1.0)

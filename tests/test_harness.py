@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,20 @@ class TestSmoothing:
         rep = hz.audit_smoothing(res, p0=1.0, alpha=1.0)
         assert rep.passed, rep
         assert rep.gamma0 == ex.smoothing_exponents(1, 1.0, 1.0)[1]
+
+    def test_runs_it_cannot_audit_are_named(self):
+        grid = pr.Grid(n=1, L=1.0, N=4)
+
+        def result(*snaps):
+            return sv.RunResult(
+                snapshots=[pr.State(values=np.full(4, u), time=t, grid=grid) for t, u in snaps],
+                step_count=0, min_dt=0.0, max_dt=0.0, wall_outflow=[])
+
+        for res, named in ((result(), "empty run result"),
+                           (result((0.0, 0.0), (1.0, 0.0)), "initial datum has zero L^p0 norm"),
+                           (result((0.0, 1.0)), "no snapshots with t > 0")):
+            with pytest.raises(RunError, match=re.escape(f"smoothing audit: {named}")):
+                hz.audit_smoothing(res, p0=1.0, alpha=1.0)
 
 
 class TestSandwich:

@@ -388,6 +388,14 @@ class TestLipschitz:
         with pytest.raises(RunError, match=r"\|g'\| at u=-1\.0$"):
             pr.check_lipschitz_in_u(nan_below_derivative, pr.Grid(n=1, L=5.0, N=8), M=1.0)
 
+    def test_nonfinite_split_a_names_x(self):
+        # a is inf right of 0: the first such lattice point is the cell centre 0.625
+        flux = pr.linear_flux_model(1.0, 1)
+        bad = dataclasses.replace(flux, split=dataclasses.replace(
+            flux.split, a=lambda x: np.where(x > 0, np.inf, 1.0)))
+        with pytest.raises(RunError, match=r"non-finite split a at x=\(0\.625,\)$"):
+            pr.check_lipschitz_in_u(bad, pr.Grid(n=1, L=5.0, N=8), M=1.0)
+
     def test_validation(self):
         grid = pr.Grid(n=1, L=5.0, N=8)
         for M in (0.0, math.inf):

@@ -1,5 +1,5 @@
-"""tools/loc.py counts each line of a module as exactly one kind,
-tools/step_cost.py times the steps of each of its cases, and
+"""tools/loc.py counts each line of a module as exactly one kind and totals
+the modules, tools/step_cost.py times the steps of each of its cases, and
 tools/artifact_digest.py digests what a command writes, the same each time."""
 
 import importlib.util
@@ -66,3 +66,12 @@ def test_artifact_digest_of_a_command_is_the_same_twice():
     assert first["exit"] == 0
     assert sorted(os.path.splitext(name)[1] for name in first["files"]) == [".csv", ".json"]
     assert artifact_digest.digest(src, cmd) == first
+
+
+def test_loc_total_row_is_the_sum_of_the_module_rows(capsys):
+    assert loc.main([str(ROOT / "src" / "pmelab")]) == 0
+    header, *rows, total = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", "lines", *loc.KINDS] and len(rows) > 1
+    counts = [[int(v) for v in row.split()[1:]] for row in rows]
+    assert total.split()[0] == "total"
+    assert [int(v) for v in total.split()[1:]] == [sum(col) for col in zip(*counts)]

@@ -9,26 +9,7 @@ command to the sha256 of every file it wrote, of its stdout and of its stderr,
 and to its exit code. Two trees that write the same bytes give the same
 digest, so comparing two trees is one `diff` of their digests.
 
-The list covers the seven commands of acceptance criterion 10, the commands of
-the four benchmark workloads at their middle parameters, and cases the
-criterion-10 list leaves out: a long Moser table, every catalog flux under
-check-flux, data at the walls under both boundary policies, a 2-D sandwich
-under both boundary policies, 2-D runs with and without advection, 1-D
-Burgers from signed data under both boundary policies, 2-D Burgers from
-signed data under dirichlet_zero (g's falling half and its g(0) ghost
-cells), 2-D compact data without advection that reaches the dirichlet_zero
-walls (the diffusive wall outflow, read from G's ghost cells), every option
-of figure1 and barenblatt-validate off its default, a run at a smaller CFL
-factor, the benchmark's step-size probe with its 31 snapshots, a run whose CSV
-holds signed zeros (-0 at t=0, 0 after), runs that take and skip each identity
-the step drops (alpha = 1, a uniform reach), runs at alpha = 3 and alpha = 2
-(G's division by alpha + 1 taken as a product, and not), a run whose data
-advect out through a zero_flux wall, compact data whose support reaches the
-walls under both boundary policies, and options given a value that is rejected
-before any work, non-numeric text, a box too small for the exact solution, a
-check-flux u range that overflows, moser-table exponents that overflow, a
-sandwich p0 that overflows the smoothing exponents and a decay-study datum of
-zero L^p0 norm among them.
+COMMANDS lists the commands; the comment above each group says what it covers.
 """
 
 from __future__ import annotations
@@ -150,6 +131,15 @@ COMMANDS = [
      "--t-end", "0.05"],
     # a decay-study datum of zero L^p0 norm: rejected before any run
     ["decay-study", "--set", "u0=zero", "--set", "N=50", "--t-end", "1"],
+    # a --config path that is a directory: rejected before any work
+    ["run", "--config", "/"],
+    # plots with a flat x range (one cell) and a flat y range (u = 0)
+    ["run", "--set", "N=1", "--t-end", "0.01"],
+    ["run", "--set", "u0=zero", "--t-end", "0.01"],
+    # a CFL factor whose first dt underflows: a run error
+    ["run", "--cfl", "5e-324", "--t-end", "0.01"],
+    # a divergence that overflows on the sampled u range: a non-finite check
+    ["check-flux", "--flux", "figure1 k=400", "--umax", "10"],
 ]
 
 

@@ -357,7 +357,8 @@ def cmd_moser_table(args) -> Report:
 def cmd_check_flux(args) -> Report:
     if args.samples < DIVERGENCE_MIN_SAMPLES:
         raise ConfigError(f"--samples must be >= {DIVERGENCE_MIN_SAMPLES}, got {args.samples}")
-    if not math.isfinite(2.0 * max(abs(args.umin), abs(args.umax))):  # the width of [-M, M]
+    M = max(abs(args.umin), abs(args.umax))
+    if not math.isfinite(2.0 * M):  # the width of [-M, M]
         raise ConfigError(f"--umin {args.umin} and --umax {args.umax}: 2 max(|umin|, |umax|) "
                           "overflows")
     name, params = parse_catalog_value(args.flux)
@@ -365,7 +366,6 @@ def cmd_check_flux(args) -> Report:
     grid = Grid(n=1, L=args.L, N=args.N)
     report = check_divergence_condition(flux, grid, (args.umin, args.umax),
                                         samples=args.samples)
-    M = max(abs(args.umin), abs(args.umax))
     C_f = check_lipschitz_in_u(flux, grid, M)
     consistency = check_flux_consistency(flux, grid, (-M, M))
     (x,), u = report.witness
@@ -395,17 +395,16 @@ def cmd_sandwich(args) -> Report:
     psi = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=0))
     config = solver.SchemeConfig(t_end=args.t_end)
     reports = [harness.run_sandwich(problem, eps, psi, config) for eps in eps_list]
-    rows = [(r.eps, r.max_lower_violation, r.max_upper_violation, r.envelope)
-            for r in reports]
+    rows = [(eps, r.max_lower_violation, r.max_upper_violation, r.envelope)
+            for eps, r in zip(eps_list, reports)]
     ordered = sorted(range(len(eps_list)), key=lambda i: -eps_list[i])
     env = [reports[i].envelope for i in ordered]
     no_violation = all(r.max_lower_violation >= -1e-12
                        and r.max_upper_violation >= -1e-12 for r in reports)
     env_monotone = all(a > b for a, b in zip(env, env[1:]))
     summary = {
-        "reports": [{"eps": r.eps, "lower_violation": r.max_lower_violation,
-                     "upper_violation": r.max_upper_violation,
-                     "envelope": r.envelope} for r in reports],
+        "reports": [{"eps": eps, "lower_violation": lo, "upper_violation": hi, "envelope": env}
+                    for eps, lo, hi, env in rows],
         "ordering_respected": no_violation,
         "envelope_decreasing_with_eps": env_monotone,
         "passed": bool(no_violation and env_monotone),

@@ -51,9 +51,6 @@ def halving_exponents(n: int, q: float, alpha: float) -> tuple[float, float]:
 class ExponentSet:
     """The interpolation triple beta, theta, gamma for one (n, q, alpha)."""
 
-    n: int
-    q: float
-    alpha: float
     theta: float
     beta: float
     gamma: float
@@ -64,7 +61,7 @@ def exponent_set(n: int, q: float, alpha: float) -> ExponentSet:
     beta = 2.0 * q / (q + alpha)
     theta = n * (q + alpha) / (n * q + 2.0 * q + 2.0 * n * alpha)
     gamma = 2.0 / (2.0 - theta * beta)  # theta*beta = 2nq/(nq + 2q + 2n alpha) < 2
-    return ExponentSet(n=n, q=q, alpha=alpha, theta=theta, beta=beta, gamma=gamma)
+    return ExponentSet(theta=theta, beta=beta, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +174,6 @@ class MoserTrace:
     exponent sums S_1..S_m, and the bound on the accumulated constant product
     (inf beyond the float range)."""
 
-    q: float
-    n: int
-    alpha: float
-    m: int
     A: list[float]
     S: list[float]
     K_bound: float
@@ -197,4 +190,4 @@ def moser_trace(q: float, n: int, alpha: float, m: int) -> MoserTrace:
         K_bound = math.exp(log_prod)
     except OverflowError:  # the bound exceeds the float range
         K_bound = math.inf
-    return MoserTrace(q=q, n=n, alpha=alpha, m=m, A=A, S=S, K_bound=K_bound)
+    return MoserTrace(A=A, S=S, K_bound=K_bound)

@@ -33,7 +33,6 @@ def lq_norm(state: State, q) -> float:
 
 @dataclass(frozen=True)
 class DecayRecord:
-    q: float
     series: list[tuple[float, float]]
     fitted_slope: float
     fitted_intercept: float
@@ -69,8 +68,7 @@ def decay_record(result: RunResult, q, window: tuple[float, float]) -> DecayReco
     """DecayRecord of ||u(t)||_q along a RunResult's snapshots."""
     series = [(s.time, lq_norm(s, q)) for s in result.snapshots]
     slope, intercept, r2 = fit_decay(series, window)
-    return DecayRecord(q=q, series=series, fitted_slope=slope, fitted_intercept=intercept,
-                       r_squared=r2)
+    return DecayRecord(series=series, fitted_slope=slope, fitted_intercept=intercept, r_squared=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +77,6 @@ def decay_record(result: RunResult, q, window: tuple[float, float]) -> DecayReco
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    q: float
     series: list[tuple[float, float]]
     max_uptick: float
     passed: bool
@@ -97,7 +94,7 @@ def audit_lq_monotonicity(result: RunResult, q_list: Sequence,
         norms = [v for _, v in series]
         scale = norms[0] if norms[0] > 0 else 1.0
         uptick = max((b - a) / scale for a, b in zip(norms, norms[1:]))
-        reports[q] = MonotonicityReport(q=q, series=series, max_uptick=uptick,
+        reports[q] = MonotonicityReport(series=series, max_uptick=uptick,
                                         passed=uptick <= tolerance)
     return reports
 
@@ -108,9 +105,6 @@ def audit_lq_monotonicity(result: RunResult, q_list: Sequence,
 
 @dataclass(frozen=True)
 class EnergyAudit:
-    gamma: float
-    q: float
-    t0: float
     lhs_dissipation_term: float
     rhs_term: float
     margin: float
@@ -153,8 +147,8 @@ def audit_energy_inequality(result: RunResult, q: float, gamma: float, t0: float
     lhs_diss = q * (q - 1.0) * float(_trapezoid(w * dissip, taus))
     rhs = gamma * float(_trapezoid((taus - t0) ** (gamma - 1.0) * norm_q, taus))
     margin = rhs - (lhs_norm + lhs_diss)
-    return EnergyAudit(gamma=gamma, q=q, t0=t0, lhs_dissipation_term=lhs_diss,
-                       rhs_term=rhs, margin=margin, passed=margin >= -slack * rhs)
+    return EnergyAudit(lhs_dissipation_term=lhs_diss, rhs_term=rhs, margin=margin,
+                       passed=margin >= -slack * rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +157,6 @@ def audit_energy_inequality(result: RunResult, q: float, gamma: float, t0: float
 
 @dataclass(frozen=True)
 class SmoothingReport:
-    p0: float
     gamma0: float
     last_decade_variation: float
     passed: bool
@@ -185,8 +178,7 @@ def audit_smoothing(result: RunResult, p0: float, alpha: float) -> SmoothingRepo
     t_max = ratios[-1][0]
     last = np.array([r for t, r in ratios if t >= t_max / 10.0])
     variation = float((last.max() - last.min()) / last.min()) if last.min() > 0 else math.inf
-    return SmoothingReport(p0=p0, gamma0=gamma0, last_decade_variation=variation,
-                           passed=variation < 0.5)
+    return SmoothingReport(gamma0=gamma0, last_decade_variation=variation, passed=variation < 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +187,6 @@ def audit_smoothing(result: RunResult, p0: float, alpha: float) -> SmoothingRepo
 
 @dataclass(frozen=True)
 class SandwichReport:
-    eps: float
     max_lower_violation: float
     max_upper_violation: float
     envelope: float
@@ -249,7 +240,7 @@ def run_sandwich(problem: Problem, eps: float,
                 reduce(block)
             block[row] = state.values
     reduce(block[:steps % size + 1])
-    return SandwichReport(eps=eps, max_lower_violation=min(lows),
+    return SandwichReport(max_lower_violation=min(lows),
                           max_upper_violation=min(highs),
                           envelope=envelope, step_count=steps)
 

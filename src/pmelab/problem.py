@@ -397,6 +397,11 @@ def _halves(split: FluxSplit, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return np.array(up), np.array(down), np.array(slope)
 
 
+# check_flux_consistency, check_divergence_condition and check_lipschitz_in_u scan
+# what they compute with np.isfinite and raise a RunError naming x and u, so each runs
+# under np.errstate(all="ignore"): numpy's overflow and invalid-value warnings would
+# only repeat that error, with this file's path and line
+@np.errstate(all="ignore")
 def check_flux_consistency(flux: FluxModel, grid: Grid,
                            u_range: tuple[float, float] = (-1.0, 1.0)) -> ConsistencyReport:
     """Finite-difference verification, at 1000 (x, u) samples drawn from seed
@@ -480,6 +485,7 @@ class DivergenceReport:
 DIVERGENCE_MIN_SAMPLES = 64
 
 
+@np.errstate(all="ignore")
 def check_divergence_condition(flux: FluxModel, grid: Grid,
                                u_range: tuple[float, float],
                                samples: int = DIVERGENCE_MIN_SAMPLES) -> DivergenceReport:
@@ -504,6 +510,7 @@ def check_divergence_condition(flux: FluxModel, grid: Grid,
                             witness=(tuple(float(v) for v in X[:, p]), float(us[k])))
 
 
+@np.errstate(all="ignore")
 def check_lipschitz_in_u(flux: FluxModel, grid: Grid, M: float) -> float:
     """The Lipschitz constant of u -> f(x, u) on |u| <= M, read from the split as
     max |a_j| over the x lattice times max |g'| over a 10001-point u grid: the

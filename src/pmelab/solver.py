@@ -99,11 +99,13 @@ M(T) - M(0) + the total outflow is 0 to round-off.
 
 A step's new values become the stepped `State` as they are, read-only, with
 no copy and no finiteness scan. A blow-up is caught where the next step takes
-max|u|^a, NaN or inf exactly when some value is (or when |u|^a overflows),
-before any other arithmetic, or after the last step before a landing time by
-a finiteness check at the landing, whose state shares the last stepped
-state's array. `advance` yields a stepped state only once one of these checks
-has passed, and names the step that made a bad value.
+max|u|^a, before any other arithmetic: it is NaN or inf exactly when some
+value is, which raises as in `State`, or when a finite value's |u|^a
+overflows, which raises naming the first such cell and its branch. After the
+last step before a landing time, a finiteness check at the landing catches it,
+whose state shares the last stepped state's array. `advance` yields a stepped
+state only once one of these checks has passed, and names the step that made a
+bad value.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -225,6 +227,7 @@ def plan(state: State, problem: Problem) -> tuple:
         peak = _max(a, red)
         if not finite(peak):
             State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
+            _overflow(a[cells], b, 0, power, state.time)  # raises: |u|^a overflows
         scale(np.multiply(a, U, out=G), by, out=G)
         rate = 0.0
         if advects:  # g's halves on the padded u, |g'| at the cells and max|g'| if top
@@ -282,6 +285,7 @@ def plan(state: State, problem: Problem) -> tuple:
         peak = float(_max(a, None))
         if not finite(peak):
             State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
+            _overflow(a, 0, lo, power, state.time)  # raises: |u|^a overflows
         scale(np.multiply(a, v, out=Gw), by, out=Gw)
         lap()
         return two_n * peak / dx2
@@ -296,6 +300,16 @@ def plan(state: State, problem: Problem) -> tuple:
         last = new
         return new
     return prepare_window, apply_window, outflow, rates, terms
+
+
+def _overflow(a: np.ndarray, b: int, lo: int, alpha: float, time: float) -> NoReturn:
+    """Raises for finite values whose |u|^alpha, a in the value layout (a branch
+    axis first when b) from cell lo on along the first cell axis, is not
+    finite, naming the first such cell and its branch."""
+    idx = [int(k) for k in np.argwhere(~np.isfinite(a))[0]]
+    idx[b] += lo
+    raise RunError(f"|u|^{alpha} overflows at cell {tuple(idx[b:])}, t={time}",
+                    branch=idx[0] if b else None)
 
 
 def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
@@ -457,7 +471,8 @@ def stable_dt(state: State, problem: Problem, config: SchemeConfig, plan: tuple)
     reach |g'| over the cells along axis ax; for a stacked state, the dt of its
     largest branch rate, which is bitwise the smallest branch dt. Prepares
     `plan`'s terms for `step(state, problem, dt, plan)` from the state and
-    problem.flux.split.g. A non-finite value raises as in `State`, found by
+    problem.flux.split.g. A non-finite value raises as in `State`, and a
+    finite one whose |u|^a overflows raises naming its cell, both found by
     max|u|^a before any other arithmetic on u."""
     dt = config.cfl_safety / (plan[0](state, problem.flux.split.g) + _DEN_GUARD)
     if 0.0 < dt < math.inf:

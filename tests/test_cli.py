@@ -308,17 +308,22 @@ class TestExitCodes:
         assert f"configuration error: {named}\n" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("argv, message", [
         (["run", "--cfl", "5e-324", "--t-end", "0.01"],
          "step 1: stable dt underflowed at t=0.0 (dt=0.0)"),
         # |u|^400 u overflows on the u range
         (["check-flux", "--flux", "figure1 k=400", "--umax", "10"],
          "non-finite flux divergence at x=(-9.84375,), u=5.984126984126984"),
-    ], ids=["dt-underflows", "divergence-overflows"])
+        # u^2 overflows, and the divergence check meets 0 * inf
+        (["check-flux", "--flux", "burgers", "--umax", "1e200"],
+         "non-finite flux divergence at x=(-9.84375,), u=1.5873015873015872e+198"),
+        # c u overflows in f, which only the consistency check evaluates
+        (["check-flux", "--flux", "linear c=1e300", "--umax", "1e10"],
+         "non-finite flux derivative at x=[-5.45327955], u=-6219908587.242462"),
+    ], ids=["dt-underflows", "divergence-overflows", "burgers-overflows", "linear-overflows"])
     def test_run_error_exits_1_and_writes_nothing(self, tmp_path, capsys, argv, message):
         assert run_cli(tmp_path, *argv) == 1
-        assert f"pmelab {argv[0]}: run error: {message}\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"pmelab {argv[0]}: run error: {message}\n"
         assert not any(tmp_path.iterdir())
 
     def test_plot_failure_is_a_run_error(self, tmp_path, monkeypatch, capsys):

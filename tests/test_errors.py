@@ -115,7 +115,9 @@ def test_every_public_function_is_reached_from_the_cli():
 def test_every_record_field_is_read():
     # a dataclass field of the package must be read as an attribute in the
     # package or its tests, or belong to a record that dataclasses.asdict
-    # writes out whole; else the value is kept for no one
+    # writes out whole; else the value is kept for no one. It matches by name
+    # alone, so a read of grid.n counts for every field called n; the echo
+    # test below catches the fields that only hand back a caller's argument
     tests = sorted(pathlib.Path(__file__).parent.glob("*.py"))
     trees = {p: ast.parse(p.read_text()) for p in SOURCES + tests}
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
@@ -137,6 +139,45 @@ def test_every_record_field_is_read():
               for item in node.body
               if isinstance(item, ast.AnnAssign) and item.target.id not in read]
     assert unread == []
+
+
+def _echoes(fn: ast.FunctionDef, records: set) -> list[str]:
+    """record.field for each keyword that a record returned by fn, built in a
+    return, assigned to a returned name or stored into a returned container,
+    sets from a bare parameter of fn or a loop variable over one."""
+    params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    echoed = params | {name.id for loop in ast.walk(fn)
+                       if isinstance(loop, (ast.For, ast.comprehension))
+                       and _name(loop.iter) in params
+                       for name in ast.walk(loop.target) if isinstance(name, ast.Name)}
+    out = [node.value for node in ast.walk(fn) if isinstance(node, ast.Return) and node.value]
+    returned = {name.id for value in out
+                for name in (value.elts if isinstance(value, ast.Tuple) else [value])
+                if isinstance(name, ast.Name)}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and any(
+                _name(t.value if isinstance(t, ast.Subscript) else t) in returned
+                for t in node.targets):
+            out.append(node.value)  # name = ..., container[key] = ...
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and _name(node.func.value) in returned):
+            out += node.args  # container.append(...)
+    return [f"{_name(call)}.{kw.arg}" for value in out for call in ast.walk(value)
+            if isinstance(call, ast.Call) and _name(call) in records
+            for kw in call.keywords
+            if isinstance(kw.value, ast.Name) and kw.value.id in echoed]
+
+
+def test_no_record_echoes_its_builders_arguments():
+    # a record that a function returns holds what the function found: a field set
+    # from the function's own parameter hands the caller back what it passed in
+    trees = [ast.parse(p.read_text()) for p in SOURCES]
+    records = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               and any(_name(d) == "dataclass" for d in node.decorator_list)}
+    echoes = sorted({field for tree in trees for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef) for field in _echoes(fn, records)})
+    assert echoes == []
 
 
 def test_frozen_objects_are_set_only_in_post_init():

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import re
 import sys
 import threading
 
@@ -680,6 +681,31 @@ def test_stable_dt_reports_a_non_finite_value(monkeypatch, bad, flux, stacked):
     with pytest.raises(RunError, match=r"^non-finite value at cell \(7,\), t=") as exc:
         prepared(s, p, cfg)
     assert exc.value.branch == (1 if stacked else None)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("n, flux, stacked", [
+    (1, pr.zero_flux_model(1), False), (1, pr.burgers_flux_model(1), False),
+    (2, pr.burgers_flux_model(2), False), (1, pr.burgers_flux_model(1), True)],
+    ids=["1d-window", "1d-advecting", "2d", "stacked"])
+def test_stable_dt_reports_an_overflowing_power(n, flux, stacked):
+    # every value is finite, but |u|^2 overflows from cell 7 on (and, in 2-D,
+    # from row 5 on): named by its first cell before any other arithmetic, not
+    # as an underflowed dt; the 1-D window starts at cell 6
+    p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=20), alpha=2.0, p0=1.0, flux=flux,
+                   u0=lambda x: np.where((x[0] > -1.5) & (x[-1] > -0.9), 1e200, 0.0))
+    s = pr.sample_initial(p)
+    cell, label = ((5,) * (n - 1) + (7,), "")
+    if stacked:
+        ones = np.ones(p.grid.shape)
+        s = pr.State(values=np.stack([ones, s.values, ones]), time=0.0, grid=p.grid)
+        label = ", middle branch"
+    message = f"step 1{label}: |u|^2.0 overflows at cell {cell}, t=0.0"
+    with pytest.raises(RunError, match=f"^{re.escape(message)}$") as exc:
+        for _ in sv.advance(s, p, sv.SchemeConfig(t_end=1.0), sv.plan(s, p),
+                            names=("lower", "middle", "upper")):
+            pass
+    assert exc.value.__cause__.branch == (1 if stacked else None)
 
 
 @pytest.mark.parametrize("case", range(len(STEP_CASES)), ids=STEP_IDS)

@@ -5,6 +5,7 @@ tools/artifact_digest.py digests what a command writes, the same each time."""
 import importlib.util
 import os
 import pathlib
+import shutil
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -66,6 +67,16 @@ def test_artifact_digest_of_a_command_is_the_same_twice():
     assert first["exit"] == 0
     assert sorted(os.path.splitext(name)[1] for name in first["files"]) == [".csv", ".json"]
     assert artifact_digest.digest(src, cmd) == first
+
+
+def test_artifact_digest_does_not_depend_on_where_the_tree_is(tmp_path):
+    cmd = ["check-flux", "--flux", "figure1 k=400", "--umax", "10"]
+    digests = []
+    for tree in ("a", "deeper/b"):
+        shutil.copytree(ROOT / "src" / "pmelab", tmp_path / tree / "pmelab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        digests.append(artifact_digest.digest(str(tmp_path / tree), cmd))
+    assert digests[0]["exit"] == 1 and digests[0] == digests[1]
 
 
 def test_loc_total_row_is_the_sum_of_the_module_rows(capsys):

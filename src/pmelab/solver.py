@@ -25,8 +25,10 @@ A state may stack B solutions (branches) along a leading axis, as the
 comparison sandwich does. They are prepared and stepped in the same calls,
 every value as for its branch alone, and share one dt: stable_dt takes the
 largest of the branches' rates, which gives bitwise the smallest of their own
-dt. g gets the padded u with that branch axis first, and the coefficients of
-a(x) broadcast against it.
+dt. Each per-branch maximum becomes a list of floats with one `tolist`, and
+each branch's rate is summed from them in Python floats, in the order of an
+unstacked state's. g gets the padded u with that branch axis first, and the
+coefficients of a(x) broadcast against it.
 
 Stepping takes a plan (`plan`), built once per run and passed to `advance`:
 one padded u and G, the arrays of `_axis` for each axis and apply's scratch,
@@ -61,13 +63,15 @@ holds, bound when the plan is built, so nothing hands terms back to it:
 They are also the plan's last entry, to be read. No module keeps a cache,
 and the scratch reused by every step keeps 2-D steps from faulting heap
 pages in again and again.
-A step does no identity arithmetic: no |u|^a pass at alpha = 1, and for a
-reach that is one float c, lam_ax is c max|g'|, bit for bit max(c |g'|) as
-rounding is monotone. Where alpha + 1 is a power of two, G's division by it
-is a product by its reciprocal, and 2 G is G + G: each rounds the same real
-number. The catalog's zero flux makes no g calls: when the flux's split is
-`problem.ZERO_SPLIT` (by identity, never by name or value) a step is its
-diffusion half alone, with lam_ax = 0, and its plan holds no coefficients.
+A step does no identity arithmetic: no |u|^a pass at alpha = 1, no product
+for a half of the flux whose coefficient is the float 1.0, as Burgers' a = 1
+gives on every axis (x 1.0 is x), and for a reach that is one float c, lam_ax
+is c max|g'|, bit for bit max(c |g'|) as rounding is monotone. Where alpha + 1
+is a power of two, G's division by it is a product by its reciprocal, and 2 G
+is G + G: each rounds the same real number. The catalog's zero flux makes no
+g calls: when the flux's split is `problem.ZERO_SPLIT` (by identity, never by
+name or value) a step is its diffusion half alone, with lam_ax = 0, and its
+plan holds no coefficients.
 
 An unstacked 1-D state under the zero split is stepped on a window [lo, hi)
 of its cells. Every cell outside the window holds +0.0, and so do the plan's
@@ -99,19 +103,22 @@ M(T) - M(0) + the total outflow is 0 to round-off.
 
 A step's new values become the stepped `State` as they are, read-only, with
 no copy and no finiteness scan. A blow-up is caught where the next step takes
-max|u|^a, before any other arithmetic: it is NaN or inf exactly when some
-value is, which raises as in `State`, or when a finite value's |u|^a
-overflows, which raises naming the first such cell and its branch. After the
-last step before a landing time, a finiteness check at the landing catches it,
-whose state shares the last stepped state's array. `advance` yields a stepped
-state only once one of these checks has passed, and names the step that made a
-bad value.
+max|u|^a, before any other arithmetic, by one compare with G's ceiling: the
+bound on max|u|^a, set once per plan, under which |u|^a u, G, G + G and G's
+second difference stay finite with a factor 2 to spare. max|u|^a is above it
+when some value is NaN or inf, which raises as in `State`, or when a finite
+value's |u|^a or G overflows, which raises naming the first such cell, its
+branch and which of the two overflows there. After the last step before a
+landing time, a finiteness check at the landing catches it, whose state shares
+the last stepped state's array. `advance` yields a stepped state only once one
+of these checks has passed, and names the step that made a bad value.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterator, NoReturn
 
@@ -195,24 +202,32 @@ def plan(state: State, problem: Problem) -> tuple:
     # 0-d arrays: numpy converts a float operand again at every call
     by, cF, cG = np.array(by), np.empty(()), np.empty(())
     magnitude = np.abs if power == 1 else lambda v, out: operator.ipow(np.abs(v, out=out), power)
-    red, finite, finish, rates = None, math.isfinite, float, None
-    if b:  # per-branch maxima and rates, the largest rate setting dt
-        red, rates = tuple(range(1, len(shape))), []  # the last rates, as floats
-        finite = lambda peak: all(map(math.isfinite, peak.tolist()))  # noqa: E731
+    # G's ceiling on max|u|^alpha: below it |u|^alpha u, G = |u|^alpha u/(alpha + 1),
+    # G + G and G's second difference, at most 4 max|G|, are finite with a
+    # factor 2 to spare, so (|u|^alpha u) <= MAX/2 min(1, (alpha + 1)/4)
+    ceiling = (sys.float_info.max / 2 * min(1.0, alpha1 / 4)) ** (power / alpha1)
+    # most(v, red): v's maxima over the axes red, a float or, stacked, a list of floats
+    red, most, finite, finish, rates = None, _max, math.isfinite, _rate, None
+    below = ceiling.__ge__
+    if b:  # per-branch maxima and rates as floats, the largest rate setting dt
+        red, rates = tuple(range(1, len(shape))), []  # the last rates
+        most = lambda v, red: _max(v, red).tolist()  # noqa: E731
+        finite = lambda lam: all(map(math.isfinite, lam))  # noqa: E731
+        below = lambda peak: all(map(ceiling.__ge__, peak))  # noqa: E731
 
-        def finish(rate):  # the largest rate; rates keeps each for stable_dt's error
-            rates[:] = rate.tolist()
+        def finish(peak, lams, dx, two_n, dx2):  # the largest rate; rates keeps each
+            rates[:] = [_rate(p, ls, dx, two_n, dx2) for p, *ls in zip(peak, *lams)]
             return max(rates)
     outflow = None if b else [[0.0, 0.0] for _ in axes]
     terms = tuple((None if adv is None else adv[-1], lap[-1]) for _, lap, adv in axes)
     gbuf = tuple(np.empty(Uf.shape) for _ in range(3))  # g's scratch
     # a uniform reach c takes c max|g'|, max|g'| taken once per step
-    top = any(isinstance(adv[1], float) for _, _, adv in axes if adv)
+    uniform = any(isinstance(adv[1], float) for _, _, adv in axes if adv)
     advects, laps, walls, ops = [], [], [], []  # ops: apply's (term, c, ufunc)
     for ax, (s, lap, adv) in enumerate(axes):
         laps.append(_lap(*lap[:-1]))
         if adv is not None:
-            advects.append(_advect(ax, s, adv, b, finite, _cells(buf, grid.N, grid.n), red))
+            advects.append(_advect(ax, s, adv, b, finite, _cells(buf, grid.N, grid.n), red, most))
             ops.append((adv[6], cF, np.subtract))
         ops.append((lap[3], cG, np.add))
         if not b and (adv or not edge):
@@ -224,21 +239,21 @@ def plan(state: State, problem: Problem) -> tuple:
         for to, src in ghosts:
             to[...] = src
         a = magnitude(U, G)
-        peak = _max(a, red)
-        if not finite(peak):
+        peak = most(a, red)
+        if not below(peak):
             State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
-            _overflow(a[cells], b, 0, power, state.time)  # raises: |u|^a overflows
+            _overflow(a[cells], b, 0, power, ceiling, state.time)  # raises: |u|^a or G overflows
         scale(np.multiply(a, U, out=G), by, out=G)
-        rate = 0.0
-        if advects:  # g's halves on the padded u, |g'| at the cells and max|g'| if top
+        lams = []  # each axis' lam_ax
+        if advects:  # g's halves on the padded u, |g'| at the cells and max|g'| if uniform
             up, down, slope = g(Uf, gbuf)
             slope = slope.reshape(U.shape)[cells]
-            most = _max(slope, red) if top else None
+            top = most(slope, red) if uniform else None
             for advect in advects:
-                rate += advect(state, up, down, slope, most) / dx
+                lams.append(advect(state, up, down, slope, top))
         for lap in laps:
             lap()
-        return finish(rate + two_n * peak / dx2)
+        return finish(peak, lams, dx, two_n, dx2)
 
     def apply(u, dt):
         new, cF[()], cG[()] = np.empty(shape), dt / dx, dt / dx2
@@ -283,9 +298,9 @@ def plan(state: State, problem: Problem) -> tuple:
         v = values[lo:hi]
         a = magnitude(v, bw)
         peak = float(_max(a, None))
-        if not finite(peak):
+        if not peak <= ceiling:
             State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
-            _overflow(a, 0, lo, power, state.time)  # raises: |u|^a overflows
+            _overflow(a, 0, lo, power, ceiling, state.time)  # raises: |u|^a or G overflows
         scale(np.multiply(a, v, out=Gw), by, out=Gw)
         lap()
         return two_n * peak / dx2
@@ -302,14 +317,26 @@ def plan(state: State, problem: Problem) -> tuple:
     return prepare_window, apply_window, outflow, rates, terms
 
 
-def _overflow(a: np.ndarray, b: int, lo: int, alpha: float, time: float) -> NoReturn:
+def _rate(peak, lams, dx: float, two_n: float, dx2: float) -> float:
+    """The rate of `stable_dt` of one state or branch from its max|u|^a and
+    lam_ax: sum_ax lam_ax/dx + 2n max|u|^a/dx^2, in this order."""
+    rate = 0.0
+    for lam in lams:
+        rate += lam / dx
+    return float(rate + two_n * peak / dx2)
+
+
+def _overflow(a: np.ndarray, b: int, lo: int, alpha: float, ceiling: float,
+              time: float) -> NoReturn:
     """Raises for finite values whose |u|^alpha, a in the value layout (a branch
-    axis first when b) from cell lo on along the first cell axis, is not
-    finite, naming the first such cell and its branch."""
-    idx = [int(k) for k in np.argwhere(~np.isfinite(a))[0]]
+    axis first when b) from cell lo on along the first cell axis, is above G's
+    ceiling, naming the first such cell, its branch and what overflows there:
+    |u|^alpha itself where it is inf, else G."""
+    idx = [int(k) for k in np.argwhere(a > ceiling)[0]]
+    what = f"|u|^{alpha}" if math.isinf(a[tuple(idx)]) else f"G(u) = |u|^{alpha} u/{alpha + 1}"
     idx[b] += lo
-    raise RunError(f"|u|^{alpha} overflows at cell {tuple(idx[b:])}, t={time}",
-                    branch=idx[0] if b else None)
+    raise RunError(f"{what} overflows at cell {tuple(idx[b:])}, t={time}",
+                   branch=idx[0] if b else None)
 
 
 def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
@@ -405,16 +432,19 @@ def _lap(Gmid, Ghi, Glo, lapG, ghosts=()):
     return lap
 
 
-def _advect(ax: int, s: int, adv: tuple, b: int, finite, buf: np.ndarray, red):
+def _advect(ax: int, s: int, adv: tuple, b: int, finite, buf: np.ndarray, red, most):
     """advect(state, up, down, slope, top): the Engquist-Osher flux and its
     difference dF along axis ax from g's halves up and down on the flat padded
-    u, and the returned lam_ax: the largest reach |g'| over the cells, per
-    branch for a stacked state (b = 1), which `finite` checks, from slope,
-    |g'| at the cells, or for a uniform reach c as c top, top being max|g'|."""
+    u, and the returned lam_ax: the largest reach |g'| over the cells, which
+    `finite` checks, from slope, |g'| at the cells, by most(v, red), or for a
+    uniform reach c as c top, top being max|g'|; for a stacked state (b = 1)
+    lam_ax and top are lists of per-branch floats."""
     halves, reach, left, right, F, tmp, dF, *_ = adv
     flux, Fhi, Flo = _engquist_osher(halves, F, tmp, left, right), F[..., s:], F[..., :-s]
-    peak = ((lambda slope, top: reach * top) if isinstance(reach, float)  # c max(s_i) = max(c s_i)
-            else lambda slope, top: _max(np.multiply(reach, slope, out=buf), red))  # c >= 0
+    # lam_ax: max(c s_i) over the cells, an array c being >= 0
+    peak = lambda slope, top: most(np.multiply(reach, slope, out=buf), red)  # noqa: E731
+    if isinstance(reach, float):  # c max(s_i) = max(c s_i)
+        peak = (lambda _, top: [reach * t for t in top]) if b else lambda _, top: reach * top
 
     def advect(state, up, down, slope, top):
         flux(up, down)
@@ -432,9 +462,13 @@ def _engquist_osher(halves: list, F: np.ndarray, tmp: np.ndarray, left: tuple, r
     interfaces from g's halves on the flat padded cells, read at the left and
     the right cells of each interface: up on the left of the plus half and on
     the right of the minus half (flip), a None down being 0; the second half
-    goes through tmp."""
+    goes through tmp. A half whose c is the float 1.0 takes no product: x 1.0
+    is x, bit for bit, so it adds g_l and g_r, or copies up alone."""
     def half(c, flip, out):
         c, su, sd = np.asarray(c), *((right, left) if flip else (left, right))
+        if c.shape == () and c == 1.0:  # np.positive: a copy that returns out
+            return lambda up, down: (np.positive(up[su], out=out) if down is None else
+                                     np.add(up[su], down[sd], out=out))
         return lambda up, down: (np.multiply(c, up[su], out=out) if down is None else
                                  np.multiply(np.add(up[su], down[sd], out=out), c, out=out))
 
@@ -472,8 +506,8 @@ def stable_dt(state: State, problem: Problem, config: SchemeConfig, plan: tuple)
     largest branch rate, which is bitwise the smallest branch dt. Prepares
     `plan`'s terms for `step(state, problem, dt, plan)` from the state and
     problem.flux.split.g. A non-finite value raises as in `State`, and a
-    finite one whose |u|^a overflows raises naming its cell, both found by
-    max|u|^a before any other arithmetic on u."""
+    finite one whose |u|^a or G overflows raises naming its cell, both found
+    by comparing max|u|^a with G's ceiling before any other arithmetic on u."""
     dt = config.cfl_safety / (plan[0](state, problem.flux.split.g) + _DEN_GUARD)
     if 0.0 < dt < math.inf:
         return dt

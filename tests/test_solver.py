@@ -301,7 +301,7 @@ def shear(x):
 
 # u0 reaches the walls of [-3, 3], so the two boundary policies differ
 STEP_IDS = ["figure1-1d", "burgers-1d", "linear-1d", "burgers-2d", "linear-2d",
-            "zero-1d", "zero-2d", "swirl-2d", "shear-2d"]
+            "zero-1d", "zero-2d", "swirl-2d", "shear-2d", "linear-unit-1d"]
 STEP_CASES = [
     (1, pr.figure1_flux_model(1.5), lambda x: np.exp(-x[0] ** 2 / 4.0)),
     (1, pr.burgers_flux_model(1), lambda x: x[0] * np.exp(-x[0] ** 2 / 4.0)),
@@ -313,11 +313,13 @@ STEP_CASES = [
     (2, pr.zero_flux_model(2), lambda x: x[1] * np.exp(-np.sum(x ** 2, axis=0) / 4.0)),
     (2, burgers_along(swirl), lambda x: np.exp(-np.sum(x ** 2, axis=0) / 4.0)),
     (2, burgers_along(shear), lambda x: np.exp(-np.sum(x ** 2, axis=0) / 4.0)),
+    # the coefficient 1.0 with g_down None: F is a copy of g_up, with no product
+    (1, pr.linear_flux_model(1.0, 1), lambda x: np.exp(-(x[0] - 1.0) ** 2 / 4.0)),
 ]
 EO_HALVES = dict(zip(STEP_IDS, [
     figure1_halves(1.5), burgers_halves(1), upwind_halves((3.0,)), burgers_halves(2),
     upwind_halves((1.0, -2.0)), zero_halves(1), zero_halves(2), burgers_along_halves(swirl),
-    burgers_along_halves(shear)]))
+    burgers_along_halves(shear), upwind_halves((1.0,))]))
 
 
 class TestStepKernel:
@@ -706,6 +708,62 @@ def test_stable_dt_reports_an_overflowing_power(n, flux, stacked):
                             names=("lower", "middle", "upper")):
             pass
     assert exc.value.__cause__.branch == (1 if stacked else None)
+
+
+# the paths of a step's overflow checks: the 1-D zero-flux window, a 1-D
+# advecting step, a 2-D step and a stacked one
+OVERFLOW_PATHS = pytest.mark.parametrize("n, flux, stacked", [
+    (1, pr.zero_flux_model(1), False), (1, pr.burgers_flux_model(1), False),
+    (2, pr.burgers_flux_model(2), False), (1, pr.burgers_flux_model(1), True)],
+    ids=["1d-window", "1d-advecting", "2d", "stacked"])
+
+
+def block_state(n, flux, stacked, value):
+    """(state, problem, its first cell of value, the branch label of `advance`'s
+    errors): alpha = 2, value from cell 7 on (in 2-D, from row 5 on) and 0
+    elsewhere, stacked as the middle branch between two of ones."""
+    p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=20), alpha=2.0, p0=1.0, flux=flux,
+                   u0=lambda x: np.where((x[0] > -1.5) & (x[-1] > -0.9), value, 0.0))
+    s = pr.sample_initial(p)
+    if stacked:
+        ones = np.ones(p.grid.shape)
+        s = pr.State(values=np.stack([ones, s.values, ones]), time=0.0, grid=p.grid)
+    return s, p, (5,) * (n - 1) + (7,), ", middle branch" if stacked else ""
+
+
+def advance_some(s, p, steps):
+    """The state after `steps` steps of `advance`, branches named as the sandwich's."""
+    run = sv.advance(s, p, sv.SchemeConfig(t_end=1.0), sv.plan(s, p),
+                     names=("lower", "middle", "upper"))
+    for _ in range(steps):
+        s, _ = next(run)
+    return s
+
+
+@OVERFLOW_PATHS
+def test_stable_dt_reports_an_overflowing_G(n, flux, stacked):
+    # |u|^2 = 1e240 is finite but G = |u|^2 u/3 is not: named by its first cell
+    # before G is formed, without a numpy RuntimeWarning (an error under this
+    # suite's filters)
+    s, p, cell, label = block_state(n, flux, stacked, 1e120)
+    message = f"step 1{label}: G(u) = |u|^2.0 u/3.0 overflows at cell {cell}, t=0.0"
+    with pytest.raises(RunError, match=f"^{re.escape(message)}$") as exc:
+        advance_some(s, p, 1)
+    assert exc.value.__cause__.branch == (1 if stacked else None)
+
+
+@OVERFLOW_PATHS
+def test_G_ceiling_keeps_four_G_a_factor_2_inside_the_float_range(n, flux, stacked):
+    # at alpha = 2 the ceiling is where |u|^2 u = |u|^3 is MAX/2 * 3/4, so that
+    # 4 max|G| = 4 |u|^3/3 is MAX/2: a value just inside steps, here three
+    # times, with no warning, and one just outside raises as G's overflow
+    top = (sys.float_info.max / 2 * 0.75) ** (1 / 3)
+    s, p, cell, label = block_state(n, flux, stacked, top * (1 - 1e-9))
+    assert np.isfinite(advance_some(s, p, 3).values).all()
+    s, p, cell, label = block_state(n, flux, stacked, top * (1 + 1e-9))
+    message = f"step 1{label}: G(u) = |u|^2.0 u/3.0 overflows at cell {cell}, t=0.0"
+    with pytest.raises(RunError, match=f"^{re.escape(message)}$"):
+        advance_some(s, p, 1)
 
 
 @pytest.mark.parametrize("case", range(len(STEP_CASES)), ids=STEP_IDS)

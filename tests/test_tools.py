@@ -1,11 +1,14 @@
 """tools/loc.py counts each line of a module as exactly one kind and totals
-the modules, tools/step_cost.py times the steps of each of its cases, and
-tools/artifact_digest.py digests what a command writes, the same each time."""
+the modules, tools/step_cost.py times the steps of each of its cases, for one
+tree or two in alternating pairs, and tools/artifact_digest.py digests what a
+command writes, the same each time."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import shutil
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -49,6 +52,43 @@ def test_step_cost_times_each_case_on_a_tiny_grid():
         tiny = dict(settings, N="8" if settings.get("n") == "2" else "20")
         steps, cost = step_cost.measure(tiny, t_end / 100.0, snapshots, repeats=2)
         assert steps > 0 and cost > 0.0
+
+
+def tiny_cases():
+    return {name: (dict(settings, N="8" if settings.get("n") == "2" else "20"), t_end / 100.0,
+                   snapshots) for name, (settings, t_end, snapshots) in step_cost.CASES.items()}
+
+
+def test_step_cost_pairs_two_trees_on_tiny_grids():
+    # every pass in a fresh interpreter, one tree against a copy of itself
+    tiny, src = tiny_cases(), str(ROOT / "src")
+    rows = step_cost.paired(src, src, tiny, pairs=2, repeats=1)
+    assert [row[0] for row in rows] == list(tiny)
+    for _, steps_a, steps_b, a, b, diff, won_a, won_b, iqr_a, iqr_b in rows:
+        assert steps_a == steps_b > 0 and a > 0.0 and b > 0.0
+        assert 0.0 <= won_a + won_b <= 1.0 and iqr_a >= 0.0 and iqr_b >= 0.0
+    assert step_cost.main([src] * 3) == 2
+
+
+def test_step_cost_pairs_alternate_abba_from_paths_of_equal_length(monkeypatch, tmp_path):
+    # the passes, faked: A takes 10, 11, 12, 13 us per step and B 12, 11, 15, 11
+    # in pair order: differences B - A of 2, 0, 3 and -2, and A wins two pairs, B one
+    for tree in ("a", "deeper/b"):
+        shutil.copytree(ROOT / "src" / "pmelab", tmp_path / tree / "pmelab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    times, trees = {"a": [10.0, 11.0, 12.0, 13.0], "b": [12.0, 11.0, 15.0, 11.0]}, []
+
+    def run(argv, **kwargs):
+        trees.append(argv[3])
+        key = os.path.basename(argv[3])
+        return types.SimpleNamespace(stdout=json.dumps({"case": [7, times[key].pop(0)]}))
+
+    monkeypatch.setattr(step_cost.subprocess, "run", run)
+    rows = step_cost.paired(str(tmp_path / "a"), str(tmp_path / "deeper/b"),
+                            {"case": ({}, 1.0, 2)}, pairs=4)
+    assert [os.path.basename(t) for t in trees] == list("abbaabba")
+    assert len({len(t) for t in trees}) == 1
+    assert rows == [("case", 7, 7, 11.5, 11.5, 1.0, 0.5, 0.25, 2.5, 3.25)]
 
 
 def test_step_cost_wants_a_source_tree(capsys):

@@ -89,9 +89,10 @@ COMMANDS = [
     # signed zeros: the datum -0.0 everywhere steps to +0.0, and the CSV keeps both texts
     ["run", "--set", "u0=gaussian amp=-0.0", "--set", "N=20", "--t-end", "0.1",
      "--snapshots", "3"],
-    # the step's identity drops (alpha = 1, a uniform reach), each beside a
-    # case that does not take it: coefficients of -1.0 and 1.0, a uniform
-    # reach on both axes of 2-D, and an array reach at alpha = 1
+    # the step's identity drops (alpha = 1, a uniform reach, a coefficient of
+    # 1.0), each beside a case that does not take it: the coefficient -1.0,
+    # which keeps its product, a uniform reach and the coefficient 1.0 on both
+    # axes of 2-D, and an array reach at alpha = 1
     ["run", "--set", "flux=linear c=-1", "--set", "alpha=1", "--set", "N=100",
      "--t-end", "0.5"],
     ["run", "--set", "n=2", "--set", "flux=linear c=1", "--set", "u0=gaussian",
@@ -140,6 +141,9 @@ COMMANDS = [
     ["run", "--cfl", "5e-324", "--t-end", "0.01"],
     # a divergence that overflows on the sampled u range: a non-finite check
     ["check-flux", "--flux", "figure1 k=400", "--umax", "10"],
+    # finite data whose |u|^2 is finite but whose G = |u|^2 u/3 overflows: a run
+    # error at step 1 that names G, before G is formed and with no numpy warning
+    ["run", "--set", "u0=gaussian amp=1e150", "--set", "alpha=2", "--t-end", "0.01"],
 ]
 
 

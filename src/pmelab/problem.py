@@ -267,11 +267,13 @@ def burgers_flux_model(n: int = 1) -> FluxModel:
                                      g=_burgers_g))
 
 
-def figure1_flux_model(k: float = 1.5) -> FluxModel:
+def figure1_flux_model(k: float = 1.5, n: int = 1) -> FluxModel:
     """One-dimensional flux f(x, u) = -tanh(x) |u|^k u, split as a(x) = -tanh(x)
     and g = |u|^k u, which is nondecreasing. div a = -sech^2(x) < 0, so the
     x-divergence at frozen u is negative where u != 0 (the growth-stimulating
     regime)."""
+    if n != 1:
+        raise ConfigError("figure1 flux is one-dimensional")
     if not 0 < k < np.inf:
         raise ConfigError(f"flux power k must be finite and > 0, got {k}")
 
@@ -298,18 +300,12 @@ def figure1_flux_model(k: float = 1.5) -> FluxModel:
                                      div_a=lambda x: -1.0 / np.cosh(x[0]) ** 2, g=g))
 
 
-def _figure1_from_config(n: int, k: float) -> FluxModel:
-    if n != 1:
-        raise ConfigError("figure1 flux is one-dimensional")
-    return figure1_flux_model(k)
-
-
-# name -> (builder of (n, **params), declared parameters with their defaults)
+# name -> (builder of (n=n, **params), declared parameters with their defaults)
 FLUX_CATALOG = {
     "zero": (zero_flux_model, {}),
-    "linear": (lambda n, c: linear_flux_model(c, n), {"c": 1.0}),
+    "linear": (linear_flux_model, {"c": 1.0}),
     "burgers": (burgers_flux_model, {}),
-    "figure1": (_figure1_from_config, {"k": 1.5}),
+    "figure1": (figure1_flux_model, {"k": 1.5}),
 }
 
 
@@ -325,7 +321,7 @@ def _from_catalog(kind: str, catalog: dict, name: str, params: dict | None, n: i
     if unknown:
         raise ConfigError(f"{kind} {name!r} has no parameter {', '.join(unknown)}; "
                           f"it declares {sorted(defaults) or 'none'}")
-    built = build(n, **{**defaults, **params})
+    built = build(n=n, **{**defaults, **params})
     for key, value in params.items():
         if not np.isfinite(value):
             raise ConfigError(f"{kind} {name!r} parameter {key} must be finite, got {value}")
@@ -364,7 +360,7 @@ def _barenblatt_datum(n: int, C: float, t: float, alpha: float):
     return lambda x: barenblatt.evaluate(prof, x, t)
 
 
-# name -> (builder of (n, **params), declared parameters with their defaults)
+# name -> (builder of (n=n, **params), declared parameters with their defaults)
 U0_CATALOG = {
     "zero": (_zero_datum, {}),
     "gaussian": (_gaussian_datum, {"amp": 1.0, "width": 1.0}),

@@ -10,108 +10,41 @@ The step size obeys dt (sum_ax lam_ax/dx + 2n max|u|^a/dx^2) <= 1, lam_ax being
 the largest reach_i |g'(u_i)| over the cells along axis ax (Evje & Karlsen,
 SIAM J. Numer. Anal. 37, 2000), where reach_i = max(a+_r - a-_l, a+_l - a-_r),
 from a at the cell's left and right faces, is the rate at which one half of g
-leaves the cell through both faces. Under Engquist-Osher dF/du_l and -dF/du_r
-are >= 0, and cell i's diagonal entry loses at most dt/dx reach_i |g'(u_i)| per
-axis, so this is the monotone bound (Crandall & Majda, Math. Comp. 34, 1980)
-for every split: every entry of the one-step Jacobian is >= 0. Where a keeps
-its sign across a cell, or changes it at a face, reach_i is the larger |a| of
-the two faces, so lam_ax is the largest |a| max(|g'(u_l)|, |g'(u_r)|) over the
-interfaces; where a changes sign inside the cell it is |a_l| + |a_r|.
-`stable_dt` returns cfl_safety times that bound. To get lam_ax it evaluates g,
-so it prepares the whole dt-independent part of the update into the step
-plan, for `step`; f and df_du are never called here.
+leaves the cell through both faces. Under it every entry of the one-step
+Jacobian is >= 0 for every split: the step is monotone (Crandall & Majda,
+Math. Comp. 34, 1980). `stable_dt` returns cfl_safety times that bound.
 
 A state may stack B solutions (branches) along a leading axis, as the
-comparison sandwich does. They are prepared and stepped in the same calls,
-every value as for its branch alone, and share one dt: stable_dt takes the
-largest of the branches' rates, which gives bitwise the smallest of their own
-dt. Each per-branch maximum becomes a list of floats with one `tolist`, and
-each branch's rate is summed from them in Python floats, in the order of an
-unstacked state's. g gets the padded u with that branch axis first, and the
-coefficients of a(x) broadcast against it.
+comparison sandwich does. They are stepped in the same calls, every value bit
+for bit as for its branch alone, and share one dt, the smallest of their own.
 
-Stepping takes a plan (`plan`), built once per run and passed to `advance`:
-one padded u and G, the arrays of `_axis` for each axis and apply's scratch,
-bound into two functions chosen once for the run's configuration: n, stacked
-or not, the boundary policy, the zero split or an advecting one, a uniform
-or an array reach, the halves that a keeps and the power. prepare, which
-`stable_dt` calls, writes the terms and returns the rate; apply, which
-`step` calls, returns the new values. So a step decides none of these and
-makes little more than its numpy calls.
+A run builds one `plan` for its state's grid and value shape. `stable_dt`
+prepares the dt-independent terms of the update into it, calling the split's
+g once and never f or df_du, and `step` applies them; they hold until the
+plan's next `stable_dt`. Under `problem.ZERO_SPLIT` (by identity) a step is
+its diffusion half alone and calls no g. Every fast path (an identity power
+or product, an exact reciprocal, a uniform reach) gives the bits of the plain
+formula.
 
-prepare copies the values into the padded u, C-contiguous, which holds one
-ghost cell on each side of every axis: (N+2)^n cells, after a stacked
-state's branch axis. Its ghost cells are an edge copy, written at every
-prepare, under zero_flux, and 0 under dirichlet_zero; the corner ghost cells
-of 2-D hold 0 under both. On its flat view the neighbours of cell m along
-axis ax are m - s and m + s, s = (N+2)^(n-1-ax): N+2 and 1 in 2-D, 1 in 1-D.
-|u|^a, G and g's halves are evaluated once per step on the whole padded u.
-Each is pointwise, so its ghost values are bit for bit those of an edge
-copy, or G(0) = 0 and g(0), and max|u|^a over the padded u is the one over
-the cells. Each axis' interface flux F, its difference dF and the second
-difference of G are then one slice operation each on flat arrays, over the
-rows window: the cells of axis-0 rows 1..N at full padded width, and for F,
-the interfaces from one stride below it. What they give at the ghost cells
-of another axis is never read. A uniform reach c takes c times the max|g'|
-over the cells, which is taken once per step. apply works over the rows
-window too: in 1-D, where that is the cells, from the values into the new
-array; in 2-D from the padded u into one scratch array, whose cells it then
-copies into the new C-ordered values. The terms are dF and lapG as views at
-the cells, in the value layout. apply applies the terms that its own plan
-holds, bound when the plan is built, so nothing hands terms back to it:
-`stable_dt` writes them and they hold until the plan's next `stable_dt`.
-They are also the plan's last entry, to be read. No module keeps a cache,
-and the scratch reused by every step keeps 2-D steps from faulting heap
-pages in again and again.
-A step does no identity arithmetic: no |u|^a pass at alpha = 1, no product
-for a half of the flux whose coefficient is the float 1.0, as Burgers' a = 1
-gives on every axis (x 1.0 is x), and for a reach that is one float c, lam_ax
-is c max|g'|, bit for bit max(c |g'|) as rounding is monotone. Where alpha + 1
-is a power of two, G's division by it is a product by its reciprocal, and 2 G
-is G + G: each rounds the same real number. The catalog's zero flux makes no
-g calls: when the flux's split is `problem.ZERO_SPLIT` (by identity, never by
-name or value) a step is its diffusion half alone, with lam_ax = 0, and its
-plan holds no coefficients.
+An unstacked 1-D state under `problem.ZERO_SPLIT` is stepped on a window of
+its cells outside which every cell holds +0.0. This is exact, and rests on
++0.0 alone, not on a finite speed of propagation: G(+0.0) = +0.0 and the
+3-point stencil steps a +0.0 cell with +0.0 neighbours to +0.0, bit for bit.
 
-An unstacked 1-D state under the zero split is stepped on a window [lo, hi)
-of its cells. Every cell outside the window holds +0.0, and so do the plan's
-G and lapG there; the window's first and last cells are margins, each +0.0
-or against a wall. This is exact: G(+0.0) = +0.0 and the 3-point stencil
-reads a cell and its two neighbours alone, so a +0.0 cell with +0.0
-neighbours steps to +0.0 + dt/dx^2 (+0.0) = +0.0, bit for bit. The support
-thus grows by at most one cell per step, and max|u|^a over the window is the
-one over all cells. This rests on +0.0 alone, not on the equation's finite
-speed of propagation: the numerical support runs some 5 to 10 cells ahead of
-the exact front, where each cell holds about a power of its neighbour, and
-is held back only by underflow to +0.0. prepare scans the value bits of a state
-that this plan's apply did not make (a run's first state, or any other), so
--0.0 cells fall inside, and zeroes G and lapG. Along a chain of its own
-states (a landing shares the stepped array) it widens the window by one cell
-on each side whose margin turned nonzero, and never shrinks it. The second
-difference reads the ghost cells only where the window lies against a wall.
-apply starts from zeros and writes the window alone, reading only the
-window's part of the terms. Advecting splits, stacked states and 2-D step
-every cell.
+In conservation form mass leaves only through the walls, so the plan of an
+unstacked state keeps, per axis, the [low, high] mass that left through its
+two walls: each step adds dt dx^(n-1) times the outward advective and
+diffusive wall fluxes. Then M(T) - M(0) + the total outflow is 0 to round-off.
 
-In conservation form mass leaves only through the walls (Crandall & Majda),
-so the plan of an unstacked state keeps, per axis, the [low, high] mass that
-left through its two walls, and `step` adds dt dx^(n-1) times the outward
-wall fluxes: -F and F at the first and last interfaces, and -(G_ghost -
-G_edge)/dx at each wall. An edge-copy ghost makes the diffusive one exactly 0,
-so under zero_flux an axis without advection sums nothing. Then
-M(T) - M(0) + the total outflow is 0 to round-off.
-
-A step's new values become the stepped `State` as they are, read-only, with
-no copy and no finiteness scan. A blow-up is caught where the next step takes
-max|u|^a, before any other arithmetic, by one compare with G's ceiling: the
-bound on max|u|^a, set once per plan, under which |u|^a u, G, G + G and G's
-second difference stay finite with a factor 2 to spare. max|u|^a is above it
-when some value is NaN or inf, which raises as in `State`, or when a finite
-value's |u|^a or G overflows, which raises naming the first such cell, its
-branch and which of the two overflows there. After the last step before a
-landing time, a finiteness check at the landing catches it, whose state shares
-the last stepped state's array. `advance` yields a stepped state only once one
-of these checks has passed, and names the step that made a bad value.
+A step's new values are not checked when made. The next `stable_dt` checks
+them where it takes max|u|^a, before any other arithmetic, by one compare per
+branch with G's range, set once per plan: max|u|^a must be 0, or between the
+floor above which G(max|u|) is a normal float and the ceiling under which G
+and its second difference stay finite with a factor 2 to spare. A non-finite
+value raises as in `State`; outside the range the error names the underflow,
+or the overflow and its cell, and the branch. The last state before a landing
+time is checked at the landing. `advance` yields a stepped state only once a
+check has passed on it, and names the step that made a bad value.
 """
 
 from __future__ import annotations
@@ -149,9 +82,7 @@ class SchemeConfig:
 
 
 class _Stepped(State):
-    """A State that takes a step's values as they are, read-only, with no copy
-    and no finiteness scan (the module docstring says where they are checked),
-    set without the frozen dataclass's __init__."""
+    """A State of a step's own read-only values, with no copy and no finiteness scan."""
 
     def __init__(self, values: np.ndarray, time: float, grid: Grid) -> None:
         fields = self.__dict__
@@ -178,21 +109,21 @@ def plan(state: State, problem: Problem) -> tuple:
     problem's alpha, boundary policy and split's a (its g is passed to every
     prepare, never kept): (prepare, apply, outflow, rates, terms).
     prepare(state, g) writes terms and returns the rate of `stable_dt`;
-    apply(u, dt) returns the new values of one step from the terms, read-only,
-    and adds to outflow, the per-axis [low, high] wall outflow of a run with
-    this plan (None for a stacked state). terms are the per-axis (dF, lapG) in the
-    value layout, dF None for the zero flux; rates is None, or the list of a
-    stacked state's branch rates at the last prepare."""
+    apply(u, dt) returns one step's new values, read-only, and adds to outflow,
+    the per-axis [low, high] wall outflow (None if stacked). terms: per axis
+    (dF, lapG) in the value layout, dF None for the zero flux. rates: None, or
+    a stacked state's branch rates at the last prepare."""
     grid, shape, split = state.grid, state.values.shape, problem.flux.split
     b, dx, dx2, two_n = len(shape) - grid.n, grid.dx, grid.dx ** 2, 2.0 * grid.n
     a, edge = None if split is ZERO_SPLIT else split.a, problem.boundary_policy == "zero_flux"
-    # the padded u and G, whose ghost cells that no edge copy writes hold 0 for the run
+    # u and G padded by one ghost cell per side of each axis, C-ordered after a
+    # branch axis; the ghost cells that no edge copy writes hold 0 for the run
     U, G = (np.zeros(shape[:b] + (grid.N + 2,) * grid.n) for _ in range(2))
     cells = (slice(None),) * b + (slice(1, -1),) * grid.n  # U's cells that are not ghosts
     Uf, Uin, ghosts = U.reshape(shape[:b] + (-1,)), U[cells], _ghosts(U, grid.n, edge)
     axes, r = [_axis(grid, ax, G, a) for ax in range(grid.n)], (grid.N + 2) ** (grid.n - 1)
-    # apply runs over the rows window, in 2-D from U there into work, whose cells
-    # it copies out: faster than reading the terms' strided views at the cells
+    # apply runs over the rows window (axis-0 rows 1..N at full padded width), in 2-D
+    # from U there into work, whose cells it copies out: faster than strided views
     Urows = Uf[(slice(None),) * b + (slice(r, Uf.shape[-1] - r),)]
     buf, work = np.empty(Urows.shape), None if grid.n == 1 else np.empty(Urows.shape)
     done = None if work is None else _cells(work, grid.N, grid.n)
@@ -202,21 +133,30 @@ def plan(state: State, problem: Problem) -> tuple:
     # 0-d arrays: numpy converts a float operand again at every call
     by, cF, cG = np.array(by), np.empty(()), np.empty(())
     magnitude = np.abs if power == 1 else lambda v, out: operator.ipow(np.abs(v, out=out), power)
-    # G's ceiling on max|u|^alpha: below it |u|^alpha u, G = |u|^alpha u/(alpha + 1),
-    # G + G and G's second difference, at most 4 max|G|, are finite with a
-    # factor 2 to spare, so (|u|^alpha u) <= MAX/2 min(1, (alpha + 1)/4)
+    # G's range on max|u|^alpha. Above the floor G(max|u|) >= the least normal
+    # float; below the ceiling |u|^alpha u, G, G + G and G's second difference, at
+    # most 4 max|G|, are finite with a factor 2 to spare: (|u|^alpha u) <= MAX/2
+    # min(1, (alpha + 1)/4)
+    floor = (alpha1 * sys.float_info.min) ** (power / alpha1)
     ceiling = (sys.float_info.max / 2 * min(1.0, alpha1 / 4)) ** (power / alpha1)
+
+    def rate(peak, lams):  # sum_ax lam_ax/dx + 2n max|u|^a/dx^2, in this order
+        total = 0.0
+        for lam in lams:
+            total += lam / dx
+        return float(total + two_n * peak / dx2)
+
     # most(v, red): v's maxima over the axes red, a float or, stacked, a list of floats
-    red, most, finite, finish, rates = None, _max, math.isfinite, _rate, None
-    below = ceiling.__ge__
+    red, most, finite, finish, rates = None, _max, math.isfinite, rate, None
+    inside = lambda peak: floor <= peak <= ceiling or peak == 0  # noqa: E731
     if b:  # per-branch maxima and rates as floats, the largest rate setting dt
         red, rates = tuple(range(1, len(shape))), []  # the last rates
         most = lambda v, red: _max(v, red).tolist()  # noqa: E731
         finite = lambda lam: all(map(math.isfinite, lam))  # noqa: E731
-        below = lambda peak: all(map(ceiling.__ge__, peak))  # noqa: E731
+        inside = lambda peak: all(floor <= p <= ceiling or p == 0 for p in peak)  # noqa: E731
 
-        def finish(peak, lams, dx, two_n, dx2):  # the largest rate; rates keeps each
-            rates[:] = [_rate(p, ls, dx, two_n, dx2) for p, *ls in zip(peak, *lams)]
+        def finish(peak, lams):  # the largest rate; rates keeps each
+            rates[:] = [rate(p, ls) for p, *ls in zip(peak, *lams)]
             return max(rates)
     outflow = None if b else [[0.0, 0.0] for _ in axes]
     terms = tuple((None if adv is None else adv[-1], lap[-1]) for _, lap, adv in axes)
@@ -240,9 +180,9 @@ def plan(state: State, problem: Problem) -> tuple:
             to[...] = src
         a = magnitude(U, G)
         peak = most(a, red)
-        if not below(peak):
+        if not inside(peak):
             State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
-            _overflow(a[cells], b, 0, power, ceiling, state.time)  # raises: |u|^a or G overflows
+            _outside(a[cells], b, 0, power, floor, ceiling, state.time)  # raises: G's range
         scale(np.multiply(a, U, out=G), by, out=G)
         lams = []  # each axis' lam_ax
         if advects:  # g's halves on the padded u, |g'| at the cells and max|g'| if uniform
@@ -253,7 +193,7 @@ def plan(state: State, problem: Problem) -> tuple:
                 lams.append(advect(state, up, down, slope, top))
         for lap in laps:
             lap()
-        return finish(peak, lams, dx, two_n, dx2)
+        return finish(peak, lams)
 
     def apply(u, dt):
         new, cF[()], cG[()] = np.empty(shape), dt / dx, dt / dx2
@@ -272,8 +212,8 @@ def plan(state: State, problem: Problem) -> tuple:
 
     if b or advects or grid.n > 1:
         return prepare, apply, outflow, rates, terms
-    # 1-D zero flux: the window [lo, hi) alone, as the module docstring says
-    # last: the array the window is kept for, the last that apply made or prepare scanned
+    # 1-D zero flux: the window [lo, hi) alone, every cell outside it +0.0, in the values,
+    # G and lapG; last: the array the window is kept for, the last apply made or prepare scanned
     N, lapG, lo, hi, last, views = grid.N, terms[0][1], 0, 0, None, ()
 
     def bind():  # the window's buf, G and lapG, and its second difference
@@ -285,12 +225,13 @@ def plan(state: State, problem: Problem) -> tuple:
     def prepare_window(state, g):
         nonlocal lo, hi, last
         values = state.values
-        if values is not last:  # scan the value bits, so -0.0 is in the window
+        if values is not last:  # not apply's own: scan the value bits, so -0.0 is inside
             nz, last = values.view(np.int64) != 0, values
             lo, hi = max(int(nz.argmax()) - 1, 0), min(N + 1 - int(nz[::-1].argmax()), N)
             G[...] = lapG[...] = 0.0
             bind()
-        elif lo and values.item(lo) or hi < N and values.item(hi - 1):  # a margin turned nonzero
+        elif lo and values.item(lo) or hi < N and values.item(hi - 1):  # a margin turned nonzero:
+            # widen by one cell on that side; the window never shrinks
             lo -= lo > 0 and values.item(lo) != 0
             hi += hi < N and values.item(hi - 1) != 0
             bind()
@@ -298,9 +239,9 @@ def plan(state: State, problem: Problem) -> tuple:
         v = values[lo:hi]
         a = magnitude(v, bw)
         peak = float(_max(a, None))
-        if not peak <= ceiling:
+        if not inside(peak):
             State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
-            _overflow(a, 0, lo, power, ceiling, state.time)  # raises: |u|^a or G overflows
+            _outside(a, 0, lo, power, floor, ceiling, state.time)  # raises: G's range
         scale(np.multiply(a, v, out=Gw), by, out=Gw)
         lap()
         return two_n * peak / dx2
@@ -317,22 +258,17 @@ def plan(state: State, problem: Problem) -> tuple:
     return prepare_window, apply_window, outflow, rates, terms
 
 
-def _rate(peak, lams, dx: float, two_n: float, dx2: float) -> float:
-    """The rate of `stable_dt` of one state or branch from its max|u|^a and
-    lam_ax: sum_ax lam_ax/dx + 2n max|u|^a/dx^2, in this order."""
-    rate = 0.0
-    for lam in lams:
-        rate += lam / dx
-    return float(rate + two_n * peak / dx2)
-
-
-def _overflow(a: np.ndarray, b: int, lo: int, alpha: float, ceiling: float,
-              time: float) -> NoReturn:
-    """Raises for finite values whose |u|^alpha, a in the value layout (a branch
-    axis first when b) from cell lo on along the first cell axis, is above G's
-    ceiling, naming the first such cell, its branch and what overflows there:
-    |u|^alpha itself where it is inf, else G."""
-    idx = [int(k) for k in np.argwhere(a > ceiling)[0]]
+def _outside(a: np.ndarray, b: int, lo: int, alpha: float, floor: float, ceiling: float,
+             time: float) -> NoReturn:
+    """Raises for finite |u|^alpha values a (branches first if b) outside G's range."""
+    over = np.argwhere(a > ceiling)
+    if not len(over):  # the first branch whose max|u|^alpha is below the floor
+        peaks = a.reshape(len(a) if b else 1, -1).max(axis=1)
+        k = int(np.argmax((peaks > 0) & (peaks < floor)))
+        raise RunError(f"G(u) = |u|^{alpha} u/{alpha + 1} underflows: max|u|^{alpha} = {peaks[k]}"
+                       f" is below its floor {floor}, t={time}", branch=k if b else None)
+    # the first cell above the ceiling, and what overflows there: |u|^alpha where it is inf
+    idx = [int(k) for k in over[0]]
     what = f"|u|^{alpha}" if math.isinf(a[tuple(idx)]) else f"G(u) = |u|^{alpha} u/{alpha + 1}"
     idx[b] += lo
     raise RunError(f"{what} overflows at cell {tuple(idx[b:])}, t={time}",
@@ -340,22 +276,9 @@ def _overflow(a: np.ndarray, b: int, lo: int, alpha: float, ceiling: float,
 
 
 def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
-    """The arrays of `plan` for axis ax, laid out as G, the padded G of values
-    of shape grid.shape or (B,) + grid.shape: (s, lap, adv). s = (N+2)^(n-1-ax)
-    is the stride of axis ax on G's flat view, so the neighbours of flat cell m
-    along it are m - s and m + s; m runs over the rows window, the cells of
-    axis-0 rows 1..N at full padded width. lap is (G[m], G[m+s], G[m-s], lapG,
-    lapG at the cells), lapG being over the rows window. adv is None for a flux
-    that does not advect, else (halves, reach, left, right, F, tmp, dF, F
-    padded, dF at the cells): a+ and a- of the split's a(x) normal to ax at the
-    interfaces m | m+s, each with whether it takes g's falling half on the left;
-    the reach at the cells; the index of the interfaces' left cells m and right
-    cells m+s on a flat padded array, m from one stride below the rows window
-    to its end; F, the window of the padded F over those m, and tmp of its
-    shape; and dF over the rows window. The views at the cells are in the
-    value layout. The coefficients are read-only and broadcast against the
-    values: one with one value everywhere is that float, an array one is on
-    F's window, with its edge values at the interfaces that no cell reads."""
+    """`plan`'s (stride, lap, adv) for axis ax of the padded G; adv is None if a is."""
+    # on G's flat view the neighbours of cell m along ax are m - s and m + s, and
+    # m runs over the rows window [r, end)
     n, N, b = grid.n, grid.N, G.ndim - grid.n
     s, r, end = (N + 2) ** (n - 1 - ax), (N + 2) ** (n - 1), (N + 2) ** n - (N + 2) ** (n - 1)
 
@@ -363,6 +286,7 @@ def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
         return (slice(None),) * b + (slice(lo, hi),)
 
     Gf, lapG = G.reshape(G.shape[:b] + (-1,)), np.empty(G.shape[:b] + (end - r,))
+    # (G[m], G[m+s], G[m-s], lapG over the rows window, lapG at the cells)
     lap = (Gf[at(r, end)], Gf[at(r + s, end + s)], Gf[at(r - s, end - s)], lapG,
            _cells(lapG, N, n))
     if a is None:
@@ -373,7 +297,9 @@ def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
     plus, minus = np.maximum(c, 0.0), np.minimum(c, 0.0)
     reach = _uniform(np.maximum(plus[hi] - minus[lo], plus[lo] - minus[hi]))
 
-    def laid(v: np.ndarray) -> float | np.ndarray:  # v on F's window, or its one value
+    # a coefficient with one value everywhere is that float, else read-only on F's
+    # window, with its edge values at the interfaces that no cell reads
+    def laid(v: np.ndarray) -> float | np.ndarray:
         v = _uniform(v)
         if isinstance(v, float):
             return v
@@ -387,7 +313,9 @@ def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
     halves = [(laid(plus), False), (laid(minus), True)]
     halves = [h for h in halves if np.any(h[0])] or halves[:1]
     F, dF = np.empty(G.shape), np.empty(lapG.shape)
-    Fw = F.reshape(Gf.shape)[at(r - s, end)]
+    Fw = F.reshape(Gf.shape)[at(r - s, end)]  # the interfaces m | m+s, from one stride below
+    # (halves, reach at the cells, left cells, right cells, F there, tmp, dF over the
+    # rows window, the padded F, dF at the cells)
     return s, lap, (halves, reach, at(r - s, end), at(r, end + s), Fw, np.empty(Fw.shape),
                     dF, F, _cells(dF, N, n))
 
@@ -399,8 +327,7 @@ def _cells(v: np.ndarray, N: int, n: int) -> np.ndarray:
 
 
 def _uniform(v: np.ndarray) -> float | np.ndarray:
-    """v as a float where all its values are equal (numpy broadcasts either),
-    else v made read-only."""
+    """v as a float where all its values are equal (numpy broadcasts either), else read-only."""
     if np.all(v == v.flat[0]):
         return float(v.flat[0])
     v.setflags(write=False)
@@ -408,10 +335,7 @@ def _uniform(v: np.ndarray) -> float | np.ndarray:
 
 
 def _ghosts(p: np.ndarray, n: int, edge: bool) -> list:
-    """[(to, src)]: per axis of the padded p, its two ghost cells at the other
-    axes' cells and the edge cells that each prepare copies into them under
-    zero_flux; none under dirichlet_zero, whose ghost cells hold the 0 that
-    the plan set."""
+    """[(to, src)]: per axis of the padded p, its ghost cells and their edge cells if edge."""
     N = p.shape[-1] - 2
 
     def at(ax: int, k: slice) -> np.ndarray:
@@ -421,8 +345,7 @@ def _ghosts(p: np.ndarray, n: int, edge: bool) -> list:
 
 
 def _lap(Gmid, Ghi, Glo, lapG, ghosts=()):
-    """lap(): the copies of `_ghosts` into G's ghost cells, then the second
-    difference Ghi - 2 Gmid + Glo into lapG."""
+    """lap(): the copies of `_ghosts`, then the second difference Ghi - 2 Gmid + Glo into lapG."""
     def lap():
         for to, src in ghosts:
             to[...] = src
@@ -433,12 +356,7 @@ def _lap(Gmid, Ghi, Glo, lapG, ghosts=()):
 
 
 def _advect(ax: int, s: int, adv: tuple, b: int, finite, buf: np.ndarray, red, most):
-    """advect(state, up, down, slope, top): the Engquist-Osher flux and its
-    difference dF along axis ax from g's halves up and down on the flat padded
-    u, and the returned lam_ax: the largest reach |g'| over the cells, which
-    `finite` checks, from slope, |g'| at the cells, by most(v, red), or for a
-    uniform reach c as c top, top being max|g'|; for a stacked state (b = 1)
-    lam_ax and top are lists of per-branch floats."""
+    """advect(state, up, down, slope, top): F and dF along axis ax; returns lam_ax, finite."""
     halves, reach, left, right, F, tmp, dF, *_ = adv
     flux, Fhi, Flo = _engquist_osher(halves, F, tmp, left, right), F[..., s:], F[..., :-s]
     # lam_ax: max(c s_i) over the cells, an array c being >= 0
@@ -458,12 +376,9 @@ def _advect(ax: int, s: int, adv: tuple, b: int, finite, buf: np.ndarray, red, m
 
 
 def _engquist_osher(halves: list, F: np.ndarray, tmp: np.ndarray, left: tuple, right: tuple):
-    """flux(up, down): F = the sum over halves of c (g_l + g_r) at the
-    interfaces from g's halves on the flat padded cells, read at the left and
-    the right cells of each interface: up on the left of the plus half and on
-    the right of the minus half (flip), a None down being 0; the second half
-    goes through tmp. A half whose c is the float 1.0 takes no product: x 1.0
-    is x, bit for bit, so it adds g_l and g_r, or copies up alone."""
+    """flux(up, down): F = the sum over halves of c (g_l + g_r), from g's halves up and down."""
+    # up on the left of the plus half, on the right of the minus half (flip); a None
+    # down is 0; the second half goes through tmp; x 1.0 is x, so c = 1.0 takes no product
     def half(c, flip, out):
         c, su, sd = np.asarray(c), *((right, left) if flip else (left, right))
         if c.shape == () and c == 1.0:  # np.positive: a copy that returns out
@@ -477,10 +392,9 @@ def _engquist_osher(halves: list, F: np.ndarray, tmp: np.ndarray, left: tuple, r
 
 
 def _wall(ax: int, adv, G: np.ndarray, edge: bool, dx: float, total: list):
-    """wall(dt): adds dt times the outward flux through the low and the high
-    wall of axis ax to total: -F and F at the first and last interfaces (0
-    without adv), and -(G_ghost - G_edge)/dx at each wall (0 for an edge
-    copy), summed over the dx^(n-1) faces of a wall in n > 1 dimensions."""
+    """wall(dt): adds dt times the outward flux through axis ax's low and high wall to total."""
+    # -F and F at the first and last interfaces (0 without adv), and -(G_ghost -
+    # G_edge)/dx at each wall (0 for an edge copy), over a wall's dx^(n-1) faces
     n, N = G.ndim, G.shape[0] - 2
 
     def at(v: np.ndarray, k: int) -> np.ndarray:  # v's cells k along ax, one cell wide
@@ -501,13 +415,11 @@ def _wall(ax: int, adv, G: np.ndarray, edge: bool, dx: float, total: list):
 
 
 def stable_dt(state: State, problem: Problem, config: SchemeConfig, plan: tuple) -> float:
-    """cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2), lam_ax being the largest
-    reach |g'| over the cells along axis ax; for a stacked state, the dt of its
-    largest branch rate, which is bitwise the smallest branch dt. Prepares
+    """cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2); for a stacked state, the dt
+    of its largest branch rate, bitwise the smallest branch dt. Prepares
     `plan`'s terms for `step(state, problem, dt, plan)` from the state and
     problem.flux.split.g. A non-finite value raises as in `State`, and a
-    finite one whose |u|^a or G overflows raises naming its cell, both found
-    by comparing max|u|^a with G's ceiling before any other arithmetic on u."""
+    max|u|^a outside G's range raises naming the underflow or the overflow."""
     dt = config.cfl_safety / (plan[0](state, problem.flux.split.g) + _DEN_GUARD)
     if 0.0 < dt < math.inf:
         return dt
@@ -516,14 +428,11 @@ def stable_dt(state: State, problem: Problem, config: SchemeConfig, plan: tuple)
 
 
 def step(state: State, problem: Problem, dt: float, plan: tuple) -> State:
-    """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis by
-    the plan's apply(u, dt), from the terms that `stable_dt` last prepared into
-    `plan` from this state, which apply holds itself; dt must respect its
-    bound. Writes neither the state nor the terms, returns the new state
-    read-only and unchecked (`advance` yields it once it has been checked) and
-    adds the mass that leaves through the walls to the plan's outflow. A plan
-    of an unstacked 1-D state under the zero flux reads only its window's part
-    of the terms (see the module docstring)."""
+    """One conservative explicit update u - dt/dx dF + dt/dx^2 lapG per axis,
+    from the terms that `stable_dt` last prepared into `plan` from this state;
+    dt must respect its bound. Writes neither the state nor the terms, returns
+    the new state read-only and unchecked, and adds the mass that leaves
+    through the walls to the plan's outflow."""
     return _Stepped(plan[1](state.values, dt), state.time + dt, state.grid)
 
 
@@ -537,9 +446,8 @@ def advance(state: State, problem: Problem, config: SchemeConfig, work: tuple,
     Yields ``(state, dt)`` for every step, and ``(state, None)`` with the
     time set exactly to the landing time each time one is reached. An error
     raised when preparing a step names the step, and `names` label the
-    branches, by leading index. A non-finite value is found when the next step
-    prepares, or at the landing, and is named by the step that made it;
-    a stepped state is yielded only after that check has passed."""
+    branches, by leading index. A bad value is named by the step that made
+    it, and a stepped state is yielded only once it has been checked."""
     steps, last = 0, None  # last: the dt of the last stepped state, until a check has passed on it
     t_tol = 1e-12 * max(1.0, config.t_end)
 

@@ -320,7 +320,13 @@ class TestExitCodes:
         # c u overflows in f, which only the consistency check evaluates
         (["check-flux", "--flux", "linear c=1e300", "--umax", "1e10"],
          "non-finite flux derivative at x=[-5.45327955], u=-6219908587.242462"),
-    ], ids=["dt-underflows", "divergence-overflows", "burgers-overflows", "linear-overflows"])
+        # G of the middle branch's max|u| is below the least normal float
+        (["sandwich", "--set", "u0=gaussian amp=1e-200", "--set", "N=40", "--eps-list", "0.1",
+          "--t-end", "0.05"],
+         "step 1, middle branch: G(u) = |u|^1.0 u/2.0 underflows: max|u|^1.0 = "
+         "9.394130628134757e-201 is below its floor 2.1095373229726e-154, t=0.0"),
+    ], ids=["dt-underflows", "divergence-overflows", "burgers-overflows", "linear-overflows",
+            "sandwich-G-underflows"])
     def test_run_error_exits_1_and_writes_nothing(self, tmp_path, capsys, argv, message):
         assert run_cli(tmp_path, *argv) == 1
         assert capsys.readouterr().err == f"pmelab {argv[0]}: run error: {message}\n"

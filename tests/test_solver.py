@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import inspect
 import math
 import re
 import sys
@@ -766,6 +765,46 @@ def test_G_ceiling_keeps_four_G_a_factor_2_inside_the_float_range(n, flux, stack
         advance_some(s, p, 1)
 
 
+def underflow(alpha, peak, label=""):
+    """The message of `advance` for data whose max|u|^alpha is peak, below G's floor."""
+    floor = ((alpha + 1.0) * sys.float_info.min) ** (alpha / (alpha + 1.0))
+    return (f"step 1{label}: G(u) = |u|^{alpha} u/{alpha + 1.0} underflows: "
+            f"max|u|^{alpha} = {peak} is below its floor {floor}, t=0.0")
+
+
+@OVERFLOW_PATHS
+def test_G_floor_keeps_G_of_max_u_a_normal_float(n, flux, stacked):
+    # at alpha = 2 the floor is where max|u|^3/3 is the least normal float: a
+    # value just above it steps (unstacked, the first dt reaches t_end), and one
+    # just below raises naming the underflow, max|u|^2 and the branch
+    least = (3.0 * sys.float_info.min) ** (1 / 3)
+    s, p, cell, label = block_state(n, flux, stacked, least * (1 + 1e-9))
+    assert np.isfinite(advance_some(s, p, 2).values).all()
+    s, p, cell, label = block_state(n, flux, stacked, least * (1 - 1e-9))
+    peak = float(np.max(np.abs(s.values[1] if stacked else s.values) ** 2.0))
+    with pytest.raises(RunError, match=f"^{re.escape(underflow(2.0, peak, label))}$") as exc:
+        advance_some(s, p, 1)
+    assert exc.value.__cause__.branch == (1 if stacked else None)
+
+
+@pytest.mark.parametrize("n, flux, alpha, boundary, amp", [
+    (1, pr.burgers_flux_model(1), 0.30078125, "zero_flux", 2.1523e-249),
+    (2, pr.linear_flux_model(1.5, 2), 1.0, "dirichlet_zero", 2.225e-309),
+], ids=["1d-burgers", "2d-linear"])
+def test_data_whose_G_is_subnormal_raise_the_named_underflow(n, flux, alpha, boundary, amp):
+    # nonnegative data whose G(max|u|) is subnormal: under its own dt the step
+    # would be neither monotone nor sign-preserving (1-D: dt = 1.58e74 and a cell
+    # at -6.64e-250 after one step; 2-D: a cell at -5e-324 by step 14)
+    shift = 0.5 if n == 1 else 0.0
+    p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=8 if n == 1 else 4), alpha=alpha, p0=1.0,
+                   flux=flux, u0=lambda x: amp * np.exp(-np.sum((x - shift) ** 2, axis=0)),
+                   boundary_policy=boundary)
+    s = pr.sample_initial(p)
+    peak = float(np.max(np.abs(s.values) ** alpha))
+    with pytest.raises(RunError, match=f"^{re.escape(underflow(alpha, peak))}$"):
+        advance_some(s, p, 1)
+
+
 @pytest.mark.parametrize("case", range(len(STEP_CASES)), ids=STEP_IDS)
 def test_states_own_their_values(case):
     # a State copies a caller's array; a stepped state is the step's own new
@@ -786,121 +825,56 @@ def test_states_own_their_values(case):
         assert not any(np.shares_memory(new, t) for t in term if t is not None)
 
 
-def same_view(v, w):
-    return v.__array_interface__ == w.__array_interface__
+@pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+@pytest.mark.parametrize("B", (None, 3), ids=("unstacked", "stacked"))
+@pytest.mark.parametrize("n, name", [(1, "burgers"), (1, "linear"), (1, "zero"),
+                                     (2, "burgers"), (2, "linear"), (2, "zero")])
+def test_plan_follows_the_value_shape(n, name, B, boundary):
+    # through plan, stable_dt and step alone: each prepare calls g once, on one
+    # array of the branch's every cell value, and never for ZERO_SPLIT; the
+    # terms are in the value layout; outflow holds a [low, high] pair per axis
+    # of an unstacked state and rates one rate per branch of a stacked one; the
+    # new values are read-only and C-ordered
+    grid = pr.Grid(n=n, L=3.0, N=12 if n == 1 else 6)
+    flux = pr.flux_from_config(name, None, n)
+    p = pr.Problem(grid=grid, alpha=1.0, p0=1.0, flux=flux, u0=gaussian,
+                   boundary_policy=boundary)
+    shape = grid.shape if B is None else (B,) + grid.shape
+    u = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    s = pr.State(values=u, time=0.0, grid=grid)
+    plan, got = sv.plan(s, p), []
+    outflow, rates, terms = plan[2:]
+    # stable_dt hands the plan the g of the problem it is given
+    p = dataclasses.replace(p, flux=dataclasses.replace(flux, split=dataclasses.replace(
+        flux.split, g=lambda v, out: got.append(v.copy()) or flux.split.g(v, out))))
+    cfg = sv.SchemeConfig(t_end=1.0)
+    for k in range(2):
+        u, s = s.values, sv.step(s, p, sv.stable_dt(s, p, cfg, plan), plan)
+        assert len(got) == (0 if name == "zero" else k + 1)
+        for v in got[k:]:  # one flat row per branch that holds all of its values
+            assert v.shape[:-1] == shape[:-n]
+            rows = zip(u.reshape(-1, grid.N ** n), v.reshape(-1, v.shape[-1]))
+            assert all(np.isin(w, row).all() for w, row in rows)
+        assert s.values.shape == shape and s.values.flags.c_contiguous
+        assert not s.values.flags.writeable
+    assert len(terms) == n
+    for dF, lapG in terms:
+        assert lapG.shape == shape and (dF is None) == (name == "zero")
+        assert dF is None or dF.shape == shape
+    if B is None:
+        assert rates is None and len(outflow) == n
+        assert all(len(pair) == 2 and all(isinstance(v, float) for v in pair)
+                   for pair in outflow)
+    else:
+        assert outflow is None and len(rates) == B and all(isinstance(r, float) for r in rates)
 
 
-def test_axis_layout_follows_the_value_shape():
-    # one padded layout: (N+2)^n cells, C-contiguous after a stacked state's
-    # branch axis, each axis a stride on its flat view. Every window the step
-    # takes is a contiguous slice of a flat array over the rows window (the
-    # cells of axis-0 rows 1..N at full padded width), the terms are views of
-    # them at the cells, and coefficients broadcast against the values
-    grid, N = pr.Grid(n=2, L=3.0, N=12), 12
-    P, a = N + 2, lambda x: np.tanh(x)  # noqa: E731
-    rows = slice(P, P * (N + 1))
-    for ax in (0, 1):
-        G = np.zeros((P, P))
-        s, (Gmid, Ghi, Glo, lapG, lap_cells), adv = sv._axis(grid, ax, G, a)
-        halves, reach, left, right, F, tmp, dF, Fp, dF_cells = adv
-        (plus, left_up), (minus, left_down) = halves
-        flat, lo = G.ravel(), P - s  # the interfaces from one stride below the rows window
-        assert s == (P, 1)[ax]
-        assert same_view(Gmid, flat[rows]) and same_view(Ghi, flat[P + s:P * (N + 1) + s])
-        assert same_view(Glo, flat[P - s:P * (N + 1) - s])
-        assert (left, right) == ((slice(lo, P * (N + 1)),), (slice(P, P * (N + 1) + s),))
-        assert Fp.shape == (P, P) and same_view(F, Fp.ravel()[lo:P * (N + 1)])
-        assert all(v.flags.c_contiguous for v in (lapG, dF, tmp, reach))
-        assert lapG.shape == dF.shape == (N * P,) and tmp.shape == F.shape
-        for view, over in ((lap_cells, lapG), (dF_cells, dF)):
-            assert view.shape == grid.shape and same_view(view, over.reshape(N, P)[:, 1:-1])
-        assert (left_up, left_down) == (False, True)
-        assert all(not v.flags.writeable for v in (plus, minus, reach))
-        assert plus.shape == minus.shape == F.shape and reach.shape == grid.shape
-        # component ax of a at interface m | m+s, laid out on the padded cells
-        want = np.tanh(grid.axis_interfaces())
-        laid = np.zeros(P * P)
-        laid[lo:P * (N + 1)] = plus + minus
-        laid = laid.reshape(P, P)
-        laid = laid[:N + 1, 1:-1] if ax == 0 else laid[1:-1, :N + 1].T  # interfaces first
-        assert np.array_equal(laid, np.broadcast_to(want[:, None], (N + 1, N)))
-        # a keeps its sign in every cell, so the reach is the larger |a| of the two faces
-        faces = np.broadcast_to(np.maximum(abs(want[:-1]), abs(want[1:]))[:, None], (N, N))
-        assert np.array_equal(reach, faces if ax == 0 else faces.T)
-        zero = sv._axis(grid, ax, G, None)
-        assert zero[0] == s and zero[2] is None
-        # a uniform coefficient is a float, and a half that a zeroes is left out
-        uniform = sv._axis(grid, ax, G, lambda x: -2.0 * np.ones(np.shape(x)))
-        assert uniform[2][:2] == ([(-2.0, True)], 2.0)
-        # stacked: the same windows behind the branch axis, the coefficients unchanged
-        G3 = np.zeros((3, P, P))
-        s3, (Gmid, *_, lapG, lap_cells), adv = sv._axis(grid, ax, G3, a)
-        assert s3 == s and same_view(Gmid, G3.reshape(3, -1)[:, rows])
-        assert lapG.shape == (3, N * P) and lapG.flags.c_contiguous
-        assert same_view(lap_cells, lapG.reshape(3, N, P)[:, :, 1:-1])
-        assert adv[0][0][0].shape == plus.shape and adv[1].shape == grid.shape
-    # the plan: one padded u and G, ghost cells at 0 but for the edge copies of
-    # zero_flux, g evaluated on the whole flat padded u, and terms laid out as
-    # the values; alpha = 1 takes no power. The plan's arrays are those its
-    # bound closures hold.
-    for flux, shape, boundary in [(pr.burgers_flux_model(2), grid.shape, "zero_flux"),
-                                  (pr.burgers_flux_model(2), grid.shape, "dirichlet_zero"),
-                                  (pr.zero_flux_model(2), (3,) + grid.shape, "zero_flux")]:
-        p = pr.Problem(grid=grid, alpha=1.0, p0=1.0, flux=flux, u0=gaussian,
-                       boundary_policy=boundary)
-        u = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
-        s = pr.State(values=u, time=0.0, grid=grid)
-        prepare, apply, outflow, rates, terms = sv.plan(s, p)
-        env, b = closure(prepare), len(shape) - 2
-        U, G, Uf = (env[name] for name in ("U", "G", "Uf"))
-        assert (env["dx"], env["dx2"], env["two_n"], env["magnitude"], env["scale"],
-                env["by"]) == (grid.dx, grid.dx ** 2, 4.0, np.abs, np.multiply, 0.5)
-        assert U.shape == G.shape == shape[:b] + (P, P) and U.flags.c_contiguous
-        assert same_view(Uf, U.reshape(shape[:b] + (-1,)))
-        # apply runs from U over the rows window into work, whose cells it copies out
-        Urows, buf, work = (closure(apply)[name] for name in ("Urows", "buf", "work"))
-        assert same_view(Urows, Uf[..., rows]) and buf.shape == work.shape == Urows.shape
-        got = []
-        prepare(s, lambda v, out: got.append(v.copy()) or flux.split.g(v, out))
-        assert len(got) == (flux.name != "zero")
-        padded = np.pad(u, [(0, 0)] * b + [(1, 1)] * 2,
-                        "edge" if boundary == "zero_flux" else "constant")
-        padded[..., ::P - 1, ::P - 1] = 0.0  # corner ghost cells
-        assert np.array_equal(U, padded) and np.array_equal(G, padded * padded / 2)
-        assert all(v.shape == Uf.shape and np.array_equal(v, Uf) for v in got)
-        laps, advects = env["laps"], env["advects"]
-        assert (advects == []) == (flux.name == "zero")
-        for ax, ((dF, lap), lap_fn) in enumerate(zip(terms, laps)):
-            assert lap.shape == shape and same_view(
-                lap, closure(lap_fn)["lapG"].reshape(shape[:b] + (N, P))[..., 1:-1])
-            assert (dF is None) == (flux.name == "zero")
-            assert dF is None or dF.shape == shape and same_view(
-                dF, closure(advects[ax])["dF"].reshape(N, P)[:, 1:-1])
-        # wall sums for each axis of an unstacked state: under zero_flux with F
-        # alone (the diffusive wall flux is 0), under dirichlet_zero with G's
-        # ghost and edge cells too; none if stacked
-        walls = closure(apply)["walls"]
-        if b:
-            assert outflow is None and walls == [] and len(rates) == 3
-            continue
-        assert outflow == [[0.0, 0.0]] * 2 and len(walls) == 2 and rates is None
-        for ax, (wall, out) in enumerate(zip(walls, outflow)):
-            w, adv = closure(wall), closure(advects[ax])
-            assert w["face"] == grid.dx and w["total"] is out
-            assert all(v.shape == ((1, N), (N, 1))[ax] for v in w["F"])
-            assert np.shares_memory(w["F"][0], adv["Flo"])
-            assert np.shares_memory(w["F"][1], adv["Fhi"])
-            cells = [[slice(1, -1)] * 2 for _ in range(4)]
-            for at, k in zip(cells, (0, 1, N, N + 1)):
-                at[ax] = slice(k, k + 1)
-            names = ("ghost_lo", "edge_lo", "edge_hi", "ghost_hi")
-            assert all(w[name] == 0.0 if boundary == "zero_flux" else
-                       same_view(w[name], G[tuple(at)]) for name, at in zip(names, cells))
-
-
-def closure(fn) -> dict:
-    """The variables that a function the plan bound reads from its builder."""
-    return inspect.getclosurevars(fn).nonlocals
+def amplitudes(alpha, lo, hi):
+    """Floats in [lo, hi] that are 0 or at least 1e3 times the least |u| whose G is a
+    normal float: data of such an amplitude times a profile whose maximum is above
+    1e-3 are inside G's range (below it `stable_dt` names the underflow)."""
+    least = 1e3 * ((alpha + 1.0) * sys.float_info.min) ** (1.0 / (alpha + 1.0))
+    return st.floats(lo, hi).filter(lambda v: v == 0 or abs(v) >= least)
 
 
 @given(data=st.data())
@@ -915,7 +889,8 @@ def test_stacked_advance_steps_each_branch_as_alone(data):
     boundary = data.draw(st.sampled_from(pr.BOUNDARY_POLICIES), label="boundary")
     alpha = data.draw(st.floats(0.25, 2.0), label="alpha")
     B = data.draw(st.integers(1, 3), label="B")
-    amps = data.draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)),
+    amps = data.draw(st.lists(st.tuples(amplitudes(alpha, -2.0, 2.0),
+                                        amplitudes(alpha, -1.0, 1.0)),
                               min_size=B, max_size=B), label="amplitudes")
     grid = pr.Grid(n=n, L=3.0, N=24 if n == 1 else 10)
     p = pr.Problem(grid=grid, alpha=alpha, p0=1.0, flux=pr.flux_from_config(name, params, n),
@@ -1131,13 +1106,13 @@ def test_one_step_jacobian_is_nonnegative(data):
     x = grid.cell_centers()
     if data.draw(st.booleans(), label="jumps"):
         # piecewise constant along x0 (2-D: along x0 + x1) with two jumps
-        levels = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+        levels = data.draw(st.lists(amplitudes(alpha, -10.0, 10.0), min_size=3, max_size=3),
                            label="levels")
         cuts = sorted(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
                                 label="cuts"))
         u = np.asarray(levels)[np.digitize(np.sum(x, axis=0) / n, cuts)]
     else:
-        amp = data.draw(st.floats(-10.0, 10.0), label="amp")
+        amp = data.draw(amplitudes(alpha, -10.0, 10.0), label="amp")
         width = data.draw(st.floats(0.3, 2.0), label="width")
         u = amp * np.exp(-np.sum(x ** 2, axis=0) / width ** 2)
     p = pr.Problem(grid=grid, alpha=alpha, p0=1.0, flux=pr.flux_from_config(name, params, n),

@@ -144,6 +144,11 @@ COMMANDS = [
     # finite data whose |u|^2 is finite but whose G = |u|^2 u/3 overflows: a run
     # error at step 1 that names G, before G is formed and with no numpy warning
     ["run", "--set", "u0=gaussian amp=1e150", "--set", "alpha=2", "--t-end", "0.01"],
+    # data whose G(max|u|) is below the least normal float: a run error that names the underflow
+    ["run", "--set", "u0=gaussian amp=1e-200", "--set", "N=40", "--t-end", "0.01"],
+    # the same datum in the sandwich: only the middle branch underflows, and is named
+    ["sandwich", "--set", "u0=gaussian amp=1e-200", "--set", "N=40", "--eps-list", "0.1",
+     "--t-end", "0.05"],
 ]
 
 

@@ -247,7 +247,7 @@ def cmd_barenblatt_validate(args) -> Report:
         if not abs(sampled / barenblatt.mass(profile) - 1.0) <= 0.5:
             raise ConfigError(f"--t0 {args.t0} gives grid N={g.N} a sampled datum of mass "
                               f"{sampled:.3g}, not within half of {barenblatt.mass(profile):.3g}")
-    residuals = [barenblatt.residual_check(profile, g, args.t0).interior_l1 for g in boxes]
+    residuals = [barenblatt.residual_check(profile, g, args.t0) for g in boxes]
     errors, orders = harness.refinement_study(
         {"flux": "zero", "u0": f"barenblatt C={args.C!r} t={args.t0!r}",
          "alpha": repr(args.alpha), "L": repr(args.L)},

@@ -38,13 +38,14 @@ diffusive wall fluxes. Then M(T) - M(0) + the total outflow is 0 to round-off.
 
 A step's new values are not checked when made. The next `stable_dt` checks
 them where it takes max|u|^a, before any other arithmetic, by one compare per
-branch with G's range, set once per plan: max|u|^a must be 0, or between the
-floor above which G(max|u|) is a normal float and the ceiling under which G
-and its second difference stay finite with a factor 2 to spare. A non-finite
-value raises as in `State`; outside the range the error names the underflow,
-or the overflow and its cell, and the branch. The last state before a landing
-time is checked at the landing. `advance` yields a stepped state only once a
-check has passed on it, and names the step that made a bad value.
+branch with G's range, set once per plan: max|u|^a must be between the floor
+above which G(max|u|) is a normal float and the ceiling under which G and its
+second difference stay finite with a factor 2 to spare, or 0 with every value
+0 (nonzero data whose |u|^a underflows to 0 are below the floor). A
+non-finite value raises as in `State`; outside the range the error names the
+underflow, or the overflow and its cell, and the branch. The last state before
+a landing time is checked at the landing. `advance` yields a stepped state
+only once a check has passed on it, and names the step that made a bad value.
 """
 
 from __future__ import annotations
@@ -148,12 +149,14 @@ def plan(state: State, problem: Problem) -> tuple:
 
     # most(v, red): v's maxima over the axes red, a float or, stacked, a list of floats
     red, most, finite, finish, rates = None, _max, math.isfinite, rate, None
-    inside = lambda peak: floor <= peak <= ceiling or peak == 0  # noqa: E731
+    # a peak of 0 is inside only for data that are all 0: |u|^alpha can underflow to 0
+    inside = lambda peak, u: floor <= peak <= ceiling or peak == 0 and not u.any()  # noqa: E731
     if b:  # per-branch maxima and rates as floats, the largest rate setting dt
         red, rates = tuple(range(1, len(shape))), []  # the last rates
         most = lambda v, red: _max(v, red).tolist()  # noqa: E731
         finite = lambda lam: all(map(math.isfinite, lam))  # noqa: E731
-        inside = lambda peak: all(floor <= p <= ceiling or p == 0 for p in peak)  # noqa: E731
+        inside = lambda peak, u: all(  # noqa: E731
+            floor <= p <= ceiling or p == 0 and not u[k].any() for k, p in enumerate(peak))
 
         def finish(peak, lams):  # the largest rate; rates keeps each
             rates[:] = [rate(p, ls) for p, *ls in zip(peak, *lams)]
@@ -180,9 +183,9 @@ def plan(state: State, problem: Problem) -> tuple:
             to[...] = src
         a = magnitude(U, G)
         peak = most(a, red)
-        if not inside(peak):
+        if not inside(peak, values):
             State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
-            _outside(a[cells], b, 0, power, floor, ceiling, state.time)  # raises: G's range
+            _outside(a[cells], values, b, 0, power, floor, ceiling, state.time)  # raises
         scale(np.multiply(a, U, out=G), by, out=G)
         lams = []  # each axis' lam_ax
         if advects:  # g's halves on the padded u, |g'| at the cells and max|g'| if uniform
@@ -239,9 +242,9 @@ def plan(state: State, problem: Problem) -> tuple:
         v = values[lo:hi]
         a = magnitude(v, bw)
         peak = float(_max(a, None))
-        if not inside(peak):
+        if not inside(peak, v):
             State(values=values, time=state.time, grid=state.grid)  # raises: a value is not finite
-            _outside(a, 0, lo, power, floor, ceiling, state.time)  # raises: G's range
+            _outside(a, v, 0, lo, power, floor, ceiling, state.time)  # raises: G's range
         scale(np.multiply(a, v, out=Gw), by, out=Gw)
         lap()
         return two_n * peak / dx2
@@ -258,13 +261,13 @@ def plan(state: State, problem: Problem) -> tuple:
     return prepare_window, apply_window, outflow, rates, terms
 
 
-def _outside(a: np.ndarray, b: int, lo: int, alpha: float, floor: float, ceiling: float,
-             time: float) -> NoReturn:
-    """Raises for finite |u|^alpha values a (branches first if b) outside G's range."""
+def _outside(a: np.ndarray, u: np.ndarray, b: int, lo: int, alpha: float, floor: float,
+             ceiling: float, time: float) -> NoReturn:
+    """Raises for finite |u|^alpha values a of u (branches first if b) outside G's range."""
     over = np.argwhere(a > ceiling)
-    if not len(over):  # the first branch whose max|u|^alpha is below the floor
+    if not len(over):  # the first branch of nonzero data whose max|u|^alpha is below the floor
         peaks = a.reshape(len(a) if b else 1, -1).max(axis=1)
-        k = int(np.argmax((peaks > 0) & (peaks < floor)))
+        k = int(np.argmax(u.reshape(peaks.shape + (-1,)).any(axis=1) & (peaks < floor)))
         raise RunError(f"G(u) = |u|^{alpha} u/{alpha + 1} underflows: max|u|^{alpha} = {peaks[k]}"
                        f" is below its floor {floor}, t={time}", branch=k if b else None)
     # the first cell above the ceiling, and what overflows there: |u|^alpha where it is inf

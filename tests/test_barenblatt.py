@@ -138,8 +138,7 @@ def test_residual_check_refines():
     p = bb.BarenblattProfile(n=1, alpha=1.0, C=1.0)
     coarse = bb.residual_check(p, Grid(n=1, L=10.0, N=200), 2.0)
     fine = bb.residual_check(p, Grid(n=1, L=10.0, N=400), 2.0)
-    assert fine.interior_l1 <= 0.5 * coarse.interior_l1
-    assert fine.global_l1 < coarse.global_l1
+    assert fine <= 0.5 * coarse
 
 
 def test_residual_check_support_overflow():

@@ -113,6 +113,7 @@ class TestExitCodes:
         rc = run_cli(tmp_path, "check-flux", "--flux", "burgers")
         assert rc == 0
         payload = json.loads(outputs(tmp_path, "json")[0].read_text())
+        assert sorted(payload["consistency"]) == ["max_div_error", "max_split_error", "ok"]
         assert payload["consistency"]["ok"] is True
         # max|a| max|g'| = 1 * max|u| on the default range |u| <= 1
         assert payload["lipschitz"]["C_f"] == 1.0
@@ -127,6 +128,8 @@ class TestExitCodes:
         assert run_cli(tmp_path, "check-flux", "--flux", "burgers") == 1
         payload = json.loads(outputs(tmp_path, "json")[0].read_text())
         assert payload["satisfied"] is True
+        # |a| |g'| = |u| against |df_du| = 2 |u|
+        assert payload["consistency"]["max_split_error"] > 0.1
         assert payload["consistency"]["ok"] is False
         assert payload["passed"] is False
 
@@ -150,7 +153,7 @@ class TestExitCodes:
         assert run_cli(tmp_path, "check-flux", "--flux", "burgers") == 1
         payload = json.loads(outputs(tmp_path, "json")[0].read_text())
         assert payload["satisfied"] is True
-        assert payload["consistency"]["max_df_du_error"] < 1e-5
+        assert payload["consistency"]["max_div_error"] < 1e-5
         assert payload["consistency"]["max_split_error"] > 0.1
         assert payload["consistency"]["ok"] is False
         assert payload["passed"] is False
@@ -317,9 +320,9 @@ class TestExitCodes:
         # u^2 overflows, and the divergence check meets 0 * inf
         (["check-flux", "--flux", "burgers", "--umax", "1e200"],
          "non-finite flux divergence at x=(-9.84375,), u=1.5873015873015872e+198"),
-        # c u overflows in f, which only the consistency check evaluates
+        # c u overflows in f and in a(x) g(u), which only the consistency check evaluates
         (["check-flux", "--flux", "linear c=1e300", "--umax", "1e10"],
-         "non-finite flux derivative at x=[-5.45327955], u=-6219908587.242462"),
+         "non-finite flux split at x=[-5.45327955], u=-6219908587.242462"),
         # G of the middle branch's max|u| is below the least normal float
         (["sandwich", "--set", "u0=gaussian amp=1e-200", "--set", "N=40", "--eps-list", "0.1",
           "--t-end", "0.05"],

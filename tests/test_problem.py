@@ -142,7 +142,7 @@ class TestFluxConsistency:
     def test_matches_per_sample_loop(self, flux, grid):
         # the same arithmetic sample by sample, so the errors agree exactly
         rep = pr.check_flux_consistency(flux, grid)
-        assert (rep.max_df_du_error, rep.max_div_error) == per_sample_errors(flux, grid)
+        assert (rep.max_div_error, rep.max_split_error) == per_sample_errors(flux, grid)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_catalog_splits_match(self, n):
@@ -159,8 +159,7 @@ class TestFluxConsistency:
         grid = pr.Grid(n=1, L=5.0, N=16)
         rep, good = pr.check_flux_consistency(bad, grid), pr.check_flux_consistency(flux, grid)
         assert not rep.ok and rep.max_split_error > 0.1
-        assert (rep.max_df_du_error, rep.max_div_error) == (good.max_df_du_error,
-                                                            good.max_div_error)
+        assert rep.max_div_error == good.max_div_error
 
     def test_misstated_divergence_fails(self):
         # figure1's split with div a = +sech^2 x, the sign of the sign condition flipped
@@ -176,7 +175,8 @@ class TestFluxConsistency:
         grid = pr.Grid(n=1, L=10.0, N=32)
         with pytest.raises(RunError) as loop:
             per_sample_errors(nan_below_flux, grid)
-        with pytest.raises(RunError, match="non-finite flux derivative") as vec:
+        # g is NaN where f is: the split's row names the sample
+        with pytest.raises(RunError, match="non-finite flux split") as vec:
             pr.check_flux_consistency(nan_below_flux, grid)
         assert str(vec.value) == str(loop.value)
 
@@ -287,16 +287,13 @@ def per_sample_errors(flux, grid, samples=1000, seed=12345):
     n = grid.n
     xs = rng.uniform(-grid.L, grid.L, size=(n, samples))
     us = rng.uniform(-1.0, 1.0, size=samples)
-    worst_du = worst_div = 0.0
+    worst_div = worst_split = 0.0
     for i in range(samples):
         x, u = xs[:, i:i + 1], us[i:i + 1]
         h = 1e-6 * max(1.0, abs(float(u[0])))
-        fd_du = (np.asarray(flux.f(x, u + h)) - np.asarray(flux.f(x, u - h))) / (2 * h)
         stated_du = np.asarray(flux.df_du(x, u))
-        if not (np.all(np.isfinite(fd_du)) and np.all(np.isfinite(stated_du))):
+        if not np.all(np.isfinite(stated_du)):
             raise RunError(f"non-finite flux derivative at x={x.ravel()}, u={u[0]}")
-        scale = max(1.0, float(np.max(np.abs(stated_du))))
-        worst_du = max(worst_du, float(np.max(np.abs(fd_du - stated_du))) / scale)
         hx = 1e-6 * max(1.0, float(np.max(np.abs(x))))
         fd_div = 0.0
         for j in range(n):
@@ -305,8 +302,14 @@ def per_sample_errors(flux, grid, samples=1000, seed=12345):
             fd_div += (float(np.asarray(flux.split.a(x + e))[j, 0])
                        - float(np.asarray(flux.split.a(x - e))[j, 0])) / (2 * hx)
         stated_div = float(np.asarray(flux.split.div_a(x)).ravel()[0])
+        if not (np.isfinite(fd_div) and np.isfinite(stated_div)):
+            raise RunError(f"non-finite flux divergence at x={x.ravel()}, u={u[0]}")
+        split = float(pr._split_errors(flux, x, u, np.array([h]), stated_du)[0])
+        if not np.isfinite(split):
+            raise RunError(f"non-finite flux split at x={x.ravel()}, u={u[0]}")
         worst_div = max(worst_div, abs(fd_div - stated_div) / max(1.0, abs(stated_div)))
-    return worst_du, worst_div
+        worst_split = max(worst_split, split)
+    return worst_div, worst_split
 
 
 class TestDivergenceCondition:

@@ -787,6 +787,24 @@ def test_G_floor_keeps_G_of_max_u_a_normal_float(n, flux, stacked):
     assert exc.value.__cause__.branch == (1 if stacked else None)
 
 
+@OVERFLOW_PATHS
+def test_data_whose_power_underflows_to_zero_raise_the_named_underflow(n, flux, stacked):
+    # at alpha = 2, |u|^2 of u = 1e-200 underflows to 0 in every cell: max|u|^2 = 0,
+    # as for zero data, but the values are not 0, and G = 0 would freeze them
+    s, p, cell, label = block_state(n, flux, stacked, 1e-200)
+    with pytest.raises(RunError, match=f"^{re.escape(underflow(2.0, 0.0, label))}$") as exc:
+        advance_some(s, p, 1)
+    assert exc.value.__cause__.branch == (1 if stacked else None)
+
+
+@OVERFLOW_PATHS
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+def test_zero_data_step(n, flux, stacked, zero):
+    # max|u|^2 = 0 with every value 0, of either sign (stacked: the middle branch)
+    s, p, _, _ = block_state(n, flux, stacked, zero)
+    assert not advance_some(s, p, 2).values[1 if stacked else Ellipsis].any()
+
+
 @pytest.mark.parametrize("n, flux, alpha, boundary, amp", [
     (1, pr.burgers_flux_model(1), 0.30078125, "zero_flux", 2.1523e-249),
     (2, pr.linear_flux_model(1.5, 2), 1.0, "dirichlet_zero", 2.225e-309),
@@ -1132,6 +1150,46 @@ def assert_monotone_step(p, u, h=1e-3):
     jac = (new[1:] - new[0]) / h  # row j: the response to a bump in cell j
     j, i = np.unravel_index(int(jac.argmin()), jac.shape)
     assert jac[j, i] >= -1e-9, (jac[j, i], int(i), int(j), u.ravel()[[i, j]].tolist())
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_ordered_pair_stays_ordered_and_nonnegative_data_stay_nonnegative(data):
+    # a monotone scheme keeps order (Crandall & Majda, Math. Comp. 34, 1980):
+    # a stacked pair v <= u, v >= 0, over 30 steps of its own stable_dt; the
+    # tolerance is round-off of the pair's max|u|
+    n = data.draw(st.sampled_from((1, 2)), label="n")
+    name = data.draw(st.sampled_from(
+        [k for k in sorted(pr.FLUX_CATALOG) if n == 1 or k != "figure1"]), label="flux")
+    params = ({"c": data.draw(st.floats(-5.0, 5.0), label="c")} if name == "linear" else
+              {"k": data.draw(st.floats(0.5, 2.5), label="k")} if name == "figure1" else {})
+    boundary = data.draw(st.sampled_from(pr.BOUNDARY_POLICIES), label="boundary")
+    alpha = data.draw(st.floats(0.3, 3.0), label="alpha")
+    N = data.draw(st.integers(4, 16 if n == 1 else 8), label="N")
+    width = data.draw(st.floats(0.5, 2.0), label="width")
+    # v = amp w(x - s), u = v + gap w(x - t): Gaussians of the width, anywhere in the box
+    (amp, s), (gap, t) = data.draw(st.lists(st.tuples(
+        amplitudes(alpha, 0.0, 10.0), st.floats(-3.0, 3.0)), min_size=2, max_size=2),
+        label="amplitudes and centres")
+    grid = pr.Grid(n=n, L=3.0, N=N)
+    x = grid.cell_centers()
+    v = amp * np.exp(-np.sum((x - s) ** 2, axis=0) / width ** 2)
+    u = v + gap * np.exp(-np.sum((x - t) ** 2, axis=0) / width ** 2)
+    p = pr.Problem(grid=grid, alpha=alpha, p0=1.0, flux=pr.flux_from_config(name, params, n),
+                   u0=gaussian, boundary_policy=boundary)
+    state = pr.State(values=np.stack([v, u]), time=0.0, grid=grid)
+    plan, cfg = sv.plan(state, p), sv.SchemeConfig(t_end=1.0)
+    tol = 1e-12 * float(np.max(u))
+    for k in range(30):
+        try:
+            dt = sv.stable_dt(state, p, cfg, plan)
+        except RunError as exc:  # data carried out through a dirichlet_zero wall can fall
+            assert "underflows" in str(exc)  # below G's floor: named, not stepped
+            break
+        state = sv.step(state, p, dt, plan)
+        v, u = state.values
+        assert float(np.min(u - v)) >= -tol, ("order", k)
+        assert float(np.min(v)) >= -tol, ("sign", k)
 
 
 @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)

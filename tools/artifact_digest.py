@@ -149,6 +149,10 @@ COMMANDS = [
     # the same datum in the sandwich: only the middle branch underflows, and is named
     ["sandwich", "--set", "u0=gaussian amp=1e-200", "--set", "N=40", "--eps-list", "0.1",
      "--t-end", "0.05"],
+    # nonzero data whose |u|^2 underflows to 0 in every cell: max|u|^2 = 0 as for zero
+    # data, and a run error that names the underflow; in the sandwich, the middle branch
+    ["run", "--set", "u0=gaussian amp=1e-200", "--set", "alpha=2", "--t-end", "0.01"],
+    ["sandwich", "--set", "u0=gaussian amp=1e-200", "--set", "alpha=2"],
 ]
 
 

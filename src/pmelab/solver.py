@@ -123,11 +123,13 @@ def plan(state: State, problem: Problem) -> tuple:
     cells = (slice(None),) * b + (slice(1, -1),) * grid.n  # U's cells that are not ghosts
     Uf, Uin, ghosts = U.reshape(shape[:b] + (-1,)), U[cells], _ghosts(U, grid.n, edge)
     axes, r = [_axis(grid, ax, G, a) for ax in range(grid.n)], (grid.N + 2) ** (grid.n - 1)
-    # apply runs over the rows window (axis-0 rows 1..N at full padded width), in 2-D
-    # from U there into work, whose cells it copies out: faster than strided views
-    Urows = Uf[(slice(None),) * b + (slice(r, Uf.shape[-1] - r),)]
-    buf, work = np.empty(Urows.shape), None if grid.n == 1 else np.empty(Urows.shape)
-    done = None if work is None else _cells(work, grid.N, grid.n)
+    # apply runs over the window of `_axis`: each branch's axis-0 rows 1..N at full
+    # padded width, the branches end to end. Unstacked in 1-D the window is the
+    # values; else apply runs from U there into work, whose cells it copies out: one
+    # contiguous call per term, faster than strided views
+    Uw = U.reshape(-1)[r:U.size - r]
+    buf, work = np.empty(Uw.shape), None if grid.n == 1 and not b else np.empty(Uw.shape)
+    done = None if work is None else _cells(work, U, grid.n)
     power, alpha1 = problem.alpha, problem.alpha + 1.0
     # G /= alpha + 1 as G *= 1/(alpha + 1) where that is exact: both round the same number
     scale, by = (np.multiply, 1 / alpha1) if math.frexp(alpha1)[0] == 0.5 else (np.divide, alpha1)
@@ -141,7 +143,7 @@ def plan(state: State, problem: Problem) -> tuple:
     floor = (alpha1 * sys.float_info.min) ** (power / alpha1)
     ceiling = (sys.float_info.max / 2 * min(1.0, alpha1 / 4)) ** (power / alpha1)
 
-    def rate(peak, lams):  # sum_ax lam_ax/dx + 2n max|u|^a/dx^2, in this order
+    def rate(peak, *lams):  # sum_ax lam_ax/dx + 2n max|u|^a/dx^2, in this order
         total = 0.0
         for lam in lams:
             total += lam / dx
@@ -155,11 +157,13 @@ def plan(state: State, problem: Problem) -> tuple:
         red, rates = tuple(range(1, len(shape))), []  # the last rates
         most = lambda v, red: _max(v, red).tolist()  # noqa: E731
         finite = lambda lam: all(map(math.isfinite, lam))  # noqa: E731
-        inside = lambda peak, u: all(  # noqa: E731
+        # all peaks in range at once: peaks are >= 0, so their sum bounds each, and it
+        # is nan with any of them, which max or min can skip
+        inside = lambda peak, u: floor <= min(peak) and sum(peak) <= ceiling or all(  # noqa: E731
             floor <= p <= ceiling or p == 0 and not u[k].any() for k, p in enumerate(peak))
 
-        def finish(peak, lams):  # the largest rate; rates keeps each
-            rates[:] = [rate(p, ls) for p, *ls in zip(peak, *lams)]
+        def finish(peak, *lams):  # the largest rate; rates keeps each
+            rates[:] = map(rate, peak, *lams)
             return max(rates)
     outflow = None if b else [[0.0, 0.0] for _ in axes]
     terms = tuple((None if adv is None else adv[-1], lap[-1]) for _, lap, adv in axes)
@@ -170,7 +174,7 @@ def plan(state: State, problem: Problem) -> tuple:
     for ax, (s, lap, adv) in enumerate(axes):
         laps.append(_lap(*lap[:-1]))
         if adv is not None:
-            advects.append(_advect(ax, s, adv, b, finite, _cells(buf, grid.N, grid.n), red, most))
+            advects.append(_advect(ax, s, adv, b, finite, _cells(buf, U, grid.n), red, most))
             ops.append((adv[6], cF, np.subtract))
         ops.append((lap[3], cG, np.add))
         if not b and (adv or not edge):
@@ -190,21 +194,23 @@ def plan(state: State, problem: Problem) -> tuple:
         lams = []  # each axis' lam_ax
         if advects:  # g's halves on the padded u, |g'| at the cells and max|g'| if uniform
             up, down, slope = g(Uf, gbuf)
+            if b:  # the halves flat across the branches, as the window reads them
+                up, down = up.reshape(-1), None if down is None else down.reshape(-1)
             slope = slope.reshape(U.shape)[cells]
             top = most(slope, red) if uniform else None
             for advect in advects:
                 lams.append(advect(state, up, down, slope, top))
         for lap in laps:
             lap()
-        return finish(peak, lams)
+        return finish(peak, *lams)
 
     def apply(u, dt):
         new, cF[()], cG[()] = np.empty(shape), dt / dx, dt / dx2
-        if work is None:  # 1-D: the rows window is the cells
+        if work is None:  # unstacked 1-D: the window is the cells
             for term, c, ufunc in ops:
                 u = ufunc(u, np.multiply(c, term, out=buf), out=new)
         else:
-            u = Urows  # which prepare wrote from u
+            u = Uw  # which prepare wrote from u
             for term, c, ufunc in ops:
                 u = ufunc(u, np.multiply(c, term, out=buf), out=work)
             new[...] = done
@@ -280,18 +286,15 @@ def _outside(a: np.ndarray, u: np.ndarray, b: int, lo: int, alpha: float, floor:
 
 def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
     """`plan`'s (stride, lap, adv) for axis ax of the padded G; adv is None if a is."""
-    # on G's flat view the neighbours of cell m along ax are m - s and m + s, and
-    # m runs over the rows window [r, end)
-    n, N, b = grid.n, grid.N, G.ndim - grid.n
-    s, r, end = (N + 2) ** (n - 1 - ax), (N + 2) ** (n - 1), (N + 2) ** n - (N + 2) ** (n - 1)
-
-    def at(lo: int, hi: int) -> tuple:  # the index of [lo, hi) on a flat padded array
-        return (slice(None),) * b + (slice(lo, hi),)
-
-    Gf, lapG = G.reshape(G.shape[:b] + (-1,)), np.empty(G.shape[:b] + (end - r,))
-    # (G[m], G[m+s], G[m-s], lapG over the rows window, lapG at the cells)
-    lap = (Gf[at(r, end)], Gf[at(r + s, end + s)], Gf[at(r - s, end - s)], lapG,
-           _cells(lapG, N, n))
+    # on G's flat view, the branches end to end, the neighbours of cell m along ax
+    # are m - s and m + s, and m runs over one window [r, end) across the branches.
+    # A cell reads only its own branch; the ghost cells between branches that the
+    # window also covers get finite values (G's ceiling) that no cell reads
+    n, N, Gf = grid.n, grid.N, G.reshape(-1)
+    s, r = (N + 2) ** (n - 1 - ax), (N + 2) ** (n - 1)
+    end, lapG = Gf.size - r, np.empty(Gf.size - 2 * r)
+    # (G[m], G[m+s], G[m-s], lapG over the window, lapG at the cells)
+    lap = (Gf[r:end], Gf[r + s:end + s], Gf[r - s:end - s], lapG, _cells(lapG, G, n))
     if a is None:
         return s, lap, None
     axes = [grid.axis_interfaces() if d == ax else grid.axis_centers() for d in range(n)]
@@ -301,13 +304,14 @@ def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
     reach = _uniform(np.maximum(plus[hi] - minus[lo], plus[lo] - minus[hi]))
 
     # a coefficient with one value everywhere is that float, else read-only on F's
-    # window, with its edge values at the interfaces that no cell reads
+    # window, with its edge values at the interfaces that no cell reads, laid out
+    # once per branch (unstacked, a view of the one layout)
     def laid(v: np.ndarray) -> float | np.ndarray:
         v = _uniform(v)
         if isinstance(v, float):
             return v
         v = np.pad(v, [(0, 1) if d == ax else (1, 1) for d in range(n)], "edge")
-        v = v.ravel()[r - s:end]
+        v = np.broadcast_to(v, G.shape).ravel()[r - s:end]
         v.setflags(write=False)
         return v
 
@@ -316,16 +320,18 @@ def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
     halves = [(laid(plus), False), (laid(minus), True)]
     halves = [h for h in halves if np.any(h[0])] or halves[:1]
     F, dF = np.empty(G.shape), np.empty(lapG.shape)
-    Fw = F.reshape(Gf.shape)[at(r - s, end)]  # the interfaces m | m+s, from one stride below
+    Fw = F.reshape(-1)[r - s:end]  # the interfaces m | m+s, from one stride below
     # (halves, reach at the cells, left cells, right cells, F there, tmp, dF over the
-    # rows window, the padded F, dF at the cells)
-    return s, lap, (halves, reach, at(r - s, end), at(r, end + s), Fw, np.empty(Fw.shape),
-                    dF, F, _cells(dF, N, n))
+    # window, the padded F, dF at the cells)
+    return s, lap, (halves, reach, slice(r - s, end), slice(r, end + s), Fw, np.empty(Fw.shape),
+                    dF, F, _cells(dF, G, n))
 
 
-def _cells(v: np.ndarray, N: int, n: int) -> np.ndarray:
-    """The view at the cells, in the value layout, of v over the rows window."""
-    v = v.reshape(v.shape[:-1] + (N,) + (N + 2,) * (n - 1))
+def _cells(v: np.ndarray, pad: np.ndarray, n: int) -> np.ndarray:
+    """The view at the cells, in the value layout, of v over the window of `_axis`
+    on the flat view of the padded pad: branch k's rows start at v[k (N+2)^n]."""
+    N = pad.shape[-1] - 2
+    v = np.ndarray(pad.shape[:-n] + (N,) + (N + 2,) * (n - 1), buffer=v, strides=pad.strides)
     return v[(Ellipsis, slice(None)) + (slice(1, -1),) * (n - 1)]
 
 
@@ -378,7 +384,7 @@ def _advect(ax: int, s: int, adv: tuple, b: int, finite, buf: np.ndarray, red, m
     return advect
 
 
-def _engquist_osher(halves: list, F: np.ndarray, tmp: np.ndarray, left: tuple, right: tuple):
+def _engquist_osher(halves: list, F: np.ndarray, tmp: np.ndarray, left: slice, right: slice):
     """flux(up, down): F = the sum over halves of c (g_l + g_r), from g's halves up and down."""
     # up on the left of the plus half, on the right of the minus half (flip); a None
     # down is 0; the second half goes through tmp; x 1.0 is x, so c = 1.0 takes no product

@@ -937,6 +937,40 @@ def test_stacked_advance_steps_each_branch_as_alone(data):
     assert steps > 0 and stacked.time == cfg.t_end
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+@pytest.mark.parametrize("n, name, params", [
+    (1, "figure1", None), (1, "burgers", None), (1, "linear", {"c": -2.0}),
+    (2, "burgers", None), (2, "linear", {"c": -2.0})],
+    ids=["1d-figure1", "1d-burgers", "1d-linear", "2d-burgers", "2d-linear"])
+def test_branches_far_apart_step_as_alone(n, name, params, boundary):
+    # one window steps a stack's branches end to end, so neighbouring branches
+    # far apart in sign and magnitude (near G's floor, near its ceiling and all
+    # zero, nonzero at the walls) must each step bit for bit as alone under the
+    # shared dt, and the ghost cells between them must warn of nothing
+    alpha = 3.0
+    grid = pr.Grid(n=n, L=3.0, N=16 if n == 1 else 6)
+    p = pr.Problem(grid=grid, alpha=alpha, p0=1.0, flux=pr.flux_from_config(name, params, n),
+                   u0=gaussian, boundary_policy=boundary)
+    # the least and the largest max|u| inside G's range; the profile is in [0.5, 1.5]
+    least = ((alpha + 1) * sys.float_info.min) ** (1 / (alpha + 1))
+    top = (sys.float_info.max / 2 * min(1.0, (alpha + 1) / 4)) ** (1 / (alpha + 1))
+    profile = 1.0 + 0.5 * np.cos(np.sum(grid.cell_centers(), axis=0))
+    branches = [pr.State(values=v * profile, time=0.0, grid=grid)
+                for v in (2.0 * least, -top / 3.0, 0.0)]
+    stacked = pr.State(values=np.stack([s.values for s in branches]), time=0.0, grid=grid)
+    plan, cfg = sv.plan(stacked, p), sv.SchemeConfig(t_end=1.0)
+    for steps in range(3):
+        dt = sv.stable_dt(stacked, p, cfg, plan)
+        plans = [prepared(s, p, cfg) for s in branches]
+        assert dt == min(d for d, _ in plans)
+        stacked = sv.step(stacked, p, dt, plan)
+        branches = [sv.step(s, p, dt, alone) for s, (_, alone) in zip(branches, plans)]
+        for k, s in enumerate(branches):
+            assert stacked.values[k].tobytes() == s.values.tobytes(), (steps, k)
+    assert not stacked.values[2].any() and stacked.values[1].min() < -top / 10.0
+
+
 def test_threads_keep_their_own_scratch():
     # runs on one grid shape in more threads than cores, switching often
     def problem(amp):

@@ -1,4 +1,4 @@
-"""Microseconds per step of six fixed problems, for one pmelab tree or for two
+"""Microseconds per step of seven fixed problems, for one pmelab tree or for two
 in alternating pairs.
 
     python3 tools/step_cost.py SRC
@@ -13,8 +13,8 @@ default `figure1` problem (N=600), the burgers-2d benchmark's problem (N=160,
 L=10, 11 snapshots to t=3), under its zero_flux walls and under
 dirichlet_zero, whose ghost cells hold g(0) and G(0), and the `sandwich`
 command's default problem (Burgers, N=400, L=10, alpha=1, a signed Gaussian)
-at eps=0.1 to t=3, through `harness.run_sandwich`, which steps its three
-branches as one stacked state.
+at eps=0.1 to t=3, in 1-D and in 2-D (N=64, L=5), through
+`harness.run_sandwich`, which steps its three branches as one stacked state.
 
 With two trees, each tree's `pmelab` is copied to a path of the same length
 in a temporary directory, and PAIRS pairs of passes run, each pass the
@@ -54,6 +54,8 @@ CASES = {
                                    "boundary": "dirichlet_zero"}, 3.0, 11),
     "sandwich eps=0.1": ({"flux": "burgers", "u0": "signed_gaussian", "N": "400", "L": "10",
                           "alpha": "1", "p0": "1", "eps": "0.1"}, 3.0, 2),
+    "sandwich-2d eps=0.1": ({"n": "2", "flux": "burgers", "u0": "signed_gaussian", "N": "64",
+                             "L": "5", "alpha": "1", "p0": "1", "eps": "0.1"}, 3.0, 2),
 }
 
 # a pass in a fresh interpreter: argv is the tree, the cases as JSON and the repeats

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import barenblatt, exponents, harness, solver, svg
 from .errors import ConfigError, RunError
-from .problem import (DIVERGENCE_MIN_SAMPLES, Grid, Problem, check_divergence_condition,
-                      check_flux_consistency, check_lipschitz_in_u, flux_from_config,
-                      parse_catalog_value, problem_from_mapping, read_config,
+from .problem import (ALPHA_MIN, DIVERGENCE_MIN_SAMPLES, Grid, Problem,
+                      check_divergence_condition, check_flux_consistency, check_lipschitz_in_u,
+                      flux_from_config, parse_catalog_value, problem_from_mapping, read_config,
                       sample_initial)
 
 
@@ -270,8 +270,8 @@ def cmd_decay_study(args) -> Report:
     if args.snapshots < 1:
         raise ConfigError(f"--snapshots must be >= 1, got {args.snapshots}")
     problem, raw = _problem_from_args(args)
-    alphas = (_number_list("--alphas", args.alphas, lambda a: 0 < a < math.inf,
-                           "diffusion exponents, finite and > 0")
+    alphas = (_number_list("--alphas", args.alphas, lambda a: ALPHA_MIN <= a < math.inf,
+                           f"diffusion exponents, finite and >= {ALPHA_MIN}")
               if args.alphas else [problem.alpha])
     if len({f"{a:g}" for a in alphas}) < len(alphas):
         raise ConfigError(f"--alphas entries must differ in 6 significant digits, the "

@@ -1,13 +1,13 @@
 """Continuous problem definitions: grids, advection flux models, initial data,
 and sampled checks of the structural hypotheses on the flux.
 
-A flux f_j(x, u) = a_j(x) g(u) is stated by its Engquist-Osher `FluxSplit`, by
-which the solver steps it, and the checks read that split: the sign condition
-from div a(x) g(u) u, the Lipschitz constant in u from max|a| max|g'|. The
-split's stated derivatives (div_a, |g'|) are verified by finite differences,
-never trusted. The split is held to the evaluators f and |df_du| of a
-`FluxModel`, pointwise callables ``(x, u) -> (n,) + shape(u)`` (possibly
-read-only views); the solver never calls them.
+A flux f_j(x, u) = a_j(x) g(u) is one `FluxModel`: its Engquist-Osher split
+a, div_a and g, by which the solver steps it and the checks read it (the sign
+condition from div a(x) g(u) u, the Lipschitz constant in u from max|a|
+max|g'|), and its evaluators f and df_du, pointwise callables
+``(x, u) -> (n,) + shape(u)`` (possibly read-only views) that the solver never
+calls. The split's stated derivatives (div_a, |g'|) are verified by finite
+differences, never trusted, and the split is held to f and |df_du|.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ import numpy as np
 from .errors import ConfigError, RunError
 
 BOUNDARY_POLICIES = ("zero_flux", "dirichlet_zero")
+# the least diffusion exponent: below about 2e-16, |u|^alpha rounds so near 1 that
+# the solver's compare of max|u|^alpha with G's ceiling cannot tell data that overflow G
+ALPHA_MIN = 1e-15
 
 
 def _square(v: float) -> float:
@@ -73,8 +76,8 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class FluxSplit:
-    """The Engquist-Osher split of a flux f_j(x, u) = a_j(x) g(u), by which the
+class FluxModel:
+    """A flux f_j(x, u) = a_j(x) g(u) by its Engquist-Osher split, by which the
     solver steps it (Engquist & Osher, Math. Comp. 36, 1981).
 
     g = g_up + g_down, with g_up nondecreasing, g_down nonincreasing, and at
@@ -93,25 +96,18 @@ class FluxSplit:
     returns (g_up(u), g_down(u), |g'(u)|), each of them u itself, one of the
     scratch arrays or a new array, and g_down as None where it is 0 (g
     nondecreasing). It leaves u as it is: the solver sets the ghost cells
-    under dirichlet_zero once per run. `check_flux_consistency` checks the
-    rest."""
+    under dirichlet_zero once per run.
 
+    f(x, u) and df/du(x, u) evaluate the flux for `check_flux_consistency`,
+    which holds the split to them and checks the rest; they must broadcast x
+    against u, and must not reduce over cell axes or mix values between cells."""
+
+    name: str
     a: Callable[[np.ndarray], np.ndarray]
     div_a: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray, tuple[np.ndarray, ...]], tuple]
-
-
-@dataclass(frozen=True)
-class FluxModel:
-    """A flux by its `FluxSplit`, which the solver steps and the checks read,
-    and the evaluators f(x, u) and df/du(x, u) that `check_flux_consistency`
-    holds the split to. The evaluators must broadcast x against u, and must not
-    reduce over cell axes or mix values between cells."""
-
-    name: str
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     df_du: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    split: FluxSplit
 
 
 @dataclass(frozen=True)
@@ -156,8 +152,9 @@ class Problem:
     boundary_policy: str = "zero_flux"
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha < np.inf:
-            raise ConfigError(f"diffusion exponent must be finite and > 0, got {self.alpha}")
+        if not ALPHA_MIN <= self.alpha < np.inf:
+            raise ConfigError(f"diffusion exponent must be finite and >= {ALPHA_MIN}, "
+                              f"got {self.alpha}")
         if not 1 <= self.p0 < np.inf:
             raise ConfigError(f"initial integrability must be finite and >= 1, got {self.p0}")
         if not np.isfinite(2.0 * self.p0 + self.grid.n * self.alpha):
@@ -192,7 +189,7 @@ def zero_evaluator(x, u):
 
 
 def _no_divergence(x):
-    # div_a of a split whose a does not depend on x
+    # div_a of a flux whose a does not depend on x
     return np.zeros(np.shape(x)[1:])
 
 
@@ -202,13 +199,10 @@ def _zero_g(u, out):
     return zeros, None, zeros
 
 
-# The zero flux's split, for any n. The solver skips the advective half of the
-# step for a flux whose split is this very object (by identity, never by value).
-ZERO_SPLIT = FluxSplit(a=lambda x: np.zeros(np.shape(x)), div_a=_no_divergence, g=_zero_g)
-
-
 def zero_flux_model(n: int = 1) -> FluxModel:
-    return FluxModel(name="zero", f=zero_evaluator, df_du=zero_evaluator, split=ZERO_SPLIT)
+    """f = 0, as a = 0: the solver advects it along no axis and never calls its g."""
+    return FluxModel(name="zero", a=lambda x: np.zeros(np.shape(x)), div_a=_no_divergence,
+                     g=_zero_g, f=zero_evaluator, df_du=zero_evaluator)
 
 
 def _identity_g(u, out):
@@ -230,10 +224,10 @@ def linear_flux_model(c: float = 1.0, n: int = 1) -> FluxModel:
         u = np.asarray(u, dtype=float)
         return np.stack([np.full(u.shape, cj) for cj in cvec])
 
-    return FluxModel(name="linear", f=f, df_du=df_du,
-                     split=FluxSplit(a=lambda x: np.broadcast_to(
-                         cvec.reshape((n,) + (1,) * (np.ndim(x) - 1)), np.shape(x)),
-                         div_a=_no_divergence, g=_identity_g))
+    def a(x):
+        return np.broadcast_to(cvec.reshape((n,) + (1,) * (np.ndim(x) - 1)), np.shape(x))
+
+    return FluxModel(name="linear", a=a, div_a=_no_divergence, g=_identity_g, f=f, df_du=df_du)
 
 
 _ZERO, _HALF = np.array(0.0), np.array(0.5)  # numpy converts a float operand at every call
@@ -262,9 +256,8 @@ def burgers_flux_model(n: int = 1) -> FluxModel:
         u = np.asarray(u, dtype=float)
         return np.broadcast_to(u, (n,) + u.shape)
 
-    return FluxModel(name="burgers", f=f, df_du=df_du,
-                     split=FluxSplit(a=lambda x: np.ones(np.shape(x)), div_a=_no_divergence,
-                                     g=_burgers_g))
+    return FluxModel(name="burgers", a=lambda x: np.ones(np.shape(x)), div_a=_no_divergence,
+                     g=_burgers_g, f=f, df_du=df_du)
 
 
 def figure1_flux_model(k: float = 1.5, n: int = 1) -> FluxModel:
@@ -295,9 +288,8 @@ def figure1_flux_model(k: float = 1.5, n: int = 1) -> FluxModel:
         power *= k1
         return value, None, power
 
-    return FluxModel(name="figure1", f=f, df_du=df_du,
-                     split=FluxSplit(a=lambda x: -np.tanh(x),
-                                     div_a=lambda x: -1.0 / np.cosh(x[0]) ** 2, g=g))
+    return FluxModel(name="figure1", a=lambda x: -np.tanh(x),
+                     div_a=lambda x: -1.0 / np.cosh(x[0]) ** 2, g=g, f=f, df_du=df_du)
 
 
 # name -> (builder of (n=n, **params), declared parameters with their defaults)
@@ -384,10 +376,10 @@ class ConsistencyReport:
     ok: bool
 
 
-def _halves(split: FluxSplit, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g_up(u), g_down(u) (zeros where the split gives None) and |g'(u)|, each a
-    new array (g may hand back u or its scratch)."""
-    up, down, slope = split.g(u, tuple(np.empty_like(u) for _ in range(3)))
+def _halves(flux: FluxModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g_up(u), g_down(u) (zeros where g gives None) and |g'(u)|, each a new
+    array (g may hand back u or its scratch)."""
+    up, down, slope = flux.g(u, tuple(np.empty_like(u) for _ in range(3)))
     down = np.zeros_like(u) if down is None else down
     return np.array(up), np.array(down), np.array(slope)
 
@@ -411,7 +403,7 @@ def check_flux_consistency(flux: FluxModel, grid: Grid,
     h = 1e-6 * np.maximum(1.0, np.abs(us))
     stated_du = np.asarray(flux.df_du(xs, us))
 
-    a = flux.split.a
+    a = flux.a
     hx = 1e-6 * np.maximum(1.0, np.max(np.abs(xs), axis=0))
     fd_div = np.zeros(samples)
     for j in range(n):
@@ -419,7 +411,7 @@ def check_flux_consistency(flux: FluxModel, grid: Grid,
         xp[j] += hx
         xm[j] -= hx
         fd_div += (np.asarray(a(xp))[j] - np.asarray(a(xm))[j]) / (2 * hx)
-    stated_div = np.broadcast_to(np.asarray(flux.split.div_a(xs)), (samples,))
+    stated_div = np.broadcast_to(np.asarray(flux.div_a(xs)), (samples,))
     err_split = _split_errors(flux, xs, us, h, stated_du)
 
     bad_du = ~np.all(np.isfinite(stated_du), axis=0)
@@ -442,11 +434,11 @@ def _split_errors(flux: FluxModel, xs, us, h, stated_du) -> np.ndarray:
     g_up' - g_down' against |g'|, with g_up' >= 0 >= g_down' (a decrease of g_up
     or an increase of g_down counts as error). Where these hold, the solver's
     interface flux is monotone under its step-size rule."""
-    up, down, slope = _halves(flux.split, us)
-    up_hi, down_hi, _ = _halves(flux.split, us + h)
-    up_lo, down_lo, _ = _halves(flux.split, us - h)
+    up, down, slope = _halves(flux, us)
+    up_hi, down_hi, _ = _halves(flux, us + h)
+    up_lo, down_lo, _ = _halves(flux, us - h)
     d_up, d_down = (up_hi - up_lo) / (2 * h), (down_hi - down_lo) / (2 * h)
-    a = np.asarray(flux.split.a(xs), dtype=float)
+    a = np.asarray(flux.a(xs), dtype=float)
     f = np.asarray(flux.f(xs, us))
     scale = np.maximum(1.0, slope)
     return np.max([
@@ -489,8 +481,8 @@ def check_divergence_condition(flux: FluxModel, grid: Grid,
         raise ConfigError(f"u range must be a bounded interval, got {u_range}")
     X = _x_lattice(grid, per_axis=33)  # (n, P)
     us = np.linspace(lo, hi, samples)
-    up, down, _ = _halves(flux.split, us)
-    vals = np.asarray(flux.split.div_a(X))[:, None] * (up + down) * us  # (P, samples)
+    up, down, _ = _halves(flux, us)
+    vals = np.asarray(flux.div_a(X))[:, None] * (up + down) * us  # (P, samples)
     if not np.all(np.isfinite(vals)):
         p, k = np.argwhere(~np.isfinite(vals))[0]
         raise RunError(f"non-finite flux divergence at x={tuple(X[:, p].tolist())}, u={us[k]}")
@@ -509,8 +501,8 @@ def check_lipschitz_in_u(flux: FluxModel, grid: Grid, M: float) -> float:
         raise ConfigError(f"Lipschitz check needs a finite u bound M > 0, got M={M}")
     X = _x_lattice(grid, per_axis=9)  # (n, P)
     us = np.linspace(-M, M, 10001)
-    a = np.abs(np.asarray(flux.split.a(X), dtype=float))
-    slope = flux.split.g(us, tuple(np.empty_like(us) for _ in range(3)))[2]
+    a = np.abs(np.asarray(flux.a(X), dtype=float))
+    slope = flux.g(us, tuple(np.empty_like(us) for _ in range(3)))[2]
     finite_x, finite_u = np.isfinite(a).all(axis=0), np.isfinite(slope)
     if not finite_x.all():
         raise RunError(f"non-finite split a at x={tuple(X[:, finite_x.argmin()].tolist())}")

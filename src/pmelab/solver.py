@@ -1,7 +1,7 @@
 """Conservative monotone explicit scheme for u_t + div f(x,t,u) = div(|u|^a grad u).
 
 Advection uses the Engquist-Osher interface flux F = f+(u_l) + f-(u_r) of the
-flux's `problem.FluxSplit`: f = a(x) g(u), with f+ nondecreasing and f-
+split of the `problem.FluxModel` f = a(x) g(u), with f+ nondecreasing and f-
 nonincreasing in u (Engquist & Osher, Math. Comp. 36, 1981). Diffusion is the
 second difference of the Kirchhoff function G(u) = |u|^a u/(a+1), which keeps
 the update exactly conservative and smooth through the degeneracy at u = 0.
@@ -19,17 +19,20 @@ comparison sandwich does. They are stepped in the same calls, every value bit
 for bit as for its branch alone, and share one dt, the smallest of their own.
 
 A run builds one `plan` for its state's grid and value shape. `stable_dt`
-prepares the dt-independent terms of the update into it, calling the split's
-g once and never f or df_du, and `step` applies them; they hold until the
-plan's next `stable_dt`. Under `problem.ZERO_SPLIT` (by identity) a step is
-its diffusion half alone and calls no g. Every fast path (an identity power
-or product, an exact reciprocal, a uniform reach) gives the bits of the plain
-formula.
+prepares the dt-independent terms of the update into it, calling the flux's
+g at most once and never f or df_du, and `step` applies them; they hold until
+the plan's next `stable_dt`. An axis whose a is 0 on every interface does not
+advect: its F is +-0.0 for every finite g, so the step leaves out its flux
+difference. A flux that advects along no axis calls no g, and its step is the
+diffusion half alone. Every fast path (an identity power or product, an exact
+reciprocal, a uniform reach, an axis that does not advect) gives the bits of
+the plain formula.
 
-An unstacked 1-D state under `problem.ZERO_SPLIT` is stepped on a window of
-its cells outside which every cell holds +0.0. This is exact, and rests on
-+0.0 alone, not on a finite speed of propagation: G(+0.0) = +0.0 and the
-3-point stencil steps a +0.0 cell with +0.0 neighbours to +0.0, bit for bit.
+An unstacked 1-D state under a flux that advects along no axis is stepped on
+a window of its cells outside which every cell holds +0.0. This is exact, and
+rests on +0.0 alone, not on a finite speed of propagation: G(+0.0) = +0.0 and
+the 3-point stencil steps a +0.0 cell with +0.0 neighbours to +0.0, bit for
+bit.
 
 In conservation form mass leaves only through the walls, so the plan of an
 unstacked state keeps, per axis, the [low, high] mass that left through its
@@ -59,7 +62,7 @@ from typing import Iterator, NoReturn
 import numpy as np
 
 from .errors import ConfigError, RunError
-from .problem import ZERO_SPLIT, Grid, Problem, State, sample_initial
+from .problem import Grid, Problem, State, sample_initial
 
 _DEN_GUARD = 1e-300
 MAX_STEPS = 2_000_000
@@ -107,22 +110,22 @@ _max = np.maximum.reduce  # over the given axes (None: all) without ndarray.max'
 
 def plan(state: State, problem: Problem) -> tuple:
     """A step plan for states of this one's grid and value shape under this
-    problem's alpha, boundary policy and split's a (its g is passed to every
+    problem's alpha, boundary policy and flux's a (its g is passed to every
     prepare, never kept): (prepare, apply, outflow, rates, terms).
     prepare(state, g) writes terms and returns the rate of `stable_dt`;
     apply(u, dt) returns one step's new values, read-only, and adds to outflow,
     the per-axis [low, high] wall outflow (None if stacked). terms: per axis
-    (dF, lapG) in the value layout, dF None for the zero flux. rates: None, or
-    a stacked state's branch rates at the last prepare."""
-    grid, shape, split = state.grid, state.values.shape, problem.flux.split
+    (dF, lapG) in the value layout, dF None where the axis does not advect.
+    rates: None, or a stacked state's branch rates at the last prepare."""
+    grid, shape, edge = state.grid, state.values.shape, problem.boundary_policy == "zero_flux"
     b, dx, dx2, two_n = len(shape) - grid.n, grid.dx, grid.dx ** 2, 2.0 * grid.n
-    a, edge = None if split is ZERO_SPLIT else split.a, problem.boundary_policy == "zero_flux"
     # u and G padded by one ghost cell per side of each axis, C-ordered after a
     # branch axis; the ghost cells that no edge copy writes hold 0 for the run
     U, G = (np.zeros(shape[:b] + (grid.N + 2,) * grid.n) for _ in range(2))
     cells = (slice(None),) * b + (slice(1, -1),) * grid.n  # U's cells that are not ghosts
     Uf, Uin, ghosts = U.reshape(shape[:b] + (-1,)), U[cells], _ghosts(U, grid.n, edge)
-    axes, r = [_axis(grid, ax, G, a) for ax in range(grid.n)], (grid.N + 2) ** (grid.n - 1)
+    axes = [_axis(grid, ax, G, problem.flux.a) for ax in range(grid.n)]
+    r = (grid.N + 2) ** (grid.n - 1)
     # apply runs over the window of `_axis`: each branch's axis-0 rows 1..N at full
     # padded width, the branches end to end. Unstacked in 1-D the window is the
     # values; else apply runs from U there into work, whose cells it copies out: one
@@ -221,7 +224,7 @@ def plan(state: State, problem: Problem) -> tuple:
 
     if b or advects or grid.n > 1:
         return prepare, apply, outflow, rates, terms
-    # 1-D zero flux: the window [lo, hi) alone, every cell outside it +0.0, in the values,
+    # 1-D, no advection: the window [lo, hi) alone, every cell outside it +0.0, in the values,
     # G and lapG; last: the array the window is kept for, the last apply made or prepare scanned
     N, lapG, lo, hi, last, views = grid.N, terms[0][1], 0, 0, None, ()
 
@@ -285,7 +288,8 @@ def _outside(a: np.ndarray, u: np.ndarray, b: int, lo: int, alpha: float, floor:
 
 
 def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
-    """`plan`'s (stride, lap, adv) for axis ax of the padded G; adv is None if a is."""
+    """`plan`'s (stride, lap, adv) for axis ax of the padded G; adv is None where a
+    is 0 on every interface of the axis: the axis does not advect."""
     # on G's flat view, the branches end to end, the neighbours of cell m along ax
     # are m - s and m + s, and m runs over one window [r, end) across the branches.
     # A cell reads only its own branch; the ghost cells between branches that the
@@ -295,13 +299,10 @@ def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
     end, lapG = Gf.size - r, np.empty(Gf.size - 2 * r)
     # (G[m], G[m+s], G[m-s], lapG over the window, lapG at the cells)
     lap = (Gf[r:end], Gf[r + s:end + s], Gf[r - s:end - s], lapG, _cells(lapG, G, n))
-    if a is None:
-        return s, lap, None
     axes = [grid.axis_interfaces() if d == ax else grid.axis_centers() for d in range(n)]
     c = np.asarray(a(np.stack(np.meshgrid(*axes, indexing="ij"))), dtype=float)[ax]
     lo, hi = (slice(None),) * ax + (slice(None, -1),), (slice(None),) * ax + (slice(1, None),)
     plus, minus = np.maximum(c, 0.0), np.minimum(c, 0.0)
-    reach = _uniform(np.maximum(plus[hi] - minus[lo], plus[lo] - minus[hi]))
 
     # a coefficient with one value everywhere is that float, else read-only on F's
     # window, with its edge values at the interfaces that no cell reads, laid out
@@ -316,9 +317,11 @@ def _axis(grid: Grid, ax: int, G: np.ndarray, a) -> tuple:
         return v
 
     # each half of the flux with its coefficient and whether it takes g_down
-    # on the left; one that a zeroes everywhere is left out, but never both
-    halves = [(laid(plus), False), (laid(minus), True)]
-    halves = [h for h in halves if np.any(h[0])] or halves[:1]
+    # on the left; one that a zeroes everywhere is left out
+    halves = [h for h in ((laid(plus), False), (laid(minus), True)) if np.any(h[0])]
+    if not halves:
+        return s, lap, None
+    reach = _uniform(np.maximum(plus[hi] - minus[lo], plus[lo] - minus[hi]))
     F, dF = np.empty(G.shape), np.empty(lapG.shape)
     Fw = F.reshape(-1)[r - s:end]  # the interfaces m | m+s, from one stride below
     # (halves, reach at the cells, left cells, right cells, F there, tmp, dF over the
@@ -427,9 +430,9 @@ def stable_dt(state: State, problem: Problem, config: SchemeConfig, plan: tuple)
     """cfl / (sum_ax lam_ax/dx + 2n max|u|^a/dx^2); for a stacked state, the dt
     of its largest branch rate, bitwise the smallest branch dt. Prepares
     `plan`'s terms for `step(state, problem, dt, plan)` from the state and
-    problem.flux.split.g. A non-finite value raises as in `State`, and a
+    problem.flux.g. A non-finite value raises as in `State`, and a
     max|u|^a outside G's range raises naming the underflow or the overflow."""
-    dt = config.cfl_safety / (plan[0](state, problem.flux.split.g) + _DEN_GUARD)
+    dt = config.cfl_safety / (plan[0](state, problem.flux.g) + _DEN_GUARD)
     if 0.0 < dt < math.inf:
         return dt
     raise RunError(f"stable dt underflowed at t={state.time} (dt={dt})",

@@ -8,8 +8,8 @@ from pmelab import problem as pr
 
 
 def _unit_split(g):
-    return pr.FluxSplit(a=lambda x: np.ones(np.shape(x)),
-                        div_a=lambda x: np.zeros(np.shape(x)[1:]), g=g)
+    return dict(a=lambda x: np.ones(np.shape(x)), div_a=lambda x: np.zeros(np.shape(x)[1:]),
+                g=g)
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def nan_below_flux():
         return np.where(u < -0.45, np.nan, u), None, np.ones_like(u)
 
     return pr.FluxModel(name="nan-below", f=f,
-                        df_du=lambda x, u: np.ones((1,) + np.shape(u)), split=_unit_split(g))
+                        df_du=lambda x, u: np.ones((1,) + np.shape(u)), **_unit_split(g))
 
 
 @pytest.fixture
@@ -36,4 +36,4 @@ def nan_below_derivative():
         return u, None, np.where(u < -0.45, np.nan, 1.0)
 
     return pr.FluxModel(name="nan-df-below", f=lambda x, u: np.asarray(u, float)[None],
-                        df_du=df_du, split=_unit_split(g))
+                        df_du=df_du, **_unit_split(g))

@@ -139,15 +139,13 @@ class TestExitCodes:
         # f, df_du and div_a are right; the split the solver steps is not
         def broken_split(n):
             flux = pr.burgers_flux_model(n)
-            split = flux.split
 
             def swapped(u, out):
-                up, down, slope = split.g(u, out)
+                up, down, slope = flux.g(u, out)
                 return down, up, slope
 
-            return dataclasses.replace(flux, split=(
-                dataclasses.replace(split, a=lambda x: 2.0 * split.a(x))
-                if broken == "doubled a" else dataclasses.replace(split, g=swapped)))
+            return (dataclasses.replace(flux, a=lambda x: 2.0 * flux.a(x))
+                    if broken == "doubled a" else dataclasses.replace(flux, g=swapped))
 
         monkeypatch.setitem(pr.FLUX_CATALOG, "burgers", (broken_split, {}))
         assert run_cli(tmp_path, "check-flux", "--flux", "burgers") == 1
@@ -168,6 +166,9 @@ class TestExitCodes:
         (["run", "--t-end", "nan"], "t_end"),
         (["run", "--t-end", "inf"], "t_end"),
         (["run", "--set", "alpha=nan", "--t-end", "0.1"], "diffusion exponent"),
+        # below the least alpha, where G's ceiling compare cannot resolve
+        (["run", "--set", "u0=gaussian amp=1.7e308", "--set", "alpha=1e-17", "--t-end", "0.001"],
+         "diffusion exponent must be finite and >= 1e-15, got 1e-17"),
         (["run", "--set", "L=nan", "--t-end", "0.1"], "half-width"),
         (["run", "--set", "L=inf", "--t-end", "0.1"], "half-width"),
         (["run", "--set", "p0=nan", "--t-end", "0.1"], "initial integrability"),
@@ -188,6 +189,8 @@ class TestExitCodes:
         (["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "nan"], "--q-list"),
         (["decay-study", "--set", "N=50", "--t-end", "1", "--q-list", "1,0.5"], "--q-list"),
         (["decay-study", "--set", "N=50", "--t-end", "1", "--alphas", "1,nan"], "--alphas"),
+        (["decay-study", "--set", "N=50", "--t-end", "1", "--alphas", "1,1e-16"],
+         "--alphas entries must be diffusion exponents, finite and >= 1e-15, got 1e-16"),
         (["sandwich", "--eps-list", "0.1,nan", "--t-end", "0.05"], "--eps-list"),
         (["run", "--set", "u0=gaussian width=0", "--t-end", "0.1"],
          "'gaussian' parameter width"),
@@ -258,12 +261,12 @@ class TestExitCodes:
         (["run", "--set", "bogus=1", "--t-end", "0.1"], "unknown key 'bogus'"),
         (["run", "--set", "n=2", "--set", "flux=figure1", "--t-end", "0.1"],
          "figure1 flux is one-dimensional"),
-    ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "L-nan", "L-inf", "p0-nan",
+    ], ids=["t_end-nan", "t_end-inf", "alpha-nan", "alpha-below-least", "L-nan", "L-inf", "p0-nan",
             "sandwich-p0-inf", "sandwich-eps-nan", "moser-m-0", "one-grid",
             "moser-alpha-nan", "moser-q-nan", "figure1-k-nan", "check-flux-k-nan",
             "barenblatt-t0-nan", "barenblatt-C-nan", "decay-t_end-inf",
             "repeated-grid", "descending-grids", "q-list-nan", "q-list-below-1",
-            "alphas-nan", "sandwich-late-eps-nan", "gaussian-width-0",
+            "alphas-nan", "alphas-below-least", "sandwich-late-eps-nan", "gaussian-width-0",
             "gaussian-width-negative", "gaussian-amp-inf",
             "gaussian-width-square-0", "gaussian-width-reciprocal-inf",
             "gaussian-width-square-inf", "L-dx-square-0", "L-dx-square-inf", "linear-c-nan",

@@ -67,6 +67,19 @@ def test_non_finite_settings_are_config_errors(bad):
         solver.SchemeConfig(t_end=1.0, snapshot_times=(0.5, bad))
 
 
+def test_problem_takes_alpha_down_to_its_least_value():
+    # below ALPHA_MIN the step's compare of max|u|^alpha with G's ceiling cannot
+    # tell data that overflow G; ALPHA_MIN itself is accepted
+    def problem(alpha):
+        return pr.Problem(grid=pr.Grid(n=1, L=1.0, N=4), alpha=alpha, p0=1.0,
+                          flux=pr.zero_flux_model(1), u0=gauss)
+
+    assert problem(pr.ALPHA_MIN).alpha == 1e-15
+    for alpha in (math.nextafter(pr.ALPHA_MIN, 0.0), 1e-17, 5e-324, 0.0, -1.0):
+        with pytest.raises(ConfigError, match=f"finite and >= 1e-15, got {alpha}$"):
+            problem(alpha)
+
+
 def test_problem_rejects_an_overflowing_smoothing_denominator():
     # 2 p0 + n alpha divides both smoothing exponents; inf would make 2 p0/inf NaN
     def problem(n, alpha, p0):
@@ -155,7 +168,7 @@ class TestFluxConsistency:
     @pytest.mark.parametrize("broken", ["doubled a", "swapped halves", "halved slope"])
     def test_split_that_misstates_the_flux_fails(self, broken):
         flux = pr.burgers_flux_model(1)
-        bad = dataclasses.replace(flux, split=broken_splits(flux)[broken])
+        bad = broken_splits(flux)[broken]
         grid = pr.Grid(n=1, L=5.0, N=16)
         rep, good = pr.check_flux_consistency(bad, grid), pr.check_flux_consistency(flux, grid)
         assert not rep.ok and rep.max_split_error > 0.1
@@ -164,8 +177,7 @@ class TestFluxConsistency:
     def test_misstated_divergence_fails(self):
         # figure1's split with div a = +sech^2 x, the sign of the sign condition flipped
         flux = pr.figure1_flux_model(1.5)
-        bad = dataclasses.replace(flux, split=dataclasses.replace(
-            flux.split, div_a=lambda x: 1.0 / np.cosh(x[0]) ** 2))
+        bad = dataclasses.replace(flux, div_a=lambda x: 1.0 / np.cosh(x[0]) ** 2)
         rep = pr.check_flux_consistency(bad, pr.Grid(n=1, L=10.0, N=32))
         assert not rep.ok and rep.max_div_error > 0.1
         assert pr.check_divergence_condition(bad, pr.Grid(n=1, L=10.0, N=64),
@@ -193,9 +205,8 @@ class TestCatalogSplits:
         grid = pr.Grid(n=n, L=3.0, N=8)
         x = pr._x_lattice(grid, per_axis=8)[:, :, None]  # (n, P, 1)
         u = np.linspace(-2.0, 2.0, 41)[None, :] + 0.0 * x[0]  # (P, 41)
-        split = flux.split
-        a = np.asarray(split.a(x), dtype=float)
-        up, down, slope = split.g(u.copy(), tuple(np.empty_like(u) for _ in range(3)))
+        a = np.asarray(flux.a(x), dtype=float)
+        up, down, slope = flux.g(u.copy(), tuple(np.empty_like(u) for _ in range(3)))
         g = up if down is None else up + down
         assert np.allclose(a * g, flux.f(x, u), rtol=1e-14, atol=1e-15)
         assert np.allclose(np.abs(a) * slope, np.abs(flux.df_du(x, u)),
@@ -215,25 +226,23 @@ def stacked_burgers(n):
         u = np.asarray(u, dtype=float)
         return np.stack([u] * n)
 
-    return pr.FluxModel(name="burgers", f=f, df_du=df_du, split=pr.burgers_flux_model(n).split)
+    return dataclasses.replace(pr.burgers_flux_model(n), f=f, df_du=df_du)
 
 
 def broken_splits(flux):
-    """Splits of `flux` that the solver would step wrongly: a doubled, g_up and
-    g_down swapped (neither is monotone), and |g'| halved."""
-    split = flux.split
-
+    """`flux` with splits that the solver would step wrongly: a doubled, g_up
+    and g_down swapped (neither is monotone), and |g'| halved."""
     def swapped(u, out):
-        up, down, slope = split.g(u, out)
+        up, down, slope = flux.g(u, out)
         return down, up, slope
 
     def flat(u, out):
-        up, down, slope = split.g(u, out)
+        up, down, slope = flux.g(u, out)
         return up, down, 0.5 * slope
 
-    return {"doubled a": dataclasses.replace(split, a=lambda x: 2.0 * split.a(x)),
-            "swapped halves": dataclasses.replace(split, g=swapped),
-            "halved slope": dataclasses.replace(split, g=flat)}
+    return {"doubled a": dataclasses.replace(flux, a=lambda x: 2.0 * flux.a(x)),
+            "swapped halves": dataclasses.replace(flux, g=swapped),
+            "halved slope": dataclasses.replace(flux, g=flat)}
 
 
 class TestBurgersFluxViews:
@@ -259,11 +268,10 @@ class TestBurgersFluxViews:
         flux = pr.burgers_flux_model(n)
 
         def g(u, out):
-            return tuple(None if v is None else np.array(v) for v in flux.split.g(u, out))
+            return tuple(None if v is None else np.array(v) for v in flux.g(u, out))
 
-        copied = pr.FluxModel(name="burgers", f=lambda x, u: np.array(flux.f(x, u)),
-                              df_du=lambda x, u: np.array(flux.df_du(x, u)),
-                              split=dataclasses.replace(flux.split, g=g))
+        copied = dataclasses.replace(flux, f=lambda x, u: np.array(flux.f(x, u)),
+                                     df_du=lambda x, u: np.array(flux.df_du(x, u)), g=g)
         base = pr.problem_from_mapping({"n": str(n), "N": str(N), "L": "4",
                                         "flux": "burgers", "u0": "signed_gaussian"})
         config = solver.SchemeConfig(t_end=1.0)
@@ -299,9 +307,9 @@ def per_sample_errors(flux, grid, samples=1000, seed=12345):
         for j in range(n):
             e = np.zeros_like(x)
             e[j, 0] = hx
-            fd_div += (float(np.asarray(flux.split.a(x + e))[j, 0])
-                       - float(np.asarray(flux.split.a(x - e))[j, 0])) / (2 * hx)
-        stated_div = float(np.asarray(flux.split.div_a(x)).ravel()[0])
+            fd_div += (float(np.asarray(flux.a(x + e))[j, 0])
+                       - float(np.asarray(flux.a(x - e))[j, 0])) / (2 * hx)
+        stated_div = float(np.asarray(flux.div_a(x)).ravel()[0])
         if not (np.isfinite(fd_div) and np.isfinite(stated_div)):
             raise RunError(f"non-finite flux divergence at x={x.ravel()}, u={u[0]}")
         split = float(pr._split_errors(flux, x, u, np.array([h]), stated_du)[0])
@@ -356,9 +364,9 @@ def per_point_lipschitz(flux, grid, M):
     """Reference for check_lipschitz_in_u: |a| |g'| at one x point and one u
     point at a time."""
     X = pr._x_lattice(grid, per_axis=9)
-    slopes = np.array([pr._halves(flux.split, np.array([u]))[2][0]
+    slopes = np.array([pr._halves(flux, np.array([u]))[2][0]
                        for u in np.linspace(-M, M, 10001)])
-    return max(float(np.max(np.max(np.abs(flux.split.a(X[:, p:p + 1]))) * slopes))
+    return max(float(np.max(np.max(np.abs(flux.a(X[:, p:p + 1]))) * slopes))
                for p in range(X.shape[1]))
 
 
@@ -394,8 +402,7 @@ class TestLipschitz:
     def test_nonfinite_split_a_names_x(self):
         # a is inf right of 0: the first such lattice point is the cell centre 0.625
         flux = pr.linear_flux_model(1.0, 1)
-        bad = dataclasses.replace(flux, split=dataclasses.replace(
-            flux.split, a=lambda x: np.where(x > 0, np.inf, 1.0)))
+        bad = dataclasses.replace(flux, a=lambda x: np.where(x > 0, np.inf, 1.0))
         with pytest.raises(RunError, match=r"non-finite split a at x=\(0\.625,\)$"):
             pr.check_lipschitz_in_u(bad, pr.Grid(n=1, L=5.0, N=8), M=1.0)
 
@@ -477,7 +484,7 @@ class TestConfig:
         assert p.alpha == 0.5
         assert p.flux.name == "figure1"
         u = np.linspace(-2.0, 2.0, 9)
-        assert np.array_equal(pr._halves(p.flux.split, u)[0], np.abs(u) ** 1.5 * u)
+        assert np.array_equal(pr._halves(p.flux, u)[0], np.abs(u) ** 1.5 * u)
         vals = pr.sample_initial(p).values
         assert float(np.max(vals)) == pytest.approx(2.0, rel=1e-2)
 
@@ -507,7 +514,7 @@ class TestConfig:
         p = pr.problem_from_mapping({"flux": "linear", "u0": "barenblatt",
                                      "alpha": "2"})
         x = p.grid.cell_centers()
-        assert np.all(p.flux.split.a(x) == 1.0)
+        assert np.all(p.flux.a(x) == 1.0)
         expected = pr.u0_from_config("barenblatt", {"alpha": 2.0})
         assert np.array_equal(p.u0(x), expected(x))
 

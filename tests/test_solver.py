@@ -65,8 +65,7 @@ def burgers_along(a):
     return pr.FluxModel(
         name="burgers-along", f=lambda x, u: a(x) * (0.5 * np.asarray(u, dtype=float) ** 2),
         df_du=lambda x, u: a(x) * np.asarray(u, dtype=float),
-        split=pr.FluxSplit(a=a, div_a=lambda x: np.zeros(np.shape(x)[1:]),
-                           g=pr.burgers_flux_model(2).split.g))
+        a=a, div_a=lambda x: np.zeros(np.shape(x)[1:]), g=pr.burgers_flux_model(2).g)
 
 
 def along(c0, c1):
@@ -252,22 +251,20 @@ def zero_halves(n):
 
 
 def counting(flux, calls):
-    """`flux` with its split's g counting its calls into calls["g"], and its
-    split's a into calls["a"]."""
+    """`flux` with its g counting its calls into calls["g"], and its a into
+    calls["a"]."""
     def counted(name, fn):
         def wrapper(*args):
             calls[name] = calls.get(name, 0) + 1
             return fn(*args)
         return wrapper
 
-    split = flux.split
-    return dataclasses.replace(flux, split=dataclasses.replace(
-        split, a=counted("a", split.a), g=counted("g", split.g)))
+    return dataclasses.replace(flux, a=counted("a", flux.a), g=counted("g", flux.g))
 
 
 def traced(flux, calls):
     """`flux` wrapped as bench/worker.py --trace 1 wraps it: f and df_du
-    counting their calls into calls["f"], the split as it was."""
+    counting their calls into calls["f"], a, div_a and g as they were."""
     def counted(fn):
         def wrapper(*args):
             calls["f"] = calls.get("f", 0) + 1
@@ -300,7 +297,8 @@ def shear(x):
 
 # u0 reaches the walls of [-3, 3], so the two boundary policies differ
 STEP_IDS = ["figure1-1d", "burgers-1d", "linear-1d", "burgers-2d", "linear-2d",
-            "zero-1d", "zero-2d", "swirl-2d", "shear-2d", "linear-unit-1d"]
+            "zero-1d", "zero-2d", "swirl-2d", "shear-2d", "linear-unit-1d", "linear-c0-1d",
+            "linear-axis0-2d"]
 STEP_CASES = [
     (1, pr.figure1_flux_model(1.5), lambda x: np.exp(-x[0] ** 2 / 4.0)),
     (1, pr.burgers_flux_model(1), lambda x: x[0] * np.exp(-x[0] ** 2 / 4.0)),
@@ -314,11 +312,19 @@ STEP_CASES = [
     (2, burgers_along(shear), lambda x: np.exp(-np.sum(x ** 2, axis=0) / 4.0)),
     # the coefficient 1.0 with g_down None: F is a copy of g_up, with no product
     (1, pr.linear_flux_model(1.0, 1), lambda x: np.exp(-(x[0] - 1.0) ** 2 / 4.0)),
+    # a is 0 on every interface of an axis, which then does not advect: on the
+    # one axis of 1-D, and on axis 1 of 2-D while axis 0 advects
+    (1, pr.linear_flux_model(0.0, 1), lambda x: x[0] * np.exp(-x[0] ** 2 / 4.0)),
+    (2, pr.linear_flux_model((-1.5, 0.0), 2),
+     lambda x: x[1] * np.exp(-np.sum(x ** 2, axis=0) / 4.0)),
 ]
 EO_HALVES = dict(zip(STEP_IDS, [
     figure1_halves(1.5), burgers_halves(1), upwind_halves((3.0,)), burgers_halves(2),
     upwind_halves((1.0, -2.0)), zero_halves(1), zero_halves(2), burgers_along_halves(swirl),
-    burgers_along_halves(shear), upwind_halves((1.0,))]))
+    burgers_along_halves(shear), upwind_halves((1.0,)), upwind_halves((0.0,)),
+    upwind_halves((-1.5, 0.0))]))
+# the STEP_CASES whose a is 0 on the grid: they advect along no axis
+STILL_IDS = ("zero-1d", "zero-2d", "linear-c0-1d")
 
 
 class TestStepKernel:
@@ -401,17 +407,18 @@ class TestStepKernel:
         else:
             assert dt == 1.0 / (rate + 1e-300)
 
-    @pytest.mark.parametrize("n, flux, u0", STEP_CASES, ids=STEP_IDS)
-    def test_flux_calls_per_step(self, n, flux, u0):
-        # stable_dt calls the split's g once, on the whole padded state, for
-        # every axis, and step reuses what it prepared; a is evaluated once per
-        # axis in the whole run
+    @pytest.mark.parametrize("case", range(len(STEP_CASES)), ids=STEP_IDS)
+    def test_flux_calls_per_step(self, case):
+        # stable_dt calls g once, on the whole padded state, for every axis, and
+        # step reuses what it prepared; a flux whose a is 0 on the grid advects
+        # along no axis and calls no g; a is evaluated once per axis in the whole run
+        n, flux, u0 = STEP_CASES[case]
         calls = {}
         p = pr.Problem(grid=pr.Grid(n=n, L=3.0, N=40 if n == 1 else 16), alpha=0.5,
                        p0=1.0, flux=counting(flux, calls), u0=u0)
         res = sv.run(p, sv.SchemeConfig(t_end=0.2))
         assert res.step_count > 0
-        assert calls["g"] == res.step_count
+        assert calls.get("g", 0) == (0 if STEP_IDS[case] in STILL_IDS else res.step_count)
         assert calls["a"] == n
 
 
@@ -504,10 +511,14 @@ def test_a_state_the_plan_did_not_make_steps_as_the_reference(boundary):
 
 
 def test_flux_without_split_cannot_be_stepped():
-    # the split is a required field, so a flux without one cannot even be built
+    # a, div_a and g, the split the solver steps, are required fields, so a flux
+    # without any one of them cannot even be built, and the error names it
     burgers = pr.burgers_flux_model(1)
-    with pytest.raises(TypeError, match="split"):
-        pr.FluxModel(name="bare", f=burgers.f, df_du=burgers.df_du)
+    fields = dict(name="bare", a=burgers.a, div_a=burgers.div_a, g=burgers.g, f=burgers.f,
+                  df_du=burgers.df_du)
+    for missing in ("a", "div_a", "g"):
+        with pytest.raises(TypeError, match=f"'{missing}'"):
+            pr.FluxModel(**{k: v for k, v in fields.items() if k != missing})
 
 
 @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
@@ -540,53 +551,61 @@ def zeros_g(u, out):
 
 
 class TestZeroFluxSkip:
-    """The catalog's zero flux skips the advective half of the step; the skip
-    is taken by the identity of its split, so a flux with any other split is
-    evaluated, and one whose evaluators alone are replaced is still skipped."""
+    """An axis whose a is 0 on every interface does not advect, and a flux that
+    advects along no axis calls no g. The skip is decided by a's values on the
+    grid, never by the flux's name or identity."""
 
     @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
     @pytest.mark.parametrize("n", (1, 2))
     def test_evaluated_zero_flux_gives_the_same_bits(self, n, boundary):
-        # -0.0 cells too: v - (dt/dx) * (+0.0) keeps the sign of v
+        # every flux that is 0 on the grid steps to the same bits, step count and
+        # outflow, and calls no g: the catalog zero flux, a counted copy, a
+        # look-alike with its own g and a traced copy. -0.0 cells too:
+        # v - (dt/dx) * (+0.0) keeps the sign of v
         def u0(x):
             return np.where(x[0] > 1.0, -0.0, x[0] * np.exp(-np.sum(x ** 2, axis=0) / 4.0))
 
         calls = {}
         zero = pr.zero_flux_model(n)
-        lookalike = dataclasses.replace(zero, split=pr.FluxSplit(
-            a=lambda x: np.zeros(np.shape(x)), div_a=pr.ZERO_SPLIT.div_a, g=zeros_g))
+        lookalike = dataclasses.replace(zero, a=lambda x: np.zeros(np.shape(x)), g=zeros_g)
         cfg = sv.SchemeConfig(t_end=0.5, snapshot_times=(0.1, 0.25))
-        skipped, wrapped, alike, traced_zero = (
+        skipped, *others = (
             sv.run(pr.Problem(grid=pr.Grid(n=n, L=3.0, N=60 if n == 1 else 24), alpha=0.5,
                               p0=1.0, flux=flux, u0=u0, boundary_policy=boundary), cfg)
-            for flux in (zero, counting(zero, calls), lookalike, traced(zero, calls)))
+            for flux in (zero, counting(zero, calls), counting(lookalike, calls),
+                         traced(zero, calls)))
         assert skipped.step_count > 0
-        assert calls == {"a": n, "g": wrapped.step_count}  # g once per step, on axis 0
-        for other in (wrapped, alike, traced_zero):
+        assert calls == {"a": 2 * n}  # a once per axis of each counted copy, g never
+        for other in others:
             assert other.step_count == skipped.step_count
             assert other.wall_outflow == skipped.wall_outflow
             for a, b in zip(skipped.snapshots, other.snapshots):
                 assert a.time == b.time and a.values.tobytes() == b.values.tobytes()
 
     @pytest.mark.parametrize("n", (1, 2))
-    def test_skip_is_by_identity_not_name(self, n):
+    def test_skip_is_by_a_on_the_grid_not_name_or_identity(self, n):
         burgers, zero = pr.burgers_flux_model(n), pr.zero_flux_model(n)
-        cases = {
-            "catalog zero": (zero, True),
-            "traced evaluators": (traced(zero, {}), True),
-            "look-alike split": (dataclasses.replace(zero, split=pr.FluxSplit(
-                a=pr.ZERO_SPLIT.a, div_a=pr.ZERO_SPLIT.div_a, g=pr.ZERO_SPLIT.g)), False),
-            "named zero": (dataclasses.replace(burgers, name="zero"), False),
+        # a is 0 on [-4, 4], which holds the grid, and nonzero outside it
+        off_grid = dataclasses.replace(burgers, a=lambda x: np.maximum(np.abs(x) - 4.0, 0.0))
+        cases = {  # whether each axis skips advection
+            "catalog zero": (zero, [True] * n),
+            "traced evaluators": (traced(zero, {}), [True] * n),
+            "look-alike": (dataclasses.replace(zero, name="look-alike"), [True] * n),
+            "linear c=0": (pr.linear_flux_model(0.0, n), [True] * n),
+            "a 0 on the grid only": (off_grid, [True] * n),
+            "named zero": (dataclasses.replace(burgers, name="zero"), [False] * n),
             "zero evaluators": (dataclasses.replace(burgers, name="zero",
                                                     f=pr.zero_evaluator,
-                                                    df_du=pr.zero_evaluator), False),
+                                                    df_du=pr.zero_evaluator), [False] * n),
         }
+        if n == 2:
+            cases["linear (1, 0)"] = (pr.linear_flux_model((1.0, 0.0), 2), [False, True])
         grid = pr.Grid(n=n, L=3.0, N=40 if n == 1 else 16)
         for label, (flux, skipped) in cases.items():
             p = pr.Problem(grid=grid, alpha=0.5, p0=1.0, flux=flux, u0=gaussian)
             s = pr.sample_initial(p)
             terms = prepared(s, p)[1][-1]
-            assert [dF is None for dF, _ in terms] == [skipped] * n, label
+            assert [dF is None for dF, _ in terms] == skipped, label
         # a nonzero flux named "zero" steps exactly as the flux it is
         cfg = sv.SchemeConfig(t_end=0.2)
         named, real, zero = (
@@ -594,6 +613,27 @@ class TestZeroFluxSkip:
             for flux in (cases["zero evaluators"][0], burgers, pr.zero_flux_model(n)))
         assert np.array_equal(named.snapshots[-1].values, real.snapshots[-1].values)
         assert not np.array_equal(named.snapshots[-1].values, zero.snapshots[-1].values)
+
+    @pytest.mark.parametrize("boundary", pr.BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_a_flux_zero_on_the_grid_never_calls_its_g(self, n, boundary):
+        # a flux 0 on the grid whose g raises steps as the zero flux, and never
+        # reaches g (a flux that was not the catalog's zero flux had its F and
+        # dF evaluated, and its g called, on every step)
+        def g(u, out):
+            raise AssertionError("g called")
+
+        flux = dataclasses.replace(pr.burgers_flux_model(n), g=g,
+                                   a=lambda x: np.maximum(np.abs(x) - 4.0, 0.0))
+        cfg = sv.SchemeConfig(t_end=0.3, snapshot_times=(0.1,))
+        plain, never = (
+            sv.run(pr.Problem(grid=pr.Grid(n=n, L=3.0, N=40 if n == 1 else 16), alpha=1.0,
+                              p0=1.0, flux=fl, u0=gaussian, boundary_policy=boundary), cfg)
+            for fl in (pr.zero_flux_model(n), flux))
+        assert never.step_count == plain.step_count > 0
+        assert never.wall_outflow == plain.wall_outflow
+        for a, b in zip(plain.snapshots, never.snapshots):
+            assert a.time == b.time and a.values.tobytes() == b.values.tobytes()
 
 
 class TestHandoff:
@@ -751,6 +791,17 @@ def test_stable_dt_reports_an_overflowing_G(n, flux, stacked):
     assert exc.value.__cause__.branch == (1 if stacked else None)
 
 
+def test_G_overflow_is_named_down_to_the_least_alpha():
+    # at alpha = ALPHA_MIN, the least a Problem takes, |u|^alpha of u = 1.7e308
+    # still compares above G's ceiling, so the overflow is named before G is
+    # formed, with no numpy warning (an error under this suite's filters)
+    p = pr.Problem(grid=pr.Grid(n=1, L=10.0, N=400), alpha=pr.ALPHA_MIN, p0=1.0,
+                   flux=pr.zero_flux_model(1), u0=lambda x: 1.7e308 * gaussian(x))
+    message = f"step 1: G(u) = |u|^{pr.ALPHA_MIN} u/{pr.ALPHA_MIN + 1.0} overflows at cell"
+    with pytest.raises(RunError, match=f"^{re.escape(message)} "):
+        sv.run(p, sv.SchemeConfig(t_end=0.001))
+
+
 @OVERFLOW_PATHS
 def test_G_ceiling_keeps_four_G_a_factor_2_inside_the_float_range(n, flux, stacked):
     # at alpha = 2 the ceiling is where |u|^2 u = |u|^3 is MAX/2 * 3/4, so that
@@ -849,7 +900,7 @@ def test_states_own_their_values(case):
                                      (2, "burgers"), (2, "linear"), (2, "zero")])
 def test_plan_follows_the_value_shape(n, name, B, boundary):
     # through plan, stable_dt and step alone: each prepare calls g once, on one
-    # array of the branch's every cell value, and never for ZERO_SPLIT; the
+    # array of the branch's every cell value, and never for the zero flux; the
     # terms are in the value layout; outflow holds a [low, high] pair per axis
     # of an unstacked state and rates one rate per branch of a stacked one; the
     # new values are read-only and C-ordered
@@ -863,8 +914,8 @@ def test_plan_follows_the_value_shape(n, name, B, boundary):
     plan, got = sv.plan(s, p), []
     outflow, rates, terms = plan[2:]
     # stable_dt hands the plan the g of the problem it is given
-    p = dataclasses.replace(p, flux=dataclasses.replace(flux, split=dataclasses.replace(
-        flux.split, g=lambda v, out: got.append(v.copy()) or flux.split.g(v, out))))
+    p = dataclasses.replace(p, flux=dataclasses.replace(
+        flux, g=lambda v, out: got.append(v.copy()) or flux.g(v, out)))
     cfg = sv.SchemeConfig(t_end=1.0)
     for k in range(2):
         u, s = s.values, sv.step(s, p, sv.stable_dt(s, p, cfg, plan), plan)
@@ -1232,8 +1283,7 @@ def test_a_turning_sign_inside_a_cell_keeps_the_step_monotone(boundary):
     # which then loses g = u through both faces: its diagonal entry is
     # 1 - dt/dx (|a_l| + |a_r|), below 0 if the rate took only the larger |a|
     linear = pr.linear_flux_model(1.0, 1)
-    flux = dataclasses.replace(linear, split=dataclasses.replace(
-        linear.split, a=lambda x: np.tanh(20.0 * x)))
+    flux = dataclasses.replace(linear, a=lambda x: np.tanh(20.0 * x))
     p = pr.Problem(grid=pr.Grid(n=1, L=3.0, N=21), alpha=1.0, p0=1.0, flux=flux,
                    u0=gaussian, boundary_policy=boundary)
     assert_monotone_step(p, pr.sample_initial(p).values)

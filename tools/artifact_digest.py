@@ -72,6 +72,16 @@ COMMANDS = [
      "--set", "N=120", "--t-end", "1"],
     ["run", "--set", "flux=burgers", "--set", "u0=signed_gaussian", "--set", "L=3",
      "--set", "N=120", "--set", "boundary=dirichlet_zero", "--t-end", "1"],
+    # a flux whose a is 0 on the grid, 1-D and 2-D under both boundary policies:
+    # no axis advects, so the step is its diffusion half alone and calls no g
+    ["run", "--set", "flux=linear c=0", "--set", "u0=signed_gaussian", "--set", "L=3",
+     "--set", "N=120", "--t-end", "1"],
+    ["run", "--set", "flux=linear c=0", "--set", "u0=signed_gaussian", "--set", "L=3",
+     "--set", "N=120", "--set", "boundary=dirichlet_zero", "--t-end", "1"],
+    ["run", "--set", "n=2", "--set", "flux=linear c=0", "--set", "u0=signed_gaussian",
+     "--set", "L=3", "--set", "N=40", "--t-end", "1"],
+    ["run", "--set", "n=2", "--set", "flux=linear c=0", "--set", "u0=signed_gaussian",
+     "--set", "L=3", "--set", "N=40", "--set", "boundary=dirichlet_zero", "--t-end", "1"],
     # 2-D Burgers from signed data under dirichlet_zero: g's falling half, and
     # g(0) at the ghost cells; mass leaves through the walls, so the run fails
     # its budget verdict
@@ -144,6 +154,9 @@ COMMANDS = [
     # finite data whose |u|^2 is finite but whose G = |u|^2 u/3 overflows: a run
     # error at step 1 that names G, before G is formed and with no numpy warning
     ["run", "--set", "u0=gaussian amp=1e150", "--set", "alpha=2", "--t-end", "0.01"],
+    # an alpha below the bound under which G's ceiling compare cannot resolve:
+    # rejected before any step
+    ["run", "--set", "u0=gaussian amp=1.7e308", "--set", "alpha=1e-17", "--t-end", "0.001"],
     # data whose G(max|u|) is below the least normal float: a run error that names the underflow
     ["run", "--set", "u0=gaussian amp=1e-200", "--set", "N=40", "--t-end", "0.01"],
     # the same datum in the sandwich: only the middle branch underflows, and is named

@@ -103,24 +103,32 @@ def _mass_budget(result: solver.RunResult) -> tuple[list, float, float]:
     return masses, residual, max(abs(v) for w in result.wall_outflow for v in w)
 
 
+ROW_BLOCK = 4096  # the most rows of run CSV text joined at once, which bounds its memory
+
+
 def _snapshot_csv(result: solver.RunResult) -> Iterable[str]:
-    """The text of the run CSV, _table's header and then one piece per snapshot:
-    columns t, x0[, x1], u, one row per cell, each value as %.17g (the text of
-    _cell). The N cell centers of an axis and the distinct u values of a
-    snapshot (by bit pattern, so -0.0 and 0.0 stay apart) are each formatted
-    once, and every row joins its text from them by index, so the bytes equal
-    %.17g of every cell."""
+    """The text of the run CSV, _table's header and then pieces of at most
+    ROW_BLOCK rows: columns t, x0[, x1], u, one row per cell of each snapshot,
+    each value as %.17g (the text of _cell). The N cell centers of an axis are
+    formatted once. Each cell keeps its u text from snapshot to snapshot: only
+    the distinct u values (by bit pattern, so -0.0 and 0.0 stay apart) of the
+    cells whose bits changed since the last snapshot are formatted, so the
+    bytes equal %.17g of every cell."""
     grid = result.snapshots[0].grid
     centers = ["%.17g" % c for c in grid.axis_centers().tolist()]
-    # row i of a snapshot at time text T is T + tails[i] % text(u[i]), cells in C order
-    tails = ["," + ",".join(x) + ",%s\n"
-             for x in itertools.product(centers, repeat=grid.n)]
+    # row i of a snapshot joins rows[i] = (t text, ",x0[,x1],", u text), cells in C order
+    rows = np.empty((grid.N ** grid.n, 3), dtype=object)
+    rows[:, 1] = ["," + ",".join(x) + "," for x in itertools.product(centers, repeat=grid.n)]
     yield from _table("run-snapshots", ["t"] + [f"x{a}" for a in range(grid.n)] + ["u"], ())
+    last = ~result.snapshots[0].values.ravel().view(np.int64)  # differs in every cell
     for snap in result.snapshots:
-        t = "%.17g" % snap.time
-        bits, inverse = np.unique(snap.values.ravel().view(np.int64), return_inverse=True)
-        texts = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-        yield (t + t.join(tails)) % tuple(map(texts.__getitem__, inverse.tolist()))
+        bits = snap.values.ravel().view(np.int64)
+        changed = np.flatnonzero(bits != last)
+        values, inverse = np.unique(bits[changed], return_inverse=True)
+        texts = np.array(["%.17g\n" % v for v in values.view(np.float64).tolist()], object)
+        rows[changed, 2], rows[:, 0], last = texts[inverse], "%.17g" % snap.time, bits
+        for lo in range(0, len(rows), ROW_BLOCK):
+            yield "".join(rows[lo:lo + ROW_BLOCK].ravel().tolist())
 
 
 @dataclasses.dataclass(frozen=True)

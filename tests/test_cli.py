@@ -507,6 +507,12 @@ def snapshot_csv(result) -> bytes:
     return "".join(cli._snapshot_csv(result)).encode("utf-8")
 
 
+def cell0_changes(firsts, rest):
+    """cells -> one snapshot's u values per value of `firsts`: that value in cell
+    0, and the same `rest` (resized) in every other cell."""
+    return lambda cells: [np.concatenate(([v], np.resize(rest, cells - 1))) for v in firsts]
+
+
 class TestSnapshotCsv:
     @pytest.mark.parametrize("n", [1, 2])
     def test_solver_run_matches_per_cell_reference(self, n):
@@ -543,6 +549,14 @@ class TestSnapshotCsv:
         "one-value": lambda cells: [np.full(cells, 1.0 / 3.0), np.full(cells, -0.0)],
         "all-distinct": lambda cells: [(np.arange(cells) - 2.5) ** 3 / 7.0,
                                        np.exp(-np.arange(cells) * 20.0)],
+        # the cases below change cell 0 alone, so only its text is made again;
+        # 0.0 and -0.0 compare equal as floats, but not as bits
+        "zero-sign-flips": cell0_changes((0.0, -0.0, 0.0, -0.0), [1.5, 0.0]),
+        # 2.5 leaves cell 0 and returns two snapshots later, kept by other cells
+        "value-leaves-and-returns": cell0_changes((2.5, 7.0, 1e-300, 2.5), [2.5, -1.0]),
+        # no cell changes, so no value is formatted
+        "snapshot-repeats": cell0_changes((0.25, 0.25, 0.25), [0.25, -3.0]),
+        "first-all-negative-zero": cell0_changes((-0.0, 1.0, -0.0), [-0.0]),
     }
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -558,10 +572,26 @@ class TestSnapshotCsv:
         if case == "signed-zeros":
             assert b",0\n" in text and b",-0\n" in text
 
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_any_values_match_per_cell_reference(self, data):
-        # finite floats mixed with a small pool, so that values repeat
+    # ROW_BLOCK at each edge of a snapshot of `cells` rows: one row a piece, a
+    # piece that ends inside it, and one piece a snapshot, whole or one row short
+    BLOCKS = {"1": lambda cells: 1, "3": lambda cells: 3,
+              "cells-1": lambda cells: max(cells - 1, 1), "cells": lambda cells: cells,
+              "cells+1": lambda cells: cells + 1}
+
+    @pytest.mark.parametrize("block", list(BLOCKS))
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_row_blocks_match_per_cell_reference(self, case, n, block, monkeypatch):
+        grid = Grid(n=n, L=2.0, N=5)
+        snaps = self.CASES[case](5 ** n)
+        monkeypatch.setattr(cli, "ROW_BLOCK", self.BLOCKS[block](5 ** n))
+        result = snapshot_result(grid, [(0.1 * k, u) for k, u in enumerate(snaps)])
+        assert snapshot_csv(result) == reference_snapshot_csv(result)
+
+    @staticmethod
+    def draw_result(data):
+        """A RunResult of 1 to 3 snapshots on a 1-D or 2-D grid of 1 to 5 cells an
+        axis: finite floats mixed with a small pool, so that values repeat."""
         n = data.draw(st.sampled_from((1, 2)), label="n")
         grid = Grid(n=n, L=1.0, N=data.draw(st.integers(1, 5), label="N"))
         value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -570,8 +600,36 @@ class TestSnapshotCsv:
         snaps = data.draw(st.lists(
             st.tuples(st.floats(0.0, 1e6), st.lists(value, min_size=cells, max_size=cells)),
             min_size=1, max_size=3), label="snapshots")
-        result = snapshot_result(grid, snaps)
+        return snapshot_result(grid, snaps)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_any_values_match_per_cell_reference(self, data):
+        result = self.draw_result(data)
         assert snapshot_csv(result) == reference_snapshot_csv(result)
+
+    @pytest.mark.parametrize("block", list(BLOCKS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_any_values_in_row_blocks_match_per_cell_reference(self, block, data):
+        result = self.draw_result(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "ROW_BLOCK", self.BLOCKS[block](result.snapshots[0].values.size))
+            assert snapshot_csv(result) == reference_snapshot_csv(result)
+
+    def test_no_piece_holds_more_than_a_row_block(self):
+        # 70 x 70 = 4900 cells: each snapshot is one full piece and one of 804 rows
+        problem = problem_from_mapping({"n": "2", "N": "70", "L": "3", "flux": "burgers",
+                                        "u0": "signed_gaussian"})
+        result = solver.run(problem, solver.SchemeConfig(
+            t_end=0.01, snapshot_times=(0.0, 0.005, 0.01)))
+        cells = result.snapshots[0].values.size
+        assert cells > cli.ROW_BLOCK
+        header, *pieces = cli._snapshot_csv(result)
+        assert header.count("\n") == 2
+        rows = [piece.count("\n") for piece in pieces]
+        assert rows == [cli.ROW_BLOCK, cells - cli.ROW_BLOCK] * len(result.snapshots)
+        assert (header + "".join(pieces)).encode() == reference_snapshot_csv(result)
 
 
 class TestFigure1Command:

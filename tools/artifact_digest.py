@@ -166,6 +166,10 @@ COMMANDS = [
     # data, and a run error that names the underflow; in the sandwich, the middle branch
     ["run", "--set", "u0=gaussian amp=1e-200", "--set", "alpha=2", "--t-end", "0.01"],
     ["sandwich", "--set", "u0=gaussian amp=1e-200", "--set", "alpha=2"],
+    # a run CSV of more cells than cli.ROW_BLOCK, so each snapshot is two pieces, and
+    # compact data, so most cells keep their bits (and their u text) between snapshots
+    ["run", "--set", "u0=barenblatt", "--set", "N=5000", "--set", "L=20", "--t-end", "0.001",
+     "--snapshots", "4"],
 ]
 
 

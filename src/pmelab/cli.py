@@ -334,27 +334,47 @@ def cmd_decay_study(args) -> Report:
              annotations=[svg.Annotation(0.08, 0.10, f"slope {plotted.fitted_slope:.4f}")]))
 
 
+# the largest m whose table rows moser-table checks against the brute-force twins,
+# which cost O(m^2) per row
+MOSER_BRUTE_FORCE_M = 40
+
+
 def cmd_moser_table(args) -> Report:
     if args.m < 1:
         raise ConfigError(f"--m must be >= 1, got {args.m}")
-    A_inf, S_inf = exponents.moser_limits(args.q, args.n, args.alpha)
-    trace = exponents.moser_trace(args.q, args.n, args.alpha, args.m)
+    q, n, alpha = args.q, args.n, args.alpha
+    A_inf, S_inf = exponents.moser_limits(q, n, alpha)
+    trace = exponents.moser_trace(q, n, alpha, args.m)
     rows = [(m, A, S, A - A_inf, S - S_inf)
             for m, A, S in zip(range(1, args.m + 1), trace.A, trace.S)]
-    ex = exponents.exponent_set(args.n, args.q, args.alpha)
+    # each closed form against its literal product or sum, to 1e-12 max(1, |twin|)
+    brute_force_errors = [
+        abs(value - twin) / max(1.0, abs(twin)) for m, A, S, _, _ in rows[:MOSER_BRUTE_FORCE_M]
+        for value, twin in ((A, exponents.moser_A_bruteforce(m, q, n, alpha)),
+                            (S, exponents.moser_exponent_sum_bruteforce(m, q, n, alpha)))]
+    # each gap not below round-off, 1e-6 max(1, |limit|), is half the one before,
+    # to 1e-9 of that one: (|gap_m - gap_{m-1}/2|, its tolerance); a NaN gap is kept
+    floors = [1e-6 * max(1.0, abs(limit)) for limit in (A_inf, S_inf)]
+    halvings = [(abs(gap - prev / 2.0), 1e-9 * abs(prev))
+                for row, before in zip(rows[1:], rows)
+                for gap, prev, floor in zip(row[3:], before[3:], floors) if not abs(gap) < floor]
+    ex = exponents.exponent_set(n, q, alpha)
     try:
         ladder = exponents.moser_time_grid(args.m, 1.0)
     except ConfigError:  # rungs closer than the float spacing near t = 1
         ladder = None
-    passed = math.isfinite(trace.K_bound)
     summary = {
-        "q": args.q, "n": args.n, "alpha": args.alpha, "m": args.m,
+        "q": q, "n": n, "alpha": alpha, "m": args.m,
         "A_limit": A_inf, "S_limit": S_inf,
         "A_final_gap": rows[-1][3], "S_final_gap": rows[-1][4],
-        "K_bound": trace.K_bound if passed else None,
+        "K_exponent_of_C": trace.K_exponent_of_C, "K_log_without_C": trace.K_log_without_C,
+        # the worst of each half; np.max keeps a NaN, which fails its half below
+        "brute_force_error": float(np.max(brute_force_errors)),
+        "halving_error": float(np.max([d for d, _ in halvings], initial=0.0)),
         "exponents": {"beta": ex.beta, "theta": ex.theta, "gamma": ex.gamma},
         "time_ladder": ladder,
-        "passed": passed,
+        "passed": (all(e <= 1e-12 for e in brute_force_errors)
+                   and all(d <= tol for d, tol in halvings)),
     }
     return Report(
         {}, _table("moser-table", ["m", "A_m", "S_m", "A_limit_gap", "S_limit_gap"], rows),

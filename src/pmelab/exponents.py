@@ -2,7 +2,8 @@
 
 Every closed form here has a brute-force companion (``*_bruteforce``) computing
 the same quantity as a literal product or sum, so the algebra can be
-cross-checked without trusting either side.
+cross-checked without trusting either side. The twins take each term of
+2^j 2q + c over 2^j, which is exact and keeps an admissible q from overflowing.
 """
 
 from __future__ import annotations
@@ -77,10 +78,8 @@ def moser_A(m: int, q: float, n: int, alpha: float) -> float:
 
 def moser_A_bruteforce(m: int, q: float, n: int, alpha: float) -> float:
     na = n * alpha
-    prod = 1.0
-    for j in range(1, m + 1):
-        prod *= (2.0 ** j * 2.0 * q + na) / (2.0 ** j * 2.0 * q + 2.0 * na)
-    return prod
+    return math.prod((2.0 * q + na * 2.0 ** (-j)) / (2.0 * q + 2.0 * na * 2.0 ** (-j))
+                     for j in range(1, m + 1))
 
 
 def moser_B(j: int, m: int, q: float, n: int, alpha: float) -> float:
@@ -98,10 +97,8 @@ def moser_B(j: int, m: int, q: float, n: int, alpha: float) -> float:
 
 def moser_B_bruteforce(j: int, m: int, q: float, n: int, alpha: float) -> float:
     na = n * alpha
-    prod = 1.0
-    for k in range(j):
-        prod *= (2.0 ** (m - k) * 2.0 * q + na) / (2.0 ** (m - k) * 2.0 * q + 2.0 * na)
-    return prod
+    return math.prod((2.0 * q + na * 2.0 ** (k - m)) / (2.0 * q + 2.0 * na * 2.0 ** (k - m))
+                     for k in range(j))
 
 
 def moser_exponent_sum(m: int, q: float, n: int, alpha: float) -> float:
@@ -116,10 +113,8 @@ def moser_exponent_sum(m: int, q: float, n: int, alpha: float) -> float:
 
 def moser_exponent_sum_bruteforce(m: int, q: float, n: int, alpha: float) -> float:
     na = n * alpha
-    total = 0.0
-    for j in range(1, m + 1):
-        total += -n / (2.0 ** j * 2.0 * q + 2.0 * na) * moser_B_bruteforce(m - j, m, q, n, alpha)
-    return total
+    return sum(-n * 2.0 ** (-j) / (2.0 * q + 2.0 * na * 2.0 ** (-j))
+               * moser_B_bruteforce(m - j, m, q, n, alpha) for j in range(1, m + 1))
 
 
 def moser_limits(q: float, n: int, alpha: float) -> tuple[float, float]:
@@ -143,21 +138,15 @@ def moser_time_grid(m: int, t: float) -> list[float]:
     return ladder
 
 
-# stand-in value of the interpolation constant in the K_bound of moser_trace
-INTERPOLATION_C = 2.0
-
-
-def moser_Kj_log_bound(j: int, q: float, n: int, alpha: float, C: float) -> float:
-    """Log of the upper bound for the j-th iterate's multiplicative constant,
-    given a stand-in value C for the interpolation constant.
+def moser_Kj_log_bound(j: int, q: float, n: int, alpha: float) -> tuple[float, float]:
+    """Log of the upper bound for the j-th iterate's multiplicative constant, split
+    as (e_j, k_j): the log is e_j log C + k_j for the interpolation constant C.
 
     Stable for large j: both exponents are computed through 2^-j factors.
     """
     _check_params(n, q, alpha)
     if j < 1:
         raise ConfigError(f"iterate index must be >= 1, got {j}")
-    if not 0 < C < math.inf:
-        raise ConfigError(f"interpolation constant C must be finite and > 0, got {C}")
     # q >= 1 and j >= 1 give 2^j q > 1, so the logs below are defined
     c_exp = (n + 2.0) * 2.0 ** (-j) / (2.0 * q) + 2.0 * n * alpha * 4.0 ** (-j) / q
     # bracket = (2^j q + alpha)^2 / (2^j 4q (2^j q - 1)), taken in log space
@@ -165,29 +154,26 @@ def moser_Kj_log_bound(j: int, q: float, n: int, alpha: float, C: float) -> floa
     log_den = (j * math.log(2.0) + math.log(4.0 * q)
                + j * math.log(2.0) + math.log(q - 2.0 ** (-j)))
     b_exp = n * 2.0 ** (-j) / (2.0 * q)
-    return c_exp * math.log(C) + b_exp * (log_num - log_den)
+    return c_exp, b_exp * (log_num - log_den)
 
 
 @dataclass(frozen=True)
 class MoserTrace:
     """Full record of one iteration run: the norm exponents A_1..A_m, the
-    exponent sums S_1..S_m, and the bound on the accumulated constant product
-    (inf beyond the float range)."""
+    exponent sums S_1..S_m, and the log of the bound on the accumulated constant
+    product, e_m log C + k_m, as its two converging sums e_m and k_m."""
 
     A: list[float]
     S: list[float]
-    K_bound: float
+    K_exponent_of_C: float
+    K_log_without_C: float
 
 
 def moser_trace(q: float, n: int, alpha: float, m: int) -> MoserTrace:
     _check_params(n, q, alpha, sums=True, m=m)
     A = [moser_A(k, q, n, alpha) for k in range(1, m + 1)]
     S = [moser_exponent_sum(k, q, n, alpha) for k in range(1, m + 1)]
-    log_prod = sum(moser_B(m - j, m, q, n, alpha)
-                   * moser_Kj_log_bound(j, q, n, alpha, INTERPOLATION_C)
-                   for j in range(1, m + 1))
-    try:
-        K_bound = math.exp(log_prod)
-    except OverflowError:  # the bound exceeds the float range
-        K_bound = math.inf
-    return MoserTrace(A=A, S=S, K_bound=K_bound)
+    terms = [(moser_B(m - j, m, q, n, alpha), moser_Kj_log_bound(j, q, n, alpha))
+             for j in range(1, m + 1)]
+    return MoserTrace(A=A, S=S, K_exponent_of_C=sum(B * e for B, (e, _) in terms),
+                      K_log_without_C=sum(B * k for B, (_, k) in terms))

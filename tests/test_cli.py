@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import re
 import warnings
 
@@ -370,11 +371,16 @@ class TestMoserTable:
         A_inf, S_inf = ex.moser_limits(2, 2, 0.5)
         assert payload["A_limit"] == pytest.approx(A_inf, rel=1e-15)
         assert payload["S_limit"] == pytest.approx(S_inf, rel=1e-15)
-        assert payload["K_bound"] == ex.moser_trace(2, 2, 0.5, 6).K_bound
+        trace = ex.moser_trace(2, 2, 0.5, 6)
+        assert payload["K_exponent_of_C"] == trace.K_exponent_of_C
+        assert payload["K_log_without_C"] == trace.K_log_without_C
+        assert "K_bound" not in payload
         exps = ex.exponent_set(2, 2, 0.5)
         assert payload["exponents"] == {"beta": exps.beta, "theta": exps.theta,
                                         "gamma": exps.gamma}
         assert payload["time_ladder"] == ex.moser_time_grid(6, 1.0)
+        assert payload["brute_force_error"] <= 1e-12
+        assert payload["halving_error"] <= 1e-9
         assert payload["passed"] is True
 
     def test_large_m_reaches_the_limit(self, tmp_path):
@@ -384,12 +390,53 @@ class TestMoserTable:
         assert int(last[0]) == 1100
         assert float(last[2]) == pytest.approx(S_inf, abs=1e-15)
 
-    def test_non_finite_constant_bound_is_failure(self, tmp_path):
-        # at alpha = 1e6 the log of the one-step constant bound is about 3.5e5
-        assert run_cli(tmp_path, "moser-table", "--m", "1", "--alpha", "1e6") == 1
+    def test_bound_beyond_the_float_range_is_reported_by_its_parts(self, tmp_path):
+        # at alpha = 1e6 the log of the one-step constant bound is about 3.5e5 at
+        # C = 2: its exponent of C and its log without C are finite
+        assert run_cli(tmp_path, "moser-table", "--m", "1", "--alpha", "1e6") == 0
         payload = json.loads(outputs(tmp_path, "json")[0].read_text())
-        assert payload["K_bound"] is None
+        assert payload["K_exponent_of_C"] == pytest.approx(500000.75, rel=1e-15)
+        assert payload["K_log_without_C"] == pytest.approx(6.387895893561, rel=1e-12)
+        assert payload["passed"] is True
+
+    @pytest.mark.parametrize("q, n, alpha", [(1, 1, 1), (2, 2, 0.5), (1, 2, 3), (7, 1, 0.1)])
+    @pytest.mark.parametrize("m", [3, 20, 40, 60])
+    def test_closed_forms_pass_both_halves(self, tmp_path, q, n, alpha, m):
+        assert run_cli(tmp_path, "moser-table", "--q", str(q), "--n", str(n),
+                       "--alpha", str(alpha), "--m", str(m)) == 0
+        payload = json.loads(outputs(tmp_path, "json")[0].read_text())
+        assert payload["brute_force_error"] <= 2.3e-16
+        assert payload["halving_error"] <= 2.3e-16
+
+    @pytest.mark.parametrize("mutant", ["off-by-one", "wrong-limit", "nan-closed-form",
+                                        "nan-limit"])
+    def test_each_half_fails_on_its_own_mutant(self, tmp_path, monkeypatch, mutant):
+        A, S, limits = ex.moser_A, ex.moser_exponent_sum, ex.moser_limits
+        if mutant == "off-by-one":  # 2^-m -> 2^-(m+1) throughout both closed forms
+            monkeypatch.setattr(ex, "moser_A", lambda m, *rest: A(m + 1, *rest))
+            monkeypatch.setattr(ex, "moser_exponent_sum", lambda m, *rest: S(m + 1, *rest))
+        elif mutant == "wrong-limit":  # A_inf = 2q/(2q + 2n alpha) in place of 2q/(2q + n alpha)
+            monkeypatch.setattr(ex, "moser_limits", lambda q, n, alpha: (
+                2 * q / (2 * q + 2 * n * alpha), limits(q, n, alpha)[1]))
+        elif mutant == "nan-closed-form":  # a NaN after the first row, which max() skips
+            monkeypatch.setattr(ex, "moser_A",
+                                lambda m, *rest: A(m, *rest) if m == 1 else math.nan)
+        else:  # every A gap NaN, which no floor comparison keeps
+            monkeypatch.setattr(ex, "moser_limits",
+                                lambda q, n, alpha: (math.nan, limits(q, n, alpha)[1]))
+        assert run_cli(tmp_path, "moser-table", "--m", "20") == 1
+        payload = json.loads(outputs(tmp_path, "json")[0].read_text())
         assert payload["passed"] is False
+        brute_force, halving = payload["brute_force_error"], payload["halving_error"]
+        if mutant == "off-by-one":  # the gaps still halve
+            assert brute_force > 1e-3 and halving <= 1e-15
+        elif mutant == "wrong-limit":  # the closed forms still equal their twins; the
+            # gaps tend to a nonzero constant c, so |gap_m - gap_{m-1}/2| tends to |c|/2
+            assert brute_force <= 1e-15 and halving > 1e-3
+        elif mutant == "nan-closed-form":
+            assert math.isnan(brute_force)
+        else:
+            assert brute_force <= 1e-15 and math.isnan(halving)
 
 
 class TestRunCommand:

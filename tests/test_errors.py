@@ -58,9 +58,6 @@ def test_dispatch_maps_the_two_classes(monkeypatch, tmp_path, exc, code, capsys)
 
 # Public functions that no command calls, each kept for the reason beside it.
 UNREACHED_ON_PURPOSE = {
-    "exponents.moser_A_bruteforce",  # literal-product oracle of moser_A (criterion 1)
-    "exponents.moser_B_bruteforce",  # literal-product oracle of moser_B (criterion 1)
-    "exponents.moser_exponent_sum_bruteforce",  # literal-sum oracle of S_m (criterion 1)
     # the paper's norm-halving exponents in closed form; test_halving_* pins them
     "exponents.halving_exponents",
     "barenblatt.sup_value",  # exact sup-norm power law, the oracle of criterion 3

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -79,11 +80,9 @@ def test_moser_table_functions_reject_overflowing_denominators(n, q, a):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_time_ladder_and_constant_must_be_finite(bad):
+def test_time_ladder_final_time_must_be_finite(bad):
     with pytest.raises(ConfigError, match="final time"):
         ex.moser_time_grid(3, bad)
-    with pytest.raises(ConfigError, match="interpolation constant"):
-        ex.moser_Kj_log_bound(2, 1.0, 1, 1.0, bad)
 
 
 def test_exponent_set_structure():
@@ -229,26 +228,30 @@ def test_moser_time_grid_property(m, t):
 
 
 def test_Kj_log_bound_behavior():
-    # C = 1 kills the interpolation-constant term; only the algebraic factor remains
-    v = ex.moser_Kj_log_bound(1, 1, 1, 1, 1.0)
-    assert math.isfinite(v)
+    # the exponent of C and the algebraic factor's log, (n+2)/(4q) + n alpha/(2q) and
+    # (n/(4q)) log((2q + alpha)^2 / (8q (2q - 1))) at j = 1
+    e, k = ex.moser_Kj_log_bound(1, 1, 1, 1)
+    assert e == pytest.approx(3 / 4 + 2 / 4, rel=1e-12)
     expected = (1 / 4) * math.log((2 + 1) ** 2 / (2 * 4 * (2 - 1)))
-    assert v == pytest.approx(expected, rel=1e-12)
-    # large j: both exponents decay like 2^-j
-    assert abs(ex.moser_Kj_log_bound(50, 1, 1, 1, 2.0)) < 1e-12
+    assert k == pytest.approx(expected, rel=1e-12)
+    # large j: both parts decay like 2^-j
+    e, k = ex.moser_Kj_log_bound(50, 1, 1, 1)
+    assert abs(e) < 1e-12 and abs(k) < 1e-12
     with pytest.raises(ConfigError):
-        ex.moser_Kj_log_bound(0, 1, 1, 1, 2.0)
+        ex.moser_Kj_log_bound(0, 1, 1, 1)
 
 
 def test_Kj_partial_sums_converge():
-    def partial(m):
-        return sum(ex.moser_B(m - j, m, 1, 1, 1) * ex.moser_Kj_log_bound(j, 1, 1, 1, 2.0)
-                   for j in range(1, m + 1))
+    # e_m and k_m, each a sum of the weights B_{m-j} times the j-th part
+    for part in (0, 1):
+        def partial(m):
+            return sum(ex.moser_B(m - j, m, 1, 1, 1) * ex.moser_Kj_log_bound(j, 1, 1, 1)[part]
+                       for j in range(1, m + 1))
 
-    p10, p20, p40, p80 = partial(10), partial(20), partial(40), partial(80)
-    assert abs(p20 - p10) < 1e-3
-    assert abs(p40 - p20) < 1e-6
-    assert abs(p80 - p40) < 1e-10
+        p10, p20, p40, p80 = partial(10), partial(20), partial(40), partial(80)
+        assert abs(p20 - p10) < 1e-3
+        assert abs(p40 - p20) < 1e-6
+        assert abs(p80 - p40) < 1e-10
 
 
 def test_moser_trace():
@@ -257,16 +260,32 @@ def test_moser_trace():
     assert all(0 < a <= 1 for a in tr.A)
     assert all(b < a for a, b in zip(tr.A, tr.A[1:]))
     assert all(0 < ex.moser_B(j, 20, 1.0, 1, 1.0) <= 1 for j in range(21))
-    assert math.isfinite(tr.K_bound) and tr.K_bound > 0
-    # the bound from moser_B computed afresh for each j, with C = 2
-    log_prod = sum(ex.moser_B(20 - j, 20, 1.0, 1, 1.0)
-                   * ex.moser_Kj_log_bound(j, 1.0, 1, 1.0, 2.0) for j in range(1, 21))
-    assert tr.K_bound == math.exp(log_prod)
-    assert math.isfinite(ex.moser_trace(1.0, 1, 1.0, 1100).K_bound)
+    # the two sums from moser_B computed afresh for each j
+    parts = [(ex.moser_B(20 - j, 20, 1.0, 1, 1.0), ex.moser_Kj_log_bound(j, 1.0, 1, 1.0))
+             for j in range(1, 21)]
+    assert tr.K_exponent_of_C == sum(B * e for B, (e, _) in parts) > 0
+    assert tr.K_log_without_C == sum(B * k for B, (_, k) in parts)
+    far = ex.moser_trace(1.0, 1, 1.0, 1100)
+    assert math.isfinite(far.K_exponent_of_C) and math.isfinite(far.K_log_without_C)
 
 
-def test_moser_trace_bound_beyond_float_range_is_inf():
-    assert ex.moser_trace(1.0, 1, 1e6, 1).K_bound == math.inf
+def test_moser_trace_split_is_the_bound_at_C_2():
+    # log K_m = e_m log C + k_m: at C = 2 it is the bound exp(sum_j B_{m-j} log K_j)
+    # that the trace reported before the split, 2.98077840639863 for (1, 1, 1), m = 40
+    tr = ex.moser_trace(1.0, 1, 1.0, 40)
+    assert tr.K_exponent_of_C == pytest.approx(1.844167764924, abs=1e-12)
+    assert tr.K_log_without_C == pytest.approx(-0.186095210128, abs=1e-12)
+    K = math.exp(tr.K_exponent_of_C * math.log(2.0) + tr.K_log_without_C)
+    assert K == pytest.approx(2.98077840639863, rel=1e-15)
+
+
+def test_moser_trace_split_is_finite_where_the_bound_is_beyond_the_float_range():
+    tr = ex.moser_trace(1.0, 1, 1e6, 1)
+    assert tr.K_exponent_of_C == pytest.approx(500000.75, rel=1e-15)
+    assert tr.K_log_without_C == pytest.approx(6.387895893561, rel=1e-12)
+    # exp of e log 2 + k, about 3.5e5, would overflow
+    log_K = tr.K_exponent_of_C * math.log(2.0) + tr.K_log_without_C
+    assert log_K > math.log(sys.float_info.max)
 
 
 def test_negative_weight_index_and_no_iterations_are_named():

@@ -137,6 +137,10 @@ COMMANDS = [
     # any NaN or Infinity reaches the JSON
     ["moser-table", "--q", "1e308"],
     ["moser-table", "--n", "2", "--alpha", "1e308"],
+    # an alpha whose constant bound exp(e log C + k) at C = 2 is beyond the float range:
+    # e and k are finite
+    ["moser-table", "--m", "1", "--alpha", "1e6"],
+    ["moser-table", "--alpha", "1e300", "--m", "3"],
     # a p0 whose smoothing exponents' denominator 2 p0 + n alpha overflows
     ["sandwich", "--set", "p0=1e308", "--set", "N=50", "--eps-list", "0.1,0.01",
      "--t-end", "0.05"],
